@@ -11,8 +11,12 @@ Two requirements drive this module:
 2. **Grid independence for sparse graphs** — the PageRank link matrix must
    be the *same logical matrix* under any blocking, because the
    shrink-rebalance restore changes the grid.  We synthesize edges with a
-   stateless integer hash (splitmix64) per ``(column, k)`` pair: any block
-   can enumerate exactly its own region's non-zeros without global state.
+   stateless integer hash (splitmix64) per ``(column, k)`` pair, so the
+   matrix is a pure function of ``(seed, n, out_degree)``.  The link graph
+   is sorted once: the whole matrix is compressed to one row-major,
+   duplicate-coalesced CSR per process and key, frozen, and every block
+   under every grid is a region extraction from it (a contiguous row-range
+   copy for the full-width blocks the apps use).
 """
 
 from __future__ import annotations
@@ -73,9 +77,10 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-#: (seed, n, out_degree) -> generated (rows, cols) edge arrays, shared by
-#: every LinkMatrix instance of the same logical matrix.  The arrays are
-#: only read (``destinations`` returns copies of slices), so sharing is safe.
+#: (seed, n, out_degree) -> the whole link matrix as one frozen ``SparseCSR``,
+#: shared by every LinkMatrix instance of the same logical matrix (chaos
+#: campaigns build a fresh LinkMatrix per schedule over the identical
+#: workload).  Blocks are copies of regions, never views, so sharing is safe.
 _EDGES_MEMO_CAPACITY = 8
 _edges_memo: dict = {}
 
@@ -89,9 +94,10 @@ class LinkMatrix:
     collapses).  Every column sums to 1, so the PageRank iteration
     ``P = αGP + (1-α)/n`` preserves ``sum(P) = 1``.
 
-    Because destinations are a pure function of ``(seed, j, k)``, any block
-    of the matrix can be materialized independently — the logical matrix is
-    identical under every grid, which the shrink-rebalance restore requires.
+    Because destinations are a pure function of ``(seed, j, k)``, the
+    logical matrix is identical under every grid, which the
+    shrink-rebalance restore requires: any block is a region of the one
+    memoized global CSR.
     """
 
     def __init__(self, n: int, out_degree: int, seed: int = 0):
@@ -100,34 +106,11 @@ class LinkMatrix:
         self.n = n
         self.out_degree = out_degree
         self.seed = seed
-        self._dest_cache: "Tuple[np.ndarray, np.ndarray] | None" = None
 
-    def destinations(self, j0: int, j1: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(rows, cols)`` of all edges with source columns in ``[j0, j1)``.
-
-        Edges for the whole matrix are memoized on first use (they are
-        column-ordered, so any column range is a contiguous slice); blocks
-        spanning many columns then cost a slice instead of a re-hash.
-        """
-        require(0 <= j0 <= j1 <= self.n, "bad column range")
-        if self._dest_cache is None:
-            # Edges are a pure function of (seed, n, out_degree), so share
-            # the generated arrays across instances — chaos campaigns build
-            # a fresh LinkMatrix per schedule over the identical workload.
-            memo_key = (self.seed, self.n, self.out_degree)
-            cached = _edges_memo.get(memo_key)
-            if cached is None:
-                if len(_edges_memo) >= _EDGES_MEMO_CAPACITY:
-                    _edges_memo.clear()
-                cached = _edges_memo[memo_key] = self._generate(0, self.n)
-            self._dest_cache = cached
-        rows, cols = self._dest_cache
-        lo, hi = j0 * self.out_degree, j1 * self.out_degree
-        return rows[lo:hi].copy(), cols[lo:hi].copy()
-
-    def _generate(self, j0: int, j1: int) -> Tuple[np.ndarray, np.ndarray]:
-        cols = np.repeat(np.arange(j0, j1, dtype=np.uint64), self.out_degree)
-        ks = np.tile(np.arange(self.out_degree, dtype=np.uint64), j1 - j0)
+    def _generate(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)`` of every edge, column-ordered, duplicates kept."""
+        cols = np.repeat(np.arange(self.n, dtype=np.uint64), self.out_degree)
+        ks = np.tile(np.arange(self.out_degree, dtype=np.uint64), self.n)
         with np.errstate(over="ignore"):
             key = (
                 np.uint64(self.seed) * _GOLDEN
@@ -137,17 +120,29 @@ class LinkMatrix:
         rows = (_splitmix64(key) % np.uint64(self.n)).astype(np.int64)
         return rows, cols.astype(np.int64)
 
+    def _global_csr(self) -> SparseCSR:
+        """The whole matrix, sorted and coalesced once per process and key.
+
+        Every duplicate addend is the same ``1/out_degree``, so the
+        coalesced sums do not depend on the order edges are met in.
+        """
+        memo_key = (self.seed, self.n, self.out_degree)
+        full = _edges_memo.get(memo_key)
+        if full is None:
+            if len(_edges_memo) >= _EDGES_MEMO_CAPACITY:
+                del _edges_memo[next(iter(_edges_memo))]  # oldest insertion
+            rows, cols = self._generate()
+            weights = np.full(len(rows), 1.0 / self.out_degree)
+            full = SparseCSR.from_coo(self.n, self.n, rows, cols, weights).freeze_view()
+            _edges_memo[memo_key] = full
+        return full
+
     def block(self, r0: int, r1: int, c0: int, c1: int) -> SparseCSR:
-        """Materialize the sub-matrix ``[r0:r1, c0:c1]`` as a CSR block."""
-        rows, cols = self.destinations(c0, c1)
-        mask = (rows >= r0) & (rows < r1)
-        return SparseCSR.from_coo(
-            r1 - r0,
-            c1 - c0,
-            rows[mask] - r0,
-            cols[mask] - c0,
-            np.full(int(mask.sum()), 1.0 / self.out_degree),
-        )
+        """Materialize the sub-matrix ``[r0:r1, c0:c1]`` as a CSR block.
+
+        The block owns its arrays; a range outside ``[0, n]`` raises.
+        """
+        return self._global_csr().sub_matrix(r0, r1, c0, c1)
 
     def nnz_estimate(self) -> int:
         """Upper bound on total stored entries (duplicates coalesce)."""

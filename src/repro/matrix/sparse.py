@@ -15,10 +15,11 @@ buffers — bit-identical results (both accumulate in the same index order),
 just less per-call Python overhead.
 
 Duplicate policy: ``from_coo`` **sums** duplicate ``(row, col)`` entries —
-the same coalescing scipy applies — and does the summation on one
-deterministic path (stable row-major sort, first-occurrence order) for
-both backends, so NumPy- and scipy-built matrices are byte-identical even
-in the last ulp of a summed duplicate.
+the same coalescing scipy applies.  A build is one stable sort, one
+boundary ``diff`` and one in-order segment sum; the backends differ only in
+*how the sort order is computed* (``_compress_coo``), never in the
+summation, so NumPy- and scipy-built matrices are byte-identical even in
+the last ulp of a summed duplicate.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from repro.util.versioning import next_version
 
 _INDEX_DTYPE = np.int64
 
-#: Minimum triplet count for routing ``from_coo`` through scipy's coo→csr
-#: conversion.  Below this the deterministic NumPy coalesce wins outright —
-#: scipy's constructors carry ~100µs of per-call validation overhead that
-#: dwarfs the O(nnz log nnz) work on the small blocks the simulator builds
-#: constantly (restore stitching, link-matrix blocks).  Results are
-#: bit-identical on either path (asserted by the equivalence suite).
+#: Minimum triplet count for computing ``from_coo``'s sort order with
+#: scipy's counting passes instead of ``np.argsort``.  Below this NumPy wins
+#: outright — scipy's constructors carry ~100µs of per-call validation that
+#: dwarfs the sort of the small blocks the simulator builds constantly.
+#: Both give the same permutation (asserted by the equivalence suite).
 _SCIPY_BUILD_MIN = 32768
 
 
@@ -46,21 +46,59 @@ def _as_index(a) -> np.ndarray:
     return np.asarray(a, dtype=_INDEX_DTYPE)
 
 
-def _coalesce_coo(
-    m: int, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort triplets row-major and sum duplicates."""
+def _check_coo(m: int, n: int, rows, cols, vals) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate caller-supplied triplets once; returns them as typed arrays."""
+    rows, cols = _as_index(rows), _as_index(cols)
+    vals = np.asarray(vals, dtype=np.float64)
     require(len(rows) == len(cols) == len(vals), "COO arrays differ in length")
     if len(rows):
         require(rows.min() >= 0 and rows.max() < m, "COO row index out of range")
         require(cols.min() >= 0 and cols.max() < n, "COO col index out of range")
-    linear = rows * n + cols
-    order = np.argsort(linear, kind="stable")
-    linear, vals = linear[order], vals[order]
-    unique, inverse = np.unique(linear, return_inverse=True)
-    summed = np.zeros(len(unique), dtype=np.float64)
-    np.add.at(summed, inverse, vals)
-    return unique // n, unique % n, summed
+    return rows, cols, vals
+
+
+def _scipy_stable_order(major: np.ndarray, minor: np.ndarray, n_major: int, n_minor: int):
+    """Stable argsort by ``(major, minor)`` as two O(nnz) counting passes.
+
+    A csr→csc conversion of a matrix with one entry per row buckets the row
+    numbers by ``indices``, "row indices in sorted order": a stable argsort.
+    LSD radix order — *minor* first, then *major*.  No intermediate holds a
+    duplicate cell, so scipy's (order-unspecified) duplicate summing never runs.
+    """
+    sp, count = _backend.scipy_module(), len(major)
+    one_per_row = np.arange(count + 1, dtype=_INDEX_DTYPE)
+    by_minor = sp.csr_array(
+        (one_per_row[:count], minor, one_per_row), shape=(count, n_minor)
+    ).tocsc().indices
+    return sp.csr_array(
+        (by_minor, major[by_minor], one_per_row), shape=(count, n_major)
+    ).tocsc().data
+
+
+def _compress_coo(
+    n_major: int, n_minor: int, major: np.ndarray, minor: np.ndarray, vals: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, values)`` of validated triplets, duplicates summed.
+
+    One stable sort (its backend chosen up front, from the size alone); a
+    run of equal keys becomes one stored entry.  ``np.bincount`` adds its
+    weights in array order, so each run is summed in first-occurrence order.
+    """
+    linear = major * n_minor + minor
+    if len(linear) >= _SCIPY_BUILD_MIN and _backend.USE_SCIPY:
+        order = _scipy_stable_order(major, minor, n_major, n_minor)
+    else:
+        order = np.argsort(linear, kind="stable")
+    linear = linear[order]
+    first = np.ones(len(linear), dtype=bool)
+    np.not_equal(linear[1:], linear[:-1], out=first[1:])
+    values = np.bincount(np.cumsum(first) - 1, weights=vals[order])
+    unique = linear[first]
+    indptr = np.zeros(n_major + 1, dtype=_INDEX_DTYPE)
+    if len(unique):
+        np.cumsum(np.bincount(unique // n_minor, minlength=n_major), out=indptr[1:])
+        unique %= n_minor
+    return indptr, unique, values
 
 
 class SparseCSR:
@@ -92,7 +130,6 @@ class SparseCSR:
                 "column index out of range",
             )
         require(bool(np.all(np.diff(self.indptr) >= 0)), "indptr must be non-decreasing")
-
 
     @classmethod
     def _build(cls, m: int, n: int, indptr, indices, values) -> "SparseCSR":
@@ -126,32 +163,11 @@ class SparseCSR:
         """Build from triplets.
 
         Duplicate ``(row, col)`` entries are **summed** (the same policy as
-        scipy's coalescing).  On the scipy backend, builds of at least
-        ``_SCIPY_BUILD_MIN`` triplets follow the coo→csr idiom with a
-        duplicate-entry guard: if the conversion coalesced anything
-        (``coo.data.size != csr.data.size``), the build is redone on the
-        deterministic NumPy path so both backends yield byte-identical
-        summed values regardless of scipy's internal summation order.
-        Smaller builds always take the NumPy path, which outruns scipy's
-        per-call constructor overhead at that scale — bit-identically.
+        scipy's coalescing) in first-occurrence order — byte-identically
+        on both backends, see ``_compress_coo``.
         """
-        rows, cols = _as_index(rows), _as_index(cols)
-        vals = np.asarray(vals, dtype=np.float64)
-        require(len(rows) == len(cols) == len(vals), "COO arrays differ in length")
-        if len(rows) >= _SCIPY_BUILD_MIN and _backend.USE_SCIPY:
-            require(rows.min() >= 0 and rows.max() < m, "COO row index out of range")
-            require(cols.min() >= 0 and cols.max() < n, "COO col index out of range")
-            sp = _backend.scipy_module()
-            coo = sp.coo_array((vals, (rows, cols)), shape=(int(m), int(n)))
-            mat = coo.tocsr()
-            if coo.data.size == mat.data.size:  # duplicate-entry guard
-                mat.sort_indices()
-                return cls._build(m, n, mat.indptr, mat.indices, mat.data)
-            # Duplicates present: fall through to the deterministic coalesce.
-        rows, cols, vals = _coalesce_coo(m, n, rows, cols, vals)
-        counts = np.bincount(rows, minlength=m)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return cls._build(m, n, indptr, cols, vals)
+        rows, cols, vals = _check_coo(m, n, rows, cols, vals)
+        return cls._build(m, n, *_compress_coo(m, n, rows, cols, vals))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, tol: float = 0.0) -> "SparseCSR":
@@ -340,6 +356,16 @@ class SparseCSR:
 
     def sub_matrix(self, r0: int, r1: int, c0: int, c1: int) -> "SparseCSR":
         """Extract the region as a new (r1-r0) × (c1-c0) CSR block."""
+        if c0 == 0 and c1 == self.n and 0 <= r0 <= r1 <= self.m:
+            # Full-width rows are one contiguous run: rebase indptr, copy the rest.
+            lo, hi = self.indptr[r0], self.indptr[r1]
+            return SparseCSR._build(
+                r1 - r0,
+                self.n,
+                self.indptr[r0 : r1 + 1] - lo,
+                self.indices[lo:hi].copy(),
+                self.values[lo:hi].copy(),
+            )
         entry_idx, cols = self._region_mask(r0, r1, c0, c1)
         sub_rows = np.searchsorted(self.indptr, entry_idx, side="right") - 1 - r0
         counts = np.bincount(sub_rows, minlength=r1 - r0)
@@ -434,7 +460,6 @@ class SparseCSC:
                 "row index out of range",
             )
 
-
     @classmethod
     def _build(cls, m: int, n: int, indptr, indices, values) -> "SparseCSC":
         """Unchecked internal constructor (see :meth:`SparseCSR._build`)."""
@@ -455,30 +480,10 @@ class SparseCSC:
 
     @classmethod
     def from_coo(cls, m: int, n: int, rows, cols, vals) -> "SparseCSC":
-        """Build from triplets.
-
-        Duplicates are **summed** on the same deterministic path as
-        :meth:`SparseCSR.from_coo` (see its docstring for the scipy build
-        idiom and duplicate-entry guard).
-        """
-        rows, cols = _as_index(rows), _as_index(cols)
-        vals = np.asarray(vals, dtype=np.float64)
-        require(len(rows) == len(cols) == len(vals), "COO arrays differ in length")
-        if len(rows) >= _SCIPY_BUILD_MIN and _backend.USE_SCIPY:
-            require(rows.min() >= 0 and rows.max() < m, "COO row index out of range")
-            require(cols.min() >= 0 and cols.max() < n, "COO col index out of range")
-            sp = _backend.scipy_module()
-            coo = sp.coo_array((vals, (rows, cols)), shape=(int(m), int(n)))
-            mat = coo.tocsc()
-            if coo.data.size == mat.data.size:  # duplicate-entry guard
-                mat.sort_indices()
-                return cls._build(m, n, mat.indptr, mat.indices, mat.data)
-            # Duplicates present: fall through to the deterministic coalesce.
-        # Coalesce column-major: reuse the row-major helper on the transpose.
-        tcols, trows, vals = _coalesce_coo(n, m, cols, rows, vals)
-        counts = np.bincount(tcols, minlength=n)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return cls._build(m, n, indptr, trows, vals)
+        """Build from triplets; duplicates are **summed** exactly as in
+        :meth:`SparseCSR.from_coo`, with the sort column-major."""
+        rows, cols, vals = _check_coo(m, n, rows, cols, vals)
+        return cls._build(m, n, *_compress_coo(n, m, cols, rows, vals))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, tol: float = 0.0) -> "SparseCSC":

@@ -181,9 +181,9 @@ def test_duplicate_policy_sums_matching_scipy():
 
 @pytest.mark.parametrize("dups", [False, True])
 def test_from_coo_large_build_identical(dups):
-    """Builds above ``_SCIPY_BUILD_MIN`` take scipy's coo→csr conversion
-    (with the duplicate-entry guard); the result must still be
-    byte-identical to the NumPy path."""
+    """Builds above ``_SCIPY_BUILD_MIN`` compute their sort order with
+    scipy's counting passes; the permutation, and so the result, must be
+    byte-identical to the NumPy ``argsort`` path, duplicates or not."""
     from repro.matrix.sparse import _SCIPY_BUILD_MIN
 
     n = 4096
@@ -199,6 +199,24 @@ def test_from_coo_large_build_identical(dups):
     vals = rng.standard_normal(nnz)
     a, b = per_backend(lambda: SparseCSR.from_coo(n, n, rows, cols, vals))
     assert_same_matrix(a, b)
+
+
+def test_from_coo_large_build_csc_matches_transposed_csr():
+    """The column-major large build (keys swapped) on a non-square shape:
+    identical across backends, and its summed duplicates are bit-equal to
+    the CSR build of the transposed triplets."""
+    from repro.matrix.sparse import _SCIPY_BUILD_MIN
+
+    m, n, nnz = 700, 300, _SCIPY_BUILD_MIN + 500
+    rng = np.random.default_rng(22)
+    rows, cols = rng.integers(0, m, size=nnz), rng.integers(0, n, size=nnz)
+    vals = rng.standard_normal(nnz)
+    a, b = per_backend(lambda: SparseCSC.from_coo(m, n, rows, cols, vals))
+    assert_same_matrix(a, b)
+    assert a.nnz < nnz  # 33k draws into 210k cells: duplicates are certain
+    t = SparseCSR.from_coo(n, m, cols, rows, vals)
+    for got, want in zip(a.payload_arrays(), t.payload_arrays()):
+        assert np.array_equal(got, want)
 
 
 def test_backend_switch_validation():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.matrix import random as random_mod
 from repro.matrix.grid import Grid
 from repro.matrix.mapping import (
     CyclicBlockMap,
@@ -18,6 +19,7 @@ from repro.matrix.random import (
     random_sparse_block,
     random_vector,
 )
+from repro.matrix.sparse import SparseCSR
 
 
 class TestRandomBlocks:
@@ -77,10 +79,90 @@ class TestLinkMatrix:
         assert np.array_equal(assembled, full)
 
     def test_destination_range(self):
+        """All ``n * out_degree`` edges land inside the matrix: colliding
+        destinations coalesce, but no weight is lost."""
         link = LinkMatrix(10, 5, seed=3)
-        rows, cols = link.destinations(0, 10)
-        assert rows.min() >= 0 and rows.max() < 10
-        assert len(rows) == 50
+        full = link.block(0, 10, 0, 10)
+        assert full.indices.min() >= 0 and full.indices.max() < 10
+        assert full.nnz <= link.nnz_estimate()
+        assert full.values.sum() == pytest.approx(50 / 5)
+
+    @pytest.mark.parametrize(
+        "n, out_degree, seed",
+        [(7, 3, 0), (40, 4, 11), (5, 23, 2), (1, 4, 9), (4000, 10, 1234)],
+    )
+    @pytest.mark.parametrize("rb, cb", [(1, 1), (3, 1), (4, 3), (7, 5)])
+    def test_block_bytes_match_per_block_build(self, n, out_degree, seed, rb, cb):
+        """Slices of the global CSR are byte-identical to building each
+        block on its own from the raw edge list (mask, then ``from_coo``).
+        ``out_degree > n`` makes nearly every entry a coalesced duplicate;
+        the largest case crosses ``_SCIPY_BUILD_MIN``."""
+        link = LinkMatrix(n, out_degree, seed=seed)
+        rows, cols = link._generate()
+        grid = Grid.partition(n, n, min(rb, n), min(cb, n))
+        for brb, bcb in grid.iter_blocks():
+            r = grid.block_region(brb, bcb)
+            r0, r1, c0, c1 = r.row_start, r.row_end, r.col_start, r.col_end
+            keep = (rows >= r0) & (rows < r1) & (cols >= c0) & (cols < c1)
+            reference = SparseCSR.from_coo(
+                r1 - r0,
+                c1 - c0,
+                rows[keep] - r0,
+                cols[keep] - c0,
+                np.full(int(keep.sum()), 1.0 / out_degree),
+            )
+            block = link.block(r0, r1, c0, c1)
+            assert block.shape == reference.shape
+            for got, want in zip(block.payload_arrays(), reference.payload_arrays()):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_block_range_validated(self):
+        link = LinkMatrix(12, 3)
+        for bad in [(-5, 22, 0, 12), (0, 13, 0, 12), (8, 4, 0, 12), (0, 12, -1, 12),
+                    (0, 12, 0, 13), (-1, 6, 2, 8)]:
+            with pytest.raises(ValueError):
+                link.block(*bad)
+        assert link.block(12, 12, 0, 12).shape == (0, 12)
+
+    def test_blocks_own_their_arrays(self):
+        """Mutating a block reaches neither the memo nor a later block."""
+        link = LinkMatrix(30, 4, seed=5)
+        pristine = link.block(3, 20, 0, 30)
+        for r0, r1, c0, c1 in [(3, 20, 0, 30), (3, 20, 5, 25)]:
+            block = link.block(r0, r1, c0, c1)
+            want = link.block(r0, r1, c0, c1).values.copy()
+            block.scale(3.0)
+            block.touch()
+            block.values[0] = -1.0
+            block.indices[0] = 29
+            assert np.array_equal(link.block(r0, r1, c0, c1).values, want)
+        again = link.block(3, 20, 0, 30)
+        for got, want in zip(again.payload_arrays(), pristine.payload_arrays()):
+            assert np.array_equal(got, want)
+
+    def test_memo_is_frozen_and_shared(self):
+        a, b = LinkMatrix(25, 3, seed=8), LinkMatrix(25, 3, seed=8)
+        a.block(0, 25, 0, 25)
+        entries = len(random_mod._edges_memo)
+        assert a._global_csr() is b._global_csr()
+        b.block(0, 5, 0, 25)
+        assert len(random_mod._edges_memo) == entries
+        for array in a._global_csr().payload_arrays():
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_memo_evicts_only_the_oldest(self, monkeypatch):
+        monkeypatch.setattr(random_mod, "_edges_memo", {})
+        capacity = random_mod._EDGES_MEMO_CAPACITY
+        links = [LinkMatrix(6 + i, 2) for i in range(capacity + 1)]
+        kept = [link._global_csr() for link in links[:-1]]
+        links[-1].block(0, 1, 0, 6 + capacity)
+        memo = random_mod._edges_memo
+        assert len(memo) == capacity
+        assert (0, 6, 2) not in memo
+        assert links[-2]._global_csr() is kept[-1]
+        assert links[1]._global_csr() is kept[1]
 
     def test_nnz_estimate(self):
         assert LinkMatrix(10, 5).nnz_estimate() == 50
