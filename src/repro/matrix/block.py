@@ -66,9 +66,6 @@ class MatrixBlock:
         """Global half-open column range covered by this block."""
         return self.col_offset, self.col_offset + self.data.shape[1]
 
-    def deep_copy(self) -> "MatrixBlock":
-        return MatrixBlock(self.rb, self.cb, self.row_offset, self.col_offset, self.data.copy())
-
     def __repr__(self) -> str:
         kind = "sparse" if self.is_sparse else "dense"
         return f"MatrixBlock(({self.rb},{self.cb}), {kind} {self.shape})"
@@ -121,22 +118,12 @@ class BlockSet:
         lows, highs = zip(*(b.row_range() for b in self._blocks.values()))
         return min(lows), max(highs)
 
-    def deep_copy(self) -> "BlockSet":
-        out = BlockSet(self.place_index)
-        for block in self:
-            out.add(block.deep_copy())
-        return out
-
-    def payload_dict(self) -> Dict[Tuple[int, int], BlockData]:
-        """Deep-copied ``{(rb, cb): data}`` map — the snapshot payload."""
-        return {b.key: b.data.copy() for b in self}
-
     def version_token(self) -> Tuple[Tuple[Tuple[int, int], int], ...]:
         """Aggregate mutation token: every block's key and version."""
         return tuple((b.key, b.data.version) for b in self)
 
     def freeze_view_dict(self) -> Dict[Tuple[int, int], BlockData]:
-        """Copy-on-write snapshot payload: frozen aliases, no deep copies."""
+        """The snapshot payload ``{(rb, cb): data}``: copy-on-write frozen aliases."""
         return {b.key: b.data.freeze_view() for b in self}
 
     def __repr__(self) -> str:

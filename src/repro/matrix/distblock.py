@@ -396,9 +396,9 @@ class DistBlockMatrix(MultiPlaceObject):
     def make_snapshot(self, base: Optional[DistObjectSnapshot] = None) -> DistObjectSnapshot:
         """Save each place's block set under its index, doubly stored.
 
-        In delta mode a place whose blocks are all unchanged since *base*
-        adopts its committed copy by reference; a dirty place snapshots its
-        blocks copy-on-write (frozen aliases, no deep copies).
+        Blocks are saved copy-on-write (frozen aliases, no deep copies);
+        in delta mode a place whose blocks are all unchanged since *base*
+        adopts its committed copy by reference instead.
         """
         block_nnz: Dict[Tuple[int, int], int] = {}
         if self.kind == SPARSE:
@@ -421,13 +421,7 @@ class DistBlockMatrix(MultiPlaceObject):
             index = group.index_of(ctx.place)
             bs: BlockSet = ctx.heap.get(key)
             self._save_partition(
-                snap,
-                ctx,
-                index,
-                bs.version_token(),
-                base,
-                bs.payload_dict,
-                bs.freeze_view_dict,
+                snap, ctx, index, bs.version_token(), base, bs.freeze_view_dict
             )
 
         self.runtime.finish_all(group, save, label=f"{self.name}:snapshot")
@@ -447,7 +441,7 @@ class DistBlockMatrix(MultiPlaceObject):
             self._restore_regridded(snapshot, old_grid)
 
     def _restore_same_grid(self, snapshot: DistObjectSnapshot) -> None:
-        """Block-by-block restore: copy whole blocks from their old owners."""
+        """Block-by-block restore: adopt whole blocks from their old owners."""
         owners: Dict[Tuple[int, int], int] = snapshot.meta["owners"]
         group, key = self.group, self.heap_key
 
@@ -455,10 +449,9 @@ class DistBlockMatrix(MultiPlaceObject):
             bs: BlockSet = ctx.heap.get(key)
             for block in bs:
                 old_owner = owners[block.key]
-                payload = snapshot.fetch(
-                    ctx, old_owner, extract=lambda d, k=block.key: d[k].copy()
+                block.data = snapshot.fetch(
+                    ctx, old_owner, extract=lambda d, k=block.key: d[k].freeze_view()
                 )
-                block.data = payload
 
         self.runtime.finish_all(group, load, label=f"{self.name}:restore_same_grid")
 

@@ -216,9 +216,7 @@ class DistSparseRowMatrix(MultiPlaceObject):
         def save(ctx: PlaceContext) -> None:
             index = group.index_of(ctx.place)
             band: SparseCSR = ctx.heap.get(key)
-            self._save_partition(
-                snap, ctx, index, band.version, base, band.copy, band.freeze_view
-            )
+            self._save_partition(snap, ctx, index, band.version, base, band.freeze_view)
 
         self.runtime.finish_all(group, save, label=f"{self.name}:snapshot")
         return snap
@@ -236,7 +234,7 @@ class DistSparseRowMatrix(MultiPlaceObject):
             def load(ctx: PlaceContext) -> None:
                 index = group.index_of(ctx.place)
                 payload: SparseCSR = snapshot.fetch(ctx, index)
-                ctx.heap.put(key, payload.copy())
+                ctx.heap.put(key, payload.freeze_view())
                 ctx.charge_memcpy(payload.nbytes)
 
             self.runtime.finish_all(group, load, label=f"{self.name}:restore")

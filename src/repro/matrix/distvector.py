@@ -386,9 +386,7 @@ class DistVector(MultiPlaceObject):
         def save(ctx: PlaceContext) -> None:
             index = group.index_of(ctx.place)
             seg: Vector = ctx.heap.get(self.heap_key)
-            self._save_partition(
-                snap, ctx, index, seg.version, base, seg.copy, seg.freeze_view
-            )
+            self._save_partition(snap, ctx, index, seg.version, base, seg.freeze_view)
 
         self.runtime.finish_all(group, save, label=f"{self.name}:snapshot")
         return snap

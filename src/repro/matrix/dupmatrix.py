@@ -105,9 +105,7 @@ class _DupMatrixBase(MultiPlaceObject):
         def save(ctx: PlaceContext) -> None:
             index = group.index_of(ctx.place)
             replica: MatrixPayload = ctx.heap.get(key)
-            self._save_partition(
-                snap, ctx, index, replica.version, base, replica.copy, replica.freeze_view
-            )
+            self._save_partition(snap, ctx, index, replica.version, base, replica.freeze_view)
 
         self.runtime.finish_all(group, save, label=f"{self.name}:snapshot")
         return snap
@@ -125,8 +123,7 @@ class _DupMatrixBase(MultiPlaceObject):
 
         def load(ctx: PlaceContext) -> None:
             index = group.index_of(ctx.place)
-            payload = snapshot.fetch(ctx, index)
-            ctx.heap.put(key, payload.copy())
+            ctx.heap.put(key, snapshot.fetch(ctx, index).freeze_view())
 
         self.runtime.finish_all(group, load, label=f"{self.name}:restore")
 

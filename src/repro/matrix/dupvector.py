@@ -291,9 +291,7 @@ class DupVector(MultiPlaceObject):
         def save(ctx: PlaceContext) -> None:
             index = self.group.index_of(ctx.place)
             vec: Vector = ctx.heap.get(self.heap_key)
-            self._save_partition(
-                snap, ctx, index, vec.version, base, vec.copy, vec.freeze_view
-            )
+            self._save_partition(snap, ctx, index, vec.version, base, vec.freeze_view)
 
         self.runtime.finish_all(self.group, save, label=f"{self.name}:snapshot")
         return snap

@@ -125,22 +125,20 @@ class MultiPlaceObject(Snapshottable):
             return base
         return None
 
-    def _save_partition(self, snap, ctx, key, token, base, copy_fn, view_fn) -> None:
-        """Save one partition, skipping copy + CRC when it is clean.
+    def _save_partition(self, snap, ctx, key, token, base, view_fn) -> None:
+        """Save one partition, skipping the save + CRC when it is clean.
 
         *token* is the partition's current mutation token; *base* the
         compatible previous committed snapshot (or None for a full save).
         Clean partitions adopt the base's copies by reference
         (:meth:`~repro.resilience.snapshot.DistObjectSnapshot.save_clean_from`);
-        dirty ones under delta share the live arrays copy-on-write
-        (*view_fn*); full-mode saves pay the eager deep copy (*copy_fn*).
+        every other one is saved as *view_fn()*, a frozen alias sharing the
+        live arrays copy-on-write — full and delta differ only in which.
         """
         if base is not None and base.can_reuse(key, token):
             snap.save_clean_from(ctx, key, base)
-        elif base is not None:
-            snap.save_from(ctx, key, view_fn(), token=token)
         else:
-            snap.save_from(ctx, key, copy_fn(), token=token)
+            snap.save_from(ctx, key, view_fn(), token=token)
 
     # -- lifecycle ---------------------------------------------------------
 

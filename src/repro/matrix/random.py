@@ -16,7 +16,7 @@ Two requirements drive this module:
    is sorted once: the whole matrix is compressed to one row-major,
    duplicate-coalesced CSR per process and key, frozen, and every block
    under every grid is a region extraction from it (a contiguous row-range
-   copy for the full-width blocks the apps use).
+   slice for the full-width blocks the apps use).
 """
 
 from __future__ import annotations
@@ -30,14 +30,54 @@ from repro.matrix.sparse import SparseCSR
 from repro.util.validation import check_positive, require
 
 
+#: Byte budget of :data:`_input_memo`: every input the repo's sweeps,
+#: campaigns and streams generate fits several times over (the largest, the
+#: 44-place link graph, is 70 MB).
+_INPUT_MEMO_BYTES = 256 << 20
+
+
+class _InputMemo:
+    """Insertion-ordered, byte-budgeted memo of frozen generated inputs.
+
+    Dense blocks and link graphs are pure functions of their key, so every
+    run, checkpoint and restore shares one copy (``touch()`` detaches).
+    """
+
+    def __init__(self, budget: int):
+        self.budget, self.nbytes, self.entries = budget, 0, {}
+
+    def get(self, key, build):
+        """The frozen input under *key*, from ``build()`` on first use.
+
+        Oldest entries are evicted until the new one fits; one larger than
+        the whole budget is not kept (it is built per call).
+        """
+        found = self.entries.get(key)
+        if found is None:
+            found = build().freeze_view()
+            if found.nbytes <= self.budget:
+                self.nbytes += found.nbytes
+                while self.nbytes > self.budget:
+                    self.nbytes -= self.entries.pop(next(iter(self.entries))).nbytes
+                self.entries[key] = found
+        return found
+
+
+_input_memo = _InputMemo(_INPUT_MEMO_BYTES)
+
+
 def block_rng(seed: int, rb: int, cb: int) -> np.random.Generator:
     """A generator deterministically derived from ``(seed, rb, cb)``."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rb, cb)))
 
 
 def random_dense_block(seed: int, rb: int, cb: int, rows: int, cols: int) -> DenseMatrix:
-    """Uniform [0, 1) dense block, reproducible per block coordinates."""
-    return DenseMatrix(block_rng(seed, rb, cb).random((rows, cols)))
+    """Uniform [0, 1) dense block, reproducible per block coordinates: a
+    frozen alias of the memoized block (``touch()`` detaches a writer)."""
+    return _input_memo.get(
+        (seed, rb, cb, rows, cols),
+        lambda: DenseMatrix(block_rng(seed, rb, cb).random((rows, cols))),
+    ).freeze_view()
 
 
 def random_vector(seed: int, n: int, tag: int = 0) -> np.ndarray:
@@ -75,14 +115,6 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * _MIX1
         z = (z ^ (z >> np.uint64(27))) * _MIX2
         return z ^ (z >> np.uint64(31))
-
-
-#: (seed, n, out_degree) -> the whole link matrix as one frozen ``SparseCSR``,
-#: shared by every LinkMatrix instance of the same logical matrix (chaos
-#: campaigns build a fresh LinkMatrix per schedule over the identical
-#: workload).  Blocks are copies of regions, never views, so sharing is safe.
-_EDGES_MEMO_CAPACITY = 8
-_edges_memo: dict = {}
 
 
 class LinkMatrix:
@@ -126,21 +158,19 @@ class LinkMatrix:
         Every duplicate addend is the same ``1/out_degree``, so the
         coalesced sums do not depend on the order edges are met in.
         """
-        memo_key = (self.seed, self.n, self.out_degree)
-        full = _edges_memo.get(memo_key)
-        if full is None:
-            if len(_edges_memo) >= _EDGES_MEMO_CAPACITY:
-                del _edges_memo[next(iter(_edges_memo))]  # oldest insertion
+
+        def build() -> SparseCSR:
             rows, cols = self._generate()
             weights = np.full(len(rows), 1.0 / self.out_degree)
-            full = SparseCSR.from_coo(self.n, self.n, rows, cols, weights).freeze_view()
-            _edges_memo[memo_key] = full
-        return full
+            return SparseCSR.from_coo(self.n, self.n, rows, cols, weights)
+
+        return _input_memo.get((self.seed, self.n, self.out_degree), build)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> SparseCSR:
-        """Materialize the sub-matrix ``[r0:r1, c0:c1]`` as a CSR block.
+        """The sub-matrix ``[r0:r1, c0:c1]`` as a CSR block.
 
-        The block owns its arrays; a range outside ``[0, n]`` raises.
+        A full-width block shares the memoized graph's ``indices``/``values``
+        copy-on-write; a range outside ``[0, n]`` raises.
         """
         return self._global_csr().sub_matrix(r0, r1, c0, c1)
 

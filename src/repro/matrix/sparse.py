@@ -357,14 +357,14 @@ class SparseCSR:
     def sub_matrix(self, r0: int, r1: int, c0: int, c1: int) -> "SparseCSR":
         """Extract the region as a new (r1-r0) × (c1-c0) CSR block."""
         if c0 == 0 and c1 == self.n and 0 <= r0 <= r1 <= self.m:
-            # Full-width rows are one contiguous run: rebase indptr, copy the rest.
+            # Full-width rows are one contiguous run: rebase indptr.  A frozen
+            # parent shares the run (slices stay read-only); a writable copies.
             lo, hi = self.indptr[r0], self.indptr[r1]
+            indices, values = self.indices[lo:hi], self.values[lo:hi]
+            if indices.flags.writeable or values.flags.writeable:
+                indices, values = indices.copy(), values.copy()
             return SparseCSR._build(
-                r1 - r0,
-                self.n,
-                self.indptr[r0 : r1 + 1] - lo,
-                self.indices[lo:hi].copy(),
-                self.values[lo:hi].copy(),
+                r1 - r0, self.n, self.indptr[r0 : r1 + 1] - lo, indices, values
             )
         entry_idx, cols = self._region_mask(r0, r1, c0, c1)
         sub_rows = np.searchsorted(self.indptr, entry_idx, side="right") - 1 - r0

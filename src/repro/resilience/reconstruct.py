@@ -116,9 +116,10 @@ class ReconstructionStore:
             key_of = {new_group[key].id: key for key in damaged}
 
             def resave(ctx: PlaceContext, snap=snap, heap_key=heap_key, key_of=key_of):
-                payload = ctx.heap.get(heap_key)
+                # An alias, not the live object, whose next touch() + write would reach it.
+                live = ctx.heap.get(heap_key)
                 snap.save_from(
-                    ctx, key_of[ctx.place.id], payload, token=version_token(payload)
+                    ctx, key_of[ctx.place.id], live.freeze_view(), token=version_token(live)
                 )
 
             self.runtime.finish_all(sub, resave, label="reconstruct:repair")

@@ -55,7 +55,7 @@ class Snapshottable(ABC):
         *base* (delta checkpointing) is the previous committed snapshot of
         the same object: partitions whose mutation version is unchanged
         since *base* are adopted from it by reference instead of being
-        copied and re-hashed.  ``None`` forces a full save.
+        re-saved and re-hashed.  ``None`` forces a full save.
         """
 
     @abstractmethod
@@ -155,11 +155,10 @@ class DistObjectSnapshot:
     ) -> None:
         """Save one partition from within a finish task at the owning place.
 
-        The caller must pass a payload that does not alias live *mutable*
-        data: either an already-copied payload (full saves) or a
-        copy-on-write ``freeze_view`` whose arrays the live object copies
-        out of before its next mutation (delta saves).  The payload is
-        frozen here in both cases — snapshot bytes are immutable for the
+        The caller passes a copy-on-write ``freeze_view`` of the live
+        payload: an alias sharing its arrays, never the live object itself
+        (whose next ``touch()`` + write would land in the snapshot).  The
+        payload is frozen here — snapshot bytes are immutable for the
         snapshot's lifetime.  Charges one local copy, then fans the backup
         replicas out over the engine's transfer resources from a common
         issue time (the sends serialize on the owner's transmit side, the

@@ -16,8 +16,9 @@ only — their ordering carries no meaning across objects.
 are marked read-only (``ndarray.setflags(write=False)``), so the snapshot
 may share arrays with the live object.  The live classes' ``touch()``
 methods replace a frozen backing array with a private writable copy before
-mutating — the deep copy the eager save used to pay up front is deferred
-to the first mutation, and skipped entirely for partitions that stay clean.
+mutating — the deep copy is deferred to the first mutation, and skipped
+entirely for partitions that stay clean (generated inputs and restores
+follow the same rule: ``docs/architecture.md``, "Payload ownership").
 """
 
 from __future__ import annotations

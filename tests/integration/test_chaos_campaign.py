@@ -18,6 +18,8 @@ import pytest
 
 from repro.chaos import (
     CampaignConfig,
+    _campaign_index,
+    _failure_free_result,
     dedupe_schedule,
     make_schedule,
     run_campaign,
@@ -219,3 +221,16 @@ def test_campaign_cg_reconstruct():
     assert result.violations == [], result.summary()
     assert result.counts().get("recovered", 0) > 0
     assert "recovery=reconstruct" in result.summary()
+
+
+def test_cg_reconstruct_spare_reused_at_another_index():
+    # Seed 99 schedule 1 (p3@phase39; p5@checkpoint#1; p2@iter5): an aborted
+    # reconstruction re-uses its spare at a different index and overwrites
+    # the spare's live `b` segment.  When repair_static had saved the live
+    # Vector object itself, that write also rewrote the static snapshot and
+    # the run converged 2.4e-1 away from the failure-free answer.
+    config = CampaignConfig(app="cg", seed=99, recovery="reconstruct", spares=2)
+    outcome = _campaign_index(config, _failure_free_result(config), None, 1)
+    assert outcome.kills == ["p3@phase39", "p5@checkpoint#1", "p2@iter5"]
+    assert outcome.violations == []
+    assert outcome.status == "recovered"

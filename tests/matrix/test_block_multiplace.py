@@ -1,5 +1,6 @@
 """Tests for MatrixBlock/BlockSet details and the MultiPlaceObject base."""
 
+import numpy as np
 import pytest
 
 from repro.matrix.block import BlockSet, MatrixBlock
@@ -31,13 +32,6 @@ class TestMatrixBlock:
         assert not dense.is_sparse and sparse.is_sparse
         assert dense.nbytes == 64
 
-    def test_deep_copy_isolated(self):
-        grid = Grid.partition(4, 4, 2, 1)
-        block = MatrixBlock.for_grid(grid, 0, 0, DenseMatrix.make(2, 4))
-        clone = block.deep_copy()
-        clone.data.data[0, 0] = 7.0
-        assert block.data.data[0, 0] == 0.0
-
 
 class TestBlockSet:
     def _bs(self):
@@ -65,11 +59,16 @@ class TestBlockSet:
         with pytest.raises(ValueError):
             BlockSet(0).row_span()
 
-    def test_payload_dict_is_deep(self):
+    def test_freeze_view_dict_is_copy_on_write(self):
         bs = self._bs()
-        payload = bs.payload_dict()
-        payload[(1, 0)].data[0, 0] = 9.0
-        assert bs.get(1, 0).data.data[0, 0] == 0.0
+        payload = bs.freeze_view_dict()
+        live = bs.get(1, 0).data
+        assert np.shares_memory(payload[(1, 0)].data, live.data)
+        with pytest.raises(ValueError):
+            payload[(1, 0)].data[0, 0] = 9.0
+        live.fill(9.0)
+        assert not np.shares_memory(payload[(1, 0)].data, live.data)
+        assert payload[(1, 0)].data[0, 0] == 0.0
 
     def test_total_nnz_counts_sparse_only(self):
         grid = Grid.partition(4, 4, 2, 1)

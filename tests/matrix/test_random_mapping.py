@@ -125,43 +125,56 @@ class TestLinkMatrix:
                 link.block(*bad)
         assert link.block(12, 12, 0, 12).shape == (0, 12)
 
-    def test_blocks_own_their_arrays(self):
-        """Mutating a block reaches neither the memo nor a later block."""
+    def test_blocks_are_copy_on_write(self, monkeypatch):
+        """Mutating a block reaches neither the memo nor a sibling block."""
         link = LinkMatrix(30, 4, seed=5)
-        pristine = link.block(3, 20, 0, 30)
         for r0, r1, c0, c1 in [(3, 20, 0, 30), (3, 20, 5, 25)]:
-            block = link.block(r0, r1, c0, c1)
-            want = link.block(r0, r1, c0, c1).values.copy()
+            block, sibling = link.block(r0, r1, c0, c1), link.block(r0, r1, c0, c1)
+            if c1 - c0 == 30:  # full width: read-only slices of the memo
+                assert np.shares_memory(block.values, link._global_csr().values)
+                with pytest.raises(ValueError):
+                    block.indices[0] = 29
+                with pytest.raises(ValueError):
+                    block.values[0] = -1.0
             block.scale(3.0)
             block.touch()
             block.values[0] = -1.0
-            block.indices[0] = 29
-            assert np.array_equal(link.block(r0, r1, c0, c1).values, want)
-        again = link.block(3, 20, 0, 30)
-        for got, want in zip(again.payload_arrays(), pristine.payload_arrays()):
-            assert np.array_equal(got, want)
+            assert not np.shares_memory(block.values, sibling.values)
+            with monkeypatch.context() as patch:
+                patch.setattr(random_mod, "_input_memo", random_mod._InputMemo(1 << 20))
+                fresh = LinkMatrix(30, 4, seed=5).block(r0, r1, c0, c1)
+            for other in (sibling, link.block(r0, r1, c0, c1)):
+                for got, want in zip(other.payload_arrays(), fresh.payload_arrays()):
+                    assert got.tobytes() == want.tobytes()
+
+    def test_writable_parent_still_copies(self):
+        parent = SparseCSR.from_coo(3, 3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
+        sub = parent.sub_matrix(1, 3, 0, 3)
+        sub.values[0] = 9.0
+        sub.indices[0] = 0
+        assert parent.values[1] == 2.0 and parent.indices[1] == 1
 
     def test_memo_is_frozen_and_shared(self):
         a, b = LinkMatrix(25, 3, seed=8), LinkMatrix(25, 3, seed=8)
         a.block(0, 25, 0, 25)
-        entries = len(random_mod._edges_memo)
+        entries = len(random_mod._input_memo.entries)
         assert a._global_csr() is b._global_csr()
         b.block(0, 5, 0, 25)
-        assert len(random_mod._edges_memo) == entries
+        assert len(random_mod._input_memo.entries) == entries
         for array in a._global_csr().payload_arrays():
             with pytest.raises(ValueError):
                 array[0] = 1
 
     def test_memo_evicts_only_the_oldest(self, monkeypatch):
-        monkeypatch.setattr(random_mod, "_edges_memo", {})
-        capacity = random_mod._EDGES_MEMO_CAPACITY
-        links = [LinkMatrix(6 + i, 2) for i in range(capacity + 1)]
+        links = [LinkMatrix(6 + i, 2) for i in range(4)]
+        sizes = [link._global_csr().nbytes for link in links]
+        memo = random_mod._InputMemo(sum(sizes[1:]))  # all but the first fit
+        monkeypatch.setattr(random_mod, "_input_memo", memo)
         kept = [link._global_csr() for link in links[:-1]]
-        links[-1].block(0, 1, 0, 6 + capacity)
-        memo = random_mod._edges_memo
-        assert len(memo) == capacity
-        assert (0, 6, 2) not in memo
-        assert links[-2]._global_csr() is kept[-1]
+        links[-1].block(0, 1, 0, 9)
+        assert list(memo.entries) == [(0, 7, 2), (0, 8, 2), (0, 9, 2)]
+        assert memo.nbytes == sum(sizes[1:])
+        assert links[2]._global_csr() is kept[2]
         assert links[1]._global_csr() is kept[1]
 
     def test_nnz_estimate(self):
@@ -172,6 +185,60 @@ class TestLinkMatrix:
             LinkMatrix(0, 5)
         with pytest.raises(ValueError):
             LinkMatrix(5, 0)
+
+
+class TestInputMemo:
+    """One insertion-ordered, byte-budgeted memo behind every generated input."""
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        # Room for three 8x8 dense blocks (512 B each) and change.
+        memo = random_mod._InputMemo(1700)
+        monkeypatch.setattr(random_mod, "_input_memo", memo)
+        return memo
+
+    def test_evicts_oldest_first_by_bytes(self, memo):
+        for rb in range(3):
+            random_dense_block(1, rb, 0, 8, 8)
+        assert list(memo.entries) == [(1, rb, 0, 8, 8) for rb in range(3)]
+        kept = memo.entries[(1, 2, 0, 8, 8)]
+        random_dense_block(1, 3, 0, 8, 16)  # 1024 B: the two oldest must go
+        assert list(memo.entries) == [(1, 2, 0, 8, 8), (1, 3, 0, 8, 16)]
+        assert memo.entries[(1, 2, 0, 8, 8)] is kept
+        assert memo.nbytes == 512 + 1024
+
+    def test_over_budget_entry_bypasses_the_memo(self, memo):
+        random_dense_block(1, 0, 0, 8, 8)
+        big = random_dense_block(1, 0, 0, 16, 16)  # 2048 B > 1700
+        assert list(memo.entries) == [(1, 0, 0, 8, 8)] and memo.nbytes == 512
+        again = random_dense_block(1, 0, 0, 16, 16)
+        assert not np.shares_memory(big.data, again.data)
+        assert big.data.tobytes() == again.data.tobytes()
+
+    def test_link_graph_and_dense_blocks_share_one_budget(self, memo):
+        random_dense_block(1, 0, 0, 8, 8)
+        graph = LinkMatrix(20, 3, seed=2)._global_csr()
+        assert list(memo.entries) == [(1, 0, 0, 8, 8), (2, 20, 3)]
+        assert memo.nbytes == 512 + graph.nbytes
+        random_dense_block(1, 1, 0, 8, 8)  # does not fit beside both
+        assert list(memo.entries) == [(2, 20, 3), (1, 1, 0, 8, 8)]
+        random_dense_block(1, 2, 0, 8, 16)
+        assert (2, 20, 3) not in memo.entries
+        assert LinkMatrix(20, 3, seed=2)._global_csr() is not graph
+
+    def test_dense_blocks_are_copy_on_write(self, memo):
+        """Mutating a block reaches neither the memo nor a sibling block."""
+        block, sibling = random_dense_block(7, 1, 2, 4, 5), random_dense_block(7, 1, 2, 4, 5)
+        assert block is not sibling and np.shares_memory(block.data, sibling.data)
+        with pytest.raises(ValueError):
+            block.data[0, 0] = -1.0
+        block.scale(3.0)
+        block.touch()
+        block.data[0, 0] = -1.0
+        assert not np.shares_memory(block.data, sibling.data)
+        fresh = random_mod.block_rng(7, 1, 2).random((4, 5))
+        for other in (sibling, random_dense_block(7, 1, 2, 4, 5)):
+            assert other.data.tobytes() == fresh.tobytes()
 
 
 class TestBlockMaps:

@@ -96,6 +96,29 @@ class TestStore:
         with pytest.raises(DataLossError):
             app.reconstruct(new_group, store, [2, 3])
 
+    def test_repaired_static_copy_does_not_alias_the_live_payload(self):
+        """A spare's live statics may be rewritten (an aborted recovery
+        re-uses the spare at another index): the repaired copy must not move."""
+        rt = make_rt(6, spares=1)
+        app = CGResilient(rt, WL)
+        store = ReconstructionStore(rt, replicas=2, placement=SpreadPlacement())
+        app.publish_redundant(store, iteration=0)
+        rt.kill(2)
+        new_group = app.places.replace(app.places[2], rt.claim_spare())
+        app.reconstruct(new_group, store, [2])  # ends with repair_static
+        snap = store.static_snapshot(app.b)
+
+        def saved(ctx):
+            return snap.fetch(ctx, 2).data
+
+        before = rt.at(new_group[2], saved).tobytes()
+        live = app.b.segment(2)
+        assert np.shares_memory(live.data, rt.at(new_group[2], saved))
+        live.touch()
+        live.data[:] = -1.0
+        assert rt.at(new_group[2], saved).tobytes() == before
+        assert store.fully_redundant()
+
 
 class TestExecutorReconstruct:
     def test_single_failure_no_rollback(self):
