@@ -50,10 +50,10 @@ def failure_free_result(
     key = (nonres_cls.__qualname__, places, repr(workload))
     cached = _memo.get(key)
     if cached is None:
-        rt = make_runtime(places, cost=CostModel.zero())
-        instance = nonres_cls(rt, workload)
-        NonResilientExecutor(rt, instance).run()
-        cached = np.asarray(result_of(instance))
+        with make_runtime(places, cost=CostModel.zero()) as rt:
+            instance = nonres_cls(rt, workload)
+            NonResilientExecutor(rt, instance).run()
+            cached = np.asarray(result_of(instance))
         cached.setflags(write=False)
         _memo[key] = cached
     return cached

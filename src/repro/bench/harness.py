@@ -109,11 +109,11 @@ def _overhead_cell(
     wl = wl_factory(iterations)
     out: List[Tuple[str, float]] = []
     for resilient, label in ((False, "non-resilient finish"), (True, "resilient finish")):
-        rt = make_runtime(places, cost=cost_factory(), resilient=resilient)
-        app = NonRes(rt, wl)
-        t0 = rt.now()
-        app.run()
-        out.append((label, (rt.now() - t0) / iterations * 1e3))
+        with make_runtime(places, cost=cost_factory(), resilient=resilient) as rt:
+            app = NonRes(rt, wl)
+            t0 = rt.now()
+            app.run()
+            out.append((label, (rt.now() - t0) / iterations * 1e3))
     return out
 
 
@@ -149,11 +149,11 @@ def _checkpoint_cell(
     """One place-count cell of the Table III protocol (picklable)."""
     _NonRes, Res, wl_factory, cost_factory = APP_REGISTRY[app_name]
     wl = wl_factory(iterations)
-    rt = make_runtime(places, cost=cost_factory(), resilient=True)
-    app = Res(rt, wl)
-    return IterativeExecutor(
-        rt, app, checkpoint_interval=checkpoint_interval, delta=delta
-    ).run()
+    with make_runtime(places, cost=cost_factory(), resilient=True) as rt:
+        app = Res(rt, wl)
+        return IterativeExecutor(
+            rt, app, checkpoint_interval=checkpoint_interval, delta=delta
+        ).run()
 
 
 def run_checkpoint_sweep(
@@ -194,14 +194,14 @@ def _checkpoint_mode_cell(
     wl = wl_factory(iterations)
     out: Dict[str, ExecutionReport] = {}
     for ckpt_mode in ("blocking", "overlapped"):
-        rt = make_runtime(places, cost=cost_factory(), resilient=True)
-        app = Res(rt, wl)
-        out[ckpt_mode] = IterativeExecutor(
-            rt,
-            app,
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_mode=ckpt_mode,
-        ).run()
+        with make_runtime(places, cost=cost_factory(), resilient=True) as rt:
+            app = Res(rt, wl)
+            out[ckpt_mode] = IterativeExecutor(
+                rt,
+                app,
+                checkpoint_interval=checkpoint_interval,
+                checkpoint_mode=ckpt_mode,
+            ).run()
     return out
 
 
@@ -243,19 +243,6 @@ def run_checkpoint_mode_sweep(
     return {"series": series, "reports": reports}
 
 
-@dataclass
-class RestoreRunResult:
-    """One Fig. 5-7 data point: a full run with one injected failure."""
-
-    places: int
-    mode: str
-    report: ExecutionReport
-
-    @property
-    def total_s(self) -> float:
-        return self.report.total_time
-
-
 def _restore_cell(
     app_name: str,
     iterations: int,
@@ -272,18 +259,18 @@ def _restore_cell(
     for mode_value in mode_values:
         mode = RestoreMode(mode_value)
         spares = 1 if mode == RestoreMode.REPLACE_REDUNDANT else 0
-        rt = make_runtime(places, cost=cost_factory(), resilient=True, spares=spares)
-        app = Res(rt, wl)
-        rt.injector.kill_at_iteration(victim, iteration=failure_iteration)
-        reports[mode_value] = IterativeExecutor(
-            rt, app, checkpoint_interval=checkpoint_interval, mode=mode
-        ).run()
+        with make_runtime(places, cost=cost_factory(), resilient=True, spares=spares) as rt:
+            app = Res(rt, wl)
+            rt.injector.kill_at_iteration(victim, iteration=failure_iteration)
+            reports[mode_value] = IterativeExecutor(
+                rt, app, checkpoint_interval=checkpoint_interval, mode=mode
+            ).run()
     # Non-resilient, no-failure baseline.
-    rt = make_runtime(places, cost=cost_factory(), resilient=False)
-    app = NonRes(rt, wl)
-    t0 = rt.now()
-    app.run()
-    return {"reports": reports, "baseline": rt.now() - t0}
+    with make_runtime(places, cost=cost_factory(), resilient=False) as rt:
+        app = NonRes(rt, wl)
+        t0 = rt.now()
+        app.run()
+        return {"reports": reports, "baseline": rt.now() - t0}
 
 
 def run_restore_sweep(

@@ -445,7 +445,8 @@ class _PrefixWorld:
             self.images[boundary] = context.capture(executor)
             return True
 
-        executor.run(boundary_hook=snap)
+        with rt:  # the images hold everything a fork needs
+            executor.run(boundary_hook=snap)
         self.max_boundary = max(self.images)
 
     def _last_boundary_below(
@@ -735,178 +736,179 @@ def run_schedule(
         status="clean",
         detail=f"mode={mode.value} checkpoint_mode={checkpoint_mode}",
     )
-    try:
-        report = executor.run()
-    except DataLossError as err:
-        message = str(err)
-        if isinstance(err, SnapshotCorruptionError) and config.corrupt_rate:
-            # Independent strikes can legitimately defeat every tier of a
-            # partition; the guarantee is that corrupt data is never
-            # *silently* restored, and this loud error is exactly that.
-            outcome.status = "corruption_loss_accepted"
+    with rt:
+        try:
+            report = executor.run()
+        except DataLossError as err:
+            message = str(err)
+            if isinstance(err, SnapshotCorruptionError) and config.corrupt_rate:
+                # Independent strikes can legitimately defeat every tier of a
+                # partition; the guarantee is that corrupt data is never
+                # *silently* restored, and this loud error is exactly that.
+                outcome.status = "corruption_loss_accepted"
+                if store.in_progress:
+                    outcome.violations.append(
+                        "store left with an open snapshot attempt after data loss"
+                    )
+                return outcome
+            documented = (
+                "no recovery point" in message
+                or "consecutive times" in message
+                or not config.stable_fallback
+            )
+            if _parity_covered(config, kills, mode):
+                # No burst cost any parity group two places, so every loss was
+                # XOR-recoverable: reaching DataLossError anyway is a hole in
+                # the parity ladder, not a documented outcome.
+                outcome.violations.append(
+                    f"single-loss-per-group parity schedule lost data: {message}"
+                )
+                outcome.status = "data_loss"
+            elif documented:
+                outcome.status = "data_loss_accepted"
+            else:
+                # The stable tier exists precisely so in-memory loss is
+                # absorbed; reaching DataLossError anyway is a violation.
+                outcome.violations.append(
+                    f"DataLossError despite stable fallback: {message}"
+                )
+                outcome.status = "data_loss"
             if store.in_progress:
                 outcome.violations.append(
                     "store left with an open snapshot attempt after data loss"
                 )
             return outcome
-        documented = (
-            "no recovery point" in message
-            or "consecutive times" in message
-            or not config.stable_fallback
-        )
-        if _parity_covered(config, kills, mode):
-            # No burst cost any parity group two places, so every loss was
-            # XOR-recoverable: reaching DataLossError anyway is a hole in
-            # the parity ladder, not a documented outcome.
+
+        # Invariant 1: the answer matches the failure-free baseline.
+        result = np.asarray(result_of(app))
+        if not np.allclose(result, baseline, rtol=1e-8, atol=1e-10):
+            worst = float(np.max(np.abs(result - baseline)))
             outcome.violations.append(
-                f"single-loss-per-group parity schedule lost data: {message}"
+                f"converged result deviates from failure-free run (max abs "
+                f"diff {worst:.3e})"
             )
-            outcome.status = "data_loss"
-        elif documented:
-            outcome.status = "data_loss_accepted"
-        else:
-            # The stable tier exists precisely so in-memory loss is
-            # absorbed; reaching DataLossError anyway is a violation.
-            outcome.violations.append(
-                f"DataLossError despite stable fallback: {message}"
-            )
-            outcome.status = "data_loss"
+
+        # Invariant 2: the store is consistent (no attempt left open).
         if store.in_progress:
+            outcome.violations.append("store left with an open snapshot attempt")
+
+        # Invariant 3: every restore landed on a committed checkpoint, never
+        # past the newest commit at the time (commits grow monotonically, so
+        # membership in the commit history implies the bound).
+        committed = [snap.iteration for snap in store.snapshots]
+        for restored in report.restored_iterations:
+            if restored not in committed:
+                outcome.violations.append(
+                    f"restored to iteration {restored}, which was never "
+                    f"committed (commits: {committed})"
+                )
+            elif restored > max(committed):
+                outcome.violations.append(
+                    f"restored to iteration {restored} beyond the last "
+                    f"committed checkpoint {max(committed)}"
+                )
+
+        # Invariant 4: no replica co-resident with its partition's primary.
+        latest = store.latest()
+        if latest is not None:
+            snapshots = list(latest.snapshots.values()) + list(latest.read_only.values())
+            for snapshot in snapshots:
+                if not snapshot.placement_ok():
+                    outcome.violations.append(
+                        f"replica placed on its primary place in {snapshot!r}"
+                    )
+
+        # Invariant 5: a slow place is not a failure.  Schedules whose only
+        # perturbation is a straggler must not trigger a restore or an
+        # eviction — the adaptive detector absorbs even an 8x slowdown.
+        if (
+            not kills
+            and faults is None
+            and corruption is None
+            and straggler_factor > 1.0
+            and (report.restores or report.evictions)
+        ):
             outcome.violations.append(
-                "store left with an open snapshot attempt after data loss"
+                f"straggler-only schedule (factor {straggler_factor:.2f}) caused "
+                f"{report.restores} restore(s) and {report.evictions} eviction(s)"
             )
+
+        fired = [k for k in kills if k not in report.pending_kills]
+
+        # Invariants 6-7 (reconstruct campaigns): rollback is never silent —
+        # every restore must be a recorded fallback — and a failure pattern
+        # inside the published redundancy must be absorbed with *zero* lost
+        # iterations (no rollback at all).
+        if config.recovery == "reconstruct":
+            if report.restores and not report.fallback_restores:
+                outcome.violations.append(
+                    f"{report.restores} rollback(s) without a recorded "
+                    "reconstruct fallback"
+                )
+            # "Covered" claims are only made for patterns whose burst size is
+            # statically knowable: iteration-triggered kills land at loop
+            # tops, after the previous burst's recovery re-published full
+            # redundancy.  A phase/during/time kill can fire *mid-recovery*
+            # and compound the in-flight burst past the replica count — that
+            # is legitimate fallback territory, not a violation.
+            bursts: Dict[int, int] = {}
+            for kill in fired:
+                if kill.iteration is not None:
+                    bursts[kill.iteration] = bursts.get(kill.iteration, 0) + 1
+            covered = (
+                bool(fired)
+                and all(k.iteration is not None for k in fired)
+                and max(bursts.values()) <= config.replicas
+                and len(fired) <= config.spares
+            )
+            if covered:
+                if report.fallback_restores or report.restores:
+                    outcome.violations.append(
+                        f"burst pattern within redundancy (max burst "
+                        f"{max(bursts.values())} <= {config.replicas} replicas, "
+                        f"{len(fired)} kills <= {config.spares} spares) fell "
+                        f"back to rollback ({report.fallback_restores} "
+                        f"fallback(s), {report.restores} restore(s))"
+                    )
+                if not report.reconstructions:
+                    outcome.violations.append(
+                        "fired kills within redundancy produced no reconstruction"
+                    )
+                if report.restored_iterations:
+                    outcome.violations.append(
+                        f"covered burst lost iterations anyway (rolled back to "
+                        f"{report.restored_iterations})"
+                    )
+
+        # Invariant 8 (parity campaigns): a schedule whose bursts cost each
+        # parity group at most one place recovers from the XOR rung — never
+        # from disk — and any restore it needed actually reconstructed.
+        if _parity_covered(config, fired, mode):
+            if report.stable_fallback_reads:
+                outcome.violations.append(
+                    f"parity-covered schedule read the disk tier "
+                    f"{report.stable_fallback_reads} time(s)"
+                )
+            if report.restores and not report.parity_reconstructions:
+                outcome.violations.append(
+                    "parity-covered schedule restored without a single XOR "
+                    "reconstruction"
+                )
+
+        recovered = (
+            report.failures_observed
+            or fired
+            or report.restores
+            or report.reconstructions
+            or report.evictions
+            or report.quarantined_copies
+        )
+        outcome.status = "recovered" if recovered else "clean"
+        if report.pending_kills:
+            outcome.detail += f" pending={len(report.pending_kills)}"
+        if outcome.violations:
+            outcome.status = "violated"
         return outcome
-
-    # Invariant 1: the answer matches the failure-free baseline.
-    result = np.asarray(result_of(app))
-    if not np.allclose(result, baseline, rtol=1e-8, atol=1e-10):
-        worst = float(np.max(np.abs(result - baseline)))
-        outcome.violations.append(
-            f"converged result deviates from failure-free run (max abs "
-            f"diff {worst:.3e})"
-        )
-
-    # Invariant 2: the store is consistent (no attempt left open).
-    if store.in_progress:
-        outcome.violations.append("store left with an open snapshot attempt")
-
-    # Invariant 3: every restore landed on a committed checkpoint, never
-    # past the newest commit at the time (commits grow monotonically, so
-    # membership in the commit history implies the bound).
-    committed = [snap.iteration for snap in store.snapshots]
-    for restored in report.restored_iterations:
-        if restored not in committed:
-            outcome.violations.append(
-                f"restored to iteration {restored}, which was never "
-                f"committed (commits: {committed})"
-            )
-        elif restored > max(committed):
-            outcome.violations.append(
-                f"restored to iteration {restored} beyond the last "
-                f"committed checkpoint {max(committed)}"
-            )
-
-    # Invariant 4: no replica co-resident with its partition's primary.
-    latest = store.latest()
-    if latest is not None:
-        snapshots = list(latest.snapshots.values()) + list(latest.read_only.values())
-        for snapshot in snapshots:
-            if not snapshot.placement_ok():
-                outcome.violations.append(
-                    f"replica placed on its primary place in {snapshot!r}"
-                )
-
-    # Invariant 5: a slow place is not a failure.  Schedules whose only
-    # perturbation is a straggler must not trigger a restore or an
-    # eviction — the adaptive detector absorbs even an 8x slowdown.
-    if (
-        not kills
-        and faults is None
-        and corruption is None
-        and straggler_factor > 1.0
-        and (report.restores or report.evictions)
-    ):
-        outcome.violations.append(
-            f"straggler-only schedule (factor {straggler_factor:.2f}) caused "
-            f"{report.restores} restore(s) and {report.evictions} eviction(s)"
-        )
-
-    fired = [k for k in kills if k not in report.pending_kills]
-
-    # Invariants 6-7 (reconstruct campaigns): rollback is never silent —
-    # every restore must be a recorded fallback — and a failure pattern
-    # inside the published redundancy must be absorbed with *zero* lost
-    # iterations (no rollback at all).
-    if config.recovery == "reconstruct":
-        if report.restores and not report.fallback_restores:
-            outcome.violations.append(
-                f"{report.restores} rollback(s) without a recorded "
-                "reconstruct fallback"
-            )
-        # "Covered" claims are only made for patterns whose burst size is
-        # statically knowable: iteration-triggered kills land at loop
-        # tops, after the previous burst's recovery re-published full
-        # redundancy.  A phase/during/time kill can fire *mid-recovery*
-        # and compound the in-flight burst past the replica count — that
-        # is legitimate fallback territory, not a violation.
-        bursts: Dict[int, int] = {}
-        for kill in fired:
-            if kill.iteration is not None:
-                bursts[kill.iteration] = bursts.get(kill.iteration, 0) + 1
-        covered = (
-            bool(fired)
-            and all(k.iteration is not None for k in fired)
-            and max(bursts.values()) <= config.replicas
-            and len(fired) <= config.spares
-        )
-        if covered:
-            if report.fallback_restores or report.restores:
-                outcome.violations.append(
-                    f"burst pattern within redundancy (max burst "
-                    f"{max(bursts.values())} <= {config.replicas} replicas, "
-                    f"{len(fired)} kills <= {config.spares} spares) fell "
-                    f"back to rollback ({report.fallback_restores} "
-                    f"fallback(s), {report.restores} restore(s))"
-                )
-            if not report.reconstructions:
-                outcome.violations.append(
-                    "fired kills within redundancy produced no reconstruction"
-                )
-            if report.restored_iterations:
-                outcome.violations.append(
-                    f"covered burst lost iterations anyway (rolled back to "
-                    f"{report.restored_iterations})"
-                )
-
-    # Invariant 8 (parity campaigns): a schedule whose bursts cost each
-    # parity group at most one place recovers from the XOR rung — never
-    # from disk — and any restore it needed actually reconstructed.
-    if _parity_covered(config, fired, mode):
-        if report.stable_fallback_reads:
-            outcome.violations.append(
-                f"parity-covered schedule read the disk tier "
-                f"{report.stable_fallback_reads} time(s)"
-            )
-        if report.restores and not report.parity_reconstructions:
-            outcome.violations.append(
-                "parity-covered schedule restored without a single XOR "
-                "reconstruction"
-            )
-
-    recovered = (
-        report.failures_observed
-        or fired
-        or report.restores
-        or report.reconstructions
-        or report.evictions
-        or report.quarantined_copies
-    )
-    outcome.status = "recovered" if recovered else "clean"
-    if report.pending_kills:
-        outcome.detail += f" pending={len(report.pending_kills)}"
-    if outcome.violations:
-        outcome.status = "violated"
-    return outcome
 
 
 def _restore_modes(config: CampaignConfig) -> List[RestoreMode]:

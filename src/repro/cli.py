@@ -455,20 +455,21 @@ def _parse_stragglers(specs: Optional[List[str]]) -> List[tuple]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    nonres_cls, res_cls, wl_factory, cost_factory = APP_REGISTRY[args.app]
-    workload = wl_factory(args.iterations)
-    if args.non_resilient:
-        rt = make_runtime(args.places, cost=cost_factory())
+    resilient = not args.non_resilient
+    cost, spares = APP_REGISTRY[args.app][3](), args.spares if resilient else 0
+    with make_runtime(args.places, cost=cost, resilient=resilient, spares=spares) as rt:
         if args.trace_out:
             rt.engine.timeline.enabled = True
+        return _run_world(args, rt)
+
+
+def _run_world(args: argparse.Namespace, rt) -> int:
+    nonres_cls, res_cls, wl_factory, _ = APP_REGISTRY[args.app]
+    workload = wl_factory(args.iterations)
+    if args.non_resilient:
         app = nonres_cls(rt, workload)
         report = NonResilientExecutor(rt, app).run()
     else:
-        rt = make_runtime(
-            args.places, cost=cost_factory(), resilient=True, spares=args.spares
-        )
-        if args.trace_out:
-            rt.engine.timeline.enabled = True
         app = res_cls(rt, workload)
         if args.fail_at:
             victims = args.victim or []

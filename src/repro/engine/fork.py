@@ -75,12 +75,13 @@ def _freeze_world(root: Any) -> None:
 class _CapturePickler(pickle.Pickler):
     """Pickler that parks frozen ndarrays in the fork context's side table.
 
-    Frozen arrays that *own* their buffer (``base is None``) are shared by
-    reference and deduplicated across captures — their bytes can never
-    change again, so every boundary image of a run points at the same
-    object.  A frozen **view** may alias a still-writable base, so its
-    bytes are snapshotted (copied and re-frozen) per capture instead of
-    shared by identity.
+    Frozen arrays that *own* their buffer (``base is None``), and frozen
+    views whose ``base`` chain ends in one (full-width link blocks are
+    slices of the frozen memoized graph), are shared by reference and
+    deduplicated across captures — their bytes can never change again, so
+    every boundary image of a run points at the same object.  A frozen view
+    of a still-writable (or foreign) base is snapshotted (copied and
+    re-frozen) per capture instead.
     """
 
     def __init__(self, file, context: "ForkContext"):
@@ -91,36 +92,28 @@ class _CapturePickler(pickle.Pickler):
     def persistent_id(self, obj: Any):
         tp = type(obj)
         if tp is np.ndarray and not obj.flags.writeable:
-            ctx = self._context
-            if obj.base is None:
-                slot = ctx._slot_of.get(id(obj))
+            owner = obj
+            while type(owner.base) is np.ndarray:
+                owner = owner.base
+            if owner.base is not None or owner.flags.writeable:
+                slot = self._view_slots.get(id(obj))
                 if slot is None:
-                    slot = len(ctx._frozen)
-                    ctx._frozen.append(obj)
-                    ctx._slot_of[id(obj)] = slot
+                    snap = obj.copy()
+                    snap.setflags(write=False)
+                    slot = self._view_slots[id(obj)] = len(self._context._frozen)
+                    self._context._frozen.append(snap)
                 return slot
-            slot = self._view_slots.get(id(obj))
-            if slot is None:
-                snap = obj.copy()
-                snap.setflags(write=False)
-                slot = len(ctx._frozen)
-                ctx._frozen.append(snap)
-                self._view_slots[id(obj)] = slot
-            return slot
-        if tp is FinishReport:
-            # Finish reports are append-only records: nothing in the
-            # codebase assigns to a FinishReport field after the report is
-            # added to ``stats.finish_reports``, so forks can share the
-            # instances (and their dead_places lists) by reference exactly
-            # like frozen arrays.
-            ctx = self._context
-            slot = ctx._slot_of.get(id(obj))
-            if slot is None:
-                slot = len(ctx._frozen)
-                ctx._frozen.append(obj)
-                ctx._slot_of[id(obj)] = slot
-            return slot
-        return None
+        elif tp is not FinishReport:
+            return None
+        # Shared by identity.  Finish reports qualify like frozen arrays: they
+        # are append-only records — nothing assigns to a FinishReport field
+        # (or its dead_places list) once it is in ``stats.finish_reports``.
+        ctx = self._context
+        slot = ctx._slot_of.get(id(obj))
+        if slot is None:
+            slot = ctx._slot_of[id(obj)] = len(ctx._frozen)
+            ctx._frozen.append(obj)
+        return slot
 
 
 class _ResumeUnpickler(pickle.Unpickler):

@@ -24,7 +24,7 @@ from repro.matrix.dense import DenseMatrix
 from repro.matrix.grid import Grid, Overlap, Partition1D
 from repro.matrix.mapping import BlockMap, GroupedBlockMap, PlaceGridBlockMap
 from repro.matrix.multiplace import MultiPlaceObject
-from repro.matrix.random import LinkMatrix, random_dense_block, random_sparse_block
+from repro.matrix.random import LinkMatrix, random_dense_block, random_sparse_block, zero_dense_block
 from repro.matrix.sparse import SparseCSR
 from repro.resilience.snapshot import DistObjectSnapshot
 from repro.runtime.place import PlaceGroup
@@ -130,8 +130,9 @@ class DistBlockMatrix(MultiPlaceObject):
         return self.grid.n
 
     def _empty_block(self, rb: int, cb: int) -> MatrixBlock:
+        """Dense blocks alias the shared frozen zero block of their shape (CoW)."""
         h, w = self.grid.block_dims(rb, cb)
-        data = DenseMatrix.make(h, w) if self.kind == DENSE else SparseCSR.empty(h, w)
+        data = zero_dense_block(h, w) if self.kind == DENSE else SparseCSR.empty(h, w)
         return MatrixBlock.for_grid(self.grid, rb, cb, data)
 
     def _allocate(self) -> None:
@@ -253,7 +254,8 @@ class DistBlockMatrix(MultiPlaceObject):
         require(other.group == self.group, "operands on different groups")
         require(other.grid.same_blocking(self.grid), "operands on different grids")
         require(
-            other.block_map.owner_dict() == self.block_map.owner_dict(),
+            other.block_map is self.block_map
+            or other.block_map.owner_dict() == self.block_map.owner_dict(),
             "operands have different block-to-place maps",
         )
 

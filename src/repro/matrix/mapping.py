@@ -27,6 +27,7 @@ class BlockMap:
         check_positive(num_places, "num_places")
         self.grid = grid
         self.num_places = num_places
+        self._owners = None
 
     def place_index_of(self, rb: int, cb: int) -> int:
         """The place *index* (within the object's group) owning a block."""
@@ -49,8 +50,12 @@ class BlockMap:
         return counts
 
     def owner_dict(self) -> Dict[Tuple[int, int], int]:
-        """``{(rb, cb): place_index}`` for the whole grid."""
-        return {(rb, cb): self.place_index_of(rb, cb) for rb, cb in self.grid.iter_blocks()}
+        """``{(rb, cb): place_index}`` for the whole grid: built once (maps are
+        immutable after construction) and shared — callers must not mutate it."""
+        if self._owners is None:
+            blocks = self.grid.iter_blocks()
+            self._owners = {(rb, cb): self.place_index_of(rb, cb) for rb, cb in blocks}
+        return self._owners
 
 
 class GroupedBlockMap(BlockMap):

@@ -162,7 +162,7 @@ def _check_row_aligned(a: DistBlockMatrix, b: DistBlockMatrix) -> None:
     )
     require(a.grid.row_sizes == b.grid.row_sizes, "row blockings differ")
     require(
-        a.block_map.owner_dict() == b.block_map.owner_dict(),
+        a.block_map is b.block_map or a.block_map.owner_dict() == b.block_map.owner_dict(),
         "block-to-place maps differ",
     )
 

@@ -1,4 +1,4 @@
-"""Deterministic random initialization for distributed matrices.
+"""Deterministic initialization for distributed matrices.
 
 Two requirements drive this module:
 
@@ -13,20 +13,23 @@ Two requirements drive this module:
    shrink-rebalance restore changes the grid.  We synthesize edges with a
    stateless integer hash (splitmix64) per ``(column, k)`` pair, so the
    matrix is a pure function of ``(seed, n, out_degree)``.  The link graph
-   is sorted once: the whole matrix is compressed to one row-major,
+   is keyed and sorted once: every edge is hashed straight into a sorted
+   linear key (no COO triplets) and compressed to one row-major,
    duplicate-coalesced CSR per process and key, frozen, and every block
    under every grid is a region extraction from it (a contiguous row-range
    slice for the full-width blocks the apps use).
+
+Everything generated here — dense blocks, the link graph, the zero block a
+fresh allocation aliases — is served frozen from one memo and shared
+copy-on-write.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.matrix.dense import DenseMatrix
-from repro.matrix.sparse import SparseCSR
+from repro.matrix.sparse import _INDEX_DTYPE, SparseCSR, _compress_sorted
 from repro.util.validation import check_positive, require
 
 
@@ -80,6 +83,12 @@ def random_dense_block(seed: int, rb: int, cb: int, rows: int, cols: int) -> Den
     ).freeze_view()
 
 
+def zero_dense_block(rows: int, cols: int) -> DenseMatrix:
+    """A frozen alias of the one shared zero block of this shape (``touch()`` detaches)."""
+    zeros = _input_memo.get(("zeros", rows, cols), lambda: DenseMatrix.make(rows, cols))
+    return zeros.freeze_view()
+
+
 def random_vector(seed: int, n: int, tag: int = 0) -> np.ndarray:
     """Uniform [0, 1) vector, reproducible from ``(seed, tag)``."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag,))).random(n)
@@ -108,13 +117,16 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer: uniform 64-bit hash of the input."""
+def _splitmix64(z: np.ndarray) -> None:
+    """Vectorized splitmix64 finalizer, **in place**: *z* becomes a uniform
+    64-bit hash of its old contents."""
     with np.errstate(over="ignore"):
-        z = (x + _GOLDEN).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z += _GOLDEN
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
 
 
 class LinkMatrix:
@@ -139,30 +151,32 @@ class LinkMatrix:
         self.out_degree = out_degree
         self.seed = seed
 
-    def _generate(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(rows, cols)`` of every edge, column-ordered, duplicates kept."""
-        cols = np.repeat(np.arange(self.n, dtype=np.uint64), self.out_degree)
-        ks = np.tile(np.arange(self.out_degree, dtype=np.uint64), self.n)
-        with np.errstate(over="ignore"):
-            key = (
-                np.uint64(self.seed) * _GOLDEN
-                + cols * np.uint64(0x100000001B3)
-                + ks
-            )
-        rows = (_splitmix64(key) % np.uint64(self.n)).astype(np.int64)
-        return rows, cols.astype(np.int64)
-
     def _global_csr(self) -> SparseCSR:
-        """The whole matrix, sorted and coalesced once per process and key.
+        """The whole matrix, keyed, sorted and coalesced once per process and key.
 
-        Every duplicate addend is the same ``1/out_degree``, so the
-        coalesced sums do not depend on the order edges are met in.
+        Each edge is hashed straight into its row-major linear key
+        ``dest * n + src`` and the keys are sorted in place.  Equal keys are
+        indistinguishable and every addend is the same ``1/out_degree``, so
+        an unstable sort gives the bytes a stable triplet build would.
         """
 
         def build() -> SparseCSR:
-            rows, cols = self._generate()
-            weights = np.full(len(rows), 1.0 / self.out_degree)
-            return SparseCSR.from_coo(self.n, self.n, rows, cols, weights)
+            n, src = np.uint64(self.n), np.arange(self.n, dtype=np.uint64)[:, None]
+            with np.errstate(over="ignore"):
+                key = src * np.uint64(0x100000001B3) + np.arange(
+                    self.out_degree, dtype=np.uint64
+                )
+                key += np.uint64(self.seed) * _GOLDEN
+            _splitmix64(key)
+            key %= n
+            key *= n
+            key += src
+            key = key.reshape(-1).view(_INDEX_DTYPE)
+            key.sort()
+            weights = np.full(len(key), 1.0 / self.out_degree)
+            return SparseCSR._build(
+                self.n, self.n, *_compress_sorted(self.n, self.n, key, weights)
+            )
 
         return _input_memo.get((self.seed, self.n, self.out_degree), build)
 

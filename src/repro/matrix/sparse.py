@@ -80,24 +80,30 @@ def _compress_coo(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(indptr, indices, values)`` of validated triplets, duplicates summed.
 
-    One stable sort (its backend chosen up front, from the size alone); a
-    run of equal keys becomes one stored entry.  ``np.bincount`` adds its
-    weights in array order, so each run is summed in first-occurrence order.
+    The triplet front end of :func:`_compress_sorted`: one *stable* sort of
+    the linear keys (its backend chosen up front, from the size alone), so
+    each run of duplicates reaches the tail in first-occurrence order.
     """
     linear = major * n_minor + minor
     if len(linear) >= _SCIPY_BUILD_MIN and _backend.USE_SCIPY:
         order = _scipy_stable_order(major, minor, n_major, n_minor)
     else:
         order = np.argsort(linear, kind="stable")
-    linear = linear[order]
+    return _compress_sorted(n_major, n_minor, linear[order], vals[order])
+
+
+def _compress_sorted(n_major: int, n_minor: int, linear: np.ndarray, vals: np.ndarray):
+    """``(indptr, indices, values)`` of sorted keys ``major * n_minor + minor``.
+
+    A run of equal keys becomes one stored entry.  ``np.bincount`` adds its
+    weights in array order, so each run is summed in the order it arrives.
+    """
     first = np.ones(len(linear), dtype=bool)
     np.not_equal(linear[1:], linear[:-1], out=first[1:])
-    values = np.bincount(np.cumsum(first) - 1, weights=vals[order])
+    values = np.bincount(np.cumsum(first) - 1, weights=vals)
     unique = linear[first]
-    indptr = np.zeros(n_major + 1, dtype=_INDEX_DTYPE)
-    if len(unique):
-        np.cumsum(np.bincount(unique // n_minor, minlength=n_major), out=indptr[1:])
-        unique %= n_minor
+    indptr = np.searchsorted(unique, np.arange(n_major + 1, dtype=_INDEX_DTYPE) * n_minor)
+    unique %= n_minor
     return indptr, unique, values
 
 
@@ -117,7 +123,7 @@ class SparseCSR:
         self.values = np.asarray(values, dtype=np.float64)
         self.version = next_version()
         self._row_ids = None  # lazy: the index structure is immutable
-        self._sp = None  # lazy zero-copy scipy view
+        self._sp = None  # lazy zero-copy scipy [view, view.T]
         self._sp_ver = None  # version the view was built at (touch invalidates)
         require(self.m >= 0 and self.n >= 0, "negative matrix dims")
         require(len(self.indptr) == self.m + 1, "indptr must have m+1 entries")
@@ -238,21 +244,24 @@ class SparseCSR:
             self._row_ids = ids
         return ids
 
-    def _scipy(self):
+    def _scipy(self, transposed: bool = False):
         """Zero-copy ``scipy.sparse.csr_array`` view over the same buffers.
 
         Cached per :attr:`version`: ``touch()`` bumps the version before any
         mutation (in place or CoW detach), so a stale view can never serve a
-        kernel.  scipy wraps ``values`` as a view (``data.base is values``) —
-        no payload copy either way.
+        kernel.  The handle adopts the very arrays (``data is values``) — no
+        payload copy.  *transposed* serves the view's ``.T``, cached beside
+        it (scipy builds and validates a new handle per ``.T``).
         """
         if self._sp is None or self._sp_ver != self.version:
-            sp = _backend.scipy_module()
-            self._sp = sp.csr_array(
-                (self.values, self.indices, self.indptr), shape=(self.m, self.n)
-            )
-            self._sp_ver = self.version
-        return self._sp
+            # Empty, then adopt the buffers: the three-array constructor
+            # copies any slice of a much larger base (every link block is one).
+            view = _backend.scipy_module().csr_array((self.m, self.n))
+            view.data, view.indices, view.indptr = self.values, self.indices, self.indptr
+            self._sp, self._sp_ver = [view, None], self.version
+        if transposed and self._sp[1] is None:
+            self._sp[1] = self._sp[0].T
+        return self._sp[transposed]
 
     def to_dense(self) -> np.ndarray:
         """Expand to a dense 2-D array."""
@@ -284,7 +293,7 @@ class SparseCSR:
         """``self.T @ x``: scatter-add into column bins."""
         require(x.shape == (self.m,), f"spmv_t operand must be length {self.m}")
         if _backend.USE_SCIPY:
-            return self._scipy().T @ x
+            return self._scipy(True) @ x
         out = np.zeros(self.n)
         if self.nnz:
             products = self.values * x[self.row_ids()]
@@ -312,7 +321,7 @@ class SparseCSR:
         """``self.T @ dense`` for a 2-D operand."""
         require(dense.ndim == 2 and dense.shape[0] == self.m, "t_matmat shape mismatch")
         if _backend.USE_SCIPY:
-            return self._scipy().T @ dense
+            return self._scipy(True) @ dense
         out = np.zeros((self.n, dense.shape[1]))
         if self.nnz:
             contrib = self.values[:, None] * dense[self.row_ids(), :]
@@ -322,7 +331,7 @@ class SparseCSR:
     def transpose(self) -> "SparseCSR":
         """A new CSR holding ``self.T``."""
         if _backend.USE_SCIPY:
-            t = self._scipy().T.tocsr()
+            t = self._scipy(True).tocsr()
             t.sort_indices()
             return SparseCSR._build(self.n, self.m, t.indptr, t.indices, t.data)
         return SparseCSR.from_coo(self.n, self.m, self.indices, self.row_ids(), self.values)
@@ -448,7 +457,7 @@ class SparseCSC:
         self.values = np.asarray(values, dtype=np.float64)
         self.version = next_version()
         self._col_ids = None  # lazy: the index structure is immutable
-        self._sp = None  # lazy zero-copy scipy view
+        self._sp = None  # lazy zero-copy scipy [view, view.T]
         self._sp_ver = None  # version the view was built at (touch invalidates)
         require(len(self.indptr) == self.n + 1, "indptr must have n+1 entries")
         require(self.indptr[0] == 0, "indptr must start at 0")
@@ -513,15 +522,17 @@ class SparseCSC:
             self._col_ids = ids
         return ids
 
-    def _scipy(self):
+    def _scipy(self, transposed: bool = False):
         """Zero-copy ``scipy.sparse.csc_array`` view (see :meth:`SparseCSR._scipy`)."""
         if self._sp is None or self._sp_ver != self.version:
-            sp = _backend.scipy_module()
-            self._sp = sp.csc_array(
-                (self.values, self.indices, self.indptr), shape=(self.m, self.n)
-            )
-            self._sp_ver = self.version
-        return self._sp
+            # Empty, then adopt the buffers: the three-array constructor
+            # copies any slice of a much larger base (every link block is one).
+            view = _backend.scipy_module().csc_array((self.m, self.n))
+            view.data, view.indices, view.indptr = self.values, self.indices, self.indptr
+            self._sp, self._sp_ver = [view, None], self.version
+        if transposed and self._sp[1] is None:
+            self._sp[1] = self._sp[0].T
+        return self._sp[transposed]
 
     def to_dense(self) -> np.ndarray:
         if _backend.USE_SCIPY:
@@ -544,7 +555,7 @@ class SparseCSC:
         """``self.T @ x``: per-column gather-sum."""
         require(x.shape == (self.m,), f"spmv_t operand must be length {self.m}")
         if _backend.USE_SCIPY:
-            return self._scipy().T @ x
+            return self._scipy(True) @ x
         out = np.zeros(self.n)
         if self.nnz:
             np.add.at(out, self.col_ids(), self.values * x[self.indices])

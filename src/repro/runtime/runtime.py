@@ -237,6 +237,20 @@ class Runtime:
         #: Heartbeat failure detector (attached by the executor / CLI).
         self.detector = None
 
+    def close(self) -> None:
+        """Release the world once its owner has read the results: destroy
+        every heap, so payloads die by refcount instead of at some later
+        cycle collection and any further heap access raises.  Idempotent."""
+        for heap in self._heaps.values():
+            heap.destroy()
+        self._ctx_cache.clear()
+
+    def __enter__(self) -> "Runtime":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # -- transient faults ------------------------------------------------------
 
     @property
@@ -600,7 +614,10 @@ class Runtime:
                     dead=report.dead_places,
                 )
             if failures:
-                raise collapse_failures(failures)
+                # No local may keep the raised exc: exc -> traceback -> this frame ->
+                # exc is a cycle pinning the whole world (executor, stores) until a GC.
+                failures = [collapse_failures(failures)]
+                raise failures.pop()
             return results
         return self.finish_tasks(
             [(place, fn) for place in group],
@@ -681,7 +698,8 @@ class Runtime:
                     dead=report.dead_places,
                 )
             if failures:
-                raise collapse_failures(failures)
+                failures = [collapse_failures(failures)]  # see finish_all
+                raise failures.pop()
             return results
 
         t_start = clock.now(driver)
@@ -777,7 +795,8 @@ class Runtime:
             )
 
         if failures:
-            raise collapse_failures(failures)
+            failures = [collapse_failures(failures)]  # see finish_all
+            raise failures.pop()
         return results
 
     def barrier(self, group: PlaceGroup) -> float:

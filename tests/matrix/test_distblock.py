@@ -221,3 +221,52 @@ class TestSnapshotRestore:
         g.remake(rt.world, new_grid=Grid.partition(m, n, new_rbs, new_cbs))
         g.restore_snapshot(snap)
         assert np.array_equal(g.to_dense().data, ref)
+
+
+class TestSharedZeroBlocks:
+    """Fresh dense blocks alias one frozen zero block per shape (copy-on-write)."""
+
+    @staticmethod
+    def _fresh():
+        from repro.matrix.random import zero_dense_block
+
+        g = DistBlockMatrix.make_dense(make_rt(2), 8, 3, 2, 1)
+        (a,), (b,) = g.block_set(0), g.block_set(1)
+        return a.data, b.data, zero_dense_block(4, 3)
+
+    def test_fresh_blocks_of_one_shape_share_memory(self):
+        a, b, shared = self._fresh()
+        assert np.shares_memory(a.data, b.data)
+        assert np.shares_memory(a.data, shared.data)
+        assert a is not b and not a.data.any()
+
+    def test_raw_write_raises(self):
+        a, _, _ = self._fresh()
+        with pytest.raises(ValueError, match="read-only"):
+            a.data[0, 0] = 1.0
+
+    @pytest.mark.parametrize("write", ["scale", "set_sub_matrix", "mult", "fill"])
+    def test_api_write_detaches(self, write):
+        from repro.matrix.dense import DenseMatrix
+
+        a, b, shared = self._fresh()
+        ones = DenseMatrix(np.ones((4, 3)))
+        {
+            "scale": lambda: a.scale(2.0),
+            "set_sub_matrix": lambda: a.set_sub_matrix(1, 1, DenseMatrix(np.ones((2, 2)))),
+            "mult": lambda: a.mult(ones, DenseMatrix(np.eye(3))),
+            "fill": lambda: a.fill(7.0),
+        }[write]()
+        assert not np.shares_memory(a.data, b.data)
+        assert (a.data != 0).any() or write == "scale"
+        assert not b.data.any() and not shared.data.any()
+        assert not self._fresh()[0].data.any()
+
+    def test_remake_realiases_the_shared_block(self):
+        rt = make_rt(3)
+        g = DistBlockMatrix.make_dense(rt, 12, 3, 3, 1).init_random(5)
+        rt.kill(2)
+        g.remake(rt.live_group(g.group))
+        blocks = [blk.data for i in range(2) for blk in g.block_set(i)]
+        assert all(np.shares_memory(blk.data, blocks[0].data) for blk in blocks)
+        assert not any(blk.data.any() for blk in blocks)

@@ -1,11 +1,14 @@
 """Tests for deterministic random init and block→place mappings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.matrix import random as random_mod
+from repro.matrix import sparse_backend
 from repro.matrix.grid import Grid
 from repro.matrix.mapping import (
     CyclicBlockMap,
@@ -20,6 +23,24 @@ from repro.matrix.random import (
     random_vector,
 )
 from repro.matrix.sparse import SparseCSR
+
+
+def _reference_edges(link):
+    """``(rows, cols)`` of every edge, column-ordered, duplicates kept: the
+    COO triplet generator the keyed build replaced, kept as the reference."""
+    golden, mix1, mix2 = (
+        np.uint64(0x9E3779B97F4A7C15),
+        np.uint64(0xBF58476D1CE4E5B9),
+        np.uint64(0x94D049BB133111EB),
+    )
+    cols = np.repeat(np.arange(link.n, dtype=np.uint64), link.out_degree)
+    ks = np.tile(np.arange(link.out_degree, dtype=np.uint64), link.n)
+    with np.errstate(over="ignore"):
+        z = np.uint64(link.seed) * golden + cols * np.uint64(0x100000001B3) + ks + golden
+        z = (z ^ (z >> np.uint64(30))) * mix1
+        z = (z ^ (z >> np.uint64(27))) * mix2
+        z = z ^ (z >> np.uint64(31))
+    return (z % np.uint64(link.n)).astype(np.int64), cols.astype(np.int64)
 
 
 class TestRandomBlocks:
@@ -98,7 +119,7 @@ class TestLinkMatrix:
         ``out_degree > n`` makes nearly every entry a coalesced duplicate;
         the largest case crosses ``_SCIPY_BUILD_MIN``."""
         link = LinkMatrix(n, out_degree, seed=seed)
-        rows, cols = link._generate()
+        rows, cols = _reference_edges(link)
         grid = Grid.partition(n, n, min(rb, n), min(cb, n))
         for brb, bcb in grid.iter_blocks():
             r = grid.block_region(brb, bcb)
@@ -116,6 +137,43 @@ class TestLinkMatrix:
             for got, want in zip(block.payload_arrays(), reference.payload_arrays()):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("backend", ["numpy", "scipy"])
+    @pytest.mark.parametrize(
+        "n, out_degree, seed",
+        [(7, 3, 0), (1, 4, 9), (5, 23, 2), (50, 70, 3), (4000, 10, 1234)],
+    )
+    def test_keyed_build_matches_triplet_build(self, n, out_degree, seed, backend, monkeypatch):
+        """The keyed single-pass build gives the bytes and dtypes of
+        ``from_coo`` on the old triplets under either sort backend, incl.
+        ``out_degree > n``, ``n = 1`` and a graph above ``_SCIPY_BUILD_MIN``."""
+        if backend == "scipy" and not sparse_backend.scipy_available():
+            pytest.skip("scipy not installed")
+        monkeypatch.setattr(random_mod, "_input_memo", random_mod._InputMemo(1 << 24))
+        link = LinkMatrix(n, out_degree, seed=seed)
+        rows, cols = _reference_edges(link)
+        sparse_backend.set_backend(backend)
+        try:
+            reference = SparseCSR.from_coo(
+                n, n, rows, cols, np.full(len(rows), 1.0 / out_degree)
+            )
+            keyed = link._global_csr()
+        finally:
+            sparse_backend.set_backend(None)
+        for got, want in zip(keyed.payload_arrays(), reference.payload_arrays()):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_cold_build_peak_is_bounded(self, monkeypatch):
+        """A cold build peaks at <= 3x the finished CSR (triplet build: 4.6x)."""
+        monkeypatch.setattr(random_mod, "_input_memo", random_mod._InputMemo(1 << 28))
+        tracemalloc.start()
+        try:
+            graph = LinkMatrix(6000, 200, seed=42)._global_csr()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * graph.nbytes
 
     def test_block_range_validated(self):
         link = LinkMatrix(12, 3)
@@ -259,6 +317,20 @@ class TestBlockMaps:
     def test_grouped_rejects_too_few_blocks(self):
         with pytest.raises(ValueError):
             GroupedBlockMap(self.grid(2), 3)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda g: GroupedBlockMap(g, 3),
+            lambda g: CyclicBlockMap(g, 3),
+            lambda g: PlaceGridBlockMap(g, 3, 1),
+        ],
+    )
+    def test_owner_dict_is_built_once(self, make):
+        m = make(self.grid(6))
+        owners = m.owner_dict()
+        assert owners == {(rb, 0): m.place_index_of(rb, 0) for rb in range(6)}
+        assert m.owner_dict() is owners
 
     def test_cyclic(self):
         m = CyclicBlockMap(self.grid(6), 3)

@@ -92,6 +92,28 @@ class TestCSRKernels:
         a = SparseCSR.from_coo(2, 2, [0, 1], [0, 1], [2.0, 4.0]).scale(0.5)
         assert np.array_equal(np.diag(a.to_dense()), [1.0, 2.0])
 
+    @pytest.mark.parametrize("cls", [SparseCSR, SparseCSC])
+    def test_scipy_handles_adopt_the_arrays_and_cache_the_transpose(self, cls):
+        """The scipy view wraps the object's own buffers — also when they are
+        slices of a much larger base, which scipy's constructor would copy —
+        and its ``.T`` is built once per mutation version."""
+        from repro.matrix import sparse_backend
+
+        if not sparse_backend.scipy_available():
+            pytest.skip("scipy not installed")
+        big = cls.from_dense(random_dense(40, 6, 0.5, 3))
+        hi = int(big.indptr[2])  # the first two rows (CSR) / columns (CSC)
+        shape = (2, 6) if cls is SparseCSR else (40, 2)
+        a = cls._build(*shape, big.indptr[:3], big.indices[:hi], big.values[:hi])
+        view, flipped = a._scipy(), a._scipy(True)
+        assert view.data is a.values and view.indices is a.indices
+        assert a._scipy() is view and a._scipy(True) is flipped
+        assert np.array_equal(flipped.toarray(), view.toarray().T)
+        before = a.spmv_t(np.ones(shape[0]))
+        a.scale(2.0)  # touch() bumps the version: both handles are rebuilt
+        assert a._scipy() is not view and a._scipy(True) is not flipped
+        assert np.array_equal(a.spmv_t(np.ones(shape[0])), 2.0 * before)
+
     def test_spmv_wrong_length(self):
         a = SparseCSR.empty(2, 3)
         with pytest.raises(ValueError):

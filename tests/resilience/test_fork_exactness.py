@@ -168,6 +168,46 @@ def test_fork_with_detector_suspicion_in_flight():
     _resume_and_check(images, fp, result, app_name)
 
 
+def test_bench_pagerank_image_shares_link_blocks_by_reference():
+    """Full-width link blocks are frozen slices of the memoized graph: an
+    image parks them (and the scipy handles adopted over them) by reference,
+    so a 12-place bench world costs kilobytes per boundary, not the graph."""
+    from repro.bench.harness import APP_REGISTRY
+
+    _, res_cls, wl_factory, cost_factory = APP_REGISTRY["pagerank"]
+    workload = wl_factory(4)
+    rt = make_runtime(12, cost=cost_factory(), resilient=True)
+    app = res_cls(rt, workload)
+    rt.injector.add(ScriptedKill(place_id=5, iteration=3))
+    executor = IterativeExecutor(rt, app, checkpoint_interval=2)
+    context = ForkContext()
+    images = {}
+
+    def snap(boundary: int) -> bool:
+        images[boundary] = context.capture(executor)
+        return True
+
+    report = executor.run(boundary_hook=snap)
+    assert report.restores == 1
+    assert max(image.nbytes for image in images.values()) < 256 * 1024
+    graph = app.link._global_csr()
+    parked = [a for a in context._frozen if isinstance(a, np.ndarray)]
+    assert any(np.shares_memory(a, graph.values) for a in parked)
+    _resume_and_check(
+        images, _fingerprint(executor, report), np.asarray(app.ranks()).copy(), "pagerank"
+    )
+
+
+def test_frozen_view_of_a_writable_base_is_still_copied():
+    base = np.arange(10.0)
+    view = base[2:6]
+    view.setflags(write=False)
+    context = ForkContext()
+    loaded = context.capture({"v": view}).load()
+    base[2] = -1.0
+    assert loaded["v"][0] == 2.0 and not loaded["v"].flags.writeable
+
+
 def test_sibling_forks_are_independent():
     """Two forks of one image cannot perturb each other (CoW isolation):
     resuming the same boundary twice gives identical results, and the

@@ -222,3 +222,53 @@ class TestVirtualTime:
         report = rt.stats.finish_reports[-1]
         assert report.label == "phase-a"
         assert report.n_tasks == 4
+
+
+class TestClose:
+    """``Runtime.close()``: the owner of a world releases it by refcount."""
+
+    def test_payload_dies_at_close_without_a_gc_run(self):
+        import gc
+        import weakref
+
+        import numpy as np
+
+        from repro.matrix.distvector import DistVector
+        from repro.runtime import make_runtime
+
+        gc.collect()
+        gc.disable()
+        try:
+            rt = make_runtime(3, resilient=True)
+            v = DistVector.make(rt, 9).init(2.0)
+            v.scale(3.0)  # exercise cached contexts and finishes
+            payload = weakref.ref(rt.heap_of(1).get(v.heap_key).data)
+            assert isinstance(payload(), np.ndarray)
+            rt.close()
+            assert payload() is None
+        finally:
+            gc.enable()
+
+    def test_use_after_close_raises_and_close_is_idempotent(self):
+        from repro.matrix.distvector import DistVector
+
+        rt = make_rt(3)
+        v = DistVector.make(rt, 9).init(1.0)
+        rt.close()
+        rt.close()
+        with pytest.raises(RuntimeError, match="heap of dead place"):
+            rt.heap_of(1).get(v.heap_key)
+        with pytest.raises(RuntimeError, match="heap of dead place"):
+            v.scale(2.0)
+        with pytest.raises(RuntimeError, match="heap of dead place"):
+            rt.finish_all(rt.world, lambda ctx: len(ctx.heap))
+
+    def test_context_manager_closes_on_exception(self):
+        from repro.runtime import make_runtime
+
+        with pytest.raises(KeyError):
+            with make_runtime(2) as rt:
+                assert not rt.heap_of(1).destroyed
+                raise KeyError("boom")
+        assert all(heap.destroyed for heap in rt._heaps.values())
+        assert not rt._ctx_cache
