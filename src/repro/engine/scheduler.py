@@ -419,7 +419,7 @@ class Scheduler:
         ret_bytes: float = 0.0,
         dead_places: Optional[List[int]] = None,
     ) -> FinishReport:
-        """Join + bookkeeping shared by ``finish_tasks`` and the collectives.
+        """Join + bookkeeping shared by the dispatch loop and the collectives.
 
         The driver serially absorbs one termination message per task; under
         resilience the finish additionally waits for the place-zero ledger
@@ -428,13 +428,16 @@ class Scheduler:
         advanced to the finish completion.
         """
         clock, cost = self.clock, self.cost
+        times = clock._times
         stats = runtime.stats
         driver = runtime.DRIVER_ID
-        t_join = clock.now(driver)
-        if t_floor is not None:
-            t_join = max(t_floor, t_join)
+        t_join = times[driver]
+        if t_floor is not None and t_floor > t_join:
+            t_join = t_floor
         n_ends = len(task_ends)
+        task_end_max = t_start
         if n_ends:
+            task_end_max = max(task_ends)
             # Hoisted constants: message cost depends only on ret_bytes and
             # the join overhead is per-task fixed, so the historical
             # `max(t_join, end + msg) + join_dt` recurrence runs with the
@@ -445,9 +448,8 @@ class Scheduler:
                 # The recurrence collapses to a running max — exactly what
                 # the loop computes when both costs are zero (chaos runs
                 # under CostModel.zero() live here).
-                top = max(task_ends)
-                if top > t_join:
-                    t_join = top
+                if task_end_max > t_join:
+                    t_join = task_end_max
             else:
                 for t_end in sorted(task_ends):
                     arrive = t_end + msg
@@ -455,7 +457,7 @@ class Scheduler:
                         t_join = arrive
                     t_join += join_dt
             stats.messages += n_ends
-            inc = cost.scaled_bytes(ret_bytes)
+            inc = ret_bytes * cost.logical_scale
             if inc:
                 # Repeated addition keeps the accumulator bit-identical to
                 # the historical per-task `+=`.
@@ -464,7 +466,6 @@ class Scheduler:
                     acc += inc
                 stats.bytes_sent = acc
 
-        task_end_max = max(task_ends) if task_ends else t_start
         ledger_ready = 0.0
         t_finish = t_join
         if runtime.resilient and ledger_arrivals is not None:
@@ -472,7 +473,12 @@ class Scheduler:
             if ledger_ready > t_finish:
                 runtime.ledger.record_stall(ledger_ready - t_finish)
                 t_finish = ledger_ready
-        clock.set_at_least(driver, t_finish)
+        if t_finish > times[driver]:
+            times[driver] = t_finish
+        if t_finish:
+            # Also covers the times the dispatch loop stored straight into
+            # ``times``: each is bounded by this completion.
+            clock._moved = True
 
         stats.finishes += 1
         stats.tasks += n_tasks
@@ -524,7 +530,7 @@ class Scheduler:
         stats = runtime.stats
         if n_ends:
             stats.messages += n_ends
-            inc = self.cost.scaled_bytes(ret_bytes)
+            inc = ret_bytes * self.cost.logical_scale
             if inc:
                 # Repeated addition keeps the accumulator bit-identical to
                 # the historical per-task `+=`.

@@ -48,7 +48,7 @@ class MatrixBlock:
 
     @property
     def shape(self) -> Tuple[int, int]:
-        return self.data.shape
+        return self.data.m, self.data.n
 
     @property
     def nbytes(self) -> int:
@@ -60,11 +60,11 @@ class MatrixBlock:
 
     def row_range(self) -> Tuple[int, int]:
         """Global half-open row range covered by this block."""
-        return self.row_offset, self.row_offset + self.data.shape[0]
+        return self.row_offset, self.row_offset + self.data.m
 
     def col_range(self) -> Tuple[int, int]:
         """Global half-open column range covered by this block."""
-        return self.col_offset, self.col_offset + self.data.shape[1]
+        return self.col_offset, self.col_offset + self.data.n
 
     def __repr__(self) -> str:
         kind = "sparse" if self.is_sparse else "dense"
@@ -76,12 +76,18 @@ class BlockSet:
 
     def __init__(self, place_index: int):
         self.place_index = place_index
+        #: Row-major by key; ``add()`` replaces the dict, never mutates it,
+        #: so a running iterator keeps the one it started on.
         self._blocks: Dict[Tuple[int, int], MatrixBlock] = {}
 
     def add(self, block: MatrixBlock) -> None:
         """Insert a block (duplicate coordinates rejected)."""
-        require(block.key not in self._blocks, f"duplicate block {block.key}")
-        self._blocks[block.key] = block
+        key = block.key
+        require(key not in self._blocks, f"duplicate block {key}")
+        blocks = {**self._blocks, key: block}
+        if self._blocks and key < next(reversed(self._blocks)):
+            blocks = dict(sorted(blocks.items()))
+        self._blocks = blocks
 
     def get(self, rb: int, cb: int) -> MatrixBlock:
         """Fetch the block at ``(rb, cb)``; ``KeyError`` if not held here."""
@@ -94,11 +100,10 @@ class BlockSet:
 
     def keys(self) -> List[Tuple[int, int]]:
         """Held block coordinates, sorted row-major."""
-        return sorted(self._blocks)
+        return list(self._blocks)
 
     def __iter__(self) -> Iterator[MatrixBlock]:
-        for key in self.keys():
-            yield self._blocks[key]
+        return iter(self._blocks.values())
 
     def __len__(self) -> int:
         return len(self._blocks)

@@ -88,7 +88,8 @@ class DenseMatrix:
         """In-place element-wise add of a matrix or scalar."""
         self.touch()
         if isinstance(other, DenseMatrix):
-            require(other.shape == self.shape, "shape mismatch in cell_add")
+            if other.shape != self.shape:
+                raise ValueError("shape mismatch in cell_add")
             self.data += other.data
         else:
             self.data += float(other)
@@ -98,7 +99,8 @@ class DenseMatrix:
         """In-place element-wise subtract of a matrix or scalar."""
         self.touch()
         if isinstance(other, DenseMatrix):
-            require(other.shape == self.shape, "shape mismatch in cell_sub")
+            if other.shape != self.shape:
+                raise ValueError("shape mismatch in cell_sub")
             self.data -= other.data
         else:
             self.data -= float(other)
@@ -106,7 +108,8 @@ class DenseMatrix:
 
     def cell_mult(self, other: "DenseMatrix") -> "DenseMatrix":
         """In-place Hadamard product."""
-        require(other.shape == self.shape, "shape mismatch in cell_mult")
+        if other.shape != self.shape:
+            raise ValueError("shape mismatch in cell_mult")
         self.touch()
         self.data *= other.data
         return self
@@ -121,20 +124,24 @@ class DenseMatrix:
 
     def mult(self, a: "DenseMatrix", b: "DenseMatrix") -> "DenseMatrix":
         """``self = a @ b`` (GML's accumulate-free form)."""
-        require(a.n == b.m, f"inner dims mismatch: {a.shape} @ {b.shape}")
-        require(self.shape == (a.m, b.n), "output shape mismatch")
+        if a.n != b.m:
+            raise ValueError(f"inner dims mismatch: {a.shape} @ {b.shape}")
+        if self.shape != (a.m, b.n):
+            raise ValueError("output shape mismatch")
         self.touch()
         np.matmul(a.data, b.data, out=self.data)
         return self
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``self @ x`` for a 1-D vector."""
-        require(x.shape == (self.n,), f"matvec operand must be length {self.n}")
+        if x.shape != (self.n,):
+            raise ValueError(f"matvec operand must be length {self.n}")
         return self.data @ x
 
     def t_matvec(self, x: np.ndarray) -> np.ndarray:
         """``self.T @ x`` for a 1-D vector."""
-        require(x.shape == (self.m,), f"t_matvec operand must be length {self.m}")
+        if x.shape != (self.m,):
+            raise ValueError(f"t_matvec operand must be length {self.m}")
         return self.data.T @ x
 
     def transpose(self) -> "DenseMatrix":
@@ -149,7 +156,8 @@ class DenseMatrix:
 
     def max_abs_diff(self, other: "DenseMatrix") -> float:
         """Largest absolute element-wise difference."""
-        require(other.shape == self.shape, "shape mismatch in max_abs_diff")
+        if other.shape != self.shape:
+            raise ValueError("shape mismatch in max_abs_diff")
         if self.data.size == 0:
             return 0.0
         return float(np.max(np.abs(self.data - other.data)))
@@ -162,13 +170,16 @@ class DenseMatrix:
 
     def sub_matrix(self, r0: int, r1: int, c0: int, c1: int) -> "DenseMatrix":
         """Copy of the half-open region ``[r0:r1, c0:c1]``."""
-        require(0 <= r0 <= r1 <= self.m, f"bad row range [{r0},{r1}) for m={self.m}")
-        require(0 <= c0 <= c1 <= self.n, f"bad col range [{c0},{c1}) for n={self.n}")
+        if not 0 <= r0 <= r1 <= self.m:
+            raise ValueError(f"bad row range [{r0},{r1}) for m={self.m}")
+        if not 0 <= c0 <= c1 <= self.n:
+            raise ValueError(f"bad col range [{c0},{c1}) for n={self.n}")
         return DenseMatrix(self.data[r0:r1, c0:c1].copy())
 
     def set_sub_matrix(self, r0: int, c0: int, block: "DenseMatrix") -> None:
         """Paste *block* with its top-left at ``(r0, c0)``."""
-        require(r0 + block.m <= self.m and c0 + block.n <= self.n, "block exceeds bounds")
+        if r0 + block.m > self.m or c0 + block.n > self.n:
+            raise ValueError("block exceeds bounds")
         self.touch()
         self.data[r0 : r0 + block.m, c0 : c0 + block.n] = block.data
 

@@ -25,22 +25,11 @@ from repro.matrix.block import BlockSet
 from repro.matrix.distblock import DistBlockMatrix
 from repro.matrix.distvector import DistVector
 from repro.matrix.dupvector import DupVector
+from repro.matrix.sparse import SparseCSR
 from repro.matrix.vector import Vector
 from repro.runtime.comm import point_to_point
 from repro.runtime.runtime import PlaceContext
 from repro.util.validation import require
-
-
-def _block_flops(block, sparse_factor: float = 1.0) -> float:
-    """Effective flop charge of one block's matvec.
-
-    Sparse entries are weighted by the cost model's irregular-access
-    factor (CSR gathers are far slower per entry than dense BLAS).
-    """
-    if block.is_sparse:
-        return 2.0 * block.data.nnz * sparse_factor
-    h, w = block.shape
-    return 2.0 * h * w
 
 
 def dist_block_matvec(G: DistBlockMatrix, x: DupVector, y: DistVector) -> DistVector:
@@ -51,32 +40,38 @@ def dist_block_matvec(G: DistBlockMatrix, x: DupVector, y: DistVector) -> DistVe
     require(G.group == y.group, "matrix and output on different groups")
     rt = G.runtime
     group = G.group
+    cost = rt.cost
+    g_key, x_key = G.heap_key, x.heap_key
 
-    sparse_factor = rt.cost.sparse_flop_factor
+    # Sparse entries are weighted by the cost model's irregular-access
+    # factor (CSR gathers are far slower per entry than dense BLAS).
+    sparse_factor = cost.sparse_flop_factor
     # Flop accounting only feeds the clock charge; with a zero flop rate
     # the charge is 0.0 whatever the count, so skip the tally entirely.
-    count_flops = rt.cost.flop_time != 0.0
+    count_flops = cost.flop_time != 0.0
 
     def compute(ctx: PlaceContext) -> Dict[int, Tuple[int, np.ndarray]]:
-        bs: BlockSet = ctx.heap.get(G.heap_key)
-        xdata = ctx.heap.get(x.heap_key).data
+        heap_get = ctx.heap.get
+        xdata = heap_get(x_key).data
         partials: Dict[int, Tuple[int, np.ndarray]] = {}
         flops = 0.0
-        for block in bs:
-            r0, r1 = block.row_range()
-            c0, c1 = block.col_range()
-            if block.is_sparse:
-                part = block.data.spmv(xdata[c0:c1])
+        for block in heap_get(g_key):
+            data = block.data
+            c0 = block.col_offset
+            if isinstance(data, SparseCSR):
+                part = data.spmv(xdata[c0 : c0 + data.n])
+                if count_flops:
+                    flops += 2.0 * len(data.values) * sparse_factor
             else:
-                part = block.data.matvec(xdata[c0:c1])
-            if count_flops:
-                flops += _block_flops(block, sparse_factor)
+                part = data.matvec(xdata[c0 : c0 + data.n])
+                if count_flops:
+                    flops += 2.0 * data.m * data.n
             if block.rb in partials:
                 partials[block.rb][1][:] += part
                 if count_flops:
-                    flops += r1 - r0
+                    flops += data.m
             else:
-                partials[block.rb] = (r0, part)
+                partials[block.rb] = (block.row_offset, part)
         if count_flops:
             ctx.charge_flops(flops)
         return partials
@@ -84,33 +79,33 @@ def dist_block_matvec(G: DistBlockMatrix, x: DupVector, y: DistVector) -> DistVe
     results = rt.finish_all(group, compute, label="matvec")
 
     # Route block-row results into the output segments.  Aligned layouts
-    # route locally; scattered layouts (post-shrink) pay transfers.
+    # route locally; scattered layouts (post-shrink) pay transfers.  The
+    # segments, place ids and segment origins are fetched once per call.
     partition = y.partition
-    cost = rt.cost
+    seg_lows = partition.offsets
     clock_advance = rt.clock.advance
-    cost_flops = cost.flops
-    cost_memcpy = cost.memcpy
+    flop_time, scale = cost.flop_time, cost.logical_scale
     charge_memcpy = cost.memcpy_byte_time != 0.0
-    for index in range(group.size):
-        seg = y.segment(index)
+    ids = group.ids
+    segs = []
+    for pid in ids:
+        seg: Vector = rt.heap_of(pid).get(y.heap_key)
         seg.fill(0.0)
         if charge_memcpy:
-            clock_advance(group[index].id, cost_memcpy(seg.nbytes))
-    for src_index, partials in enumerate(results):
+            clock_advance(pid, cost.memcpy(seg.nbytes))
+        segs.append(seg)
+    for src_id, partials in zip(ids, results):
         if partials is None:
             continue
-        src_place = group[src_index]
         for _rb, (r0, part) in sorted(partials.items()):
-            r1 = r0 + len(part)
-            for seg_index, start, end in partition.overlapping_segments(r0, r1):
-                dest_place = group[seg_index]
-                if dest_place != src_place:
-                    point_to_point(rt, src_place.id, dest_place.id, (end - start) * 8)
-                seg = y.segment(seg_index)
-                seg_lo = partition.range_of(seg_index)[0]
-                seg.data[start - seg_lo : end - seg_lo] += part[start - r0 : end - r0]
+            for seg_index, start, end in partition.overlapping_segments(r0, r0 + len(part)):
+                dest_id = ids[seg_index]
+                if dest_id != src_id:
+                    point_to_point(rt, src_id, dest_id, (end - start) * 8)
+                seg_lo = seg_lows[seg_index]
+                segs[seg_index].data[start - seg_lo : end - seg_lo] += part[start - r0 : end - r0]
                 if count_flops:
-                    clock_advance(dest_place.id, cost_flops(end - start))
+                    clock_advance(dest_id, flop_time * (end - start) * scale)
     return y
 
 
@@ -122,25 +117,35 @@ def dist_block_t_matvec(G: DistBlockMatrix, r: DistVector, g: DupVector) -> DupV
     require(G.group == g.group, "matrix and output on different groups")
     rt = G.runtime
     group = G.group
+    n = G.n
+    g_key, r_key, out_key = G.heap_key, r.heap_key, g.heap_key
+    range_of = r.partition.range_of
     sparse_factor = rt.cost.sparse_flop_factor
     count_flops = rt.cost.flop_time != 0.0
 
     def compute(ctx: PlaceContext) -> None:
+        heap_get = ctx.heap.get
         my_index = group.index_of(ctx.place)
-        bs: BlockSet = ctx.heap.get(G.heap_key)
-        partial = np.zeros(G.n)
+        lo, hi = range_of(my_index)
+        partial = np.zeros(n)
         flops = 0.0
-        for block in bs:
-            r0, r1 = block.row_range()
-            c0, c1 = block.col_range()
-            rvals = _gather_rows(ctx, r, my_index, r0, r1)
-            if block.is_sparse:
-                partial[c0:c1] += block.data.spmv_t(rvals)
+        for block in heap_get(g_key):
+            data = block.data
+            r0, c0 = block.row_offset, block.col_offset
+            r1 = r0 + data.m
+            if lo <= r0 and r1 <= hi:  # the rows are local: no gather
+                rvals = heap_get(r_key).data[r0 - lo : r1 - lo]
             else:
-                partial[c0:c1] += block.data.t_matvec(rvals)
-            if count_flops:
-                flops += _block_flops(block, sparse_factor)
-        out: Vector = ctx.heap.get(g.heap_key)
+                rvals = _gather_rows(ctx, r, r0, r1)
+            if isinstance(data, SparseCSR):
+                partial[c0 : c0 + data.n] += data.spmv_t(rvals)
+                if count_flops:
+                    flops += 2.0 * len(data.values) * sparse_factor
+            else:
+                partial[c0 : c0 + data.n] += data.t_matvec(rvals)
+                if count_flops:
+                    flops += 2.0 * data.m * data.n
+        out: Vector = heap_get(out_key)
         out.touch()
         out.data[:] = partial
         if count_flops:
@@ -315,13 +320,8 @@ def dist_matmul(a: DistBlockMatrix, b: DistBlockMatrix, c: DistBlockMatrix) -> D
     return c
 
 
-def _gather_rows(
-    ctx: PlaceContext, r: DistVector, my_index: int, r0: int, r1: int
-) -> np.ndarray:
-    """Collect ``r[r0:r1]`` at the calling place (local fast path)."""
-    lo, hi = r.partition.range_of(my_index)
-    if lo <= r0 and r1 <= hi:
-        return ctx.heap.get(r.heap_key).data[r0 - lo : r1 - lo]
+def _gather_rows(ctx: PlaceContext, r: DistVector, r0: int, r1: int) -> np.ndarray:
+    """Collect ``r[r0:r1]`` at the calling place from the segments' owners."""
     out = np.empty(r1 - r0)
     for seg_index, start, end in r.partition.overlapping_segments(r0, r1):
         slo, _shi = r.partition.range_of(seg_index)

@@ -107,6 +107,19 @@ def _compress_sorted(n_major: int, n_minor: int, linear: np.ndarray, vals: np.nd
     return indptr, unique, values
 
 
+def _freeze_view(self):
+    """Freeze the backing arrays and return a snapshot alias sharing them."""
+    self.indptr.setflags(write=False)
+    self.indices.setflags(write=False)
+    self.values.setflags(write=False)
+    alias = type(self)._build(self.m, self.n, self.indptr, self.indices, self.values)
+    if self._sp_ver == self.version:
+        # The current scipy handle wraps exactly the arrays just frozen;
+        # either side's touch() bumps its own version before a write.
+        alias._sp, alias._sp_ver = self._sp, alias.version
+    return alias
+
+
 class SparseCSR:
     """Compressed-sparse-row storage: ``indptr`` (m+1), ``indices``, ``values``.
 
@@ -219,12 +232,7 @@ class SparseCSR:
             self.values = self.values.copy()
         self.version = next_version()
 
-    def freeze_view(self) -> "SparseCSR":
-        """Freeze the backing arrays and return a snapshot alias sharing them."""
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
-        self.values.setflags(write=False)
-        return SparseCSR._build(self.m, self.n, self.indptr, self.indices, self.values)
+    freeze_view = _freeze_view
 
     def payload_arrays(self) -> Tuple[np.ndarray, ...]:
         """Backing arrays for snapshot checksumming (``repro.util.checksum``)."""
@@ -279,7 +287,8 @@ class SparseCSR:
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """``self @ x``: row-wise gather-multiply-segment-sum."""
-        require(x.shape == (self.n,), f"spmv operand must be length {self.n}")
+        if x.shape != (self.n,):
+            raise ValueError(f"spmv operand must be length {self.n}")
         if _backend.USE_SCIPY:
             return self._scipy() @ x
         out = np.zeros(self.m)
@@ -291,7 +300,8 @@ class SparseCSR:
 
     def spmv_t(self, x: np.ndarray) -> np.ndarray:
         """``self.T @ x``: scatter-add into column bins."""
-        require(x.shape == (self.m,), f"spmv_t operand must be length {self.m}")
+        if x.shape != (self.m,):
+            raise ValueError(f"spmv_t operand must be length {self.m}")
         if _backend.USE_SCIPY:
             return self._scipy(True) @ x
         out = np.zeros(self.n)
@@ -308,7 +318,8 @@ class SparseCSR:
 
     def matmat(self, dense: np.ndarray) -> np.ndarray:
         """``self @ dense`` for a 2-D operand (sparse-dense product)."""
-        require(dense.ndim == 2 and dense.shape[0] == self.n, "matmat shape mismatch")
+        if dense.ndim != 2 or dense.shape[0] != self.n:
+            raise ValueError("matmat shape mismatch")
         if _backend.USE_SCIPY:
             return self._scipy() @ dense
         out = np.zeros((self.m, dense.shape[1]))
@@ -319,7 +330,8 @@ class SparseCSR:
 
     def t_matmat(self, dense: np.ndarray) -> np.ndarray:
         """``self.T @ dense`` for a 2-D operand."""
-        require(dense.ndim == 2 and dense.shape[0] == self.m, "t_matmat shape mismatch")
+        if dense.ndim != 2 or dense.shape[0] != self.m:
+            raise ValueError("t_matmat shape mismatch")
         if _backend.USE_SCIPY:
             return self._scipy(True) @ dense
         out = np.zeros((self.n, dense.shape[1]))
@@ -543,7 +555,8 @@ class SparseCSC:
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """``self @ x``: scatter-add of scaled columns."""
-        require(x.shape == (self.n,), f"spmv operand must be length {self.n}")
+        if x.shape != (self.n,):
+            raise ValueError(f"spmv operand must be length {self.n}")
         if _backend.USE_SCIPY:
             return self._scipy() @ x
         out = np.zeros(self.m)
@@ -553,7 +566,8 @@ class SparseCSC:
 
     def spmv_t(self, x: np.ndarray) -> np.ndarray:
         """``self.T @ x``: per-column gather-sum."""
-        require(x.shape == (self.m,), f"spmv_t operand must be length {self.m}")
+        if x.shape != (self.m,):
+            raise ValueError(f"spmv_t operand must be length {self.m}")
         if _backend.USE_SCIPY:
             return self._scipy(True) @ x
         out = np.zeros(self.n)
@@ -577,12 +591,7 @@ class SparseCSC:
             self.values = self.values.copy()
         self.version = next_version()
 
-    def freeze_view(self) -> "SparseCSC":
-        """Freeze the backing arrays and return a snapshot alias sharing them."""
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
-        self.values.setflags(write=False)
-        return SparseCSC._build(self.m, self.n, self.indptr, self.indices, self.values)
+    freeze_view = _freeze_view
 
     def payload_arrays(self) -> Tuple[np.ndarray, ...]:
         """Backing arrays for snapshot checksumming (``repro.util.checksum``)."""

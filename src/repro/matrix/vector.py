@@ -96,7 +96,8 @@ class Vector:
         """In-place element-wise add of a vector or scalar."""
         self.touch()
         if isinstance(other, Vector):
-            require(other.n == self.n, "length mismatch in cell_add")
+            if other.n != self.n:
+                raise ValueError("length mismatch in cell_add")
             self.data += other.data
         else:
             self.data += float(other)
@@ -106,7 +107,8 @@ class Vector:
         """In-place element-wise subtract."""
         self.touch()
         if isinstance(other, Vector):
-            require(other.n == self.n, "length mismatch in cell_sub")
+            if other.n != self.n:
+                raise ValueError("length mismatch in cell_sub")
             self.data -= other.data
         else:
             self.data -= float(other)
@@ -114,14 +116,16 @@ class Vector:
 
     def cell_mult(self, other: "Vector") -> "Vector":
         """In-place Hadamard product."""
-        require(other.n == self.n, "length mismatch in cell_mult")
+        if other.n != self.n:
+            raise ValueError("length mismatch in cell_mult")
         self.touch()
         self.data *= other.data
         return self
 
     def axpy(self, alpha: float, x: "Vector") -> "Vector":
         """In-place ``self += alpha * x``."""
-        require(x.n == self.n, "length mismatch in axpy")
+        if x.n != self.n:
+            raise ValueError("length mismatch in axpy")
         self.touch()
         self.data += alpha * x.data
         return self
@@ -136,7 +140,8 @@ class Vector:
 
     def dot(self, other: "Vector") -> float:
         """Inner product."""
-        require(other.n == self.n, "length mismatch in dot")
+        if other.n != self.n:
+            raise ValueError("length mismatch in dot")
         return float(self.data @ other.data)
 
     def norm2(self) -> float:
@@ -149,7 +154,8 @@ class Vector:
 
     def max_abs_diff(self, other: "Vector") -> float:
         """Largest absolute element-wise difference."""
-        require(other.n == self.n, "length mismatch")
+        if other.n != self.n:
+            raise ValueError("length mismatch")
         if self.n == 0:
             return 0.0
         return float(np.max(np.abs(self.data - other.data)))
@@ -162,12 +168,14 @@ class Vector:
 
     def sub_vector(self, lo: int, hi: int) -> "Vector":
         """Copy of the half-open slice ``[lo:hi]``."""
-        require(0 <= lo <= hi <= self.n, f"bad range [{lo},{hi}) for n={self.n}")
+        if not 0 <= lo <= hi <= self.n:
+            raise ValueError(f"bad range [{lo},{hi}) for n={self.n}")
         return Vector(self.data[lo:hi].copy())
 
     def set_sub_vector(self, lo: int, block: "Vector") -> None:
         """Paste *block* starting at *lo*."""
-        require(lo + block.n <= self.n, "block exceeds bounds")
+        if lo + block.n > self.n:
+            raise ValueError("block exceeds bounds")
         self.touch()
         self.data[lo : lo + block.n] = block.data
 

@@ -31,6 +31,9 @@ class VirtualClock:
     _moved = False
 
     def __init__(self) -> None:
+        #: place id -> seconds.  Only the per-task path indexes this itself
+        #: (who, and how ``_moved`` stays exact: docs/architecture.md,
+        #: "Dispatch"); everything else calls the methods below.
         self._times: Dict[int, float] = {}
         #: Straggler slowdown factors: work charged to these places takes
         #: ``factor`` times longer (message waits are *not* slowed — a slow

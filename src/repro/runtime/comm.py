@@ -47,20 +47,17 @@ def check_group_alive(rt: Runtime, group: PlaceGroup) -> None:
 
 
 def _edge_fault(
-    rt: Runtime, src_id: int, dst_id: int, t_send: float, nbytes: float
+    rt: Runtime, faults, src_id: int, dst_id: int, t_send: float, nbytes: float
 ) -> Tuple[float, float]:
-    """Transient-fault outcome of one collective edge.
+    """Transient-fault outcome of one collective edge under *faults*.
 
     Returns ``(wait, extra_delay)``: *wait* is sender-side time lost to
-    retransmissions before the successful attempt (zero on a reliable
-    network — the fault-free timing stays bit-exact), *extra_delay* is
+    retransmissions before the successful attempt (a reliable network
+    skips this call and keeps both 0.0 — bit-exact), *extra_delay* is
     in-flight jitter on the delivered copy.  A duplicated delivery burns
     receive-side server time but is suppressed (at-most-once).  Raises
     :class:`CommTimeoutError` when the retransmission budget is exhausted.
     """
-    faults = rt.faults
-    if faults is None:
-        return 0.0, 0.0
     policy = rt.retry_policy
     wait = 0.0
     attempt = 0
@@ -92,7 +89,7 @@ def _finish_phase(
     The driver serially absorbs one termination message per task; under
     resilience the phase additionally waits for the ledger to drain two
     events per task (spawn + termination).  Both are scheduled by the
-    engine; this is the same completion path ``finish_tasks`` uses.
+    engine; this is the same completion path the dispatch loop uses.
     """
     arrivals = None
     if rt.resilient:
@@ -103,19 +100,17 @@ def _finish_phase(
     return report.end
 
 
-def _zero_collective(
-    rt: Runtime, label: str, size: int, n_edges: int, scaled_bytes: float
-) -> float:
+def _zero_collective(rt: Runtime, label: str, size: int, scaled_bytes: float) -> float:
     """Zero-time completion shared by the collective fast paths.
 
     Every binomial/flat pattern over a *size*-place group moves exactly
-    *n_edges* payload messages and completes a *size*-task finish; under
+    ``size - 1`` payload messages and completes a *size*-task finish; under
     :meth:`~repro.engine.scheduler.Scheduler.zero_fast` all its timing
     math lands on 0.0, so only the stats trail remains.  The byte counter
     accumulates by repeated addition, bit-identical to the per-edge loop.
     """
     stats = rt.stats
-    for _ in range(n_edges):
+    for _ in range(size - 1):
         stats.messages += 1
         stats.bytes_sent += scaled_bytes
     rt.engine.complete_finish_zero(
@@ -132,10 +127,16 @@ def point_to_point(rt: Runtime, src_id: int, dst_id: int, nbytes: float) -> floa
     """
     rt.check_alive(src_id)
     rt.check_alive(dst_id)
-    t_arrive = rt.transfer(src_id, dst_id, nbytes, rt.clock.now(src_id))
+    t_arrive = rt.transfer(src_id, dst_id, nbytes, rt.clock._times[src_id])
     rt.stats.messages += 1
     rt.stats.bytes_sent += rt.cost.scaled_bytes(nbytes)
     return t_arrive
+
+
+# The timed collectives index ``clock._times`` themselves (a write is
+# ``VirtualClock.set_at_least`` inlined, ``_moved`` included) and compute the
+# per-call constants once; each edge's float operations keep their order, and
+# on a reliable network its ``w`` and ``extra`` stay 0.0.
 
 
 def tree_broadcast(
@@ -153,16 +154,21 @@ def tree_broadcast(
     check_group_alive(rt, group)
     clock, cost = rt.clock, rt.cost
     size = group.size
+    scaled = cost.scaled_bytes(nbytes)
     if rt.engine.zero_fast():
-        return _zero_collective(rt, label, size, size - 1, cost.scaled_bytes(nbytes))
-    t_start = clock.now(rt.DRIVER_ID)
+        return _zero_collective(rt, label, size, scaled)
+    times, stats, faults = clock._times, rt.stats, rt.faults
+    msg = cost.message(nbytes)
+    t_start = times[rt.DRIVER_ID]
 
     # Virtual ranks: rank 0 = root; rank r lives at group index
     # (root_index + r) % size.  Round k: ranks < 2^k send to rank + 2^k.
-    def pid(rank: int) -> int:
-        return group[(root_index + rank) % size].id
+    ids = group.ids
+    pids = ids[root_index:] + ids[:root_index]
 
-    ready = {0: max(clock.now(pid(0)), t_start)}
+    w = extra = 0.0
+    ready = [0.0] * size
+    ready[0] = max(times[pids[0]], t_start)
     span = 1
     while span < size:
         for rank in range(span):
@@ -170,18 +176,18 @@ def tree_broadcast(
             if peer >= size:
                 break
             t_send = ready[rank]
-            w, extra = _edge_fault(rt, pid(rank), pid(peer), t_send, nbytes)
-            t_arrive = max(t_send + w, clock.now(pid(peer))) + cost.message(nbytes) + extra
-            ready[peer] = t_arrive
-            ready[rank] = t_send + w + cost.message(nbytes)  # sender busy per send
-            rt.stats.messages += 1
-            rt.stats.bytes_sent += cost.scaled_bytes(nbytes)
+            if faults is not None:
+                w, extra = _edge_fault(rt, faults, pids[rank], pids[peer], t_send, nbytes)
+            ready[peer] = max(t_send + w, times[pids[peer]]) + msg + extra
+            ready[rank] = t_send + w + msg  # sender busy per send
+            stats.messages += 1
+            stats.bytes_sent += scaled
         span *= 2
-    for rank, t in ready.items():
-        clock.set_at_least(pid(rank), t)
-
-    task_ends = [ready[r] for r in range(size)]
-    return _finish_phase(rt, label, t_start, task_ends, n_tasks=size)
+    for pid, t in zip(pids, ready):
+        if t > times[pid]:
+            times[pid] = t
+            clock._moved = True
+    return _finish_phase(rt, label, t_start, ready, n_tasks=size)
 
 
 def flat_gather(
@@ -200,25 +206,34 @@ def flat_gather(
     check_index(root_index, group.size, "root_index")
     check_group_alive(rt, group)
     clock, cost = rt.clock, rt.cost
+    scaled = cost.scaled_bytes(nbytes_each)
     if rt.engine.zero_fast():
-        return _zero_collective(
-            rt, label, group.size, group.size - 1, cost.scaled_bytes(nbytes_each)
-        )
-    root_id = group[root_index].id
-    t_start = clock.now(rt.DRIVER_ID)
+        return _zero_collective(rt, label, group.size, scaled)
+    times, stats, faults = clock._times, rt.stats, rt.faults
+    latency = cost.latency
+    absorb = cost.byte_time * scaled
+    ids = group.ids
+    root_id = ids[root_index]
+    t_start = times[rt.DRIVER_ID]
 
-    t_root = max(clock.now(root_id), t_start)
+    w = extra = 0.0
+    t_root = max(times[root_id], t_start)
     task_ends = []
-    senders = [(clock.now(p.id), p.id) for p in group if p.id != root_id]
-    for t_sender, sender_id in sorted(senders):
-        w, extra = _edge_fault(rt, sender_id, root_id, max(t_sender, t_start), nbytes_each)
-        send_done = max(t_sender, t_start) + w + cost.latency + extra
-        t_root = max(t_root, send_done) + cost.byte_time * cost.scaled_bytes(nbytes_each)
-        clock.set_at_least(sender_id, send_done)
+    for t_sender, sender_id in sorted([(times[pid], pid) for pid in ids if pid != root_id]):
+        t_send = max(t_sender, t_start)
+        if faults is not None:
+            w, extra = _edge_fault(rt, faults, sender_id, root_id, t_send, nbytes_each)
+        send_done = t_send + w + latency + extra
+        t_root = max(t_root, send_done) + absorb
+        if send_done > times[sender_id]:
+            times[sender_id] = send_done
+            clock._moved = True
         task_ends.append(t_root)
-        rt.stats.messages += 1
-        rt.stats.bytes_sent += cost.scaled_bytes(nbytes_each)
-    clock.set_at_least(root_id, t_root)
+        stats.messages += 1
+        stats.bytes_sent += scaled
+    if t_root > times[root_id]:
+        times[root_id] = t_root
+        clock._moved = True
     task_ends.append(t_root)
     return _finish_phase(rt, label, t_start, task_ends, n_tasks=group.size)
 
@@ -240,32 +255,39 @@ def tree_reduce(
     check_group_alive(rt, group)
     clock, cost = rt.clock, rt.cost
     size = group.size
+    scaled = cost.scaled_bytes(nbytes)
     if rt.engine.zero_fast():
-        return _zero_collective(rt, label, size, size - 1, cost.scaled_bytes(nbytes))
-    t_start = clock.now(rt.DRIVER_ID)
+        return _zero_collective(rt, label, size, scaled)
+    times, stats, faults = clock._times, rt.stats, rt.faults
+    msg = cost.message(nbytes)
+    ack = cost.message(0)
+    fold = cost.flops(reduce_flops)
+    t_start = times[rt.DRIVER_ID]
 
-    def pid(rank: int) -> int:
-        return group[(root_index + rank) % size].id
+    ids = group.ids
+    pids = ids[root_index:] + ids[:root_index]  # rank -> place id, as in tree_broadcast
 
-    ready = {r: max(clock.now(pid(r)), t_start) for r in range(size)}
+    w = extra = 0.0
+    ready = [max(times[pid], t_start) for pid in pids]
     span = 1
     while span < size:
         for rank in range(0, size, span * 2):
             peer = rank + span
             if peer >= size:
                 continue
-            w, extra = _edge_fault(rt, pid(peer), pid(rank), ready[peer], nbytes)
-            t_arrive = max(ready[peer] + w, ready[rank]) + cost.message(nbytes) + extra
-            ready[rank] = t_arrive + cost.flops(reduce_flops)
-            ready[peer] = ready[peer] + w + cost.message(0)
-            rt.stats.messages += 1
-            rt.stats.bytes_sent += cost.scaled_bytes(nbytes)
+            t_send = ready[peer]
+            if faults is not None:
+                w, extra = _edge_fault(rt, faults, pids[peer], pids[rank], t_send, nbytes)
+            ready[rank] = max(t_send + w, ready[rank]) + msg + extra + fold
+            ready[peer] = t_send + w + ack
+            stats.messages += 1
+            stats.bytes_sent += scaled
         span *= 2
-    for rank, t in ready.items():
-        clock.set_at_least(pid(rank), t)
-
-    task_ends = [ready[r] for r in range(size)]
-    return _finish_phase(rt, label, t_start, task_ends, n_tasks=size)
+    for pid, t in zip(pids, ready):
+        if t > times[pid]:
+            times[pid] = t
+            clock._moved = True
+    return _finish_phase(rt, label, t_start, ready, n_tasks=size)
 
 
 def tree_allreduce(

@@ -81,7 +81,7 @@ class CostModel:
             object.__setattr__(self, table, {})
         # With every rate zero no charge can ever be nonzero, whatever the
         # multipliers say — the hot paths consult this to skip virtual-time
-        # arithmetic that provably computes 0.0 (see Runtime.finish_tasks).
+        # arithmetic that provably computes 0.0 (see Runtime._finish).
         object.__setattr__(
             self,
             "is_zero",

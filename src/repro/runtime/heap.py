@@ -10,7 +10,19 @@ against.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterator, List
+from typing import Any, Hashable, Iterator, List
+
+
+class _Entries(dict):
+    """A heap's backing dict: a hit is one C-level lookup, a miss raises
+    the heap's own errors (``PlaceHeap.get`` is this dict's ``__getitem__``)."""
+
+    __slots__ = ("place_id", "dead")
+
+    def __missing__(self, key: Hashable) -> Any:
+        if self.dead:
+            raise RuntimeError(f"heap of dead place {self.place_id} accessed")
+        raise KeyError(f"place {self.place_id} heap has no entry {key!r}")
 
 
 class PlaceHeap:
@@ -19,14 +31,31 @@ class PlaceHeap:
     Keys are arbitrary hashable values; multi-place GML objects namespace
     their entries as ``("gml", object_id, ...)`` and snapshots as
     ``("snap", snapshot_id, key)``.
+
+    ``get(key)`` fetches an entry (``KeyError`` if absent).
     """
 
-    __slots__ = ("place_id", "_store", "destroyed")
+    __slots__ = ("place_id", "_store", "destroyed", "get")
 
     def __init__(self, place_id: int):
         self.place_id = place_id
-        self._store: Dict[Hashable, Any] = {}
+        self._store = _Entries()
+        self._store.place_id = place_id
+        self._store.dead = False
         self.destroyed = False
+        self.get = self._store.__getitem__
+
+    def __getstate__(self):
+        # ``get`` is derived from the store and rebuilt on load; a plain
+        # dict keeps the pickled heap (every fork image holds them all) small.
+        return self.place_id, dict(self._store), self.destroyed
+
+    def __setstate__(self, state) -> None:
+        place_id, entries, destroyed = state
+        self.__init__(place_id)
+        self._store.update(entries)
+        if destroyed:
+            self.destroy()
 
     def _check_live(self) -> None:
         if self.destroyed:
@@ -37,17 +66,6 @@ class PlaceHeap:
         if self.destroyed:
             self._check_live()
         self._store[key] = value
-
-    def get(self, key: Hashable) -> Any:
-        """Fetch the entry for *key*; ``KeyError`` if absent."""
-        if self.destroyed:
-            self._check_live()
-        try:
-            return self._store[key]
-        except KeyError:
-            raise KeyError(
-                f"place {self.place_id} heap has no entry {key!r}"
-            ) from None
 
     def get_or(self, key: Hashable, default: Any = None) -> Any:
         """Fetch the entry for *key* or *default* when absent."""
@@ -61,10 +79,9 @@ class PlaceHeap:
 
     def remove(self, key: Hashable) -> Any:
         """Delete and return the entry for *key*; ``KeyError`` if absent."""
-        self._check_live()
-        if key not in self._store:
-            raise KeyError(f"place {self.place_id} heap has no entry {key!r}")
-        return self._store.pop(key)
+        value = self.get(key)
+        del self._store[key]
+        return value
 
     def remove_if_present(self, key: Hashable) -> None:
         """Delete the entry for *key* if it exists."""
@@ -90,7 +107,7 @@ class PlaceHeap:
     def destroy(self) -> None:
         """Irrevocably drop all contents (the place died)."""
         self._store.clear()
-        self.destroyed = True
+        self._store.dead = self.destroyed = True
 
     def __len__(self) -> int:
         self._check_live()

@@ -10,7 +10,9 @@ Execution model
 The simulator is sequential and deterministic: closures run one after
 another in the host interpreter, but each is bound to exactly one place's
 heap via a :class:`PlaceContext`, and time is charged per place on virtual
-clocks.  A ``finish_all`` models X10's ubiquitous
+clocks.  ``finish_all`` and ``finish_tasks`` are entry points over one
+dispatch loop (:meth:`Runtime._finish`; ``docs/architecture.md``,
+"Dispatch").  A ``finish_all`` models X10's ubiquitous
 
 .. code-block:: text
 
@@ -32,13 +34,18 @@ pattern (the backbone of every GML collective operation):
 Tasks addressed to dead places are not run; X10 semantics are preserved by
 letting every *live* task complete and then raising ``DeadPlaceException``
 (or ``MultipleException``) at the finish.
+
+When every one of those times is provably 0.0 (all-zero cost model, a clock
+that never moved, no timeline to feed) the same loop runs the bodies and
+the counters only, skipping the arithmetic of steps 1–4.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from itertools import repeat
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.engine.scheduler import Scheduler
 from repro.engine.timeline import Timeline
@@ -103,22 +110,38 @@ class PlaceContext:
         """This place's current virtual time."""
         return self.runtime.clock.now(self.place.id)
 
+    # One Python call per charge: each adds to the clock's storage itself
+    # (``CostModel.flops``/``memcpy`` arithmetic verbatim) and leaves what
+    # ``VirtualClock.advance`` guards — negative charges, stragglers — to it.
+
     def charge_seconds(self, seconds: float) -> None:
         """Charge raw seconds of work to this place."""
-        if seconds != 0.0:
-            self.runtime.clock.advance(self.place.id, seconds)
+        clock = self.runtime.clock
+        if seconds > 0.0 and not clock._slowdown:
+            clock._times[self.place.id] += seconds
+            clock._moved = True
+        elif seconds != 0.0:
+            clock.advance(self.place.id, seconds)
 
     def charge_flops(self, n: float) -> None:
         """Charge *n* floating-point operations to this place."""
-        dt = self.runtime.cost.flops(n)
-        if dt != 0.0:
-            self.runtime.clock.advance(self.place.id, dt)
+        cost, clock = self.runtime.cost, self.runtime.clock
+        dt = cost.flop_time * n * cost.logical_scale
+        if dt > 0.0 and not clock._slowdown:
+            clock._times[self.place.id] += dt
+            clock._moved = True
+        elif dt != 0.0:
+            clock.advance(self.place.id, dt)
 
     def charge_memcpy(self, nbytes: float) -> None:
         """Charge a local memory copy of *nbytes* to this place."""
-        dt = self.runtime.cost.memcpy(nbytes)
-        if dt != 0.0:
-            self.runtime.clock.advance(self.place.id, dt)
+        cost, clock = self.runtime.cost, self.runtime.clock
+        dt = cost.memcpy_byte_time * nbytes * cost.logical_scale
+        if dt > 0.0 and not clock._slowdown:
+            clock._times[self.place.id] += dt
+            clock._moved = True
+        elif dt != 0.0:
+            clock.advance(self.place.id, dt)
 
     # -- remote access --------------------------------------------------------
 
@@ -446,21 +469,19 @@ class Runtime:
     # -- failure-injection hook ---------------------------------------------
 
     def _fire_due_failures(self) -> None:
-        injector = self.injector
-        if injector.all_fired:
-            return  # nothing pending: skip the global-time max + scan
-        for victim in injector.due_at_phase(self.phase, self.clock.global_time()):
+        for victim in self.injector.due_at_phase(self.phase, self.clock.global_time()):
             self.kill(victim)
 
     def poll_failures(self) -> None:
         """Fire due scripted kills outside a phase boundary.
 
-        Kills normally land at ``finish_tasks`` entry; protocol code that
-        runs *between* finishes for a long stretch (the scrub/repair pass)
-        polls explicitly so ``kill_during(context=...)`` triggers can land
-        inside it too.
+        Kills normally land at finish entry; protocol code that runs
+        *between* finishes for a long stretch (the scrub/repair pass) polls
+        explicitly so ``kill_during(context=...)`` triggers can land inside
+        it too.
         """
-        self._fire_due_failures()
+        if not self.injector.all_fired:  # else skip the global-time max + scan
+            self._fire_due_failures()
 
     # -- execution -----------------------------------------------------------
 
@@ -560,71 +581,7 @@ class Runtime:
         ``DeadPlaceException`` / ``MultipleException`` if any group member
         was dead or died during the phase — exactly X10's finish semantics.
         """
-        cost = self.cost
-        if cost.is_zero and not self.clock._moved and not self.engine._tl_enabled:
-            # Same zero-time fast path as :meth:`finish_tasks`, minus the
-            # ``(place, fn)`` pair list — this is the hottest call in a
-            # chaos campaign, so the constant-``fn`` loop is worth its own
-            # copy.  Stats accumulation mirrors the slow path exactly.
-            self.phase += 1
-            self._fire_due_failures()
-            driver = self.DRIVER_ID
-            alive = self._alive
-            stats = self.stats
-            ctx_cache = self._ctx_cache
-            arg_scaled = cost.scaled_bytes(arg_bytes)
-            failures = []
-            results = [None] * len(group)
-            n_live = 0
-            for index, place in enumerate(group):
-                pid = place.id
-                if not alive.get(pid, False):
-                    failures.append(DeadPlaceException(pid))
-                    continue
-                n_live += 1
-                if pid != driver:
-                    stats.messages += 1
-                    stats.bytes_sent += arg_scaled
-                ctx = ctx_cache.get(pid)
-                if ctx is None or ctx.heap.destroyed:
-                    ctx = self.context(place)
-                try:
-                    results[index] = fn(ctx)
-                except DeadPlaceException as exc:
-                    failures.append(exc)
-            report = self.engine.complete_finish_zero(
-                self,
-                label,
-                n_live,
-                n_live,
-                2 * n_live if self.resilient else 0,
-                ret_bytes=ret_bytes,
-                dead_places=(
-                    [pid for f in failures for pid in getattr(f, "places", [])]
-                    if failures
-                    else None
-                ),
-            )
-            if self.trace.enabled:
-                self.trace.emit(
-                    "finish",
-                    report.end,
-                    label=label,
-                    tasks=n_live,
-                    dead=report.dead_places,
-                )
-            if failures:
-                # No local may keep the raised exc: exc -> traceback -> this frame ->
-                # exc is a cycle pinning the whole world (executor, stores) until a GC.
-                failures = [collapse_failures(failures)]
-                raise failures.pop()
-            return results
-        return self.finish_tasks(
-            [(place, fn) for place in group],
-            arg_bytes=arg_bytes,
-            ret_bytes=ret_bytes,
-            label=label,
-        )
+        return self._finish(zip(group, repeat(fn)), len(group), arg_bytes, ret_bytes, label)
 
     def finish_tasks(
         self,
@@ -639,125 +596,72 @@ class Runtime:
         rt.finish()`` sugar): tasks may target any places, including the
         same place several times.
         """
+        return self._finish(tasks, len(tasks), arg_bytes, ret_bytes, label)
+
+    def _finish(
+        self,
+        tasks: Iterable,
+        n_tasks: int,
+        arg_bytes: float,
+        ret_bytes: float,
+        label: str,
+    ) -> List[Any]:
+        """The dispatch loop: run *n_tasks* ``(place, fn)`` pairs under one finish."""
         self.phase += 1
-        self._fire_due_failures()
+        if not self.injector.all_fired:
+            self._fire_due_failures()
 
-        clock, cost = self.clock, self.cost
+        cost, clock, engine = self.cost, self.clock, self.engine
+        # Otherwise every time below is provably 0.0 (Scheduler.zero_fast) and
+        # no task body can change that: skip the recurrences, for the whole
+        # finish, and complete through ``complete_finish_zero``.
+        timed = not cost.is_zero or clock._moved or engine._tl_enabled
         driver = self.DRIVER_ID
-
-        if cost.is_zero and not clock._moved and not self.engine._tl_enabled:
-            # Zero-time fast path: every clock read below would return 0.0
-            # and every charge would write 0.0 back (see Scheduler.zero_fast
-            # for the invariant), so the per-task time bookkeeping — the
-            # avail map, the spawn/arrival recurrences, the ledger arrival
-            # list — is dead weight.  Chaos campaigns run their thousands
-            # of schedules under CostModel.zero() and live here.  Stats
-            # accumulation mirrors the slow path operation for operation.
-            alive = self._alive
-            stats = self.stats
-            ctx_cache = self._ctx_cache
-            arg_scaled = cost.scaled_bytes(arg_bytes)
-            failures = []
-            results = [None] * len(tasks)
-            n_live = 0
-            for index, (place, fn) in enumerate(tasks):
-                pid = place.id
-                if not alive.get(pid, False):
-                    failures.append(DeadPlaceException(pid))
-                    continue
-                n_live += 1
-                if pid != driver:
-                    stats.messages += 1
-                    stats.bytes_sent += arg_scaled
-                ctx = ctx_cache.get(pid)
-                if ctx is None or ctx.heap.destroyed:
-                    ctx = self.context(place)
-                try:
-                    results[index] = fn(ctx)
-                except DeadPlaceException as exc:
-                    failures.append(exc)
-            report = self.engine.complete_finish_zero(
-                self,
-                label,
-                n_live,
-                n_live,
-                2 * n_live if self.resilient else 0,
-                ret_bytes=ret_bytes,
-                dead_places=(
-                    [pid for f in failures for pid in getattr(f, "places", [])]
-                    if failures
-                    else None
-                ),
-            )
-            if self.trace.enabled:
-                self.trace.emit(
-                    "finish",
-                    report.end,
-                    label=label,
-                    tasks=n_live,
-                    dead=report.dead_places,
-                )
-            if failures:
-                failures = [collapse_failures(failures)]  # see finish_all
-                raise failures.pop()
-            return results
-
-        t_start = clock.now(driver)
-
-        failures: List[Exception] = []
-        results: List[Any] = [None] * len(tasks)
-        ledger_arrivals: List[float] = []
-        task_ends: List[float] = []
-
-        # All tasks of this finish run concurrently: capture every member's
-        # phase-start time up front so a message sent by an (interpreter-)
-        # earlier task cannot delay a peer task's *start* — only the phase
-        # end accounts for such in-flight arrivals (the backlog below).
-        # avail[pid]: when the place's (single) worker can start a task —
-        # the phase-start time initially, then the previous task's end when
-        # one finish runs several tasks at the same place.
-        # Hot loop: bind lookups once — per-task costs are constants of the
-        # finish (same arg_bytes every task), and the clock/stats attribute
-        # chains dominate the per-task overhead at chaos-campaign volume.
         alive = self._alive
-        clock_now = clock.now
-        clock_set = clock.set
         stats = self.stats
         resilient = self.resilient
-        spawn_dt = cost.task_spawn_time
-        arg_msg = cost.message(arg_bytes)
-        arg_scaled = cost.scaled_bytes(arg_bytes)
-        latency = cost.latency
-        record_arrival = ledger_arrivals.append
-        record_end = task_ends.append
         ctx_cache = self._ctx_cache
-
-        avail = {}
-        for place, _fn in tasks:
-            if alive.get(place.id, False) and place.id not in avail:
-                avail[place.id] = clock_now(place.id)
-
-        t_spawn = t_start
+        arg_scaled = arg_bytes * cost.logical_scale
+        failures: List[Exception] = []
+        results: List[Any] = [None] * n_tasks
         n_live = 0
+        if timed:
+            times = clock._times
+            t_start = t_spawn = times[driver]
+            spawn_dt = cost.task_spawn_time
+            arg_msg = cost.message(arg_bytes)
+            latency = cost.latency
+            task_ends: List[float] = []
+            ledger_arrivals: Optional[List[float]] = [] if resilient else None
+            # All tasks of this finish run concurrently: capture every
+            # place's phase-start time up front so a message sent by an
+            # (interpreter-) earlier task cannot delay a peer task's *start*
+            # — only the phase end accounts for such in-flight arrivals (the
+            # backlog below).  avail[pid] is when the place's (single)
+            # worker can start a task: the phase-start time, then the
+            # previous task's end when one finish runs several at a place.
+            avail = times.copy()
+
         for index, (place, fn) in enumerate(tasks):
             pid = place.id
             if not alive.get(pid, False):
                 failures.append(DeadPlaceException(pid))
                 continue
             n_live += 1
-            # Serial spawn at the caller, then the spawn message travels.
-            t_spawn += spawn_dt
-            if pid == driver:
-                task_begin = max(t_spawn, avail[pid])
-            else:
-                task_begin = max(t_spawn + arg_msg, avail[pid])
+            if pid != driver:
                 stats.messages += 1
                 stats.bytes_sent += arg_scaled
-            # In-phase arrivals recorded so far are merged back at the end.
-            arrival_backlog = clock_now(pid)
-            clock_set(pid, task_begin)
-            if resilient:
-                record_arrival(task_begin + latency)
+            if timed:
+                # Serial spawn at the caller, then the spawn message travels.
+                t_spawn += spawn_dt
+                task_begin = t_spawn if pid == driver else t_spawn + arg_msg
+                if avail[pid] > task_begin:
+                    task_begin = avail[pid]
+                # In-phase arrivals recorded so far are merged back at the end.
+                backlog = times[pid]
+                times[pid] = task_begin
+                if resilient:
+                    ledger_arrivals.append(task_begin + latency)
             ctx = ctx_cache.get(pid)
             if ctx is None or ctx.heap.destroyed:
                 ctx = self.context(place)
@@ -765,37 +669,52 @@ class Runtime:
                 results[index] = fn(ctx)
             except DeadPlaceException as exc:
                 failures.append(exc)
-            t_end = max(clock_now(pid), arrival_backlog)
-            clock_set(pid, t_end)
-            avail[pid] = t_end
-            record_end(t_end)
-            if resilient:
-                record_arrival(t_end + latency)
+            if timed:
+                t_end = times[pid]
+                if backlog > t_end:
+                    t_end = times[pid] = backlog
+                avail[pid] = t_end
+                task_ends.append(t_end)
+                if resilient:
+                    ledger_arrivals.append(t_end + latency)
 
         # The finish join (serial termination-message absorption at the
         # caller) and the resilient-ledger wait are completed by the engine.
-        report = self.engine.complete_finish(
-            self,
-            label,
-            t_start,
-            task_ends,
-            n_live,
-            ledger_arrivals if self.resilient else None,
-            t_floor=t_spawn,
-            ret_bytes=ret_bytes,
-            dead_places=(
-                [pid for f in failures for pid in getattr(f, "places", [])]
-                if failures
-                else None
-            ),
+        dead = (
+            [pid for f in failures for pid in getattr(f, "places", [])]
+            if failures
+            else None
         )
+        if timed:
+            report = engine.complete_finish(
+                self,
+                label,
+                t_start,
+                task_ends,
+                n_live,
+                ledger_arrivals,
+                t_floor=t_spawn,
+                ret_bytes=ret_bytes,
+                dead_places=dead,
+            )
+        else:
+            report = engine.complete_finish_zero(
+                self,
+                label,
+                n_live,
+                n_live,
+                2 * n_live if resilient else 0,
+                ret_bytes=ret_bytes,
+                dead_places=dead,
+            )
         if self.trace.enabled:
             self.trace.emit(
                 "finish", report.end, label=label, tasks=n_live, dead=report.dead_places
             )
-
         if failures:
-            failures = [collapse_failures(failures)]  # see finish_all
+            # No local may keep the raised exc: exc -> traceback -> this frame ->
+            # exc is a cycle pinning the whole world (executor, stores) until a GC.
+            failures = [collapse_failures(failures)]
             raise failures.pop()
         return results
 

@@ -54,6 +54,20 @@ class TestBlockSet:
         with pytest.raises(KeyError):
             bs.get(0, 0)
 
+    def test_iteration_is_row_major_whatever_the_insertion_order(self):
+        grid = Grid.partition(8, 4, 4, 2)
+        bs = BlockSet(place_index=0)
+        for rb, cb in ((2, 1), (0, 1), (2, 0), (0, 0)):
+            bs.add(MatrixBlock.for_grid(grid, rb, cb, DenseMatrix.make(2, 2)))
+        row_major = [(0, 0), (0, 1), (2, 0), (2, 1)]
+        assert [b.key for b in bs] == row_major == bs.keys()
+        running = iter(bs)
+        first = next(running)
+        bs.add(MatrixBlock.for_grid(grid, 1, 0, DenseMatrix.make(2, 2)))  # a later add()
+        assert [first.key] + [b.key for b in running] == row_major
+        assert [b.key for b in bs] == sorted(row_major + [(1, 0)]) == bs.keys()
+        assert [key for key, _version in bs.version_token()] == bs.keys()
+
     def test_row_span(self):
         assert self._bs().row_span() == (2, 6)
         with pytest.raises(ValueError):

@@ -114,6 +114,33 @@ class TestCSRKernels:
         assert a._scipy() is not view and a._scipy(True) is not flipped
         assert np.array_equal(a.spmv_t(np.ones(shape[0])), 2.0 * before)
 
+    @pytest.mark.parametrize("cls", [SparseCSR, SparseCSC])
+    def test_freeze_view_carries_the_scipy_handle(self, cls):
+        """A snapshot alias adopts the live handle instead of rebuilding it;
+        a later write on either side rebuilds only that side's."""
+        from repro.matrix import sparse_backend
+
+        if not sparse_backend.scipy_available():
+            pytest.skip("scipy not installed")
+        dense = random_dense(5, 4, 0.6, 11)
+        x = np.arange(1.0, 5.0)
+        original = cls.from_dense(dense)
+        cold = original.freeze_view()  # no handle built yet: nothing to carry
+        assert cold._sp is None
+        expected = original.spmv(x)
+        view = original._scipy()  # built here whichever backend serves spmv
+        alias = original.freeze_view()
+        assert alias.version != original.version
+        assert alias._scipy() is view and original._scipy() is view
+        assert alias._scipy(True) is original._scipy(True)
+        original.scale(2.0)  # touch() detaches from the frozen arrays first
+        assert np.array_equal(alias.spmv(x), expected)
+        assert np.array_equal(original.spmv(x), 2.0 * expected)
+        second = original.freeze_view()
+        second.scale(0.5)
+        assert np.array_equal(original.spmv(x), 2.0 * expected)
+        assert np.array_equal(second.spmv(x), expected)
+
     def test_spmv_wrong_length(self):
         a = SparseCSR.empty(2, 3)
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.engine.fork import ForkContext
+from repro.runtime import CostModel, Runtime
 from repro.runtime.heap import PlaceHeap
 
 
@@ -16,7 +18,7 @@ class TestPlaceHeap:
 
     def test_missing_key(self):
         h = PlaceHeap(0)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="place 0 heap has no entry 'missing'"):
             h.get("missing")
         with pytest.raises(KeyError):
             h.remove("missing")
@@ -51,8 +53,25 @@ class TestPlaceHeap:
             lambda: h.contains("x"),
             lambda: len(h),
         ):
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError, match="heap of dead place 3 accessed"):
                 op()
+
+    def test_get_follows_the_heap_through_a_fork(self):
+        """``get`` is bound to the backing store, so a loaded image must
+        rebind it to its own store rather than carry the origin's."""
+        origin = Runtime(2, cost=CostModel.zero())
+        origin.heap_of(0).put("shared-key", "origin")
+        origin.kill(1)
+        fork = ForkContext().capture(origin).load()
+        loaded = fork.heap_of(0)
+        assert loaded is not origin.heap_of(0) and loaded.get("shared-key") == "origin"
+        marker = object()
+        loaded.put("only-in-fork", marker)
+        assert loaded.get("only-in-fork") is marker
+        with pytest.raises(KeyError):
+            origin.heap_of(0).get("only-in-fork")
+        with pytest.raises(RuntimeError, match="heap of dead place 1 accessed"):
+            fork._heaps[1].get("shared-key")
 
     def test_non_tuple_keys_ignored_by_prefix(self):
         h = PlaceHeap(0)

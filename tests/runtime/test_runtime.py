@@ -224,6 +224,55 @@ class TestVirtualTime:
         assert report.n_tasks == 4
 
 
+class TestFlatCharges:
+    """``PlaceContext.charge_*`` store into the clock themselves; the cases
+    ``VirtualClock.advance`` guards must still reach it."""
+
+    def test_negative_charges_rejected(self):
+        rt = make_rt(2, cost=CostModel.unit())
+        ctx = rt.context(rt.world[1])
+        for charge, amount in (
+            (ctx.charge_flops, -1),
+            (ctx.charge_memcpy, -8),
+            (ctx.charge_seconds, -1),
+        ):
+            with pytest.raises(ValueError, match="cannot advance clock by negative time"):
+                charge(amount)
+        assert rt.clock.now(1) == 0.0 and rt.clock._moved is False
+
+    def test_straggler_charges_are_stretched(self):
+        rt = make_rt(2, cost=CostModel.unit())
+        ctx = rt.context(rt.world[1])
+        rt.set_straggler(1, 3.0)
+        ctx.charge_flops(2)
+        assert rt.clock.now(1) == 6.0
+        ctx.charge_memcpy(8)
+        assert rt.clock.now(1) == 30.0
+        ctx.charge_seconds(1.0)
+        assert rt.clock.now(1) == 33.0
+        rt.set_straggler(1, 1.0)
+        ctx.charge_flops(2)
+        ctx.charge_memcpy(8)
+        assert rt.clock.now(1) == 43.0
+        assert rt.clock.now(0) == 0.0
+
+    def test_a_charge_marks_the_clock_moved(self):
+        rt = make_rt(2, cost=CostModel(flop_time=1.0))
+        assert rt.clock._moved is False
+        rt.context(rt.world[1]).charge_flops(0)
+        assert rt.clock._moved is False
+        rt.context(rt.world[1]).charge_flops(1)
+        assert rt.clock._moved is True
+
+    def test_a_timed_finish_marks_the_clock_moved(self):
+        rt = make_rt(3, cost=CostModel.unit())
+        assert rt.clock._moved is False
+        rt.finish_all(rt.world, lambda ctx: None)
+        assert rt.clock._moved is True
+        assert not rt.engine.zero_fast()
+        assert all(t > 0.0 for t in rt.clock.snapshot().values())
+
+
 class TestClose:
     """``Runtime.close()``: the owner of a world releases it by refcount."""
 
