@@ -30,7 +30,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,11 +48,7 @@ from repro.apps.resilient import (
     PageRankResilient,
 )
 from repro.baseline import failure_free_result
-from repro.resilience.executor import (
-    IterativeExecutor,
-    NonResilientExecutor,
-    RestoreMode,
-)
+from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.placement import ParityPlacement, make_placement
 from repro.resilience.store import AppResilientStore
 from repro.runtime.cost import CostModel
@@ -65,6 +61,7 @@ from repro.runtime.failure import (
     TransientFaultModel,
 )
 from repro.runtime.factory import make_runtime
+from repro.runtime.runtime import Runtime
 
 
 def _tiny_regression(iterations: int) -> RegressionWorkload:
@@ -372,15 +369,67 @@ def _failure_free_result(config: CampaignConfig) -> np.ndarray:
     )
 
 
+def _arm_transients(
+    config: CampaignConfig, index: int, rt: Runtime
+) -> Tuple[Optional[PhiAccrualDetector], Optional[CorruptionModel]]:
+    """Draw schedule *index*'s transient-fault plan — deterministic in
+    (campaign seed, index) — and install its straggler and network faults
+    on *rt*; returns the ``(detector, corruption)`` the executor takes."""
+    trng = np.random.default_rng([config.seed, index, 17])
+    if config.straggler_max > 1.0:
+        straggler_pid = int(trng.integers(1, config.places))
+        rt.set_straggler(
+            straggler_pid, float(trng.uniform(1.0, config.straggler_max))
+        )
+    detector = None
+    if config.detect_timeout > 0:
+        detector = PhiAccrualDetector(rt, detect_timeout=config.detect_timeout)
+    partitions = []
+    if config.partition_rate and trng.random() < config.partition_rate:
+        # A short partition that heals well inside the detection window —
+        # messages and heartbeats across it are lost while it lasts.
+        cut = int(trng.integers(1, config.places))
+        t0 = float(trng.uniform(0.0, config.detect_timeout))
+        partitions.append(
+            LinkPartition(
+                {cut},
+                set(range(config.places)) - {cut},
+                t0,
+                t0 + float(trng.uniform(0.1, 0.5)) * max(config.detect_timeout, 1.0),
+            )
+        )
+    if config.drop_rate or config.dup_rate or partitions:
+        rt.set_faults(
+            TransientFaultModel(
+                drop_rate=config.drop_rate,
+                dup_rate=config.dup_rate,
+                partitions=partitions,
+                seed=int(trng.integers(2**31)),
+            )
+        )
+    corruption = None
+    if config.corrupt_rate:
+        corruption = CorruptionModel(
+            config.corrupt_rate, seed=int(trng.integers(2**31))
+        )
+    return detector, corruption
+
+
 def _build_world(
-    config: CampaignConfig, mode: RestoreMode, checkpoint_mode: str
-) -> Tuple["Runtime", object, AppResilientStore, IterativeExecutor]:
+    config: CampaignConfig,
+    mode: RestoreMode,
+    checkpoint_mode: str,
+    kills: Sequence[ScriptedKill] = (),
+    index: Optional[int] = None,
+) -> Tuple[Runtime, object, AppResilientStore, IterativeExecutor]:
     """Construct the runtime/app/store/executor world of one schedule.
 
-    This is the crash-only construction path — no detector, corruption
-    model, transient faults, or stragglers — shared verbatim between
-    :func:`run_schedule` and the prefix cache's failure-free reference
-    runs, so a forked world can never drift from a built one.
+    The one construction path, shared between :func:`run_schedule` and the
+    prefix cache's failure-free reference runs, so a forked world can
+    never drift from a built one.  A reference run passes neither *kills*
+    nor *index* and gets the crash-only world; a schedule passes both and
+    gets its kills armed and its transient-fault plan drawn, between the
+    app and the store exactly where a from-scratch run always did.
     """
     _, res_cls, wl_factory, _ = CHAOS_APPS[config.app]
     rt = make_runtime(
@@ -390,6 +439,13 @@ def _build_world(
         spares=config.spares,
     )
     app = res_cls(rt, wl_factory(config.iterations))
+    # Kills are armed only after construction: phase-triggered kills
+    # then land inside the executor's run, where recovery is defined.
+    for kill in kills:
+        rt.injector.add(kill)
+    detector = corruption = None
+    if index is not None:
+        detector, corruption = _arm_transients(config, index, rt)
     store = AppResilientStore(
         rt,
         replicas=config.replicas,
@@ -405,8 +461,8 @@ def _build_world(
         mode=mode,
         spare_fallback=RestoreMode.SHRINK_REBALANCE,
         checkpoint_mode=checkpoint_mode,
-        detector=None,
-        corruption=None,
+        detector=detector,
+        corruption=corruption,
         replicas=config.replicas,
         placement=make_placement(config.placement),
         recovery=config.recovery,
@@ -644,11 +700,8 @@ def run_schedule(
     simulating the identical prefix again — bitwise identical outcome,
     a fraction of the wall clock.
     """
-    _, res_cls, wl_factory, result_of = CHAOS_APPS[config.app]
+    result_of = CHAOS_APPS[config.app][3]
     executor = None
-    faults = None
-    corruption = None
-    straggler_factor = 1.0
     if prefix is not None and PrefixCache.usable(config):
         executor = prefix.fork(checkpoint_mode, kills, mode)
     if executor is not None:
@@ -661,74 +714,8 @@ def run_schedule(
         for kill in kills:
             rt.injector.add(kill)
     else:
-        rt = make_runtime(
-            config.places,
-            cost=CostModel.zero(),
-            resilient=True,
-            spares=config.spares,
-        )
-        app = res_cls(rt, wl_factory(config.iterations))
-        # Kills are armed only after construction: phase-triggered kills
-        # then land inside the executor's run, where recovery is defined.
-        for kill in kills:
-            rt.injector.add(kill)
-
-        # Transient-fault plan, deterministic in (campaign seed, index).
-        trng = np.random.default_rng([config.seed, index, 17])
-        if config.straggler_max > 1.0:
-            straggler_pid = int(trng.integers(1, config.places))
-            straggler_factor = float(trng.uniform(1.0, config.straggler_max))
-            rt.set_straggler(straggler_pid, straggler_factor)
-        detector = None
-        if config.detect_timeout > 0:
-            detector = PhiAccrualDetector(rt, detect_timeout=config.detect_timeout)
-        partitions = []
-        if config.partition_rate and trng.random() < config.partition_rate:
-            # A short partition that heals well inside the detection window —
-            # messages and heartbeats across it are lost while it lasts.
-            cut = int(trng.integers(1, config.places))
-            t0 = float(trng.uniform(0.0, config.detect_timeout))
-            partitions.append(
-                LinkPartition(
-                    {cut},
-                    set(range(config.places)) - {cut},
-                    t0,
-                    t0 + float(trng.uniform(0.1, 0.5)) * max(config.detect_timeout, 1.0),
-                )
-            )
-        if config.drop_rate or config.dup_rate or partitions:
-            faults = TransientFaultModel(
-                drop_rate=config.drop_rate,
-                dup_rate=config.dup_rate,
-                partitions=partitions,
-                seed=int(trng.integers(2**31)),
-            )
-            rt.set_faults(faults)
-        if config.corrupt_rate:
-            corruption = CorruptionModel(
-                config.corrupt_rate, seed=int(trng.integers(2**31))
-            )
-
-        store = AppResilientStore(
-            rt,
-            replicas=config.replicas,
-            placement=make_placement(config.placement),
-            stable_fallback=config.stable_fallback,
-            delta=config.ckpt_delta,
-        )
-        executor = IterativeExecutor(
-            rt,
-            app,
-            store=store,
-            checkpoint_interval=config.checkpoint_interval,
-            mode=mode,
-            spare_fallback=RestoreMode.SHRINK_REBALANCE,
-            checkpoint_mode=checkpoint_mode,
-            detector=detector,
-            corruption=corruption,
-            replicas=config.replicas,
-            placement=make_placement(config.placement),
-            recovery=config.recovery,
+        rt, app, store, executor = _build_world(
+            config, mode, checkpoint_mode, kills, index
         )
     outcome = ScheduleOutcome(
         index=index,
@@ -821,10 +808,15 @@ def run_schedule(
         # Invariant 5: a slow place is not a failure.  Schedules whose only
         # perturbation is a straggler must not trigger a restore or an
         # eviction — the adaptive detector absorbs even an 8x slowdown.
+        straggler_factor = (
+            max(map(rt.clock.slowdown, range(config.places)))
+            if config.straggler_max > 1.0
+            else 1.0
+        )
         if (
             not kills
-            and faults is None
-            and corruption is None
+            and rt.faults is None
+            and executor.corruption is None
             and straggler_factor > 1.0
             and (report.restores or report.evictions)
         ):

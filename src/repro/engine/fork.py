@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import io
 import pickle
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 

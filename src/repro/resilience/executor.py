@@ -343,6 +343,24 @@ class IterativeExecutor:
             report.false_positive_evictions += 1
             self.runtime.kill(place_id)
 
+    def _observe(self, failure, report: ExecutionReport) -> Tuple[list, list]:
+        """Account one observed failure; returns ``(confirmed, cleared)``.
+
+        With a detector the suspects go through the suspicion ladder: wait
+        (in virtual time) until each is either CONFIRMED_DEAD (evicted
+        here) or cleared by a fresh heartbeat (a transient fault — the
+        group keeps its membership).  Without one, exceptions carry ground
+        truth and both lists are empty.
+        """
+        report.failures_observed += len(failure.places)
+        if self.detector is None:
+            return [], []
+        confirmed, cleared, waited = self.detector.resolve(failure.places)
+        report.detection_wait_time += waited
+        for pid in confirmed:
+            self._evict(pid, report)
+        return confirmed, cleared
+
     # -- group construction per mode ---------------------------------------------
 
     def _claim_spare(self):
@@ -444,13 +462,8 @@ class IterativeExecutor:
                 # a refreshed group.
                 report.reconstruct_time += rt.now() - t0
                 report.aborted_reconstructions += 1
-                report.failures_observed += len(again.places)
                 self._spare_stash.extend(spares)
-                if self.detector is not None:
-                    confirmed, _, waited = self.detector.resolve(again.places)
-                    report.detection_wait_time += waited
-                    for pid in confirmed:
-                        self._evict(pid, report)
+                self._observe(again, report)
                 continue
             finally:
                 rt.injector.exit_context("reconstruct")
@@ -577,25 +590,15 @@ class IterativeExecutor:
                 # part of the failure's cost, not of the restore).
                 rt.engine.drain_overlap()
                 report.lost_time += rt.now() - t_attempt
-                report.failures_observed += len(failure.places)
                 failed_in_checkpoint = self.store.in_progress
                 if failed_in_checkpoint:
                     self.store.cancel_snapshot()
-                transient_only = False
-                if self.detector is not None:
-                    # The suspicion ladder: wait (in virtual time) until
-                    # every suspect is either CONFIRMED_DEAD (evict) or
-                    # cleared by a fresh heartbeat (transient fault — the
-                    # group keeps its membership and merely rolls back).
-                    confirmed, cleared, waited = self.detector.resolve(
-                        failure.places
-                    )
-                    report.detection_wait_time += waited
-                    for pid in confirmed:
-                        self._evict(pid, report)
-                    transient_only = bool(cleared) and not confirmed
-                    if transient_only:
-                        report.transient_restores += 1
+                confirmed, cleared = self._observe(failure, report)
+                # Every suspect cleared, none confirmed: a transient fault —
+                # the group keeps its membership and merely rolls back.
+                transient_only = bool(cleared) and not confirmed
+                if transient_only:
+                    report.transient_restores += 1
                 if transient_only and failed_in_checkpoint:
                     # Snapshot capture reads application state but never
                     # mutates it, so a purely transient fault during a
@@ -665,14 +668,7 @@ class IterativeExecutor:
                         report.restore_time += dt
                         report.aborted_restores += 1
                         report.aborted_restore_durations.append(dt)
-                        report.failures_observed += len(again.places)
-                        if self.detector is not None:
-                            confirmed, _, waited = self.detector.resolve(
-                                again.places
-                            )
-                            report.detection_wait_time += waited
-                            for pid in confirmed:
-                                self._evict(pid, report)
+                        self._observe(again, report)
                         continue
                     finally:
                         rt.injector.exit_context("restore")
@@ -696,23 +692,14 @@ class IterativeExecutor:
                                 # Scrubbing runs between finishes, so due
                                 # context kills are polled explicitly.
                                 rt.poll_failures()
-                                repair = getattr(snap, "repair", None)
-                                if repair is not None:
-                                    repaired += repair(new_group)
+                                repaired += snap.repair(new_group)
                         except (DeadPlaceException, MultipleException) as again:
                             # A kill mid-scrub: the restored state may span
                             # the new victims, so go around the full loop —
                             # another restore, then another scrub.
                             report.scrub_time += rt.now() - t_scrub
                             report.aborted_scrubs += 1
-                            report.failures_observed += len(again.places)
-                            if self.detector is not None:
-                                confirmed, _, waited = self.detector.resolve(
-                                    again.places
-                                )
-                                report.detection_wait_time += waited
-                                for pid in confirmed:
-                                    self._evict(pid, report)
+                            self._observe(again, report)
                             continue
                         finally:
                             rt.injector.exit_context("scrub")

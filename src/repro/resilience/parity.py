@@ -10,9 +10,12 @@ one parity block — the XOR of the members' serialized bytes, zero-padded
 to the longest member — on a place *outside* the group (chosen through
 ``resolve_offsets``, so the block never co-resides with a member primary).
 
-Recovery ladder for a key: primary -> **parity-reconstruct** (XOR the
-group's parity block with every surviving peer) -> stable disk ->
-``DataLossError``.  Any single loss per group is absorbed in memory at
+The store declares exactly two things to the tiered store it extends
+(:mod:`repro.resilience.snapshot`): a copy table with the primary alone
+(``backups`` is 0), and the ladder's *re-derived* rung — XOR the group's
+parity block with every surviving peer.  The ladder for a key is therefore
+primary -> **parity-reconstruct** -> stable disk -> ``DataLossError``, walked
+by the base ``locate``.  Any single loss per group is absorbed in memory at
 ``~(1 + 1/g)x`` checkpoint bytes; two losses in one group before a repair
 exceed the code's strength and fall through to disk or a documented loss.
 
@@ -38,8 +41,11 @@ buffer** viewed as ``uint8`` — no pickling, no padding beyond the group
 maximum, and reconstruction rebuilds the payload from the recorded
 ``(class, dtype, shape)`` codec.  Ragged payloads (multi-array sparse
 partitions, containers) fall back to the pickled encoding per group; the
-CRC gates and the block-size accounting are the same in both modes, only
-the byte stream differs.
+CRC gates are the same in both modes, only the byte stream differs.  The
+pickle is an XOR *encoding* only: it carries host state (memoized kernel
+handles, process-wide version counters), so every byte a pickled-mode group
+charges or reports is the members' modeled ``payload_nbytes``, never the
+pickled length — virtual time must not depend on what the host has cached.
 """
 
 from __future__ import annotations
@@ -51,10 +57,11 @@ import numpy as np
 
 from repro.resilience.placement import ParityPlacement, ReplicaPlacement
 from repro.resilience.snapshot import DistObjectSnapshot
-from repro.runtime.exceptions import DataLossError, SnapshotCorruptionError
-from repro.runtime.place import PlaceGroup
+from repro.runtime.comm import point_to_point
+from repro.runtime.exceptions import DataLossError
+from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
-from repro.util.bytesize import payload_nbytes
+from repro.util.bytesize import FRAMING_BYTES, payload_nbytes
 from repro.util.checksum import corrupt_payload, memoized_checksum
 from repro.util.validation import require
 from repro.util.versioning import freeze_payload
@@ -93,6 +100,21 @@ def _raw_codec(payload: Any) -> Optional[Tuple[tuple, np.ndarray]]:
     return (cls, arr.dtype.str, arr.shape), arr.view(np.uint8).reshape(-1)
 
 
+def _encode(payload: Any, raw: bool) -> Optional[Tuple[np.ndarray, int, Optional[tuple]]]:
+    """``(XOR operand, bytes charged and reported, rebuild codec)`` of one
+    group member, or None when a raw group's member has no raw encoding.
+
+    A raw stream is charged at its own size.  A pickled stream is the XOR
+    *encoding* only and is charged at the member's modeled size instead
+    (module docstring): its length depends on what the host has memoized.
+    """
+    if raw:
+        rc = _raw_codec(payload)
+        return None if rc is None else (rc[1], rc[1].size, rc[0])
+    stream = np.frombuffer(_pickled(payload), dtype=np.uint8)
+    return stream, payload_nbytes(payload), None
+
+
 class ParityObjectSnapshot(DistObjectSnapshot):
     """Snapshot whose redundancy is one XOR parity block per key group.
 
@@ -127,8 +149,11 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         )
         #: Members per parity group (capped so a group-external place exists).
         self._span = placement.group_span(group.size)
-        #: Group indices whose parity block has been built (or adopted).
-        self._parity: Set[int] = set()
+        #: Group index -> accounted bytes of its built (or adopted) parity
+        #: block: the longest member stream in raw mode, the largest member
+        #: ``payload_nbytes`` in pickled mode.  Recorded once at build so
+        #: adoption, drop and ``stored_nbytes`` all agree on it.
+        self._parity: Dict[int, int] = {}
         #: CRC-32 per parity block, recorded at build time.
         self._parity_checksums: Dict[int, int] = {}
         #: Stream length per key (the truncation bound at reconstruct):
@@ -164,7 +189,7 @@ class ParityObjectSnapshot(DistObjectSnapshot):
     def _saved_members(self, gidx: int) -> List[int]:
         return [m for m in self._group_members(gidx) if m in self._saved_keys]
 
-    def _parity_place(self, gidx: int):
+    def _parity_place(self, gidx: int) -> Place:
         members = self._group_members(gidx)
         index = self.placement.parity_index(
             gidx * self._span, len(members), self.group.size
@@ -178,6 +203,14 @@ class ParityObjectSnapshot(DistObjectSnapshot):
 
     def _groups(self) -> List[int]:
         return sorted({self._parity_group(key) for key in self._saved_keys})
+
+    def _primary_held(self, key: int) -> bool:
+        return self._held(self._homes[key][0], self._heap_key(key, 0))
+
+    def _block_held(self, gidx: int) -> bool:
+        return gidx in self._parity and self._held(
+            self._parity_place(gidx), self._parity_key(gidx)
+        )
 
     # -- saving ------------------------------------------------------------
 
@@ -212,19 +245,11 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         if any(m not in self._saved_keys for m in members):
             return
         base = self._parity_base
-        base_ok = (
-            base is not None
-            and gidx in base._parity
-            and self.runtime.is_alive(base._parity_place(gidx).id)
-            and self.runtime.heap_of(base._parity_place(gidx).id).contains(
-                base._parity_key(gidx)
-            )
-        )
+        base_ok = base is not None and base._block_held(gidx)
         if base_ok and all(m in self.clean_keys for m in members):
             self._adopt_parity(gidx, base)
             return
-        parity_place = self._parity_place(gidx)
-        if not self.runtime.is_alive(parity_place.id):
+        if not self.runtime.is_alive(self._parity_place(gidx).id):
             # No home for the block: the group runs unprotected until a
             # repair pass (key_intact stays False, forcing dirty re-saves).
             return
@@ -232,21 +257,23 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         self._build_parity(gidx, charge_keys=dirty if base_ok else members)
 
     def _adopt_parity(self, gidx: int, base: "ParityObjectSnapshot") -> None:
-        rt = self.runtime
-        parity_place = base._parity_place(gidx)
-        block = rt.heap_of(parity_place.id).get(base._parity_key(gidx))
-        rt.heap_of(parity_place.id).put(self._parity_key(gidx), block)
+        heap = self.runtime.heap_of(base._parity_place(gidx).id)
+        heap.put(self._parity_key(gidx), heap.get(base._parity_key(gidx)))
         self._parity_checksums[gidx] = base._parity_checksums[gidx]
         if gidx in base._parity_raw:
             self._parity_raw.add(gidx)
-        else:
-            self._parity_raw.discard(gidx)
         if base._canonical(gidx) in base._verified:
             self._verified.add(self._canonical(gidx))
-        self._parity.add(gidx)
-        nbytes = payload_nbytes(block)
+        nbytes = self._parity[gidx] = base._parity[gidx]
         self.parity_nbytes += nbytes
         self.total_nbytes += nbytes
+
+    def _ship(self, src_id: int, dst_id: int, nbytes: float) -> None:
+        """Move one member's bytes between places through the comm layer
+        (a co-resident source moves nothing)."""
+        if src_id != dst_id:
+            rt = self.runtime
+            rt.clock.set_at_least(dst_id, point_to_point(rt, src_id, dst_id, nbytes))
 
     def _build_parity(self, gidx: int, charge_keys: List[int]) -> None:
         """Compute and store the group's XOR block; charge *charge_keys*.
@@ -258,56 +285,56 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         """
         rt = self.runtime
         cost = rt.cost
-        members = self._saved_members(gidx)
         parity_place = self._parity_place(gidx)
         payloads = {
-            m: rt.heap_of(self.group[m].id).get(self._primary_key(m))
-            for m in members
+            m: rt.heap_of(self._homes[m][0].id).get(self._heap_key(m, 0))
+            for m in self._saved_members(gidx)
         }
-        raw = {m: _raw_codec(p) for m, p in payloads.items()}
-        streams: Dict[int, np.ndarray] = {}
-        if all(rc is not None for rc in raw.values()):
-            # Raw mode: XOR the members' contiguous buffers directly — no
-            # pickling, no per-member blob materialization.
+        # Raw mode (every member one contiguous buffer) XORs the buffers
+        # directly — no pickling, no per-member blob materialization.
+        raw = all(_raw_codec(p) is not None for p in payloads.values())
+        if raw:
             self._parity_raw.add(gidx)
-            for m, rc in raw.items():
-                self._parity_codecs[m] = rc[0]
-                streams[m] = rc[1]
         else:
             self._parity_raw.discard(gidx)
-            for m in members:
-                self._parity_codecs.pop(m, None)
-                streams[m] = np.frombuffer(_pickled(payloads[m]), dtype=np.uint8)
-        for m, stream in streams.items():
-            self._parity_lengths[m] = stream.size
-        maxlen = max(stream.size for stream in streams.values())
-        acc = np.zeros(maxlen, dtype=np.uint8)
-        for stream in streams.values():
+        encoded = {m: _encode(p, raw) for m, p in payloads.items()}
+        acc = np.zeros(max(e[0].size for e in encoded.values()), dtype=np.uint8)
+        sizes = {}
+        for m, (stream, nbytes, codec) in encoded.items():
             acc[: stream.size] ^= stream
+            sizes[m] = nbytes
+            self._parity_lengths[m] = stream.size
+            if raw:
+                self._parity_codecs[m] = codec
+            else:
+                self._parity_codecs.pop(m, None)
         acc.setflags(write=False)
         charged_bytes = 0
         for m in charge_keys:
-            if m not in streams:
-                continue
-            nbytes = streams[m].size
-            src = self.group[m].id
-            if src != parity_place.id:
-                arrive = rt.engine.transfer(
-                    src, parity_place.id, nbytes, rt.clock.now(src)
-                )
-                rt.clock.set_at_least(parity_place.id, arrive)
-                rt.stats.messages += 1
-                rt.stats.bytes_sent += cost.scaled_bytes(nbytes)
-            charged_bytes += nbytes
+            if m in sizes:
+                self._ship(self._homes[m][0].id, parity_place.id, sizes[m])
+                charged_bytes += sizes[m]
+        block_nbytes = max(sizes.values())
         rt.clock.advance(
-            parity_place.id, cost.flops(charged_bytes) + cost.checksum(maxlen)
+            parity_place.id, cost.flops(charged_bytes) + cost.checksum(block_nbytes)
         )
         rt.heap_of(parity_place.id).put(self._parity_key(gidx), acc)
         self._parity_checksums[gidx] = memoized_checksum(acc, None)
         self._verified.add(self._canonical(gidx))
-        self._parity.add(gidx)
-        self.parity_nbytes += maxlen
-        self.total_nbytes += maxlen
+        self._parity[gidx] = block_nbytes
+        self.parity_nbytes += block_nbytes
+        self.total_nbytes += block_nbytes
+
+    def _drop_block(self, gidx: int) -> None:
+        """Forget a group's parity block — heap entry, accounting, clean
+        verdict — so the next checkpoint or repair pass rebuilds it."""
+        nbytes = self._parity.pop(gidx)
+        self.parity_nbytes -= nbytes
+        self.total_nbytes -= nbytes
+        self.runtime.heap_of(self._parity_place(gidx).id).remove_if_present(
+            self._parity_key(gidx)
+        )
+        self._verified.discard(self._canonical(gidx))
 
     def stored_nbytes(self) -> float:
         """Physical bytes: each partition once, plus the parity blocks
@@ -324,82 +351,45 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         """Conservative: the key's primary, its group's parity block, and
         every peer primary must survive — a degraded group must re-save
         dirty so the next checkpoint rebuilds full protection."""
-        if not super().key_intact(key):
-            return False
-        rt = self.runtime
         gidx = self._parity_group(key)
-        if gidx not in self._parity:
-            return False
-        parity_place = self._parity_place(gidx)
-        if not rt.is_alive(parity_place.id) or not rt.heap_of(
-            parity_place.id
-        ).contains(self._parity_key(gidx)):
-            return False
-        for m in self._saved_members(gidx):
-            place = self.group[m]
-            if not rt.is_alive(place.id) or not rt.heap_of(place.id).contains(
-                self._primary_key(m)
-            ):
-                return False
-        return True
-
-    # -- locating / reconstruction ----------------------------------------
-
-    def locate(self, key: int) -> Tuple[int, tuple]:
-        """Primary -> parity-reconstruct -> stable, verified at each rung."""
-        require(key in self._saved_keys, f"snapshot has no key {key}")
-        rt = self.runtime
-        primary = self.group[key]
-        quarantined_before = len(self.quarantined)
-        if rt.is_alive(primary.id) and rt.heap_of(primary.id).contains(
-            self._primary_key(key)
-        ):
-            if self._verify_copy(key, 0, primary.id, self._primary_key(key)):
-                return primary.id, self._primary_key(key)
-        hit = self._locate_via_parity(key)
-        if hit is not None:
-            return hit
-        if key in self._stable:
-            if self._verify_copy(key, self.STABLE_TIER, self.STABLE_TIER, None):
-                return self.STABLE_TIER, ("stable", self.snap_id, key)
-        if len(self.quarantined) > quarantined_before:
-            raise SnapshotCorruptionError(
-                f"every surviving copy of snapshot key {key} failed checksum "
-                f"verification and was quarantined "
-                f"({len(self.quarantined) - quarantined_before} this search)"
-            )
-        raise DataLossError(
-            f"primary and parity tiers of snapshot key {key} lost (primary "
-            f"{primary}; >=2 members of parity group "
-            f"{self._parity_group(key)} gone before repair; no stable-"
-            f"storage tier)"
+        return (
+            super().key_intact(key)
+            and self._block_held(gidx)
+            and all(self._primary_held(m) for m in self._saved_members(gidx))
         )
 
-    def _verify_parity_block(self, gidx: int) -> bool:
-        """Checksum the group's parity block; quarantine on mismatch."""
+    # -- the ladder's re-derived rung: XOR reconstruction -------------------
+
+    def _verify_tier(self, key: int, tier: int) -> bool:
+        """Extends the base hook with :data:`PARITY_TIER`: checksum the
+        parity block of *key*'s group; quarantine it on mismatch."""
+        if tier != PARITY_TIER:
+            return super()._verify_tier(key, tier)
+        gidx = self._parity_group(key)
         canon = self._canonical(gidx)
         if canon in self._verified:
             return True
         rt = self.runtime
         parity_place = self._parity_place(gidx)
         block = rt.heap_of(parity_place.id).get(self._parity_key(gidx))
+        # Hashed at its accounted size as a bare-array payload (in raw mode
+        # that is ``payload_nbytes(block)`` exactly).
         rt.clock.advance(
-            parity_place.id, rt.cost.checksum(payload_nbytes(block))
+            parity_place.id, rt.cost.checksum(self._parity[gidx] + FRAMING_BYTES)
         )
         if memoized_checksum(block, None) == self._parity_checksums.get(gidx):
             self._verified.add(canon)
             return True
-        rt.heap_of(parity_place.id).remove_if_present(self._parity_key(gidx))
-        self._parity.discard(gidx)
+        self._drop_block(gidx)
         self.quarantined.append(canon)
         return False
 
-    def _locate_via_parity(self, key: int) -> Optional[Tuple[int, tuple]]:
+    def _locate_rederived(self, key: int) -> Optional[Tuple[int, tuple]]:
         """Reconstruct *key* from its group's parity block, if possible.
 
         Requires the (verified) parity block plus a verified primary for
         every peer; any hole means the loss exceeds the code's strength
-        and the caller falls through to the stable tier.  The payload is
+        and the ladder falls through to the stable tier.  The payload is
         materialized on the parity place and checked against the key's
         save-time CRC before being offered — a garbled reconstruction is
         quarantined, never returned.
@@ -408,43 +398,28 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         gidx = self._parity_group(key)
         parity_place = self._parity_place(gidx)
         recon_key = self._recon_key(key)
-        if rt.is_alive(parity_place.id) and rt.heap_of(parity_place.id).contains(
-            recon_key
-        ):
+        if self._held(parity_place, recon_key):
             return parity_place.id, recon_key
-        if gidx not in self._parity:
-            return None
-        if not rt.is_alive(parity_place.id) or not rt.heap_of(
-            parity_place.id
-        ).contains(self._parity_key(gidx)):
-            return None
-        if not self._verify_parity_block(gidx):
+        if not self._block_held(gidx) or not self._verify_tier(key, PARITY_TIER):
             return None
         peers = [m for m in self._saved_members(gidx) if m != key]
-        for m in peers:
-            place = self.group[m]
-            if not rt.is_alive(place.id) or not rt.heap_of(place.id).contains(
-                self._primary_key(m)
-            ):
-                return None
-            if not self._verify_copy(m, 0, place.id, self._primary_key(m)):
-                return None
+        if not all(self._primary_held(m) and self._verify_tier(m, 0) for m in peers):
+            return None
         cost = rt.cost
         raw = gidx in self._parity_raw
-        block = rt.heap_of(parity_place.id).get(self._parity_key(gidx))
-        acc = np.array(block, dtype=np.uint8)
-        xored = payload_nbytes(block)
+        acc = np.array(
+            rt.heap_of(parity_place.id).get(self._parity_key(gidx)), dtype=np.uint8
+        )
+        xored = self._parity[gidx] + FRAMING_BYTES
         for m in peers:
-            payload = rt.heap_of(self.group[m].id).get(self._primary_key(m))
-            if raw:
-                rc = _raw_codec(payload)
-                if rc is None:
-                    # A peer no longer matches the raw encoding the block
-                    # was built with — the XOR equation cannot be solved.
-                    return None
-                stream = rc[1]
-            else:
-                stream = np.frombuffer(_pickled(payload), dtype=np.uint8)
+            src = self._homes[m][0].id
+            payload = rt.heap_of(src).get(self._heap_key(m, 0))
+            encoded = _encode(payload, raw)
+            if encoded is None:
+                # A peer no longer matches the raw encoding the block
+                # was built with — the XOR equation cannot be solved.
+                return None
+            stream, nbytes, _ = encoded
             if stream.size > acc.size:
                 # The member's byte stream outgrew the block since it was
                 # built — a re-materialized primary whose serialized form
@@ -453,34 +428,17 @@ class ParityObjectSnapshot(DistObjectSnapshot):
                 # longer covers the member: drop the stale block so the
                 # next checkpoint or repair pass rebuilds it, and fall
                 # through to the next tier.
-                nb = payload_nbytes(block)
-                self.parity_nbytes -= nb
-                self.total_nbytes -= nb
-                rt.heap_of(parity_place.id).remove_if_present(
-                    self._parity_key(gidx)
-                )
-                self._parity.discard(gidx)
-                self._verified.discard(self._canonical(gidx))
+                self._drop_block(gidx)
                 return None
             acc[: stream.size] ^= stream
-            xored += stream.size
-            src = self.group[m].id
-            if src != parity_place.id:
-                arrive = rt.engine.transfer(
-                    src, parity_place.id, stream.size, rt.clock.now(src)
-                )
-                rt.clock.set_at_least(parity_place.id, arrive)
-                rt.stats.messages += 1
-                rt.stats.bytes_sent += cost.scaled_bytes(stream.size)
+            xored += nbytes
+            self._ship(src, parity_place.id, nbytes)
         length = self._parity_lengths.get(key)
-        if length is None or length > acc.size:
+        codec = self._parity_codecs.get(key)
+        if length is None or length > acc.size or (raw and codec is None):
             self.quarantined.append(self._canonical(gidx))
             return None
         if raw:
-            codec = self._parity_codecs.get(key)
-            if codec is None:
-                self.quarantined.append(self._canonical(gidx))
-                return None
             cls, dtype, shape = codec
             data = (
                 np.frombuffer(acc[:length].tobytes(), dtype=np.dtype(dtype))
@@ -500,9 +458,7 @@ class ParityObjectSnapshot(DistObjectSnapshot):
             # The block XORed clean but the result does not hash to the
             # partition saved — a silently corrupt peer slipped through.
             # Quarantine the block and fall through to the next tier.
-            rt.heap_of(parity_place.id).remove_if_present(self._parity_key(gidx))
-            self._parity.discard(gidx)
-            self._verified.discard(self._canonical(gidx))
+            self._drop_block(gidx)
             self.quarantined.append(self._canonical(gidx))
             return None
         rt.heap_of(parity_place.id).put(recon_key, payload)
@@ -519,99 +475,44 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         strikes each block at per-copy odds), stable last."""
         out = super().tiers(key)
         gidx = self._parity_group(key)
-        if (
-            key == self._group_members(gidx)[0]
-            and gidx in self._parity
-            and self.runtime.is_alive(self._parity_place(gidx).id)
-            and self.runtime.heap_of(self._parity_place(gidx).id).contains(
-                self._parity_key(gidx)
-            )
-        ):
-            insert_at = 1 if 0 in out else 0
-            out.insert(insert_at, PARITY_TIER)
+        if key == self._group_members(gidx)[0] and self._block_held(gidx):
+            out.insert(1 if 0 in out else 0, PARITY_TIER)
         return out
 
     def corrupt_copy(self, key: int, tier: int) -> bool:
         if tier != PARITY_TIER:
             return super().corrupt_copy(key, tier)
-        rt = self.runtime
         gidx = self._parity_group(key)
-        if gidx not in self._parity:
+        if not self._block_held(gidx):
             return False
-        parity_place = self._parity_place(gidx)
-        if not rt.is_alive(parity_place.id):
-            return False
-        heap = rt.heap_of(parity_place.id)
-        if not heap.contains(self._parity_key(gidx)):
-            return False
-        heap.put(self._parity_key(gidx), corrupt_payload(heap.get(self._parity_key(gidx))))
+        heap = self.runtime.heap_of(self._parity_place(gidx).id)
+        parity_key = self._parity_key(gidx)
+        heap.put(parity_key, corrupt_payload(heap.get(parity_key)))
         self._verified.discard(self._canonical(gidx))
         return True
-
-    def verify_all(self) -> Tuple[int, int]:
-        clean = 0
-        before = len(self.quarantined)
-        for key in self.saved_keys():
-            for tier in self.tiers(key):
-                if tier == self.STABLE_TIER:
-                    ok = self._verify_copy(key, tier, self.STABLE_TIER, None)
-                elif tier == PARITY_TIER:
-                    ok = self._verify_parity_block(self._parity_group(key))
-                else:
-                    ok = self._verify_copy(
-                        key, 0, self.group[key].id, self._primary_key(key)
-                    )
-                if ok:
-                    clean += 1
-        return clean, len(self.quarantined) - before
 
     # -- health ------------------------------------------------------------
 
     def fully_redundant(self) -> bool:
-        if not super().fully_redundant():
-            return False
-        rt = self.runtime
-        for gidx in self._groups():
-            if gidx not in self._parity:
-                return False
-            parity_place = self._parity_place(gidx)
-            if not rt.is_alive(parity_place.id) or not rt.heap_of(
-                parity_place.id
-            ).contains(self._parity_key(gidx)):
-                return False
-        return True
+        return super().fully_redundant() and all(
+            self._block_held(gidx) for gidx in self._groups()
+        )
 
     def recoverable(self) -> bool:
         """Presence-based (no reconstruction side effects): every key has a
         live primary, a stable copy, or a complete parity equation."""
-        rt = self.runtime
-
-        def _present(key: int) -> bool:
-            place = self.group[key]
-            return rt.is_alive(place.id) and rt.heap_of(place.id).contains(
-                self._primary_key(key)
-            )
-
         for key in self._saved_keys:
-            if _present(key):
-                continue
-            if key in self._stable:
+            if self._primary_held(key) or key in self._stable:
                 continue
             gidx = self._parity_group(key)
-            parity_place = self._parity_place(gidx)
-            if (
+            block_or_copy = self._block_held(gidx) or (
                 gidx in self._parity
-                and rt.is_alive(parity_place.id)
-                and (
-                    rt.heap_of(parity_place.id).contains(self._parity_key(gidx))
-                    or rt.heap_of(parity_place.id).contains(self._recon_key(key))
-                )
-                and all(
-                    _present(m) for m in self._saved_members(gidx) if m != key
-                )
+                and self._held(self._parity_place(gidx), self._recon_key(key))
+            )
+            if not block_or_copy or not all(
+                self._primary_held(m) for m in self._saved_members(gidx) if m != key
             ):
-                continue
-            return False
+                return False
         return True
 
     def placement_ok(self) -> bool:
@@ -619,11 +520,10 @@ class ParityObjectSnapshot(DistObjectSnapshot):
             return False
         if self.group.size <= 1:
             return True
-        for gidx in self._groups():
-            member_places = {self.group[m].id for m in self._saved_members(gidx)}
-            if self._parity_place(gidx).id in member_places:
-                return False
-        return True
+        return all(
+            self._parity_place(gidx) not in [self.group[m] for m in self._saved_members(gidx)]
+            for gidx in self._groups()
+        )
 
     # -- scrub / repair -----------------------------------------------------
 
@@ -641,13 +541,9 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         recovery round).
         """
         rt = self.runtime
-        if (
-            new_group is not None
-            and new_group.size == self.group.size
-            and new_group.ids != self.group.ids
-        ):
-            self.rebind_group(new_group)
         if new_group is not None:
+            if new_group.size == self.group.size and new_group.ids != self.group.ids:
+                self.rebind_group(new_group)
             # Scrub mode: the caller installed a fully-live replacement
             # group, so any dead member now means a *new* failure — abort
             # (fail fast) instead of silently leaving holes behind.
@@ -656,10 +552,8 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         repaired = 0
         refilled_groups: Set[int] = set()
         for key in sorted(self._saved_keys):
-            home = self.group[key]
-            if not rt.is_alive(home.id):
-                continue
-            if rt.heap_of(home.id).contains(self._primary_key(key)):
+            home = self._homes[key][0]
+            if not rt.is_alive(home.id) or self._primary_held(key):
                 continue
             try:
                 src_id, heap_key = self.locate(key)
@@ -671,63 +565,32 @@ class ParityObjectSnapshot(DistObjectSnapshot):
             else:
                 payload = rt.heap_of(src_id).get(heap_key)
                 nbytes = payload_nbytes(payload)
-                if src_id != home.id:
-                    arrive = rt.engine.transfer(
-                        src_id, home.id, nbytes, rt.clock.now(src_id)
-                    )
-                    rt.clock.set_at_least(home.id, arrive)
-                    rt.stats.messages += 1
-                    rt.stats.bytes_sent += rt.cost.scaled_bytes(nbytes)
+                self._ship(src_id, home.id, nbytes)
                 rt.clock.advance(home.id, rt.cost.memcpy(nbytes))
-            rt.heap_of(home.id).put(self._primary_key(key), payload)
+            rt.heap_of(home.id).put(self._heap_key(key, 0), payload)
             self._verified.add((key, 0))
             refilled_groups.add(self._parity_group(key))
             repaired += 1
         for gidx in self._groups():
-            parity_place = self._parity_place(gidx)
-            if not rt.is_alive(parity_place.id):
+            if not rt.is_alive(self._parity_place(gidx).id):
                 continue
-            if gidx in self._parity and rt.heap_of(parity_place.id).contains(
-                self._parity_key(gidx)
-            ):
-                if gidx not in refilled_groups or gidx in self._parity_raw:
-                    continue
-                # A pickled-mode group with a refilled primary: the
-                # re-materialized payload may serialize differently than
-                # at build time, silently invalidating the XOR equation.
-                # Drop the stale block and rebuild it below (raw groups
-                # are value-determined and keep their block).  Not
-                # counted in ``repaired`` — the block was never lost.
-                block = rt.heap_of(parity_place.id).get(self._parity_key(gidx))
-                nb = payload_nbytes(block)
-                self.parity_nbytes -= nb
-                self.total_nbytes -= nb
-                rt.heap_of(parity_place.id).remove_if_present(
-                    self._parity_key(gidx)
-                )
-                self._parity.discard(gidx)
-                self._verified.discard(self._canonical(gidx))
-                members = self._saved_members(gidx)
-                if all(
-                    rt.is_alive(self.group[m].id)
-                    and rt.heap_of(self.group[m].id).contains(
-                        self._primary_key(m)
-                    )
-                    for m in members
-                ):
-                    self._build_parity(gidx, charge_keys=members)
+            held = self._block_held(gidx)
+            if held and (gidx not in refilled_groups or gidx in self._parity_raw):
                 continue
+            # Either the block is gone, or it belongs to a pickled-mode
+            # group with a refilled primary: the re-materialized payload
+            # may serialize differently than at build time, silently
+            # invalidating the XOR equation (raw groups are
+            # value-determined and keep their block).  Forget it and
+            # rebuild from the complete member set; replacing a block that
+            # was never lost is not counted in ``repaired``.
+            if gidx in self._parity:
+                self._drop_block(gidx)
             members = self._saved_members(gidx)
-            complete = all(
-                rt.is_alive(self.group[m].id)
-                and rt.heap_of(self.group[m].id).contains(self._primary_key(m))
-                for m in members
-            )
-            if not complete:
-                continue
-            self._parity.discard(gidx)
-            self._build_parity(gidx, charge_keys=members)
-            repaired += 1
+            if all(self._primary_held(m) for m in members):
+                self._build_parity(gidx, charge_keys=members)
+                if not held:
+                    repaired += 1
         return repaired
 
     # -- lifecycle ----------------------------------------------------------

@@ -3,7 +3,9 @@
 ``Snapshottable`` is the paper's Listing 3 interface.  A
 :class:`DistObjectSnapshot` stores an object's state as key/value pairs —
 key = the place's *index* in the object's place group, value = that place's
-data partition — in a **tiered, k-replica store**:
+data partition.  Which copies of a partition exist, where, and in what
+order a read tries them is one piece of data, the per-key **copy table**
+``_homes[key] = (primary place, backup places...)``:
 
 * tier 0: the primary copy in the owning place's heap;
 * tiers 1..k: in-memory backup copies on the places chosen by a pluggable
@@ -17,10 +19,15 @@ data partition — in a **tiered, k-replica store**:
 
 Saving costs one local copy, one engine-routed transfer per remote replica
 (a fan-out from the owning place) and, with the fallback tier, one disk
-write.  Loading prefers the primary, falls through the replicas in
-placement order, and reaches the disk tier last; only when a key survives
-in *no* tier does :meth:`DistObjectSnapshot.fetch` raise
-:class:`DataLossError` — tested behaviour, not a corner we paper over.
+write.  Loading walks one **ladder** (:meth:`DistObjectSnapshot.locate`):
+the in-memory copies in table order, then a copy re-derived from other data
+(none here; XOR reconstruction in the parity store), then the disk tier;
+only when a key survives in *no* tier does :meth:`DistObjectSnapshot.fetch`
+raise :class:`DataLossError` — tested behaviour, not a corner we paper
+over.  Saving, adopting, probing, corrupting, verifying and deleting are all
+passes over the same table, so the three stores (this one,
+:mod:`~repro.resilience.parity`, :mod:`~repro.resilience.stable`) differ
+only in the table and the re-derived rung they declare.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from repro.runtime.exceptions import (
     DeadPlaceException,
     SnapshotCorruptionError,
 )
-from repro.runtime.place import PlaceGroup
+from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
 from repro.util.bytesize import memoized_nbytes, payload_nbytes
 from repro.util.checksum import corrupt_payload, memoized_checksum
@@ -96,10 +103,12 @@ class DistObjectSnapshot:
         self.backups = backups
         self.placement = placement if placement is not None else RingPlacement()
         self._offsets = self.placement.offsets(backups, group.size)
-        #: ``_backup_homes[replica - 1][key]`` — the modular placement
-        #: arithmetic tabulated once (rebuilt when the group is rebound);
-        #: the save/intact/delete loops hit it tens of times per key.
-        self._backup_homes: List[List[Any]] = self._home_table()
+        #: The copy table: ``_homes[key][tier]`` is the place holding the
+        #: in-memory copy of *key* at *tier* (0 = primary, then the backups
+        #: in placement order).  The modular placement arithmetic is
+        #: tabulated once and rebuilt only by :meth:`rebind_group`; every
+        #: save, probe, read and delete is a pass over it.
+        self._homes: List[Tuple[Place, ...]] = self._home_table()
         self.stable_fallback = stable_fallback
         self._stable: Dict[int, Any] = {}
         self._saved_keys: set = set()
@@ -129,24 +138,42 @@ class DistObjectSnapshot:
         #: ``(key, tier)`` copies that failed verification and were dropped.
         self.quarantined: List[Tuple[int, int]] = []
 
-    # -- keys ------------------------------------------------------------
+    # -- the copy table ------------------------------------------------------
 
-    def _primary_key(self, key: int) -> tuple:
-        return ("snap", self.snap_id, key)
+    def _home_table(self) -> List[Tuple[Place, ...]]:
+        places = list(self.group)
+        # Tier t's column is the group rotated by that tier's ring offset
+        # (0 for the primary), so row *key* reads places[(key + offset) % size].
+        columns = [places[o:] + places[:o] for o in (0, *self._offsets)]
+        return list(zip(*columns))
 
-    def _backup_key(self, key: int, replica: int = 1) -> tuple:
-        return ("snapb", self.snap_id, key, replica)
+    def _heap_key(self, key: int, tier: int) -> tuple:
+        """Heap key of the in-memory copy of *key* at *tier*."""
+        if tier == 0:
+            return ("snap", self.snap_id, key)
+        return ("snapb", self.snap_id, key, tier)
 
-    def _home_table(self) -> List[List[Any]]:
-        group, size = self.group, self.group.size
+    def _copies(self, key: int) -> List[Tuple[int, Place, tuple]]:
+        """``(tier, place, heap key)`` of every in-memory copy *key* was
+        saved with, in the order a read tries them."""
         return [
-            [group[(key + offset) % size] for key in range(size)]
-            for offset in self._offsets
+            (tier, place, self._heap_key(key, tier))
+            for tier, place in enumerate(self._homes[key])
         ]
 
-    def _backup_place(self, key: int, replica: int):
-        """The place holding the *replica*-th backup of *key*."""
-        return self._backup_homes[replica - 1][key]
+    def _held(self, place: Place, heap_key: tuple) -> bool:
+        """True while *place* is alive and its heap holds *heap_key*."""
+        rt = self.runtime
+        return rt._alive.get(place.id, False) and rt._heaps[place.id].contains(heap_key)
+
+    def _check_owner(self, ctx: PlaceContext, key: int) -> None:
+        # Message built lazily: this guard runs on every partition save.
+        if self.group.index_of(ctx.place) != key:
+            require(
+                False,
+                f"partition {key} must be saved from group index {key}, "
+                f"not from {ctx.place}",
+            )
 
     # -- saving ------------------------------------------------------------
 
@@ -168,33 +195,27 @@ class DistObjectSnapshot:
         *token* is the partition's mutation-version token; recording it is
         what lets the next delta save prove the partition clean.
         """
-        if self.group.index_of(ctx.place) != key:
-            # Message built lazily: this guard runs on every partition save.
-            require(
-                False,
-                f"partition {key} must be saved from group index {key}, "
-                f"not from {ctx.place}",
-            )
+        self._check_owner(ctx, key)
         rt = self.runtime
         zero = rt.engine.zero_fast()
         freeze_payload(payload)
         # Sized after the freeze so the token-keyed memo applies (a re-save
         # of an unchanged partition skips the recursive measuring pass).
         nbytes = memoized_nbytes(payload, token)
-        ctx.heap.put(self._primary_key(key), payload)
-        if not zero:
-            ctx.charge_memcpy(nbytes)
+        owner_id = ctx.place.id
+        homes = self._homes[key]
         fanout = []
-        for replica in range(1, self.backups + 1):
-            backup_place = self._backup_place(key, replica)
-            if backup_place != ctx.place:
-                fanout.append((backup_place.id, self._backup_key(key, replica)))
+        for tier, place in enumerate(homes):
+            heap_key = self._heap_key(key, tier)
+            if place.id != owner_id:
+                fanout.append((place.id, heap_key))
             else:
-                # Single-place group: degenerate "replica" on the same
-                # place.  The primary copy is forwarded by reference — the
-                # bytes were already paid for once above, so no second
-                # memcpy charge.
-                ctx.heap.put(self._backup_key(key, replica), payload)
+                # The primary — or, in a single-place group, a degenerate
+                # "replica" on the same place, forwarded by reference: the
+                # bytes are paid for once, by the primary's memcpy.
+                ctx.heap.put(heap_key, payload)
+                if tier == 0 and not zero:
+                    ctx.charge_memcpy(nbytes)
         if fanout:
             cost = rt.cost
             if zero:
@@ -209,17 +230,17 @@ class DistObjectSnapshot:
                     rt._heaps[pid].put(heap_key, payload)
             else:
                 rt.engine.transfer_fanout(
-                    ctx.place.id, [pid for pid, _ in fanout], nbytes, ctx.now
+                    owner_id, [pid for pid, _ in fanout], nbytes, ctx.now
                 )
                 for pid, heap_key in fanout:
                     rt.heap_of(pid).put(heap_key, payload)
                 rt.clock.set_at_least(
-                    ctx.place.id, ctx.now + len(fanout) * cost.message(0)
+                    owner_id, ctx.now + len(fanout) * cost.message(0)
                 )
             rt.stats.messages += len(fanout)
             rt.stats.bytes_sent += len(fanout) * cost.scaled_bytes(nbytes)
         if self.stable_fallback:
-            rt.engine.stable_write(ctx.place.id, nbytes)
+            rt.engine.stable_write(owner_id, nbytes)
             self._stable[key] = payload
         # The partition is checksummed *once per save* in virtual time;
         # the actual CRC pass is deferred until a verify first needs it
@@ -228,11 +249,11 @@ class DistObjectSnapshot:
         self._crc_pending[key] = (payload, token)
         if not zero:
             ctx.charge_seconds(rt.cost.checksum(nbytes))
-        self._verified.add((key, 0))
-        for replica in range(1, self.backups + 1):
-            self._verified.add((key, replica))
+        verified = self._verified
+        for tier in range(len(homes)):
+            verified.add((key, tier))
         if self.stable_fallback:
-            self._verified.add((key, self.STABLE_TIER))
+            verified.add((key, self.STABLE_TIER))
         self._saved_keys.add(key)
         if token is not None:
             self._versions[key] = token
@@ -263,23 +284,11 @@ class DistObjectSnapshot:
         are unchanged — reusing a degraded redundancy set would let the
         next failure destroy the last copy.
         """
-        if key not in self._saved_keys:
-            return False
-        rt = self.runtime
-        primary = self.group[key]
-        if not rt.is_alive(primary.id) or not rt.heap_of(primary.id).contains(
-            self._primary_key(key)
-        ):
-            return False
-        for replica in range(1, self.backups + 1):
-            backup = self._backup_place(key, replica)
-            if not rt.is_alive(backup.id) or not rt.heap_of(backup.id).contains(
-                self._backup_key(key, replica)
-            ):
-                return False
-        if self.stable_fallback and key not in self._stable:
-            return False
-        return True
+        return (
+            key in self._saved_keys
+            and all(self._held(place, hk) for _, place, hk in self._copies(key))
+            and (not self.stable_fallback or key in self._stable)
+        )
 
     def can_reuse(self, key: int, token: Optional[Any]) -> bool:
         """True when *key* is provably clean: same mutation token as the
@@ -302,38 +311,29 @@ class DistObjectSnapshot:
         dirty-bytes-only cost the tentpole asks for, and the paper's
         ``saveReadOnly`` reuse as the degenerate all-clean case.
         """
-        if self.group.index_of(ctx.place) != key:
-            # Message built lazily: this guard runs on every partition save.
-            require(
-                False,
-                f"partition {key} must be saved from group index {key}, "
-                f"not from {ctx.place}",
-            )
+        self._check_owner(ctx, key)
         rt = self.runtime
-        primary_heap = rt.heap_of(self.group[key].id)
-        payload = primary_heap.get(base._primary_key(key))
-        nbytes = payload_nbytes(payload)
-        primary_heap.put(self._primary_key(key), payload)
-        for replica in range(1, self.backups + 1):
-            backup_heap = rt.heap_of(self._backup_place(key, replica).id)
-            backup_heap.put(
-                self._backup_key(key, replica),
-                backup_heap.get(base._backup_key(key, replica)),
-            )
+        adopted = []
+        for tier, place, heap_key in self._copies(key):
+            heap = rt.heap_of(place.id)
+            payload = heap.get(base._heap_key(key, tier))
+            heap.put(heap_key, payload)
+            adopted.append((tier, payload))
         if self.stable_fallback:
             self._stable[key] = base._stable[key]
+            adopted.append((self.STABLE_TIER, base._stable[key]))
         if key in base._crc_pending:
             self._crc_pending[key] = base._crc_pending[key]
         elif key in base._checksums:
             self._checksums[key] = base._checksums[key]
-        tiers = [0] + list(range(1, self.backups + 1))
-        if self.stable_fallback:
-            tiers.append(self.STABLE_TIER)
-        for tier in tiers:
-            if (key, tier) in base._verified:
-                self._verified.add((key, tier))
+        self._verified.update(
+            (key, tier) for tier, _ in adopted if (key, tier) in base._verified
+        )
         if key in base._versions:
             self._versions[key] = base._versions[key]
+        # Sized from the first copy of the ladder (a bit flip never changes
+        # a size, so even a struck copy measures right).
+        nbytes = payload_nbytes(adopted[0][1])
         self._saved_keys.add(key)
         self.clean_keys.add(key)
         self.clean_nbytes += nbytes
@@ -346,7 +346,7 @@ class DistObjectSnapshot:
         replica tiers and the optional disk copy each store it again —
         the ``k x`` footprint the parity tier exists to undercut.
         """
-        copies = self.backups + 1 + (1 if self.stable_fallback else 0)
+        copies = len(self._homes[0]) + (1 if self.stable_fallback else 0)
         return self.total_nbytes * copies
 
     @property
@@ -362,42 +362,44 @@ class DistObjectSnapshot:
     def locate(self, key: int) -> Tuple[int, tuple]:
         """``(place_id, heap_key)`` of a surviving *verified* copy of *key*.
 
-        Prefers the primary copy, then the backups in placement order, then
-        the stable tier (place id :data:`STABLE_TIER`).  Every candidate is
-        checksum-verified before being offered: a copy that fails
-        verification is quarantined (dropped from its tier) and the search
-        falls through to the next tier.  Raises :class:`DataLossError` when
-        every tier has lost the key, or :class:`SnapshotCorruptionError`
-        when the *last* surviving copies were quarantined — corrupt data is
-        never silently restored.
+        The ladder: the in-memory copies in table order (primary, then the
+        backups in placement order), then a copy re-derived from other data
+        (:meth:`_locate_rederived`), then the stable tier (place id
+        :data:`STABLE_TIER`).  Every candidate is checksum-verified before
+        being offered: a copy that fails verification is quarantined
+        (dropped from its tier) and the search falls through to the next
+        rung.  Raises :class:`DataLossError` when every tier has lost the
+        key, or :class:`SnapshotCorruptionError` when the *last* surviving
+        copies were quarantined — corrupt data is never silently restored.
         """
         if key not in self._saved_keys:
             require(False, f"snapshot has no key {key}")
-        rt = self.runtime
-        primary = self.group[key]
         quarantined_before = len(self.quarantined)
-        if rt.is_alive(primary.id) and rt.heap_of(primary.id).contains(self._primary_key(key)):
-            if self._verify_copy(key, 0, primary.id, self._primary_key(key)):
-                return primary.id, self._primary_key(key)
-        for replica in range(1, self.backups + 1):
-            backup = self._backup_place(key, replica)
-            heap_key = self._backup_key(key, replica)
-            if rt.is_alive(backup.id) and rt.heap_of(backup.id).contains(heap_key):
-                if self._verify_copy(key, replica, backup.id, heap_key):
-                    return backup.id, heap_key
-        if key in self._stable:
-            if self._verify_copy(key, self.STABLE_TIER, self.STABLE_TIER, None):
-                return self.STABLE_TIER, ("stable", self.snap_id, key)
-        if len(self.quarantined) > quarantined_before:
+        for tier, place, heap_key in self._copies(key):
+            if self._held(place, heap_key) and self._verify_tier(key, tier):
+                return place.id, heap_key
+        hit = self._locate_rederived(key)
+        if hit is not None:
+            return hit
+        if key in self._stable and self._verify_tier(key, self.STABLE_TIER):
+            return self.STABLE_TIER, ("stable", self.snap_id, key)
+        struck = len(self.quarantined) - quarantined_before
+        if struck:
             raise SnapshotCorruptionError(
                 f"every surviving copy of snapshot key {key} failed checksum "
-                f"verification and was quarantined "
-                f"({len(self.quarantined) - quarantined_before} this search)"
+                f"verification and was quarantined ({struck} this search); "
+                f"there is no further tier"
             )
         raise DataLossError(
-            f"all {self.backups + 1} in-memory copies of snapshot key {key} lost "
-            f"(primary {primary} and its replica set; no stable-storage tier)"
+            f"all {len(self._homes[key])} in-memory copies of snapshot key "
+            f"{key} lost (homes {[place.id for place in self._homes[key]]}); "
+            f"no parity group can re-derive it and no stable-storage tier holds it"
         )
+
+    def _locate_rederived(self, key: int) -> Optional[Tuple[int, tuple]]:
+        """The ladder's rung between memory and disk: a copy of *key*
+        rebuilt from *other* data.  Replicas have nothing to derive from."""
+        return None
 
     def _expected_checksum(self, key: int) -> Optional[int]:
         """Ground-truth CRC of *key*, computing a deferred one on demand."""
@@ -407,10 +409,9 @@ class DistObjectSnapshot:
             self._checksums[key] = memoized_checksum(payload, token)
         return self._checksums.get(key)
 
-    def _verify_copy(
-        self, key: int, tier: int, place_id: int, heap_key: Optional[tuple]
-    ) -> bool:
-        """Checksum one copy; quarantine and return False on mismatch.
+    def _verify_tier(self, key: int, tier: int) -> bool:
+        """Checksum the copy of *key* at *tier*; quarantine and return
+        False on mismatch.
 
         Clean verdicts are memoized per ``(key, tier)`` so health polling
         (``recoverable`` etc.) re-hashes nothing; a new corruption strike
@@ -423,6 +424,7 @@ class DistObjectSnapshot:
         if tier == self.STABLE_TIER:
             payload = self._stable[key]
         else:
+            place_id, heap_key = self._homes[key][tier].id, self._heap_key(key, tier)
             payload = rt.heap_of(place_id).get(heap_key)
             rt.clock.advance(place_id, rt.cost.checksum(payload_nbytes(payload)))
         expected = self._expected_checksum(key)
@@ -443,24 +445,13 @@ class DistObjectSnapshot:
         return sorted(self._saved_keys)
 
     def tiers(self, key: int) -> List[int]:
-        """Tiers currently holding a copy of *key*: 0 = primary, 1..k =
-        replicas, :data:`STABLE_TIER` = disk."""
-        rt = self.runtime
-        out: List[int] = []
-        if key in self._saved_keys:
-            primary = self.group[key]
-            if rt.is_alive(primary.id) and rt.heap_of(primary.id).contains(
-                self._primary_key(key)
-            ):
-                out.append(0)
-            for replica in range(1, self.backups + 1):
-                backup = self._backup_place(key, replica)
-                if rt.is_alive(backup.id) and rt.heap_of(backup.id).contains(
-                    self._backup_key(key, replica)
-                ):
-                    out.append(replica)
-            if key in self._stable:
-                out.append(self.STABLE_TIER)
+        """Tiers currently holding a copy of *key*, in ladder order: 0 =
+        primary, 1..k = replicas, :data:`STABLE_TIER` = disk."""
+        if key not in self._saved_keys:
+            return []
+        out = [tier for tier, place, hk in self._copies(key) if self._held(place, hk)]
+        if key in self._stable:
+            out.append(self.STABLE_TIER)
         return out
 
     def corrupt_copy(self, key: int, tier: int) -> bool:
@@ -472,21 +463,13 @@ class DistObjectSnapshot:
         quarantined).  Fault-injection entry point for
         :class:`~repro.runtime.failure.CorruptionModel` and tests.
         """
-        rt = self.runtime
-        if key not in self._saved_keys:
+        if tier not in self.tiers(key):
             return False
         if tier == self.STABLE_TIER:
-            if key not in self._stable:
-                return False
             self._stable[key] = corrupt_payload(self._stable[key])
         else:
-            place = self.group[key] if tier == 0 else self._backup_place(key, tier)
-            heap_key = (
-                self._primary_key(key) if tier == 0 else self._backup_key(key, tier)
-            )
-            if not rt.is_alive(place.id) or not rt.heap_of(place.id).contains(heap_key):
-                return False
-            heap = rt.heap_of(place.id)
+            heap = self.runtime.heap_of(self._homes[key][tier].id)
+            heap_key = self._heap_key(key, tier)
             heap.put(heap_key, corrupt_payload(heap.get(heap_key)))
         self._verified.discard((key, tier))
         return True
@@ -507,17 +490,21 @@ class DistObjectSnapshot:
         charges the scanning work (e.g. the sparse non-zero counting pass)
         and ``extract_bytes`` the copy that materializes the sub-block.
 
-        When every in-memory copy is gone the read falls through to the
-        stable tier: the restoring place pays the engine's disk read and
-        cuts the sub-block locally (there is no owning place left to run
-        the extractor on).
+        When no in-memory copy serves the read it comes off the stable
+        tier: the restoring place pays the engine's disk read for the
+        *whole* partition and cuts the sub-block locally (there is no
+        owning place left to run the extractor on) — the full-reload cost
+        the paper's data-flow comparison points at.
         """
         src_id, heap_key = self.locate(key)
         if src_id == self.STABLE_TIER:
             payload = self._stable[key]
             self.runtime.engine.stable_read(ctx.place.id, payload_nbytes(payload))
-            self.fallback_reads += 1
-            self.runtime.stats.stable_fallback_reads += 1
+            if self._homes[key]:
+                # A fall-through is only counted where there was a memory
+                # tier to fall from; a disk-only store reads disk by design.
+                self.fallback_reads += 1
+                self.runtime.stats.stable_fallback_reads += 1
             if extract is not None:
                 payload = extract(payload)
                 ctx.charge_memcpy(payload_nbytes(payload))
@@ -548,21 +535,7 @@ class DistObjectSnapshot:
         before = len(self.quarantined)
         for key in self.saved_keys():
             for tier in self.tiers(key):
-                if tier == self.STABLE_TIER:
-                    ok = self._verify_copy(key, tier, self.STABLE_TIER, None)
-                elif tier == 0:
-                    ok = self._verify_copy(
-                        key, 0, self.group[key].id, self._primary_key(key)
-                    )
-                else:
-                    ok = self._verify_copy(
-                        key,
-                        tier,
-                        self._backup_place(key, tier).id,
-                        self._backup_key(key, tier),
-                    )
-                if ok:
-                    clean += 1
+                clean += self._verify_tier(key, tier)
         return clean, len(self.quarantined) - before
 
     # -- health -----------------------------------------------------------
@@ -574,19 +547,11 @@ class DistObjectSnapshot:
         copies for some keys; full redundancy is what the read-only reuse
         optimization requires of snapshots without a stable tier.
         """
-        rt = self.runtime
-        for key in self._saved_keys:
-            copies = [(self.group[key], self._primary_key(key))]
-            copies += [
-                (self._backup_place(key, r), self._backup_key(key, r))
-                for r in range(1, self.backups + 1)
-            ]
-            for place, heap_key in copies:
-                if not rt.is_alive(place.id):
-                    return False
-                if not rt.heap_of(place.id).contains(heap_key):
-                    return False
-        return True
+        return all(
+            self._held(place, heap_key)
+            for key in self._saved_keys
+            for _, place, heap_key in self._copies(key)
+        )
 
     def reusable(self) -> bool:
         """True if a later checkpoint may safely re-reference this snapshot.
@@ -614,12 +579,11 @@ class DistObjectSnapshot:
         (vacuously true for single-place groups, which have nowhere else)."""
         if self.group.size <= 1:
             return True
-        for key in self._saved_keys:
-            primary = self.group[key]
-            for replica in range(1, self.backups + 1):
-                if self._backup_place(key, replica) == primary:
-                    return False
-        return True
+        return all(
+            backup != self._homes[key][0]
+            for key in self._saved_keys
+            for backup in self._homes[key][1:]
+        )
 
     def rebind_group(self, new_group: PlaceGroup) -> None:
         """Re-anchor this snapshot to a same-size replacement group.
@@ -637,24 +601,25 @@ class DistObjectSnapshot:
             "rebind_group cannot resize the snapshot group",
         )
         self.group = new_group
-        self._backup_homes = self._home_table()
+        self._homes = self._home_table()
+
+    def repair(self, new_group: Optional[PlaceGroup] = None) -> int:
+        """Scrub hook: re-materialize copies a failure destroyed; returns
+        how many.  Lost replicas are not rebuilt in place — the next
+        checkpoint's full re-save restores them — so there is nothing to do
+        here; the parity store overrides this."""
+        return 0
 
     # -- lifecycle --------------------------------------------------------------
 
     def delete(self) -> None:
         """Free all surviving copies (old checkpoints are deleted on commit)."""
-        rt = self.runtime
-        alive = rt._alive
-        heaps = rt._heaps
-        snap_id = self.snap_id
+        alive = self.runtime._alive
+        heaps = self.runtime._heaps
         for key in self._saved_keys:
-            pid = self.group[key].id
-            if alive.get(pid, False):
-                heaps[pid].remove_if_present(("snap", snap_id, key))
-            for r in range(1, self.backups + 1):
-                pid = self._backup_place(key, r).id
-                if alive.get(pid, False):
-                    heaps[pid].remove_if_present(("snapb", snap_id, key, r))
+            for tier, place in enumerate(self._homes[key]):
+                if alive.get(place.id, False):
+                    heaps[place.id].remove_if_present(self._heap_key(key, tier))
         self._stable.clear()
         self._saved_keys.clear()
 

@@ -5,42 +5,39 @@ with data-flow systems that reload intermediate state from reliable
 storage each iteration ("implementing iterative algorithms as repeated
 calls to MapReduce jobs is inefficient because of the encountered I/O
 overhead").  :class:`StableObjectSnapshot` makes that alternative concrete
-so the trade can be measured:
+so the trade can be measured.  It is not a parallel implementation: it is
+the tiered store of :mod:`repro.resilience.snapshot` with **no in-memory
+tier** — an empty copy table and the disk tier switched on — so its ladder
+starts, and ends, at the disk:
 
-* saves write each partition to a shared stable store (one network hop to
+* saves write each partition to the shared stable store (one network hop to
   reach it, then the write serializes on the engine's shared disk
   :class:`~repro.engine.resource.Resource` at ``disk_byte_time`` — the
   single distributed-filesystem ingest path all places contend for);
 * the store survives **any** set of place failures — including adjacent
   pairs and bursts that defeat the in-memory double store — because the
   data is not held in place heaps at all;
-* loads read back at disk+network rates from every restoring place.
+* loads read the whole partition back at disk+network rates from every
+  restoring place and cut sub-blocks locally.
 
-It is API-compatible with :class:`DistObjectSnapshot`, so every GML
-object's ``restore_snapshot`` works against it unchanged; objects opt in
-by setting ``snapshot_to_stable_storage = True``.  The same disk resource
-also backs the *fallback tier* of the tiered in-memory store
-(``stable_fallback=True`` on :class:`DistObjectSnapshot`), where it is
-written at checkpoint time but only read once every in-memory replica of
-a partition is gone.
+Every GML object's ``restore_snapshot`` works against it unchanged; objects
+opt in by setting ``snapshot_to_stable_storage = True``.  The same disk
+tier backs the *fallback* of the in-memory stores (``stable_fallback=True``
+on :class:`DistObjectSnapshot`), where it is written at checkpoint time but
+only read once every in-memory replica of a partition is gone.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.resilience.snapshot import DistObjectSnapshot
-from repro.runtime.exceptions import SnapshotCorruptionError
 from repro.runtime.place import PlaceGroup
-from repro.runtime.runtime import PlaceContext, Runtime
-from repro.util.bytesize import payload_nbytes
-from repro.util.checksum import corrupt_payload, memoized_checksum
-from repro.util.validation import require
-from repro.util.versioning import freeze_payload
+from repro.runtime.runtime import Runtime
 
 
 class StableObjectSnapshot(DistObjectSnapshot):
-    """A snapshot whose partitions live on reliable stable storage.
+    """A snapshot whose partitions live on reliable stable storage only.
 
     Payloads are held outside the place heaps (the "distributed
     filesystem"); saves and loads pay one network message plus disk
@@ -51,148 +48,11 @@ class StableObjectSnapshot(DistObjectSnapshot):
     def __init__(
         self, runtime: Runtime, group: PlaceGroup, meta: Optional[Dict[str, Any]] = None
     ):
-        super().__init__(runtime, group, meta, backups=0)
-        self._store: Dict[int, Any] = {}
+        super().__init__(runtime, group, meta, backups=0, stable_fallback=True)
 
-    # -- saving ------------------------------------------------------------
-
-    def save_from(
-        self, ctx: PlaceContext, key: int, payload: Any, token: Optional[Any] = None
-    ) -> None:
-        """Write one partition to stable storage from its owning place."""
-        require(
-            self.group.index_of(ctx.place) == key,
-            f"partition {key} must be saved from group index {key}, "
-            f"not from {ctx.place}",
-        )
-        nbytes = payload_nbytes(payload)
-        freeze_payload(payload)
-        self.runtime.engine.stable_write(ctx.place.id, nbytes)
-        self._store[key] = payload
-        self._checksums[key] = memoized_checksum(payload, token)
-        ctx.charge_seconds(self.runtime.cost.checksum(nbytes))
-        self._verified.add((key, self.STABLE_TIER))
-        self._saved_keys.add(key)
-        if token is not None:
-            self._versions[key] = token
-        self.total_nbytes += nbytes
-
-    # -- delta (incremental) saves -------------------------------------------
-
-    def delta_compatible(self, base: "DistObjectSnapshot") -> bool:
-        """Stable stores only need the same type and place group to share."""
-        return type(base) is type(self) and base.group.ids == self.group.ids
-
-    def key_intact(self, key: int) -> bool:
-        """The single stable copy either exists or it does not."""
-        return key in self._saved_keys and key in self._store
-
-    def save_clean_from(self, ctx, key: int, base: "DistObjectSnapshot") -> None:
-        """Re-reference an unchanged partition of the stable store.
-
-        No disk write, no hash: the clean partition costs nothing, same as
-        the in-memory tiers' adoption path.
-        """
-        require(
-            self.group.index_of(ctx.place) == key,
-            f"partition {key} must be saved from group index {key}, "
-            f"not from {ctx.place}",
-        )
-        payload = base._store[key]
-        nbytes = payload_nbytes(payload)
-        self._store[key] = payload
-        if key in base._checksums:
-            self._checksums[key] = base._checksums[key]
-        if (key, self.STABLE_TIER) in base._verified:
-            self._verified.add((key, self.STABLE_TIER))
-        if key in base._versions:
-            self._versions[key] = base._versions[key]
-        self._saved_keys.add(key)
-        self.clean_keys.add(key)
-        self.clean_nbytes += nbytes
-        self.total_nbytes += nbytes
-
-    # -- integrity ---------------------------------------------------------
-
-    def _verify_copy(self, key, tier, place_id, heap_key) -> bool:
-        """Checksum the stored copy; quarantine (drop) it on mismatch."""
-        if (key, self.STABLE_TIER) in self._verified:
-            return True
-        payload = self._store[key]
-        expected = self._checksums.get(key)
-        if expected is None or memoized_checksum(payload, self._versions.get(key)) == expected:
-            self._verified.add((key, self.STABLE_TIER))
-            return True
-        del self._store[key]
-        self.quarantined.append((key, self.STABLE_TIER))
-        return False
-
-    def saved_keys(self):
-        return sorted(self._saved_keys)
-
-    def tiers(self, key: int):
-        return [self.STABLE_TIER] if key in self._store else []
-
-    def corrupt_copy(self, key: int, tier: int) -> bool:
-        """Corrupt the (single) stored copy of *key*."""
-        if tier != self.STABLE_TIER or key not in self._store:
-            return False
-        self._store[key] = corrupt_payload(self._store[key])
-        self._verified.discard((key, self.STABLE_TIER))
-        return True
-
-    # -- locating / loading -------------------------------------------------
-
-    def locate(self, key: int) -> Tuple[int, tuple]:
-        """Stable storage holds the only copy — verified before every use."""
-        require(key in self._saved_keys, f"snapshot has no key {key}")
-        if key not in self._store or not self._verify_copy(
-            key, self.STABLE_TIER, self.STABLE_TIER, None
-        ):
-            raise SnapshotCorruptionError(
-                f"the stable-storage copy of snapshot key {key} failed "
-                f"checksum verification; there is no further tier"
-            )
-        return self.STABLE_TIER, ("stable", self.snap_id, key)
-
-    def fetch(
-        self,
-        ctx: PlaceContext,
-        key: int,
-        extract: Optional[Callable[[Any], Any]] = None,
-        extract_flops: float = 0.0,
-        extract_bytes: float = 0.0,
-    ) -> Any:
-        """Read a partition (or an extracted part) back from storage.
-
-        Unlike the in-memory store there is no owning place to run the
-        extractor on: the restoring place reads the *whole* partition off
-        storage and cuts locally — the full-reload cost the paper's
-        data-flow comparison points at.
-        """
-        self.locate(key)
-        payload = self._store[key]
-        nbytes = payload_nbytes(payload)
-        self.runtime.engine.stable_read(ctx.place.id, nbytes)
-        if extract is not None:
-            payload = extract(payload)
-            ctx.charge_memcpy(payload_nbytes(payload))
-        return payload
-
-    def fully_redundant(self) -> bool:
-        """Stable storage never degrades: reuse is always safe."""
-        return bool(self._saved_keys)
-
-    def recoverable(self) -> bool:
-        """Every saved key survives by construction."""
-        return bool(self._saved_keys)
-
-    # -- lifecycle --------------------------------------------------------------
-
-    def delete(self) -> None:
-        """Drop the stored partitions."""
-        self._store.clear()
-        self._saved_keys.clear()
+    def _home_table(self) -> List[tuple]:
+        """No key has an in-memory home — not even a primary."""
+        return [()] * self.group.size
 
 
 def use_stable_storage(*objects) -> None:

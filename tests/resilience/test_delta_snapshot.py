@@ -215,7 +215,7 @@ class TestDeltaStore:
         # Partition 0's bytes are unchanged, but its backup replica died
         # with its place: redundancy is degraded, so reuse must be refused
         # (adopting would let the next failure destroy the last copy).
-        rt.kill(snap._backup_place(0, 1).id)
+        rt.kill(snap._homes[0][1].id)
         assert not snap.can_reuse(0, token)
 
     def test_adoption_survives_base_deletion_on_commit(self):
@@ -264,7 +264,7 @@ class TestCorruptionIsolation:
         # All tiers share one frozen payload object; corrupt_copy must
         # replace, not mutate, or every tier would rot at once.
         assert snap.corrupt_copy(1, 0)
-        backup = rt.heap_of(snap._backup_place(1, 1).id).get(snap._backup_key(1, 1))
+        backup = rt.heap_of(snap._homes[1][1].id).get(snap._heap_key(1, 1))
         assert backup.data.tolist() == [1.0, 1.5]
         assert snap._stable[1].data.tolist() == [1.0, 1.5]
         # locate quarantines the primary and serves the intact backup.

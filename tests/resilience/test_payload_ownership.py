@@ -88,7 +88,7 @@ def _live(obj):
 
 def _saved(obj, snap):
     return [
-        obj.runtime.heap_of(snap.group[key].id).get(snap._primary_key(key))
+        obj.runtime.heap_of(snap.group[key].id).get(snap._heap_key(key, 0))
         for key in snap.saved_keys()
     ]
 
