@@ -12,23 +12,29 @@ from _common import emit, results_path
 from repro.bench import figures
 from repro.bench.calibration import pagerank_bench_workload, pagerank_cost
 from repro.apps.resilient import PageRankResilient
+from repro.engine.fork import capture_boundaries
 from repro.resilience.executor import IterativeExecutor
-from repro.runtime import Runtime
+from repro.runtime.factory import make_runtime
 
 PLACES = 24
 FAILURE_POINTS = [11, 13, 15, 17, 19, 21]  # 21 is just past the ckpt at 20
 
 
-def total_with_failure_at(iteration: int) -> float:
-    rt = Runtime(PLACES, cost=pagerank_cost(), resilient=True)
-    app = PageRankResilient(rt, pagerank_bench_workload(30))
-    rt.injector.kill_at_iteration(PLACES // 2, iteration=iteration)
-    report = IterativeExecutor(rt, app, checkpoint_interval=10).run()
-    return report.total_time
-
-
 def run_sweep():
-    return {it: total_with_failure_at(it) for it in FAILURE_POINTS}
+    """One failure-free reference run captured at the six failure points;
+    each point resumes its own fork with the kill armed there."""
+    with make_runtime(PLACES, cost=pagerank_cost(), resilient=True) as rt:
+        app = PageRankResilient(rt, pagerank_bench_workload(30))
+        images = capture_boundaries(
+            IterativeExecutor(rt, app, checkpoint_interval=10), FAILURE_POINTS
+        )
+    totals = {}
+    for iteration in FAILURE_POINTS:
+        fork = images[iteration].load()
+        with fork.runtime as rt:
+            rt.injector.kill_at_iteration(PLACES // 2, iteration=iteration)
+            totals[iteration] = fork.run().total_time
+    return totals
 
 
 def test_ablation_failure_point(benchmark):

@@ -16,6 +16,14 @@ process-stable description of every data-generation parameter.
 
 Cached arrays are frozen (``writeable=False``): every caller compares
 against the baseline, nobody may mutate the shared copy.
+
+The sweeps need the other failure-free reference: the *virtual time* the
+non-resilient application takes on a non-resilient runtime — the
+"non-resilient finish" side of Figs. 2-4 and the "non-resilient (no
+failure)" line of Figs. 5-7, which are the same run.  That one does depend
+on the cost model, so :func:`failure_free_time` keys on (non-resilient
+class, workload, cost model, places) — frozen dataclasses compared by
+value, so a changed calibration can never hit a stale entry.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from repro.runtime.cost import CostModel
 from repro.runtime.factory import make_runtime
 
 _memo: Dict[Tuple[str, int, str], np.ndarray] = {}
+_time_memo: Dict[Tuple[type, object, CostModel, int], float] = {}
 
 
 def failure_free_result(
@@ -59,6 +68,24 @@ def failure_free_result(
     return cached
 
 
+def failure_free_time(
+    nonres_cls: type, workload: object, cost: CostModel, places: int
+) -> float:
+    """Virtual seconds of the failure-free non-resilient run at this shape:
+    *nonres_cls* over *workload*, run to completion on a non-resilient
+    runtime of *places* places charging *cost*."""
+    key = (nonres_cls, workload, cost, places)
+    total = _time_memo.get(key)
+    if total is None:
+        with make_runtime(places, cost=cost, resilient=False) as rt:
+            app = nonres_cls(rt, workload)
+            t0 = rt.now()
+            app.run()
+            total = _time_memo[key] = rt.now() - t0
+    return total
+
+
 def clear() -> None:
     """Drop every memoized baseline (test isolation)."""
     _memo.clear()
+    _time_memo.clear()

@@ -26,7 +26,9 @@ from repro.apps.resilient import (
     LogRegResilient,
     PageRankResilient,
 )
+from repro.baseline import failure_free_time
 from repro.bench import calibration
+from repro.engine.fork import capture_boundaries
 from repro.resilience.executor import (
     ExecutionReport,
     IterativeExecutor,
@@ -71,6 +73,10 @@ APP_REGISTRY = {
 }
 
 
+#: §VII's restore protocol kills one place at iteration 15 of 30.
+PAPER_FAILURE_ITERATION = 15
+
+
 def _pmap(fn: Callable, items: Sequence, jobs: Optional[int]) -> List:
     """Map *fn* over *items*, optionally on a process pool.
 
@@ -106,15 +112,17 @@ def _overhead_cell(
 ) -> List[Tuple[str, float]]:
     """One place-count cell of the Figs. 2-4 protocol (picklable)."""
     NonRes, _Res, wl_factory, cost_factory = APP_REGISTRY[app_name]
-    wl = wl_factory(iterations)
-    out: List[Tuple[str, float]] = []
-    for resilient, label in ((False, "non-resilient finish"), (True, "resilient finish")):
-        with make_runtime(places, cost=cost_factory(), resilient=resilient) as rt:
-            app = NonRes(rt, wl)
-            t0 = rt.now()
-            app.run()
-            out.append((label, (rt.now() - t0) / iterations * 1e3))
-    return out
+    wl, cost = wl_factory(iterations), cost_factory()
+    nonres_total = failure_free_time(NonRes, wl, cost, places)
+    with make_runtime(places, cost=cost, resilient=True) as rt:
+        app = NonRes(rt, wl)
+        t0 = rt.now()
+        app.run()
+        res_total = rt.now() - t0
+    return [
+        ("non-resilient finish", nonres_total / iterations * 1e3),
+        ("resilient finish", res_total / iterations * 1e3),
+    ]
 
 
 def run_overhead_sweep(
@@ -251,26 +259,43 @@ def _restore_cell(
     mode_values: Tuple[str, ...],
     places: int,
 ) -> Dict[str, object]:
-    """One place-count cell of the Figs. 5-7 protocol (picklable)."""
+    """One place-count cell of the Figs. 5-7 protocol (picklable).
+
+    The modes' runs are one simulation until the kill fires, so the cell
+    simulates that prefix once: a reference world runs failure-free to the
+    failure boundary, is captured there, and every mode resumes its own
+    fork of the image with the kill armed.  The reference world carries
+    the spare replace-redundant needs; an idle spare is invisible to the
+    shrink modes.  The image dies with the cell.
+    """
     NonRes, Res, wl_factory, cost_factory = APP_REGISTRY[app_name]
-    wl = wl_factory(iterations)
+    wl, cost = wl_factory(iterations), cost_factory()
     victim = places // 2  # a mid-axis non-zero place
+    spares = 1 if RestoreMode.REPLACE_REDUNDANT.value in mode_values else 0
+    unreached = (
+        f"{app_name} at {places} places finished before the failure at "
+        f"iteration {failure_iteration} could fire; nothing was restored"
+    )
+    with make_runtime(places, cost=cost, resilient=True, spares=spares) as rt:
+        executor = IterativeExecutor(
+            rt, Res(rt, wl), checkpoint_interval=checkpoint_interval
+        )
+        images = capture_boundaries(executor, [failure_iteration])
+    if failure_iteration not in images:
+        raise ValueError(unreached)
     reports: Dict[str, ExecutionReport] = {}
     for mode_value in mode_values:
-        mode = RestoreMode(mode_value)
-        spares = 1 if mode == RestoreMode.REPLACE_REDUNDANT else 0
-        with make_runtime(places, cost=cost_factory(), resilient=True, spares=spares) as rt:
-            app = Res(rt, wl)
+        fork = images[failure_iteration].load()
+        fork.mode = RestoreMode(mode_value)
+        with fork.runtime as rt:
             rt.injector.kill_at_iteration(victim, iteration=failure_iteration)
-            reports[mode_value] = IterativeExecutor(
-                rt, app, checkpoint_interval=checkpoint_interval, mode=mode
-            ).run()
-    # Non-resilient, no-failure baseline.
-    with make_runtime(places, cost=cost_factory(), resilient=False) as rt:
-        app = NonRes(rt, wl)
-        t0 = rt.now()
-        app.run()
-        return {"reports": reports, "baseline": rt.now() - t0}
+            report = reports[mode_value] = fork.run()
+        if not report.failures_observed:
+            raise ValueError(unreached)
+    return {
+        "reports": reports,
+        "baseline": failure_free_time(NonRes, wl, cost, places),
+    }
 
 
 def run_restore_sweep(
@@ -278,7 +303,7 @@ def run_restore_sweep(
     places_list: Optional[List[int]] = None,
     iterations: int = 30,
     checkpoint_interval: int = 10,
-    failure_iteration: int = 15,
+    failure_iteration: int = PAPER_FAILURE_ITERATION,
     modes: Optional[List[RestoreMode]] = None,
     jobs: Optional[int] = None,
 ) -> Dict[str, SweepSeries]:
@@ -290,6 +315,12 @@ def run_restore_sweep(
     Returns ``{series_label: SweepSeries}`` with one series per mode; the
     per-point ExecutionReports (for Table IV) ride along in ``reports``.
     """
+    if not 1 <= failure_iteration < iterations:
+        raise ValueError(
+            f"the restore protocol kills a place at iteration "
+            f"{failure_iteration}, which a run of {iterations} iterations "
+            "cannot restore from (need 1 <= failure_iteration < iterations)"
+        )
     places_list = places_list or calibration.places_axis()
     modes = modes or [
         RestoreMode.SHRINK_REBALANCE,

@@ -484,25 +484,21 @@ class _PrefixWorld:
     """
 
     def __init__(self, config: CampaignConfig, checkpoint_mode: str):
-        from repro.engine.fork import ForkContext, SimulatorImage
+        from repro.engine.fork import capture_boundaries
 
         self.config = config
-        self.images: Dict[int, SimulatorImage] = {}
         self.phase_at: Dict[int, int] = {}
         self.time_at: Dict[int, float] = {}
-        context = ForkContext()
         rt, _, _, executor = _build_world(
             config, RestoreMode.SHRINK, checkpoint_mode
         )
 
-        def snap(boundary: int) -> bool:
+        def observe(boundary: int) -> None:
             self.phase_at[boundary] = rt.phase
             self.time_at[boundary] = rt.clock.global_time()
-            self.images[boundary] = context.capture(executor)
-            return True
 
         with rt:  # the images hold everything a fork needs
-            executor.run(boundary_hook=snap)
+            self.images = capture_boundaries(executor, observe=observe)
         self.max_boundary = max(self.images)
 
     def _last_boundary_below(

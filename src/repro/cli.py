@@ -28,6 +28,7 @@ from typing import List, Optional
 from repro.bench import calibration, figures
 from repro.bench.harness import (
     APP_REGISTRY,
+    PAPER_FAILURE_ITERATION,
     run_checkpoint_mode_sweep,
     run_checkpoint_sweep,
     run_overhead_sweep,
@@ -621,6 +622,22 @@ def _resolve_jobs(requested: Optional[int]) -> Optional[int]:
     return os.cpu_count()
 
 
+def _restore_sweep(app: str, axis: List[int], iterations: int, jobs: int) -> dict:
+    """The Figs. 5-7 protocol at the CLI's sizes.  ``--iterations`` is the
+    only knob forwarded, so a kill it puts out of reach (the
+    :func:`run_restore_sweep` ``ValueError``) is reported as a usage error
+    here rather than as a traceback."""
+    if iterations <= PAPER_FAILURE_ITERATION:
+        print(
+            "error: the restore protocol kills a place at iteration "
+            f"{PAPER_FAILURE_ITERATION}; --iterations must be at least "
+            f"{PAPER_FAILURE_ITERATION + 1}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    return run_restore_sweep(app, places_list=axis, iterations=iterations, jobs=jobs)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     kind, app = SWEEPS[args.experiment]
     axis = calibration.places_axis(args.max_places)
@@ -639,9 +656,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             values[name] = sweep.values["mean checkpoint (ms)"]
         print(figures.series_table(axis, values, header_unit="ms/checkpoint"))
     elif kind == "restore":
-        out = run_restore_sweep(
-            app, places_list=axis, iterations=args.iterations, jobs=jobs
-        )
+        out = _restore_sweep(app, axis, args.iterations, jobs)
         series = out["series"]
         print(
             figures.series_table(
@@ -660,12 +675,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     elif kind == "table4":
         for name in ("linreg", "logreg", "pagerank"):
-            out = run_restore_sweep(
-                name,
-                places_list=[args.max_places],
-                iterations=args.iterations,
-                jobs=jobs,
-            )
+            out = _restore_sweep(name, [args.max_places], args.iterations, jobs)
             rows = table4_from_reports(out["reports"], places=args.max_places)
             for mode, row in rows.items():
                 print(f"{name:<10s} {mode:<18s} C% {row['C%']:5.1f}  R% {row['R%']:5.1f}")

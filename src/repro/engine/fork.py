@@ -42,9 +42,10 @@ Two invariants the implementation must keep (and the property suite in
 
 from __future__ import annotations
 
+import copyreg
 import io
 import pickle
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -72,57 +73,25 @@ def _freeze_world(root: Any) -> None:
                 freeze_payload(value)
 
 
-class _CapturePickler(pickle.Pickler):
-    """Pickler that parks frozen ndarrays in the fork context's side table.
+def _shared(slot: int) -> Any:
+    """The one global a fork image names for a side-table reference.
 
-    Frozen arrays that *own* their buffer (``base is None``), and frozen
-    views whose ``base`` chain ends in one (full-width link blocks are
-    slices of the frozen memoized graph), are shared by reference and
-    deduplicated across captures — their bytes can never change again, so
-    every boundary image of a run points at the same object.  A frozen view
-    of a still-writable (or foreign) base is snapshotted (copied and
-    re-frozen) per capture instead.
+    A shared object pickles as ``_shared(slot)``; the name is never called
+    — :class:`_ResumeUnpickler` resolves it to the side table's own
+    ``__getitem__``, so a reference costs no Python frame at load.
     """
-
-    def __init__(self, file, context: "ForkContext"):
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._context = context
-        self._view_slots: Dict[int, int] = {}
-
-    def persistent_id(self, obj: Any):
-        tp = type(obj)
-        if tp is np.ndarray and not obj.flags.writeable:
-            owner = obj
-            while type(owner.base) is np.ndarray:
-                owner = owner.base
-            if owner.base is not None or owner.flags.writeable:
-                slot = self._view_slots.get(id(obj))
-                if slot is None:
-                    snap = obj.copy()
-                    snap.setflags(write=False)
-                    slot = self._view_slots[id(obj)] = len(self._context._frozen)
-                    self._context._frozen.append(snap)
-                return slot
-        elif tp is not FinishReport:
-            return None
-        # Shared by identity.  Finish reports qualify like frozen arrays: they
-        # are append-only records — nothing assigns to a FinishReport field
-        # (or its dead_places list) once it is in ``stats.finish_reports``.
-        ctx = self._context
-        slot = ctx._slot_of.get(id(obj))
-        if slot is None:
-            slot = ctx._slot_of[id(obj)] = len(ctx._frozen)
-            ctx._frozen.append(obj)
-        return slot
+    raise pickle.UnpicklingError("a fork image loads through SimulatorImage.load()")
 
 
 class _ResumeUnpickler(pickle.Unpickler):
     def __init__(self, file, frozen: List[Any]):
         super().__init__(file)
-        self._frozen = frozen
+        self._frozen_at = frozen.__getitem__
 
-    def persistent_load(self, pid: int) -> Any:
-        return self._frozen[pid]
+    def find_class(self, module: str, name: str) -> Any:
+        if name == "_shared" and module == __name__:
+            return self._frozen_at
+        return super().find_class(module, name)
 
 
 class SimulatorImage:
@@ -174,8 +143,56 @@ class ForkContext:
         """Snapshot *root*'s full object graph into a resumable image."""
         _freeze_world(root)
         buf = io.BytesIO()
-        _CapturePickler(buf, self).dump(root)
+        pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+        # Dispatch by type, so the C pickler calls back into Python for the
+        # two shared types only.  The table is built per capture and its
+        # entries are bound to the context, never to the pickler: a pickler
+        # reachable from its own table is a cycle, and its memo pins every
+        # payload of the world until the collector runs.
+        pickler.dispatch_table = {
+            **copyreg.dispatch_table,
+            np.ndarray: self._reduce_array,
+            FinishReport: self._reduce_shared,
+        }
+        pickler.dump(root)
         return SimulatorImage(buf.getvalue(), self, next_version(), dict(meta))
+
+    def _reduce_shared(self, obj: Any):
+        """Park *obj* in the side table, once per context, by identity.
+
+        Finish reports qualify like frozen arrays: they are append-only
+        records — nothing assigns to a FinishReport field (or its
+        dead_places list) once it is in ``stats.finish_reports``.
+        """
+        slot = self._slot_of.get(id(obj))
+        if slot is None:
+            slot = self._slot_of[id(obj)] = len(self._frozen)
+            self._frozen.append(obj)
+        return _shared, (slot,)
+
+    def _reduce_array(self, arr: np.ndarray):
+        """Writable arrays are copied into the image; frozen ones are shared.
+
+        Frozen arrays that *own* their buffer (``base is None``), and frozen
+        views whose ``base`` chain ends in one (full-width link blocks are
+        slices of the frozen memoized graph), are shared by reference and
+        deduplicated across captures — their bytes can never change again,
+        so every boundary image of a run points at the same object.  A
+        frozen view of a still-writable (or foreign) base is snapshotted
+        (copied and re-frozen) per capture instead; the pickler's own memo
+        keeps that to one copy per capture.
+        """
+        if arr.flags.writeable:
+            return arr.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        owner = arr
+        while type(owner.base) is np.ndarray:
+            owner = owner.base
+        if owner.base is None and not owner.flags.writeable:
+            return self._reduce_shared(arr)
+        snap = arr.copy()
+        snap.setflags(write=False)
+        self._frozen.append(snap)
+        return _shared, (len(self._frozen) - 1,)
 
     # -- cross-process transport --------------------------------------------
 
@@ -188,3 +205,42 @@ class ForkContext:
             if type(shared) is np.ndarray:
                 shared.setflags(write=False)
         self._slot_of = {id(shared): slot for slot, shared in enumerate(self._frozen)}
+
+
+def capture_boundaries(
+    executor: Any,
+    boundaries: Optional[Iterable[int]] = None,
+    observe: Optional[Callable[[int], None]] = None,
+) -> Dict[int, SimulatorImage]:
+    """Run *executor* and capture an image at iteration-commit boundaries.
+
+    The shared-prefix protocol of the chaos prefix cache, the restore sweeps
+    and the failure-point ablation: one reference run under the executor's
+    ``boundary_hook``, its images resumed once per variant.  With
+    *boundaries* the run captures at exactly those and pauses after the last
+    (nothing past it is wanted); without, it captures at every boundary and
+    runs to completion.  *observe*, when given, sees each captured boundary
+    first — the place to record what a caller locates its variants against.
+
+    Returns ``{boundary: image}``, all in one :class:`ForkContext` that lives
+    exactly as long as the images do.  A boundary the run never reached (it
+    finished first) is absent.  What a resumed fork may change without
+    leaving the reference run's history is anything read only *after* the
+    boundary: the executor's restore ``mode`` (read when a failure needs a
+    replacement group) and the injector's kills (read at failure polls), so
+    arming a kill on the resumed injector is arming it up front.
+    """
+    wanted = frozenset(boundaries or ())
+    last = max(wanted, default=None)
+    context = ForkContext()
+    images: Dict[int, SimulatorImage] = {}
+
+    def hook(boundary: int) -> bool:
+        if not wanted or boundary in wanted:
+            if observe is not None:
+                observe(boundary)
+            images[boundary] = context.capture(executor)
+        return boundary != last
+
+    executor.run(boundary_hook=hook)
+    return images

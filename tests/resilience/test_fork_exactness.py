@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import CHAOS_APPS, CampaignConfig, _build_world
-from repro.engine.fork import ForkContext
+from repro.engine.fork import ForkContext, capture_boundaries
 from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.placement import make_placement
 from repro.resilience.store import AppResilientStore
@@ -251,3 +251,69 @@ def test_pause_resume_on_origin_equals_fork():
     report_fork = forked.run()
     assert _fingerprint(forked, report_fork) == fp
     assert np.array_equal(np.asarray(result_of(forked.app)), result)
+
+
+def test_shared_slots_dedupe_within_and_across_captures():
+    """One side-table slot per shared object per context; a frozen view of a
+    writable base is snapshotted once per capture however often the graph
+    names it."""
+    owner = np.arange(6.0)
+    owner.setflags(write=False)
+    view = np.arange(10.0)[2:6]
+    view.setflags(write=False)
+    context = ForkContext()
+    first = context.capture({"a": owner, "b": owner, "v": view, "w": view}).load()
+    assert first["a"] is owner and first["b"] is owner
+    assert first["v"] is first["w"] and first["v"] is not view
+    assert len(context._frozen) == 2
+    second = context.capture([owner, view]).load()
+    assert second[0] is owner
+    assert len(context._frozen) == 3  # the owner's slot reused, the view re-snapshotted
+
+
+def test_context_and_images_survive_process_transport():
+    """What a spawn-style pool does: pickle the images (and through them the
+    context) with the plain pickler, load them elsewhere, resume."""
+    import pickle
+
+    config = CampaignConfig(
+        app="linreg", places=4, iterations=6, checkpoint_interval=2, schedules=1
+    )
+    fp, result, images, name = _run_with_captures(
+        config, [ScriptedKill(place_id=2, iteration=3)]
+    )
+    shipped = pickle.loads(pickle.dumps(images))
+    contexts = {id(image._context) for image in shipped.values()}
+    assert len(contexts) == 1
+    assert shipped[0].version_floor == images[0].version_floor
+    frozen = next(iter(shipped.values()))._context._frozen
+    assert all(not a.flags.writeable for a in frozen if isinstance(a, np.ndarray))
+    _resume_and_check(shipped, fp, result, name)
+
+
+def test_capture_boundaries_named_pauses_after_the_last():
+    config = CampaignConfig(
+        app="linreg", places=4, iterations=8, checkpoint_interval=3, schedules=1
+    )
+    _, _, _, result_of = CHAOS_APPS[config.app]
+    rt, app, _, executor = _build_world(config, RestoreMode.SHRINK, "blocking")
+    straight = executor.run()
+    fp, result = _fingerprint(executor, straight), np.asarray(result_of(app)).copy()
+
+    rt, app, _, executor = _build_world(config, RestoreMode.SHRINK, "blocking")
+    seen = []
+    images = capture_boundaries(executor, [5, 2], observe=seen.append)
+    assert sorted(images) == seen == [2, 5]
+    assert app.iteration == 5  # paused: nothing past the last boundary ran
+    _resume_and_check(images, fp, result, config.app)
+    assert _fingerprint(executor, executor.run()) == fp  # the origin continues too
+
+
+def test_capture_boundaries_unnamed_captures_all_and_skips_the_unreached():
+    config = CampaignConfig(
+        app="pagerank", places=4, iterations=5, checkpoint_interval=2, schedules=1
+    )
+    executor = _build_world(config, RestoreMode.SHRINK, "blocking")[3]
+    assert sorted(capture_boundaries(executor)) == [0, 1, 2, 3, 4, 5]
+    executor = _build_world(config, RestoreMode.SHRINK, "blocking")[3]
+    assert sorted(capture_boundaries(executor, [3, 99])) == [3]

@@ -1,14 +1,54 @@
 """Tests for the benchmark harness (small axes so they run quickly)."""
 
+import dataclasses
 
+import pytest
+
+from repro import baseline
 from repro.bench import calibration, figures
 from repro.bench.harness import (
     APP_REGISTRY,
+    _overhead_cell,
+    _restore_cell,
     run_checkpoint_sweep,
     run_overhead_sweep,
     run_restore_sweep,
     table4_from_reports,
 )
+from repro.resilience.executor import IterativeExecutor, RestoreMode
+from repro.runtime.factory import make_runtime
+
+MODES = ("shrink-rebalance", "shrink", "replace-redundant")
+
+
+def _restore_cell_from_scratch(
+    app_name, iterations, checkpoint_interval, failure_iteration, mode_values,
+    places, spares=None,
+):
+    """The reference the forked cell must equal: one fresh world per mode,
+    the kill armed before ``run()``, and a fresh baseline run.  *spares*
+    overrides the protocol's choice (one iff the mode replaces)."""
+    NonRes, Res, wl_factory, cost_factory = APP_REGISTRY[app_name]
+    wl = wl_factory(iterations)
+    reports = {}
+    for mode_value in mode_values:
+        mode = RestoreMode(mode_value)
+        mode_spares = spares
+        if mode_spares is None:
+            mode_spares = 1 if mode == RestoreMode.REPLACE_REDUNDANT else 0
+        with make_runtime(
+            places, cost=cost_factory(), resilient=True, spares=mode_spares
+        ) as rt:
+            app = Res(rt, wl)
+            rt.injector.kill_at_iteration(places // 2, iteration=failure_iteration)
+            reports[mode_value] = IterativeExecutor(
+                rt, app, checkpoint_interval=checkpoint_interval, mode=mode
+            ).run()
+    with make_runtime(places, cost=cost_factory(), resilient=False) as rt:
+        app = NonRes(rt, wl)
+        t0 = rt.now()
+        app.run()
+        return {"reports": reports, "baseline": rt.now() - t0}
 
 
 class TestCalibration:
@@ -74,6 +114,127 @@ class TestRestoreSweep:
         )
         for by_places in out["reports"].values():
             assert by_places[4].restores == 1
+
+
+    def test_unreachable_failure_point_is_rejected(self):
+        with pytest.raises(ValueError, match=r"iteration 15.*10 iterations"):
+            run_restore_sweep(
+                "linreg", places_list=[2], iterations=10, failure_iteration=15
+            )
+        for failure_iteration in (0, 12):
+            with pytest.raises(ValueError):
+                run_restore_sweep(
+                    "linreg", places_list=[2], iterations=12,
+                    failure_iteration=failure_iteration,
+                )
+
+
+class TestSharedPrefix:
+    """A restore cell simulates the failure-free prefix once and forks the
+    modes from it: same bytes as three from-scratch runs, fewer steps."""
+
+    #: (iterations, checkpoint interval, failure iteration): mid-period, on
+    #: a checkpoint boundary, the last iteration, right after the first
+    #: checkpoint.
+    PROTOCOLS = [(12, 5, 7), (12, 5, 5), (12, 4, 11), (12, 5, 1)]
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: "-".join(map(str, p)))
+    @pytest.mark.parametrize("places", [2, 5])
+    @pytest.mark.parametrize("app_name", sorted(APP_REGISTRY))
+    def test_forked_cell_equals_from_scratch(self, app_name, places, protocol):
+        cell = _restore_cell(app_name, *protocol, MODES, places)
+        reference = _restore_cell_from_scratch(app_name, *protocol, MODES, places)
+        assert list(cell["reports"]) == list(reference["reports"])
+        for mode, report in reference["reports"].items():
+            assert report.restores == 1
+            assert dataclasses.asdict(cell["reports"][mode]) == dataclasses.asdict(
+                report
+            ), mode
+        assert cell["baseline"] == reference["baseline"]
+
+    @pytest.mark.parametrize("places", [2, 8])
+    @pytest.mark.parametrize("app_name", ["linreg", "pagerank"])
+    def test_an_idle_spare_is_invisible_to_the_shrink_modes(self, app_name, places):
+        """Why one reference world can serve all three modes."""
+        shrinks = ("shrink", "shrink-rebalance")
+        without, with_spare = (
+            _restore_cell_from_scratch(
+                app_name, 12, 5, 7, shrinks, places, spares=spares
+            )["reports"]
+            for spares in (0, 1)
+        )
+        for mode in shrinks:
+            assert dataclasses.asdict(with_spare[mode]) == dataclasses.asdict(
+                without[mode]
+            )
+
+    def test_step_budget(self, monkeypatch):
+        """7 prefix steps once, then per mode the 2 rolled-back and the 5
+        remaining: 28.  Three from-scratch runs complete 3 * (12 + 2) = 42."""
+        from repro.apps.resilient import LinRegResilient
+
+        attempted, completed = [], []
+        step = LinRegResilient.step
+
+        def counted(self):
+            attempted.append(self.iteration)
+            step(self)
+            completed.append(self.iteration)
+
+        monkeypatch.setattr(LinRegResilient, "step", counted)
+        _restore_cell("linreg", 12, 5, 7, MODES, 4)
+        assert len(completed) == 7 + 3 * (2 + 5)
+        assert len(attempted) == len(completed) + 3  # one aborted by each kill
+
+
+class TestBaselineMemo:
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        baseline.clear()
+        yield
+        baseline.clear()
+
+    def _key(self, places=3, iterations=12):
+        NonRes, _, wl_factory, cost_factory = APP_REGISTRY["linreg"]
+        return NonRes, wl_factory(iterations), cost_factory(), places
+
+    def test_returns_what_a_fresh_run_returns(self):
+        fresh = _restore_cell_from_scratch("linreg", 12, 5, 7, (), 3)["baseline"]
+        assert baseline.failure_free_time(*self._key()) == fresh
+        assert baseline.failure_free_time(*self._key()) == fresh  # the hit
+        assert isinstance(fresh, float) and fresh > 0
+
+    def test_overhead_and_restore_cells_share_one_run(self, monkeypatch):
+        NonRes = APP_REGISTRY["linreg"][0]
+        built_on_resilient = []
+        init = NonRes.__init__
+
+        def counted(self, runtime, *args, **kwargs):
+            built_on_resilient.append(runtime.resilient)
+            init(self, runtime, *args, **kwargs)
+
+        monkeypatch.setattr(NonRes, "__init__", counted)
+        overhead = dict(_overhead_cell("linreg", 12, 3))
+        cell = _restore_cell("linreg", 12, 5, 7, MODES, 3)
+        # One non-resilient run serves both; the resilient-finish run of
+        # the overhead protocol is nobody's duplicate and is not memoized.
+        assert built_on_resilient == [False, True]
+        assert cell["baseline"] / 12 * 1e3 == overhead["non-resilient finish"]
+        assert list(baseline._time_memo) == [self._key()]
+
+    def test_a_changed_cost_model_misses(self):
+        NonRes, wl, cost, places = self._key()
+        slower = dataclasses.replace(cost, latency=cost.latency * 2)
+        assert baseline.failure_free_time(
+            NonRes, wl, slower, places
+        ) > baseline.failure_free_time(NonRes, wl, cost, places)
+        assert len(baseline._time_memo) == 2
+
+    def test_clear_empties_it(self):
+        baseline.failure_free_time(*self._key())
+        assert baseline._time_memo
+        baseline.clear()
+        assert not baseline._time_memo
 
 
 class TestFigures:

@@ -52,14 +52,33 @@ class TestSweep:
         assert "resilient finish" in out
 
     def test_restore_sweep(self, capsys):
-        assert main(["sweep", "fig7", "--max-places", "4", "--iterations", "8"]) == 0
+        assert main(["sweep", "fig7", "--max-places", "4", "--iterations", "16"]) == 0
         out = capsys.readouterr().out
         assert "shrink-rebalance" in out
+        # A restore really happened: the three modes recover differently.
+        for row in out.splitlines()[1:]:
+            assert len(set(row.split()[1:4])) == 3, row
 
     def test_table4(self, capsys):
-        assert main(["sweep", "table4", "--max-places", "4", "--iterations", "8"]) == 0
+        assert main(["sweep", "table4", "--max-places", "4", "--iterations", "16"]) == 0
         out = capsys.readouterr().out
         assert "C%" in out and "R%" in out
+        restore_pcts = [float(line.split()[-1]) for line in out.splitlines()]
+        assert len(restore_pcts) == 9 and all(pct > 0 for pct in restore_pcts)
+
+    @pytest.mark.parametrize("experiment", ["fig5", "table4"])
+    def test_unreachable_failure_is_a_usage_error(self, experiment, capsys):
+        """--iterations below the protocol's kill used to print a table in
+        which no failure ever fired (three equal columns, R% 0.0)."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", experiment, "--max-places", "4", "--iterations", "12"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "the restore protocol kills a place at iteration 15; "
+            "--iterations must be at least 16" in captured.err
+        )
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
