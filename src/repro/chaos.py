@@ -50,6 +50,7 @@ from repro.apps.resilient import (
 from repro.baseline import failure_free_result
 from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.placement import ParityPlacement, make_placement
+from repro.resilience.snapshot import orphaned_copies
 from repro.resilience.store import AppResilientStore
 from repro.runtime.cost import CostModel
 from repro.runtime.detector import PhiAccrualDetector
@@ -882,6 +883,19 @@ def run_schedule(
                     "parity-covered schedule restored without a single XOR "
                     "reconstruction"
                 )
+
+        # Invariant 9: no copy without an owner.  Every snapshot copy in a
+        # live heap belongs to a snapshot one of the stores still references.
+        owners = store.live_snapshots()
+        if executor.rstore is not None:
+            owners += executor.rstore.live_snapshots()
+        orphans = orphaned_copies(rt, owners)
+        if orphans:
+            outcome.violations.append(
+                f"{len(orphans)} snapshot copies in live heaps belong to no "
+                f"snapshot a store references "
+                f"(kinds {sorted({key[0] for key in orphans})})"
+            )
 
         recovered = (
             report.failures_observed

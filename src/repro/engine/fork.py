@@ -84,14 +84,19 @@ def _shared(slot: int) -> Any:
 
 
 class _ResumeUnpickler(pickle.Unpickler):
-    def __init__(self, file, frozen: List[Any]):
+    """Resolves each global once per :class:`ForkContext`, not once per load:
+    the context's table starts with ``_shared`` (answered by the side table's
+    ``__getitem__``) and remembers what ``pickle``'s import-and-getattr found."""
+
+    def __init__(self, file, resolved: Dict[tuple, Any]):
         super().__init__(file)
-        self._frozen_at = frozen.__getitem__
+        self._resolved = resolved
 
     def find_class(self, module: str, name: str) -> Any:
-        if name == "_shared" and module == __name__:
-            return self._frozen_at
-        return super().find_class(module, name)
+        found = self._resolved.get((module, name))
+        if found is None:
+            found = self._resolved[module, name] = super().find_class(module, name)
+        return found
 
 
 class SimulatorImage:
@@ -119,7 +124,7 @@ class SimulatorImage:
 
     def load(self) -> Any:
         ensure_version_floor(self.version_floor)
-        return _ResumeUnpickler(io.BytesIO(self._payload), self._context._frozen).load()
+        return _ResumeUnpickler(io.BytesIO(self._payload), self._context._resolved).load()
 
 
 class ForkContext:
@@ -136,8 +141,7 @@ class ForkContext:
     """
 
     def __init__(self) -> None:
-        self._frozen: List[Any] = []
-        self._slot_of: Dict[int, int] = {}
+        self.__setstate__({"frozen": []})
 
     def capture(self, root: Any, **meta: Any) -> SimulatorImage:
         """Snapshot *root*'s full object graph into a resumable image."""
@@ -200,11 +204,18 @@ class ForkContext:
         return {"frozen": self._frozen}
 
     def __setstate__(self, state):
-        self._frozen = state["frozen"]
+        """Adopt a side table; everything else is derived from it."""
+        self._frozen: List[Any] = state["frozen"]
         for shared in self._frozen:
             if type(shared) is np.ndarray:
                 shared.setflags(write=False)
-        self._slot_of = {id(shared): slot for slot, shared in enumerate(self._frozen)}
+        self._slot_of: Dict[int, int] = {
+            id(shared): slot for slot, shared in enumerate(self._frozen)
+        }
+        #: ``(module, name) -> object`` for every global a load has resolved.
+        self._resolved: Dict[tuple, Any] = {
+            (__name__, "_shared"): self._frozen.__getitem__
+        }
 
 
 def capture_boundaries(

@@ -35,10 +35,10 @@ class MatrixBlock:
     def for_grid(cls, grid: Grid, rb: int, cb: int, data: BlockData) -> "MatrixBlock":
         """Build a block for grid slot ``(rb, cb)``, validating the shape."""
         h, w = grid.block_dims(rb, cb)
-        require(
-            data.shape == (h, w),
-            f"block ({rb},{cb}) payload shape {data.shape} != grid slot {(h, w)}",
-        )
+        if data.shape != (h, w):
+            raise ValueError(
+                f"block ({rb},{cb}) payload shape {data.shape} != grid slot {(h, w)}"
+            )
         r0, c0 = grid.block_origin(rb, cb)
         return cls(rb, cb, r0, c0, data)
 
@@ -83,7 +83,8 @@ class BlockSet:
     def add(self, block: MatrixBlock) -> None:
         """Insert a block (duplicate coordinates rejected)."""
         key = block.key
-        require(key not in self._blocks, f"duplicate block {key}")
+        if key in self._blocks:
+            raise ValueError(f"duplicate block {key}")
         blocks = {**self._blocks, key: block}
         if self._blocks and key < next(reversed(self._blocks)):
             blocks = dict(sorted(blocks.items()))

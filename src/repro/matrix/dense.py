@@ -11,7 +11,6 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from repro.util.validation import require
 from repro.util.versioning import next_version
 
 
@@ -21,7 +20,8 @@ class DenseMatrix:
     __slots__ = ("m", "n", "data", "version")
 
     def __init__(self, data: np.ndarray):
-        require(data.ndim == 2, f"dense matrix needs a 2-D array, got {data.ndim}-D")
+        if data.ndim != 2:
+            raise ValueError(f"dense matrix needs a 2-D array, got {data.ndim}-D")
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.m, self.n = self.data.shape
         self.version = next_version()
@@ -70,7 +70,10 @@ class DenseMatrix:
     def freeze_view(self) -> "DenseMatrix":
         """Freeze the backing array and return a snapshot alias sharing it."""
         self.data.setflags(write=False)
-        return DenseMatrix(self.data)
+        # An alias of an array this matrix already validated: no constructor.
+        alias = object.__new__(DenseMatrix)
+        alias.data, alias.m, alias.n, alias.version = self.data, self.m, self.n, next_version()
+        return alias
 
     def payload_arrays(self) -> Tuple[np.ndarray, ...]:
         """Backing arrays for snapshot checksumming (``repro.util.checksum``)."""

@@ -407,27 +407,18 @@ class DistBlockMatrix(MultiPlaceObject):
             for index in range(self.group.size):
                 for block in self.block_set(index):
                     block_nnz[block.key] = block.data.nnz
-        snap = self._new_snapshot(
+        return self._snapshot_partitions(
             {
                 "kind": self.kind,
                 "row_sizes": list(self.grid.row_sizes),
                 "col_sizes": list(self.grid.col_sizes),
                 "owners": self.block_map.owner_dict(),
                 "block_nnz": block_nnz,
-            }
+            },
+            base,
+            token_of=BlockSet.version_token,
+            view_of=BlockSet.freeze_view_dict,
         )
-        base = self._delta_base(snap, base)
-        group, key = self.group, self.heap_key
-
-        def save(ctx: PlaceContext) -> None:
-            index = group.index_of(ctx.place)
-            bs: BlockSet = ctx.heap.get(key)
-            self._save_partition(
-                snap, ctx, index, bs.version_token(), base, bs.freeze_view_dict
-            )
-
-        self.runtime.finish_all(group, save, label=f"{self.name}:snapshot")
-        return snap
 
     def restore_snapshot(self, snapshot: DistObjectSnapshot) -> None:
         """Reload block data after a :meth:`remake`.

@@ -207,19 +207,9 @@ class DistSparseRowMatrix(MultiPlaceObject):
         self, base: Optional[DistObjectSnapshot] = None
     ) -> DistObjectSnapshot:
         """Save each row band under its place index, doubly stored."""
-        snap = self._new_snapshot(
-            {"m": self.m, "n": self.n, "sizes": list(self.partition.sizes)}
+        return self._snapshot_partitions(
+            {"m": self.m, "n": self.n, "sizes": list(self.partition.sizes)}, base
         )
-        base = self._delta_base(snap, base)
-        group, key = self.group, self.heap_key
-
-        def save(ctx: PlaceContext) -> None:
-            index = group.index_of(ctx.place)
-            band: SparseCSR = ctx.heap.get(key)
-            self._save_partition(snap, ctx, index, band.version, base, band.freeze_view)
-
-        self.runtime.finish_all(group, save, label=f"{self.name}:snapshot")
-        return snap
 
     def restore_snapshot(self, snapshot: DistObjectSnapshot) -> None:
         """Reload bands; repartition via overlapping row-range copies."""

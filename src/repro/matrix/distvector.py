@@ -191,9 +191,12 @@ class DistVector(MultiPlaceObject):
         return self._cellwise_pair(other, lambda a, b: a.set_sub_vector(0, b), label="copy_from")
 
     def _check_aligned(self, other: "DistVector") -> None:
-        require(other.n == self.n, "DistVector length mismatch")
-        require(other.group == self.group, "DistVector operands on different groups")
-        require(other.partition == self.partition, "DistVector partitions differ")
+        if other.n != self.n:
+            raise ValueError("DistVector length mismatch")
+        if other.group is not self.group and other.group != self.group:
+            raise ValueError("DistVector operands on different groups")
+        if other.partition is not self.partition and other.partition != self.partition:
+            raise ValueError("DistVector partitions differ")
 
     # -- reductions --------------------------------------------------------------
 
@@ -379,17 +382,9 @@ class DistVector(MultiPlaceObject):
         With a compatible *base* (delta mode), unchanged segments are
         adopted by reference and changed ones saved copy-on-write.
         """
-        snap = self._new_snapshot({"n": self.n, "sizes": list(self.partition.sizes)})
-        base = self._delta_base(snap, base)
-        group = self.group
-
-        def save(ctx: PlaceContext) -> None:
-            index = group.index_of(ctx.place)
-            seg: Vector = ctx.heap.get(self.heap_key)
-            self._save_partition(snap, ctx, index, seg.version, base, seg.freeze_view)
-
-        self.runtime.finish_all(group, save, label=f"{self.name}:snapshot")
-        return snap
+        return self._snapshot_partitions(
+            {"n": self.n, "sizes": list(self.partition.sizes)}, base
+        )
 
     def restore_snapshot(self, snapshot: DistObjectSnapshot) -> None:
         """Reload segments; repartition via overlap copies if needed."""

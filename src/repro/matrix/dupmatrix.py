@@ -98,17 +98,7 @@ class _DupMatrixBase(MultiPlaceObject):
         return self
 
     def make_snapshot(self, base: Optional[DistObjectSnapshot] = None) -> DistObjectSnapshot:
-        snap = self._new_snapshot({"shape": (self.m, self.n), "kind": self._KIND})
-        base = self._delta_base(snap, base)
-        group, key = self.group, self.heap_key
-
-        def save(ctx: PlaceContext) -> None:
-            index = group.index_of(ctx.place)
-            replica: MatrixPayload = ctx.heap.get(key)
-            self._save_partition(snap, ctx, index, replica.version, base, replica.freeze_view)
-
-        self.runtime.finish_all(group, save, label=f"{self.name}:snapshot")
-        return snap
+        return self._snapshot_partitions({"shape": (self.m, self.n), "kind": self._KIND}, base)
 
     def restore_snapshot(self, snapshot: DistObjectSnapshot) -> None:
         require(

@@ -168,8 +168,10 @@ class DupVector(MultiPlaceObject):
         )
 
     def _check_aligned(self, other: "DupVector") -> None:
-        require(other.n == self.n, "DupVector length mismatch")
-        require(other.group == self.group, "DupVector operands live on different groups")
+        if other.n != self.n:
+            raise ValueError("DupVector length mismatch")
+        if other.group is not self.group and other.group != self.group:
+            raise ValueError("DupVector operands live on different groups")
 
     # -- reductions -----------------------------------------------------------
 
@@ -285,16 +287,7 @@ class DupVector(MultiPlaceObject):
 
         Delta mode adopts unchanged replicas from *base* by reference.
         """
-        snap = self._new_snapshot({"n": self.n})
-        base = self._delta_base(snap, base)
-
-        def save(ctx: PlaceContext) -> None:
-            index = self.group.index_of(ctx.place)
-            vec: Vector = ctx.heap.get(self.heap_key)
-            self._save_partition(snap, ctx, index, vec.version, base, vec.freeze_view)
-
-        self.runtime.finish_all(self.group, save, label=f"{self.name}:snapshot")
-        return snap
+        return self._snapshot_partitions({"n": self.n}, base)
 
     def restore_snapshot(self, snapshot: DistObjectSnapshot) -> None:
         """Reload each replica from the key matching its *new* index.

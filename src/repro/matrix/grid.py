@@ -98,26 +98,23 @@ class Partition1D:
         # memoized.
         self._ranges = list(zip(self.offsets[:-1], self.offsets[1:]))
         self._overlap_memo: dict = {}
+        self.num_segments = len(self.sizes)
 
     @classmethod
     def even(cls, n: int, parts: int) -> "Partition1D":
         """The default near-even partition."""
         return cls(n, split_even(n, parts))
 
-    @property
-    def num_segments(self) -> int:
-        return len(self.sizes)
-
     def range_of(self, segment: int) -> Tuple[int, int]:
         """Half-open global index range of a segment."""
-        if 0 <= segment < len(self._ranges):
-            return self._ranges[segment]
-        check_index(segment, self.num_segments, "segment")
-        return self._ranges[segment]  # pragma: no cover - check_index raised
+        if not 0 <= segment < self.num_segments:
+            check_index(segment, self.num_segments, "segment")
+        return self._ranges[segment]
 
     def segment_of(self, index: int) -> int:
         """The segment containing global index *index*."""
-        check_index(index, self.n, "index")
+        if not 0 <= index < self.n:
+            check_index(index, self.n, "index")
         return bisect.bisect_right(self.offsets, index) - 1
 
     def overlapping_segments(self, lo: int, hi: int) -> List[Tuple[int, int, int]]:
@@ -196,49 +193,45 @@ class Grid:
         self.col_sizes = list(col_sizes)
         self.row_offsets = offsets_of(self.row_sizes)
         self.col_offsets = offsets_of(self.col_sizes)
+        # A grid is immutable after construction: its shape is tabulated here
+        # and read as plain attributes by the per-block accessors below.
+        self.num_row_blocks = len(self.row_sizes)
+        self.num_col_blocks = len(self.col_sizes)
+        self.num_blocks = self.num_row_blocks * self.num_col_blocks
 
     @classmethod
     def partition(cls, m: int, n: int, row_blocks: int, col_blocks: int) -> "Grid":
         """GML's near-even ``rowBlocks × colBlocks`` grid."""
         return cls(m, n, split_even(m, row_blocks), split_even(n, col_blocks))
 
-    # -- shape -----------------------------------------------------------
-
-    @property
-    def num_row_blocks(self) -> int:
-        return len(self.row_sizes)
-
-    @property
-    def num_col_blocks(self) -> int:
-        return len(self.col_sizes)
-
-    @property
-    def num_blocks(self) -> int:
-        return self.num_row_blocks * self.num_col_blocks
-
     # -- block coordinate math ------------------------------------------
+
+    def _check_block(self, rb: int, cb: int) -> None:
+        check_index(rb, self.num_row_blocks, "row block")
+        check_index(cb, self.num_col_blocks, "col block")
 
     def block_id(self, rb: int, cb: int) -> int:
         """Row-major linear id of block ``(rb, cb)``."""
-        check_index(rb, self.num_row_blocks, "row block")
-        check_index(cb, self.num_col_blocks, "col block")
+        if not (0 <= rb < self.num_row_blocks and 0 <= cb < self.num_col_blocks):
+            self._check_block(rb, cb)
         return rb * self.num_col_blocks + cb
 
     def block_coords(self, block_id: int) -> Tuple[int, int]:
         """Inverse of :meth:`block_id`."""
-        check_index(block_id, self.num_blocks, "block id")
+        if not 0 <= block_id < self.num_blocks:
+            check_index(block_id, self.num_blocks, "block id")
         return divmod(block_id, self.num_col_blocks)
 
     def block_dims(self, rb: int, cb: int) -> Tuple[int, int]:
         """``(rows, cols)`` of block ``(rb, cb)``."""
-        check_index(rb, self.num_row_blocks, "row block")
-        check_index(cb, self.num_col_blocks, "col block")
+        if not (0 <= rb < self.num_row_blocks and 0 <= cb < self.num_col_blocks):
+            self._check_block(rb, cb)
         return self.row_sizes[rb], self.col_sizes[cb]
 
     def block_origin(self, rb: int, cb: int) -> Tuple[int, int]:
         """Global ``(row, col)`` of the block's top-left element."""
-        check_index(rb, self.num_row_blocks, "row block")
-        check_index(cb, self.num_col_blocks, "col block")
+        if not (0 <= rb < self.num_row_blocks and 0 <= cb < self.num_col_blocks):
+            self._check_block(rb, cb)
         return self.row_offsets[rb], self.col_offsets[cb]
 
     def block_region(self, rb: int, cb: int) -> Region:

@@ -12,6 +12,7 @@ the driver, and supports the resilient-GML lifecycle:
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter, methodcaller
 from typing import Any
 
 from repro.resilience.snapshot import Snapshottable
@@ -98,7 +99,7 @@ class MultiPlaceObject(Snapshottable):
 
     def payload_at_index(self, index: int) -> Any:
         """Library-internal: payload of the place at a group index."""
-        return self.local_payload(self.group[index])
+        return self.runtime.heap_of(self.group[index].id).get(self.heap_key)
 
     # -- delta checkpointing -------------------------------------------------
 
@@ -113,40 +114,57 @@ class MultiPlaceObject(Snapshottable):
             for index in range(self.group.size)
         }
 
-    @staticmethod
-    def _delta_base(snap, base):
-        """The usable delta base, or None when *base* is not compatible.
+    def _snapshot_partitions(
+        self,
+        meta: dict,
+        base,
+        token_of=attrgetter("version"),
+        view_of=methodcaller("freeze_view"),
+    ):
+        """The body of every ``make_snapshot``: save each member place's
+        payload under its group index, in one finish.
 
-        A base snapshot from a different group / replication layout cannot
-        donate copies by reference (they live in the wrong heaps), so the
-        save silently degrades to a full checkpoint.
-        """
-        if base is not None and snap.delta_compatible(base):
-            return base
-        return None
-
-    def _save_partition(self, snap, ctx, key, token, base, view_fn) -> None:
-        """Save one partition, skipping the save + CRC when it is clean.
-
-        *token* is the partition's current mutation token; *base* the
-        compatible previous committed snapshot (or None for a full save).
-        Clean partitions adopt the base's copies by reference
+        *token_of(payload)* is the partition's current mutation token and
+        *view_of(payload)* its frozen alias sharing the live arrays
+        copy-on-write (the defaults read a single-place numeric).  With a
+        *base* — the previous committed snapshot, usable only while its group
+        and replication layout match (its copies live in the same heaps) —
+        partitions it proves clean are adopted by reference
         (:meth:`~repro.resilience.snapshot.DistObjectSnapshot.save_clean_from`);
-        every other one is saved as *view_fn()*, a frozen alias sharing the
-        live arrays copy-on-write — full and delta differ only in which.
+        every other one is saved in full, so full and delta differ only in
+        which.  A snapshot that fails to complete owns no copies: whatever
+        the finish wrote before a place died is deleted before the failure
+        propagates.
         """
-        if base is not None and base.can_reuse(key, token):
-            snap.save_clean_from(ctx, key, base)
-        else:
-            snap.save_from(ctx, key, view_fn(), token=token)
+        snap = self._new_snapshot(meta)
+        if base is not None and not snap.delta_compatible(base):
+            base = None
+        key, index_by_id = self.heap_key, self.group._index_by_id
+
+        def save(ctx) -> None:
+            index = index_by_id[ctx.place.id]
+            payload = ctx.heap.get(key)
+            token = token_of(payload)
+            if base is not None and base.can_reuse(index, token):
+                snap.save_clean_from(ctx, index, base)
+            else:
+                snap.save_from(ctx, index, view_of(payload), token=token)
+
+        try:
+            self.runtime.finish_all(self.group, save, label=f"{self.name}:snapshot")
+        except BaseException:
+            snap.delete()
+            raise
+        return snap
 
     # -- lifecycle ---------------------------------------------------------
 
     def _release_payloads(self) -> None:
         """Drop payloads on all live member places (dead heaps are gone)."""
-        for place in self.group:
-            if self.runtime.is_alive(place.id):
-                self.runtime.heap_of(place.id).remove_if_present(self.heap_key)
+        alive, heaps, key = self.runtime._alive, self.runtime._heaps, self.heap_key
+        for pid in self.group._index_by_id:
+            if alive.get(pid, False):
+                heaps[pid].pop(key, None)
 
     def destroy(self) -> None:
         """Free this object's storage everywhere."""

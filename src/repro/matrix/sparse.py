@@ -112,7 +112,12 @@ def _freeze_view(self):
     self.indptr.setflags(write=False)
     self.indices.setflags(write=False)
     self.values.setflags(write=False)
-    alias = type(self)._build(self.m, self.n, self.indptr, self.indices, self.values)
+    # An alias of arrays this matrix already holds typed: no constructor.
+    alias = object.__new__(type(self))
+    alias.m, alias.n = self.m, self.n
+    alias.indptr, alias.indices, alias.values = self.indptr, self.indices, self.values
+    alias.version = next_version()
+    alias._ids = alias._sp = alias._sp_ver = None
     if self._sp_ver == self.version:
         # The current scipy handle wraps exactly the arrays just frozen;
         # either side's touch() bumps its own version before a write.
@@ -127,7 +132,7 @@ class SparseCSR:
     construction.
     """
 
-    __slots__ = ("m", "n", "indptr", "indices", "values", "version", "_row_ids", "_sp", "_sp_ver")
+    __slots__ = ("m", "n", "indptr", "indices", "values", "version", "_ids", "_sp", "_sp_ver")
 
     def __init__(self, m: int, n: int, indptr, indices, values):
         self.m, self.n = int(m), int(n)
@@ -135,7 +140,7 @@ class SparseCSR:
         self.indices = _as_index(indices)
         self.values = np.asarray(values, dtype=np.float64)
         self.version = next_version()
-        self._row_ids = None  # lazy: the index structure is immutable
+        self._ids = None  # lazy: the index structure is immutable
         self._sp = None  # lazy zero-copy scipy [view, view.T]
         self._sp_ver = None  # version the view was built at (touch invalidates)
         require(self.m >= 0 and self.n >= 0, "negative matrix dims")
@@ -165,7 +170,7 @@ class SparseCSR:
         self.indices = _as_index(indices)
         self.values = np.asarray(values, dtype=np.float64)
         self.version = next_version()
-        self._row_ids = None
+        self._ids = None
         self._sp = None
         self._sp_ver = None
         return self
@@ -245,11 +250,11 @@ class SparseCSR:
         construction, so repeated matvecs stop paying the O(nnz)
         ``np.repeat`` re-expansion per call.
         """
-        ids = self._row_ids
+        ids = self._ids
         if ids is None:
             ids = np.repeat(np.arange(self.m, dtype=_INDEX_DTYPE), np.diff(self.indptr))
             ids.setflags(write=False)
-            self._row_ids = ids
+            self._ids = ids
         return ids
 
     def _scipy(self, transposed: bool = False):
@@ -397,8 +402,15 @@ class SparseCSR:
 
     @staticmethod
     def hstack(blocks: Sequence["SparseCSR"]) -> "SparseCSR":
-        """Concatenate blocks side by side (equal row counts)."""
+        """Concatenate blocks side by side (equal row counts).
+
+        A single block is returned as it is: a canonical CSR (sorted columns,
+        no duplicates — the class invariant, which every ``sub_matrix`` tile
+        holds) comes back from the COO round trip below with equal arrays.
+        """
         require(len(blocks) > 0, "hstack needs at least one block")
+        if len(blocks) == 1:
+            return blocks[0]
         m = blocks[0].m
         require(all(b.m == m for b in blocks), "hstack blocks differ in row count")
         n = sum(b.n for b in blocks)
@@ -421,13 +433,18 @@ class SparseCSR:
 
     @staticmethod
     def vstack(blocks: Sequence["SparseCSR"]) -> "SparseCSR":
-        """Concatenate blocks top to bottom (equal column counts)."""
+        """Concatenate blocks top to bottom (equal column counts); a single
+        block is returned as it is."""
         require(len(blocks) > 0, "vstack needs at least one block")
+        if len(blocks) == 1:
+            return blocks[0]
         n = blocks[0].n
         require(all(b.n == n for b in blocks), "vstack blocks differ in col count")
         indptr_parts = [blocks[0].indptr]
+        nnz = blocks[0].indptr[-1]
         for b in blocks[1:]:
-            indptr_parts.append(b.indptr[1:] + indptr_parts[-1][-1])
+            indptr_parts.append(b.indptr[1:] + nnz)
+            nnz = nnz + b.indptr[-1]  # not the last part's end: a zero-row block has none
         return SparseCSR._build(
             sum(b.m for b in blocks),
             n,
@@ -460,7 +477,7 @@ class SparseCSC:
     format round-trip tests.
     """
 
-    __slots__ = ("m", "n", "indptr", "indices", "values", "version", "_col_ids", "_sp", "_sp_ver")
+    __slots__ = ("m", "n", "indptr", "indices", "values", "version", "_ids", "_sp", "_sp_ver")
 
     def __init__(self, m: int, n: int, indptr, indices, values):
         self.m, self.n = int(m), int(n)
@@ -468,7 +485,7 @@ class SparseCSC:
         self.indices = _as_index(indices)
         self.values = np.asarray(values, dtype=np.float64)
         self.version = next_version()
-        self._col_ids = None  # lazy: the index structure is immutable
+        self._ids = None  # lazy: the index structure is immutable
         self._sp = None  # lazy zero-copy scipy [view, view.T]
         self._sp_ver = None  # version the view was built at (touch invalidates)
         require(len(self.indptr) == self.n + 1, "indptr must have n+1 entries")
@@ -490,7 +507,7 @@ class SparseCSC:
         self.indices = _as_index(indices)
         self.values = np.asarray(values, dtype=np.float64)
         self.version = next_version()
-        self._col_ids = None
+        self._ids = None
         self._sp = None
         self._sp_ver = None
         return self
@@ -527,11 +544,11 @@ class SparseCSC:
     def col_ids(self) -> np.ndarray:
         """Expanded column index of every stored entry (cached; see
         :meth:`SparseCSR.row_ids`)."""
-        ids = self._col_ids
+        ids = self._ids
         if ids is None:
             ids = np.repeat(np.arange(self.n, dtype=_INDEX_DTYPE), np.diff(self.indptr))
             ids.setflags(write=False)
-            self._col_ids = ids
+            self._ids = ids
         return ids
 
     def _scipy(self, transposed: bool = False):

@@ -11,7 +11,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.util.validation import require
 from repro.util.versioning import next_version
 
 
@@ -22,7 +21,8 @@ class Vector:
 
     def __init__(self, data: np.ndarray):
         data = np.asarray(data, dtype=np.float64)
-        require(data.ndim == 1, f"vector needs a 1-D array, got {data.ndim}-D")
+        if data.ndim != 1:
+            raise ValueError(f"vector needs a 1-D array, got {data.ndim}-D")
         self.data = np.ascontiguousarray(data)
         self.n = len(self.data)
         self.version = next_version()
@@ -72,7 +72,10 @@ class Vector:
         it out, leaving the snapshot's bytes untouched.
         """
         self.data.setflags(write=False)
-        return Vector(self.data)
+        # An alias of an array this vector already validated: no constructor.
+        alias = object.__new__(Vector)
+        alias.data, alias.n, alias.version = self.data, self.n, next_version()
+        return alias
 
     def payload_arrays(self):
         """The backing arrays (checksum / corruption protocol)."""

@@ -204,11 +204,18 @@ class ParityObjectSnapshot(DistObjectSnapshot):
     def _groups(self) -> List[int]:
         return sorted({self._parity_group(key) for key in self._saved_keys})
 
+    def _place_holds(self, place: Place, heap_key: tuple) -> bool:
+        """True while *place* is alive and its heap holds *heap_key*."""
+        rt = self.runtime
+        return rt._alive.get(place.id, False) and rt._heaps[place.id].contains(heap_key)
+
     def _primary_held(self, key: int) -> bool:
-        return self._held(self._homes[key][0], self._heap_key(key, 0))
+        _, pid, heap_key = self._rows[key][0]
+        rt = self.runtime
+        return rt._alive.get(pid, False) and rt._heaps[pid].contains(heap_key)
 
     def _block_held(self, gidx: int) -> bool:
-        return gidx in self._parity and self._held(
+        return gidx in self._parity and self._place_holds(
             self._parity_place(gidx), self._parity_key(gidx)
         )
 
@@ -286,10 +293,10 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         rt = self.runtime
         cost = rt.cost
         parity_place = self._parity_place(gidx)
-        payloads = {
-            m: rt.heap_of(self._homes[m][0].id).get(self._heap_key(m, 0))
-            for m in self._saved_members(gidx)
-        }
+        payloads = {}
+        for m in self._saved_members(gidx):
+            _, pid, heap_key = self._rows[m][0]
+            payloads[m] = rt.heap_of(pid).get(heap_key)
         # Raw mode (every member one contiguous buffer) XORs the buffers
         # directly — no pickling, no per-member blob materialization.
         raw = all(_raw_codec(p) is not None for p in payloads.values())
@@ -398,7 +405,7 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         gidx = self._parity_group(key)
         parity_place = self._parity_place(gidx)
         recon_key = self._recon_key(key)
-        if self._held(parity_place, recon_key):
+        if self._place_holds(parity_place, recon_key):
             return parity_place.id, recon_key
         if not self._block_held(gidx) or not self._verify_tier(key, PARITY_TIER):
             return None
@@ -412,8 +419,8 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         )
         xored = self._parity[gidx] + FRAMING_BYTES
         for m in peers:
-            src = self._homes[m][0].id
-            payload = rt.heap_of(src).get(self._heap_key(m, 0))
+            _, src, heap_key = self._rows[m][0]
+            payload = rt.heap_of(src).get(heap_key)
             encoded = _encode(payload, raw)
             if encoded is None:
                 # A peer no longer matches the raw encoding the block
@@ -507,7 +514,7 @@ class ParityObjectSnapshot(DistObjectSnapshot):
             gidx = self._parity_group(key)
             block_or_copy = self._block_held(gidx) or (
                 gidx in self._parity
-                and self._held(self._parity_place(gidx), self._recon_key(key))
+                and self._place_holds(self._parity_place(gidx), self._recon_key(key))
             )
             if not block_or_copy or not all(
                 self._primary_held(m) for m in self._saved_members(gidx) if m != key
@@ -559,15 +566,15 @@ class ParityObjectSnapshot(DistObjectSnapshot):
                 src_id, heap_key = self.locate(key)
             except DataLossError:
                 continue
+            nbytes = self._nbytes[key]
             if src_id == self.STABLE_TIER:
                 payload = self._stable[key]
-                rt.engine.stable_read(home.id, payload_nbytes(payload))
+                rt.engine.stable_read(home.id, nbytes)
             else:
                 payload = rt.heap_of(src_id).get(heap_key)
-                nbytes = payload_nbytes(payload)
                 self._ship(src_id, home.id, nbytes)
                 rt.clock.advance(home.id, rt.cost.memcpy(nbytes))
-            rt.heap_of(home.id).put(self._heap_key(key, 0), payload)
+            rt.heap_of(home.id).put(self._rows[key][0][2], payload)
             self._verified.add((key, 0))
             refilled_groups.add(self._parity_group(key))
             repaired += 1

@@ -67,7 +67,8 @@ class ReplicaPlacement(ABC):
 
     def offsets(self, backups: int, group_size: int) -> List[int]:
         """The resolved, collision-free offsets for this policy."""
-        require(backups >= 0, "backups must be >= 0")
+        if backups < 0:
+            raise ValueError("backups must be >= 0")
         return resolve_offsets(self.raw_offsets(backups, group_size), group_size)
 
     def __repr__(self) -> str:

@@ -144,11 +144,17 @@ class ReconstructionStore:
         consistent.
         """
         fresh: Dict[Snapshottable, DistObjectSnapshot] = {}
-        for obj, backups in objs:
-            self._configure(obj, self.replicas if backups is None else backups)
-            snap = obj.make_snapshot()
-            fresh[obj] = snap
-            self.redundancy_bytes += snap.total_nbytes
+        try:
+            for obj, backups in objs:
+                self._configure(obj, self.replicas if backups is None else backups)
+                snap = obj.make_snapshot()
+                fresh[obj] = snap
+                self.redundancy_bytes += snap.total_nbytes
+        except BaseException:
+            # The generation is never committed: free the snapshots it completed.
+            for snap in fresh.values():
+                snap.delete()
+            raise
         previous = self._state
         self._state = fresh
         self.state_iteration = iteration
@@ -172,12 +178,13 @@ class ReconstructionStore:
             obj.snapshot_placement = self.placement
         obj.snapshot_stable_fallback = False
 
+    def live_snapshots(self) -> List[DistObjectSnapshot]:
+        """Every snapshot the store holds: the statics and the committed state."""
+        return list(self._static.values()) + list(self._state.values())
+
     def placement_ok(self) -> bool:
         """Invariant surface: no replica co-resident with its primary."""
-        return all(
-            snap.placement_ok()
-            for snap in list(self._static.values()) + list(self._state.values())
-        )
+        return all(snap.placement_ok() for snap in self.live_snapshots())
 
     def fully_redundant(self) -> bool:
         """True while every static copy set is complete (post-repair check)."""
@@ -197,7 +204,7 @@ class ReconstructionStore:
 
     def delete(self) -> None:
         """Free every copy (end-of-run cleanup for long-lived runtimes)."""
-        for snap in list(self._static.values()) + list(self._state.values()):
+        for snap in self.live_snapshots():
             snap.delete()
         self._static.clear()
         self._state.clear()

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.resilience.placement import ReplicaPlacement, RingPlacement
 from repro.runtime.exceptions import (
@@ -44,12 +45,33 @@ from repro.runtime.exceptions import (
 )
 from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
-from repro.util.bytesize import memoized_nbytes, payload_nbytes
+from repro.util.bytesize import freeze_and_size, payload_nbytes
 from repro.util.checksum import corrupt_payload, memoized_checksum
 from repro.util.validation import require
-from repro.util.versioning import freeze_payload
 
 _snap_counter = itertools.count()
+
+#: First element of every heap key a snapshot store writes: primary, backup,
+#: parity block and parity-reconstructed partition (the last two belong to
+#: :mod:`~repro.resilience.parity`); the second element is the snapshot id.
+COPY_KINDS = frozenset(("snap", "snapb", "snapp", "snapr"))
+
+
+def orphaned_copies(runtime: Runtime, snapshots: Iterable["DistObjectSnapshot"]) -> List[tuple]:
+    """Heap keys of snapshot copies that none of *snapshots* owns.
+
+    The "no copy without an owner" invariant, as one pass over the heaps'
+    keys: a copy outlives its snapshot only through a bug (a save that
+    failed half-way, a store that dropped a snapshot without deleting it),
+    and then sits in the survivors' heaps for the rest of the run.
+    """
+    owned = {snap.snap_id for snap in snapshots}
+    return [
+        key
+        for heap in runtime._heaps.values()
+        for key in heap._store
+        if type(key) is tuple and key[0] in COPY_KINDS and key[1] not in owned
+    ]
 
 
 class Snapshottable(ABC):
@@ -112,6 +134,9 @@ class DistObjectSnapshot:
         self.stable_fallback = stable_fallback
         self._stable: Dict[int, Any] = {}
         self._saved_keys: set = set()
+        #: Modeled size of each saved partition, by key, measured once, at
+        #: save: every copy of a key has it (a bit flip never changes a size).
+        self._nbytes: List[int] = [0] * group.size
         self.total_nbytes = 0.0
         #: Mutation-version token recorded per key at save time (the dirty
         #: test of delta checkpointing compares against these).
@@ -147,32 +172,40 @@ class DistObjectSnapshot:
         columns = [places[o:] + places[:o] for o in (0, *self._offsets)]
         return list(zip(*columns))
 
-    def _heap_key(self, key: int, tier: int) -> tuple:
-        """Heap key of the in-memory copy of *key* at *tier*."""
-        if tier == 0:
-            return ("snap", self.snap_id, key)
-        return ("snapb", self.snap_id, key, tier)
+    @cached_property
+    def _rows(self) -> List[Tuple[Tuple[int, int, tuple], ...]]:
+        """The copy table with its heap keys: ``_rows[key]`` lists ``(tier,
+        place id, heap key)`` of every in-memory copy *key* was saved with,
+        in the order a read tries them.
 
-    def _copies(self, key: int) -> List[Tuple[int, Place, tuple]]:
-        """``(tier, place, heap key)`` of every in-memory copy *key* was
-        saved with, in the order a read tries them."""
-        return [
-            (tier, place, self._heap_key(key, tier))
-            for tier, place in enumerate(self._homes[key])
+        Derived from ``_homes``: tabulated on first use, again by
+        :meth:`rebind_group`, and left out of fork images.  A copy is *held*
+        while ``rt._alive.get(pid, False) and rt._heaps[pid].contains(heap
+        key)``; the passes over the rows test that inline.
+        """
+        sid = self.snap_id
+        # Built by tier column, like ``_home_table``, then transposed back.
+        columns = [
+            [
+                (tier, place.id, ("snapb", sid, key, tier) if tier else ("snap", sid, key))
+                for key, place in enumerate(column)
+            ]
+            for tier, column in enumerate(zip(*self._homes))
         ]
+        return list(zip(*columns)) or [()] * len(self._homes)
 
-    def _held(self, place: Place, heap_key: tuple) -> bool:
-        """True while *place* is alive and its heap holds *heap_key*."""
-        rt = self.runtime
-        return rt._alive.get(place.id, False) and rt._heaps[place.id].contains(heap_key)
+    def __getstate__(self) -> Dict[str, Any]:
+        # Every fork image holds every snapshot; a load re-derives the rows.
+        state = self.__dict__.copy()
+        state.pop("_rows", None)
+        return state
 
     def _check_owner(self, ctx: PlaceContext, key: int) -> None:
-        # Message built lazily: this guard runs on every partition save.
+        """Raise unless *ctx* runs at the place owning partition *key*."""
         if self.group.index_of(ctx.place) != key:
-            require(
-                False,
+            raise ValueError(
                 f"partition {key} must be saved from group index {key}, "
-                f"not from {ctx.place}",
+                f"not from {ctx.place}"
             )
 
     # -- saving ------------------------------------------------------------
@@ -195,20 +228,19 @@ class DistObjectSnapshot:
         *token* is the partition's mutation-version token; recording it is
         what lets the next delta save prove the partition clean.
         """
-        self._check_owner(ctx, key)
+        place = ctx.place
+        places = self.group._places
+        if not (0 <= key < len(places) and places[key] is place):
+            self._check_owner(ctx, key)
         rt = self.runtime
         zero = rt.engine.zero_fast()
-        freeze_payload(payload)
-        # Sized after the freeze so the token-keyed memo applies (a re-save
-        # of an unchanged partition skips the recursive measuring pass).
-        nbytes = memoized_nbytes(payload, token)
-        owner_id = ctx.place.id
-        homes = self._homes[key]
+        nbytes = freeze_and_size(payload)
+        owner_id = place.id
+        copies = self._rows[key]
         fanout = []
-        for tier, place in enumerate(homes):
-            heap_key = self._heap_key(key, tier)
-            if place.id != owner_id:
-                fanout.append((place.id, heap_key))
+        for tier, pid, heap_key in copies:
+            if pid != owner_id:
+                fanout.append((pid, heap_key))
             else:
                 # The primary — or, in a single-place group, a degenerate
                 # "replica" on the same place, forwarded by reference: the
@@ -226,17 +258,16 @@ class DistObjectSnapshot:
                 for pid, _ in fanout:
                     if not alive.get(pid, False):
                         raise DeadPlaceException(pid)
-                for pid, heap_key in fanout:
-                    rt._heaps[pid].put(heap_key, payload)
             else:
                 rt.engine.transfer_fanout(
                     owner_id, [pid for pid, _ in fanout], nbytes, ctx.now
                 )
-                for pid, heap_key in fanout:
-                    rt.heap_of(pid).put(heap_key, payload)
                 rt.clock.set_at_least(
                     owner_id, ctx.now + len(fanout) * cost.message(0)
                 )
+            heaps = rt._heaps
+            for pid, heap_key in fanout:
+                heaps[pid].put(heap_key, payload)
             rt.stats.messages += len(fanout)
             rt.stats.bytes_sent += len(fanout) * cost.scaled_bytes(nbytes)
         if self.stable_fallback:
@@ -250,11 +281,12 @@ class DistObjectSnapshot:
         if not zero:
             ctx.charge_seconds(rt.cost.checksum(nbytes))
         verified = self._verified
-        for tier in range(len(homes)):
+        for tier in range(len(copies)):
             verified.add((key, tier))
         if self.stable_fallback:
             verified.add((key, self.STABLE_TIER))
         self._saved_keys.add(key)
+        self._nbytes[key] = nbytes
         if token is not None:
             self._versions[key] = token
         self.total_nbytes += nbytes
@@ -284,11 +316,13 @@ class DistObjectSnapshot:
         are unchanged — reusing a degraded redundancy set would let the
         next failure destroy the last copy.
         """
-        return (
-            key in self._saved_keys
-            and all(self._held(place, hk) for _, place, hk in self._copies(key))
-            and (not self.stable_fallback or key in self._stable)
-        )
+        if key not in self._saved_keys:
+            return False
+        alive, heaps = self.runtime._alive, self.runtime._heaps
+        for _, pid, heap_key in self._rows[key]:
+            if not (alive.get(pid, False) and heaps[pid].contains(heap_key)):
+                return False
+        return not self.stable_fallback or key in self._stable
 
     def can_reuse(self, key: int, token: Optional[Any]) -> bool:
         """True when *key* is provably clean: same mutation token as the
@@ -314,9 +348,9 @@ class DistObjectSnapshot:
         self._check_owner(ctx, key)
         rt = self.runtime
         adopted = []
-        for tier, place, heap_key in self._copies(key):
-            heap = rt.heap_of(place.id)
-            payload = heap.get(base._heap_key(key, tier))
+        for (tier, pid, heap_key), base_row in zip(self._rows[key], base._rows[key]):
+            heap = rt.heap_of(pid)
+            payload = heap.get(base_row[2])
             heap.put(heap_key, payload)
             adopted.append((tier, payload))
         if self.stable_fallback:
@@ -331,9 +365,7 @@ class DistObjectSnapshot:
         )
         if key in base._versions:
             self._versions[key] = base._versions[key]
-        # Sized from the first copy of the ladder (a bit flip never changes
-        # a size, so even a struck copy measures right).
-        nbytes = payload_nbytes(adopted[0][1])
+        nbytes = self._nbytes[key] = base._nbytes[key]
         self._saved_keys.add(key)
         self.clean_keys.add(key)
         self.clean_nbytes += nbytes
@@ -375,9 +407,14 @@ class DistObjectSnapshot:
         if key not in self._saved_keys:
             require(False, f"snapshot has no key {key}")
         quarantined_before = len(self.quarantined)
-        for tier, place, heap_key in self._copies(key):
-            if self._held(place, heap_key) and self._verify_tier(key, tier):
-                return place.id, heap_key
+        alive, heaps, verified = self.runtime._alive, self.runtime._heaps, self._verified
+        for tier, pid, heap_key in self._rows[key]:
+            if (
+                alive.get(pid, False)
+                and heaps[pid].contains(heap_key)
+                and ((key, tier) in verified or self._verify_tier(key, tier))
+            ):
+                return pid, heap_key
         hit = self._locate_rederived(key)
         if hit is not None:
             return hit
@@ -424,9 +461,9 @@ class DistObjectSnapshot:
         if tier == self.STABLE_TIER:
             payload = self._stable[key]
         else:
-            place_id, heap_key = self._homes[key][tier].id, self._heap_key(key, tier)
+            _, place_id, heap_key = self._rows[key][tier]
             payload = rt.heap_of(place_id).get(heap_key)
-            rt.clock.advance(place_id, rt.cost.checksum(payload_nbytes(payload)))
+            rt.clock.advance(place_id, rt.cost.checksum(self._nbytes[key]))
         expected = self._expected_checksum(key)
         if expected is None or memoized_checksum(payload, self._versions.get(key)) == expected:
             self._verified.add((key, tier))
@@ -449,7 +486,12 @@ class DistObjectSnapshot:
         primary, 1..k = replicas, :data:`STABLE_TIER` = disk."""
         if key not in self._saved_keys:
             return []
-        out = [tier for tier, place, hk in self._copies(key) if self._held(place, hk)]
+        alive, heaps = self.runtime._alive, self.runtime._heaps
+        out = [
+            tier
+            for tier, pid, heap_key in self._rows[key]
+            if alive.get(pid, False) and heaps[pid].contains(heap_key)
+        ]
         if key in self._stable:
             out.append(self.STABLE_TIER)
         return out
@@ -468,8 +510,8 @@ class DistObjectSnapshot:
         if tier == self.STABLE_TIER:
             self._stable[key] = corrupt_payload(self._stable[key])
         else:
-            heap = self.runtime.heap_of(self._homes[key][tier].id)
-            heap_key = self._heap_key(key, tier)
+            _, place_id, heap_key = self._rows[key][tier]
+            heap = self.runtime.heap_of(place_id)
             heap.put(heap_key, corrupt_payload(heap.get(heap_key)))
         self._verified.discard((key, tier))
         return True
@@ -499,7 +541,7 @@ class DistObjectSnapshot:
         src_id, heap_key = self.locate(key)
         if src_id == self.STABLE_TIER:
             payload = self._stable[key]
-            self.runtime.engine.stable_read(ctx.place.id, payload_nbytes(payload))
+            self.runtime.engine.stable_read(ctx.place.id, self._nbytes[key])
             if self._homes[key]:
                 # A fall-through is only counted where there was a memory
                 # tier to fall from; a disk-only store reads disk by design.
@@ -509,19 +551,24 @@ class DistObjectSnapshot:
                 payload = extract(payload)
                 ctx.charge_memcpy(payload_nbytes(payload))
             return payload
-        payload = self.runtime.heap_of(src_id).get(heap_key)
+        rt = self.runtime
+        payload = rt._heaps[src_id].get(heap_key)  # locate() found the place alive
         if extract is not None:
-            cost = self.runtime.cost
+            cost = rt.cost
             charge = cost.flops(extract_flops) + cost.memcpy(extract_bytes)
             if charge:
-                self.runtime.clock.advance(src_id, charge)
+                rt.clock.advance(src_id, charge)
             payload = extract(payload)
-        if src_id == ctx.place.id:
-            # Local read: the size only feeds the (zero) memcpy charge.
-            if not self.runtime.engine.zero_fast():
-                ctx.charge_memcpy(payload_nbytes(payload))
+        local = src_id == ctx.place.id
+        if local and rt.engine.zero_fast():
+            # The size of a local read only feeds the (zero) memcpy charge.
+            return payload
+        # A whole partition was measured when it was saved.
+        nbytes = self._nbytes[key] if extract is None else payload_nbytes(payload)
+        if local:
+            ctx.charge_memcpy(nbytes)
         else:
-            _ = ctx.read_remote(src_id, heap_key, payload_nbytes(payload))
+            _ = ctx.read_remote(src_id, heap_key, nbytes)
         return payload
 
     def verify_all(self) -> Tuple[int, int]:
@@ -547,11 +594,13 @@ class DistObjectSnapshot:
         copies for some keys; full redundancy is what the read-only reuse
         optimization requires of snapshots without a stable tier.
         """
-        return all(
-            self._held(place, heap_key)
-            for key in self._saved_keys
-            for _, place, heap_key in self._copies(key)
-        )
+        alive, heaps = self.runtime._alive, self.runtime._heaps
+        rows = self._rows
+        for key in self._saved_keys:
+            for _, pid, heap_key in rows[key]:
+                if not (alive.get(pid, False) and heaps[pid].contains(heap_key)):
+                    return False
+        return True
 
     def reusable(self) -> bool:
         """True if a later checkpoint may safely re-reference this snapshot.
@@ -600,8 +649,18 @@ class DistObjectSnapshot:
             new_group.size == self.group.size,
             "rebind_group cannot resize the snapshot group",
         )
+        stale = self._rows
         self.group = new_group
         self._homes = self._home_table()
+        del self._rows
+        # A copy whose home left the table is out of every read's reach (a
+        # spare an aborted recovery had installed here, say): free it now, or
+        # nothing ever will.
+        alive, heaps = self.runtime._alive, self.runtime._heaps
+        for was, now in zip(stale, self._rows):
+            for (_, pid, heap_key), (_, new_pid, _) in zip(was, now):
+                if pid != new_pid and alive.get(pid, False):
+                    heaps[pid].pop(heap_key, None)
 
     def repair(self, new_group: Optional[PlaceGroup] = None) -> int:
         """Scrub hook: re-materialize copies a failure destroyed; returns
@@ -614,12 +673,13 @@ class DistObjectSnapshot:
 
     def delete(self) -> None:
         """Free all surviving copies (old checkpoints are deleted on commit)."""
-        alive = self.runtime._alive
-        heaps = self.runtime._heaps
-        for key in self._saved_keys:
-            for tier, place in enumerate(self._homes[key]):
-                if alive.get(place.id, False):
-                    heaps[place.id].remove_if_present(self._heap_key(key, tier))
+        alive, heaps = self.runtime._alive, self.runtime._heaps
+        # Every row, not only the saved keys: a save that a dead backup home
+        # aborted has already written its primary.
+        for row in self._rows:
+            for _, pid, heap_key in row:
+                if alive.get(pid, False):
+                    heaps[pid].pop(heap_key, None)
         self._stable.clear()
         self._saved_keys.clear()
 

@@ -159,6 +159,13 @@ class AppResilientStore:
         snapshot = obj.make_snapshot()
         self._read_only_registry[obj] = snapshot
         self._in_progress.read_only[obj] = snapshot
+        latest = self.latest()
+        if existing is not None and (
+            latest is None or latest.read_only.get(obj) is not existing
+        ):
+            # Taken by a cancelled attempt and superseded before any commit
+            # referenced it: the registry was its only owner.
+            existing.delete()
 
     def commit(self, iteration: int = 0) -> None:
         """Atomically publish the in-progress checkpoint.
@@ -206,6 +213,15 @@ class AppResilientStore:
         latest = self.latest()
         require(latest is not None, "no committed checkpoint")
         return latest.iteration
+
+    def live_snapshots(self) -> List[DistObjectSnapshot]:
+        """Every snapshot that may own heap copies: the latest committed
+        checkpoint's, the read-only registry's and the open attempt's."""
+        out = list(self._read_only_registry.values())
+        for app_snap in (self.latest(), self._in_progress):
+            if app_snap is not None:
+                out.extend(app_snap.all_snapshots())
+        return out
 
     def restore(self) -> None:
         """Reload every object of the latest checkpoint (Listing 5 L14).

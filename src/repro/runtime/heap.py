@@ -32,22 +32,35 @@ class PlaceHeap:
     their entries as ``("gml", object_id, ...)`` and snapshots as
     ``("snap", snapshot_id, key)``.
 
-    ``get(key)`` fetches an entry (``KeyError`` if absent).
+    While the place lives, the four per-entry operations are the backing
+    dict's own bound methods, so a call costs no Python frame:
+
+    * ``get(key)`` fetches an entry (``KeyError`` if absent);
+    * ``put(key, value)`` stores *value*, replacing any previous entry;
+    * ``contains(key)`` is True if an entry exists;
+    * ``pop(key, default)`` deletes and returns the entry, or *default*.
+
+    :meth:`destroy` rebinds the last three to a stub raising the dead-heap
+    ``RuntimeError`` (``get`` reaches it through the emptied store's
+    ``__missing__``).
     """
 
-    __slots__ = ("place_id", "_store", "destroyed", "get")
+    __slots__ = ("place_id", "_store", "destroyed", "get", "put", "contains", "pop")
 
     def __init__(self, place_id: int):
         self.place_id = place_id
-        self._store = _Entries()
-        self._store.place_id = place_id
-        self._store.dead = False
+        store = self._store = _Entries()
+        store.place_id = place_id
+        store.dead = False
         self.destroyed = False
-        self.get = self._store.__getitem__
+        self.get = store.__getitem__
+        self.put = store.__setitem__
+        self.contains = store.__contains__
+        self.pop = store.pop
 
     def __getstate__(self):
-        # ``get`` is derived from the store and rebuilt on load; a plain
-        # dict keeps the pickled heap (every fork image holds them all) small.
+        # The bound methods are derived from the store and rebuilt on load; a
+        # plain dict keeps the pickled heap (every fork image holds them all) small.
         return self.place_id, dict(self._store), self.destroyed
 
     def __setstate__(self, state) -> None:
@@ -57,25 +70,16 @@ class PlaceHeap:
         if destroyed:
             self.destroy()
 
-    def _check_live(self) -> None:
+    def _check_live(self, *_args) -> None:
+        """Raise on a destroyed heap; with any arguments, the stand-in for
+        ``put`` / ``contains`` / ``pop`` once the place is dead."""
         if self.destroyed:
             raise RuntimeError(f"heap of dead place {self.place_id} accessed")
-
-    def put(self, key: Hashable, value: Any) -> None:
-        """Store *value* under *key*, replacing any previous entry."""
-        if self.destroyed:
-            self._check_live()
-        self._store[key] = value
 
     def get_or(self, key: Hashable, default: Any = None) -> Any:
         """Fetch the entry for *key* or *default* when absent."""
         self._check_live()
         return self._store.get(key, default)
-
-    def contains(self, key: Hashable) -> bool:
-        """True if an entry exists for *key*."""
-        self._check_live()
-        return key in self._store
 
     def remove(self, key: Hashable) -> Any:
         """Delete and return the entry for *key*; ``KeyError`` if absent."""
@@ -85,8 +89,7 @@ class PlaceHeap:
 
     def remove_if_present(self, key: Hashable) -> None:
         """Delete the entry for *key* if it exists."""
-        self._check_live()
-        self._store.pop(key, None)
+        self.pop(key, None)
 
     def keys_with_prefix(self, prefix: tuple) -> List[Hashable]:
         """All tuple keys starting with *prefix* (for bulk eviction)."""
@@ -104,10 +107,16 @@ class PlaceHeap:
             del self._store[k]
         return len(keys)
 
+    def clear(self) -> None:
+        """Drop all contents of a live heap (its tenant is done with the place)."""
+        self._check_live()
+        self._store.clear()
+
     def destroy(self) -> None:
         """Irrevocably drop all contents (the place died)."""
         self._store.clear()
         self._store.dead = self.destroyed = True
+        self.put = self.contains = self.pop = self._check_live
 
     def __len__(self) -> int:
         self._check_live()

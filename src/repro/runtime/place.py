@@ -55,6 +55,8 @@ class PlaceGroup:
         # id -> index map is built once and serves the hot membership /
         # index lookups in O(1) instead of scanning the place list.
         self._index_by_id = {pid: i for i, pid in enumerate(ids)}
+        #: Number of places in the group (X10 ``PlaceGroup.size()``).
+        self.size = len(ids)
 
     # -- constructors -----------------------------------------------------
 
@@ -71,11 +73,6 @@ class PlaceGroup:
     # -- sequence protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._places)
-
-    @property
-    def size(self) -> int:
-        """Number of places in the group (X10 ``PlaceGroup.size()``)."""
         return len(self._places)
 
     def __iter__(self) -> Iterator[Place]:

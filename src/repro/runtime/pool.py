@@ -438,8 +438,11 @@ class PlacePool:
     def release(self, lease: PlaceLease) -> None:
         """Return a lease's live places to the free set (idempotent).
 
-        Unclaimed live dedicated spares go back to the shared reserve —
-        released capacity is recycled, not stranded.
+        The places come back empty: while leased they held one tenant's data
+        only (payloads, snapshot copies), and the tenancy is over, so each
+        heap is cleared and the next tenant inherits nothing.  Unclaimed live
+        dedicated spares go back to the shared reserve — released capacity
+        is recycled, not stranded.
         """
         if lease.state == RELEASED:
             return
@@ -448,6 +451,7 @@ class PlacePool:
         for place in lease.members:
             self._lease_of.pop(place.id, None)
             if rt.is_alive(place.id):
+                rt.heap_of(place.id).clear()
                 self._free.append(place)
                 self._free_ids.add(place.id)
                 self._free_live += 1

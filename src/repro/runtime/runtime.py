@@ -581,7 +581,9 @@ class Runtime:
         ``DeadPlaceException`` / ``MultipleException`` if any group member
         was dead or died during the phase — exactly X10's finish semantics.
         """
-        return self._finish(zip(group, repeat(fn)), len(group), arg_bytes, ret_bytes, label)
+        return self._finish(
+            zip(group._places, repeat(fn)), group.size, arg_bytes, ret_bytes, label
+        )
 
     def finish_tasks(
         self,

@@ -569,6 +569,19 @@ class ClusterService:
     # -- report ------------------------------------------------------------
 
     def _check_invariants(self, report: ServiceReport) -> None:
+        # Stream level: a released lease hands back empty places, so once the
+        # stream is over no live place holds anything of a finished job.
+        rt = self.runtime
+        leftovers = {
+            pid: len(heap._store)
+            for pid, heap in rt._heaps.items()
+            if heap._store and self.pool.lease_of(pid) is None
+        }
+        if leftovers:
+            report.violations.append(
+                f"{sum(leftovers.values())} heap entries of finished jobs left "
+                f"on unleased places {sorted(leftovers)}"
+            )
         transients_on = bool(self.config.drop_rate or self.config.dup_rate)
         for res in sorted(self._results.values(), key=lambda r: r.job_id):
             lease_ids = self._lease_ever_ids(res.job_id)

@@ -8,12 +8,11 @@ way the X10 sockets transport would (raw element bytes plus small framing).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
-from repro.util.versioning import payload_frozen
+from repro.util.versioning import freeze_payload
 
 #: Fixed framing overhead per serialized object (message header, type tag).
 FRAMING_BYTES = 64
@@ -50,30 +49,19 @@ def payload_nbytes(obj: Any) -> int:
     raise TypeError(f"cannot size payload of type {type(obj).__name__}")
 
 
-_NBYTES_MEMO_CAPACITY = 4096
-_nbytes_memo: "OrderedDict[Any, int]" = OrderedDict()
+def freeze_and_size(obj: Any) -> int:
+    """Freeze *obj* and return ``payload_nbytes(obj)``, in one walk.
 
-
-def memoized_nbytes(obj: Any, token: Optional[Any]) -> int:
-    """:func:`payload_nbytes` memoized by mutation-version *token*.
-
-    Same token contract as :func:`repro.util.checksum.memoized_checksum`
-    (a token identifies one immutable byte state), but unlike the checksum
-    memo the cache is consulted *before* the frozen-ness walk: the only
-    same-token-different-bytes payloads in the system are the fault
-    injector's bit-flipped copies, and a bit flip never changes a size.
-    New entries are still only recorded for frozen payloads.
-    Capacity-bounded LRU.
+    What a snapshot save needs of a payload: every backing array marked
+    read-only (:func:`repro.util.versioning.freeze_payload`) and the size
+    the cost model charges for it.  Containers are descended once; a leaf
+    is frozen and then sized without another descent.
     """
-    if token is not None:
-        cached = _nbytes_memo.get(token)
-        if cached is not None:
-            _nbytes_memo.move_to_end(token)
-            return cached
-    if token is None or not payload_frozen(obj):
-        return payload_nbytes(obj)
-    size = payload_nbytes(obj)
-    _nbytes_memo[token] = size
-    while len(_nbytes_memo) > _NBYTES_MEMO_CAPACITY:
-        _nbytes_memo.popitem(last=False)
-    return size
+    if isinstance(obj, dict):
+        return FRAMING_BYTES + sum(
+            [payload_nbytes(k) + freeze_and_size(v) for k, v in obj.items()]
+        )
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return FRAMING_BYTES + sum([freeze_and_size(item) for item in obj])
+    freeze_payload(obj)
+    return payload_nbytes(obj)

@@ -203,6 +203,115 @@ class TestCSRAssembly:
             SparseCSR.vstack([SparseCSR.empty(2, 2), SparseCSR.empty(2, 3)])
 
 
+def _hstack_via_coo(blocks):
+    """The reference ``hstack``: every tile row through the COO round trip
+    (row ids, concatenation, stable sort, segment sum), one-tile rows too."""
+    offsets = np.cumsum([0] + [b.n for b in blocks])
+    return SparseCSR.from_coo(
+        blocks[0].m,
+        int(offsets[-1]),
+        np.concatenate([b.row_ids() for b in blocks]),
+        np.concatenate([b.indices + off for b, off in zip(blocks, offsets)]),
+        np.concatenate([b.values for b in blocks]),
+    )
+
+
+def _vstack_by_concatenation(blocks):
+    """The reference ``vstack``: concatenates, a single block too."""
+    indptr, nnz = [blocks[0].indptr], blocks[0].nnz
+    for b in blocks[1:]:
+        indptr.append(b.indptr[1:] + nnz)
+        nnz += b.nnz
+    return SparseCSR(
+        sum(b.m for b in blocks),
+        blocks[0].n,
+        np.concatenate(indptr),
+        np.concatenate([b.indices for b in blocks]),
+        np.concatenate([b.values for b in blocks]),
+    )
+
+
+def _assemble_reference(tiles):
+    return _vstack_by_concatenation([_hstack_via_coo(row) for row in tiles])
+
+
+def _same_csr(a, b):
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "values"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+def _one_tile_cases():
+    """``sub_matrix`` outputs of a canonical CSR — everything ``assemble`` is
+    handed by the repartitioned restore."""
+    parent = SparseCSR.from_dense(random_dense(12, 9, 0.4, seed=11))
+    frozen = parent.freeze_view()
+    hole = random_dense(12, 9, 0.4, seed=12)
+    hole[3:7, :] = 0.0
+    hollow = SparseCSR.from_dense(hole)
+    return {
+        "whole": parent.sub_matrix(0, 12, 0, 9),
+        "full-width-rows": parent.sub_matrix(2, 7, 0, 9),
+        "full-width-rows-of-frozen": frozen.sub_matrix(2, 7, 0, 9),
+        "column-cut": parent.sub_matrix(0, 12, 2, 6),
+        "region": parent.sub_matrix(3, 10, 1, 8),
+        "empty-tile": hollow.sub_matrix(3, 7, 0, 9),
+        "empty-region": hollow.sub_matrix(3, 7, 2, 5),
+        "zero-rows": parent.sub_matrix(4, 4, 0, 9),
+        "zero-cols": parent.sub_matrix(0, 12, 5, 5),
+        "all-zero": SparseCSR.empty(4, 3),
+    }
+
+
+class TestOneTileRows:
+    """``hstack`` (hence ``assemble``) returns a single tile as it is; the
+    result must equal what the COO round trip made of it."""
+
+    @pytest.mark.parametrize("name", sorted(_one_tile_cases()))
+    def test_one_tile_hstack_equals_the_coo_path(self, name):
+        tile = _one_tile_cases()[name]
+        assert SparseCSR.hstack([tile]) is tile
+        _same_csr(tile, _hstack_via_coo([tile]))
+
+    @pytest.mark.parametrize("name", sorted(_one_tile_cases()))
+    def test_one_tile_assemble(self, name):
+        tile = _one_tile_cases()[name]
+        assert SparseCSR.assemble([[tile]]) is tile
+        _same_csr(tile, _assemble_reference([[tile]]))
+
+    @pytest.mark.parametrize("row_cuts,col_cuts", [
+        ([0, 12], [0, 9]),
+        ([0, 12], [0, 3, 4, 9]),
+        ([0, 5, 5, 8, 12], [0, 9]),
+        ([0, 4, 12], [0, 6, 9]),
+    ])
+    def test_tilings_equal_the_reference(self, row_cuts, col_cuts):
+        parent = SparseCSR.from_dense(random_dense(12, 9, 0.4, seed=13)).freeze_view()
+        tiles = [
+            [parent.sub_matrix(r0, r1, c0, c1) for c0, c1 in zip(col_cuts, col_cuts[1:])]
+            for r0, r1 in zip(row_cuts, row_cuts[1:])
+        ]
+        built = SparseCSR.assemble(tiles)
+        _same_csr(built, _assemble_reference(tiles))
+        assert np.array_equal(built.to_dense(), parent.to_dense())
+
+    def test_a_one_tile_block_detaches_on_its_first_write(self):
+        """The returned tile may alias a frozen parent's arrays (a full-width
+        row slice does); ``touch()`` copies before the write."""
+        parent = SparseCSR.from_dense(random_dense(6, 5, 0.6, seed=14)).freeze_view()
+        before = parent.to_dense()
+        block = SparseCSR.assemble([[parent.sub_matrix(1, 4, 0, 5)]])
+        assert np.shares_memory(block.values, parent.values)
+        with pytest.raises(ValueError, match="read-only"):
+            block.values[:] = 0.0
+        block.scale(3.0)
+        assert not np.shares_memory(block.values, parent.values)
+        assert np.array_equal(parent.to_dense(), before)
+        assert np.array_equal(block.to_dense(), 3.0 * before[1:4])
+
+
 class TestCSC:
     @given(sparse_case)
     def test_dense_roundtrip(self, case):

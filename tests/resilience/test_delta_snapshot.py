@@ -264,7 +264,8 @@ class TestCorruptionIsolation:
         # All tiers share one frozen payload object; corrupt_copy must
         # replace, not mutate, or every tier would rot at once.
         assert snap.corrupt_copy(1, 0)
-        backup = rt.heap_of(snap._homes[1][1].id).get(snap._heap_key(1, 1))
+        _, backup_pid, backup_key = snap._rows[1][1]
+        backup = rt.heap_of(backup_pid).get(backup_key)
         assert backup.data.tolist() == [1.0, 1.5]
         assert snap._stable[1].data.tolist() == [1.0, 1.5]
         # locate quarantines the primary and serves the intact backup.

@@ -291,6 +291,52 @@ def test_context_and_images_survive_process_transport():
     _resume_and_check(shipped, fp, result, name)
 
 
+def test_a_context_resolves_each_global_once():
+    """Loads share the context's table of resolved globals: a first load
+    fills it through ``pickle``'s import-and-getattr, later loads of the same
+    images add nothing, and it neither outlives the context nor rides
+    along when the context is shipped to another process."""
+    import pickle
+
+    from repro.engine import fork
+
+    config = CampaignConfig(
+        app="pagerank", places=4, iterations=4, checkpoint_interval=2,
+        schedules=1, placement="parity:2", replicas=1,
+    )
+    fp, result, images, name = _run_with_captures(config, [])
+    context = images[0]._context
+    shared = (fork.__name__, "_shared")
+    assert list(context._resolved) == [shared]
+    for image in images.values():
+        image.load()
+    resolved = dict(context._resolved)
+    assert len(resolved) > 10 and resolved[shared] == context._frozen.__getitem__
+    assert resolved["repro.resilience.executor", "IterativeExecutor"] is IterativeExecutor
+
+    for image in images.values():
+        image.load()
+    assert context._resolved == resolved
+
+    # Later loads are answered from the table alone: an entry swapped for a
+    # marked subclass is what the next load builds its places from.
+    from repro.runtime.place import Place
+
+    class MarkedPlace(Place):
+        __slots__ = ()
+
+    context._resolved["repro.runtime.place", "Place"] = MarkedPlace
+    assert type(images[0].load().runtime.world[0]) is MarkedPlace
+    context._resolved.update(resolved)
+
+    assert list(ForkContext()._resolved) == [shared]
+    shipped = pickle.loads(pickle.dumps(images))
+    arrived = shipped[0]._context
+    assert list(arrived._resolved) == [shared]
+    assert arrived._resolved[shared] == arrived._frozen.__getitem__
+    _resume_and_check(shipped, fp, result, name)
+
+
 def test_capture_boundaries_named_pauses_after_the_last():
     config = CampaignConfig(
         app="linreg", places=4, iterations=8, checkpoint_interval=3, schedules=1

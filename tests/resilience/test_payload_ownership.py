@@ -75,7 +75,9 @@ def case(request):
 
 
 def _arrays(payload):
-    """Every backing array of a live payload or of a snapshot payload."""
+    """Every backing array of a live payload or of a snapshot copy."""
+    if isinstance(payload, np.ndarray):  # a parity block
+        return [payload]
     if isinstance(payload, BlockSet):
         payload = {block.key: block.data for block in payload}
     parts = payload.values() if isinstance(payload, dict) else [payload]
@@ -88,7 +90,7 @@ def _live(obj):
 
 def _saved(obj, snap):
     return [
-        obj.runtime.heap_of(snap.group[key].id).get(snap._heap_key(key, 0))
+        obj.runtime.heap_of(snap.group[key].id).get(snap._rows[key][0][2])
         for key in snap.saved_keys()
     ]
 
@@ -138,3 +140,79 @@ def test_raw_write_to_a_frozen_array_raises(case):
         for array in arrays:
             with pytest.raises(ValueError):
                 array[...] = 0
+
+
+# -- the ownership audit (ROADMAP 5(b)) ---------------------------------------
+
+
+def _buffer_owner(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def _shared_buffers(rt):
+    """Per buffer reached from two places' heaps, or from both a snapshot copy
+    and a live GML payload: the ``(place, key)`` uses through which it is
+    writable (through the array itself or at the buffer's owner)."""
+    reached = {}
+    for pid, heap in rt._heaps.items():
+        for key, value in heap._store.items():
+            kind = "live" if key[0] == "gml" else "copy"
+            for array in _arrays(value):
+                if array.size:
+                    owner = _buffer_owner(array)
+                    writable = array.flags.writeable or owner.flags.writeable
+                    reached.setdefault(id(owner), []).append((pid, kind, key, writable))
+    return [
+        [(pid, key) for pid, _, key, writable in uses if writable]
+        for uses in reached.values()
+        if len({pid for pid, *_ in uses}) > 1 or len({kind for _, kind, *_ in uses}) > 1
+    ]
+
+
+def ownership_violations(rt):
+    """The audit: a shared buffer must be read-only through every use."""
+    return [writable for writable in _shared_buffers(rt) if writable]
+
+
+def _run_with_shrink_rebalance(app_name):
+    """A campaign world run through a checkpoint, a kill and a
+    shrink-rebalance restore (one-tile rows alias the snapshot), then on to
+    the next checkpoint; audited before the world closes."""
+    from repro import chaos
+    from repro.resilience.executor import RestoreMode
+    from repro.runtime.failure import ScriptedKill
+
+    config = chaos.CampaignConfig(app=app_name, seed=1)
+    kills = [ScriptedKill(place_id=3, iteration=config.checkpoint_interval + 1)]
+    rt, _, store, executor = chaos._build_world(
+        config, RestoreMode.SHRINK_REBALANCE, "blocking", kills
+    )
+    with rt:
+        report = executor.run()
+        assert report.restores == 1 and report.checkpoints >= 3
+        assert not rt.injector.unfired()
+        yield rt, store
+
+
+@pytest.mark.parametrize("app_name", ["linreg", "pagerank"])
+def test_no_writable_array_is_shared_after_a_rebalanced_restore(app_name):
+    for rt, store in _run_with_shrink_rebalance(app_name):
+        assert store.latest() is not None
+        # The audit has something to audit: read-only inputs, replica tiers and
+        # (pagerank) one-tile restored link blocks all share frozen buffers.
+        assert len(_shared_buffers(rt)) > 0
+        assert ownership_violations(rt) == []
+
+
+def test_the_audit_catches_a_live_array_saved_without_freeze_view():
+    for rt, _ in _run_with_shrink_rebalance("linreg"):
+        live = next(
+            value
+            for key, value in rt.heap_of(1)._store.items()
+            if key[0] == "gml" and any(a.flags.writeable for a in _arrays(value))
+        )
+        assert ownership_violations(rt) == []
+        rt.heap_of(2).put(("snapb", 10**9, 1, 1), live)  # the live object, not an alias
+        assert ownership_violations(rt) != []

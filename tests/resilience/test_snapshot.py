@@ -48,14 +48,59 @@ class TestSaveLocate:
         pid, key = snap.locate(1)
         assert pid == 2 and key[0] == "snapb"
 
+    def test_rows_carry_the_heap_keys_in_ladder_order(self):
+        from repro.resilience.placement import SpreadPlacement
+
+        rt = make_rt(6)
+        snap = DistObjectSnapshot(rt, rt.world, backups=2, placement=SpreadPlacement())
+        sid = snap.snap_id
+        assert snap._rows[1] == (
+            (0, 1, ("snap", sid, 1)),
+            (1, 3, ("snapb", sid, 1, 1)),
+            (2, 5, ("snapb", sid, 1, 2)),
+        )
+        assert [[pid for _, pid, _ in row] for row in snap._rows] == [
+            [place.id for place in homes] for homes in snap._homes
+        ]
+
+    def test_rows_are_derived_not_shipped_and_follow_a_rebind(self):
+        """Fork images carry the copy table, not its rows; a load (like a
+        ``rebind_group``) rebuilds them on first use."""
+        from repro.engine.fork import ForkContext
+
+        rt = Runtime(4, cost=CostModel.zero(), spares=1)
+        snap = DistObjectSnapshot(rt, rt.world)
+        save_all(rt, snap, lambda i: Vector.of([float(i)]))
+        rows = snap._rows
+        assert "_rows" in vars(snap)
+        loaded = ForkContext().capture(snap).load()
+        assert "_rows" not in vars(loaded) and "_rows" in vars(snap)
+        assert loaded._rows == rows and loaded.locate(2) == snap.locate(2)
+        rt.kill(2)
+        snap.rebind_group(rt.world.replace(rt.world[2], rt.claim_spare()))
+        assert [pid for _, pid, _ in snap._rows[2]] == [4, 3]
+        assert [pid for _, pid, _ in snap._rows[1]] == [1, 4]
+        assert not snap.key_intact(2) and not snap.key_intact(1) and snap.key_intact(3)
+
     def test_save_from_wrong_place_rejected(self):
         rt = make_rt(2)
         snap = DistObjectSnapshot(rt, rt.world)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="partition 1 must be saved from group index 1"):
             rt.finish_all(
                 PlaceGroup.of_ids([0]),
                 lambda ctx: snap.save_from(ctx, 1, Vector.make(1)),
             )
+        for bad_key in (-1, 2):
+            with pytest.raises(ValueError, match=f"partition {bad_key} must be saved"):
+                rt.finish_all(
+                    PlaceGroup.of_ids([1]),
+                    lambda ctx, key=bad_key: snap.save_from(ctx, key, Vector.make(1)),
+                )
+        # An equal Place that is not the group's own object still owns its key.
+        rt.finish_all(
+            PlaceGroup.of_ids([1]), lambda ctx: snap.save_from(ctx, 1, Vector.make(1))
+        )
+        assert snap.has_key(1)
 
     def test_single_place_group_double_local(self):
         rt = make_rt(2)

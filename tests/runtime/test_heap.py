@@ -56,6 +56,40 @@ class TestPlaceHeap:
             with pytest.raises(RuntimeError, match="heap of dead place 3 accessed"):
                 op()
 
+    def test_dead_heap_raises_on_every_entry_operation(self):
+        """``put`` / ``contains`` / ``pop`` are the store's own bound methods
+        while the place lives; a destroyed heap — and one resumed from a fork
+        image of a destroyed heap — must raise on all of them."""
+        origin = Runtime(2, cost=CostModel.zero())
+        origin.heap_of(1).put("x", 1)
+        origin.kill(1)
+        resumed = ForkContext().capture(origin).load()
+        for heap in (origin._heaps[1], resumed._heaps[1]):
+            assert heap.destroyed
+            for op in (
+                lambda: heap.get("x"),
+                lambda: heap.put("y", 2),
+                lambda: heap.contains("x"),
+                lambda: heap.pop("x", None),
+                lambda: heap.remove_if_present("x"),
+                lambda: heap.remove("x"),
+                lambda: heap.get_or("x"),
+                lambda: heap.clear(),
+            ):
+                with pytest.raises(RuntimeError, match="heap of dead place 1 accessed"):
+                    op()
+
+    def test_live_heap_entry_operations_are_the_stores_own(self):
+        h = PlaceHeap(0)
+        assert h.put == h._store.__setitem__
+        assert h.contains == h._store.__contains__
+        assert h.pop == h._store.pop
+        h.put("k", 1)
+        assert h.pop("k", None) == 1 and h.pop("k", "gone") == "gone"
+        h.put("k", 2)
+        h.clear()
+        assert len(h) == 0
+
     def test_get_follows_the_heap_through_a_fork(self):
         """``get`` is bound to the backing store, so a loaded image must
         rebind it to its own store rather than carry the origin's."""

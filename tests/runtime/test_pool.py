@@ -55,6 +55,17 @@ class TestCarving:
         lease.release()
         assert rt.pool.free_live == 5
 
+    def test_release_hands_back_empty_places(self):
+        rt = make_rt(5)
+        lease = rt.pool.lease(size=3)
+        other = rt.pool.lease(size=1)
+        for pid in lease.member_ids | other.member_ids:
+            rt.heap_of(pid).put(("gml", pid), "tenant data")
+        lease.release()
+        assert [len(rt.heap_of(pid)) for pid in sorted(lease.member_ids)] == [0, 0, 0]
+        # Another tenant's places are not touched.
+        assert [len(rt.heap_of(pid)) for pid in other.member_ids] == [1]
+
     def test_dead_member_not_returned_to_free(self):
         rt = make_rt(5)
         lease = rt.pool.lease(size=4)

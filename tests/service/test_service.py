@@ -167,6 +167,32 @@ class TestFailureFreeService:
         for job in report.jobs:
             assert job.result_ok is True
 
+    @pytest.mark.parametrize("crash_rate", [0.0, 0.4])
+    def test_finished_jobs_leave_nothing_in_live_heaps(self, crash_rate):
+        """A released lease hands back empty places: after the stream no live
+        heap holds a payload or a snapshot copy of any job, and while it runs
+        no tenant starts on a place that still holds a predecessor's data."""
+        cfg = ServiceConfig(
+            n_jobs=40, seed=3, arrival_rate=2.0, places=17, reserve=4,
+            economics="pooled", crash_rate=crash_rate, repair_mttr=5.0,
+        )
+        service = ClusterService(cfg)
+        inherited = []
+        lease = service.pool.lease
+
+        def lease_and_look(*args, **kwargs):
+            made = lease(*args, **kwargs)
+            inherited.extend(
+                len(service.runtime.heap_of(place.id)) for place in made.members
+            )
+            return made
+
+        service.pool.lease = lease_and_look
+        report = service.run()
+        assert report.completed >= 30 and report.violations == []
+        assert inherited and not any(inherited)
+        assert [len(heap._store) for heap in service.runtime._heaps.values()] == [0] * 21
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             ServiceConfig(economics="imaginary")

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.util.bytesize import FRAMING_BYTES, payload_nbytes
+from repro.util.bytesize import FRAMING_BYTES, freeze_and_size, payload_nbytes
 from repro.util.loc import AppLocRow, count_loc, loc_of_object, loc_report, method_loc_map
 from repro.util.logging import TraceLog
+from repro.util.versioning import payload_frozen
 from repro.util.validation import (
     check_index,
     check_non_negative,
@@ -74,6 +75,72 @@ class TestPayloadNbytes:
     def test_unknown_type(self):
         with pytest.raises(TypeError):
             payload_nbytes(object())
+
+
+def _payload_zoo():
+    """One payload of every shape a snapshot save can be handed."""
+    from repro.matrix import DenseMatrix, SparseCSC, SparseCSR, Vector
+    from repro.matrix.block import BlockSet, MatrixBlock
+
+    rng = np.random.default_rng(5)
+    dense = rng.random((3, 4))
+    dense[dense < 0.5] = 0.0
+    blocks = BlockSet(0)
+    blocks.add(MatrixBlock(0, 0, 0, 0, DenseMatrix(rng.random((2, 3)))))
+    blocks.add(MatrixBlock(1, 0, 2, 0, SparseCSR.from_dense(dense)))
+    leaves = {
+        "none": lambda: None,
+        "int": lambda: 7,
+        "float": lambda: 2.5,
+        "np-scalar": lambda: np.float64(1.5),
+        "str": lambda: "résumé",
+        "ndarray": lambda: rng.random(5),
+        "vector": lambda: Vector(rng.random(6)),
+        "dense": lambda: DenseMatrix(rng.random((2, 2))),
+        "csr": lambda: SparseCSR.from_dense(dense),
+        "csc": lambda: SparseCSC.from_dense(dense),
+        "block-set-dict": blocks.freeze_view_dict,
+    }
+    zoo = dict(leaves)
+    zoo["list"] = lambda: [make() for make in leaves.values()]
+    zoo["tuple"] = lambda: tuple(make() for make in leaves.values())
+    zoo["dict"] = lambda: {name: make() for name, make in leaves.items()}
+    zoo["nested"] = lambda: {"a": [leaves["vector"](), (leaves["csr"](), 3)], "b": {"c": leaves["ndarray"]()}}
+    return zoo
+
+
+def _arrays_of(payload):
+    if isinstance(payload, np.ndarray):
+        return [payload]
+    if isinstance(payload, dict):
+        return [a for value in payload.values() for a in _arrays_of(value)]
+    if isinstance(payload, (list, tuple)):
+        return [a for value in payload for a in _arrays_of(value)]
+    arrays = getattr(payload, "payload_arrays", None)
+    return list(arrays()) if arrays is not None else []
+
+
+class TestFreezeAndSize:
+    """The save path's one walk: freezes like ``freeze_payload``, sizes like
+    ``payload_nbytes``."""
+
+    @pytest.mark.parametrize("name", sorted(_payload_zoo()))
+    def test_equals_the_two_walks(self, name):
+        payload = _payload_zoo()[name]()
+        expected = payload_nbytes(payload)
+        assert freeze_and_size(payload) == expected
+        assert payload_frozen(payload)
+        assert payload_nbytes(payload) == expected  # freezing never changes a size
+        for array in _arrays_of(payload):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_zoo_has_arrays_to_freeze(self):
+        assert len(_arrays_of(_payload_zoo()["nested"]())) == 5
+
+    def test_unknown_type(self):
+        with pytest.raises(TypeError):
+            freeze_and_size(object())
 
 
 class TestLoc:
