@@ -48,7 +48,7 @@ from repro.apps.resilient import (
     PageRankResilient,
 )
 from repro.baseline import failure_free_result
-from repro.resilience.executor import IterativeExecutor, RestoreMode
+from repro.resilience.executor import IterativeExecutor, RestoreMode, check_recovery
 from repro.resilience.placement import ParityPlacement, make_placement
 from repro.resilience.snapshot import orphaned_copies
 from repro.resilience.store import AppResilientStore
@@ -171,8 +171,11 @@ class CampaignConfig:
 
     def __post_init__(self) -> None:
         # Fail fast (in the parent process, not inside pool workers) on a
-        # bad placement spec or on parity double-paying for protection.
+        # bad placement spec, on parity double-paying for protection, or on
+        # a recovery scheme this app or placement cannot serve.
         policy = make_placement(self.placement)
+        if self.app in CHAOS_APPS:  # an unknown app is run_campaign's error
+            check_recovery(CHAOS_APPS[self.app][1], self.recovery, policy)
         if isinstance(policy, ParityPlacement) and self.replicas > 1:
             raise ValueError(
                 "placement=parity replaces per-key replicas with one XOR "

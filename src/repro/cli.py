@@ -685,8 +685,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import CampaignConfig, run_campaign
 
-    result = run_campaign(
-        CampaignConfig(
+    try:
+        config = CampaignConfig(
             app=args.app,
             schedules=args.schedules,
             seed=args.chaos_seed,
@@ -705,7 +705,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             partition_rate=args.partition_rate,
             ckpt_delta=args.ckpt_delta,
             recovery=args.recovery,
-        ),
+        )
+    except ValueError as exc:  # an app / placement / recovery combination
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    result = run_campaign(
+        config,
         jobs=_resolve_jobs(args.jobs),
         prefix_cache=args.prefix_cache == "on",
     )

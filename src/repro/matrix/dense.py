@@ -67,6 +67,16 @@ class DenseMatrix:
             self.data = self.data.copy()
         self.version = next_version()
 
+    def adopt(self, data: np.ndarray) -> None:
+        """Rebind to the frozen array *data* — the mirror of :meth:`touch`:
+        the array is marked read-only and shared, never copied, and the
+        matrix takes a fresh version (see :meth:`Vector.adopt`)."""
+        if data.shape != self.data.shape:
+            raise ValueError(f"cannot adopt a {data.shape} array into a {self.m}x{self.n} matrix")
+        data.setflags(write=False)
+        self.data = data
+        self.version = next_version()
+
     def freeze_view(self) -> "DenseMatrix":
         """Freeze the backing array and return a snapshot alias sharing it."""
         self.data.setflags(write=False)
@@ -131,8 +141,9 @@ class DenseMatrix:
             raise ValueError(f"inner dims mismatch: {a.shape} @ {b.shape}")
         if self.shape != (a.m, b.n):
             raise ValueError("output shape mismatch")
-        self.touch()
-        np.matmul(a.data, b.data, out=self.data)
+        # Every cell is overwritten: rebind to the product rather than
+        # detach-copy a (possibly shared) old payload and overwrite the copy.
+        self.adopt(np.matmul(a.data, b.data))
         return self
 
     def matvec(self, x: np.ndarray) -> np.ndarray:

@@ -187,6 +187,10 @@ class DistBlockMatrix(MultiPlaceObject):
         require(self.kind == SPARSE, "link matrices are sparse")
         require(link.n == self.m == self.n, "link matrix order mismatch")
         group, key = self.group, self.heap_key
+        # Taken once per fill and sliced per block: a graph over the input
+        # memo's budget is built per fetch, so ``link.block()`` per block
+        # would build it once per block.
+        graph = link.global_csr()
 
         def fill(ctx: PlaceContext) -> None:
             bs: BlockSet = ctx.heap.get(key)
@@ -194,7 +198,7 @@ class DistBlockMatrix(MultiPlaceObject):
             for block in bs:
                 r0, r1 = block.row_range()
                 c0, c1 = block.col_range()
-                block.data = link.block(r0, r1, c0, c1)
+                block.data = graph.sub_matrix(r0, r1, c0, c1)
                 flops += (c1 - c0) * link.out_degree + block.data.nnz
             ctx.charge_flops(flops)
 

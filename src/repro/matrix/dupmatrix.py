@@ -3,6 +3,10 @@
 Each member place holds a full copy of the matrix; :meth:`sync` rebroadcasts
 the root copy.  Restoring a duplicated class loads one duplicate per place
 from the snapshot, keyed by the place's *new* index (§IV-B2).
+
+As with :class:`~repro.matrix.dupvector.DupVector`, the copies are per-place
+objects charged per place, and replicas that hold equal bytes alias one set
+of frozen host arrays until a place's local write detaches its own.
 """
 
 from __future__ import annotations
@@ -50,11 +54,13 @@ class _DupMatrixBase(MultiPlaceObject):
         )
 
     def _allocate(self, proto: MatrixPayload) -> None:
-        key = self.heap_key
+        """Give every place its own replica object; all alias one frozen
+        copy of *proto* (the caller keeps *proto* and may go on writing it)."""
+        key, shared, nbytes = self.heap_key, proto.copy(), proto.nbytes
 
         def alloc(ctx: PlaceContext) -> None:
-            ctx.heap.put(key, proto.copy())
-            ctx.charge_memcpy(proto.nbytes)
+            ctx.heap.put(key, shared.freeze_view())
+            ctx.charge_memcpy(nbytes)
 
         self.runtime.finish_all(self.group, alloc, label=f"{self.name}:alloc")
 
@@ -72,7 +78,7 @@ class _DupMatrixBase(MultiPlaceObject):
         )
         for index in range(1, self.group.size):
             place = self.group[index]
-            self.runtime.heap_of(place.id).put(self.heap_key, root.copy())
+            self.runtime.heap_of(place.id).put(self.heap_key, root.freeze_view())
         return self
 
     def replicas_consistent(self, tol: float = 0.0) -> bool:
@@ -139,24 +145,16 @@ class DupDenseMatrix(_DupMatrixBase):
     # -- replica-consistent cell-wise operations -----------------------------
 
     def _cellwise(self, fn, flops: Optional[float] = None, label: str = "cellwise"):
-        per_place = float(self.m * self.n) if flops is None else flops
-
-        def task(ctx: PlaceContext) -> None:
-            fn(ctx.heap.get(self.heap_key))
-            ctx.charge_flops(per_place)
-
-        self.runtime.finish_all(self.group, task, label=f"{self.name}:{label}")
+        self._replica_uniform(
+            (self,), fn, float(self.m * self.n) if flops is None else flops, label
+        )
         return self
 
     def _cellwise_pair(self, other, fn, flops=None, label="cellwise"):
         self._check_aligned(other)
-        per_place = float(self.m * self.n) if flops is None else flops
-
-        def task(ctx: PlaceContext) -> None:
-            fn(ctx.heap.get(self.heap_key), ctx.heap.get(other.heap_key))
-            ctx.charge_flops(per_place)
-
-        self.runtime.finish_all(self.group, task, label=f"{self.name}:{label}")
+        self._replica_uniform(
+            (self, other), fn, float(self.m * self.n) if flops is None else flops, label
+        )
         return self
 
     def _check_aligned(self, other: "DupDenseMatrix") -> None:
@@ -202,13 +200,9 @@ class DupDenseMatrix(_DupMatrixBase):
     def mult(self, a: "DupDenseMatrix", b: "DupDenseMatrix") -> "DupDenseMatrix":
         """``self = a @ b`` computed redundantly at every place."""
         self._check_aligned_for_mult(a, b)
-
-        def task(ctx: PlaceContext) -> None:
-            out: DenseMatrix = ctx.heap.get(self.heap_key)
-            out.mult(ctx.heap.get(a.heap_key), ctx.heap.get(b.heap_key))
-            ctx.charge_flops(2.0 * a.m * a.n * b.n)
-
-        self.runtime.finish_all(self.group, task, label=f"{self.name}:mult")
+        self._replica_uniform(
+            (self, a, b), DenseMatrix.mult, 2.0 * a.m * a.n * b.n, "mult"
+        )
         return self
 
     def _check_aligned_for_mult(self, a: "DupDenseMatrix", b: "DupDenseMatrix") -> None:
@@ -221,14 +215,12 @@ class DupDenseMatrix(_DupMatrixBase):
         require(other.group == self.group, "operands on different groups")
         require((other.n, other.m) == (self.m, self.n), "transpose shape mismatch")
 
-        def task(ctx: PlaceContext) -> None:
-            out: DenseMatrix = ctx.heap.get(self.heap_key)
-            src: DenseMatrix = ctx.heap.get(other.heap_key)
-            out.touch()
-            out.data[:] = src.data.T
-            ctx.charge_flops(float(self.m * self.n))
+        def transpose(out: DenseMatrix, src: DenseMatrix) -> None:
+            out.adopt(src.data.T.copy())
 
-        self.runtime.finish_all(self.group, task, label=f"{self.name}:transpose")
+        self._replica_uniform(
+            (self, other), transpose, float(self.m * self.n), "transpose"
+        )
         return self
 
     def reduce_sum(self) -> "DupDenseMatrix":
@@ -246,21 +238,14 @@ class DupDenseMatrix(_DupMatrixBase):
             label=f"{self.name}:reduce_sum",
         )
         for place in self.group:
-            replica = self.local_payload(place)
-            replica.touch()
-            replica.data[:] = total
+            self.local_payload(place).adopt(total)
         return self
 
     def norm_f(self) -> float:
         """Frobenius norm (redundant per-place computation)."""
 
-        def task(ctx: PlaceContext) -> float:
-            a: DenseMatrix = ctx.heap.get(self.heap_key)
-            ctx.charge_flops(2.0 * self.m * self.n)
-            return a.norm_f()
-
-        results = self.runtime.finish_all(
-            self.group, task, ret_bytes=8, label=f"{self.name}:norm"
+        results = self._replica_uniform(
+            (self,), DenseMatrix.norm_f, 2.0 * self.m * self.n, "norm", ret_bytes=8
         )
         return float(results[0])
 

@@ -4,6 +4,13 @@ Each member place holds a full copy.  Cell-wise operations run at every
 place (one finish each) to keep the replicas consistent, exactly as GML
 does; :meth:`sync` re-broadcasts the root copy after a driver-side update
 (the gather-then-broadcast pattern of the paper's PageRank, Listing 2).
+
+Duplicated means duplicated in *virtual* bytes: every place has its own
+:class:`Vector` object and is charged for its own copy and its own flops,
+but replicas that hold equal bytes alias one frozen host array (they are
+*coherent*).  Allocation, ``init*``, a replica-uniform operation, ``sync``,
+``reduce_sum`` and a restore leave the replicas coherent; a place's local
+write detaches that one replica through ``touch()``.
 """
 
 from __future__ import annotations
@@ -37,12 +44,14 @@ class DupVector(MultiPlaceObject):
         """GML-style factory: duplicate a zero vector over *group*."""
         return cls(runtime, n, group if group is not None else runtime.world)
 
-    def _allocate(self, group: PlaceGroup) -> None:
-        n, key = self.n, self.heap_key
+    def _allocate(self, group: PlaceGroup, label: str = "alloc") -> None:
+        """Give every place of *group* a zero replica: its own ``Vector``,
+        all of them aliasing one frozen zero array."""
+        key, zero = self.heap_key, Vector.make(self.n)
         self.runtime.finish_all(
             group,
-            lambda ctx: ctx.heap.put(key, Vector.make(n)),
-            label=f"{self.name}:alloc",
+            lambda ctx: ctx.heap.put(key, zero.freeze_view()),
+            label=f"{self.name}:{label}",
         )
 
     # -- element bytes of one full copy -----------------------------------------
@@ -59,12 +68,10 @@ class DupVector(MultiPlaceObject):
 
     def init_random(self, seed: int, tag: int = 0) -> "DupVector":
         """Fill every copy with the *same* deterministic random values."""
-        data = random_vector(seed, self.n, tag)
+        key, data = self.heap_key, random_vector(seed, self.n, tag)
 
         def fill(ctx: PlaceContext) -> None:
-            vec: Vector = ctx.heap.get(self.heap_key)
-            vec.touch()
-            vec.data[:] = data
+            ctx.heap.get(key).adopt(data)
             ctx.charge_flops(flops_cellwise(self.n))
 
         self.runtime.finish_all(self.group, fill, label=f"{self.name}:init_random")
@@ -76,7 +83,9 @@ class DupVector(MultiPlaceObject):
         """The root (group index 0) copy, as GML's ``v.local()``.
 
         Driver-side mutations of this copy are made consistent by a
-        subsequent :meth:`sync`.
+        subsequent :meth:`sync`.  Its array may be frozen (shared with the
+        other replicas or a snapshot): the mutating ``Vector`` methods detach
+        by themselves, a raw write through ``.data`` needs ``touch()`` first.
         """
         return self.payload_at_index(0)
 
@@ -92,16 +101,9 @@ class DupVector(MultiPlaceObject):
         flops: Optional[float] = None,
         label: str = "cellwise",
     ) -> "DupVector":
-        per_place_flops = flops_cellwise(self.n) if flops is None else flops
-        key = self.heap_key
-        charged = self.runtime.cost.flop_time != 0.0
-
-        def task(ctx: PlaceContext) -> None:
-            fn(ctx.heap.get(key))
-            if charged:
-                ctx.charge_flops(per_place_flops)
-
-        self.runtime.finish_all(self.group, task, label=f"{self.name}:{label}")
+        self._replica_uniform(
+            (self,), fn, flops_cellwise(self.n) if flops is None else flops, label
+        )
         return self
 
     def scale(self, alpha: float) -> "DupVector":
@@ -121,16 +123,9 @@ class DupVector(MultiPlaceObject):
     ) -> "DupVector":
         """Binary replica-aligned operation: fn(mine, theirs) at every place."""
         self._check_aligned(other)
-        per_place_flops = flops_cellwise(self.n) if flops is None else flops
-        key, other_key = self.heap_key, other.heap_key
-        charged = self.runtime.cost.flop_time != 0.0
-
-        def task(ctx: PlaceContext) -> None:
-            fn(ctx.heap.get(key), ctx.heap.get(other_key))
-            if charged:
-                ctx.charge_flops(per_place_flops)
-
-        self.runtime.finish_all(self.group, task, label=f"{self.name}:{label}")
+        self._replica_uniform(
+            (self, other), fn, flops_cellwise(self.n) if flops is None else flops, label
+        )
         return self
 
     def cell_add(self, other: "DupVector | float") -> "DupVector":
@@ -182,19 +177,10 @@ class DupVector(MultiPlaceObject):
         charges 2n flops and the driver reads the root's result.
         """
         self._check_aligned(other)
-        results = self.runtime.finish_all(
-            self.group,
-            lambda ctx: self._dot_task(ctx, other),
-            ret_bytes=8,
-            label=f"{self.name}:dot",
+        results = self._replica_uniform(
+            (self, other), Vector.dot, 2 * self.n, "dot", ret_bytes=8
         )
         return float(results[0])
-
-    def _dot_task(self, ctx: PlaceContext, other: "DupVector") -> float:
-        mine: Vector = ctx.heap.get(self.heap_key)
-        theirs: Vector = ctx.heap.get(other.heap_key)
-        ctx.charge_flops(2 * self.n)
-        return mine.dot(theirs)
 
     def norm2(self) -> float:
         """Euclidean norm (redundant per-place computation)."""
@@ -217,16 +203,14 @@ class DupVector(MultiPlaceObject):
             label=f"{self.name}:reduce_sum",
         )
         for place in self.group:
-            replica = self.local_payload(place)
-            replica.touch()
-            replica.data[:] = total
+            self.local_payload(place).adopt(total)
         return self
 
     # -- consistency ------------------------------------------------------------
 
     def sync(self) -> "DupVector":
         """Broadcast the root copy to every replica (Listing 2's ``P.sync()``)."""
-        root_data = self.payload_at_index(0).data
+        root = self.payload_at_index(0)
         tree_broadcast(
             self.runtime,
             self.group,
@@ -235,9 +219,7 @@ class DupVector(MultiPlaceObject):
             label=f"{self.name}:sync",
         )
         for index in range(1, self.group.size):
-            replica = self.payload_at_index(index)
-            replica.touch()
-            replica.data[:] = root_data
+            self.payload_at_index(index).adopt(root.data)
         return self
 
     def replicas_consistent(self, tol: float = 0.0) -> bool:
@@ -265,21 +247,13 @@ class DupVector(MultiPlaceObject):
         """
         require(new_group.size == self.group.size, "rehome cannot resize the group")
         self.group = new_group
-        key, n = self.heap_key, self.n
         missing = [
             place
             for place in new_group
-            if not self.runtime.heap_of(place.id).contains(key)
+            if not self.runtime.heap_of(place.id).contains(self.heap_key)
         ]
-        if not missing:
-            return self
-
-        def alloc(ctx: PlaceContext) -> None:
-            ctx.heap.put(key, Vector.make(n))
-
-        self.runtime.finish_all(
-            PlaceGroup(missing), alloc, label=f"{self.name}:rehome"
-        )
+        if missing:
+            self._allocate(PlaceGroup(missing), label="rehome")
         return self
 
     def make_snapshot(self, base: Optional[DistObjectSnapshot] = None) -> DistObjectSnapshot:
@@ -301,11 +275,10 @@ class DupVector(MultiPlaceObject):
             "cannot restore duplicates onto a larger group than was saved",
         )
 
-        def load(ctx: PlaceContext) -> None:
-            index = self.group.index_of(ctx.place)
-            payload: Vector = snapshot.fetch(ctx, index)
-            vec: Vector = ctx.heap.get(self.heap_key)
-            vec.touch()
-            vec.data[:] = payload.data
+        group, key = self.group, self.heap_key
 
-        self.runtime.finish_all(self.group, load, label=f"{self.name}:restore")
+        def load(ctx: PlaceContext) -> None:
+            payload: Vector = snapshot.fetch(ctx, group.index_of(ctx.place))
+            ctx.heap.get(key).adopt(payload.data)
+
+        self.runtime.finish_all(group, load, label=f"{self.name}:restore")

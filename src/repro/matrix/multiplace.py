@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter, methodcaller
-from typing import Any
+from typing import Any, Callable, List, Sequence
 
 from repro.resilience.snapshot import Snapshottable
 from repro.runtime.place import Place, PlaceGroup
@@ -22,6 +22,7 @@ from repro.util.validation import require
 from repro.util.versioning import version_token
 
 _object_counter = itertools.count()
+_data_of, _heap_key_of = attrgetter("data"), attrgetter("heap_key")
 
 
 class MultiPlaceObject(Snapshottable):
@@ -100,6 +101,68 @@ class MultiPlaceObject(Snapshottable):
     def payload_at_index(self, index: int) -> Any:
         """Library-internal: payload of the place at a group index."""
         return self.runtime.heap_of(self.group[index].id).get(self.heap_key)
+
+    # -- replica-uniform finishes ---------------------------------------------
+
+    def _replica_uniform(
+        self,
+        operands: Sequence["MultiPlaceObject"],
+        fn: Callable[..., Any],
+        flops: float,
+        label: str,
+        ret_bytes: float = 0.0,
+    ) -> List[Any]:
+        """One finish running ``fn(*replicas)`` at every member place, where
+        *replicas* are that place's payloads of the duplicated *operands* —
+        computed once per distinct input.
+
+        *fn* may write its first argument in place (through ``touch()``) and
+        may return a value; the finish returns the per-place values.  Every
+        place runs its own task and is charged *flops* — only the host
+        arithmetic is shared: replicas that hold equal bytes alias one frozen
+        array (``docs/architecture.md``, "Payload ownership"), so when all of
+        a place's operand arrays are frozen and a place before it in this
+        finish started from *the very same arrays*, the place adopts that
+        place's frozen result (and return value) instead of recomputing it.
+        A writable operand is private to its place and is computed on in
+        place, as ever.  Nothing is assumed equal, only observed identical:
+        the memo is keyed by array identity, holds the arrays it names (so an
+        id cannot be recycled) and dies with the finish.
+        """
+        keys = tuple(map(_heap_key_of, operands))
+        charged = flops and self.runtime.cost.flop_time != 0.0
+        seen: dict = {}
+
+        def task(ctx) -> Any:
+            heap_get = ctx.heap.get
+            replicas, ident = [], []
+            for key in keys:
+                replica = heap_get(key)
+                replicas.append(replica)
+                ident.append(id(replica.data))
+            ident = tuple(ident)
+            hit = seen.get(ident)
+            if hit is not None:  # only frozen arrays are ever recorded
+                arrays, result, value = hit
+                if result is not arrays[0]:
+                    replicas[0].adopt(result)
+            else:
+                arrays = tuple(map(_data_of, replicas))
+                value = fn(*replicas)
+                for array in arrays:
+                    if array.flags.writeable:  # private to this place
+                        break
+                else:
+                    result = replicas[0].data
+                    result.setflags(write=False)
+                    seen[ident] = arrays, result, value
+            if charged:
+                ctx.charge_flops(flops)
+            return value
+
+        return self.runtime.finish_all(
+            self.group, task, ret_bytes=ret_bytes, label=f"{self.name}:{label}"
+        )
 
     # -- delta checkpointing -------------------------------------------------
 

@@ -145,9 +145,9 @@ def dist_block_t_matvec(G: DistBlockMatrix, r: DistVector, g: DupVector) -> DupV
                 partial[c0 : c0 + data.n] += data.t_matvec(rvals)
                 if count_flops:
                     flops += 2.0 * data.m * data.n
-        out: Vector = heap_get(out_key)
-        out.touch()
-        out.data[:] = partial
+        # This place's local write: its replica leaves the coherent set (the
+        # whole payload is overwritten, so it rebinds to the fresh array).
+        heap_get(out_key).adopt(partial)
         if count_flops:
             ctx.charge_flops(flops)
 
@@ -211,9 +211,7 @@ def dist_gram(a: DistBlockMatrix, b: DistBlockMatrix, out) -> "object":
             else:
                 partial += block.data.data.T @ peer.data.data
                 flops += 2.0 * block.shape[0] * a.n * b.n
-        out_local = ctx.heap.get(out.heap_key)
-        out_local.touch()
-        out_local.data[:] = partial
+        ctx.heap.get(out.heap_key).adopt(partial)  # local write, whole payload
         ctx.charge_flops(flops)
 
     rt.finish_all(group, compute, label="gram")

@@ -151,7 +151,7 @@ class LinkMatrix:
         self.out_degree = out_degree
         self.seed = seed
 
-    def _global_csr(self) -> SparseCSR:
+    def global_csr(self) -> SparseCSR:
         """The whole matrix, keyed, sorted and coalesced once per process and key.
 
         Each edge is hashed straight into its row-major linear key
@@ -186,7 +186,7 @@ class LinkMatrix:
         A full-width block shares the memoized graph's ``indices``/``values``
         copy-on-write; a range outside ``[0, n]`` raises.
         """
-        return self._global_csr().sub_matrix(r0, r1, c0, c1)
+        return self.global_csr().sub_matrix(r0, r1, c0, c1)
 
     def nnz_estimate(self) -> int:
         """Upper bound on total stored entries (duplicates coalesce)."""

@@ -64,6 +64,21 @@ class Vector:
             self.data = self.data.copy()
         self.version = next_version()
 
+    def adopt(self, data: np.ndarray) -> None:
+        """Rebind to the frozen array *data* — the mirror of :meth:`touch`.
+
+        The way a vector takes on bytes that already exist (a broadcast root,
+        a reduced total, a snapshot payload, another replica's result) or that
+        its writer built whole: *data* is marked read-only and shared, never
+        copied, and the vector gets a fresh version.  The next in-place write
+        detaches through :meth:`touch`.
+        """
+        if data.shape != self.data.shape:
+            raise ValueError(f"cannot adopt a {data.shape} array into a length-{self.n} vector")
+        data.setflags(write=False)
+        self.data = data
+        self.version = next_version()
+
     def freeze_view(self) -> "Vector":
         """Freeze the backing array and return a snapshot alias sharing it.
 

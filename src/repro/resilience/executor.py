@@ -229,6 +229,32 @@ CHECKPOINT_MODES = ("blocking", "overlapped")
 RECOVERY_MODES = ("checkpoint", "reconstruct")
 
 
+def check_recovery(
+    app_cls: type, recovery: str, placement: Optional[ReplicaPlacement]
+) -> None:
+    """``ValueError`` unless *recovery* is a scheme *app_cls* and *placement*
+    can serve — the one check behind the executor and every configuration
+    boundary (``CampaignConfig``), so a bad pair is a one-line error up front
+    rather than a traceback from the first schedule."""
+    require(
+        recovery in RECOVERY_MODES,
+        f"recovery must be one of {RECOVERY_MODES}",
+    )
+    if recovery == "reconstruct":
+        require(
+            issubclass(app_cls, ReconstructableIterativeApp),
+            "recovery='reconstruct' needs a ReconstructableIterativeApp "
+            "(publish_redundant/reconstruct)",
+        )
+        require(
+            not isinstance(placement, ParityPlacement),
+            "recovery='reconstruct' publishes per-key replicas whose "
+            "placement mirrors the checkpoint store's; parity placement "
+            "applies to snapshot stores only — use recovery='checkpoint' "
+            "with placement=parity[:g]",
+        )
+
+
 class IterativeExecutor:
     """Drives a resilient iterative application to completion."""
 
@@ -260,23 +286,7 @@ class IterativeExecutor:
             checkpoint_mode in CHECKPOINT_MODES,
             f"checkpoint_mode must be one of {CHECKPOINT_MODES}",
         )
-        require(
-            recovery in RECOVERY_MODES,
-            f"recovery must be one of {RECOVERY_MODES}",
-        )
-        if recovery == "reconstruct":
-            require(
-                isinstance(app, ReconstructableIterativeApp),
-                "recovery='reconstruct' needs a ReconstructableIterativeApp "
-                "(publish_redundant/reconstruct)",
-            )
-            require(
-                not isinstance(placement, ParityPlacement),
-                "recovery='reconstruct' publishes per-key replicas whose "
-                "placement mirrors the checkpoint store's; parity placement "
-                "applies to snapshot stores only — use recovery='checkpoint' "
-                "with placement=parity[:g]",
-            )
+        check_recovery(type(app), recovery, placement)
         self.runtime = runtime
         self.app = app
         #: The executor's slice of the place pool.  Replacement places are

@@ -30,10 +30,13 @@ import numpy as np
 
 _version_counter = itertools.count(1)
 
-
-def next_version() -> int:
-    """A globally unique, monotonically increasing mutation token."""
-    return next(_version_counter)
+#: ``next_version()`` — a globally unique, monotonically increasing mutation
+#: token.  The counter's own C-level ``__next__``: every ``touch()``,
+#: ``adopt()`` and ``freeze_view()`` takes one, so a token costs no Python
+#: frame.  There is exactly one counter object for the life of the process
+#: (:func:`ensure_version_floor` fast-forwards it, never replaces it), so a
+#: ``from ... import next_version`` can never go stale.
+next_version = _version_counter.__next__
 
 
 def ensure_version_floor(floor: int) -> None:
@@ -44,11 +47,12 @@ def ensure_version_floor(floor: int) -> None:
     token colliding with a token recorded inside the image would break the
     "equal tokens imply equal bytes" contract, so every resume first lifts
     the counter past the highest token the image could contain.  Burns one
-    token to read the current position — uniqueness is unaffected.
+    token to read the current position — uniqueness is unaffected — and
+    consumes the gap, if any, from the same counter at C speed.
     """
-    global _version_counter
-    current = next(_version_counter)
-    _version_counter = itertools.count(max(current, floor))
+    gap = floor - next_version() - 1
+    if gap > 0:
+        next(itertools.islice(_version_counter, gap, gap), None)
 
 
 def version_token(payload: Any) -> Any:

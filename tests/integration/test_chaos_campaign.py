@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import (
+    CHAOS_APPS,
     CampaignConfig,
     _campaign_index,
     _failure_free_result,
@@ -199,6 +200,34 @@ class TestDedupeSchedule:
             victims = [k.place_id for k in kills]
             assert len(victims) == len(set(victims)), f"seed {seed}: {victims}"
             assert 0 not in victims
+
+
+@pytest.mark.parametrize("placement", ["spread", "parity"])
+@pytest.mark.parametrize("recovery", ["checkpoint", "reconstruct"])
+@pytest.mark.parametrize("app", sorted(CHAOS_APPS))
+def test_every_app_recovery_placement_cell_runs_or_is_rejected_up_front(
+    app, recovery, placement
+):
+    """The configuration product the CLI accepts: a cell either runs a
+    schedule or is refused by ``CampaignConfig`` itself with a one-line
+    error — never by a traceback from inside the first schedule."""
+    servable = recovery == "checkpoint" or (app == "cg" and placement != "parity")
+    settings = dict(
+        app=app,
+        schedules=1,
+        seed=5,
+        spares=2,
+        recovery=recovery,
+        placement=placement,
+        replicas=1 if placement == "parity" else 2,
+    )
+    if servable:
+        result = run_campaign(CampaignConfig(**settings), jobs=1)
+        assert len(result.outcomes) == 1 and result.violations == []
+    else:
+        with pytest.raises(ValueError, match="^recovery='reconstruct' ") as refused:
+            CampaignConfig(**settings)
+        assert "\n" not in str(refused.value)
 
 
 def test_campaign_cg_reconstruct():

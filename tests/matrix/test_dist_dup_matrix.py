@@ -90,7 +90,9 @@ class TestDupDense:
     def test_sync_propagates(self):
         rt = make_rt(3)
         d = DupDenseMatrix.make_zero(rt, 2, 2)
-        d.local().data[0, 0] = 5.0
+        root = d.local()
+        root.touch()  # the write protocol: replicas may share one frozen array
+        root.data[0, 0] = 5.0
         assert not d.replicas_consistent()
         d.sync()
         assert d.replicas_consistent()

@@ -87,7 +87,9 @@ class TestSync:
     def test_sync_propagates_root_update(self):
         rt = make_rt()
         v = DupVector.make(rt, 4).init(1.0)
-        v.local().data[:] = [9, 8, 7, 6]  # driver-side update of the root copy
+        root = v.local()
+        root.touch()  # the write protocol: replicas may share one frozen array
+        root.data[:] = [9, 8, 7, 6]  # driver-side update of the root copy
         assert not v.replicas_consistent()
         v.sync()
         assert v.replicas_consistent()
@@ -98,7 +100,9 @@ class TestSync:
         v = DupVector.make(rt, 2)
         # Each place holds a different partial.
         for i in range(3):
-            v.payload_at_index(i).data[:] = [i, 10 * i]
+            replica = v.payload_at_index(i)
+            replica.touch()
+            replica.data[:] = [i, 10 * i]
         v.reduce_sum()
         assert v.replicas_consistent()
         assert np.allclose(v.to_array(), [3, 30])

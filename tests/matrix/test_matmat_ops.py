@@ -156,7 +156,9 @@ class TestDupDenseOps:
         rt = make_rt(3)
         a = DupDenseMatrix.make_zero(rt, 2, 2)
         for i in range(3):
-            a.payload_at_index(i).data[:] = i + 1
+            replica = a.payload_at_index(i)
+            replica.touch()
+            replica.data[:] = i + 1
         a.reduce_sum()
         assert np.allclose(a.to_array(), 6.0)
         assert a.replicas_consistent()

@@ -157,7 +157,7 @@ class TestLinkMatrix:
             reference = SparseCSR.from_coo(
                 n, n, rows, cols, np.full(len(rows), 1.0 / out_degree)
             )
-            keyed = link._global_csr()
+            keyed = link.global_csr()
         finally:
             sparse_backend.set_backend(None)
         for got, want in zip(keyed.payload_arrays(), reference.payload_arrays()):
@@ -169,7 +169,7 @@ class TestLinkMatrix:
         monkeypatch.setattr(random_mod, "_input_memo", random_mod._InputMemo(1 << 28))
         tracemalloc.start()
         try:
-            graph = LinkMatrix(6000, 200, seed=42)._global_csr()
+            graph = LinkMatrix(6000, 200, seed=42).global_csr()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -189,7 +189,7 @@ class TestLinkMatrix:
         for r0, r1, c0, c1 in [(3, 20, 0, 30), (3, 20, 5, 25)]:
             block, sibling = link.block(r0, r1, c0, c1), link.block(r0, r1, c0, c1)
             if c1 - c0 == 30:  # full width: read-only slices of the memo
-                assert np.shares_memory(block.values, link._global_csr().values)
+                assert np.shares_memory(block.values, link.global_csr().values)
                 with pytest.raises(ValueError):
                     block.indices[0] = 29
                 with pytest.raises(ValueError):
@@ -216,24 +216,24 @@ class TestLinkMatrix:
         a, b = LinkMatrix(25, 3, seed=8), LinkMatrix(25, 3, seed=8)
         a.block(0, 25, 0, 25)
         entries = len(random_mod._input_memo.entries)
-        assert a._global_csr() is b._global_csr()
+        assert a.global_csr() is b.global_csr()
         b.block(0, 5, 0, 25)
         assert len(random_mod._input_memo.entries) == entries
-        for array in a._global_csr().payload_arrays():
+        for array in a.global_csr().payload_arrays():
             with pytest.raises(ValueError):
                 array[0] = 1
 
     def test_memo_evicts_only_the_oldest(self, monkeypatch):
         links = [LinkMatrix(6 + i, 2) for i in range(4)]
-        sizes = [link._global_csr().nbytes for link in links]
+        sizes = [link.global_csr().nbytes for link in links]
         memo = random_mod._InputMemo(sum(sizes[1:]))  # all but the first fit
         monkeypatch.setattr(random_mod, "_input_memo", memo)
-        kept = [link._global_csr() for link in links[:-1]]
+        kept = [link.global_csr() for link in links[:-1]]
         links[-1].block(0, 1, 0, 9)
         assert list(memo.entries) == [(0, 7, 2), (0, 8, 2), (0, 9, 2)]
         assert memo.nbytes == sum(sizes[1:])
-        assert links[2]._global_csr() is kept[2]
-        assert links[1]._global_csr() is kept[1]
+        assert links[2].global_csr() is kept[2]
+        assert links[1].global_csr() is kept[1]
 
     def test_nnz_estimate(self):
         assert LinkMatrix(10, 5).nnz_estimate() == 50
@@ -275,14 +275,43 @@ class TestInputMemo:
 
     def test_link_graph_and_dense_blocks_share_one_budget(self, memo):
         random_dense_block(1, 0, 0, 8, 8)
-        graph = LinkMatrix(20, 3, seed=2)._global_csr()
+        graph = LinkMatrix(20, 3, seed=2).global_csr()
         assert list(memo.entries) == [(1, 0, 0, 8, 8), (2, 20, 3)]
         assert memo.nbytes == 512 + graph.nbytes
         random_dense_block(1, 1, 0, 8, 8)  # does not fit beside both
         assert list(memo.entries) == [(2, 20, 3), (1, 1, 0, 8, 8)]
         random_dense_block(1, 2, 0, 8, 16)
         assert (2, 20, 3) not in memo.entries
-        assert LinkMatrix(20, 3, seed=2)._global_csr() is not graph
+        assert LinkMatrix(20, 3, seed=2).global_csr() is not graph
+
+    def test_a_graph_over_the_budget_is_still_built_once_per_fill(self, memo, monkeypatch):
+        """``init_link_matrix`` takes the graph once and slices its blocks: a
+        graph the memo cannot keep (256 places and up at paper sizes) used to
+        be rebuilt — keys hashed, sorted, compressed — once per block."""
+        from repro.matrix.distblock import DistBlockMatrix
+        from repro.runtime import CostModel, Runtime
+
+        builds = []
+        compress = random_mod._compress_sorted
+
+        def counting(m, n, keys, weights):
+            assert np.all(keys[:-1] <= keys[1:])  # handed over sorted, once
+            builds.append(len(keys))
+            return compress(m, n, keys, weights)
+
+        monkeypatch.setattr(random_mod, "_compress_sorted", counting)
+        link = LinkMatrix(64, 4, seed=3)
+        rt = Runtime(8, cost=CostModel.zero())
+        G = DistBlockMatrix.make_sparse(rt, 64, 64, 16, 1).init_link_matrix(link)
+        assert builds == [64 * 4] and not memo.entries  # over budget: not kept
+        assert memo.budget < G.total_nnz() * 16
+        whole = link.global_csr()
+        for index in range(8):
+            for block in G.block_set(index):
+                r0, r1 = block.row_range()
+                want = whole.sub_matrix(r0, r1, 0, 64)
+                assert block.data.values.tobytes() == want.values.tobytes()
+                assert block.data.indices.tobytes() == want.indices.tobytes()
 
     def test_dense_blocks_are_copy_on_write(self, memo):
         """Mutating a block reaches neither the memo nor a sibling block."""

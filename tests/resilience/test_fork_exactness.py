@@ -190,7 +190,7 @@ def test_bench_pagerank_image_shares_link_blocks_by_reference():
     report = executor.run(boundary_hook=snap)
     assert report.restores == 1
     assert max(image.nbytes for image in images.values()) < 256 * 1024
-    graph = app.link._global_csr()
+    graph = app.link.global_csr()
     parked = [a for a in context._frozen if isinstance(a, np.ndarray)]
     assert any(np.shares_memory(a, graph.values) for a in parked)
     _resume_and_check(

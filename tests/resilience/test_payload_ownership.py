@@ -176,19 +176,45 @@ def ownership_violations(rt):
     return [writable for writable in _shared_buffers(rt) if writable]
 
 
+def _replica_buffers(rt):
+    """Buffers reached from two or more places through *live* payloads: the
+    coherent replicas of the duplicated classes (and shared zero blocks)."""
+    places_of = {}
+    for pid, heap in rt._heaps.items():
+        for key, value in heap._store.items():
+            if key[0] == "gml":
+                for array in _arrays(value):
+                    if array.size:
+                        places_of.setdefault(id(_buffer_owner(array)), set()).add(pid)
+    return [owner for owner, places in places_of.items() if len(places) > 1]
+
+
 def _run_with_shrink_rebalance(app_name):
-    """A campaign world run through a checkpoint, a kill and a
-    shrink-rebalance restore (one-tile rows alias the snapshot), then on to
-    the next checkpoint; audited before the world closes."""
+    """A world run through a checkpoint, a kill and a shrink-rebalance restore
+    (one-tile rows alias the snapshot), then on to the next checkpoint;
+    audited before the world closes.  linreg and pagerank are campaign
+    worlds; gnmf (duplicated *matrices*) is built here."""
     from repro import chaos
-    from repro.resilience.executor import RestoreMode
+    from repro.resilience.executor import IterativeExecutor, RestoreMode
     from repro.runtime.failure import ScriptedKill
 
-    config = chaos.CampaignConfig(app=app_name, seed=1)
-    kills = [ScriptedKill(place_id=3, iteration=config.checkpoint_interval + 1)]
-    rt, _, store, executor = chaos._build_world(
-        config, RestoreMode.SHRINK_REBALANCE, "blocking", kills
-    )
+    if app_name == "gnmf":
+        from repro.apps.data import GnmfWorkload
+        from repro.apps.resilient.gnmf import GnmfResilient
+
+        rt = Runtime(4, cost=CostModel.zero(), resilient=True)
+        rt.injector.kill_at_iteration(3, iteration=4)
+        app = GnmfResilient(rt, GnmfWorkload.small(iterations=10))
+        executor = IterativeExecutor(
+            rt, app, checkpoint_interval=3, mode=RestoreMode.SHRINK_REBALANCE
+        )
+        store = executor.store
+    else:
+        config = chaos.CampaignConfig(app=app_name, seed=1)
+        kills = [ScriptedKill(place_id=3, iteration=config.checkpoint_interval + 1)]
+        rt, _, store, executor = chaos._build_world(
+            config, RestoreMode.SHRINK_REBALANCE, "blocking", kills
+        )
     with rt:
         report = executor.run()
         assert report.restores == 1 and report.checkpoints >= 3
@@ -196,14 +222,26 @@ def _run_with_shrink_rebalance(app_name):
         yield rt, store
 
 
-@pytest.mark.parametrize("app_name", ["linreg", "pagerank"])
+@pytest.mark.parametrize("app_name", ["linreg", "pagerank", "gnmf"])
 def test_no_writable_array_is_shared_after_a_rebalanced_restore(app_name):
     for rt, store in _run_with_shrink_rebalance(app_name):
         assert store.latest() is not None
-        # The audit has something to audit: read-only inputs, replica tiers and
-        # (pagerank) one-tile restored link blocks all share frozen buffers.
+        # The audit has something to audit: read-only inputs, replica tiers,
+        # (pagerank) one-tile restored link blocks and the coherent replicas
+        # of every duplicated vector / matrix all share frozen buffers.
         assert len(_shared_buffers(rt)) > 0
+        assert len(_replica_buffers(rt)) > 0
         assert ownership_violations(rt) == []
+
+
+def test_the_audit_catches_a_writable_array_shared_by_replicas():
+    """A ``sync()`` that rebinds without freezing: every replica aliases the
+    root's *writable* array, so one place's write would reach them all."""
+    for rt, _ in _run_with_shrink_rebalance("pagerank"):
+        dup = DupVector.make(rt, 5, rt.live_world()).init(1.0)
+        assert ownership_violations(rt) == []
+        dup.local().data.setflags(write=True)
+        assert ownership_violations(rt) != []
 
 
 def test_the_audit_catches_a_live_array_saved_without_freeze_view():

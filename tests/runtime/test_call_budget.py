@@ -10,9 +10,15 @@ import pstats
 
 from repro.apps.nonresilient.linreg import LinRegNonResilient
 from repro.bench.calibration import regression_bench_workload, regression_cost
+from repro.matrix.dupvector import DupVector
 from repro.runtime.factory import make_runtime
 
 MAX_CALLS_PER_TASK = 12
+#: A replica-uniform operation on coherent replicas: the task, the adopt (an
+#: ``axpy``) and the charge — the arithmetic runs once per finish, a version
+#: token costs no frame.  One array per place and a Python ``next_version``
+#: made this 5.31.
+MAX_CALLS_PER_UNIFORM_TASK = 3.5
 
 
 def test_linreg_python_calls_per_simulated_task():
@@ -25,3 +31,22 @@ def test_linreg_python_calls_per_simulated_task():
     calls = pstats.Stats(profile).total_calls
     assert tasks == 1100
     assert calls / tasks <= MAX_CALLS_PER_TASK, f"{calls} calls / {tasks} tasks"
+
+
+def test_duplicated_vector_python_calls_per_simulated_task():
+    with make_runtime(44, cost=regression_cost(), resilient=True) as rt:
+        x = DupVector.make(rt, 100).init(1.0)
+        y = DupVector.make(rt, 100).init(2.0)
+        tasks_before = rt.stats.tasks
+
+        def ten_pairs():
+            for _ in range(10):
+                y.axpy(0.5, x)
+                y.dot(x)
+
+        profile = cProfile.Profile(builtins=False)
+        profile.runcall(ten_pairs)
+        tasks = rt.stats.tasks - tasks_before
+    calls = pstats.Stats(profile).total_calls
+    assert tasks == 880
+    assert calls / tasks <= MAX_CALLS_PER_UNIFORM_TASK, f"{calls} calls / {tasks} tasks"

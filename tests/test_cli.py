@@ -210,6 +210,26 @@ class TestChaosCommand:
         with pytest.raises(SystemExit):
             main(["chaos", "nosuchapp"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["linreg", "--recovery", "reconstruct"], "needs a ReconstructableIterativeApp"),
+            (
+                ["cg", "--recovery", "reconstruct", "--placement", "parity", "--spares", "2"],
+                "parity placement applies to snapshot stores only",
+            ),
+        ],
+    )
+    def test_unservable_recovery_is_a_usage_error(self, argv, message, capsys):
+        """Both used to be accepted and to raise from inside schedule 0."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", *argv, "--schedules", "2"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: recovery='reconstruct' ") and message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestDeltaAndJobs:
     def test_run_with_ckpt_delta(self, capsys):

@@ -6,7 +6,8 @@ import pytest
 from repro.util.bytesize import FRAMING_BYTES, freeze_and_size, payload_nbytes
 from repro.util.loc import AppLocRow, count_loc, loc_of_object, loc_report, method_loc_map
 from repro.util.logging import TraceLog
-from repro.util.versioning import payload_frozen
+from repro.util import versioning
+from repro.util.versioning import ensure_version_floor, next_version, payload_frozen
 from repro.util.validation import (
     check_index,
     check_non_negative,
@@ -141,6 +142,29 @@ class TestFreezeAndSize:
     def test_unknown_type(self):
         with pytest.raises(TypeError):
             freeze_and_size(object())
+
+
+class TestVersionTokens:
+    def test_a_token_costs_no_python_frame(self):
+        import types
+
+        assert not isinstance(next_version, types.FunctionType)
+        a, b = next_version(), next_version()
+        assert b == a + 1
+
+    def test_floor_fast_forwards_the_one_counter(self):
+        """``ensure_version_floor`` advances the counter every from-imported
+        ``next_version`` is bound to; it never swaps in a new one."""
+        counter = versioning._version_counter
+        floor = next_version() + 1000
+        ensure_version_floor(floor)
+        assert versioning._version_counter is counter
+        assert versioning.next_version is next_version
+        assert next_version() == floor  # the name imported above, not a re-import
+        ensure_version_floor(5)  # already past: burns one token, never goes back
+        assert next_version() == floor + 2
+        ensure_version_floor(floor + 4)  # the very next token: nothing to skip
+        assert next_version() == floor + 4
 
 
 class TestLoc:
