@@ -1,6 +1,6 @@
 """Ablation — block-by-block vs repartitioned restore (Fig. 1-b vs 1-c).
 
-DESIGN.md calls out the central data-layout decision the paper makes:
+The paper's central data-layout decision (PAPER.md §1, item 2):
 keeping the data grid allows whole-block restores but unbalances load;
 recalculating it balances load but forces overlap-region sub-block copies
 (with an extra non-zero counting pass for sparse blocks).  This ablation

@@ -1,12 +1,10 @@
 """One shared memo of failure-free reference answers.
 
-Both verification paths need the same thing: the answer a non-resilient
-run of the application produces on a zero-cost runtime, to compare a
-recovered run against.  The chaos campaigns used to recompute it per
-campaign (``repro.chaos._failure_free_result``) while the multi-job
-service kept its own per-instance ``BaselineCache`` — so multi-stream
-serves and back-to-back campaigns recomputed identical baselines.  This
-module is the single memo behind both.
+Both verification paths — the chaos campaigns and the multi-job service —
+need the same thing: the answer a non-resilient run of the application
+produces on a zero-cost runtime, to compare a recovered run against.  This
+module is the single memo behind both, so multi-stream serves and
+back-to-back campaigns compute each distinct baseline once.
 
 Results depend only on the non-resilient class, the workload parameters
 and the group size — never on the cost model, on failures, or on which
@@ -28,7 +26,7 @@ value, so a changed calibration can never hit a stale entry.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
@@ -36,33 +34,24 @@ from repro.resilience.executor import NonResilientExecutor
 from repro.runtime.cost import CostModel
 from repro.runtime.factory import make_runtime
 
+if TYPE_CHECKING:  # the catalogue's package imports this module
+    from repro.bench.catalogue import AppEntry
+
 _memo: Dict[Tuple[str, int, str], np.ndarray] = {}
 _time_memo: Dict[Tuple[type, object, CostModel, int], float] = {}
 
 
-def failure_free_result(
-    registry: Dict[str, Tuple[type, type, Callable, Callable]],
-    app: str,
-    places: int,
-    iterations: int,
-) -> np.ndarray:
-    """The failure-free answer of *app* from *registry* at this shape.
-
-    *registry* is an app table in the shared ``(non-resilient class,
-    resilient class, workload factory, result accessor)`` convention —
-    ``repro.chaos.CHAOS_APPS`` and ``repro.service.jobs.SERVICE_APPS``
-    both qualify; their different workload factories key to different
-    memo entries even for the same app name.
-    """
-    nonres_cls, _, wl_factory, result_of = registry[app]
-    workload = wl_factory(iterations)
-    key = (nonres_cls.__qualname__, places, repr(workload))
+def failure_free_result(entry: "AppEntry", places: int, iterations: int) -> np.ndarray:
+    """The failure-free answer of one catalogue *entry* at this shape, on
+    its tiny workload."""
+    workload = entry.tiny_workload(iterations)
+    key = (entry.nonresilient.__qualname__, places, repr(workload))
     cached = _memo.get(key)
     if cached is None:
         with make_runtime(places, cost=CostModel.zero()) as rt:
-            instance = nonres_cls(rt, workload)
+            instance = entry.nonresilient(rt, workload)
             NonResilientExecutor(rt, instance).run()
-            cached = np.asarray(result_of(instance))
+            cached = np.asarray(entry.result(instance))
         cached.setflags(write=False)
         _memo[key] = cached
     return cached

@@ -3,6 +3,8 @@
 * :mod:`repro.bench.calibration` — the cost-model rates, how they were
   fixed from the paper's measured points, the physical→logical scales and
   the paper's headline targets;
+* :mod:`repro.bench.catalogue` — the one table of applications every
+  harness reads;
 * :mod:`repro.bench.harness` — the Figs. 2-7 / Tables III-IV sweep
   protocols;
 * :mod:`repro.bench.figures` — plain-text/CSV renderers.
@@ -18,7 +20,6 @@ from repro.bench.calibration import (
     regression_cost,
 )
 from repro.bench.harness import (
-    APP_REGISTRY,
     SweepSeries,
     run_checkpoint_sweep,
     run_overhead_sweep,
@@ -35,7 +36,6 @@ __all__ = [
     "places_axis",
     "regression_bench_workload",
     "regression_cost",
-    "APP_REGISTRY",
     "SweepSeries",
     "run_checkpoint_sweep",
     "run_overhead_sweep",

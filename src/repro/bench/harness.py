@@ -12,22 +12,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.nonresilient import (
-    CGNonResilient,
-    GnmfNonResilient,
-    LinRegNonResilient,
-    LogRegNonResilient,
-    PageRankNonResilient,
-)
-from repro.apps.resilient import (
-    CGResilient,
-    GnmfResilient,
-    LinRegResilient,
-    LogRegResilient,
-    PageRankResilient,
-)
 from repro.baseline import failure_free_time
 from repro.bench import calibration
+from repro.bench.catalogue import APPS
 from repro.engine.fork import capture_boundaries
 from repro.resilience.executor import (
     ExecutionReport,
@@ -35,43 +22,6 @@ from repro.resilience.executor import (
     RestoreMode,
 )
 from repro.runtime.factory import make_runtime
-
-#: app name → (non-resilient class, resilient class, workload factory, cost factory)
-APP_REGISTRY = {
-    "linreg": (
-        LinRegNonResilient,
-        LinRegResilient,
-        calibration.regression_bench_workload,
-        calibration.regression_cost,
-    ),
-    "logreg": (
-        LogRegNonResilient,
-        LogRegResilient,
-        calibration.regression_bench_workload,
-        calibration.regression_cost,
-    ),
-    "pagerank": (
-        PageRankNonResilient,
-        PageRankResilient,
-        calibration.pagerank_bench_workload,
-        calibration.pagerank_cost,
-    ),
-    # Extension application (not in the paper's evaluation).
-    "gnmf": (
-        GnmfNonResilient,
-        GnmfResilient,
-        calibration.gnmf_bench_workload,
-        calibration.gnmf_cost,
-    ),
-    # Extension application: ABFT PCG, the checkpoint-free recovery app.
-    "cg": (
-        CGNonResilient,
-        CGResilient,
-        calibration.cg_bench_workload,
-        calibration.cg_cost,
-    ),
-}
-
 
 #: §VII's restore protocol kills one place at iteration 15 of 30.
 PAPER_FAILURE_ITERATION = 15
@@ -111,11 +61,11 @@ def _overhead_cell(
     app_name: str, iterations: int, places: int
 ) -> List[Tuple[str, float]]:
     """One place-count cell of the Figs. 2-4 protocol (picklable)."""
-    NonRes, _Res, wl_factory, cost_factory = APP_REGISTRY[app_name]
-    wl, cost = wl_factory(iterations), cost_factory()
-    nonres_total = failure_free_time(NonRes, wl, cost, places)
+    entry = APPS[app_name]
+    wl, cost = entry.bench_workload(iterations), entry.bench_cost()
+    nonres_total = failure_free_time(entry.nonresilient, wl, cost, places)
     with make_runtime(places, cost=cost, resilient=True) as rt:
-        app = NonRes(rt, wl)
+        app = entry.nonresilient(rt, wl)
         t0 = rt.now()
         app.run()
         res_total = rt.now() - t0
@@ -155,10 +105,10 @@ def _checkpoint_cell(
     places: int,
 ) -> ExecutionReport:
     """One place-count cell of the Table III protocol (picklable)."""
-    _NonRes, Res, wl_factory, cost_factory = APP_REGISTRY[app_name]
-    wl = wl_factory(iterations)
-    with make_runtime(places, cost=cost_factory(), resilient=True) as rt:
-        app = Res(rt, wl)
+    entry = APPS[app_name]
+    wl = entry.bench_workload(iterations)
+    with make_runtime(places, cost=entry.bench_cost(), resilient=True) as rt:
+        app = entry.resilient(rt, wl)
         return IterativeExecutor(
             rt, app, checkpoint_interval=checkpoint_interval, delta=delta
         ).run()
@@ -198,12 +148,12 @@ def _checkpoint_mode_cell(
     places: int,
 ) -> Dict[str, ExecutionReport]:
     """One place-count cell of the blocking-vs-overlapped protocol."""
-    _NonRes, Res, wl_factory, cost_factory = APP_REGISTRY[app_name]
-    wl = wl_factory(iterations)
+    entry = APPS[app_name]
+    wl = entry.bench_workload(iterations)
     out: Dict[str, ExecutionReport] = {}
     for ckpt_mode in ("blocking", "overlapped"):
-        with make_runtime(places, cost=cost_factory(), resilient=True) as rt:
-            app = Res(rt, wl)
+        with make_runtime(places, cost=entry.bench_cost(), resilient=True) as rt:
+            app = entry.resilient(rt, wl)
             out[ckpt_mode] = IterativeExecutor(
                 rt,
                 app,
@@ -268,8 +218,8 @@ def _restore_cell(
     the spare replace-redundant needs; an idle spare is invisible to the
     shrink modes.  The image dies with the cell.
     """
-    NonRes, Res, wl_factory, cost_factory = APP_REGISTRY[app_name]
-    wl, cost = wl_factory(iterations), cost_factory()
+    entry = APPS[app_name]
+    wl, cost = entry.bench_workload(iterations), entry.bench_cost()
     victim = places // 2  # a mid-axis non-zero place
     spares = 1 if RestoreMode.REPLACE_REDUNDANT.value in mode_values else 0
     unreached = (
@@ -278,7 +228,7 @@ def _restore_cell(
     )
     with make_runtime(places, cost=cost, resilient=True, spares=spares) as rt:
         executor = IterativeExecutor(
-            rt, Res(rt, wl), checkpoint_interval=checkpoint_interval
+            rt, entry.resilient(rt, wl), checkpoint_interval=checkpoint_interval
         )
         images = capture_boundaries(executor, [failure_iteration])
     if failure_iteration not in images:
@@ -294,7 +244,7 @@ def _restore_cell(
             raise ValueError(unreached)
     return {
         "reports": reports,
-        "baseline": failure_free_time(NonRes, wl, cost, places),
+        "baseline": failure_free_time(entry.nonresilient, wl, cost, places),
     }
 
 

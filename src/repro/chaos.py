@@ -30,26 +30,18 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.apps.data import CGWorkload, PageRankWorkload, RegressionWorkload
-from repro.apps.nonresilient import (
-    CGNonResilient,
-    LinRegNonResilient,
-    LogRegNonResilient,
-    PageRankNonResilient,
-)
-from repro.apps.resilient import (
-    CGResilient,
-    LinRegResilient,
-    LogRegResilient,
-    PageRankResilient,
-)
 from repro.baseline import failure_free_result
+from repro.bench.catalogue import APPS, CHAOS_APP_NAMES
 from repro.resilience.executor import IterativeExecutor, RestoreMode, check_recovery
-from repro.resilience.placement import ParityPlacement, make_placement
+from repro.resilience.placement import (
+    ParityPlacement,
+    check_protection,
+    make_placement,
+)
 from repro.resilience.snapshot import orphaned_copies
 from repro.resilience.store import AppResilientStore
 from repro.runtime.cost import CostModel
@@ -63,53 +55,7 @@ from repro.runtime.failure import (
 )
 from repro.runtime.factory import make_runtime
 from repro.runtime.runtime import Runtime
-
-
-def _tiny_regression(iterations: int) -> RegressionWorkload:
-    return RegressionWorkload(
-        features=8, examples_per_place=32, blocks_per_place=2, iterations=iterations
-    )
-
-
-def _tiny_pagerank(iterations: int) -> PageRankWorkload:
-    return PageRankWorkload(
-        nodes_per_place=18, out_degree=3, blocks_per_place=2, iterations=iterations
-    )
-
-
-def _tiny_cg(iterations: int) -> CGWorkload:
-    return CGWorkload(rows_per_place=24, stride=7, iterations=iterations)
-
-
-#: app name → (non-resilient class, resilient class, tiny workload factory,
-#: result accessor).  Workloads are deliberately minuscule: a campaign runs
-#: hundreds of full failure/recovery cycles and only correctness matters.
-CHAOS_APPS: Dict[str, Tuple[type, type, Callable, Callable]] = {
-    "linreg": (
-        LinRegNonResilient,
-        LinRegResilient,
-        _tiny_regression,
-        lambda app: app.model(),
-    ),
-    "logreg": (
-        LogRegNonResilient,
-        LogRegResilient,
-        _tiny_regression,
-        lambda app: app.model(),
-    ),
-    "pagerank": (
-        PageRankNonResilient,
-        PageRankResilient,
-        _tiny_pagerank,
-        lambda app: app.ranks(),
-    ),
-    "cg": (
-        CGNonResilient,
-        CGResilient,
-        _tiny_cg,
-        lambda app: app.solution(),
-    ),
-}
+from repro.util.validation import check_positive, require
 
 #: Event kinds a schedule is drawn from.  "restore" is excluded from the
 #: first event (a during-restore kill needs an earlier failure to trigger
@@ -170,18 +116,19 @@ class CampaignConfig:
     recovery: str = "checkpoint"
 
     def __post_init__(self) -> None:
-        # Fail fast (in the parent process, not inside pool workers) on a
-        # bad placement spec, on parity double-paying for protection, or on
-        # a recovery scheme this app or placement cannot serve.
+        # Fail fast (in the parent process, not inside pool workers) on
+        # what would otherwise raise from inside the first schedule: an
+        # unknown app, a bad placement spec, parity double-paying for
+        # protection, a recovery scheme this app or placement cannot serve,
+        # a zero interval.
+        require(
+            self.app in CHAOS_APP_NAMES,
+            f"unknown chaos app {self.app!r}; choose from {sorted(CHAOS_APP_NAMES)}",
+        )
         policy = make_placement(self.placement)
-        if self.app in CHAOS_APPS:  # an unknown app is run_campaign's error
-            check_recovery(CHAOS_APPS[self.app][1], self.recovery, policy)
-        if isinstance(policy, ParityPlacement) and self.replicas > 1:
-            raise ValueError(
-                "placement=parity replaces per-key replicas with one XOR "
-                f"parity block per group; replicas must be <= 1, got "
-                f"{self.replicas}"
-            )
+        check_protection(policy, self.replicas)
+        check_recovery(APPS[self.app].resilient, self.recovery, policy)
+        check_positive(self.checkpoint_interval, "checkpoint_interval")
 
     @property
     def transient(self) -> bool:
@@ -368,9 +315,7 @@ def _failure_free_result(config: CampaignConfig) -> np.ndarray:
     ``BaselineCache`` (:mod:`repro.baseline`), so repeated campaigns and
     multi-stream serves compute each distinct baseline once.
     """
-    return failure_free_result(
-        CHAOS_APPS, config.app, config.places, config.iterations
-    )
+    return failure_free_result(APPS[config.app], config.places, config.iterations)
 
 
 def _arm_transients(
@@ -435,14 +380,14 @@ def _build_world(
     gets its kills armed and its transient-fault plan drawn, between the
     app and the store exactly where a from-scratch run always did.
     """
-    _, res_cls, wl_factory, _ = CHAOS_APPS[config.app]
+    entry = APPS[config.app]
     rt = make_runtime(
         config.places,
         cost=CostModel.zero(),
         resilient=True,
         spares=config.spares,
     )
-    app = res_cls(rt, wl_factory(config.iterations))
+    app = entry.resilient(rt, entry.tiny_workload(config.iterations))
     # Kills are armed only after construction: phase-triggered kills
     # then land inside the executor's run, where recovery is defined.
     for kill in kills:
@@ -467,8 +412,6 @@ def _build_world(
         checkpoint_mode=checkpoint_mode,
         detector=detector,
         corruption=corruption,
-        replicas=config.replicas,
-        placement=make_placement(config.placement),
         recovery=config.recovery,
     )
     return rt, app, store, executor
@@ -700,7 +643,6 @@ def run_schedule(
     simulating the identical prefix again — bitwise identical outcome,
     a fraction of the wall clock.
     """
-    result_of = CHAOS_APPS[config.app][3]
     executor = None
     if prefix is not None and PrefixCache.usable(config):
         executor = prefix.fork(checkpoint_mode, kills, mode)
@@ -767,7 +709,7 @@ def run_schedule(
             return outcome
 
         # Invariant 1: the answer matches the failure-free baseline.
-        result = np.asarray(result_of(app))
+        result = np.asarray(APPS[config.app].result(app))
         if not np.allclose(result, baseline, rtol=1e-8, atol=1e-10):
             worst = float(np.max(np.abs(result - baseline)))
             outcome.violations.append(
@@ -968,10 +910,6 @@ def run_campaign(
     :class:`PrefixCache`); outcomes are bitwise identical either way.
     Campaigns with transient axes or a detector decline the cache.
     """
-    if config.app not in CHAOS_APPS:
-        raise ValueError(
-            f"unknown chaos app {config.app!r}; choose from {sorted(CHAOS_APPS)}"
-        )
     baseline = _failure_free_result(config)
     prefix = None
     if prefix_cache and PrefixCache.usable(config):

@@ -23,11 +23,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from functools import partial
+from typing import Callable, List, Optional
 
 from repro.bench import calibration, figures
+from repro.bench.catalogue import APPS, CHAOS_APP_NAMES
 from repro.bench.harness import (
-    APP_REGISTRY,
     PAPER_FAILURE_ITERATION,
     run_checkpoint_mode_sweep,
     run_checkpoint_sweep,
@@ -35,7 +36,6 @@ from repro.bench.harness import (
     run_restore_sweep,
     table4_from_reports,
 )
-from repro.matrix import sparse_backend
 from repro.resilience.executor import (
     CHECKPOINT_MODES,
     RECOVERY_MODES,
@@ -72,21 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Resilient GML reproduction: run apps / regenerate experiments.",
     )
-    parser.add_argument(
-        "--sparse-backend",
-        choices=["auto", "scipy", "numpy"],
-        default=None,
-        help=(
-            "sparse kernel backend (default: $REPRO_SPARSE_BACKEND or auto; "
-            "auto = scipy when available, NumPy otherwise)"
-        ),
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list applications and experiments")
 
     run = sub.add_parser("run", help="run one application on the simulated cluster")
-    run.add_argument("app", choices=sorted(APP_REGISTRY))
+    run.add_argument("app", choices=sorted(APPS))
     run.add_argument("--places", type=int, default=8)
     run.add_argument("--iterations", type=int, default=30)
     run.add_argument("--non-resilient", action="store_true", help="plain run, no framework")
@@ -261,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos", help="run a seeded campaign of randomized failure schedules"
     )
-    chaos.add_argument("app", choices=["cg", "linreg", "logreg", "pagerank"])
+    chaos.add_argument("app", choices=list(CHAOS_APP_NAMES))
     chaos.add_argument("--schedules", type=int, default=50)
     chaos.add_argument("--chaos-seed", type=int, default=0)
     chaos.add_argument("--places", type=int, default=6)
@@ -328,14 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="fan schedules out over N worker processes (default: all "
         "cores; outcomes are bitwise identical to a serial run)",
-    )
-    chaos.add_argument(
-        "--prefix-cache",
-        choices=["on", "off"],
-        default="on",
-        help="fork schedules from cached failure-free prefix images instead "
-        "of re-simulating the prefix per schedule (outcomes are bitwise "
-        "identical either way; default: on)",
     )
 
     serve = sub.add_parser(
@@ -408,36 +391,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
-    print("applications:", ", ".join(sorted(APP_REGISTRY)))
+    print("applications:", ", ".join(sorted(APPS)))
     print("experiments: ", ", ".join(sorted(SWEEPS)))
     return 0
 
 
-def _resolve_replicas(replicas: Optional[int], placement: Optional[str]) -> int:
-    """Default ``--replicas`` per placement policy.
-
-    Parity replaces per-key replicas with one XOR block per group, so it
-    defaults to 1 (the primary only) where replica placements default to 2;
-    parity combined with more than one replica is a configuration error.
-    """
-    if placement:
-        try:
-            make_placement(placement)  # fail fast on a bad spec
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(2) from None
-    parity = bool(placement) and placement.split(":", 1)[0] == "parity"
+def _resolve_replicas(replicas: Optional[int], placement: str) -> int:
+    """Default ``--replicas`` per placement policy: parity replaces per-key
+    replicas with one XOR block per group, so it defaults to 1 (the primary
+    only) where replica placements default to 2."""
     if replicas is None:
-        return 1 if parity else 2
-    if parity and replicas > 1:
-        print(
-            f"error: --placement {placement} stores one XOR parity block "
-            f"per group instead of per-key replicas; --replicas {replicas} "
-            "would double-pay for protection. Use --replicas 1 (or shrink "
-            "the group via parity:g).",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+        return 1 if placement.split(":", 1)[0] == "parity" else 2
     return replicas
 
 
@@ -455,27 +419,38 @@ def _parse_stragglers(specs: Optional[List[str]]) -> List[tuple]:
     return parsed
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _build_run(args: argparse.Namespace) -> Callable[[], int]:
+    """Build the world of one ``run``; the returned call executes it."""
     resilient = not args.non_resilient
-    cost, spares = APP_REGISTRY[args.app][3](), args.spares if resilient else 0
-    with make_runtime(args.places, cost=cost, resilient=resilient, spares=spares) as rt:
+    cost, spares = APPS[args.app].bench_cost(), args.spares if resilient else 0
+    rt = make_runtime(args.places, cost=cost, resilient=resilient, spares=spares)
+    try:
         if args.trace_out:
             rt.engine.timeline.enabled = True
-        return _run_world(args, rt)
+        app, executor = _build_world(args, rt)
+    except ValueError:
+        rt.close()
+        raise
+    return partial(_run_world, args, rt, app, executor)
 
 
-def _run_world(args: argparse.Namespace, rt) -> int:
-    nonres_cls, res_cls, wl_factory, _ = APP_REGISTRY[args.app]
-    workload = wl_factory(args.iterations)
+def _build_world(args: argparse.Namespace, rt):
+    entry = APPS[args.app]
+    workload = entry.bench_workload(args.iterations)
     if args.non_resilient:
-        app = nonres_cls(rt, workload)
-        report = NonResilientExecutor(rt, app).run()
+        app = entry.nonresilient(rt, workload)
+        executor = NonResilientExecutor(rt, app)
     else:
-        app = res_cls(rt, workload)
+        app = entry.resilient(rt, workload)
         if args.fail_at:
-            victims = args.victim or []
+            victims, world = args.victim or [], rt.all_place_ids()
             for i, fail_at in enumerate(args.fail_at):
                 victim = victims[i] if i < len(victims) else args.places // 2
+                if victim not in world:
+                    raise ValueError(
+                        f"--victim {victim} names no place of this world "
+                        f"(ids 0..{world[-1]}, spares included)"
+                    )
                 rt.injector.kill_at_iteration(victim, iteration=fail_at)
         if args.mttf is not None:
             model = ExponentialFailureModel(args.mttf, seed=args.chaos_seed)
@@ -509,10 +484,6 @@ def _run_world(args: argparse.Namespace, rt) -> int:
             if args.corrupt
             else None
         )
-        if args.placement:
-            # Validate the spec (and parity/replicas compatibility) before
-            # building anything; replicas=None still means "object default".
-            _resolve_replicas(args.replicas, args.placement)
         executor = IterativeExecutor(
             rt,
             app,
@@ -527,6 +498,11 @@ def _run_world(args: argparse.Namespace, rt) -> int:
             delta=args.ckpt_delta,
             recovery=args.recovery,
         )
+    return app, executor
+
+
+def _run_world(args: argparse.Namespace, rt, app, executor) -> int:
+    with rt:
         try:
             report = executor.run()
         except DataLossError as exc:
@@ -537,7 +513,10 @@ def _run_world(args: argparse.Namespace, rt) -> int:
                 file=sys.stderr,
             )
             return 1
+        return _print_report(args, rt, app, report)
 
+
+def _print_report(args: argparse.Namespace, rt, app, report) -> int:
     print(f"app:                  {args.app} on {args.places} places")
     print(f"iterations executed:  {report.iterations_executed}")
     print(f"checkpoints/restores: {report.checkpoints}/{report.restores}")
@@ -682,45 +661,42 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import CampaignConfig, run_campaign
+def _build_chaos(args: argparse.Namespace) -> Callable[[], int]:
+    from repro.chaos import CampaignConfig
 
-    try:
-        config = CampaignConfig(
-            app=args.app,
-            schedules=args.schedules,
-            seed=args.chaos_seed,
-            places=args.places,
-            iterations=args.iterations,
-            checkpoint_interval=args.ckpt_interval,
-            replicas=_resolve_replicas(args.replicas, args.placement),
-            placement=args.placement,
-            stable_fallback=args.stable_fallback,
-            spares=args.spares,
-            drop_rate=args.drop_rate,
-            dup_rate=args.dup_rate,
-            straggler_max=args.straggler_max,
-            corrupt_rate=args.corrupt,
-            detect_timeout=args.detect_timeout,
-            partition_rate=args.partition_rate,
-            ckpt_delta=args.ckpt_delta,
-            recovery=args.recovery,
-        )
-    except ValueError as exc:  # an app / placement / recovery combination
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-    result = run_campaign(
-        config,
-        jobs=_resolve_jobs(args.jobs),
-        prefix_cache=args.prefix_cache == "on",
+    config = CampaignConfig(
+        app=args.app,
+        schedules=args.schedules,
+        seed=args.chaos_seed,
+        places=args.places,
+        iterations=args.iterations,
+        checkpoint_interval=args.ckpt_interval,
+        replicas=_resolve_replicas(args.replicas, args.placement),
+        placement=args.placement,
+        stable_fallback=args.stable_fallback,
+        spares=args.spares,
+        drop_rate=args.drop_rate,
+        dup_rate=args.dup_rate,
+        straggler_max=args.straggler_max,
+        corrupt_rate=args.corrupt,
+        detect_timeout=args.detect_timeout,
+        partition_rate=args.partition_rate,
+        ckpt_delta=args.ckpt_delta,
+        recovery=args.recovery,
     )
+    return partial(_run_chaos, args, config)
+
+
+def _run_chaos(args: argparse.Namespace, config) -> int:
+    from repro.chaos import run_campaign
+
+    result = run_campaign(config, jobs=_resolve_jobs(args.jobs))
     print(result.summary())
     return 1 if result.violations else 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.chaos import run_service_campaign
-    from repro.service import ServiceConfig, run_service
+def _build_serve(args: argparse.Namespace) -> Callable[[], int]:
+    from repro.service import ServiceConfig
 
     config = ServiceConfig(
         places=args.places,
@@ -741,6 +717,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         dup_rate=args.dup_rate,
         detect_timeout=args.detect_timeout,
     )
+    return partial(_run_serve, args, config)
+
+
+def _run_serve(args: argparse.Namespace, config) -> int:
+    from repro.chaos import run_service_campaign
+    from repro.service import run_service
+
     if args.streams > 1:
         result = run_service_campaign(
             config, streams=args.streams, jobs=args.parallel_streams
@@ -765,17 +748,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = _build_parser().parse_args(argv)
-    if args.sparse_backend is not None:
-        sparse_backend.set_backend(args.sparse_backend)
     if args.command == "list":
         return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    return _cmd_sweep(args)
+    if args.command == "sweep":
+        return _cmd_sweep(args)
+    build = {"run": _build_run, "chaos": _build_chaos, "serve": _build_serve}[args.command]
+    try:
+        # Configuration and world construction only (config dataclass,
+        # kills, store, executor): a ValueError there is the user's.  What
+        # the command then runs stays outside, so an internal bug is never
+        # relabelled a usage error.
+        execute = build(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    return execute()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

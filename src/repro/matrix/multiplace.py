@@ -66,16 +66,12 @@ class MultiPlaceObject(Snapshottable):
             from repro.resilience.stable import StableObjectSnapshot
 
             return StableObjectSnapshot(self.runtime, self.group, meta)
-        from repro.resilience.placement import ParityPlacement
+        from repro.resilience.placement import ParityPlacement, check_protection
 
         if isinstance(self.snapshot_placement, ParityPlacement):
             from repro.resilience.parity import ParityObjectSnapshot
 
-            require(
-                self.snapshot_backups <= 1,
-                "parity placement replaces per-key replicas; configure "
-                "replicas=1 (backups=0) with placement=parity[:g]",
-            )
+            check_protection(self.snapshot_placement, self.snapshot_backups)
             return ParityObjectSnapshot(
                 self.runtime,
                 self.group,

@@ -1,25 +1,22 @@
 """Single-place sparse matrices — GML's ``SparseCSR`` and ``SparseCSC``.
 
-Implemented from scratch (compressed index arrays over NumPy) rather than on
-scipy, because the paper's repartitioned restore exercises sparse-specific
-code paths we must own: counting the non-zeros of an arbitrary sub-region
-*before* allocating the new block, extracting the region, and assembling a
-block from region pieces ("the non-zero elements for the overlapping regions
-must be counted to determine the space required for the new sparse block").
+The classes own their compressed index arrays (NumPy) because the paper's
+repartitioned restore exercises sparse-specific code paths we must own:
+counting the non-zeros of an arbitrary sub-region *before* allocating the
+new block, extracting the region, and assembling a block from region pieces
+("the non-zero elements for the overlapping regions must be counted to
+determine the space required for the new sparse block").
 
-All kernels are vectorized NumPy; no per-element Python loops.  When
-``scipy.sparse`` is available (and not disabled via ``REPRO_SPARSE_BACKEND``
-/ ``repro.matrix.sparse_backend.set_backend``), the kernels dispatch to
-zero-copy ``csr_array``/``csc_array`` views over the same compressed
-buffers — bit-identical results (both accumulate in the same index order),
-just less per-call Python overhead.
+The kernels — products, format conversion, dense expansion — are
+``scipy.sparse``'s, run on zero-copy ``csr_array``/``csc_array`` views over
+those same buffers; a canonical row is accumulated in index order.
 
 Duplicate policy: ``from_coo`` **sums** duplicate ``(row, col)`` entries —
 the same coalescing scipy applies.  A build is one stable sort, one
-boundary ``diff`` and one in-order segment sum; the backends differ only in
-*how the sort order is computed* (``_compress_coo``), never in the
-summation, so NumPy- and scipy-built matrices are byte-identical even in
-the last ulp of a summed duplicate.
+boundary ``diff`` and one in-order segment sum; the size of the build
+picks *how the sort order is computed* (``_compress_coo``), never the
+summation, so a matrix is byte-identical on either side of that choice even
+in the last ulp of a summed duplicate.
 """
 
 from __future__ import annotations
@@ -27,8 +24,8 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse as _sp
 
-from repro.matrix import sparse_backend as _backend
 from repro.util.validation import require
 from repro.util.versioning import next_version
 
@@ -38,7 +35,7 @@ _INDEX_DTYPE = np.int64
 #: scipy's counting passes instead of ``np.argsort``.  Below this NumPy wins
 #: outright — scipy's constructors carry ~100µs of per-call validation that
 #: dwarfs the sort of the small blocks the simulator builds constantly.
-#: Both give the same permutation (asserted by the equivalence suite).
+#: Both give the same permutation (tests/matrix/test_sparse.py).
 _SCIPY_BUILD_MIN = 32768
 
 
@@ -65,12 +62,12 @@ def _scipy_stable_order(major: np.ndarray, minor: np.ndarray, n_major: int, n_mi
     LSD radix order — *minor* first, then *major*.  No intermediate holds a
     duplicate cell, so scipy's (order-unspecified) duplicate summing never runs.
     """
-    sp, count = _backend.scipy_module(), len(major)
+    count = len(major)
     one_per_row = np.arange(count + 1, dtype=_INDEX_DTYPE)
-    by_minor = sp.csr_array(
+    by_minor = _sp.csr_array(
         (one_per_row[:count], minor, one_per_row), shape=(count, n_minor)
     ).tocsc().indices
-    return sp.csr_array(
+    return _sp.csr_array(
         (by_minor, major[by_minor], one_per_row), shape=(count, n_major)
     ).tocsc().data
 
@@ -81,11 +78,11 @@ def _compress_coo(
     """``(indptr, indices, values)`` of validated triplets, duplicates summed.
 
     The triplet front end of :func:`_compress_sorted`: one *stable* sort of
-    the linear keys (its backend chosen up front, from the size alone), so
-    each run of duplicates reaches the tail in first-occurrence order.
+    the linear keys (how it is computed chosen up front, from the size
+    alone), so each run of duplicates reaches the tail in first-occurrence order.
     """
     linear = major * n_minor + minor
-    if len(linear) >= _SCIPY_BUILD_MIN and _backend.USE_SCIPY:
+    if len(linear) >= _SCIPY_BUILD_MIN:
         order = _scipy_stable_order(major, minor, n_major, n_minor)
     else:
         order = np.argsort(linear, kind="stable")
@@ -117,7 +114,7 @@ def _freeze_view(self):
     alias.m, alias.n = self.m, self.n
     alias.indptr, alias.indices, alias.values = self.indptr, self.indices, self.values
     alias.version = next_version()
-    alias._ids = alias._sp = alias._sp_ver = None
+    alias._sp = alias._sp_ver = None
     if self._sp_ver == self.version:
         # The current scipy handle wraps exactly the arrays just frozen;
         # either side's touch() bumps its own version before a write.
@@ -132,7 +129,7 @@ class SparseCSR:
     construction.
     """
 
-    __slots__ = ("m", "n", "indptr", "indices", "values", "version", "_ids", "_sp", "_sp_ver")
+    __slots__ = ("m", "n", "indptr", "indices", "values", "version", "_sp", "_sp_ver")
 
     def __init__(self, m: int, n: int, indptr, indices, values):
         self.m, self.n = int(m), int(n)
@@ -140,7 +137,6 @@ class SparseCSR:
         self.indices = _as_index(indices)
         self.values = np.asarray(values, dtype=np.float64)
         self.version = next_version()
-        self._ids = None  # lazy: the index structure is immutable
         self._sp = None  # lazy zero-copy scipy [view, view.T]
         self._sp_ver = None  # version the view was built at (touch invalidates)
         require(self.m >= 0 and self.n >= 0, "negative matrix dims")
@@ -170,7 +166,6 @@ class SparseCSR:
         self.indices = _as_index(indices)
         self.values = np.asarray(values, dtype=np.float64)
         self.version = next_version()
-        self._ids = None
         self._sp = None
         self._sp_ver = None
         return self
@@ -187,8 +182,8 @@ class SparseCSR:
         """Build from triplets.
 
         Duplicate ``(row, col)`` entries are **summed** (the same policy as
-        scipy's coalescing) in first-occurrence order — byte-identically
-        on both backends, see ``_compress_coo``.
+        scipy's coalescing) in first-occurrence order, see
+        ``_compress_coo``.
         """
         rows, cols, vals = _check_coo(m, n, rows, cols, vals)
         return cls._build(m, n, *_compress_coo(m, n, rows, cols, vals))
@@ -244,18 +239,8 @@ class SparseCSR:
         return (self.indptr, self.indices, self.values)
 
     def row_ids(self) -> np.ndarray:
-        """Expanded row index of every stored entry (COO view helper).
-
-        Cached: the index structure (``indptr``) is immutable after
-        construction, so repeated matvecs stop paying the O(nnz)
-        ``np.repeat`` re-expansion per call.
-        """
-        ids = self._ids
-        if ids is None:
-            ids = np.repeat(np.arange(self.m, dtype=_INDEX_DTYPE), np.diff(self.indptr))
-            ids.setflags(write=False)
-            self._ids = ids
-        return ids
+        """Expanded row index of every stored entry (COO view helper)."""
+        return np.repeat(np.arange(self.m, dtype=_INDEX_DTYPE), np.diff(self.indptr))
 
     def _scipy(self, transposed: bool = False):
         """Zero-copy ``scipy.sparse.csr_array`` view over the same buffers.
@@ -269,7 +254,7 @@ class SparseCSR:
         if self._sp is None or self._sp_ver != self.version:
             # Empty, then adopt the buffers: the three-array constructor
             # copies any slice of a much larger base (every link block is one).
-            view = _backend.scipy_module().csr_array((self.m, self.n))
+            view = _sp.csr_array((self.m, self.n))
             view.data, view.indices, view.indptr = self.values, self.indices, self.indptr
             self._sp, self._sp_ver = [view, None], self.version
         if transposed and self._sp[1] is None:
@@ -278,42 +263,21 @@ class SparseCSR:
 
     def to_dense(self) -> np.ndarray:
         """Expand to a dense 2-D array."""
-        if _backend.USE_SCIPY:
-            return self._scipy().toarray()
-        out = np.zeros((self.m, self.n))
-        out[self.row_ids(), self.indices] = self.values
-        return out
+        return self._scipy().toarray()
 
     # -- kernels ------------------------------------------------------------
-    #
-    # Each kernel has a NumPy segment-sum path and a scipy dispatch; both
-    # accumulate contributions in the same index order, so results are
-    # bit-identical (asserted by tests/matrix/test_backend_equivalence.py).
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
-        """``self @ x``: row-wise gather-multiply-segment-sum."""
+        """``self @ x``."""
         if x.shape != (self.n,):
             raise ValueError(f"spmv operand must be length {self.n}")
-        if _backend.USE_SCIPY:
-            return self._scipy() @ x
-        out = np.zeros(self.m)
-        if self.nnz:
-            products = self.values * x[self.indices]
-            # bincount is a fast vectorized segment-sum (add.at is unbuffered).
-            out += np.bincount(self.row_ids(), weights=products, minlength=self.m)
-        return out
+        return self._scipy() @ x
 
     def spmv_t(self, x: np.ndarray) -> np.ndarray:
-        """``self.T @ x``: scatter-add into column bins."""
+        """``self.T @ x``."""
         if x.shape != (self.m,):
             raise ValueError(f"spmv_t operand must be length {self.m}")
-        if _backend.USE_SCIPY:
-            return self._scipy(True) @ x
-        out = np.zeros(self.n)
-        if self.nnz:
-            products = self.values * x[self.row_ids()]
-            out += np.bincount(self.indices, weights=products, minlength=self.n)
-        return out
+        return self._scipy(True) @ x
 
     def scale(self, alpha: float) -> "SparseCSR":
         """In-place ``self *= alpha``."""
@@ -325,41 +289,25 @@ class SparseCSR:
         """``self @ dense`` for a 2-D operand (sparse-dense product)."""
         if dense.ndim != 2 or dense.shape[0] != self.n:
             raise ValueError("matmat shape mismatch")
-        if _backend.USE_SCIPY:
-            return self._scipy() @ dense
-        out = np.zeros((self.m, dense.shape[1]))
-        if self.nnz:
-            contrib = self.values[:, None] * dense[self.indices, :]
-            np.add.at(out, self.row_ids(), contrib)
-        return out
+        return self._scipy() @ dense
 
     def t_matmat(self, dense: np.ndarray) -> np.ndarray:
         """``self.T @ dense`` for a 2-D operand."""
         if dense.ndim != 2 or dense.shape[0] != self.m:
             raise ValueError("t_matmat shape mismatch")
-        if _backend.USE_SCIPY:
-            return self._scipy(True) @ dense
-        out = np.zeros((self.n, dense.shape[1]))
-        if self.nnz:
-            contrib = self.values[:, None] * dense[self.row_ids(), :]
-            np.add.at(out, self.indices, contrib)
-        return out
+        return self._scipy(True) @ dense
 
     def transpose(self) -> "SparseCSR":
         """A new CSR holding ``self.T``."""
-        if _backend.USE_SCIPY:
-            t = self._scipy(True).tocsr()
-            t.sort_indices()
-            return SparseCSR._build(self.n, self.m, t.indptr, t.indices, t.data)
-        return SparseCSR.from_coo(self.n, self.m, self.indices, self.row_ids(), self.values)
+        t = self._scipy(True).tocsr()
+        t.sort_indices()
+        return SparseCSR._build(self.n, self.m, t.indptr, t.indices, t.data)
 
     def to_csc(self) -> "SparseCSC":
         """Convert to compressed-sparse-column storage."""
-        if _backend.USE_SCIPY:
-            c = self._scipy().tocsc()
-            c.sort_indices()
-            return SparseCSC._build(self.m, self.n, c.indptr, c.indices, c.data)
-        return SparseCSC.from_coo(self.m, self.n, self.row_ids(), self.indices, self.values)
+        c = self._scipy().tocsc()
+        c.sort_indices()
+        return SparseCSC._build(self.m, self.n, c.indptr, c.indices, c.data)
 
     # -- region operations (restore paths) -----------------------------------
 
@@ -477,7 +425,7 @@ class SparseCSC:
     format round-trip tests.
     """
 
-    __slots__ = ("m", "n", "indptr", "indices", "values", "version", "_ids", "_sp", "_sp_ver")
+    __slots__ = ("m", "n", "indptr", "indices", "values", "version", "_sp", "_sp_ver")
 
     def __init__(self, m: int, n: int, indptr, indices, values):
         self.m, self.n = int(m), int(n)
@@ -485,7 +433,6 @@ class SparseCSC:
         self.indices = _as_index(indices)
         self.values = np.asarray(values, dtype=np.float64)
         self.version = next_version()
-        self._ids = None  # lazy: the index structure is immutable
         self._sp = None  # lazy zero-copy scipy [view, view.T]
         self._sp_ver = None  # version the view was built at (touch invalidates)
         require(len(self.indptr) == self.n + 1, "indptr must have n+1 entries")
@@ -507,7 +454,6 @@ class SparseCSC:
         self.indices = _as_index(indices)
         self.values = np.asarray(values, dtype=np.float64)
         self.version = next_version()
-        self._ids = None
         self._sp = None
         self._sp_ver = None
         return self
@@ -541,22 +487,12 @@ class SparseCSC:
     def nbytes(self) -> int:
         return int(self.indptr.nbytes + self.indices.nbytes + self.values.nbytes)
 
-    def col_ids(self) -> np.ndarray:
-        """Expanded column index of every stored entry (cached; see
-        :meth:`SparseCSR.row_ids`)."""
-        ids = self._ids
-        if ids is None:
-            ids = np.repeat(np.arange(self.n, dtype=_INDEX_DTYPE), np.diff(self.indptr))
-            ids.setflags(write=False)
-            self._ids = ids
-        return ids
-
     def _scipy(self, transposed: bool = False):
         """Zero-copy ``scipy.sparse.csc_array`` view (see :meth:`SparseCSR._scipy`)."""
         if self._sp is None or self._sp_ver != self.version:
             # Empty, then adopt the buffers: the three-array constructor
             # copies any slice of a much larger base (every link block is one).
-            view = _backend.scipy_module().csc_array((self.m, self.n))
+            view = _sp.csc_array((self.m, self.n))
             view.data, view.indices, view.indptr = self.values, self.indices, self.indptr
             self._sp, self._sp_ver = [view, None], self.version
         if transposed and self._sp[1] is None:
@@ -564,33 +500,19 @@ class SparseCSC:
         return self._sp[transposed]
 
     def to_dense(self) -> np.ndarray:
-        if _backend.USE_SCIPY:
-            return self._scipy().toarray()
-        out = np.zeros((self.m, self.n))
-        out[self.indices, self.col_ids()] = self.values
-        return out
+        return self._scipy().toarray()
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
-        """``self @ x``: scatter-add of scaled columns."""
+        """``self @ x``."""
         if x.shape != (self.n,):
             raise ValueError(f"spmv operand must be length {self.n}")
-        if _backend.USE_SCIPY:
-            return self._scipy() @ x
-        out = np.zeros(self.m)
-        if self.nnz:
-            np.add.at(out, self.indices, self.values * x[self.col_ids()])
-        return out
+        return self._scipy() @ x
 
     def spmv_t(self, x: np.ndarray) -> np.ndarray:
-        """``self.T @ x``: per-column gather-sum."""
+        """``self.T @ x``."""
         if x.shape != (self.m,):
             raise ValueError(f"spmv_t operand must be length {self.m}")
-        if _backend.USE_SCIPY:
-            return self._scipy(True) @ x
-        out = np.zeros(self.n)
-        if self.nnz:
-            np.add.at(out, self.col_ids(), self.values * x[self.indices])
-        return out
+        return self._scipy(True) @ x
 
     def scale(self, alpha: float) -> "SparseCSC":
         self.touch()
@@ -616,11 +538,9 @@ class SparseCSC:
 
     def to_csr(self) -> SparseCSR:
         """Convert to compressed-sparse-row storage."""
-        if _backend.USE_SCIPY:
-            r = self._scipy().tocsr()
-            r.sort_indices()
-            return SparseCSR._build(self.m, self.n, r.indptr, r.indices, r.data)
-        return SparseCSR.from_coo(self.m, self.n, self.indices, self.col_ids(), self.values)
+        r = self._scipy().tocsr()
+        r.sort_indices()
+        return SparseCSR._build(self.m, self.n, r.indptr, r.indices, r.data)
 
     def count_nnz_region(self, r0: int, r1: int, c0: int, c1: int) -> int:
         """Count stored entries in a region (columns sliced via indptr)."""

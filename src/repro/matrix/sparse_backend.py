@@ -1,106 +1,7 @@
-"""Sparse kernel backend selection: ``scipy.sparse`` with a NumPy fallback.
-
-``SparseCSR``/``SparseCSC`` own their compressed index arrays (the
-repartitioned-restore paths need that), but the *kernels* — spmv, spmv_t,
-dense products, format conversion — can be served either by hand-rolled
-NumPy segment-sums or by ``scipy.sparse`` array views over the very same
-``(indptr, indices, values)`` buffers (zero copy).  Both paths are
-bit-identical on canonical (coalesced, column-sorted) matrices: scipy's
-CSR matvec accumulates each row sequentially in index order, exactly the
-order ``np.bincount`` uses, so golden timings and chaos parity hold on
-either backend.
-
-Selection, in precedence order:
-
-1. ``set_backend(name)`` — programmatic / CLI (``--sparse-backend``).
-2. ``REPRO_SPARSE_BACKEND`` environment variable.
-3. ``auto`` — scipy when importable, else NumPy.
-
-Valid names: ``auto``, ``scipy``, ``numpy``.  Requesting ``scipy`` when
-scipy is not installed raises; ``auto`` silently falls back.
-"""
-
-from __future__ import annotations
-
-import os
-from typing import Optional
-
-_VALID = ("auto", "scipy", "numpy")
-_ENV_VAR = "REPRO_SPARSE_BACKEND"
-
-#: Explicit override installed by ``set_backend``; ``None`` defers to the env.
-_override: Optional[str] = None
-
-try:  # scipy is optional: the NumPy kernels are a complete fallback.
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - exercised via the numpy backend
-    _scipy_sparse = None
-
-
-def scipy_available() -> bool:
-    """Whether ``scipy.sparse`` is importable in this environment."""
-    return _scipy_sparse is not None
-
-
-def scipy_module():
-    """The ``scipy.sparse`` module (``None`` when unavailable)."""
-    return _scipy_sparse
-
-
-def _resolve(name: str) -> str:
-    if name not in _VALID:
-        raise ValueError(
-            f"unknown sparse backend {name!r}: expected one of {_VALID}"
-        )
-    if name == "auto":
-        return "scipy" if scipy_available() else "numpy"
-    if name == "scipy" and not scipy_available():
-        raise RuntimeError(
-            "sparse backend 'scipy' requested but scipy is not installed"
-        )
-    return name
-
-
-def set_backend(name: Optional[str]) -> str:
-    """Install a process-wide backend override and return the resolved name.
-
-    ``None`` clears the override (selection falls back to the environment
-    variable / auto-detection).
-    """
-    global _override
-    if name is None:
-        _override = None
-    else:
-        _resolve(name)  # validate eagerly so bad names fail at the switch
-        _override = name
-    return refresh_from_env()
+"""Name of the sparse kernel library, for ``benchmarks/perf/run.py``'s
+environment block — that file is this module's one caller."""
 
 
 def active_backend() -> str:
-    """The resolved backend name: ``"scipy"`` or ``"numpy"``."""
-    if _override is not None:
-        return _resolve(_override)
-    return _resolve(os.environ.get(_ENV_VAR, "auto"))
-
-
-def refresh_from_env() -> str:
-    """Re-resolve the backend (after mutating ``REPRO_SPARSE_BACKEND``)."""
-    global USE_SCIPY
-    name = active_backend()
-    USE_SCIPY = name == "scipy"
-    return name
-
-
-def use_scipy() -> bool:
-    """Whether kernel call sites should dispatch to scipy.
-
-    The decision is resolved once (at import / ``set_backend`` /
-    ``refresh_from_env``) and cached in the module flag ``USE_SCIPY`` so the
-    per-kernel-call cost is a single attribute read.
-    """
-    return USE_SCIPY
-
-
-#: Cached resolution of the backend choice; kernels read this directly.
-USE_SCIPY = False
-refresh_from_env()
+    """``"scipy"``: the kernels of :mod:`repro.matrix.sparse` are scipy's."""
+    return "scipy"

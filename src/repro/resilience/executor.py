@@ -286,7 +286,6 @@ class IterativeExecutor:
             checkpoint_mode in CHECKPOINT_MODES,
             f"checkpoint_mode must be one of {CHECKPOINT_MODES}",
         )
-        check_recovery(type(app), recovery, placement)
         self.runtime = runtime
         self.app = app
         #: The executor's slice of the place pool.  Replacement places are
@@ -303,7 +302,10 @@ class IterativeExecutor:
                 stable_fallback=stable_fallback,
                 delta=delta,
             )
+        #: The store's replication knobs are the executor's: a caller that
+        #: hands in a configured store does not repeat them.
         self.store = store
+        check_recovery(type(app), recovery, store.placement)
         self.checkpoint_interval = checkpoint_interval
         self.mode = mode
         self.spare_fallback = spare_fallback
@@ -324,8 +326,8 @@ class IterativeExecutor:
         self.rstore: Optional[ReconstructionStore] = (
             ReconstructionStore(
                 runtime,
-                replicas=replicas if replicas is not None else 1,
-                placement=placement,
+                replicas=store.replicas if store.replicas is not None else 1,
+                placement=store.placement,
             )
             if recovery == "reconstruct"
             else None

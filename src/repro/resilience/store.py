@@ -19,7 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.resilience.placement import ParityPlacement, ReplicaPlacement
+from repro.resilience.placement import (
+    ParityPlacement,
+    ReplicaPlacement,
+    check_protection,
+)
 from repro.resilience.snapshot import DistObjectSnapshot, Snapshottable
 from repro.runtime.runtime import Runtime
 from repro.util.validation import require
@@ -64,13 +68,7 @@ class AppResilientStore:
         delta: bool = False,
     ):
         self.runtime = runtime
-        if isinstance(placement, ParityPlacement) and (replicas or 0) > 1:
-            raise ValueError(
-                "placement=parity replaces per-key replicas with one XOR "
-                f"parity block per group; replicas must be <= 1, got "
-                f"{replicas} (shrink the parity group via parity:g to buy "
-                "more protection instead of double-paying)"
-            )
+        check_protection(placement, replicas)
         #: Store-level replication knobs; ``None`` leaves each object's own
         #: snapshot configuration untouched, a value overrides all of them.
         self.replicas = replicas

@@ -441,18 +441,6 @@ class Runtime:
             self.detector.monitor(place.id, from_time=self.clock.now(place.id))
         return place
 
-    def serve_transfer(self, place_id: int, t_request: float, duration: float) -> float:
-        """Schedule a transfer on a place's communication server.
-
-        Returns the completion time.  The server is busy from the request
-        until completion; subsequent transfers involving the same place
-        queue behind it.  The served place's timeline is advanced to the
-        completion (absorbed into its current finish task's end via the
-        arrival backlog).  Delegates to the engine's per-place server
-        resource.
-        """
-        return self.engine.serve(place_id, t_request, duration)
-
     def transfer(self, src_id: int, dst_id: int, nbytes: float, t_request: float) -> float:
         """Topology-aware point-to-point transfer; returns completion time.
 

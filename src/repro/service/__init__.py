@@ -11,7 +11,6 @@ reserve under configurable economics.
 from repro.service.admission import AdmissionController, JobQueue
 from repro.service.faults import PoolFaultEvent, ServiceFaultPlan
 from repro.service.jobs import (
-    SERVICE_APPS,
     BaselineCache,
     JobResult,
     JobSpec,
@@ -34,7 +33,6 @@ __all__ = [
     "JobResult",
     "JobSpec",
     "PoolFaultEvent",
-    "SERVICE_APPS",
     "ServiceConfig",
     "ServiceFaultPlan",
     "ServiceReport",

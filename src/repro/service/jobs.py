@@ -6,106 +6,25 @@ job sizes from a Zipf distribution (many small tenants, a heavy tail of
 big ones — the shape shared clusters actually see) and arrival times from
 a Poisson process, all deterministically from the service seed.
 
-Workloads are deliberately tiny, like the chaos campaigns': a service run
-executes dozens of full jobs and what matters is scheduling, recovery and
-confinement — per-iteration numerics are already covered elsewhere.
+Jobs run the catalogue's tiny workloads, like the chaos campaigns: a
+service run executes dozens of full jobs and what matters is scheduling,
+recovery and confinement — per-iteration numerics are already covered
+elsewhere.  Every catalogue app can be a tenant; CG rides along as the
+checkpoint-free one: ``ServiceConfig`` opts it into the stream (the default
+apps tuple leaves it out, so existing seeded streams stay bit-identical)
+and runs it under ``recovery="reconstruct"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.apps.data import (
-    CGWorkload,
-    GnmfWorkload,
-    PageRankWorkload,
-    RegressionWorkload,
-)
-from repro.apps.nonresilient import (
-    CGNonResilient,
-    GnmfNonResilient,
-    LinRegNonResilient,
-    LogRegNonResilient,
-    PageRankNonResilient,
-)
-from repro.apps.resilient import (
-    CGResilient,
-    GnmfResilient,
-    LinRegResilient,
-    LogRegResilient,
-    PageRankResilient,
-)
 from repro.baseline import failure_free_result
+from repro.bench.catalogue import APPS
 from repro.util.validation import check_positive, require
-
-
-def _service_regression(iterations: int) -> RegressionWorkload:
-    return RegressionWorkload(
-        features=8, examples_per_place=32, blocks_per_place=2, iterations=iterations
-    )
-
-
-def _service_pagerank(iterations: int) -> PageRankWorkload:
-    return PageRankWorkload(
-        nodes_per_place=18, out_degree=3, blocks_per_place=2, iterations=iterations
-    )
-
-
-def _service_gnmf(iterations: int) -> GnmfWorkload:
-    return GnmfWorkload(
-        rows_per_place=24,
-        cols=12,
-        rank=4,
-        density=0.2,
-        blocks_per_place=2,
-        iterations=iterations,
-    )
-
-
-def _service_cg(iterations: int) -> CGWorkload:
-    return CGWorkload(rows_per_place=24, stride=7, iterations=iterations)
-
-
-#: app name → (non-resilient class, resilient class, workload factory,
-#: result accessor).  The chaos trio plus GNMF — the full mixed workload.
-#: CG rides along as the checkpoint-free tenant: ``ServiceConfig`` opts it
-#: into the stream (the default apps tuple is unchanged so existing seeded
-#: streams stay bit-identical) and runs it under ``recovery="reconstruct"``.
-SERVICE_APPS: Dict[str, Tuple[type, type, Callable, Callable]] = {
-    "linreg": (
-        LinRegNonResilient,
-        LinRegResilient,
-        _service_regression,
-        lambda app: app.model(),
-    ),
-    "logreg": (
-        LogRegNonResilient,
-        LogRegResilient,
-        _service_regression,
-        lambda app: app.model(),
-    ),
-    "pagerank": (
-        PageRankNonResilient,
-        PageRankResilient,
-        _service_pagerank,
-        lambda app: app.ranks(),
-    ),
-    "gnmf": (
-        GnmfNonResilient,
-        GnmfResilient,
-        _service_gnmf,
-        lambda app: app.factors()[0],
-    ),
-    "cg": (
-        CGNonResilient,
-        CGResilient,
-        _service_cg,
-        lambda app: app.solution(),
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -122,7 +41,7 @@ class JobSpec:
     dedicated_spares: int = 1
 
     def __post_init__(self) -> None:
-        require(self.app in SERVICE_APPS, f"unknown app {self.app!r}")
+        require(self.app in APPS, f"unknown app {self.app!r}")
         check_positive(self.places, "places")
         check_positive(self.iterations, "iterations")
         require(self.arrival >= 0, "arrival must be >= 0")
@@ -185,7 +104,7 @@ def generate_jobs(
     require(min_places >= 1, "min_places must be >= 1")
     require(max_places >= min_places, "max_places must be >= min_places")
     for app in apps:
-        require(app in SERVICE_APPS, f"unknown app {app!r}")
+        require(app in APPS, f"unknown app {app!r}")
     rng = np.random.default_rng([seed, 9001])
     jobs: List[JobSpec] = []
     t = 0.0
@@ -219,4 +138,4 @@ class BaselineCache:
     """
 
     def get(self, app: str, places: int, iterations: int) -> np.ndarray:
-        return failure_free_result(SERVICE_APPS, app, places, iterations)
+        return failure_free_result(APPS[app], places, iterations)

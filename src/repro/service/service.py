@@ -27,12 +27,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.bench.calibration import regression_cost
+from repro.bench.catalogue import APPS
 from repro.resilience.executor import (
     RECOVERY_MODES,
     IterativeExecutor,
     RestoreMode,
 )
-from repro.resilience.placement import make_placement
+from repro.resilience.placement import check_protection, make_placement
 from repro.resilience.store import AppResilientStore
 from repro.runtime.cost import CostModel
 from repro.runtime.detector import PhiAccrualDetector
@@ -47,7 +48,6 @@ from repro.runtime.pool import DEDICATED, ECONOMICS_MODES, PlaceLease
 from repro.service.admission import AdmissionController, JobQueue
 from repro.service.faults import PoolFaultEvent, ServiceFaultPlan
 from repro.service.jobs import (
-    SERVICE_APPS,
     BaselineCache,
     JobResult,
     JobSpec,
@@ -142,17 +142,10 @@ class ServiceConfig:
         )
         require(self.repair_mttr >= 0, "repair_mttr must be >= 0")
         # Fail fast on a bad placement spec, and on parity double-paying.
-        from repro.resilience.placement import ParityPlacement
-
-        if isinstance(make_placement(self.placement), ParityPlacement):
-            require(
-                self.replicas <= 1,
-                "placement=parity replaces per-key replicas with one XOR "
-                "parity block per group; configure replicas=1 (or shrink "
-                "the group via parity:g)",
-            )
+        check_protection(make_placement(self.placement), self.replicas)
+        check_positive(self.checkpoint_interval, "checkpoint_interval")
         for app in self.apps:
-            require(app in SERVICE_APPS, f"unknown app {app!r}")
+            require(app in APPS, f"unknown app {app!r}")
 
     def cost(self) -> CostModel:
         return regression_cost() if self.cost_profile == "calibrated" else CostModel.zero()
@@ -493,10 +486,12 @@ class ClusterService:
             queue_wait=now - job.arrival,
         )
         dead_before = set(rt.dead_ids())
-        _, res_cls, wl_factory, result_of = SERVICE_APPS[job.app]
+        entry = APPS[job.app]
         with rt.job_context(lease, injector=injector, detector=detector):
             try:
-                app = res_cls(rt, wl_factory(job.iterations), group=lease.group())
+                app = entry.resilient(
+                    rt, entry.tiny_workload(job.iterations), group=lease.group()
+                )
                 store = AppResilientStore(
                     rt,
                     replicas=cfg.replicas,
@@ -516,8 +511,6 @@ class ClusterService:
                     max_restore_attempts=cfg.max_restore_attempts,
                     detector=detector,
                     lease=lease,
-                    replicas=cfg.replicas,
-                    placement=make_placement(cfg.placement),
                     recovery=recovery,
                 ).run()
                 result.restores = report.restores
@@ -525,7 +518,7 @@ class ClusterService:
                 result.failures_observed = report.failures_observed
                 result.final_places = report.final_group_size
                 baseline = self.baselines.get(job.app, job.places, job.iterations)
-                answer = np.asarray(result_of(app))
+                answer = np.asarray(entry.result(app))
                 if report.final_group_size == job.places:
                     # Replace-path recovery preserves the group width, so
                     # the rerun is bit-identical to the failure-free run.

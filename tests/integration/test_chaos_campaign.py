@@ -16,8 +16,8 @@ campaign runner asserts, per schedule, that
 import numpy as np
 import pytest
 
+from repro.bench.catalogue import CHAOS_APP_NAMES
 from repro.chaos import (
-    CHAOS_APPS,
     CampaignConfig,
     _campaign_index,
     _failure_free_result,
@@ -204,7 +204,7 @@ class TestDedupeSchedule:
 
 @pytest.mark.parametrize("placement", ["spread", "parity"])
 @pytest.mark.parametrize("recovery", ["checkpoint", "reconstruct"])
-@pytest.mark.parametrize("app", sorted(CHAOS_APPS))
+@pytest.mark.parametrize("app", sorted(CHAOS_APP_NAMES))
 def test_every_app_recovery_placement_cell_runs_or_is_rejected_up_front(
     app, recovery, placement
 ):

@@ -15,8 +15,8 @@ Acceptance bar for the delta-checkpointing PR:
 import numpy as np
 import pytest
 
+from repro.bench.catalogue import APPS, CHAOS_APP_NAMES
 from repro.chaos import (
-    CHAOS_APPS,
     CampaignConfig,
     make_schedule,
     run_campaign,
@@ -93,9 +93,9 @@ def test_delta_campaign_matches_full_campaign_statuses():
 
 def _outcome(app_name, config_kw, kills, mode, checkpoint_mode, delta):
     """Final result of one resilient run (or the DataLossError message)."""
-    _, res_cls, wl_factory, result_of = CHAOS_APPS[app_name]
+    entry = APPS[app_name]
     rt = Runtime(6, cost=CostModel.zero(), resilient=True)
-    app = res_cls(rt, wl_factory(30))
+    app = entry.resilient(rt, entry.tiny_workload(30))
     for kill in kills:
         rt.injector.add(kill)
     executor = IterativeExecutor(
@@ -111,7 +111,7 @@ def _outcome(app_name, config_kw, kills, mode, checkpoint_mode, delta):
         report = executor.run()
     except DataLossError as err:
         return ("loss", str(err))
-    return ("ok", np.asarray(result_of(app)), report.restores, report.checkpoints)
+    return ("ok", np.asarray(entry.result(app)), report.restores, report.checkpoints)
 
 
 STORE_CONFIGS = [
@@ -121,7 +121,7 @@ STORE_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("app_name", sorted(CHAOS_APPS))
+@pytest.mark.parametrize("app_name", sorted(CHAOS_APP_NAMES))
 @pytest.mark.parametrize("config_kw", STORE_CONFIGS, ids=["k1", "k2", "k1+disk"])
 def test_delta_restore_bitwise_equals_full(app_name, config_kw):
     # Random mutation patterns (the apps' own 30-iteration trajectories)
@@ -144,16 +144,16 @@ def test_delta_restore_bitwise_equals_full(app_name, config_kw):
 
 
 def test_failure_free_delta_matches_nonresilient_baseline():
-    for app_name in sorted(CHAOS_APPS):
-        nonres_cls, res_cls, wl_factory, result_of = CHAOS_APPS[app_name]
+    for app_name in sorted(CHAOS_APP_NAMES):
+        entry = APPS[app_name]
         rt = Runtime(6, cost=CostModel.zero())
-        base_app = nonres_cls(rt, wl_factory(30))
+        base_app = entry.nonresilient(rt, entry.tiny_workload(30))
         NonResilientExecutor(rt, base_app).run()
         rt2 = Runtime(6, cost=CostModel.zero(), resilient=True)
-        app = res_cls(rt2, wl_factory(30))
+        app = entry.resilient(rt2, entry.tiny_workload(30))
         IterativeExecutor(rt2, app, checkpoint_interval=5, delta=True).run()
         assert np.allclose(
-            np.asarray(result_of(app)), np.asarray(result_of(base_app)),
+            np.asarray(entry.result(app)), np.asarray(entry.result(base_app)),
             rtol=1e-12, atol=0,
         )
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.matrix import random as random_mod
-from repro.matrix import sparse_backend
 from repro.matrix.grid import Grid
 from repro.matrix.mapping import (
     CyclicBlockMap,
@@ -138,28 +137,21 @@ class TestLinkMatrix:
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("backend", ["numpy", "scipy"])
     @pytest.mark.parametrize(
         "n, out_degree, seed",
         [(7, 3, 0), (1, 4, 9), (5, 23, 2), (50, 70, 3), (4000, 10, 1234)],
     )
-    def test_keyed_build_matches_triplet_build(self, n, out_degree, seed, backend, monkeypatch):
+    def test_keyed_build_matches_triplet_build(self, n, out_degree, seed, monkeypatch):
         """The keyed single-pass build gives the bytes and dtypes of
-        ``from_coo`` on the old triplets under either sort backend, incl.
-        ``out_degree > n``, ``n = 1`` and a graph above ``_SCIPY_BUILD_MIN``."""
-        if backend == "scipy" and not sparse_backend.scipy_available():
-            pytest.skip("scipy not installed")
+        ``from_coo`` on the old triplets, incl. ``out_degree > n``, ``n = 1``
+        and a graph above ``_SCIPY_BUILD_MIN``."""
         monkeypatch.setattr(random_mod, "_input_memo", random_mod._InputMemo(1 << 24))
         link = LinkMatrix(n, out_degree, seed=seed)
         rows, cols = _reference_edges(link)
-        sparse_backend.set_backend(backend)
-        try:
-            reference = SparseCSR.from_coo(
-                n, n, rows, cols, np.full(len(rows), 1.0 / out_degree)
-            )
-            keyed = link.global_csr()
-        finally:
-            sparse_backend.set_backend(None)
+        reference = SparseCSR.from_coo(
+            n, n, rows, cols, np.full(len(rows), 1.0 / out_degree)
+        )
+        keyed = link.global_csr()
         for got, want in zip(keyed.payload_arrays(), reference.payload_arrays()):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()

@@ -1,10 +1,11 @@
-"""Tests for the from-scratch CSR/CSC implementations."""
+"""Tests for the CSR/CSC classes: own index arrays, scipy kernels."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.matrix import sparse
 from repro.matrix.sparse import SparseCSC, SparseCSR, flops_spmv
 
 
@@ -40,6 +41,33 @@ class TestCSRConstruction:
         assert a.nnz == 2
         assert a.to_dense()[0, 1] == 3.0
         assert a.to_dense()[0, 0] == 4.0
+        # A run of duplicates is summed in first-occurrence order, bit-exactly.
+        b = SparseCSR.from_coo(3, 3, [0, 0, 1, 0], [1, 1, 2, 1], [0.1, 0.2, 5.0, 0.4])
+        assert b.nnz == 2
+        assert b.to_dense()[0, 1] == (0.1 + 0.2) + 0.4
+
+    @pytest.mark.parametrize("cls, m, n", [(SparseCSR, 4096, 4096), (SparseCSC, 700, 300)])
+    def test_large_build_sorts_like_the_stable_argsort(self, cls, m, n, monkeypatch):
+        """At ``_SCIPY_BUILD_MIN`` triplets and above the sort order comes
+        from scipy's counting passes: the permutation of ``np.argsort(kind=
+        "stable")``, so the matrix has the bytes of the small-build path,
+        summed duplicates included (row- and column-major, non-square)."""
+        nnz = sparse._SCIPY_BUILD_MIN + 1000
+        rng = np.random.default_rng(21)
+        rows, cols = rng.integers(0, m, size=nnz), rng.integers(0, n, size=nnz)
+        rows[1], cols[1] = rows[0], cols[0]  # one duplicate for certain
+        vals = rng.standard_normal(nnz)
+        major, minor, n_major, n_minor = (
+            (rows, cols, m, n) if cls is SparseCSR else (cols, rows, n, m)
+        )
+        order = sparse._scipy_stable_order(major, minor, n_major, n_minor)
+        assert np.array_equal(order, np.argsort(major * n_minor + minor, kind="stable"))
+        counted = cls.from_coo(m, n, rows, cols, vals)
+        assert counted.nnz < nnz
+        monkeypatch.setattr(sparse, "_SCIPY_BUILD_MIN", nnz + 1)
+        argsorted = cls.from_coo(m, n, rows, cols, vals)
+        for got, want in zip(counted.payload_arrays(), argsorted.payload_arrays()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -73,6 +101,8 @@ class TestCSRKernels:
         a = SparseCSR.from_dense(dense)
         x = np.random.default_rng(seed + 1).random(n)
         assert np.allclose(a.spmv(x), dense @ x)
+        rhs = np.random.default_rng(seed + 3).random((n, 3))
+        assert np.allclose(a.matmat(rhs), dense @ rhs)
 
     @given(sparse_case)
     def test_spmv_t_matches_dense(self, case):
@@ -81,6 +111,8 @@ class TestCSRKernels:
         a = SparseCSR.from_dense(dense)
         y = np.random.default_rng(seed + 2).random(m)
         assert np.allclose(a.spmv_t(y), dense.T @ y)
+        lhs = np.random.default_rng(seed + 4).random((m, 3))
+        assert np.allclose(a.t_matmat(lhs), dense.T @ lhs)
 
     @given(sparse_case)
     def test_transpose(self, case):
@@ -97,10 +129,6 @@ class TestCSRKernels:
         """The scipy view wraps the object's own buffers — also when they are
         slices of a much larger base, which scipy's constructor would copy —
         and its ``.T`` is built once per mutation version."""
-        from repro.matrix import sparse_backend
-
-        if not sparse_backend.scipy_available():
-            pytest.skip("scipy not installed")
         big = cls.from_dense(random_dense(40, 6, 0.5, 3))
         hi = int(big.indptr[2])  # the first two rows (CSR) / columns (CSC)
         shape = (2, 6) if cls is SparseCSR else (40, 2)
@@ -118,17 +146,13 @@ class TestCSRKernels:
     def test_freeze_view_carries_the_scipy_handle(self, cls):
         """A snapshot alias adopts the live handle instead of rebuilding it;
         a later write on either side rebuilds only that side's."""
-        from repro.matrix import sparse_backend
-
-        if not sparse_backend.scipy_available():
-            pytest.skip("scipy not installed")
         dense = random_dense(5, 4, 0.6, 11)
         x = np.arange(1.0, 5.0)
         original = cls.from_dense(dense)
         cold = original.freeze_view()  # no handle built yet: nothing to carry
         assert cold._sp is None
         expected = original.spmv(x)
-        view = original._scipy()  # built here whichever backend serves spmv
+        view = original._scipy()
         alias = original.freeze_view()
         assert alias.version != original.version
         assert alias._scipy() is view and original._scipy() is view
@@ -334,6 +358,7 @@ class TestCSC:
         m, n, density, seed = case
         dense = random_dense(m, n, density, seed)
         csr = SparseCSR.from_dense(dense)
+        assert np.array_equal(csr.to_csc().to_dense(), dense)
         assert np.array_equal(csr.to_csc().to_csr().to_dense(), dense)
 
     def test_sub_matrix_and_count(self):

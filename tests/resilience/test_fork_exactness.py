@@ -17,7 +17,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.chaos import CHAOS_APPS, CampaignConfig, _build_world
+from repro.bench.catalogue import APPS
+from repro.chaos import CampaignConfig, _build_world
 from repro.engine.fork import ForkContext, capture_boundaries
 from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.placement import make_placement
@@ -55,7 +56,7 @@ def _run_with_captures(config: CampaignConfig, kills, checkpoint_mode="blocking"
         return True
 
     report = executor.run(boundary_hook=snap)
-    _, _, _, result_of = CHAOS_APPS[config.app]
+    result_of = APPS[config.app].result
     return (
         _fingerprint(executor, report),
         np.asarray(result_of(app)).copy(),
@@ -66,7 +67,7 @@ def _run_with_captures(config: CampaignConfig, kills, checkpoint_mode="blocking"
 
 def _resume_and_check(images, expected_fp, expected_result, app_name):
     """Resume every captured boundary; each must match the straight run."""
-    _, _, _, result_of = CHAOS_APPS[app_name]
+    result_of = APPS[app_name].result
     assert images, "no boundaries captured"
     for boundary, image in sorted(images.items()):
         forked = image.load()
@@ -141,9 +142,9 @@ def test_fork_with_detector_suspicion_in_flight():
     """Capture boundaries while a phi-accrual detector (whose heartbeats
     move the virtual clocks) and an armed kill are live in the world."""
     app_name = "cg"
-    _, res_cls, wl_factory, result_of = CHAOS_APPS[app_name]
+    entry = APPS[app_name]
     rt = make_runtime(6, cost=CostModel.zero(), resilient=True)
-    app = res_cls(rt, wl_factory(8))
+    app = entry.resilient(rt, entry.tiny_workload(8))
     rt.injector.add(ScriptedKill(place_id=3, iteration=4))
     detector = PhiAccrualDetector(rt, detect_timeout=5.0)
     store = AppResilientStore(rt, replicas=2, placement=make_placement("spread"))
@@ -164,7 +165,7 @@ def test_fork_with_detector_suspicion_in_flight():
 
     report = executor.run(boundary_hook=snap)
     fp = _fingerprint(executor, report)
-    result = np.asarray(result_of(app)).copy()
+    result = np.asarray(entry.result(app)).copy()
     _resume_and_check(images, fp, result, app_name)
 
 
@@ -172,12 +173,10 @@ def test_bench_pagerank_image_shares_link_blocks_by_reference():
     """Full-width link blocks are frozen slices of the memoized graph: an
     image parks them (and the scipy handles adopted over them) by reference,
     so a 12-place bench world costs kilobytes per boundary, not the graph."""
-    from repro.bench.harness import APP_REGISTRY
-
-    _, res_cls, wl_factory, cost_factory = APP_REGISTRY["pagerank"]
-    workload = wl_factory(4)
-    rt = make_runtime(12, cost=cost_factory(), resilient=True)
-    app = res_cls(rt, workload)
+    entry = APPS["pagerank"]
+    workload = entry.bench_workload(4)
+    rt = make_runtime(12, cost=entry.bench_cost(), resilient=True)
+    app = entry.resilient(rt, workload)
     rt.injector.add(ScriptedKill(place_id=5, iteration=3))
     executor = IterativeExecutor(rt, app, checkpoint_interval=2)
     context = ForkContext()
@@ -216,7 +215,7 @@ def test_sibling_forks_are_independent():
         app="linreg", places=6, iterations=8, checkpoint_interval=2, schedules=1
     )
     fp, result, images, name = _run_with_captures(config, KILLS)
-    _, _, _, result_of = CHAOS_APPS[name]
+    result_of = APPS[name].result
     mid = sorted(images)[len(images) // 2]
     first = images[mid].load()
     report_a = first.run()
@@ -235,7 +234,7 @@ def test_pause_resume_on_origin_equals_fork():
     config = CampaignConfig(
         app="cg", places=6, iterations=8, checkpoint_interval=2, schedules=1
     )
-    _, _, _, result_of = CHAOS_APPS[config.app]
+    result_of = APPS[config.app].result
     rt, app, _, executor = _build_world(config, RestoreMode.SHRINK, "blocking")
     for kill in KILLS:
         rt.injector.add(kill)
@@ -341,7 +340,7 @@ def test_capture_boundaries_named_pauses_after_the_last():
     config = CampaignConfig(
         app="linreg", places=4, iterations=8, checkpoint_interval=3, schedules=1
     )
-    _, _, _, result_of = CHAOS_APPS[config.app]
+    result_of = APPS[config.app].result
     rt, app, _, executor = _build_world(config, RestoreMode.SHRINK, "blocking")
     straight = executor.run()
     fp, result = _fingerprint(executor, straight), np.asarray(result_of(app)).copy()

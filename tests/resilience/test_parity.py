@@ -12,7 +12,6 @@ import pytest
 from repro.apps.data import PageRankWorkload
 from repro.apps.resilient import PageRankResilient
 from repro.bench.calibration import pagerank_cost
-from repro.matrix import sparse_backend
 from repro.matrix.distvector import DistVector
 from repro.matrix.dupvector import DupVector
 from repro.matrix.vector import Vector
@@ -316,7 +315,6 @@ class TestStoredBytes:
         assert logical < store.total_stored_bytes() <= 1.35 * logical
 
 
-@pytest.mark.skipif(not sparse_backend.scipy_available(), reason="scipy not installed")
 class TestPickledGroupAccounting:
     """A pickled-mode group (sparse link blocks) XORs pickled streams, and a
     pickle carries host state: memoized kernel handles, the process-wide
@@ -324,30 +322,21 @@ class TestPickledGroupAccounting:
 
     WL = PageRankWorkload(nodes_per_place=64, out_degree=8, blocks_per_place=2, iterations=2)
 
-    def _checkpoint(self, backend, warm):
-        sparse_backend.set_backend(backend)
-        try:
-            rt = Runtime(8, cost=pagerank_cost(), resilient=True)
-            app = PageRankResilient(rt, self.WL)
-            if warm:
-                # What a step() leaves behind on the host, minus its virtual
-                # time: every link block's memoized kernel handles.
-                x = np.ones(app.n)
-                for place in app.places:
-                    for block in rt.heap_of(place.id).get(app.G.heap_key):
-                        block.data.spmv(x)
-            store = AppResilientStore(rt, replicas=1, placement=ParityPlacement(group=4))
-            t0 = rt.now()
-            app.checkpoint(store)
-            return rt.now() - t0, store.total_stored_bytes()
-        finally:
-            sparse_backend.set_backend(None)
+    def _checkpoint(self, warm):
+        rt = Runtime(8, cost=pagerank_cost(), resilient=True)
+        app = PageRankResilient(rt, self.WL)
+        if warm:
+            # What a step() leaves behind on the host, minus its virtual
+            # time: every link block's memoized kernel handles.
+            x = np.ones(app.n)
+            for place in app.places:
+                for block in rt.heap_of(place.id).get(app.G.heap_key):
+                    block.data.spmv(x)
+        store = AppResilientStore(rt, replicas=1, placement=ParityPlacement(group=4))
+        t0 = rt.now()
+        app.checkpoint(store)
+        return rt.now() - t0, store.total_stored_bytes()
 
-    def test_checkpoint_ignores_host_caches_and_sparse_backend(self):
-        runs = {
-            (backend, warm): self._checkpoint(backend, warm)
-            for backend in ("scipy", "numpy")
-            for warm in (False, True)
-        }
-        # Bit-equal virtual time and stored bytes, all four ways.
-        assert len(set(runs.values())) == 1, runs
+    def test_checkpoint_ignores_host_caches(self):
+        # Bit-equal virtual time and stored bytes, cold or warm.
+        assert self._checkpoint(warm=False) == self._checkpoint(warm=True)

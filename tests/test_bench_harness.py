@@ -1,13 +1,15 @@
 """Tests for the benchmark harness (small axes so they run quickly)."""
 
+import argparse
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro import baseline
 from repro.bench import calibration, figures
+from repro.bench.catalogue import APPS, CHAOS_APP_NAMES
 from repro.bench.harness import (
-    APP_REGISTRY,
     _overhead_cell,
     _restore_cell,
     run_checkpoint_sweep,
@@ -28,8 +30,9 @@ def _restore_cell_from_scratch(
     """The reference the forked cell must equal: one fresh world per mode,
     the kill armed before ``run()``, and a fresh baseline run.  *spares*
     overrides the protocol's choice (one iff the mode replaces)."""
-    NonRes, Res, wl_factory, cost_factory = APP_REGISTRY[app_name]
-    wl = wl_factory(iterations)
+    entry = APPS[app_name]
+    NonRes, Res, cost_factory = entry.nonresilient, entry.resilient, entry.bench_cost
+    wl = entry.bench_workload(iterations)
     reports = {}
     for mode_value in mode_values:
         mode = RestoreMode(mode_value)
@@ -67,7 +70,45 @@ class TestCalibration:
         assert calibration.pagerank_cost().logical_scale == calibration.PAGERANK_SCALE
 
     def test_registry_covers_all_apps(self):
-        assert set(APP_REGISTRY) == {"linreg", "logreg", "pagerank", "gnmf", "cg"}
+        assert set(APPS) == {"linreg", "logreg", "pagerank", "gnmf", "cg"}
+
+
+class TestCatalogue:
+    """One table of apps behind ``run``, ``sweep``, ``chaos`` and ``serve``."""
+
+    @pytest.mark.parametrize("workload", ["bench_workload", "tiny_workload"])
+    @pytest.mark.parametrize("name", sorted(APPS))
+    def test_every_entry_builds_and_answers(self, name, workload):
+        entry = APPS[name]
+        for cls in (entry.nonresilient, entry.resilient):
+            with make_runtime(2, cost=entry.bench_cost(), resilient=True) as rt:
+                app = cls(rt, getattr(entry, workload)(2))
+                assert app.places.size == 2
+                assert isinstance(entry.result(app), np.ndarray)
+
+    def test_every_verb_accepts_the_names_it_always_did(self):
+        from repro.cli import _build_parser
+        from repro.service import ServiceConfig
+
+        verbs = next(
+            action.choices
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+
+        def choices(verb):
+            return set(verbs[verb]._actions[1].choices)  # [0] is --help
+
+        every = {"cg", "gnmf", "linreg", "logreg", "pagerank"}
+        assert set(APPS) == choices("run") == every
+        assert set(CHAOS_APP_NAMES) == choices("chaos") == every - {"gnmf"}
+        assert choices("sweep") == {
+            "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
+            "table3", "table4", "gnmf", "overlap",
+        }
+        assert ServiceConfig(apps=tuple(sorted(every))).apps == tuple(sorted(every))
+        with pytest.raises(ValueError, match="unknown app 'fft'"):
+            ServiceConfig(apps=("linreg", "fft"))
 
 
 class TestOverheadSweep:
@@ -140,7 +181,7 @@ class TestSharedPrefix:
 
     @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: "-".join(map(str, p)))
     @pytest.mark.parametrize("places", [2, 5])
-    @pytest.mark.parametrize("app_name", sorted(APP_REGISTRY))
+    @pytest.mark.parametrize("app_name", sorted(APPS))
     def test_forked_cell_equals_from_scratch(self, app_name, places, protocol):
         cell = _restore_cell(app_name, *protocol, MODES, places)
         reference = _restore_cell_from_scratch(app_name, *protocol, MODES, places)
@@ -195,8 +236,8 @@ class TestBaselineMemo:
         baseline.clear()
 
     def _key(self, places=3, iterations=12):
-        NonRes, _, wl_factory, cost_factory = APP_REGISTRY["linreg"]
-        return NonRes, wl_factory(iterations), cost_factory(), places
+        entry = APPS["linreg"]
+        return entry.nonresilient, entry.bench_workload(iterations), entry.bench_cost(), places
 
     def test_returns_what_a_fresh_run_returns(self):
         fresh = _restore_cell_from_scratch("linreg", 12, 5, 7, (), 3)["baseline"]
@@ -205,7 +246,7 @@ class TestBaselineMemo:
         assert isinstance(fresh, float) and fresh > 0
 
     def test_overhead_and_restore_cells_share_one_run(self, monkeypatch):
-        NonRes = APP_REGISTRY["linreg"][0]
+        NonRes = APPS["linreg"].nonresilient
         built_on_resilient = []
         init = NonRes.__init__
 

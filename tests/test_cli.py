@@ -4,6 +4,10 @@ import pytest
 
 from repro.cli import main
 
+#: A run small enough to build in milliseconds.
+SMALL = ["--places", "4", "--iterations", "4"]
+PARITY_K2 = ["--placement", "parity", "--replicas", "2"]
+
 
 class TestList:
     def test_lists_apps_and_experiments(self, capsys):
@@ -213,22 +217,55 @@ class TestChaosCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["linreg", "--recovery", "reconstruct"], "needs a ReconstructableIterativeApp"),
             (
-                ["cg", "--recovery", "reconstruct", "--placement", "parity", "--spares", "2"],
+                ["chaos", "linreg", "--recovery", "reconstruct", "--schedules", "2"],
+                "needs a ReconstructableIterativeApp",
+            ),
+            (
+                ["chaos", "cg", "--recovery", "reconstruct", "--placement", "parity",
+                 "--spares", "2", "--schedules", "2"],
                 "parity placement applies to snapshot stores only",
             ),
+            (["run", "linreg", *SMALL, "--recovery", "reconstruct"],
+             "needs a ReconstructableIterativeApp"),
+            (["run", "cg", *SMALL, "--recovery", "reconstruct", "--placement", "parity"],
+             "parity placement applies to snapshot stores only"),
+            (["run", "linreg", *SMALL, "--ckpt-interval", "0"],
+             "checkpoint_interval must be positive"),
+            (["chaos", "linreg", "--ckpt-interval", "0"],
+             "checkpoint_interval must be positive"),
+            (["serve", "--ckpt-interval", "0"], "checkpoint_interval must be positive"),
+            (["run", "linreg", *SMALL, "--fail-at", "3", "--victim", "0"],
+             "cannot script a kill of place 0"),
+            # Used to arm a kill nothing could fire and report 0 failures.
+            (["run", "linreg", *SMALL, "--fail-at", "3", "--victim", "9"],
+             "--victim 9 names no place of this world"),
+            (["serve", "--places", "3", "--max-job-places", "6"],
+             "max_places cannot exceed the worker count"),
+            # The parity x replicas rule: one wording on every verb.
+            (["run", "linreg", *SMALL, *PARITY_K2], "replicas must be <= 1, got 2"),
+            (["chaos", "linreg", *PARITY_K2], "replicas must be <= 1, got 2"),
+            (["serve", *PARITY_K2], "replicas must be <= 1, got 2"),
         ],
     )
     def test_unservable_recovery_is_a_usage_error(self, argv, message, capsys):
-        """Both used to be accepted and to raise from inside schedule 0."""
+        """A configuration no world can be built from is one ``error:`` line
+        and exit 2 on every verb — these used to be tracebacks from inside
+        the first schedule, job or executor (or, for the unknown victim, a
+        run that silently killed nobody)."""
         with pytest.raises(SystemExit) as exit_info:
-            main(["chaos", *argv, "--schedules", "2"])
+            main(argv)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: recovery='reconstruct' ") and message in captured.err
+        assert captured.err.startswith("error: ") and message in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    def test_an_idle_spare_is_a_valid_victim(self, capsys):
+        assert main([
+            "run", "linreg", *SMALL, "--spares", "1", "--fail-at", "3", "--victim", "4",
+        ]) == 0
+        assert "kills never fired" not in capsys.readouterr().out
 
 
 class TestDeltaAndJobs:

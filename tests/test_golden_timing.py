@@ -13,7 +13,6 @@ them with the printed repro snippet and say so in the commit.
 import pytest
 
 from repro.bench.harness import run_overhead_sweep
-from repro.matrix import sparse_backend
 
 PLACES = [2, 8, 20]
 ITERATIONS = 6
@@ -35,33 +34,14 @@ GOLDEN = {
 }
 
 
-def _backends():
-    """Both sparse backends when scipy is present, else just numpy.
-
-    The speed pass requires the scipy-backed kernels to reproduce the
-    golden virtual times bit-for-bit, so the goldens are pinned once and
-    asserted under each backend.
-    """
-    if sparse_backend.scipy_available():
-        return ["numpy", "scipy"]
-    return ["numpy"]
-
-
-@pytest.fixture(params=_backends())
-def backend(request):
-    sparse_backend.set_backend(request.param)
-    yield request.param
-    sparse_backend.set_backend(None)
-
-
 @pytest.mark.parametrize("app", sorted(GOLDEN))
-def test_overhead_sweep_matches_golden(app, backend):
+def test_overhead_sweep_matches_golden(app):
     series = run_overhead_sweep(app, places_list=PLACES, iterations=ITERATIONS)
     assert series.places == PLACES
     for label, golden in GOLDEN[app].items():
         measured = series.values[label]
         assert measured == pytest.approx(golden, rel=1e-12, abs=1e-9), (
-            f"{app} / {label} [{backend} backend]: measured {measured!r} != "
+            f"{app} / {label}: measured {measured!r} != "
             f"golden {golden!r}; regenerate with run_overhead_sweep"
             f"({app!r}, places_list={PLACES}, iterations={ITERATIONS})"
         )
