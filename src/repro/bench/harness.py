@@ -27,10 +27,12 @@ from repro.runtime.factory import make_runtime
 PAPER_FAILURE_ITERATION = 15
 
 
-def _pmap(fn: Callable, items: Sequence, jobs: Optional[int]) -> List:
-    """Map *fn* over *items*, optionally on a process pool.
+def pmap(fn: Callable, items: Sequence, jobs: Optional[int]) -> List:
+    """Map *fn* over *items*, optionally on a process pool — the one pool of
+    the sweeps, the chaos campaigns and the service campaigns.
 
-    Each item is an independent simulation cell (its own Runtime), so
+    Each item is an independent simulation (a sweep cell, a schedule, a
+    stream: its own Runtime, its randomness derived from its own index), so
     fan-out cannot change any result; ``pool.map`` preserves input order,
     keeping the output identical to the serial loop.  ``jobs`` of None or
     1 stays serial — the default, and what the golden-timing tests pin.
@@ -90,7 +92,7 @@ def run_overhead_sweep(
     """
     places_list = places_list or calibration.places_axis()
     series = SweepSeries(places=list(places_list))
-    cells = _pmap(partial(_overhead_cell, app_name, iterations), places_list, jobs)
+    cells = pmap(partial(_overhead_cell, app_name, iterations), places_list, jobs)
     for cell in cells:
         for label, per_iter_ms in cell:
             series.add(label, per_iter_ms)
@@ -130,7 +132,7 @@ def run_checkpoint_sweep(
     """
     places_list = places_list or calibration.places_axis()
     series = SweepSeries(places=list(places_list))
-    reports = _pmap(
+    reports = pmap(
         partial(_checkpoint_cell, app_name, iterations, checkpoint_interval, delta),
         places_list,
         jobs,
@@ -187,7 +189,7 @@ def run_checkpoint_mode_sweep(
         "blocking": {},
         "overlapped": {},
     }
-    cells = _pmap(
+    cells = pmap(
         partial(_checkpoint_mode_cell, app_name, iterations, checkpoint_interval),
         places_list,
         jobs,
@@ -282,7 +284,7 @@ def run_restore_sweep(
     series = SweepSeries(places=list(places_list))
     reports: Dict[str, Dict[int, ExecutionReport]] = {m.value: {} for m in modes}
 
-    cells = _pmap(
+    cells = pmap(
         partial(
             _restore_cell,
             app_name,

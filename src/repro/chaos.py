@@ -27,7 +27,6 @@ reproducible from its campaign seed + index alone.  Used by the
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,6 +35,7 @@ import numpy as np
 
 from repro.baseline import failure_free_result
 from repro.bench.catalogue import APPS, CHAOS_APP_NAMES
+from repro.bench.harness import pmap
 from repro.resilience.executor import IterativeExecutor, RestoreMode, check_recovery
 from repro.resilience.placement import (
     ParityPlacement,
@@ -120,7 +120,7 @@ class CampaignConfig:
         # what would otherwise raise from inside the first schedule: an
         # unknown app, a bad placement spec, parity double-paying for
         # protection, a recovery scheme this app or placement cannot serve,
-        # a zero interval.
+        # a zero interval, a run too short to draw a kill iteration from.
         require(
             self.app in CHAOS_APP_NAMES,
             f"unknown chaos app {self.app!r}; choose from {sorted(CHAOS_APP_NAMES)}",
@@ -129,6 +129,11 @@ class CampaignConfig:
         check_protection(policy, self.replicas)
         check_recovery(APPS[self.app].resilient, self.recovery, policy)
         check_positive(self.checkpoint_interval, "checkpoint_interval")
+        require(
+            self.iterations >= 2,
+            f"iterations must be >= 2 (kills fire at iterations 1..iterations-1), "
+            f"got {self.iterations}",
+        )
 
     @property
     def transient(self) -> bool:
@@ -306,16 +311,6 @@ def make_schedule(
         else:
             kills.append(ScriptedKill(place_id=victim, iteration=when))
     return dedupe_schedule(kills)
-
-
-def _failure_free_result(config: CampaignConfig) -> np.ndarray:
-    """The reference answer: the non-resilient app, no failures.
-
-    Served from the process-wide memo shared with the service layer's
-    ``BaselineCache`` (:mod:`repro.baseline`), so repeated campaigns and
-    multi-stream serves compute each distinct baseline once.
-    """
-    return failure_free_result(APPS[config.app], config.places, config.iterations)
 
 
 def _arm_transients(
@@ -910,23 +905,14 @@ def run_campaign(
     :class:`PrefixCache`); outcomes are bitwise identical either way.
     Campaigns with transient axes or a detector decline the cache.
     """
-    baseline = _failure_free_result(config)
+    baseline = failure_free_result(APPS[config.app], config.places, config.iterations)
     prefix = None
     if prefix_cache and PrefixCache.usable(config):
         # Built eagerly in the parent so pool workers inherit (fork) or
         # receive (spawn) ready images instead of each rebuilding them.
         prefix = PrefixCache(config).build()
     worker = partial(_campaign_index, config, baseline, prefix)
-    if jobs is not None and jobs > 1 and config.schedules > 1:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(min(jobs, config.schedules)) as pool:
-            outcomes = pool.map(worker, range(config.schedules))
-    else:
-        outcomes = [worker(index) for index in range(config.schedules)]
-    return CampaignResult(config, outcomes)
+    return CampaignResult(config, pmap(worker, range(config.schedules), jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -999,16 +985,7 @@ def run_service_campaign(
     pool — each stream is a pure function of ``(config, index)``, so the
     outcome is bitwise identical to the serial loop.
     """
-    worker = partial(_service_stream, config)
-    if jobs is not None and jobs > 1 and streams > 1:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(min(jobs, streams)) as pool:
-            results = pool.map(worker, range(streams))
-    else:
-        results = [worker(index) for index in range(streams)]
+    results = pmap(partial(_service_stream, config), range(streams), jobs)
     violations: List[str] = []
     for _, prefixed in results:
         violations.extend(prefixed)

@@ -434,6 +434,16 @@ def _build_run(args: argparse.Namespace) -> Callable[[], int]:
     return partial(_run_world, args, rt, app, executor)
 
 
+def _check_place(flag: str, pid: int, world: List[int]) -> None:
+    """A place a flag names must exist in this world (a ``ValueError`` here
+    is a usage error, see :func:`main`)."""
+    if pid not in world:
+        raise ValueError(
+            f"{flag} {pid} names no place of this world "
+            f"(ids 0..{world[-1]}, spares included)"
+        )
+
+
 def _build_world(args: argparse.Namespace, rt):
     entry = APPS[args.app]
     workload = entry.bench_workload(args.iterations)
@@ -442,15 +452,12 @@ def _build_world(args: argparse.Namespace, rt):
         executor = NonResilientExecutor(rt, app)
     else:
         app = entry.resilient(rt, workload)
+        world = rt.all_place_ids()
         if args.fail_at:
-            victims, world = args.victim or [], rt.all_place_ids()
+            victims = args.victim or []
             for i, fail_at in enumerate(args.fail_at):
                 victim = victims[i] if i < len(victims) else args.places // 2
-                if victim not in world:
-                    raise ValueError(
-                        f"--victim {victim} names no place of this world "
-                        f"(ids 0..{world[-1]}, spares included)"
-                    )
+                _check_place("--victim", victim, world)
                 rt.injector.kill_at_iteration(victim, iteration=fail_at)
         if args.mttf is not None:
             model = ExponentialFailureModel(args.mttf, seed=args.chaos_seed)
@@ -461,6 +468,7 @@ def _build_world(args: argparse.Namespace, rt):
             for kill in model.schedule(candidates, horizon=10.0 * args.mttf):
                 rt.injector.kill_at_time(kill.place_id, t0 + kill.time)
         for pid, factor in _parse_stragglers(args.straggler):
+            _check_place("--straggler", pid, world)
             rt.set_straggler(pid, factor)
         if args.drop_rate or args.dup_rate or args.delay_rate:
             rt.set_faults(

@@ -8,7 +8,7 @@ Public surface:
   occupied together (full-duplex transfers);
 * :class:`~repro.engine.timeline.Timeline` and the typed event records
   (:class:`TransferEvent`, :class:`ServiceEvent`, :class:`DiskEvent`,
-  :class:`FinishEvent`) with JSONL round-tripping;
+  :class:`FinishEvent`, :class:`MembershipEvent`) with JSONL round-tripping;
 * :class:`~repro.engine.scheduler.Scheduler` — owns the virtual clock,
   all contended resources, finish completion, and the overlap scope that
   enables overlapped checkpointing.
@@ -20,6 +20,7 @@ from repro.engine.timeline import (
     DiskEvent,
     EngineEvent,
     FinishEvent,
+    MembershipEvent,
     ServiceEvent,
     Timeline,
     TransferEvent,
@@ -34,6 +35,7 @@ __all__ = [
     "DiskEvent",
     "EngineEvent",
     "FinishEvent",
+    "MembershipEvent",
     "ServiceEvent",
     "Timeline",
     "TransferEvent",

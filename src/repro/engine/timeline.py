@@ -2,10 +2,11 @@
 
 The engine records one event per scheduled unit of work — a transfer
 served by communication resources, a bookkeeping event on the place-zero
-ledger, a stable-storage disk access, a completed finish.  Unlike the
-free-form ``TraceLog`` tuples, these are typed records with fixed fields,
-so tools (``repro.bench.timeline``, the CLI's ``--trace-out``) can consume
-them without re-deriving timings from the runtime's internals.
+ledger, a stable-storage disk access, a completed finish — and one per change
+of membership (a place killed, repaired or added, a lease granted or
+released).  They are typed records with fixed fields, so tools
+(``repro.bench.timeline``, the CLI's ``--trace-out``) can consume them
+without re-deriving timings from the runtime's internals.
 
 Events serialize to JSON-lines (one object per line, a ``kind`` field
 first) and load back into the same typed records.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, IO, Iterable, List, Optional, Type, Union
+from typing import Any, Dict, IO, Iterable, List, Optional, Tuple, Type, Union
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,31 @@ class FinishEvent(EngineEvent):
     kind = "finish"
 
 
+@dataclass(frozen=True)
+class MembershipEvent(EngineEvent):
+    """One change of who is in the world or who holds it, at an instant
+    (``t_start == t_end``).
+
+    ``op`` is ``"kill"``, ``"repair"`` or ``"add_place"`` (of ``place``), or
+    ``"lease"`` / ``"release"`` (of the lease ``name``; a grant lists its
+    ``members``' place ids).
+    """
+
+    op: str = ""
+    place: int = -1
+    name: str = ""
+    members: Tuple[int, ...] = ()
+
+    kind = "membership"
+
+    def __post_init__(self) -> None:
+        # A JSONL record carries a list; equal events must compare equal.
+        object.__setattr__(self, "members", tuple(self.members))
+
+
 _EVENT_TYPES: Dict[str, Type[EngineEvent]] = {
-    cls.kind: cls for cls in (TransferEvent, ServiceEvent, DiskEvent, FinishEvent)
+    cls.kind: cls
+    for cls in (TransferEvent, ServiceEvent, DiskEvent, FinishEvent, MembershipEvent)
 }
 
 

@@ -89,6 +89,16 @@ class DenseMatrix:
         """Backing arrays for snapshot checksumming (``repro.util.checksum``)."""
         return (self.data,)
 
+    @classmethod
+    def from_payload_arrays(cls, shape, arrays) -> "DenseMatrix":
+        """Inverse of :meth:`payload_arrays`: an ``m × n`` = *shape* matrix
+        aliasing ``arrays[0]``, unvalidated and uncopied (see
+        :meth:`Vector.from_payload_arrays`)."""
+        alias = object.__new__(cls)
+        (alias.data,) = arrays
+        (alias.m, alias.n), alias.version = shape, next_version()
+        return alias
+
     # -- cell-wise operations ------------------------------------------------
 
     def scale(self, alpha: float) -> "DenseMatrix":

@@ -122,6 +122,13 @@ def _freeze_view(self):
     return alias
 
 
+def _from_payload_arrays(cls, shape, arrays):
+    """Inverse of ``payload_arrays()``: an ``m × n`` = *shape* matrix over
+    ``(indptr, indices, values)`` = *arrays*, through the unchecked
+    :meth:`_build` (see :meth:`repro.matrix.vector.Vector.from_payload_arrays`)."""
+    return cls._build(*shape, *arrays)
+
+
 class SparseCSR:
     """Compressed-sparse-row storage: ``indptr`` (m+1), ``indices``, ``values``.
 
@@ -237,6 +244,8 @@ class SparseCSR:
     def payload_arrays(self) -> Tuple[np.ndarray, ...]:
         """Backing arrays for snapshot checksumming (``repro.util.checksum``)."""
         return (self.indptr, self.indices, self.values)
+
+    from_payload_arrays = classmethod(_from_payload_arrays)
 
     def row_ids(self) -> np.ndarray:
         """Expanded row index of every stored entry (COO view helper)."""
@@ -535,6 +544,8 @@ class SparseCSC:
     def payload_arrays(self) -> Tuple[np.ndarray, ...]:
         """Backing arrays for snapshot checksumming (``repro.util.checksum``)."""
         return (self.indptr, self.indices, self.values)
+
+    from_payload_arrays = classmethod(_from_payload_arrays)
 
     def to_csr(self) -> SparseCSR:
         """Convert to compressed-sparse-row storage."""

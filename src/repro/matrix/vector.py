@@ -96,6 +96,17 @@ class Vector:
         """The backing arrays (checksum / corruption protocol)."""
         return (self.data,)
 
+    @classmethod
+    def from_payload_arrays(cls, shape, arrays) -> "Vector":
+        """Inverse of :meth:`payload_arrays`: a vector aliasing ``arrays[0]``
+        (*shape* is the array's own).  For the snapshot tiers, which rebuild
+        a partition from bytes a CRC vouches for: nothing is validated and
+        nothing copied (``docs/api.md``, "Payload protocol")."""
+        alias = object.__new__(cls)
+        (alias.data,) = arrays
+        alias.n, alias.version = len(alias.data), next_version()
+        return alias
+
     # -- cell-wise ops --------------------------------------------------------
 
     def fill(self, value: float) -> "Vector":

@@ -30,28 +30,28 @@ recovery it re-materializes lost primaries from the parity tier and
 rebuilds missing parity blocks so protection does not erode across a long
 campaign.
 
-Simulation note: XOR blocks are *really* computed over the members' byte
-streams (reconstruction re-materializes the payload and is
-checksum-verified against the original), while the virtual-time charge
-follows the cost model's dirty-bytes accounting — the same
-wall-work/modeled-cost split the rest of the store uses.  When every
-member of a group is a single-contiguous-array payload (``Vector``,
-``DenseMatrix``, or a bare ndarray) the stream is the **raw NumPy
-buffer** viewed as ``uint8`` — no pickling, no padding beyond the group
-maximum, and reconstruction rebuilds the payload from the recorded
-``(class, dtype, shape)`` codec.  Ragged payloads (multi-array sparse
-partitions, containers) fall back to the pickled encoding per group; the
-CRC gates are the same in both modes, only the byte stream differs.  The
-pickle is an XOR *encoding* only: it carries host state (memoized kernel
-handles, process-wide version counters), so every byte a pickled-mode group
-charges or reports is the members' modeled ``payload_nbytes``, never the
-pickled length — virtual time must not depend on what the host has cached.
+Simulation note: XOR blocks are *really* computed over the members' bytes
+(reconstruction re-materializes the payload and is checksum-verified against
+the original), while the virtual-time charge follows the cost model's
+dirty-bytes accounting — the same wall-work/modeled-cost split the rest of
+the store uses.  There is one encoding, for every payload: a member's XOR
+operand is the bytes of its backing arrays end to end, in
+``payload_arrays()`` order (a block set ``{(rb, cb): block}``: block by
+block, in dict order).  A block is therefore a function of the members'
+*values* and of nothing the host keeps beside them — not memoized kernel
+handles, not version tokens — so a primary refilled from a CRC-verified
+reconstruction leaves its group's block valid.  What turns the XORed bytes
+back into a payload is a small value-only *template* recorded per key at
+build (:func:`_encode`): the dict keys, and per leaf its class, ``shape``
+and each array's ``(dtype, shape)``; the classes rebuild themselves through
+their ``from_payload_arrays``, the unchecked inverse of ``payload_arrays()``,
+behind the two CRC gates of :meth:`ParityObjectSnapshot._locate_rederived`.
 """
 
 from __future__ import annotations
 
-import pickle
-from typing import Any, Dict, List, Optional, Set, Tuple
+import math
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,49 +70,56 @@ from repro.util.versioning import freeze_payload
 PARITY_TIER = -2
 
 
-def _pickled(payload: Any) -> bytes:
-    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+def _encode(payload: Any) -> Tuple[np.ndarray, int, tuple]:
+    """``(XOR operand, bytes charged and reported, rebuild template)`` of one
+    group member.
 
+    The operand is the member's backing arrays as bytes, end to end (zero-copy
+    for a single buffer).  The template is what :func:`_decode` needs to cut
+    those bytes back into the payload, values only: the dict keys of a block
+    set (None for a single leaf) and, per leaf, its class, its ``shape`` and
+    each array's ``(dtype, shape)``.
 
-def _raw_codec(payload: Any) -> Optional[Tuple[tuple, np.ndarray]]:
-    """``(codec, flat uint8 view)`` for single-array payloads, else None.
-
-    The raw XOR fast path applies to payloads whose bytes are exactly one
-    C-contiguous NumPy buffer: a bare ndarray, or a wrapper (``Vector``,
-    ``DenseMatrix``) whose ``payload_arrays()`` is its sole ``.data``
-    array and whose constructor rebuilds from that array.  The codec
-    ``(cls_or_None, dtype_str, shape)`` is everything reconstruction
-    needs; ragged payloads (sparse partitions, containers) return None
-    and the group falls back to the pickled encoding.
+    A single-buffer member is charged at its buffer bytes, a block set or a
+    multi-array (sparse) member at its modeled ``payload_nbytes``: the two
+    rules are older than this encoding, and unifying them moves parity
+    virtual times (ROADMAP item 7).
     """
-    if type(payload) is np.ndarray:
-        arr, cls = payload, None
-    else:
-        arrays = getattr(payload, "payload_arrays", None)
-        if arrays is None:
-            return None
-        backing = arrays()
-        if len(backing) != 1 or backing[0] is not getattr(payload, "data", None):
-            return None
-        arr, cls = backing[0], type(payload)
-    if type(arr) is not np.ndarray or not arr.flags.c_contiguous:
-        return None
-    return (cls, arr.dtype.str, arr.shape), arr.view(np.uint8).reshape(-1)
+    keyed = type(payload) is dict
+    recipe, flat = [], []
+    for leaf in payload.values() if keyed else (payload,):
+        specs = []
+        for arr in (leaf,) if type(leaf) is np.ndarray else leaf.payload_arrays():
+            specs.append((arr.dtype, arr.shape))
+            flat.append(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
+        recipe.append((type(leaf), getattr(leaf, "shape", None), specs))
+    template = (tuple(payload) if keyed else None, recipe)
+    if len(flat) == 1 and not keyed:
+        return flat[0], flat[0].size, template
+    stream = np.concatenate(flat) if flat else np.zeros(0, dtype=np.uint8)
+    return stream, payload_nbytes(payload), template
 
 
-def _encode(payload: Any, raw: bool) -> Optional[Tuple[np.ndarray, int, Optional[tuple]]]:
-    """``(XOR operand, bytes charged and reported, rebuild codec)`` of one
-    group member, or None when a raw group's member has no raw encoding.
+def _decode(stream: np.ndarray, template: tuple) -> Any:
+    """The payload whose :func:`_encode` operand is the head of *stream*.
 
-    A raw stream is charged at its own size.  A pickled stream is the XOR
-    *encoding* only and is charged at the member's modeled size instead
-    (module docstring): its length depends on what the host has memoized.
+    Arrays are cut as views of *stream* (which the caller gives up) and each
+    leaf is rebuilt by its class's ``from_payload_arrays`` — the inverse of
+    ``payload_arrays()``, which validates nothing: the caller checks the
+    result against the key's save-time CRC before anyone sees it.
     """
-    if raw:
-        rc = _raw_codec(payload)
-        return None if rc is None else (rc[1], rc[1].size, rc[0])
-    stream = np.frombuffer(_pickled(payload), dtype=np.uint8)
-    return stream, payload_nbytes(payload), None
+    keys, recipe = template
+    leaves, offset = [], 0
+    for cls, shape, specs in recipe:
+        arrays = []
+        for dtype, dims in specs:
+            end = offset + dtype.itemsize * math.prod(dims)
+            arrays.append(stream[offset:end].view(dtype).reshape(dims))
+            offset = end
+        leaves.append(
+            arrays[0] if cls is np.ndarray else cls.from_payload_arrays(shape, arrays)
+        )
+    return leaves[0] if keys is None else dict(zip(keys, leaves))
 
 
 class ParityObjectSnapshot(DistObjectSnapshot):
@@ -150,19 +157,15 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         #: Members per parity group (capped so a group-external place exists).
         self._span = placement.group_span(group.size)
         #: Group index -> accounted bytes of its built (or adopted) parity
-        #: block: the longest member stream in raw mode, the largest member
-        #: ``payload_nbytes`` in pickled mode.  Recorded once at build so
-        #: adoption, drop and ``stored_nbytes`` all agree on it.
+        #: block: the largest charged size among its members
+        #: (:func:`_encode`).  Recorded once at build so adoption, drop and
+        #: ``stored_nbytes`` all agree on it.
         self._parity: Dict[int, int] = {}
         #: CRC-32 per parity block, recorded at build time.
         self._parity_checksums: Dict[int, int] = {}
-        #: Stream length per key (the truncation bound at reconstruct):
-        #: raw buffer bytes in raw mode, pickled length in fallback mode.
-        self._parity_lengths: Dict[int, int] = {}
-        #: Groups whose block XORs raw NumPy buffers (vs pickled blobs).
-        self._parity_raw: Set[int] = set()
-        #: Per-key ``(cls, dtype, shape)`` rebuild recipe for raw groups.
-        self._parity_codecs: Dict[int, tuple] = {}
+        #: Per-key rebuild template (:func:`_encode`), recorded at build
+        #: time and carried along by clean adoption.
+        self._templates: Dict[int, tuple] = {}
         #: Base snapshot donating clean partitions (delta saves).
         self._parity_base: Optional["ParityObjectSnapshot"] = None
         #: Bytes held in parity blocks (the ~1/g overhead; part of
@@ -232,9 +235,7 @@ class ParityObjectSnapshot(DistObjectSnapshot):
     ) -> None:
         self._parity_base = base
         super().save_clean_from(ctx, key, base)
-        self._parity_lengths[key] = base._parity_lengths.get(key, 0)
-        if key in base._parity_codecs:
-            self._parity_codecs[key] = base._parity_codecs[key]
+        self._templates[key] = base._templates[key]
         self._after_key_saved(key)
 
     def _after_key_saved(self, key: int) -> None:
@@ -267,8 +268,6 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         heap = self.runtime.heap_of(base._parity_place(gidx).id)
         heap.put(self._parity_key(gidx), heap.get(base._parity_key(gidx)))
         self._parity_checksums[gidx] = base._parity_checksums[gidx]
-        if gidx in base._parity_raw:
-            self._parity_raw.add(gidx)
         if base._canonical(gidx) in base._verified:
             self._verified.add(self._canonical(gidx))
         nbytes = self._parity[gidx] = base._parity[gidx]
@@ -293,28 +292,16 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         rt = self.runtime
         cost = rt.cost
         parity_place = self._parity_place(gidx)
-        payloads = {}
+        encoded = {}
         for m in self._saved_members(gidx):
             _, pid, heap_key = self._rows[m][0]
-            payloads[m] = rt.heap_of(pid).get(heap_key)
-        # Raw mode (every member one contiguous buffer) XORs the buffers
-        # directly — no pickling, no per-member blob materialization.
-        raw = all(_raw_codec(p) is not None for p in payloads.values())
-        if raw:
-            self._parity_raw.add(gidx)
-        else:
-            self._parity_raw.discard(gidx)
-        encoded = {m: _encode(p, raw) for m, p in payloads.items()}
+            encoded[m] = _encode(rt.heap_of(pid).get(heap_key))
         acc = np.zeros(max(e[0].size for e in encoded.values()), dtype=np.uint8)
         sizes = {}
-        for m, (stream, nbytes, codec) in encoded.items():
+        for m, (stream, nbytes, template) in encoded.items():
             acc[: stream.size] ^= stream
             sizes[m] = nbytes
-            self._parity_lengths[m] = stream.size
-            if raw:
-                self._parity_codecs[m] = codec
-            else:
-                self._parity_codecs.pop(m, None)
+            self._templates[m] = template
         acc.setflags(write=False)
         charged_bytes = 0
         for m in charge_keys:
@@ -379,8 +366,7 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         rt = self.runtime
         parity_place = self._parity_place(gidx)
         block = rt.heap_of(parity_place.id).get(self._parity_key(gidx))
-        # Hashed at its accounted size as a bare-array payload (in raw mode
-        # that is ``payload_nbytes(block)`` exactly).
+        # Hashed at its accounted size as a bare-array payload.
         rt.clock.advance(
             parity_place.id, rt.cost.checksum(self._parity[gidx] + FRAMING_BYTES)
         )
@@ -413,48 +399,17 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         if not all(self._primary_held(m) and self._verify_tier(m, 0) for m in peers):
             return None
         cost = rt.cost
-        raw = gidx in self._parity_raw
         acc = np.array(
             rt.heap_of(parity_place.id).get(self._parity_key(gidx)), dtype=np.uint8
         )
         xored = self._parity[gidx] + FRAMING_BYTES
         for m in peers:
             _, src, heap_key = self._rows[m][0]
-            payload = rt.heap_of(src).get(heap_key)
-            encoded = _encode(payload, raw)
-            if encoded is None:
-                # A peer no longer matches the raw encoding the block
-                # was built with — the XOR equation cannot be solved.
-                return None
-            stream, nbytes, _ = encoded
-            if stream.size > acc.size:
-                # The member's byte stream outgrew the block since it was
-                # built — a re-materialized primary whose serialized form
-                # drifted (possible in the pickled encoding only; raw
-                # buffers are value-determined).  The XOR equation no
-                # longer covers the member: drop the stale block so the
-                # next checkpoint or repair pass rebuilds it, and fall
-                # through to the next tier.
-                self._drop_block(gidx)
-                return None
+            stream, nbytes, _ = _encode(rt.heap_of(src).get(heap_key))
             acc[: stream.size] ^= stream
             xored += nbytes
             self._ship(src, parity_place.id, nbytes)
-        length = self._parity_lengths.get(key)
-        codec = self._parity_codecs.get(key)
-        if length is None or length > acc.size or (raw and codec is None):
-            self.quarantined.append(self._canonical(gidx))
-            return None
-        if raw:
-            cls, dtype, shape = codec
-            data = (
-                np.frombuffer(acc[:length].tobytes(), dtype=np.dtype(dtype))
-                .reshape(shape)
-                .copy()
-            )
-            payload = data if cls is None else cls(data)
-        else:
-            payload = pickle.loads(acc[:length].tobytes())
+        payload = _decode(acc, self._templates[key])
         freeze_payload(payload)
         nbytes = payload_nbytes(payload)
         rt.clock.advance(
@@ -557,7 +512,6 @@ class ParityObjectSnapshot(DistObjectSnapshot):
             for place in self.group:
                 rt.check_alive(place.id)
         repaired = 0
-        refilled_groups: Set[int] = set()
         for key in sorted(self._saved_keys):
             home = self._homes[key][0]
             if not rt.is_alive(home.id) or self._primary_held(key):
@@ -576,28 +530,18 @@ class ParityObjectSnapshot(DistObjectSnapshot):
                 rt.clock.advance(home.id, rt.cost.memcpy(nbytes))
             rt.heap_of(home.id).put(self._rows[key][0][2], payload)
             self._verified.add((key, 0))
-            refilled_groups.add(self._parity_group(key))
             repaired += 1
+        # A block that survived stays as it is: the refilled primaries hold
+        # the bytes the block was built over (module docstring).
         for gidx in self._groups():
-            if not rt.is_alive(self._parity_place(gidx).id):
+            if self._block_held(gidx) or not rt.is_alive(self._parity_place(gidx).id):
                 continue
-            held = self._block_held(gidx)
-            if held and (gidx not in refilled_groups or gidx in self._parity_raw):
-                continue
-            # Either the block is gone, or it belongs to a pickled-mode
-            # group with a refilled primary: the re-materialized payload
-            # may serialize differently than at build time, silently
-            # invalidating the XOR equation (raw groups are
-            # value-determined and keep their block).  Forget it and
-            # rebuild from the complete member set; replacing a block that
-            # was never lost is not counted in ``repaired``.
             if gidx in self._parity:
                 self._drop_block(gidx)
             members = self._saved_members(gidx)
             if all(self._primary_held(m) for m in members):
                 self._build_parity(gidx, charge_keys=members)
-                if not held:
-                    repaired += 1
+                repaired += 1
         return repaired
 
     # -- lifecycle ----------------------------------------------------------
@@ -612,8 +556,7 @@ class ParityObjectSnapshot(DistObjectSnapshot):
                 for m in self._group_members(gidx):
                     heap.remove_if_present(self._recon_key(m))
         self._parity.clear()
-        self._parity_raw.clear()
-        self._parity_codecs.clear()
+        self._templates.clear()
         super().delete()
 
     def __repr__(self) -> str:

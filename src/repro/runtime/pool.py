@@ -430,9 +430,7 @@ class PlacePool:
         for place in dedicated:
             self._lease_of[place.id] = lease
         self._leases.append(lease)
-        rt.trace.emit(
-            "lease", rt.clock.global_time(), name=name, members=[p.id for p in members]
-        )
+        rt.record_membership("lease", name=name, members=[p.id for p in members])
         return lease
 
     def release(self, lease: PlaceLease) -> None:
@@ -469,7 +467,7 @@ class PlacePool:
         # is over — ``reserve_claimed`` stays a concurrent-loan gauge.
         self.reserve_claimed -= lease._reserve_loans
         lease._reserve_loans = 0
-        rt.trace.emit("release", rt.clock.global_time(), name=lease.name)
+        rt.record_membership("release", name=lease.name)
 
     def __repr__(self) -> str:
         return (

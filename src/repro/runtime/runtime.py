@@ -48,7 +48,7 @@ from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.engine.scheduler import Scheduler
-from repro.engine.timeline import Timeline
+from repro.engine.timeline import MembershipEvent, Timeline
 from repro.runtime.cost import CostModel, validate_cost_model
 from repro.runtime.exceptions import (
     DeadPlaceException,
@@ -60,7 +60,6 @@ from repro.runtime.finish import FinishReport, PlaceZeroLedger
 from repro.runtime.heap import PlaceHeap
 from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.pool import PlaceLease, PlacePool
-from repro.util.logging import TraceLog
 from repro.util.validation import check_positive, require
 
 
@@ -250,7 +249,6 @@ class Runtime:
         )
         self.injector = FailureInjector()
         self.stats = RuntimeStats()
-        self.trace = TraceLog(enabled=trace)
         self.phase = 0
         #: Per-place context cache (contexts are stateless beyond their
         #: heap reference; a destroyed/replaced heap invalidates the entry).
@@ -306,6 +304,15 @@ class Runtime:
         self.check_alive(place_id)
         self.clock.set_slowdown(place_id, factor)
 
+    def record_membership(self, op: str, **fields: Any) -> None:
+        """Put a :class:`~repro.engine.timeline.MembershipEvent` on the
+        engine timeline, at the current global time (nothing while the
+        timeline is off)."""
+        timeline = self.engine.timeline
+        if timeline.enabled:
+            now = self.clock.global_time()
+            timeline.record(MembershipEvent(now, now, op=op, **fields))
+
     def attach_detector(self, detector) -> None:
         """Install a failure detector (e.g. ``PhiAccrualDetector(rt)``)."""
         self.detector = detector
@@ -354,7 +361,7 @@ class Runtime:
         self.pool.on_place_killed(place_id)
         self.engine.purge_place(place_id)
         self.stats.kills += 1
-        self.trace.emit("kill", self.clock.global_time(), place=place_id)
+        self.record_membership("kill", place=place_id)
 
     def revive(self, place_id: int) -> Place:
         """Repair a dead place: fresh empty heap, clock at the current time.
@@ -383,7 +390,7 @@ class Runtime:
             self.detector.forget(place_id)
             self.detector.monitor(place_id, from_time=self.clock.now(place_id))
         self.stats.repairs += 1
-        self.trace.emit("repair", self.clock.global_time(), place=place_id)
+        self.record_membership("repair", place=place_id)
         return place
 
     def dead_ids(self) -> List[int]:
@@ -436,7 +443,7 @@ class Runtime:
         self.engine.register_place(
             place.id, self.clock.global_time() + self.cost.message(0)
         )
-        self.trace.emit("add_place", self.clock.global_time(), place=place.id)
+        self.record_membership("add_place", place=place.id)
         if self.detector is not None:
             self.detector.monitor(place.id, from_time=self.clock.now(place.id))
         return place
@@ -676,7 +683,7 @@ class Runtime:
             else None
         )
         if timed:
-            report = engine.complete_finish(
+            engine.complete_finish(
                 self,
                 label,
                 t_start,
@@ -688,7 +695,7 @@ class Runtime:
                 dead_places=dead,
             )
         else:
-            report = engine.complete_finish_zero(
+            engine.complete_finish_zero(
                 self,
                 label,
                 n_live,
@@ -696,10 +703,6 @@ class Runtime:
                 2 * n_live if resilient else 0,
                 ret_bytes=ret_bytes,
                 dead_places=dead,
-            )
-        if self.trace.enabled:
-            self.trace.emit(
-                "finish", report.end, label=label, tasks=n_live, dead=report.dead_places
             )
         if failures:
             # No local may keep the raised exc: exc -> traceback -> this frame ->

@@ -11,7 +11,6 @@ reserve under configurable economics.
 from repro.service.admission import AdmissionController, JobQueue
 from repro.service.faults import PoolFaultEvent, ServiceFaultPlan
 from repro.service.jobs import (
-    BaselineCache,
     JobResult,
     JobSpec,
     generate_jobs,
@@ -27,7 +26,6 @@ from repro.service.service import (
 
 __all__ = [
     "AdmissionController",
-    "BaselineCache",
     "ClusterService",
     "JobQueue",
     "JobResult",

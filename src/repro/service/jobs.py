@@ -1,4 +1,4 @@
-"""Job specifications, the mixed-workload stream, and baselines.
+"""Job specifications and the mixed-workload stream.
 
 A *job* is one iterative application (linreg / logreg / pagerank / gnmf)
 at a given place count and iteration budget.  The stream generator draws
@@ -22,7 +22,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.baseline import failure_free_result
 from repro.bench.catalogue import APPS
 from repro.util.validation import check_positive, require
 
@@ -124,18 +123,3 @@ def generate_jobs(
             )
         )
     return jobs
-
-
-class BaselineCache:
-    """Memoized failure-free reference answers, keyed by job shape.
-
-    Numerical results depend only on (app, group size, iterations) — never
-    on the cost model or on which concrete place ids ran the job — so one
-    tiny zero-cost single-job runtime per distinct shape suffices.  Since
-    the chaos campaigns need the identical answers, the storage is the
-    process-wide memo of :mod:`repro.baseline`, shared across service
-    instances, streams, and campaign runs alike.
-    """
-
-    def get(self, app: str, places: int, iterations: int) -> np.ndarray:
-        return failure_free_result(APPS[app], places, iterations)

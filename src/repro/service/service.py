@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.baseline import failure_free_result
 from repro.bench.calibration import regression_cost
 from repro.bench.catalogue import APPS
 from repro.resilience.executor import (
@@ -47,12 +48,7 @@ from repro.runtime.failure import LeaseScopedInjector, TransientFaultModel
 from repro.runtime.pool import DEDICATED, ECONOMICS_MODES, PlaceLease
 from repro.service.admission import AdmissionController, JobQueue
 from repro.service.faults import PoolFaultEvent, ServiceFaultPlan
-from repro.service.jobs import (
-    BaselineCache,
-    JobResult,
-    JobSpec,
-    generate_jobs,
-)
+from repro.service.jobs import JobResult, JobSpec, generate_jobs
 from repro.util.validation import check_positive, require
 
 #: Event priorities at equal virtual time: bursts strike first, finished
@@ -290,7 +286,6 @@ class ClusterService:
         self.pool = self.runtime.pool
         self.queue = JobQueue(max_depth=config.max_queue)
         self.admission = AdmissionController(self.pool, config.economics)
-        self.baselines = BaselineCache()
         self.jobs = generate_jobs(
             config.n_jobs,
             seed=config.seed,
@@ -517,7 +512,7 @@ class ClusterService:
                 result.reconstructions = report.reconstructions
                 result.failures_observed = report.failures_observed
                 result.final_places = report.final_group_size
-                baseline = self.baselines.get(job.app, job.places, job.iterations)
+                baseline = failure_free_result(entry, job.places, job.iterations)
                 answer = np.asarray(entry.result(app))
                 if report.final_group_size == job.places:
                     # Replace-path recovery preserves the group width, so

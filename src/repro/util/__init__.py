@@ -1,4 +1,4 @@
-"""Shared utilities: validation, payload sizing, LOC counting, logging.
+"""Shared utilities: validation, payload sizing, LOC counting.
 
 These helpers are deliberately dependency-free (NumPy only) so every other
 subpackage can import them without cycles.

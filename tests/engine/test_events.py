@@ -6,6 +6,7 @@ from repro.engine import (
     DiskEvent,
     EngineEvent,
     FinishEvent,
+    MembershipEvent,
     Scheduler,
     ServiceEvent,
     Timeline,
@@ -47,11 +48,13 @@ class TestJsonlRoundTrip:
                 t_start=0.0, t_end=10.0, label="step", n_tasks=4,
                 task_end_max=8.0, ledger_ready=9.5,
             ),
+            MembershipEvent(t_start=10.0, t_end=10.0, op="kill", place=2),
+            MembershipEvent(t_start=11.0, t_end=11.0, op="lease", name="job-1", members=(1, 3)),
         ]
         for e in events:
             tl.record(e)
         buf = io.StringIO()
-        assert tl.dump_jsonl(buf) == 4
+        assert tl.dump_jsonl(buf) == 6
         buf.seek(0)
         assert load_jsonl(buf) == events
 
@@ -88,6 +91,20 @@ class TestSchedulerRecording:
         assert finishes and finishes[-1].label == "step"
         # Resilient finish pushed bookkeeping through the ledger resource.
         assert rt.engine.timeline.of_kind("service")
+
+    def test_membership_changes_are_timeline_events(self):
+        rt = Runtime(4, cost=CostModel.unit(), spares=1, trace=True)
+        lease = rt.pool.lease(size=2, name="job")
+        rt.kill(lease.members[0].id)
+        rt.revive(lease.members[0].id)
+        added = rt.add_place()
+        rt.pool.release(lease)
+        events = rt.engine.timeline.of_kind("membership")
+        assert [e.op for e in events] == ["lease", "kill", "repair", "add_place", "release"]
+        assert events[0].members == tuple(p.id for p in lease.members)
+        assert (events[0].name, events[4].name) == ("job", "job")
+        assert [e.place for e in events[1:4]] == [lease.members[0].id] * 2 + [added.id]
+        assert all(e.t_start == e.t_end for e in events)
 
     def test_runtime_default_keeps_timeline_off(self):
         rt = Runtime(3, cost=CostModel.unit())

@@ -16,11 +16,11 @@ campaign runner asserts, per schedule, that
 import numpy as np
 import pytest
 
-from repro.bench.catalogue import CHAOS_APP_NAMES
+from repro.baseline import failure_free_result
+from repro.bench.catalogue import APPS, CHAOS_APP_NAMES
 from repro.chaos import (
     CampaignConfig,
     _campaign_index,
-    _failure_free_result,
     dedupe_schedule,
     make_schedule,
     run_campaign,
@@ -259,7 +259,8 @@ def test_cg_reconstruct_spare_reused_at_another_index():
     # Vector object itself, that write also rewrote the static snapshot and
     # the run converged 2.4e-1 away from the failure-free answer.
     config = CampaignConfig(app="cg", seed=99, recovery="reconstruct", spares=2)
-    outcome = _campaign_index(config, _failure_free_result(config), None, 1)
+    baseline = failure_free_result(APPS["cg"], config.places, config.iterations)
+    outcome = _campaign_index(config, baseline, None, 1)
     assert outcome.kills == ["p3@phase39", "p5@checkpoint#1", "p2@iter5"]
     assert outcome.violations == []
     assert outcome.status == "recovered"

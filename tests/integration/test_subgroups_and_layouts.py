@@ -95,15 +95,19 @@ class TestTracePlumbing:
         rt = Runtime(3, cost=CostModel.zero(), trace=True)
         rt.finish_all(rt.world, lambda ctx: None, label="traced")
         rt.kill(2)
-        assert rt.trace.of_kind("finish")[-1].detail["label"] == "traced"
-        assert rt.trace.of_kind("kill")[0].detail["place"] == 2
+        timeline = rt.engine.timeline
+        assert timeline.of_kind("finish")[-1].label == "traced"
+        (kill,) = timeline.of_kind("membership")
+        assert (kill.op, kill.place) == ("kill", 2)
 
     def test_add_place_traced(self):
         rt = Runtime(2, cost=CostModel.zero(), trace=True)
         place = rt.add_place()
-        assert rt.trace.of_kind("add_place")[0].detail["place"] == place.id
+        (added,) = rt.engine.timeline.of_kind("membership")
+        assert (added.op, added.place) == ("add_place", place.id)
 
     def test_trace_disabled_by_default(self):
         rt = Runtime(2, cost=CostModel.zero())
         rt.finish_all(rt.world, lambda ctx: None)
-        assert rt.trace.events == []
+        rt.kill(1)
+        assert rt.engine.timeline.events == []

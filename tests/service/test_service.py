@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.baseline import failure_free_result
+from repro.bench.catalogue import APPS
 from repro.runtime import CostModel, Runtime
 from repro.service import (
     AdmissionController,
-    BaselineCache,
     ClusterService,
     JobQueue,
     JobSpec,
@@ -203,16 +204,17 @@ class TestFailureFreeService:
 
 
 class TestBaselineCache:
+    """The failure-free answers a job is judged against: the process-wide
+    memo of ``repro.baseline``, read by the service and the campaigns alike."""
+
     def test_memoizes(self):
-        cache = BaselineCache()
-        a = cache.get("linreg", 3, 5)
-        b = cache.get("linreg", 3, 5)
+        a = failure_free_result(APPS["linreg"], 3, 5)
+        b = failure_free_result(APPS["linreg"], 3, 5)
         assert a is b  # same array object: computed once
 
     def test_distinct_shapes_distinct_results(self):
-        cache = BaselineCache()
-        a = cache.get("pagerank", 2, 5)
-        b = cache.get("pagerank", 3, 5)
+        a = failure_free_result(APPS["pagerank"], 2, 5)
+        b = failure_free_result(APPS["pagerank"], 3, 5)
         assert a.shape != b.shape or (a != b).any()
 
 

@@ -246,6 +246,11 @@ class TestChaosCommand:
             (["run", "linreg", *SMALL, *PARITY_K2], "replicas must be <= 1, got 2"),
             (["chaos", "linreg", *PARITY_K2], "replicas must be <= 1, got 2"),
             (["serve", *PARITY_K2], "replicas must be <= 1, got 2"),
+            # Used to die with `DeadPlaceException: place 99 is dead`.
+            (["run", "linreg", *SMALL, "--straggler", "99:2"],
+             "--straggler 99 names no place of this world"),
+            # Used to raise `ValueError: low >= high` out of a pool worker.
+            (["chaos", "linreg", "--iterations", "1"], "iterations must be >= 2"),
         ],
     )
     def test_unservable_recovery_is_a_usage_error(self, argv, message, capsys):

@@ -1,11 +1,10 @@
-"""Tests for the util package: validation, byte sizing, LOC, trace log."""
+"""Tests for the util package: validation, byte sizing, LOC."""
 
 import numpy as np
 import pytest
 
 from repro.util.bytesize import FRAMING_BYTES, freeze_and_size, payload_nbytes
 from repro.util.loc import AppLocRow, count_loc, loc_of_object, loc_report, method_loc_map
-from repro.util.logging import TraceLog
 from repro.util import versioning
 from repro.util.versioning import ensure_version_floor, next_version, payload_frozen
 from repro.util.validation import (
@@ -190,37 +189,3 @@ class TestLoc:
         rows = [AppLocRow("App", 10, 20, 3, 4)]
         report = loc_report(rows)
         assert "Application" in report and "App" in report
-
-
-class TestTraceLog:
-    def test_emit_and_filter(self):
-        log = TraceLog()
-        log.emit("kill", 1.0, place=3)
-        log.emit("finish", 2.0, label="x")
-        assert len(log.events) == 2
-        assert log.of_kind("kill")[0].detail["place"] == 3
-
-    def test_disabled(self):
-        log = TraceLog(enabled=False)
-        log.emit("kill", 1.0)
-        assert log.events == []
-
-    def test_capacity(self):
-        log = TraceLog(capacity=2)
-        for i in range(5):
-            log.emit("e", float(i))
-        assert len(log.events) == 2
-        assert log.events[-1].time == 4.0
-
-    def test_listener(self):
-        log = TraceLog()
-        seen = []
-        log.add_listener(lambda e: seen.append(e.kind))
-        log.emit("a", 0.0)
-        assert seen == ["a"]
-
-    def test_clear(self):
-        log = TraceLog()
-        log.emit("a", 0.0)
-        log.clear()
-        assert log.events == []
