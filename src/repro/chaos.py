@@ -27,6 +27,7 @@ reproducible from its campaign seed + index alone.  Used by the
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -68,14 +69,6 @@ _EVENT_KINDS = (
 
 #: Kinds that need an earlier failure before they can fire at all.
 _FOLLOWUP_KINDS = ("restore", "reconstruct")
-
-
-def _event_kinds(recovery: str) -> Tuple[str, ...]:
-    """The kind pool for a campaign: reconstruct campaigns additionally
-    draw kills fired in the middle of a reconstruction."""
-    if recovery == "reconstruct":
-        return _EVENT_KINDS + ("reconstruct",)
-    return _EVENT_KINDS
 
 
 @dataclass(frozen=True)
@@ -373,7 +366,8 @@ def _build_world(
     never drift from a built one.  A reference run passes neither *kills*
     nor *index* and gets the crash-only world; a schedule passes both and
     gets its kills armed and its transient-fault plan drawn, between the
-    app and the store exactly where a from-scratch run always did.
+    app and the executor (which builds the store from the campaign's
+    knobs) exactly where a from-scratch run always did.
     """
     entry = APPS[config.app]
     rt = make_runtime(
@@ -390,131 +384,22 @@ def _build_world(
     detector = corruption = None
     if index is not None:
         detector, corruption = _arm_transients(config, index, rt)
-    store = AppResilientStore(
-        rt,
-        replicas=config.replicas,
-        placement=make_placement(config.placement),
-        stable_fallback=config.stable_fallback,
-        delta=config.ckpt_delta,
-    )
     executor = IterativeExecutor(
         rt,
         app,
-        store=store,
         checkpoint_interval=config.checkpoint_interval,
         mode=mode,
         spare_fallback=RestoreMode.SHRINK_REBALANCE,
         checkpoint_mode=checkpoint_mode,
+        replicas=config.replicas,
+        placement=make_placement(config.placement),
+        stable_fallback=config.stable_fallback,
         detector=detector,
         corruption=corruption,
+        delta=config.ckpt_delta,
         recovery=config.recovery,
     )
-    return rt, app, store, executor
-
-
-class _PrefixWorld:
-    """Boundary images of one failure-free run at one checkpoint mode.
-
-    The reference run executes the campaign's world with *no kills armed*
-    and captures a :class:`~repro.engine.fork.SimulatorImage` at every
-    iteration-commit boundary, alongside the phase counter and virtual
-    time observed there (the tables phase-/time-triggered kills are
-    located against).  An armed-but-not-due injector is indistinguishable
-    from an empty one at every poll, so the prefix of any schedule whose
-    first kill fires at boundary *b* or later is bitwise identical to
-    this run up to boundary *b*.
-    """
-
-    def __init__(self, config: CampaignConfig, checkpoint_mode: str):
-        from repro.engine.fork import capture_boundaries
-
-        self.config = config
-        self.phase_at: Dict[int, int] = {}
-        self.time_at: Dict[int, float] = {}
-        rt, _, _, executor = _build_world(
-            config, RestoreMode.SHRINK, checkpoint_mode
-        )
-
-        def observe(boundary: int) -> None:
-            self.phase_at[boundary] = rt.phase
-            self.time_at[boundary] = rt.clock.global_time()
-
-        with rt:  # the images hold everything a fork needs
-            self.images = capture_boundaries(executor, observe=observe)
-        self.max_boundary = max(self.images)
-
-    def _last_boundary_below(
-        self, table: Dict[int, float], threshold: float
-    ) -> Optional[int]:
-        """Largest captured boundary strictly before *threshold* fires.
-
-        Both tables are nondecreasing in the boundary, so the last
-        boundary whose recorded value is below the trigger is the latest
-        state the kill provably cannot have fired in.  ``None`` when even
-        boundary 0 is too late (the trigger falls inside world
-        construction or the initial redundancy publish) — such a schedule
-        is not forkable and runs from scratch.
-        """
-        best = None
-        for boundary in range(self.max_boundary + 1):
-            if table[boundary] < threshold:
-                best = boundary
-            else:
-                break
-        return best
-
-    def divergence_boundary(self, kills: List[ScriptedKill]) -> Optional[int]:
-        """The latest boundary no kill of this schedule can fire before.
-
-        Per kill: an iteration trigger fires at the top of its iteration;
-        a during-checkpoint trigger at occurrence *o* fires inside the
-        *o*-th checkpoint, which (failure-free, by construction of the
-        prefix) opens in the body of iteration ``(o-1) * interval``; a
-        during-restore/-reconstruct/-scrub trigger needs an earlier
-        failure, so the kill that *caused* that failure governs; phase
-        and time triggers are located against the recorded tables.  The
-        schedule's boundary is the minimum over its kills, clamped to the
-        boundaries the reference run actually reached (a trigger beyond
-        the run's natural end never fires at all).
-        """
-        boundary = self.max_boundary
-        for kill in kills:
-            if kill.iteration is not None:
-                kill_bound = kill.iteration
-            elif kill.during == "checkpoint":
-                kill_bound = (
-                    (kill.occurrence - 1) * self.config.checkpoint_interval
-                )
-            elif kill.during is not None:
-                continue
-            elif kill.phase is not None:
-                kill_bound = self._last_boundary_below(self.phase_at, kill.phase)
-            elif kill.time is not None:
-                kill_bound = self._last_boundary_below(self.time_at, kill.time)
-            else:  # pragma: no cover - ScriptedKill guarantees one trigger
-                return None
-            if kill_bound is None:
-                return None
-            boundary = min(boundary, kill_bound)
-        return max(0, min(boundary, self.max_boundary))
-
-    def fork(
-        self, kills: List[ScriptedKill], mode: RestoreMode
-    ) -> Optional[IterativeExecutor]:
-        """A fresh executor resumed at this schedule's divergence boundary.
-
-        The restore mode is patched after resume — it is only read once a
-        failure needs a replacement group, strictly after the divergence
-        point — and the caller arms the schedule's kills on the resumed
-        injector, which is equivalent to arming them up front because an
-        injector's state is only observed at failure polls.
-        """
-        boundary = self.divergence_boundary(kills)
-        if boundary is None:
-            return None
-        executor = self.images[boundary].load()
-        executor.mode = mode
-        return executor
+    return rt, app, executor.store, executor
 
 
 class PrefixCache:
@@ -528,18 +413,28 @@ class PrefixCache:
     its first-divergence boundary — bitwise identical to running from
     scratch, minus the redundant prefix wall-clock.
 
+    Each reference run executes the campaign's world with *no kills
+    armed* and captures a :class:`~repro.engine.fork.SimulatorImage` at
+    every iteration-commit boundary, alongside the phase counter and
+    virtual time observed there (the tables phase-/time-triggered kills
+    are located against).  An armed-but-not-due injector is
+    indistinguishable from an empty one at every poll, so the prefix of
+    any schedule whose first kill fires at boundary *b* or later is
+    bitwise identical to the reference run up to boundary *b*.
+
     Campaigns with any transient axis (drops, duplicates, stragglers,
     corruption, partitions) or a failure detector draw *per-schedule*
     randomness that perturbs the world from iteration zero, so no prefix
     is shared and the cache declines (:meth:`usable`).
     """
 
-    #: The two failure-free worlds a campaign draws from.
-    _CHECKPOINT_MODES = ("blocking", "overlapped")
-
     def __init__(self, config: CampaignConfig):
         self.config = config
-        self._worlds: Dict[str, _PrefixWorld] = {}
+        #: Per checkpoint mode (the only draw that changes the failure-free
+        #: world): ``(images, phase_at, time_at)`` — the images by boundary,
+        #: and the phase counter and virtual time observed at each
+        #: boundary, in boundary order.  Filled by :meth:`build`.
+        self._worlds: Dict[str, Tuple[Dict, List[int], List[float]]] = {}
 
     @staticmethod
     def usable(config: CampaignConfig) -> bool:
@@ -547,20 +442,27 @@ class PrefixCache:
         return not config.transient and config.detect_timeout == 0
 
     def build(self) -> "PrefixCache":
-        """Eagerly simulate both reference prefixes (call before forking
-        a worker pool, so workers inherit the images instead of each
-        rebuilding them)."""
-        for checkpoint_mode in self._CHECKPOINT_MODES:
-            self.world(checkpoint_mode)
+        """Simulate both reference prefixes; call before the first
+        :meth:`fork` (and before forking a worker pool, so workers inherit
+        the images instead of each rebuilding them)."""
+        for checkpoint_mode in ("blocking", "overlapped"):
+            self._worlds[checkpoint_mode] = self._capture(checkpoint_mode)
         return self
 
-    def world(self, checkpoint_mode: str) -> _PrefixWorld:
-        world = self._worlds.get(checkpoint_mode)
-        if world is None:
-            world = self._worlds[checkpoint_mode] = _PrefixWorld(
-                self.config, checkpoint_mode
-            )
-        return world
+    def _capture(self, checkpoint_mode: str) -> Tuple:
+        from repro.engine.fork import capture_boundaries
+
+        executor = _build_world(self.config, RestoreMode.SHRINK, checkpoint_mode)[3]
+        rt = executor.runtime
+        phase_at: List[int] = []
+        time_at: List[float] = []
+
+        def observe(boundary: int) -> None:
+            phase_at.append(rt.phase)
+            time_at.append(rt.clock.global_time())
+
+        with rt:  # the images hold everything a fork needs
+            return capture_boundaries(executor, observe=observe), phase_at, time_at
 
     def fork(
         self,
@@ -568,57 +470,100 @@ class PrefixCache:
         kills: List[ScriptedKill],
         mode: RestoreMode,
     ) -> Optional[IterativeExecutor]:
-        return self.world(checkpoint_mode).fork(kills, mode)
+        """A fresh executor resumed at this schedule's divergence boundary —
+        the latest boundary no kill of the schedule can fire before — with
+        *kills* armed; ``None`` when the schedule is not forkable and runs
+        from scratch.
+
+        Per kill: an iteration trigger fires at the top of its iteration;
+        a during-checkpoint trigger at occurrence *o* fires inside the
+        *o*-th checkpoint, which (failure-free, by construction of the
+        prefix) opens in the body of iteration ``(o-1) * interval``; a
+        during-restore/-reconstruct/-scrub trigger needs an earlier
+        failure, so the kill that *caused* that failure governs; a phase or
+        time trigger is located against the recorded table — both are
+        nondecreasing in the boundary, so the last boundary whose value is
+        still below the trigger is the latest state the kill provably
+        cannot have fired in, and there is none when the trigger falls
+        inside world construction or the initial redundancy publish.  The
+        schedule's boundary is the minimum over its kills, clamped to the
+        boundaries the reference run actually reached (a trigger beyond
+        the run's natural end never fires at all).
+
+        The restore mode is patched after resume — it is only read once a
+        failure needs a replacement group, strictly after the divergence
+        point — and arming the kills on the resumed injector is equivalent
+        to arming them up front: an injector's state is only observed at
+        failure polls, and no kill of this schedule can fire before the
+        resumed boundary.
+        """
+        images, phase_at, time_at = self._worlds[checkpoint_mode]
+        boundary = max(images)
+        for kill in kills:
+            if kill.iteration is not None:
+                kill_bound = kill.iteration
+            elif kill.during == "checkpoint":
+                kill_bound = (kill.occurrence - 1) * self.config.checkpoint_interval
+            elif kill.during is not None:
+                continue
+            elif kill.phase is not None:
+                kill_bound = bisect_left(phase_at, kill.phase) - 1
+            else:
+                kill_bound = bisect_left(time_at, kill.time) - 1
+            if kill_bound < 0:
+                return None
+            boundary = min(boundary, kill_bound)
+        executor = images[max(0, boundary)].load()
+        executor.mode = mode
+        for kill in kills:
+            executor.runtime.injector.add(kill)
+        return executor
 
 
-def _parity_recovery_sets(config: CampaignConfig) -> Optional[List[set]]:
-    """Per-parity-group recovery sets over the initial world, or None when
-    the campaign does not run a parity placement.
+def _loop_top_bursts(
+    config: CampaignConfig, kills: List[ScriptedKill]
+) -> Optional[Dict[int, set]]:
+    """Victims per iteration, when *kills* is a pattern whose burst sizes
+    are statically knowable; else ``None``.
 
-    A group's recovery set is its member places plus the place holding its
-    XOR parity block: losing any *one* of them is recoverable from memory,
-    losing two before a repair pass is the documented loss mode.
+    Knowable means: at least one kill, every kill landing at a loop top
+    (iteration-triggered — a phase/during/time kill can fire mid-recovery
+    and compound the in-flight burst), and spares covering every
+    replacement.  The "covered" claims of invariants 6-8 are only made for
+    such patterns.
     """
-    policy = make_placement(config.placement)
-    if not isinstance(policy, ParityPlacement):
+    if not kills or len(kills) > config.spares:
         return None
-    size = config.places
-    span = policy.group_span(size)
-    sets = []
-    for start in range(0, size, span):
-        members = list(range(start, min(start + span, size)))
-        sets.append(set(members) | {policy.parity_index(start, len(members), size)})
-    return sets
-
-
-def _parity_covered(
-    config: CampaignConfig, kills: List[ScriptedKill], mode: RestoreMode
-) -> bool:
-    """True when parity alone *must* absorb this schedule in memory.
-
-    Covered means: a parity campaign with no transient axes, every kill
-    landing at a loop top (iteration-triggered — mid-protocol kills can
-    compound an in-flight recovery), spares covering every replacement
-    (so the post-restore scrub re-materializes lost copies between
-    bursts), and no single burst taking two places of any parity group's
-    recovery set.
-    """
-    sets = _parity_recovery_sets(config)
-    if sets is None or config.transient:
-        return False
-    if mode is not RestoreMode.REPLACE_REDUNDANT:
-        return False
-    if not kills or any(k.iteration is None for k in kills):
-        return False
-    if len(kills) > config.spares:
-        return False
+    if any(kill.iteration is None for kill in kills):
+        return None
     bursts: Dict[int, set] = {}
     for kill in kills:
         bursts.setdefault(kill.iteration, set()).add(kill.place_id)
-    for victims in bursts.values():
-        for group in sets:
-            if len(group & victims) > 1:
-                return False
+    return bursts
+
+
+def _parity_covered(
+    config: CampaignConfig, bursts: Optional[Dict[int, set]], mode: RestoreMode
+) -> bool:
+    """True when parity alone *must* absorb these loop-top *bursts* in
+    memory: a parity campaign with no transient axes, replace-mode spares
+    (so the post-restore scrub re-materializes lost copies between
+    bursts), and no single burst taking two places of any parity group's
+    *recovery set* — its member places plus the place holding its XOR
+    block: losing any one of them is recoverable from memory, losing two
+    before a repair pass is the documented loss mode."""
+    policy = make_placement(config.placement)
+    if bursts is None or config.transient or not isinstance(policy, ParityPlacement):
+        return False
+    if mode is not RestoreMode.REPLACE_REDUNDANT:
+        return False
+    size = config.places
+    span = policy.group_span(size)
+    for start in range(0, size, span):
+        members = list(range(start, min(start + span, size)))
+        recovery_set = set(members) | {policy.parity_index(start, len(members), size)}
+        if any(len(recovery_set & victims) > 1 for victims in bursts.values()):
+            return False
     return True
 
 
@@ -641,223 +586,188 @@ def run_schedule(
     executor = None
     if prefix is not None and PrefixCache.usable(config):
         executor = prefix.fork(checkpoint_mode, kills, mode)
-    if executor is not None:
-        rt = executor.runtime
-        app = executor.app
-        store = executor.store
-        # Arming on the resumed injector is equivalent to arming up
-        # front: injector state is only observed at failure polls, and no
-        # kill of this schedule can fire before the resumed boundary.
-        for kill in kills:
-            rt.injector.add(kill)
-    else:
-        rt, app, store, executor = _build_world(
-            config, mode, checkpoint_mode, kills, index
-        )
+    if executor is None:
+        executor = _build_world(config, mode, checkpoint_mode, kills, index)[3]
+    rt, app, store = executor.runtime, executor.app, executor.store
     outcome = ScheduleOutcome(
         index=index,
         kills=[_describe(k) for k in kills],
         status="clean",
         detail=f"mode={mode.value} checkpoint_mode={checkpoint_mode}",
     )
+    violations = outcome.violations
     with rt:
         try:
             report = executor.run()
         except DataLossError as err:
+            report = None
             message = str(err)
             if isinstance(err, SnapshotCorruptionError) and config.corrupt_rate:
                 # Independent strikes can legitimately defeat every tier of a
                 # partition; the guarantee is that corrupt data is never
                 # *silently* restored, and this loud error is exactly that.
                 outcome.status = "corruption_loss_accepted"
-                if store.in_progress:
-                    outcome.violations.append(
-                        "store left with an open snapshot attempt after data loss"
-                    )
-                return outcome
-            documented = (
-                "no recovery point" in message
-                or "consecutive times" in message
-                or not config.stable_fallback
-            )
-            if _parity_covered(config, kills, mode):
+            elif _parity_covered(config, _loop_top_bursts(config, kills), mode):
                 # No burst cost any parity group two places, so every loss was
                 # XOR-recoverable: reaching DataLossError anyway is a hole in
                 # the parity ladder, not a documented outcome.
-                outcome.violations.append(
+                violations.append(
                     f"single-loss-per-group parity schedule lost data: {message}"
                 )
                 outcome.status = "data_loss"
-            elif documented:
+            elif (
+                "no recovery point" in message
+                or "consecutive times" in message
+                or not config.stable_fallback
+            ):
                 outcome.status = "data_loss_accepted"
             else:
                 # The stable tier exists precisely so in-memory loss is
                 # absorbed; reaching DataLossError anyway is a violation.
-                outcome.violations.append(
-                    f"DataLossError despite stable fallback: {message}"
-                )
+                violations.append(f"DataLossError despite stable fallback: {message}")
                 outcome.status = "data_loss"
-            if store.in_progress:
-                outcome.violations.append(
-                    "store left with an open snapshot attempt after data loss"
+        else:
+            # Invariant 1: the answer matches the failure-free baseline.
+            result = np.asarray(APPS[config.app].result(app))
+            if not np.allclose(result, baseline, rtol=1e-8, atol=1e-10):
+                worst = float(np.max(np.abs(result - baseline)))
+                violations.append(
+                    f"converged result deviates from failure-free run (max abs "
+                    f"diff {worst:.3e})"
                 )
-            return outcome
 
-        # Invariant 1: the answer matches the failure-free baseline.
-        result = np.asarray(APPS[config.app].result(app))
-        if not np.allclose(result, baseline, rtol=1e-8, atol=1e-10):
-            worst = float(np.max(np.abs(result - baseline)))
-            outcome.violations.append(
-                f"converged result deviates from failure-free run (max abs "
-                f"diff {worst:.3e})"
+            # Invariant 3: every restore landed on a committed checkpoint,
+            # never past the newest commit at the time (commits grow
+            # monotonically, so membership in the commit history implies the
+            # bound).
+            committed = [snap.iteration for snap in store.snapshots]
+            for restored in report.restored_iterations:
+                if restored not in committed:
+                    violations.append(
+                        f"restored to iteration {restored}, which was never "
+                        f"committed (commits: {committed})"
+                    )
+                elif restored > max(committed):
+                    violations.append(
+                        f"restored to iteration {restored} beyond the last "
+                        f"committed checkpoint {max(committed)}"
+                    )
+
+            # Invariant 4: no replica co-resident with its partition's primary.
+            latest = store.latest()
+            if latest is not None:
+                for snapshot in latest.all_snapshots():
+                    if not snapshot.placement_ok():
+                        violations.append(
+                            f"replica placed on its primary place in {snapshot!r}"
+                        )
+
+            # Invariant 5: a slow place is not a failure.  Schedules whose
+            # only perturbation is a straggler must not trigger a restore or
+            # an eviction — the adaptive detector absorbs even an 8x slowdown.
+            straggler_factor = max(map(rt.clock.slowdown, range(config.places)))
+            if (
+                not kills
+                and rt.faults is None
+                and executor.corruption is None
+                and straggler_factor > 1.0
+                and (report.restores or report.evictions)
+            ):
+                violations.append(
+                    f"straggler-only schedule (factor {straggler_factor:.2f}) "
+                    f"caused {report.restores} restore(s) and "
+                    f"{report.evictions} eviction(s)"
+                )
+
+            # "Covered" (invariants 6-8) is derived from the schedule, never
+            # from which rung fired: a check that read the executor's
+            # decision could not catch a wrong one.
+            fired = [k for k in kills if k not in report.pending_kills]
+            bursts = _loop_top_bursts(config, fired)
+
+            # Invariants 6-7 (reconstruct campaigns): rollback is never
+            # silent — every restore must be a recorded fallback — and a
+            # failure pattern inside the published redundancy must be
+            # absorbed with *zero* lost iterations (no rollback at all).
+            if config.recovery == "reconstruct":
+                if report.restores and not report.fallback_restores:
+                    violations.append(
+                        f"{report.restores} rollback(s) without a recorded "
+                        "reconstruct fallback"
+                    )
+                max_burst = max(map(len, bursts.values())) if bursts else 0
+                if bursts and max_burst <= config.replicas:
+                    if report.fallback_restores or report.restores:
+                        violations.append(
+                            f"burst pattern within redundancy (max burst "
+                            f"{max_burst} <= {config.replicas} replicas, "
+                            f"{len(fired)} kills <= {config.spares} spares) fell "
+                            f"back to rollback ({report.fallback_restores} "
+                            f"fallback(s), {report.restores} restore(s))"
+                        )
+                    if not report.reconstructions:
+                        violations.append(
+                            "fired kills within redundancy produced no "
+                            "reconstruction"
+                        )
+                    if report.restored_iterations:
+                        violations.append(
+                            f"covered burst lost iterations anyway (rolled back "
+                            f"to {report.restored_iterations})"
+                        )
+
+            # Invariant 8 (parity campaigns): a schedule whose bursts cost
+            # each parity group at most one place recovers from the XOR rung
+            # — never from disk — and any restore it needed actually
+            # reconstructed.
+            if _parity_covered(config, bursts, mode):
+                if report.stable_fallback_reads:
+                    violations.append(
+                        f"parity-covered schedule read the disk tier "
+                        f"{report.stable_fallback_reads} time(s)"
+                    )
+                if report.restores and not report.parity_reconstructions:
+                    violations.append(
+                        "parity-covered schedule restored without a single XOR "
+                        "reconstruction"
+                    )
+
+            # Invariant 9: no copy without an owner.  Every snapshot copy in
+            # a live heap belongs to a snapshot one of the stores still
+            # references.
+            owners = store.live_snapshots()
+            if executor.rstore is not None:
+                owners += executor.rstore.live_snapshots()
+            orphans = orphaned_copies(rt, owners)
+            if orphans:
+                violations.append(
+                    f"{len(orphans)} snapshot copies in live heaps belong to no "
+                    f"snapshot a store references "
+                    f"(kinds {sorted({key[0] for key in orphans})})"
+                )
+
+            recovered = (
+                report.failures_observed
+                or fired
+                or report.restores
+                or report.reconstructions
+                or report.evictions
+                or report.quarantined_copies
             )
+            outcome.status = "recovered" if recovered else "clean"
+            if report.pending_kills:
+                outcome.detail += f" pending={len(report.pending_kills)}"
 
-        # Invariant 2: the store is consistent (no attempt left open).
+        # Invariant 2, on every exit: the store is consistent (no snapshot
+        # attempt left open).
         if store.in_progress:
-            outcome.violations.append("store left with an open snapshot attempt")
-
-        # Invariant 3: every restore landed on a committed checkpoint, never
-        # past the newest commit at the time (commits grow monotonically, so
-        # membership in the commit history implies the bound).
-        committed = [snap.iteration for snap in store.snapshots]
-        for restored in report.restored_iterations:
-            if restored not in committed:
-                outcome.violations.append(
-                    f"restored to iteration {restored}, which was never "
-                    f"committed (commits: {committed})"
-                )
-            elif restored > max(committed):
-                outcome.violations.append(
-                    f"restored to iteration {restored} beyond the last "
-                    f"committed checkpoint {max(committed)}"
-                )
-
-        # Invariant 4: no replica co-resident with its partition's primary.
-        latest = store.latest()
-        if latest is not None:
-            snapshots = list(latest.snapshots.values()) + list(latest.read_only.values())
-            for snapshot in snapshots:
-                if not snapshot.placement_ok():
-                    outcome.violations.append(
-                        f"replica placed on its primary place in {snapshot!r}"
-                    )
-
-        # Invariant 5: a slow place is not a failure.  Schedules whose only
-        # perturbation is a straggler must not trigger a restore or an
-        # eviction — the adaptive detector absorbs even an 8x slowdown.
-        straggler_factor = (
-            max(map(rt.clock.slowdown, range(config.places)))
-            if config.straggler_max > 1.0
-            else 1.0
-        )
-        if (
-            not kills
-            and rt.faults is None
-            and executor.corruption is None
-            and straggler_factor > 1.0
-            and (report.restores or report.evictions)
-        ):
-            outcome.violations.append(
-                f"straggler-only schedule (factor {straggler_factor:.2f}) caused "
-                f"{report.restores} restore(s) and {report.evictions} eviction(s)"
+            violations.append(
+                "store left with an open snapshot attempt"
+                + (" after data loss" if report is None else "")
             )
-
-        fired = [k for k in kills if k not in report.pending_kills]
-
-        # Invariants 6-7 (reconstruct campaigns): rollback is never silent —
-        # every restore must be a recorded fallback — and a failure pattern
-        # inside the published redundancy must be absorbed with *zero* lost
-        # iterations (no rollback at all).
-        if config.recovery == "reconstruct":
-            if report.restores and not report.fallback_restores:
-                outcome.violations.append(
-                    f"{report.restores} rollback(s) without a recorded "
-                    "reconstruct fallback"
-                )
-            # "Covered" claims are only made for patterns whose burst size is
-            # statically knowable: iteration-triggered kills land at loop
-            # tops, after the previous burst's recovery re-published full
-            # redundancy.  A phase/during/time kill can fire *mid-recovery*
-            # and compound the in-flight burst past the replica count — that
-            # is legitimate fallback territory, not a violation.
-            bursts: Dict[int, int] = {}
-            for kill in fired:
-                if kill.iteration is not None:
-                    bursts[kill.iteration] = bursts.get(kill.iteration, 0) + 1
-            covered = (
-                bool(fired)
-                and all(k.iteration is not None for k in fired)
-                and max(bursts.values()) <= config.replicas
-                and len(fired) <= config.spares
-            )
-            if covered:
-                if report.fallback_restores or report.restores:
-                    outcome.violations.append(
-                        f"burst pattern within redundancy (max burst "
-                        f"{max(bursts.values())} <= {config.replicas} replicas, "
-                        f"{len(fired)} kills <= {config.spares} spares) fell "
-                        f"back to rollback ({report.fallback_restores} "
-                        f"fallback(s), {report.restores} restore(s))"
-                    )
-                if not report.reconstructions:
-                    outcome.violations.append(
-                        "fired kills within redundancy produced no reconstruction"
-                    )
-                if report.restored_iterations:
-                    outcome.violations.append(
-                        f"covered burst lost iterations anyway (rolled back to "
-                        f"{report.restored_iterations})"
-                    )
-
-        # Invariant 8 (parity campaigns): a schedule whose bursts cost each
-        # parity group at most one place recovers from the XOR rung — never
-        # from disk — and any restore it needed actually reconstructed.
-        if _parity_covered(config, fired, mode):
-            if report.stable_fallback_reads:
-                outcome.violations.append(
-                    f"parity-covered schedule read the disk tier "
-                    f"{report.stable_fallback_reads} time(s)"
-                )
-            if report.restores and not report.parity_reconstructions:
-                outcome.violations.append(
-                    "parity-covered schedule restored without a single XOR "
-                    "reconstruction"
-                )
-
-        # Invariant 9: no copy without an owner.  Every snapshot copy in a
-        # live heap belongs to a snapshot one of the stores still references.
-        owners = store.live_snapshots()
-        if executor.rstore is not None:
-            owners += executor.rstore.live_snapshots()
-        orphans = orphaned_copies(rt, owners)
-        if orphans:
-            outcome.violations.append(
-                f"{len(orphans)} snapshot copies in live heaps belong to no "
-                f"snapshot a store references "
-                f"(kinds {sorted({key[0] for key in orphans})})"
-            )
-
-        recovered = (
-            report.failures_observed
-            or fired
-            or report.restores
-            or report.reconstructions
-            or report.evictions
-            or report.quarantined_copies
-        )
-        outcome.status = "recovered" if recovered else "clean"
-        if report.pending_kills:
-            outcome.detail += f" pending={len(report.pending_kills)}"
-        if outcome.violations:
+        if report is not None and violations:
             outcome.status = "violated"
         return outcome
-
-
-def _restore_modes(config: CampaignConfig) -> List[RestoreMode]:
-    modes = [RestoreMode.SHRINK, RestoreMode.SHRINK_REBALANCE]
-    if config.spares > 0:
-        modes.append(RestoreMode.REPLACE_REDUNDANT)
-    return modes
 
 
 def _campaign_index(
@@ -876,10 +786,14 @@ def _campaign_index(
     exact failure-free prefix it would have simulated.
     """
     rng = np.random.default_rng([config.seed, index])
-    kills = make_schedule(
-        rng, config.places, config.iterations, kinds=_event_kinds(config.recovery)
-    )
-    modes = _restore_modes(config)
+    # Reconstruct campaigns also draw kills fired mid-reconstruction.
+    kinds = _EVENT_KINDS
+    if config.recovery == "reconstruct":
+        kinds += ("reconstruct",)
+    kills = make_schedule(rng, config.places, config.iterations, kinds=kinds)
+    modes = [RestoreMode.SHRINK, RestoreMode.SHRINK_REBALANCE]
+    if config.spares > 0:
+        modes.append(RestoreMode.REPLACE_REDUNDANT)
     mode = modes[int(rng.integers(len(modes)))]
     checkpoint_mode = "overlapped" if rng.integers(2) else "blocking"
     return run_schedule(

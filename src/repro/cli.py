@@ -419,11 +419,43 @@ def _parse_stragglers(specs: Optional[List[str]]) -> List[tuple]:
     return parsed
 
 
+#: ``run`` flags only the resilient world reads (failures, protection,
+#: checkpointing, recovery, detection, transient faults).
+_RESILIENT_ONLY = (
+    "--fail-at", "--victim", "--mttf", "--spares", "--replicas", "--placement",
+    "--stable-fallback", "--ckpt-interval", "--ckpt-mode", "--ckpt-delta", "--mode",
+    "--recovery", "--detect-timeout", "--heartbeat-interval", "--drop-rate",
+    "--dup-rate", "--delay-rate", "--delay-seconds", "--straggler", "--corrupt",
+    "--chaos-seed",
+)
+
+
+def _check_flags_read(args: argparse.Namespace) -> None:
+    """A flag set away from its default that the chosen world never reads
+    is a usage error (a ``ValueError``, see :func:`main`), not a silent
+    no-op."""
+    defaults = vars(_build_parser().parse_args(["run", args.app]))
+    changed = {dest for dest, value in vars(args).items() if value != defaults[dest]}
+    if args.non_resilient:
+        unread = [f for f in _RESILIENT_ONLY if f[2:].replace("-", "_") in changed]
+        if unread:
+            raise ValueError(
+                f"{', '.join(unread)}: not read by a --non-resilient run "
+                "(it injects no failure and runs no resilience framework)"
+            )
+    elif args.heartbeat_interval is not None and args.detect_timeout <= 0:
+        raise ValueError(
+            "--heartbeat-interval: not read without --detect-timeout "
+            "(no failure detector runs)"
+        )
+
+
 def _build_run(args: argparse.Namespace) -> Callable[[], int]:
     """Build the world of one ``run``; the returned call executes it."""
+    _check_flags_read(args)
     resilient = not args.non_resilient
-    cost, spares = APPS[args.app].bench_cost(), args.spares if resilient else 0
-    rt = make_runtime(args.places, cost=cost, resilient=resilient, spares=spares)
+    cost = APPS[args.app].bench_cost()
+    rt = make_runtime(args.places, cost=cost, resilient=resilient, spares=args.spares)
     try:
         if args.trace_out:
             rt.engine.timeline.enabled = True

@@ -5,9 +5,29 @@ Runs a :class:`~repro.resilience.iterative.ResilientIterativeApp`:
 * calls ``step()`` in a loop until ``is_finished()``;
 * calls ``checkpoint(store)`` every *checkpoint_interval* iterations
   (at the beginning of the iteration body);
-* on a ``DeadPlaceException``, cancels any half-taken checkpoint, builds a
-  new place group according to the **restoration mode**, and calls
-  ``restore(new_places, store, snapshot_iter)``.
+* on a ``DeadPlaceException``, cancels any half-taken checkpoint and walks
+  the **recovery ladder** (:meth:`IterativeExecutor._recover`), rung by rung,
+  until one absorbs the failure:
+
+  1. ``_retry_checkpoint`` — every suspect was cleared by the detector (a
+     transient fault) and the failure hit a checkpoint: capture never
+     mutates application state, so the cancelled checkpoint is retried and
+     nothing rolls back;
+  2. ``_reconstruct`` (``recovery="reconstruct"``) — rebuild the lost
+     partitions in place from published redundancy, zero lost iterations;
+     declines (a recorded fallback) on a burst beyond that redundancy, a
+     spare shortage or too many aborted attempts;
+  3. ``_rollback`` — the paper's scheme: build a new place group according
+     to the **restoration mode**, ``restore(new_places, store,
+     snapshot_iter)`` onto it, and in replace modes ``_scrub`` the copies
+     the failure destroyed;
+  4. ``DataLossError`` — no committed checkpoint to roll back to.
+
+Every protocol step runs through one primitive, ``_attempt(context,
+action, *args)``: it brackets the action in the injector's ``during=``
+context and hands a further failure back to the rung, which charges the
+aborted attempt, observes the failure and goes round.  Spares for the dead
+indices come from one claim loop, ``_claim_replacements``.
 
 Restoration modes (§V-B):
 
@@ -211,11 +231,8 @@ class _LoopState:
     last_checkpoint_iter: Optional[int] = None
     restore_attempts: int = 0
     t_begin: float = 0.0
-    #: Runtime-global counter baselines, recorded at run start so the
-    #: report stays per-job when several executors share one runtime.
-    fallback_base: int = 0
-    parity_base: int = 0
-    faults_base: Tuple[int, int, int, int] = (0, 0, 0, 0)
+    #: :meth:`IterativeExecutor._counters` at run start.
+    counter_base: Tuple[int, ...] = ()
 
 
 #: Valid values of ``IterativeExecutor``'s ``checkpoint_mode``.
@@ -253,6 +270,18 @@ def check_recovery(
             "applies to snapshot stores only — use recovery='checkpoint' "
             "with placement=parity[:g]",
         )
+
+
+#: Report fields recorded as per-run deltas of runtime-global counters, so
+#: a report stays per-job when several executors share one runtime.
+_RUNTIME_COUNTERS = (
+    "stable_fallback_reads", "parity_reconstructions",
+    "dropped_messages", "retransmissions", "duplicate_messages", "comm_timeouts",
+)
+
+#: Restoration modes that install new places at the dead members' indices
+#: (and therefore scrub the restored checkpoint back to full redundancy).
+_REPLACE_MODES = (RestoreMode.REPLACE_REDUNDANT, RestoreMode.REPLACE_ELASTIC)
 
 
 class IterativeExecutor:
@@ -320,7 +349,6 @@ class IterativeExecutor:
             runtime.attach_detector(detector)
         #: Post-commit bit-rot injection (chaos campaigns).
         self.corruption = corruption
-        self.recovery = recovery
         #: Redundant-state store for checkpoint-free recovery; replica
         #: count and placement mirror the checkpoint store's knobs.
         self.rstore: Optional[ReconstructionStore] = (
@@ -373,118 +401,318 @@ class IterativeExecutor:
             self._evict(pid, report)
         return confirmed, cleared
 
-    # -- group construction per mode ---------------------------------------------
+    def _counters(self) -> Tuple[int, ...]:
+        """Current values of the runtime-global counters behind
+        :data:`_RUNTIME_COUNTERS`, in that order."""
+        stats, faults = self.runtime.stats, self.runtime.faults
+        network = (0, 0, 0, 0) if faults is None else (
+            faults.dropped, faults.retransmissions, faults.duplicates, faults.timeouts
+        )
+        return (stats.stable_fallback_reads, stats.parity_reconstructions, *network)
 
-    def _claim_spare(self):
-        """A spare from the stash of aborted-reconstruct claims, else the
-        lease (claimed spares cannot be returned, so the stash drains
-        first)."""
-        self._spare_stash = [
-            p for p in self._spare_stash if self.runtime.is_alive(p.id)
-        ]
-        if self._spare_stash:
-            return self._spare_stash.pop()
-        return self.lease.claim_spare()
+    # -- the one attempt primitive -------------------------------------------
 
-    def _replacement_group(self, group: PlaceGroup) -> tuple:
-        """New group + effective mode after a failure in *group*."""
-        dead = [p for p in group if not self.runtime.is_alive(p.id)]
-        mode = self.mode
-        if mode == RestoreMode.REPLACE_REDUNDANT:
-            stashed = sum(
-                1 for p in self._spare_stash if self.runtime.is_alive(p.id)
-            )
-            if self.lease.spares_remaining + stashed < len(dead):
-                # Spares exhausted (checked before claiming any, so none
-                # are wasted): fall back to the configured shrink mode.
-                return self.runtime.live_group(group), self.spare_fallback
-            new_group = group
-            for victim in dead:
-                spare = self._claim_spare()
-                if spare is None:
-                    # Lost the race for the last shared spare (another
-                    # lease claimed it between the check and the claim):
-                    # shrink with what we already replaced.
-                    return self.runtime.live_group(new_group), self.spare_fallback
-                new_group = new_group.replace(victim, spare)
-            return new_group, mode
-        if mode == RestoreMode.REPLACE_ELASTIC:
-            new_group = group
-            for victim in dead:
-                new_group = new_group.replace(victim, self.lease.add_place())
-            return new_group, mode
-        return self.runtime.live_group(group), mode
+    def _attempt(
+        self, context: Optional[str], action: Callable, *args
+    ) -> Optional[Exception]:
+        """Run ``action(*args)``; return the failure that aborted it, else
+        ``None``.
 
-    # -- checkpoint-free recovery ----------------------------------------------
+        A named *context* brackets the action in the injector's ``during=``
+        context (a kill scripted for it fires inside).  The caller charges
+        the aborted attempt before observing the failure; observing after
+        the context has closed moves nothing, because the detector's
+        verdict wait never polls kills.
+        """
+        injector = self.runtime.injector
+        if context is not None:
+            injector.enter_context(context)
+        try:
+            action(*args)
+        except (DeadPlaceException, MultipleException) as failure:
+            return failure
+        finally:
+            if context is not None:
+                injector.exit_context(context)
+        return None
 
-    def _try_reconstruct(self, report: ExecutionReport) -> bool:
-        """The rung above rollback: rebuild the lost partitions in place.
+    def _count_attempt(self, failure: Exception, message: str) -> None:
+        """One more consecutive recovery attempt (the count resets after
+        every completed step); past ``max_restore_attempts`` the run gives
+        up with *message* formatted with the number that failed."""
+        state = self._loop
+        state.restore_attempts += 1
+        if state.restore_attempts > self.max_restore_attempts:
+            raise DataLossError(message.format(state.restore_attempts - 1)) from failure
 
-        Returns ``True`` once the application is back at the last
-        published boundary (zero lost iterations, counter not rolled
-        back).  Returns ``False`` when this failure cannot be absorbed —
-        no committed generation, spare shortage, a burst beyond the
-        published redundancy (``DataLossError`` from a fetch), or too many
-        attempts aborted by further failures — and the caller falls back
-        to checkpoint/restart.
+    # -- one iteration ----------------------------------------------------------
+
+    def _checkpoint(self) -> None:
+        """Take this iteration's checkpoint and charge it."""
+        rt, state = self.runtime, self._loop
+        t0 = rt.now()
+        if self.checkpoint_mode == "overlapped":
+            # The previous checkpoint's backups must be durable before this
+            # one supersedes it: apply any deferred completions (the residue
+            # propagates into this checkpoint's visible duration), then
+            # capture the new snapshot with its backup transfers deferred.
+            rt.engine.drain_overlap()
+            with rt.engine.overlap():
+                self.app.checkpoint(self.store)
+        else:
+            self.app.checkpoint(self.store)
+        dt = rt.now() - t0
+        report = state.report
+        report.checkpoint_time += dt
+        report.checkpoint_stall_time += dt
+        report.checkpoint_durations.append(dt)
+        report.checkpoints += 1
+        state.last_checkpoint_iter = state.iteration
+        if self.corruption is not None:
+            self.corruption.strike(self.store)
+
+    def _step(self) -> None:
+        """One application step, then the redundancy refresh (a failure
+        mid-publish leaves the previous generation committed —
+        reconstruction then redoes one step)."""
+        rt, state = self.runtime, self._loop
+        t0 = rt.now()
+        self.app.step()
+        state.report.step_time += rt.now() - t0
+        state.report.iterations_executed += 1
+        state.iteration += 1
+        state.restore_attempts = 0
+        if self.rstore is not None:
+            self._publish()
+
+    def _publish(self) -> None:
+        """Publish the redundant state of the current boundary."""
+        t0 = self.runtime.now()
+        self.app.publish_redundant(self.rstore, self._loop.iteration)
+        self._loop.report.redundancy_time += self.runtime.now() - t0
+
+    # -- the recovery ladder -------------------------------------------------
+
+    def _recover(self, failure: Exception) -> None:
+        """Absorb one failure of an iteration attempt: walk the ladder's
+        rungs in order until one recovers; ``DataLossError`` if none can."""
+        report = self._loop.report
+        failed_in_checkpoint = self.store.in_progress
+        if failed_in_checkpoint:
+            self.store.cancel_snapshot()
+        confirmed, cleared = self._observe(failure, report)
+        # Every suspect cleared, none confirmed: a transient fault — the
+        # group keeps its membership.
+        transient_only = bool(cleared) and not confirmed
+        if transient_only:
+            report.transient_restores += 1
+        for rung, applies in (
+            (self._retry_checkpoint, transient_only and failed_in_checkpoint),
+            (self._reconstruct, self.rstore is not None),
+            (self._rollback, True),
+        ):
+            if applies and rung(failure):
+                return
+        raise DataLossError(
+            "place failed before the first checkpoint committed; "
+            "no recovery point exists"
+        ) from failure
+
+    def _retry_checkpoint(self, failure: Exception) -> bool:
+        """Rung 1: a purely transient fault during a checkpoint.  Snapshot
+        capture reads application state but never mutates it, so the
+        cancelled attempt is simply retried at the loop top — bounded like
+        restore attempts, so a partition that never heals cannot hang the
+        run."""
+        self._count_attempt(
+            failure, "checkpoint failed {} consecutive times under transient faults"
+        )
+        return True
+
+    def _reconstruct(self, failure: Exception) -> bool:
+        """Rung 2: rebuild the lost partitions in place.
+
+        Recovers once the application is back at the last published
+        boundary (zero lost iterations, counter not rolled back).  Declines
+        when this failure cannot be absorbed — no committed generation,
+        spare shortage, a burst beyond the published redundancy
+        (``DataLossError`` from a fetch), or too many attempts aborted by
+        further failures; the decline is a recorded fallback, and the
+        generation is dropped (a shrinking restore would orphan its group
+        binding), to be rebuilt from scratch by the next publish.
 
         A transient verdict with no confirmed deaths also lands here with
         an empty lost set: every place resets to the boundary from its
         *local* primary copies — consistent recovery from a mid-step
         transient without any communication or rollback.
         """
-        rt = self.runtime
-        rstore = self.rstore
-        if not rstore.ready:
-            return False
-        attempts = 0
-        while True:
-            attempts += 1
-            if attempts > self.max_restore_attempts:
-                return False
+        rt, state, rstore = self.runtime, self._loop, self.rstore
+        report = state.report
+        for _ in range(self.max_restore_attempts if rstore.ready else 0):
             # The app's group only advances on success, so the dead set is
-            # recomputed from the same base group each attempt; spares
-            # from an aborted attempt sit in the stash and are reused.
+            # recomputed from the same base group each attempt; spares from
+            # an aborted attempt sit in the stash and are reused.
             group = self.app.places
-            dead_idx = [
-                i for i in range(group.size) if not rt.is_alive(group[i].id)
-            ]
-            spares = []
-            for _ in dead_idx:
-                spare = self._claim_spare()
-                if spare is None:
-                    self._spare_stash.extend(spares)
-                    return False
-                spares.append(spare)
-            new_group = group
-            for idx, spare in zip(dead_idx, spares):
-                new_group = new_group.replace(group[idx], spare)
+            dead_idx = [i for i in range(group.size) if not rt.is_alive(group[i].id)]
+            new_group = self._claim_replacements(group, dead_idx)
+            if new_group is None:
+                break
             t0 = rt.now()
-            rt.injector.enter_context("reconstruct")
             try:
-                self.app.reconstruct(new_group, rstore, dead_idx)
-            except DataLossError:
-                report.reconstruct_time += rt.now() - t0
-                self._spare_stash.extend(spares)
-                return False
-            except (DeadPlaceException, MultipleException) as again:
-                # A further failure mid-reconstruction.  Every rebuild
-                # primitive (rehome / fetch-reset / re-solve / repair) is
-                # idempotent, so the retry simply redoes the recovery over
-                # a refreshed group.
-                report.reconstruct_time += rt.now() - t0
-                report.aborted_reconstructions += 1
-                self._spare_stash.extend(spares)
-                self._observe(again, report)
-                continue
-            finally:
-                rt.injector.exit_context("reconstruct")
+                again = self._attempt(
+                    "reconstruct", self.app.reconstruct, new_group, rstore, dead_idx
+                )
+            except DataLossError as lost:  # a burst beyond the redundancy
+                again = lost
             dt = rt.now() - t0
             report.reconstruct_time += dt
-            report.reconstruct_durations.append(dt)
-            report.reconstructions += 1
-            report.reconstructed_partitions += len(dead_idx)
-            return True
+            if again is None:
+                report.reconstruct_durations.append(dt)
+                report.reconstructions += 1
+                report.reconstructed_partitions += len(dead_idx)
+                state.iteration = rstore.state_iteration
+                state.restore_attempts = 0
+                return True
+            self._spare_stash.extend(new_group[i] for i in dead_idx)
+            if isinstance(again, DataLossError):
+                break
+            # A further failure mid-reconstruction.  Every rebuild primitive
+            # (rehome / fetch-reset / re-solve / repair) is idempotent, so
+            # the retry simply redoes the recovery over a refreshed group.
+            report.aborted_reconstructions += 1
+            self._observe(again, report)
+        report.fallback_restores += 1
+        rstore.invalidate()
+        return False
+
+    def _rollback(self, failure: Exception) -> bool:
+        """Rung 3, the paper's recovery: restore the latest committed
+        checkpoint onto the restoration mode's group.
+
+        Retried until it completes: a failure mid-restore leaves the
+        application's objects on inconsistent place groups, so going back
+        to ``step()`` is not an option — only a full restore re-establishes
+        a consistent state.  Each aborted attempt is accounted separately
+        (``aborted_restores``) from the successful one.  Declines only when
+        no checkpoint has committed yet.
+        """
+        rt, state, store = self.runtime, self._loop, self.store
+        report = state.report
+        if store.latest() is None:
+            return False
+        while True:
+            self._count_attempt(failure, "restore failed {} consecutive times")
+            new_group, mode = self._replacement_group(self.app.places)
+            require(new_group.size > 0, "no live places remain")
+            self.app.restore_context = RestoreContext(
+                rebalance=(mode == RestoreMode.SHRINK_REBALANCE)
+            )
+            t0 = rt.now()
+            again = self._attempt(
+                "restore", self.app.restore, new_group, store, store.latest_iteration
+            )
+            dt = rt.now() - t0
+            if again is not None:
+                # A further failure during restore: the suspects go through
+                # the same ladder — a CONFIRMED_DEAD verdict shrinks the next
+                # attempt's group, and the resolve wait advances virtual time
+                # so a healing partition is eventually ridden out.
+                report.restore_time += dt
+                report.aborted_restores += 1
+                report.aborted_restore_durations.append(dt)
+                self._observe(again, report)
+            elif mode not in _REPLACE_MODES or self._scrub(new_group):
+                break
+        report.restore_time += dt
+        report.restore_durations.append(dt)
+        report.restores += 1
+        state.iteration = state.last_checkpoint_iter = store.latest_iteration
+        report.useful_iterations = state.iteration
+        report.restored_iterations.append(state.iteration)
+        return True
+
+    def _scrub(self, group: PlaceGroup) -> bool:
+        """The tail of a replace-mode rollback: with new places installed
+        at the dead members' indices, re-materialize the copies the failure
+        destroyed (missing primaries, lost parity blocks) so the *next*
+        failure faces a fully redundant checkpoint again.  Shrink modes
+        skip it — the old snapshot's homes are gone for good and the next
+        checkpoint over the shrunken group supersedes it.
+
+        Returns ``False`` when a kill aborted the pass: the restored state
+        may span the new victims, so the caller goes round — another
+        restore, then another scrub.
+        """
+        rt, report = self.runtime, self._loop.report
+        repaired: List[int] = []
+
+        def repair_all() -> None:
+            for snap in self.store.latest().all_snapshots():
+                # Scrubbing runs between finishes, so due context kills are
+                # polled explicitly.
+                rt.poll_failures()
+                repaired.append(snap.repair(group))
+
+        t0 = rt.now()
+        again = self._attempt("scrub", repair_all)
+        report.scrub_time += rt.now() - t0
+        if again is not None:
+            report.aborted_scrubs += 1
+            self._observe(again, report)
+            return False
+        report.scrubs += 1
+        report.scrub_repaired_copies += sum(repaired)
+        return True
+
+    # -- replacement groups ----------------------------------------------------
+
+    def _claim_replacements(
+        self, group: PlaceGroup, dead_idx: List[int], all_or_none: bool = False
+    ) -> Optional[PlaceGroup]:
+        """*group* with a spare installed at each of *dead_idx*, claimed
+        from the stash of aborted-reconstruct claims first (newest first),
+        then from the lease; ``None`` on a shortage.
+
+        A shortage found mid-way stashes the spares already claimed (a
+        lease has no un-claim, so a claimed spare must not leak).  With
+        *all_or_none* the spares are counted before any is claimed, and a
+        shortage claims none; the count is exact (the pool's live counters,
+        and no virtual time passes between count and claims), so then every
+        claim succeeds.
+        """
+        stash = self._spare_stash = [
+            p for p in self._spare_stash if self.runtime.is_alive(p.id)
+        ]
+        if all_or_none and self.lease.spares_remaining + len(stash) < len(dead_idx):
+            return None
+        new_group, claimed = group, []
+        for i in dead_idx:
+            spare = stash.pop() if stash else self.lease.claim_spare()
+            if spare is None:
+                stash.extend(claimed)
+                return None
+            claimed.append(spare)
+            new_group = new_group.replace(group[i], spare)
+        return new_group
+
+    def _replacement_group(self, group: PlaceGroup) -> tuple:
+        """New group + effective mode for a rollback after a failure in
+        *group*."""
+        rt, mode = self.runtime, self.mode
+        dead_idx = [i for i in range(group.size) if not rt.is_alive(group[i].id)]
+        if mode == RestoreMode.REPLACE_ELASTIC:
+            new_group = group
+            for i in dead_idx:
+                new_group = new_group.replace(group[i], self.lease.add_place())
+            return new_group, mode
+        if mode == RestoreMode.REPLACE_REDUNDANT:
+            # Spares exhausted: fall back to the configured shrink mode
+            # without wasting one.
+            new_group = self._claim_replacements(group, dead_idx, all_or_none=True)
+            if new_group is not None:
+                return new_group, mode
+            mode = self.spare_fallback
+        return rt.live_group(group), mode
 
     # -- main loop ------------------------------------------------------------
 
@@ -509,32 +737,18 @@ class IterativeExecutor:
         rt = self.runtime
         state = self._loop
         if state is None:
-            state = self._loop = _LoopState(report=ExecutionReport())
-            state.t_begin = rt.now()
-            # Runtime-global counters are recorded as deltas over this run,
-            # so a report stays per-job when several executors share one
-            # runtime.
-            state.fallback_base = rt.stats.stable_fallback_reads
-            state.parity_base = rt.stats.parity_reconstructions
-            if rt.faults is not None:
-                state.faults_base = (
-                    rt.faults.dropped, rt.faults.retransmissions,
-                    rt.faults.duplicates, rt.faults.timeouts,
-                )
-
+            state = self._loop = _LoopState(
+                ExecutionReport(), t_begin=rt.now(), counter_base=self._counters()
+            )
             if self.rstore is not None:
                 # The redundant baseline must exist before any scripted kill
                 # can fire (they fire at the loop top): from iteration 0 on,
                 # reconstruction always has a committed generation.  A kill
                 # can still land inside this very first publish (phase/time
                 # triggers); the store's atomicity leaves it uncommitted and
-                # the loop's failure machinery takes over on the first
-                # iteration attempt.
+                # the ladder takes over on the first iteration attempt.
                 t0 = rt.now()
-                try:
-                    self.app.publish_redundant(self.rstore, state.iteration)
-                    state.report.redundancy_time += rt.now() - t0
-                except (DeadPlaceException, MultipleException):
+                if self._attempt(None, self._publish) is not None:
                     state.report.lost_time += rt.now() - t0
 
         report = state.report
@@ -551,182 +765,22 @@ class IterativeExecutor:
                 for pid in self.detector.sweep():
                     self._evict(pid, report)
             t_attempt = rt.now()
-            try:
-                if (
-                    state.iteration % self.checkpoint_interval == 0
-                    and state.iteration != state.last_checkpoint_iter
-                ):
-                    t0 = rt.now()
-                    rt.injector.enter_context("checkpoint")
-                    try:
-                        if self.checkpoint_mode == "overlapped":
-                            # The previous checkpoint's backups must be
-                            # durable before this one supersedes it: apply
-                            # any deferred completions (the residue
-                            # propagates into this checkpoint's visible
-                            # duration), then capture the new snapshot with
-                            # its backup transfers deferred.
-                            rt.engine.drain_overlap()
-                            with rt.engine.overlap():
-                                self.app.checkpoint(self.store)
-                        else:
-                            self.app.checkpoint(self.store)
-                    finally:
-                        rt.injector.exit_context("checkpoint")
-                    dt = rt.now() - t0
-                    report.checkpoint_time += dt
-                    report.checkpoint_stall_time += dt
-                    report.checkpoint_durations.append(dt)
-                    report.checkpoints += 1
-                    state.last_checkpoint_iter = state.iteration
-                    if self.corruption is not None:
-                        self.corruption.strike(self.store)
-                    t_attempt = rt.now()
-
-                t0 = rt.now()
-                self.app.step()
-                report.step_time += rt.now() - t0
-                report.iterations_executed += 1
-                state.iteration += 1
-                state.restore_attempts = 0
-                if self.rstore is not None:
-                    # Refresh the redundant state to the new boundary (a
-                    # failure mid-publish leaves the previous generation
-                    # committed — reconstruction then redoes one step).
-                    t0 = rt.now()
-                    self.app.publish_redundant(self.rstore, state.iteration)
-                    report.redundancy_time += rt.now() - t0
-            except (DeadPlaceException, MultipleException) as failure:
+            failure = None
+            if (
+                state.iteration % self.checkpoint_interval == 0
+                and state.iteration != state.last_checkpoint_iter
+            ):
+                failure = self._attempt("checkpoint", self._checkpoint)
+            if failure is None:
+                t_attempt = rt.now()
+                failure = self._attempt(None, self._step)
+            if failure is not None:
                 # Any backups still in flight from an overlapped checkpoint
                 # must land before recovery timing starts (their residue is
                 # part of the failure's cost, not of the restore).
                 rt.engine.drain_overlap()
                 report.lost_time += rt.now() - t_attempt
-                failed_in_checkpoint = self.store.in_progress
-                if failed_in_checkpoint:
-                    self.store.cancel_snapshot()
-                confirmed, cleared = self._observe(failure, report)
-                # Every suspect cleared, none confirmed: a transient fault —
-                # the group keeps its membership and merely rolls back.
-                transient_only = bool(cleared) and not confirmed
-                if transient_only:
-                    report.transient_restores += 1
-                if transient_only and failed_in_checkpoint:
-                    # Snapshot capture reads application state but never
-                    # mutates it, so a purely transient fault during a
-                    # checkpoint needs no rollback: the cancelled attempt
-                    # is simply retried (bounded like restore attempts —
-                    # a partition that never heals must not hang the run).
-                    state.restore_attempts += 1
-                    if state.restore_attempts > self.max_restore_attempts:
-                        raise DataLossError(
-                            f"checkpoint failed {state.restore_attempts - 1} "
-                            "consecutive times under transient faults"
-                        ) from failure
-                    continue
-                if self.rstore is not None:
-                    if self._try_reconstruct(report):
-                        # Back at the last published boundary: no rollback,
-                        # no lost iterations beyond the interrupted step.
-                        state.iteration = self.rstore.state_iteration
-                        state.restore_attempts = 0
-                        continue
-                    # The burst exceeded the published redundancy (or
-                    # spares ran out): drop to the classic rung.  The
-                    # committed generation is now unreliable — and a
-                    # shrinking restore would orphan its group binding —
-                    # so it is rebuilt from scratch by the next publish.
-                    report.fallback_restores += 1
-                    self.rstore.invalidate()
-                if self.store.latest() is None:
-                    raise DataLossError(
-                        "place failed before the first checkpoint committed; "
-                        "no recovery point exists"
-                    ) from failure
-                # Retry the restore itself until it completes: a failure
-                # mid-restore leaves the application's objects on
-                # inconsistent place groups, so going back to step() is not
-                # an option — only a full restore re-establishes a
-                # consistent state.  Each aborted attempt is accounted
-                # separately (``aborted_restores``) from successful ones.
-                while True:
-                    state.restore_attempts += 1
-                    if state.restore_attempts > self.max_restore_attempts:
-                        raise DataLossError(
-                            f"restore failed {state.restore_attempts - 1} "
-                            "consecutive times"
-                        ) from failure
-                    new_group, effective_mode = self._replacement_group(
-                        self.app.places
-                    )
-                    require(new_group.size > 0, "no live places remain")
-                    self.app.restore_context = RestoreContext(
-                        rebalance=(effective_mode == RestoreMode.SHRINK_REBALANCE)
-                    )
-                    t0 = rt.now()
-                    rt.injector.enter_context("restore")
-                    try:
-                        self.app.restore(
-                            new_group, self.store, self.store.latest_iteration
-                        )
-                    except (DeadPlaceException, MultipleException) as again:
-                        # A further failure during restore: record the
-                        # aborted attempt and go around with a fresh group.
-                        # The suspects go through the same ladder — a
-                        # CONFIRMED_DEAD verdict shrinks the next attempt's
-                        # group, and the resolve wait advances virtual time
-                        # so a healing partition is eventually ridden out.
-                        dt = rt.now() - t0
-                        report.restore_time += dt
-                        report.aborted_restores += 1
-                        report.aborted_restore_durations.append(dt)
-                        self._observe(again, report)
-                        continue
-                    finally:
-                        rt.injector.exit_context("restore")
-                    restore_dt = rt.now() - t0
-                    # Scrub/repair pass: with spares installed at the dead
-                    # members' indices, re-materialize the copies the
-                    # failure destroyed (missing primaries, lost parity
-                    # blocks) so the *next* failure faces a fully redundant
-                    # checkpoint again.  Shrink modes skip it — the old
-                    # snapshot's homes are gone for good and the next
-                    # checkpoint over the shrunken group supersedes it.
-                    if effective_mode in (
-                        RestoreMode.REPLACE_REDUNDANT,
-                        RestoreMode.REPLACE_ELASTIC,
-                    ):
-                        t_scrub = rt.now()
-                        rt.injector.enter_context("scrub")
-                        try:
-                            repaired = 0
-                            for snap in self.store.latest().all_snapshots():
-                                # Scrubbing runs between finishes, so due
-                                # context kills are polled explicitly.
-                                rt.poll_failures()
-                                repaired += snap.repair(new_group)
-                        except (DeadPlaceException, MultipleException) as again:
-                            # A kill mid-scrub: the restored state may span
-                            # the new victims, so go around the full loop —
-                            # another restore, then another scrub.
-                            report.scrub_time += rt.now() - t_scrub
-                            report.aborted_scrubs += 1
-                            self._observe(again, report)
-                            continue
-                        finally:
-                            rt.injector.exit_context("scrub")
-                        report.scrubs += 1
-                        report.scrub_repaired_copies += repaired
-                        report.scrub_time += rt.now() - t_scrub
-                    break
-                dt = restore_dt
-                report.restore_time += dt
-                report.restore_durations.append(dt)
-                report.restores += 1
-                state.iteration = self.store.latest_iteration
-                state.last_checkpoint_iter = state.iteration
-                report.useful_iterations = state.iteration
-                report.restored_iterations.append(state.iteration)
+                self._recover(failure)
 
         # The run is only finished once the final checkpoint is durable:
         # drain outstanding overlapped backups and charge the driver the
@@ -738,12 +792,10 @@ class IterativeExecutor:
         report.useful_iterations = state.iteration
         report.final_group_size = self.app.places.size
         report.pending_kills = rt.injector.unfired()
-        report.stable_fallback_reads = (
-            rt.stats.stable_fallback_reads - state.fallback_base
-        )
-        report.parity_reconstructions = (
-            rt.stats.parity_reconstructions - state.parity_base
-        )
+        for name, now, base in zip(
+            _RUNTIME_COUNTERS, self._counters(), state.counter_base
+        ):
+            setattr(report, name, now - base)
         report.quarantined_copies = self.store.quarantined_copies()
         report.ckpt_clean_partitions = self.store.delta_clean_partitions
         report.ckpt_dirty_partitions = self.store.delta_dirty_partitions
@@ -752,15 +804,6 @@ class IterativeExecutor:
         if self.rstore is not None:
             report.redundancy_bytes = self.rstore.redundancy_bytes
             report.repaired_static_keys = self.rstore.repaired_keys
-        if rt.faults is not None:
-            report.dropped_messages = rt.faults.dropped - state.faults_base[0]
-            report.retransmissions = (
-                rt.faults.retransmissions - state.faults_base[1]
-            )
-            report.duplicate_messages = (
-                rt.faults.duplicates - state.faults_base[2]
-            )
-            report.comm_timeouts = rt.faults.timeouts - state.faults_base[3]
         return report
 
 

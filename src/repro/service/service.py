@@ -29,13 +29,8 @@ import numpy as np
 from repro.baseline import failure_free_result
 from repro.bench.calibration import regression_cost
 from repro.bench.catalogue import APPS
-from repro.resilience.executor import (
-    RECOVERY_MODES,
-    IterativeExecutor,
-    RestoreMode,
-)
+from repro.resilience.executor import IterativeExecutor, RestoreMode, check_recovery
 from repro.resilience.placement import check_protection, make_placement
-from repro.resilience.store import AppResilientStore
 from repro.runtime.cost import CostModel
 from repro.runtime.detector import PhiAccrualDetector
 from repro.runtime.exceptions import (
@@ -88,9 +83,6 @@ class ServiceConfig:
     dedicated_spares: int = 1
     replicas: int = 2
     placement: str = "spread"
-    stable_fallback: bool = False
-    restore_mode: str = "replace-redundant"
-    checkpoint_mode: str = "blocking"
     #: Recovery mode for CG jobs ("reconstruct" = checkpoint-free ABFT
     #: recovery; "checkpoint" = the classic rollback path).  Only CG
     #: implements the reconstruction protocol, so other apps always run
@@ -113,7 +105,6 @@ class ServiceConfig:
     #: healing — dead places stay dead, the pool only ever shrinks.
     repair_mttr: float = 0.0
     max_queue: Optional[int] = None
-    max_restore_attempts: int = 10
 
     def __post_init__(self) -> None:
         require(self.places >= 2, "need at least a coordinator and one worker")
@@ -132,13 +123,14 @@ class ServiceConfig:
             self.cost_profile in ("calibrated", "zero"),
             "cost_profile must be 'calibrated' or 'zero'",
         )
-        require(
-            self.cg_recovery in RECOVERY_MODES,
-            f"cg_recovery must be one of {RECOVERY_MODES}",
-        )
         require(self.repair_mttr >= 0, "repair_mttr must be >= 0")
-        # Fail fast on a bad placement spec, and on parity double-paying.
-        check_protection(make_placement(self.placement), self.replicas)
+        # Fail fast on a bad placement spec, on parity double-paying, and on
+        # a CG recovery scheme the placement cannot serve (otherwise the
+        # first CG admission raises mid-stream, after carving a lease).
+        policy = make_placement(self.placement)
+        check_protection(policy, self.replicas)
+        if "cg" in self.apps:
+            check_recovery(APPS["cg"].resilient, self.cg_recovery, policy)
         check_positive(self.checkpoint_interval, "checkpoint_interval")
         for app in self.apps:
             require(app in APPS, f"unknown app {app!r}")
@@ -487,23 +479,16 @@ class ClusterService:
                 app = entry.resilient(
                     rt, entry.tiny_workload(job.iterations), group=lease.group()
                 )
-                store = AppResilientStore(
-                    rt,
-                    replicas=cfg.replicas,
-                    placement=make_placement(cfg.placement),
-                    stable_fallback=cfg.stable_fallback,
-                )
                 recovery = (
                     cfg.cg_recovery if job.app == "cg" else "checkpoint"
                 )
                 report = IterativeExecutor(
                     rt,
                     app,
-                    store=store,
                     checkpoint_interval=job.checkpoint_interval,
-                    mode=RestoreMode(cfg.restore_mode),
-                    checkpoint_mode=cfg.checkpoint_mode,
-                    max_restore_attempts=cfg.max_restore_attempts,
+                    mode=RestoreMode.REPLACE_REDUNDANT,
+                    replicas=cfg.replicas,
+                    placement=make_placement(cfg.placement),
                     detector=detector,
                     lease=lease,
                     recovery=recovery,

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.matrix.dupvector import DupVector
 from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.iterative import ResilientIterativeApp
-from repro.runtime import CostModel, DataLossError, Runtime
+from repro.runtime import BORROW, DEDICATED, POOLED, CostModel, DataLossError, Runtime
 
 
 class CountingApp(ResilientIterativeApp):
@@ -148,3 +150,57 @@ class TestSpareAccounting:
         # (id 6) at place 1's index.
         assert app.places.ids == [0, 6, 3, 5]
         assert np.allclose(app.state.to_array(), 12.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(economics=st.sampled_from([DEDICATED, POOLED, BORROW]), data=st.data())
+    def test_precounted_claims_always_succeed(self, economics, data):
+        """Replace-redundant counts stash + ``lease.spares_remaining`` before
+        claiming.  Under every economics that count is exact in the
+        sequential simulator — whatever died, whoever else holds a lease,
+        whatever an aborted reconstruction stashed — so when it covers the
+        dead, every claim succeeds, and when it does not, nothing is
+        claimed."""
+        draw = data.draw
+        world = draw(st.integers(4, 10), "world")
+        rt = Runtime(world, cost=CostModel.zero(), resilient=True,
+                     spares=draw(st.integers(0, 4), "reserve"))
+        dedicated = 0
+        if economics == DEDICATED:
+            dedicated = draw(st.integers(0, rt.pool.reserve_remaining), "dedicated")
+        lease = rt.pool.lease(
+            size=draw(st.integers(2, world - 2), "size"),
+            economics=economics,
+            dedicated_spares=dedicated,
+        )
+        group = lease.group()
+        if economics != DEDICATED:  # a second tenant drawing on the same reserve
+            other = rt.pool.lease(size=1, economics=economics)
+            for _ in range(draw(st.integers(0, 2), "other claims")):
+                other.claim_spare()
+        executor = IterativeExecutor(rt, CountingApp(rt, group=group), lease=lease)
+        for _ in range(draw(st.integers(0, 2), "stashed")):
+            spare = lease.claim_spare()
+            if spare is not None:
+                executor._spare_stash.append(spare)
+        members = [p.id for p in group][1:]  # the driver is immortal
+        others = sorted(set(rt.all_place_ids()) - {0} - {p.id for p in group})
+        kills = draw(st.sets(st.sampled_from(members), max_size=len(members) - 1), "dead")
+        if others:  # reserve, idle, stashed and the other tenant's places
+            kills |= draw(st.sets(st.sampled_from(others)), "other kills")
+        for pid in kills:
+            rt.kill(pid)
+        dead_idx = [i for i in range(group.size) if not rt.is_alive(group[i].id)]
+        stashed = [p for p in executor._spare_stash if rt.is_alive(p.id)]
+        enough = lease.spares_remaining + len(stashed) >= len(dead_idx)
+        claimed_before = lease.spares_claimed
+
+        new_group = executor._claim_replacements(group, dead_idx, all_or_none=True)
+
+        if enough:
+            assert new_group is not None
+            assert all(rt.is_alive(p.id) for p in new_group)
+            assert new_group.size == group.size
+        else:
+            assert new_group is None
+            assert lease.spares_claimed == claimed_before
+            assert executor._spare_stash == stashed

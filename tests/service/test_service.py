@@ -201,6 +201,17 @@ class TestFailureFreeService:
             ServiceConfig(places=5, max_places=6)
         with pytest.raises(ValueError):
             ServiceConfig(apps=("linreg", "nope"))
+        # CG jobs reconstruct by default, which parity placement cannot
+        # serve: rejected here rather than at the first CG admission.
+        with pytest.raises(ValueError, match="parity placement applies"):
+            ServiceConfig(n_jobs=6, apps=("cg",), placement="parity:2", replicas=1,
+                          cost_profile="zero")
+        with pytest.raises(ValueError, match="recovery must be one of"):
+            ServiceConfig(apps=("cg",), cg_recovery="rewind")
+        # Without a CG job, or with CG rolling back, the pair is servable.
+        ServiceConfig(apps=("linreg",), placement="parity:2", replicas=1)
+        ServiceConfig(apps=("cg",), placement="parity:2", replicas=1,
+                      cg_recovery="checkpoint")
 
 
 class TestBaselineCache:

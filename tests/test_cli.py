@@ -251,6 +251,25 @@ class TestChaosCommand:
              "--straggler 99 names no place of this world"),
             # Used to raise `ValueError: low >= high` out of a pool worker.
             (["chaos", "linreg", "--iterations", "1"], "iterations must be >= 2"),
+            # Used to run failure-free and print `failures observed: 0`.
+            (["run", "linreg", *SMALL, "--non-resilient", "--fail-at", "3", "--victim", "2"],
+             "--fail-at, --victim: not read by a --non-resilient run"),
+            *(
+                (["run", "linreg", *SMALL, "--non-resilient", *flag], f"{flag[0]}: not read")
+                for flag in (
+                    ["--mttf", "20"], ["--spares", "1"], ["--replicas", "2"],
+                    ["--placement", "spread"], ["--stable-fallback"],
+                    ["--ckpt-interval", "3"], ["--ckpt-mode", "overlapped"],
+                    ["--ckpt-delta"], ["--mode", "replace-redundant"],
+                    ["--recovery", "reconstruct"], ["--detect-timeout", "1"],
+                    ["--heartbeat-interval", "0.1"], ["--drop-rate", "0.1"],
+                    ["--dup-rate", "0.1"], ["--delay-rate", "0.1"],
+                    ["--delay-seconds", "0.1"], ["--straggler", "2:4"],
+                    ["--corrupt", "0.1"], ["--chaos-seed", "3"],
+                )
+            ),
+            (["run", "linreg", *SMALL, "--heartbeat-interval", "0.1"],
+             "--heartbeat-interval: not read without --detect-timeout"),
         ],
     )
     def test_unservable_recovery_is_a_usage_error(self, argv, message, capsys):
