@@ -7,9 +7,14 @@ new block, extracting the region, and assembling a block from region pieces
 ("the non-zero elements for the overlapping regions must be counted to
 determine the space required for the new sparse block").
 
-The kernels — products, format conversion, dense expansion — are
-``scipy.sparse``'s, run on zero-copy ``csr_array``/``csc_array`` views over
-those same buffers; a canonical row is accumulated in index order.
+The kernels — products, format conversion, dense expansion — are scipy's
+compiled ``_sparsetools`` routines, called on those very arrays with the
+arguments ``scipy.sparse``'s compressed classes pass them after their
+operator dispatch, into a fresh float64 output: the bytes of scipy's ``@``,
+``tocsc`` and ``toarray``, with no scipy object built.  The routines trust
+the structure they are handed, so the public constructors validate it in
+full; an operand they cannot compute in float64 (complex, extended
+precision) is a ``ValueError`` from the routine itself.
 
 Duplicate policy: ``from_coo`` **sums** duplicate ``(row, col)`` entries —
 the same coalescing scipy applies.  A build is one stable sort, one
@@ -24,7 +29,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse as _sp
+from scipy.sparse import _sparsetools
 
 from repro.util.validation import require
 from repro.util.versioning import next_version
@@ -32,11 +37,12 @@ from repro.util.versioning import next_version
 _INDEX_DTYPE = np.int64
 
 #: Minimum triplet count for computing ``from_coo``'s sort order with
-#: scipy's counting passes instead of ``np.argsort``.  Below this NumPy wins
-#: outright — scipy's constructors carry ~100µs of per-call validation that
-#: dwarfs the sort of the small blocks the simulator builds constantly.
-#: Both give the same permutation (tests/matrix/test_sparse.py).
-_SCIPY_BUILD_MIN = 32768
+#: scipy's counting passes instead of ``np.argsort``.  The counting sort is
+#: O(nnz + m + n) behind a few µs of fixed cost: on a 2-core x86-64 VM it
+#: loses by 1-8 µs below ~700 triplets and wins from ~1,000 on (10,000:
+#: 100-135 µs against 645 µs), for square and 500 × 6000 link-block shapes
+#: alike.  Both give the same permutation (tests/matrix/test_sparse.py).
+_SCIPY_BUILD_MIN = 1024
 
 
 def _as_index(a) -> np.ndarray:
@@ -54,22 +60,35 @@ def _check_coo(m: int, n: int, rows, cols, vals) -> Tuple[np.ndarray, np.ndarray
     return rows, cols, vals
 
 
+def _recompress(n_major: int, n_minor: int, indptr, indices, data):
+    """The same entries compressed along the other axis, minor indices
+    sorted: ``csr_tocsc`` into fresh arrays, as scipy's ``tocsc`` runs it.
+
+    Returns ``(indptr, indices, data)`` with ``n_minor + 1`` pointers; the
+    bucketing keeps major order within each minor index, so it is stable.
+    """
+    nnz = len(indices)
+    out = (
+        np.empty(n_minor + 1, dtype=_INDEX_DTYPE),
+        np.empty(nnz, dtype=_INDEX_DTYPE),
+        np.empty(nnz, dtype=data.dtype),
+    )
+    _sparsetools.csr_tocsc(n_major, n_minor, indptr, indices, data, *out)
+    return out
+
+
 def _scipy_stable_order(major: np.ndarray, minor: np.ndarray, n_major: int, n_minor: int):
     """Stable argsort by ``(major, minor)`` as two O(nnz) counting passes.
 
     A csr→csc conversion of a matrix with one entry per row buckets the row
     numbers by ``indices``, "row indices in sorted order": a stable argsort.
     LSD radix order — *minor* first, then *major*.  No intermediate holds a
-    duplicate cell, so scipy's (order-unspecified) duplicate summing never runs.
+    duplicate cell, and the conversion never sums one anyway.
     """
     count = len(major)
     one_per_row = np.arange(count + 1, dtype=_INDEX_DTYPE)
-    by_minor = _sp.csr_array(
-        (one_per_row[:count], minor, one_per_row), shape=(count, n_minor)
-    ).tocsc().indices
-    return _sp.csr_array(
-        (by_minor, major[by_minor], one_per_row), shape=(count, n_major)
-    ).tocsc().data
+    by_minor = _recompress(count, n_minor, one_per_row, minor, one_per_row[:count])[1]
+    return _recompress(count, n_major, one_per_row, major[by_minor], by_minor)[2]
 
 
 def _compress_coo(
@@ -114,12 +133,51 @@ def _freeze_view(self):
     alias.m, alias.n = self.m, self.n
     alias.indptr, alias.indices, alias.values = self.indptr, self.indices, self.values
     alias.version = next_version()
-    alias._sp = alias._sp_ver = None
-    if self._sp_ver == self.version:
-        # The current scipy handle wraps exactly the arrays just frozen;
-        # either side's touch() bumps its own version before a write.
-        alias._sp, alias._sp_ver = self._sp, alias.version
     return alias
+
+
+def _init(self, m: int, n: int, indptr, indices, values):
+    """The public constructor of both formats: caller-supplied arrays,
+    validated in full.
+
+    The compiled kernels trust the structure — an ``indptr`` that decreases
+    or overruns sends them past the ends of ``indices`` and ``values`` — so
+    these checks guard memory as well as meaning.  ``_MAJOR`` is the axis
+    ``indptr`` runs over: 0 (rows) for CSR, 1 (columns) for CSC.
+    """
+    self.m, self.n = int(m), int(n)
+    self.indptr = _as_index(indptr)
+    self.indices = _as_index(indices)
+    self.values = np.asarray(values, dtype=np.float64)
+    self.version = next_version()
+    major, dims = self._MAJOR, (self.m, self.n)
+    require(self.m >= 0 and self.n >= 0, "negative matrix dims")
+    require(len(self.indptr) == dims[major] + 1, f"indptr must have {'mn'[major]}+1 entries")
+    require(self.indptr[0] == 0, "indptr must start at 0")
+    require(self.indptr[-1] == len(self.indices), "indptr end must equal nnz")
+    require(len(self.indices) == len(self.values), "indices/values length mismatch")
+    if len(self.indices):
+        require(
+            int(self.indices.min()) >= 0 and int(self.indices.max()) < dims[1 - major],
+            f"{('column', 'row')[major]} index out of range",
+        )
+    require(bool(np.all(np.diff(self.indptr) >= 0)), "indptr must be non-decreasing")
+
+
+def _build(cls, m: int, n: int, indptr, indices, values):
+    """Construct from arrays that hold the format's invariants by construction.
+
+    Internal fast path for kernel results (``from_coo`` output, region
+    extraction, stacking, conversions) — the full validation of the public
+    constructor stays on caller-supplied arrays.
+    """
+    self = object.__new__(cls)
+    self.m, self.n = int(m), int(n)
+    self.indptr = _as_index(indptr)
+    self.indices = _as_index(indices)
+    self.values = np.asarray(values, dtype=np.float64)
+    self.version = next_version()
+    return self
 
 
 def _from_payload_arrays(cls, shape, arrays):
@@ -136,46 +194,11 @@ class SparseCSR:
     construction.
     """
 
-    __slots__ = ("m", "n", "indptr", "indices", "values", "version", "_sp", "_sp_ver")
+    __slots__ = ("m", "n", "indptr", "indices", "values", "version")
+    _MAJOR = 0
 
-    def __init__(self, m: int, n: int, indptr, indices, values):
-        self.m, self.n = int(m), int(n)
-        self.indptr = _as_index(indptr)
-        self.indices = _as_index(indices)
-        self.values = np.asarray(values, dtype=np.float64)
-        self.version = next_version()
-        self._sp = None  # lazy zero-copy scipy [view, view.T]
-        self._sp_ver = None  # version the view was built at (touch invalidates)
-        require(self.m >= 0 and self.n >= 0, "negative matrix dims")
-        require(len(self.indptr) == self.m + 1, "indptr must have m+1 entries")
-        require(self.indptr[0] == 0, "indptr must start at 0")
-        require(self.indptr[-1] == len(self.indices), "indptr end must equal nnz")
-        require(len(self.indices) == len(self.values), "indices/values length mismatch")
-        if len(self.indices):
-            require(
-                int(self.indices.min()) >= 0 and int(self.indices.max()) < self.n,
-                "column index out of range",
-            )
-        require(bool(np.all(np.diff(self.indptr) >= 0)), "indptr must be non-decreasing")
-
-    @classmethod
-    def _build(cls, m: int, n: int, indptr, indices, values) -> "SparseCSR":
-        """Construct from arrays that hold the CSR invariants by construction.
-
-        Internal fast path for kernel results (``from_coo`` output, region
-        extraction, stacking, scipy conversions) — the full validation in
-        ``__init__`` stays on the public constructor for caller-supplied
-        arrays.
-        """
-        self = object.__new__(cls)
-        self.m, self.n = int(m), int(n)
-        self.indptr = _as_index(indptr)
-        self.indices = _as_index(indices)
-        self.values = np.asarray(values, dtype=np.float64)
-        self.version = next_version()
-        self._sp = None
-        self._sp_ver = None
-        return self
+    __init__ = _init
+    _build = classmethod(_build)
 
     # -- constructors ------------------------------------------------------
 
@@ -251,42 +274,31 @@ class SparseCSR:
         """Expanded row index of every stored entry (COO view helper)."""
         return np.repeat(np.arange(self.m, dtype=_INDEX_DTYPE), np.diff(self.indptr))
 
-    def _scipy(self, transposed: bool = False):
-        """Zero-copy ``scipy.sparse.csr_array`` view over the same buffers.
-
-        Cached per :attr:`version`: ``touch()`` bumps the version before any
-        mutation (in place or CoW detach), so a stale view can never serve a
-        kernel.  The handle adopts the very arrays (``data is values``) — no
-        payload copy.  *transposed* serves the view's ``.T``, cached beside
-        it (scipy builds and validates a new handle per ``.T``).
-        """
-        if self._sp is None or self._sp_ver != self.version:
-            # Empty, then adopt the buffers: the three-array constructor
-            # copies any slice of a much larger base (every link block is one).
-            view = _sp.csr_array((self.m, self.n))
-            view.data, view.indices, view.indptr = self.values, self.indices, self.indptr
-            self._sp, self._sp_ver = [view, None], self.version
-        if transposed and self._sp[1] is None:
-            self._sp[1] = self._sp[0].T
-        return self._sp[transposed]
-
     def to_dense(self) -> np.ndarray:
         """Expand to a dense 2-D array."""
-        return self._scipy().toarray()
+        out = np.zeros((self.m, self.n))
+        _sparsetools.csr_todense(self.m, self.n, self.indptr, self.indices, self.values, out)
+        return out
 
     # -- kernels ------------------------------------------------------------
+    # The CSR arrays of ``self`` are the CSC arrays of ``self.T``: the
+    # transposed products run the ``csc_`` routine on them as an n × m matrix.
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """``self @ x``."""
         if x.shape != (self.n,):
             raise ValueError(f"spmv operand must be length {self.n}")
-        return self._scipy() @ x
+        y = np.zeros(self.m)
+        _sparsetools.csr_matvec(self.m, self.n, self.indptr, self.indices, self.values, x, y)
+        return y
 
     def spmv_t(self, x: np.ndarray) -> np.ndarray:
         """``self.T @ x``."""
         if x.shape != (self.m,):
             raise ValueError(f"spmv_t operand must be length {self.m}")
-        return self._scipy(True) @ x
+        y = np.zeros(self.n)
+        _sparsetools.csc_matvec(self.n, self.m, self.indptr, self.indices, self.values, x, y)
+        return y
 
     def scale(self, alpha: float) -> "SparseCSR":
         """In-place ``self *= alpha``."""
@@ -298,25 +310,33 @@ class SparseCSR:
         """``self @ dense`` for a 2-D operand (sparse-dense product)."""
         if dense.ndim != 2 or dense.shape[0] != self.n:
             raise ValueError("matmat shape mismatch")
-        return self._scipy() @ dense
+        k = dense.shape[1]
+        y = np.zeros((self.m, k))
+        _sparsetools.csr_matvecs(
+            self.m, self.n, k, self.indptr, self.indices, self.values, dense.ravel(), y.ravel()
+        )
+        return y
 
     def t_matmat(self, dense: np.ndarray) -> np.ndarray:
         """``self.T @ dense`` for a 2-D operand."""
         if dense.ndim != 2 or dense.shape[0] != self.m:
             raise ValueError("t_matmat shape mismatch")
-        return self._scipy(True) @ dense
+        k = dense.shape[1]
+        y = np.zeros((self.n, k))
+        _sparsetools.csc_matvecs(
+            self.n, self.m, k, self.indptr, self.indices, self.values, dense.ravel(), y.ravel()
+        )
+        return y
 
     def transpose(self) -> "SparseCSR":
         """A new CSR holding ``self.T``."""
-        t = self._scipy(True).tocsr()
-        t.sort_indices()
-        return SparseCSR._build(self.n, self.m, t.indptr, t.indices, t.data)
+        arrays = _recompress(self.m, self.n, self.indptr, self.indices, self.values)
+        return SparseCSR._build(self.n, self.m, *arrays)
 
     def to_csc(self) -> "SparseCSC":
         """Convert to compressed-sparse-column storage."""
-        c = self._scipy().tocsc()
-        c.sort_indices()
-        return SparseCSC._build(self.m, self.n, c.indptr, c.indices, c.data)
+        arrays = _recompress(self.m, self.n, self.indptr, self.indices, self.values)
+        return SparseCSC._build(self.m, self.n, *arrays)
 
     # -- region operations (restore paths) -----------------------------------
 
@@ -434,38 +454,11 @@ class SparseCSC:
     format round-trip tests.
     """
 
-    __slots__ = ("m", "n", "indptr", "indices", "values", "version", "_sp", "_sp_ver")
+    __slots__ = ("m", "n", "indptr", "indices", "values", "version")
+    _MAJOR = 1
 
-    def __init__(self, m: int, n: int, indptr, indices, values):
-        self.m, self.n = int(m), int(n)
-        self.indptr = _as_index(indptr)
-        self.indices = _as_index(indices)
-        self.values = np.asarray(values, dtype=np.float64)
-        self.version = next_version()
-        self._sp = None  # lazy zero-copy scipy [view, view.T]
-        self._sp_ver = None  # version the view was built at (touch invalidates)
-        require(len(self.indptr) == self.n + 1, "indptr must have n+1 entries")
-        require(self.indptr[0] == 0, "indptr must start at 0")
-        require(self.indptr[-1] == len(self.indices), "indptr end must equal nnz")
-        require(len(self.indices) == len(self.values), "indices/values length mismatch")
-        if len(self.indices):
-            require(
-                int(self.indices.min()) >= 0 and int(self.indices.max()) < self.m,
-                "row index out of range",
-            )
-
-    @classmethod
-    def _build(cls, m: int, n: int, indptr, indices, values) -> "SparseCSC":
-        """Unchecked internal constructor (see :meth:`SparseCSR._build`)."""
-        self = object.__new__(cls)
-        self.m, self.n = int(m), int(n)
-        self.indptr = _as_index(indptr)
-        self.indices = _as_index(indices)
-        self.values = np.asarray(values, dtype=np.float64)
-        self.version = next_version()
-        self._sp = None
-        self._sp_ver = None
-        return self
+    __init__ = _init
+    _build = classmethod(_build)
 
     @classmethod
     def empty(cls, m: int, n: int) -> "SparseCSC":
@@ -496,32 +489,28 @@ class SparseCSC:
     def nbytes(self) -> int:
         return int(self.indptr.nbytes + self.indices.nbytes + self.values.nbytes)
 
-    def _scipy(self, transposed: bool = False):
-        """Zero-copy ``scipy.sparse.csc_array`` view (see :meth:`SparseCSR._scipy`)."""
-        if self._sp is None or self._sp_ver != self.version:
-            # Empty, then adopt the buffers: the three-array constructor
-            # copies any slice of a much larger base (every link block is one).
-            view = _sp.csc_array((self.m, self.n))
-            view.data, view.indices, view.indptr = self.values, self.indices, self.indptr
-            self._sp, self._sp_ver = [view, None], self.version
-        if transposed and self._sp[1] is None:
-            self._sp[1] = self._sp[0].T
-        return self._sp[transposed]
-
     def to_dense(self) -> np.ndarray:
-        return self._scipy().toarray()
+        # Column-major, as scipy's: the transposed view of the output is the
+        # row-major expansion of ``self.T``, whose CSR arrays these are.
+        out = np.zeros((self.m, self.n), order="F")
+        _sparsetools.csr_todense(self.n, self.m, self.indptr, self.indices, self.values, out.T)
+        return out
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """``self @ x``."""
         if x.shape != (self.n,):
             raise ValueError(f"spmv operand must be length {self.n}")
-        return self._scipy() @ x
+        y = np.zeros(self.m)
+        _sparsetools.csc_matvec(self.m, self.n, self.indptr, self.indices, self.values, x, y)
+        return y
 
     def spmv_t(self, x: np.ndarray) -> np.ndarray:
         """``self.T @ x``."""
         if x.shape != (self.m,):
             raise ValueError(f"spmv_t operand must be length {self.m}")
-        return self._scipy(True) @ x
+        y = np.zeros(self.n)
+        _sparsetools.csr_matvec(self.n, self.m, self.indptr, self.indices, self.values, x, y)
+        return y
 
     def scale(self, alpha: float) -> "SparseCSC":
         self.touch()
@@ -549,9 +538,8 @@ class SparseCSC:
 
     def to_csr(self) -> SparseCSR:
         """Convert to compressed-sparse-row storage."""
-        r = self._scipy().tocsr()
-        r.sort_indices()
-        return SparseCSR._build(self.m, self.n, r.indptr, r.indices, r.data)
+        arrays = _recompress(self.n, self.m, self.indptr, self.indices, self.values)
+        return SparseCSR._build(self.m, self.n, *arrays)
 
     def count_nnz_region(self, r0: int, r1: int, c0: int, c1: int) -> int:
         """Count stored entries in a region (columns sliced via indptr)."""

@@ -1,7 +1,8 @@
-"""Tests for the CSR/CSC classes: own index arrays, scipy kernels."""
+"""Tests for the CSR/CSC classes: own index arrays, scipy's compiled kernels."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,38 @@ sparse_case = st.tuples(
     st.floats(0.0, 0.6),  # density
     st.integers(0, 10_000),  # seed
 )
+
+
+def _sliced(cls, big, count):
+    """A block of *big*'s first *count* rows (CSR) / columns (CSC), built by
+    ``_build`` over slices of its arrays: no copy."""
+    hi = int(big.indptr[count])
+    shape = (count, big.n) if cls is SparseCSR else (big.m, count)
+    return cls._build(*shape, big.indptr[: count + 1], big.indices[:hi], big.values[:hi])
+
+
+def _kernels(a, x, y):
+    """Every product and conversion of a matrix shaped like *a*, as callables."""
+    ops = [lambda b: b.spmv(x), lambda b: b.spmv_t(y), lambda b: b.to_dense()]
+    if isinstance(a, SparseCSC):
+        return ops + [lambda b: b.to_csr()]
+    xs, ys = np.outer(x, [1.0, -2.0, 0.5]), np.outer(y, [3.0, 1.0])
+    return ops + [
+        lambda b: b.matmat(xs),
+        lambda b: b.t_matmat(ys),
+        lambda b: b.transpose(),
+        lambda b: b.to_csc(),
+    ]
+
+
+def _same_bytes(got, want):
+    if isinstance(got, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        return
+    assert type(got) is type(want) and got.shape == want.shape
+    for mine, theirs in zip(got.payload_arrays(), want.payload_arrays()):
+        _same_bytes(mine, theirs)
 
 
 class TestCSRConstruction:
@@ -125,45 +158,40 @@ class TestCSRKernels:
         assert np.array_equal(np.diag(a.to_dense()), [1.0, 2.0])
 
     @pytest.mark.parametrize("cls", [SparseCSR, SparseCSC])
-    def test_scipy_handles_adopt_the_arrays_and_cache_the_transpose(self, cls):
-        """The scipy view wraps the object's own buffers — also when they are
-        slices of a much larger base, which scipy's constructor would copy —
-        and its ``.T`` is built once per mutation version."""
+    def test_kernels_on_base_slices_equal_compact_copy(self, cls):
+        """A block over slices of a much larger base (every full-width link
+        block is one) runs each kernel on those very arrays, with the bytes
+        the same kernel gives on a compacted copy; a write through the block
+        reaches its next product."""
         big = cls.from_dense(random_dense(40, 6, 0.5, 3))
-        hi = int(big.indptr[2])  # the first two rows (CSR) / columns (CSC)
-        shape = (2, 6) if cls is SparseCSR else (40, 2)
-        a = cls._build(*shape, big.indptr[:3], big.indices[:hi], big.values[:hi])
-        view, flipped = a._scipy(), a._scipy(True)
-        assert view.data is a.values and view.indices is a.indices
-        assert a._scipy() is view and a._scipy(True) is flipped
-        assert np.array_equal(flipped.toarray(), view.toarray().T)
-        before = a.spmv_t(np.ones(shape[0]))
-        a.scale(2.0)  # touch() bumps the version: both handles are rebuilt
-        assert a._scipy() is not view and a._scipy(True) is not flipped
-        assert np.array_equal(a.spmv_t(np.ones(shape[0])), 2.0 * before)
+        a = _sliced(cls, big, 2)
+        assert np.shares_memory(a.values, big.values) and len(a.values) < len(big.values)
+        compact = a.copy()
+        x, y = np.arange(1.0, a.n + 1), np.arange(1.0, a.m + 1)
+        for kernel in _kernels(a, x, y):
+            _same_bytes(kernel(a), kernel(compact))
+        before = a.spmv_t(y)
+        a.scale(2.0)
+        assert np.array_equal(a.spmv_t(y), 2.0 * before)
 
     @pytest.mark.parametrize("cls", [SparseCSR, SparseCSC])
-    def test_freeze_view_carries_the_scipy_handle(self, cls):
-        """A snapshot alias adopts the live handle instead of rebuilding it;
-        a later write on either side rebuilds only that side's."""
+    def test_freeze_view_alias_never_sees_later_writes(self, cls):
+        """``touch()`` + ``scale`` on either side of a ``freeze_view()``
+        reaches that side's results only."""
         dense = random_dense(5, 4, 0.6, 11)
-        x = np.arange(1.0, 5.0)
+        x, y = np.arange(1.0, 5.0), np.arange(1.0, 6.0)
         original = cls.from_dense(dense)
-        cold = original.freeze_view()  # no handle built yet: nothing to carry
-        assert cold._sp is None
-        expected = original.spmv(x)
-        view = original._scipy()
+        expected = original.spmv(x), original.spmv_t(y), original.to_dense()
         alias = original.freeze_view()
         assert alias.version != original.version
-        assert alias._scipy() is view and original._scipy() is view
-        assert alias._scipy(True) is original._scipy(True)
         original.scale(2.0)  # touch() detaches from the frozen arrays first
-        assert np.array_equal(alias.spmv(x), expected)
-        assert np.array_equal(original.spmv(x), 2.0 * expected)
+        for got, want in zip((alias.spmv(x), alias.spmv_t(y), alias.to_dense()), expected):
+            _same_bytes(got, want)
+        assert np.array_equal(original.spmv(x), 2.0 * expected[0])
         second = original.freeze_view()
         second.scale(0.5)
-        assert np.array_equal(original.spmv(x), 2.0 * expected)
-        assert np.array_equal(second.spmv(x), expected)
+        assert np.array_equal(original.spmv(x), 2.0 * expected[0])
+        assert np.array_equal(second.spmv(x), expected[0])
 
     def test_spmv_wrong_length(self):
         a = SparseCSR.empty(2, 3)
@@ -171,6 +199,88 @@ class TestCSRKernels:
             a.spmv(np.zeros(2))
         with pytest.raises(ValueError):
             a.spmv_t(np.zeros(3))
+
+
+def _operand(rng, kind, shape):
+    """A real operand of *shape* in one of the layouts callers may hand a kernel."""
+    if kind == "int":
+        return rng.integers(-9, 10, size=shape)
+    if kind == "strided":
+        return rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    data = rng.standard_normal(shape)
+    return np.asfortranarray(data) if kind == "fortran" else data
+
+
+def _same_as_scipy(got, want):
+    """*got* has the bytes of scipy's *want*: a dense result in the same
+    memory order, a compressed one array by array (index values only, as
+    scipy may narrow the index dtype)."""
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.tobytes() == want.tobytes()
+        return
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.values.tobytes() == want.data.tobytes()
+
+
+class TestKernelsAreScipys:
+    """The kernels call scipy's compiled routines directly: every product and
+    conversion has the bytes of scipy's public operators on the same arrays."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        case=sparse_case,
+        empty=st.sampled_from([None, "rows", "cols"]),
+        k=st.integers(0, 3),
+        kind=st.sampled_from(["float", "strided", "int", "fortran"]),
+        sliced=st.booleans(),
+        cls=st.sampled_from([SparseCSR, SparseCSC]),
+    )
+    def test_every_kernel_has_scipys_bytes(self, case, empty, k, kind, sliced, cls):
+        m, n, density, seed = case
+        m, n = (0 if empty == "rows" else m), (0 if empty == "cols" else n)
+        dense = random_dense(m, n, density, seed)
+        if sliced:  # a block over slices of a larger base
+            if cls is SparseCSR:
+                bigger = np.vstack([dense, random_dense(3, n, density, seed + 1)])
+            else:
+                bigger = np.hstack([dense, random_dense(m, 3, density, seed + 1)])
+            a = _sliced(cls, cls.from_dense(bigger), m if cls is SparseCSR else n)
+        else:
+            a = cls.from_dense(dense)
+        ctor = sp.csr_array if cls is SparseCSR else sp.csc_array
+        ref = ctor((a.values, a.indices, a.indptr), shape=a.shape)
+        rng = np.random.default_rng(seed)
+        x, y = _operand(rng, kind, (n,)), _operand(rng, kind, (m,))
+        _same_as_scipy(a.spmv(x), ref @ x)
+        _same_as_scipy(a.spmv_t(y), ref.T @ y)
+        _same_as_scipy(a.to_dense(), ref.toarray())
+        if cls is SparseCSC:
+            _same_as_scipy(a.to_csr(), ref.tocsr())
+            return
+        xs, ys = _operand(rng, kind, (n, k)), _operand(rng, kind, (m, k))
+        _same_as_scipy(a.matmat(xs), ref @ xs)
+        _same_as_scipy(a.t_matmat(ys), ref.T @ ys)
+        _same_as_scipy(a.transpose(), ref.T.tocsr())
+        _same_as_scipy(a.to_csc(), ref.tocsc())
+
+    @pytest.mark.parametrize("cls", [SparseCSR, SparseCSC])
+    def test_a_complex_operand_is_refused(self, cls):
+        """scipy's operator would answer in complex; the float64 routine
+        refuses rather than drop the imaginary part."""
+        a = cls.from_dense(random_dense(4, 3, 0.7, 5))
+        calls = [lambda: a.spmv(np.full(3, 1j)), lambda: a.spmv_t(np.ones(4, dtype=complex))]
+        if cls is SparseCSR:
+            calls += [
+                lambda: a.matmat(np.ones((3, 2), dtype=complex)),
+                lambda: a.t_matmat(np.ones((4, 2), dtype=np.complex64)),
+            ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestCSRRegions:
@@ -367,6 +477,18 @@ class TestCSC:
         sub = a.sub_matrix(2, 6, 1, 7)
         assert np.array_equal(sub.to_dense(), dense[2:6, 1:7])
         assert a.count_nnz_region(2, 6, 1, 7) == sub.nnz
+
+    def test_malformed_structure_is_rejected(self):
+        """The constructor is the kernels' only guard: a decreasing ``indptr``
+        sent the compiled routines past the arrays (the process died)."""
+        with pytest.raises(ValueError, match="non-decreasing"):
+            SparseCSC(4, 2, [0, 9, 3], [0, 1, 2], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="negative"):
+            SparseCSC(-1, 0, [0], [], [])
+        with pytest.raises(ValueError, match="n\\+1"):
+            SparseCSC(2, 2, [0, 1], [0], [1.0])
+        with pytest.raises(ValueError, match="row index"):
+            SparseCSC(2, 1, [0, 1], [2], [1.0])
 
     def test_duplicates_summed(self):
         a = SparseCSC.from_coo(2, 2, [1, 1], [0, 0], [1.5, 2.5])

@@ -171,8 +171,8 @@ def test_fork_with_detector_suspicion_in_flight():
 
 def test_bench_pagerank_image_shares_link_blocks_by_reference():
     """Full-width link blocks are frozen slices of the memoized graph: an
-    image parks them (and the scipy handles adopted over them) by reference,
-    so a 12-place bench world costs kilobytes per boundary, not the graph."""
+    image parks them by reference, so a 12-place bench world costs kilobytes
+    per boundary, not the graph."""
     entry = APPS["pagerank"]
     workload = entry.bench_workload(4)
     rt = make_runtime(12, cost=entry.bench_cost(), resilient=True)

@@ -373,8 +373,8 @@ class TestStoredBytes:
 
 class TestBlocksAreValueDetermined:
     """A parity block is a function of its members' array bytes.  What the
-    host keeps beside them — memoized kernel handles on the sparse link blocks,
-    the process-wide version counter — must reach neither the block nor what
+    host does beside them — kernel calls on the sparse link blocks, the
+    process-wide version counter — must reach neither the block nor what
     the group charges and reports."""
 
     WL = PageRankWorkload(nodes_per_place=64, out_degree=8, blocks_per_place=2, iterations=2)
@@ -383,8 +383,8 @@ class TestBlocksAreValueDetermined:
         rt = Runtime(8, cost=pagerank_cost(), resilient=True)
         app = PageRankResilient(rt, self.WL)
         if warm:
-            # What a step() leaves behind on the host, minus its virtual
-            # time: every link block's memoized kernel handles.
+            # What a step() does on the host, minus its virtual time: both
+            # kernels on every link block.
             x = np.ones(app.n)
             for place in app.places:
                 for block in rt.heap_of(place.id).get(app.G.heap_key):

@@ -1,19 +1,31 @@
 """Call budget of the simulated-task path: the tier-1 stand-in for the
 benchmark's ``py_calls_m``.
 
-Every Python-level frame LinReg executes is the repo's own (NumPy runs in C),
-so the count is exact and independent of library versions.
+Every Python-level frame LinReg and PageRank execute is the repo's own (NumPy
+and scipy's sparse routines run in C), so the counts are exact and independent
+of library versions.
 """
 
 import cProfile
+import os
 import pstats
 
 from repro.apps.nonresilient.linreg import LinRegNonResilient
-from repro.bench.calibration import regression_bench_workload, regression_cost
+from repro.apps.nonresilient.pagerank import PageRankNonResilient
+from repro.bench.calibration import (
+    pagerank_bench_workload,
+    pagerank_cost,
+    regression_bench_workload,
+    regression_cost,
+)
 from repro.matrix.dupvector import DupVector
 from repro.runtime.factory import make_runtime
 
 MAX_CALLS_PER_TASK = 12
+#: PageRank's SpMV loop: 2,789 calls / 300 tasks (9.30).  Through scipy's
+#: operator stack (a cached handle per block, ``@`` and its dispatch) it was
+#: 5,695 / 300 (18.98), 2,209 of them scipy's frames.
+MAX_PAGERANK_CALLS_PER_TASK = 10
 #: A replica-uniform operation on coherent replicas: the task, the adopt (an
 #: ``axpy``) and the charge — the arithmetic runs once per finish, a version
 #: token costs no frame.  One array per place and a Python ``next_version``
@@ -31,6 +43,21 @@ def test_linreg_python_calls_per_simulated_task():
     calls = pstats.Stats(profile).total_calls
     assert tasks == 1100
     assert calls / tasks <= MAX_CALLS_PER_TASK, f"{calls} calls / {tasks} tasks"
+
+
+def test_pagerank_python_calls_per_simulated_task():
+    with make_runtime(12, cost=pagerank_cost(), resilient=True) as rt:
+        app = PageRankNonResilient(rt, pagerank_bench_workload(5))
+        tasks_before = rt.stats.tasks
+        profile = cProfile.Profile(builtins=False)
+        profile.runcall(app.run)
+        tasks = rt.stats.tasks - tasks_before
+    stats = pstats.Stats(profile)
+    scipy_frames = [key for key in stats.stats if f"{os.sep}scipy{os.sep}" in key[0]]
+    assert not scipy_frames, scipy_frames[:5]
+    calls = stats.total_calls
+    assert tasks == 300
+    assert calls / tasks <= MAX_PAGERANK_CALLS_PER_TASK, f"{calls} calls / {tasks} tasks"
 
 
 def test_duplicated_vector_python_calls_per_simulated_task():
