@@ -34,6 +34,74 @@ from repro.util.validation import require
 DENSE = "dense"
 SPARSE = "sparse"
 
+#: Per source place index: ``[(rb, [(dest index, dest id, seg lo, seg hi,
+#: part lo, part hi)])]`` — where each block-row result lands, rb-sorted.
+Routes = List[List[Tuple[int, List[Tuple[int, int, int, int, int, int]]]]]
+
+
+class TaskPlan:
+    """What a matrix layout fixes about every task run over it, worked out
+    once per layout instead of once per task: the per-place counts behind
+    the declared flops of the dense kernels, and the routes of the matvec's
+    block-row results into each output partition.
+
+    Everything here is read off the grid, the block map and the group — no
+    heap.  :class:`DistBlockMatrix` drops its plan whenever the layout may
+    change (allocation, remake, regrid, restore).
+    """
+
+    def __init__(self, grid: Grid, block_map: BlockMap, ids: List[int], dense: bool):
+        self._ids = ids
+        row_sizes, col_sizes, row_offsets = grid.row_sizes, grid.col_sizes, grid.row_offsets
+        #: Per place index: the held row bands ``(rb, row offset, rows)``, sorted.
+        self.bands: List[List[Tuple[int, int, int]]] = []
+        #: Per place index: stored cells, and rows summed over held blocks.
+        self.cells: List[int] = []
+        self.rows: List[int] = []
+        #: Dense kernels' per-place flops (``None`` for sparse: nnz-dependent):
+        #: two per cell, plus one per row folded into an already-held band.
+        self.matvec_flops: Optional[List[int]] = [] if dense else None
+        self.t_matvec_flops: Optional[List[int]] = [] if dense else None
+        for index in range(block_map.num_places):
+            bands: List[Tuple[int, int, int]] = []
+            cells = rows = merged = 0
+            for rb, cb in block_map.blocks_of_place(index):  # row-major
+                h = row_sizes[rb]
+                cells += h * col_sizes[cb]
+                rows += h
+                if bands and bands[-1][0] == rb:
+                    merged += h
+                else:
+                    bands.append((rb, row_offsets[rb], h))
+            self.bands.append(bands)
+            self.cells.append(cells)
+            self.rows.append(rows)
+            if dense:
+                self.matvec_flops.append(2 * cells + merged)
+                self.t_matvec_flops.append(2 * cells)
+        self._routes: Dict[Tuple[int, ...], Routes] = {}
+
+    def routes(self, partition: Partition1D) -> Routes:
+        """The matvec's result routes into an output of *partition*."""
+        sizes = tuple(partition.sizes)
+        table = self._routes.get(sizes)
+        if table is None:
+            ids, lows = self._ids, partition.offsets
+            table = self._routes[sizes] = [
+                [
+                    (
+                        rb,
+                        [
+                            (seg, ids[seg], start - lows[seg], end - lows[seg], start - r0, end - r0)
+                            for seg, start, end in partition.overlapping_segments(r0, r0 + h)
+                        ],
+                    )
+                    for rb, r0, h in bands
+                ]
+                for bands in self.bands
+            ]
+        return table
+
 
 class DistBlockMatrix(MultiPlaceObject):
     """An ``m × n`` matrix distributed as grid blocks over a place group."""
@@ -135,8 +203,15 @@ class DistBlockMatrix(MultiPlaceObject):
         data = zero_dense_block(h, w) if self.kind == DENSE else SparseCSR.empty(h, w)
         return MatrixBlock.for_grid(self.grid, rb, cb, data)
 
+    def task_plan(self) -> TaskPlan:
+        """This layout's :class:`TaskPlan`, built on first use."""
+        if self._plan is None:
+            self._plan = TaskPlan(self.grid, self.block_map, self.group.ids, self.kind == DENSE)
+        return self._plan
+
     def _allocate(self) -> None:
         group, key = self.group, self.heap_key
+        self._plan: Optional[TaskPlan] = None
 
         def alloc(ctx: PlaceContext) -> None:
             index = group.index_of(ctx.place)
@@ -166,20 +241,26 @@ class DistBlockMatrix(MultiPlaceObject):
         is sufficient there; PageRank uses :meth:`init_link_matrix`)."""
         group, key = self.group, self.heap_key
 
-        def fill(ctx: PlaceContext) -> None:
-            bs: BlockSet = ctx.heap.get(key)
-            flops = 0.0
-            for block in bs:
-                h, w = block.shape
-                if self.kind == DENSE:
-                    block.data = random_dense_block(seed, block.rb, block.cb, h, w)
-                    flops += h * w
-                else:
-                    block.data = random_sparse_block(seed, block.rb, block.cb, h, w, density)
-                    flops += block.data.nnz * 2
-            ctx.charge_flops(flops)
+        label = f"{self.name}:init_random"
+        if self.kind == DENSE:
 
-        self.runtime.finish_all(group, fill, label=f"{self.name}:init_random")
+            def fill(ctx: PlaceContext) -> None:
+                for block in ctx.heap.get(key):
+                    h, w = block.shape
+                    block.data = random_dense_block(seed, block.rb, block.cb, h, w)
+
+            self.runtime.finish_all(group, fill, label=label, flops=self.task_plan().cells)
+            return self
+
+        def fill_sparse(ctx: PlaceContext) -> None:
+            flops = 0.0
+            for block in ctx.heap.get(key):
+                h, w = block.shape
+                block.data = random_sparse_block(seed, block.rb, block.cb, h, w, density)
+                flops += block.data.nnz * 2
+            ctx.charge_flops(flops)  # nnz: known only once generated
+
+        self.runtime.finish_all(group, fill_sparse, label=label)
         return self
 
     def init_link_matrix(self, link: LinkMatrix) -> "DistBlockMatrix":
@@ -239,19 +320,20 @@ class DistBlockMatrix(MultiPlaceObject):
 
     def _cellwise(self, fn, flops_per_cell: float = 1.0, label: str = "cellwise"):
         """Apply *fn(block)* to every local block under one finish."""
-        group, key = self.group, self.heap_key
+        key = self.heap_key
 
         def task(ctx: PlaceContext) -> None:
-            bs: BlockSet = ctx.heap.get(key)
-            cells = 0
-            for block in bs:
+            for block in ctx.heap.get(key):
                 fn(block)
-                h, w = block.shape
-                cells += h * w
-            ctx.charge_flops(flops_per_cell * cells)
 
-        self.runtime.finish_all(group, task, label=f"{self.name}:{label}")
+        self.runtime.finish_all(
+            self.group, task, label=f"{self.name}:{label}", flops=self._flops(flops_per_cell)
+        )
         return self
+
+    def _flops(self, per_cell: float) -> List[float]:
+        """Per-place flop counts of *per_cell* flops on every stored cell."""
+        return [per_cell * cells for cells in self.task_plan().cells]
 
     def _check_same_layout(self, other: "DistBlockMatrix") -> None:
         require(other.m == self.m and other.n == self.n, "shape mismatch")
@@ -266,19 +348,16 @@ class DistBlockMatrix(MultiPlaceObject):
     def _cellwise_pair(self, other, fn, flops_per_cell=1.0, label="cellwise"):
         """Apply *fn(my_block, other_block)* blockwise (layout-aligned)."""
         self._check_same_layout(other)
-        group = self.group
+        key, other_key = self.heap_key, other.heap_key
 
         def task(ctx: PlaceContext) -> None:
-            mine: BlockSet = ctx.heap.get(self.heap_key)
-            theirs: BlockSet = ctx.heap.get(other.heap_key)
-            cells = 0
-            for block in mine:
+            theirs: BlockSet = ctx.heap.get(other_key)
+            for block in ctx.heap.get(key):
                 fn(block, theirs.get(block.rb, block.cb))
-                h, w = block.shape
-                cells += h * w
-            ctx.charge_flops(flops_per_cell * cells)
 
-        self.runtime.finish_all(group, task, label=f"{self.name}:{label}")
+        self.runtime.finish_all(
+            self.group, task, label=f"{self.name}:{label}", flops=self._flops(flops_per_cell)
+        )
         return self
 
     def scale(self, alpha: float) -> "DistBlockMatrix":
@@ -314,24 +393,30 @@ class DistBlockMatrix(MultiPlaceObject):
 
     def norm_f(self) -> float:
         """Frobenius norm (per-place partial sums + driver combine)."""
-        group, key = self.group, self.heap_key
+        group, key, label = self.group, self.heap_key, f"{self.name}:norm"
+        if self.kind == DENSE:
 
-        def task(ctx: PlaceContext) -> float:
-            bs: BlockSet = ctx.heap.get(key)
-            total = 0.0
-            cells = 0
-            for block in bs:
-                if block.is_sparse:
-                    total += float(block.data.values @ block.data.values)
-                    cells += 2 * block.data.nnz
-                else:
+            def task(ctx: PlaceContext) -> float:
+                total = 0.0
+                for block in ctx.heap.get(key):
                     total += float(np.sum(block.data.data * block.data.data))
-                    h, w = block.shape
-                    cells += 2 * h * w
-            ctx.charge_flops(cells)
-            return total
+                return total
 
-        partials = self.runtime.finish_all(group, task, ret_bytes=8, label=f"{self.name}:norm")
+            partials = self.runtime.finish_all(
+                group, task, ret_bytes=8, label=label, flops=self._flops(2)
+            )
+        else:
+
+            def task(ctx: PlaceContext) -> float:
+                total = 0.0
+                nnz = 0
+                for block in ctx.heap.get(key):
+                    total += float(block.data.values @ block.data.values)
+                    nnz += block.data.nnz
+                ctx.charge_flops(2 * nnz)  # nnz: read off the heap
+                return total
+
+            partials = self.runtime.finish_all(group, task, ret_bytes=8, label=label)
         return float(np.sqrt(max(sum(p for p in partials if p is not None), 0.0)))
 
     # -- layout queries ------------------------------------------------------------
@@ -431,6 +516,7 @@ class DistBlockMatrix(MultiPlaceObject):
         overlap-region assembly when it differs, per §IV-B2.
         """
         require(snapshot.meta.get("kind") == self.kind, "snapshot kind mismatch")
+        self._plan = None
         old_grid = Grid(self.m, self.n, snapshot.meta["row_sizes"], snapshot.meta["col_sizes"])
         if old_grid.same_blocking(self.grid):
             self._restore_same_grid(snapshot)

@@ -117,17 +117,19 @@ class DistVector(MultiPlaceObject):
     ) -> "DistVector":
         group, key = self.group, self.heap_key
         partition = self.partition
-        charged = self.runtime.cost.flop_time != 0.0
 
         def task(ctx: PlaceContext) -> None:
-            index = group.index_of(ctx.place)
-            lo, hi = partition.range_of(index)
+            lo, hi = partition.range_of(group.index_of(ctx.place))
             fn(ctx.heap.get(key), lo, hi)
-            if charged:
-                ctx.charge_flops(flops_per_cell * (hi - lo))
 
-        self.runtime.finish_all(group, task, label=f"{self.name}:{label}")
+        self.runtime.finish_all(
+            group, task, label=f"{self.name}:{label}", flops=self._flops(flops_per_cell)
+        )
         return self
+
+    def _flops(self, per_cell: float) -> list:
+        """Per-place flop counts of *per_cell* flops on every local cell."""
+        return [per_cell * size for size in self.partition.sizes]
 
     def scale(self, alpha: float) -> "DistVector":
         """``self *= alpha``."""
@@ -151,17 +153,14 @@ class DistVector(MultiPlaceObject):
         label: str = "cellwise",
     ) -> "DistVector":
         self._check_aligned(other)
-        group = self.group
-        charged = self.runtime.cost.flop_time != 0.0
+        key, other_key = self.heap_key, other.heap_key
 
         def task(ctx: PlaceContext) -> None:
-            index = group.index_of(ctx.place)
-            lo, hi = self.partition.range_of(index)
-            fn(ctx.heap.get(self.heap_key), ctx.heap.get(other.heap_key))
-            if charged:
-                ctx.charge_flops(flops_per_cell * (hi - lo))
+            fn(ctx.heap.get(key), ctx.heap.get(other_key))
 
-        self.runtime.finish_all(group, task, label=f"{self.name}:{label}")
+        self.runtime.finish_all(
+            self.group, task, label=f"{self.name}:{label}", flops=self._flops(flops_per_cell)
+        )
         return self
 
     def cell_add(self, other: "DistVector | float") -> "DistVector":
@@ -219,10 +218,11 @@ class DistVector(MultiPlaceObject):
             lo, hi = self.partition.range_of(index)
             seg: Vector = ctx.heap.get(self.heap_key)
             full: Vector = ctx.heap.get(dup.heap_key)
-            ctx.charge_flops(2 * (hi - lo))
             return float(seg.data @ full.data[lo:hi])
 
-        partials = self.runtime.finish_all(group, task, ret_bytes=8, label=f"{self.name}:dot")
+        partials = self.runtime.finish_all(
+            group, task, ret_bytes=8, label=f"{self.name}:dot", flops=self._flops(2)
+        )
         # The per-place partials ride back on the finish termination
         # messages; the scalar is folded at the finish home (GML's reduce).
         return float(sum(p for p in partials if p is not None))
@@ -230,15 +230,14 @@ class DistVector(MultiPlaceObject):
     def dot_dist(self, other: "DistVector") -> float:
         """Inner product of two partition-aligned DistVectors."""
         self._check_aligned(other)
-        group = self.group
+        key, other_key = self.heap_key, other.heap_key
 
         def task(ctx: PlaceContext) -> float:
-            a: Vector = ctx.heap.get(self.heap_key)
-            b: Vector = ctx.heap.get(other.heap_key)
-            ctx.charge_flops(2 * a.n)
-            return a.dot(b)
+            return ctx.heap.get(key).dot(ctx.heap.get(other_key))
 
-        partials = self.runtime.finish_all(group, task, ret_bytes=8, label=f"{self.name}:dot")
+        partials = self.runtime.finish_all(
+            self.group, task, ret_bytes=8, label=f"{self.name}:dot", flops=self._flops(2)
+        )
         return float(sum(p for p in partials if p is not None))
 
     def norm2(self) -> float:
@@ -247,14 +246,14 @@ class DistVector(MultiPlaceObject):
 
     def sum(self) -> float:
         """Sum of all cells (segment sums + scalar all-reduce)."""
-        group = self.group
-
-        def task(ctx: PlaceContext) -> float:
-            seg: Vector = ctx.heap.get(self.heap_key)
-            ctx.charge_flops(seg.n)
-            return seg.sum()
-
-        partials = self.runtime.finish_all(group, task, ret_bytes=8, label=f"{self.name}:sum")
+        key = self.heap_key
+        partials = self.runtime.finish_all(
+            self.group,
+            lambda ctx: ctx.heap.get(key).sum(),
+            ret_bytes=8,
+            label=f"{self.name}:sum",
+            flops=self._flops(1),
+        )
         return float(sum(p for p in partials if p is not None))
 
     # -- gather (Listing 2's ``GP.copyTo(P.local())``) ---------------------------
@@ -310,9 +309,10 @@ class DistVector(MultiPlaceObject):
             full: Vector = ctx.heap.get(dup.heap_key)
             seg.touch()
             seg.data[:] = full.data[lo:hi]
-            ctx.charge_flops(hi - lo)
 
-        self.runtime.finish_all(group, task, label=f"{self.name}:from_dup")
+        self.runtime.finish_all(
+            group, task, label=f"{self.name}:from_dup", flops=self._flops(1)
+        )
         return self
 
     # -- matvec (delegates to ops) -------------------------------------------

@@ -70,11 +70,12 @@ class DupVector(MultiPlaceObject):
         """Fill every copy with the *same* deterministic random values."""
         key, data = self.heap_key, random_vector(seed, self.n, tag)
 
-        def fill(ctx: PlaceContext) -> None:
-            ctx.heap.get(key).adopt(data)
-            ctx.charge_flops(flops_cellwise(self.n))
-
-        self.runtime.finish_all(self.group, fill, label=f"{self.name}:init_random")
+        self.runtime.finish_all(
+            self.group,
+            lambda ctx: ctx.heap.get(key).adopt(data),
+            label=f"{self.name}:init_random",
+            flops=flops_cellwise(self.n),
+        )
         return self
 
     # -- driver-side access ---------------------------------------------------

@@ -19,7 +19,7 @@ from repro.resilience.snapshot import Snapshottable
 from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.runtime import Runtime
 from repro.util.validation import require
-from repro.util.versioning import version_token
+from repro.util.versioning import next_version, version_token
 
 _object_counter = itertools.count()
 _data_of, _heap_key_of = attrgetter("data"), attrgetter("heap_key")
@@ -114,19 +114,19 @@ class MultiPlaceObject(Snapshottable):
 
         *fn* may write its first argument in place (through ``touch()``) and
         may return a value; the finish returns the per-place values.  Every
-        place runs its own task and is charged *flops* — only the host
-        arithmetic is shared: replicas that hold equal bytes alias one frozen
-        array (``docs/architecture.md``, "Payload ownership"), so when all of
-        a place's operand arrays are frozen and a place before it in this
-        finish started from *the very same arrays*, the place adopts that
-        place's frozen result (and return value) instead of recomputing it.
-        A writable operand is private to its place and is computed on in
-        place, as ever.  Nothing is assumed equal, only observed identical:
-        the memo is keyed by array identity, holds the arrays it names (so an
-        id cannot be recycled) and dies with the finish.
+        place runs its own task and is charged *flops* (declared to the
+        finish) — only the host arithmetic is shared: replicas that hold
+        equal bytes alias one frozen array (``docs/architecture.md``,
+        "Payload ownership"), so when all of a place's operand arrays are
+        frozen and a place before it in this finish started from *the very
+        same arrays*, the place adopts that place's frozen result (and return
+        value) instead of recomputing it.  A writable operand is private to
+        its place and is computed on in place, as ever.  Nothing is assumed
+        equal, only observed identical: the memo is keyed by array identity,
+        holds the arrays it names (so an id cannot be recycled) and dies with
+        the finish.
         """
         keys = tuple(map(_heap_key_of, operands))
-        charged = flops and self.runtime.cost.flop_time != 0.0
         seen: dict = {}
 
         def task(ctx) -> Any:
@@ -141,7 +141,16 @@ class MultiPlaceObject(Snapshottable):
             if hit is not None:  # only frozen arrays are ever recorded
                 arrays, result, value = hit
                 if result is not arrays[0]:
-                    replicas[0].adopt(result)
+                    # ``replicas[0].adopt(result)`` inlined: the replica holds
+                    # ``arrays[0]`` (same id) and *result* is already frozen.
+                    if result.shape != arrays[0].shape:
+                        raise ValueError(
+                            f"cannot adopt a {result.shape} array into a "
+                            f"{arrays[0].shape} replica"
+                        )
+                    replica = replicas[0]
+                    replica.data = result
+                    replica.version = next_version()
             else:
                 arrays = tuple(map(_data_of, replicas))
                 value = fn(*replicas)
@@ -152,12 +161,10 @@ class MultiPlaceObject(Snapshottable):
                     result = replicas[0].data
                     result.setflags(write=False)
                     seen[ident] = arrays, result, value
-            if charged:
-                ctx.charge_flops(flops)
             return value
 
         return self.runtime.finish_all(
-            self.group, task, ret_bytes=ret_bytes, label=f"{self.name}:{label}"
+            self.group, task, ret_bytes=ret_bytes, label=f"{self.name}:{label}", flops=flops
         )
 
     # -- delta checkpointing -------------------------------------------------

@@ -30,6 +30,7 @@ from repro.matrix.vector import Vector
 from repro.runtime.comm import point_to_point
 from repro.runtime.runtime import PlaceContext
 from repro.util.validation import require
+from repro.util.versioning import next_version
 
 
 def dist_block_matvec(G: DistBlockMatrix, x: DupVector, y: DistVector) -> DistVector:
@@ -40,15 +41,16 @@ def dist_block_matvec(G: DistBlockMatrix, x: DupVector, y: DistVector) -> DistVe
     require(G.group == y.group, "matrix and output on different groups")
     rt = G.runtime
     group = G.group
-    cost = rt.cost
+    cost, clock = rt.cost, rt.clock
     g_key, x_key = G.heap_key, x.heap_key
+    plan = G.task_plan()
 
     # Sparse entries are weighted by the cost model's irregular-access
     # factor (CSR gathers are far slower per entry than dense BLAS).
     sparse_factor = cost.sparse_flop_factor
-    # Flop accounting only feeds the clock charge; with a zero flop rate
-    # the charge is 0.0 whatever the count, so skip the tally entirely.
-    count_flops = cost.flop_time != 0.0
+    # A dense layout declares its flops to the finish; sparse blocks are
+    # tallied by their nnz — and with a zero flop rate not at all.
+    tally = plan.matvec_flops is None and cost.flop_time != 0.0
 
     def compute(ctx: PlaceContext) -> Dict[int, Tuple[int, np.ndarray]]:
         heap_get = ctx.heap.get
@@ -60,52 +62,64 @@ def dist_block_matvec(G: DistBlockMatrix, x: DupVector, y: DistVector) -> DistVe
             c0 = block.col_offset
             if isinstance(data, SparseCSR):
                 part = data.spmv(xdata[c0 : c0 + data.n])
-                if count_flops:
+                if tally:
                     flops += 2.0 * len(data.values) * sparse_factor
             else:
                 part = data.matvec(xdata[c0 : c0 + data.n])
-                if count_flops:
-                    flops += 2.0 * data.m * data.n
             if block.rb in partials:
                 partials[block.rb][1][:] += part
-                if count_flops:
+                if tally:
                     flops += data.m
             else:
                 partials[block.rb] = (block.row_offset, part)
-        if count_flops:
+        if tally:
             ctx.charge_flops(flops)
         return partials
 
-    results = rt.finish_all(group, compute, label="matvec")
+    results = rt.finish_all(group, compute, label="matvec", flops=plan.matvec_flops)
 
-    # Route block-row results into the output segments.  Aligned layouts
-    # route locally; scattered layouts (post-shrink) pay transfers.  The
-    # segments, place ids and segment origins are fetched once per call.
-    partition = y.partition
-    seg_lows = partition.offsets
-    clock_advance = rt.clock.advance
+    # Route block-row results into the output segments along the layout's
+    # planned routes.  Aligned layouts route locally; scattered layouts
+    # (post-shrink) pay transfers.  The finish raised if any member had
+    # died, so every heap is live.  The segment zeroing is ``Vector.fill``
+    # and each charge ``VirtualClock.advance`` inlined (finite, positive
+    # seconds), in the original order: no call per segment.
+    y_key = y.heap_key
+    heaps, times, slow = rt._heaps, clock._times, clock._slowdown
     flop_time, scale = cost.flop_time, cost.logical_scale
-    charge_memcpy = cost.memcpy_byte_time != 0.0
+    memcpy_time = cost.memcpy_byte_time
     ids = group.ids
     segs = []
     for pid in ids:
-        seg: Vector = rt.heap_of(pid).get(y.heap_key)
-        seg.fill(0.0)
-        if charge_memcpy:
-            clock_advance(pid, cost.memcpy(seg.nbytes))
-        segs.append(seg)
-    for src_id, partials in zip(ids, results):
+        seg: Vector = heaps[pid].get(y_key)
+        data = seg.data
+        if not data.flags.writeable:  # frozen in a snapshot: detach first
+            seg.data = data = data.copy()
+        seg.version = next_version()
+        data.fill(0.0)
+        if memcpy_time != 0.0:
+            dt = memcpy_time * data.nbytes * scale
+            if dt:
+                if slow:
+                    dt *= slow.get(pid, 1.0)
+                clock._moved = True
+                times[pid] += dt
+        segs.append(data)
+    for src_id, partials, routes in zip(ids, results, plan.routes(y.partition)):
         if partials is None:
             continue
-        for _rb, (r0, part) in sorted(partials.items()):
-            for seg_index, start, end in partition.overlapping_segments(r0, r0 + len(part)):
-                dest_id = ids[seg_index]
+        for rb, segments in routes:
+            part = partials[rb][1]
+            for seg_index, dest_id, d0, d1, p0, p1 in segments:
                 if dest_id != src_id:
-                    point_to_point(rt, src_id, dest_id, (end - start) * 8)
-                seg_lo = seg_lows[seg_index]
-                segs[seg_index].data[start - seg_lo : end - seg_lo] += part[start - r0 : end - r0]
-                if count_flops:
-                    clock_advance(dest_id, flop_time * (end - start) * scale)
+                    point_to_point(rt, src_id, dest_id, (p1 - p0) * 8)
+                segs[seg_index][d0:d1] += part[p0:p1]
+                if flop_time != 0.0:
+                    dt = flop_time * (d1 - d0) * scale
+                    if slow:
+                        dt *= slow.get(dest_id, 1.0)
+                    clock._moved = True
+                    times[dest_id] += dt
     return y
 
 
@@ -119,14 +133,15 @@ def dist_block_t_matvec(G: DistBlockMatrix, r: DistVector, g: DupVector) -> DupV
     group = G.group
     n = G.n
     g_key, r_key, out_key = G.heap_key, r.heap_key, g.heap_key
-    range_of = r.partition.range_of
+    offsets = r.partition.offsets
+    spans = dict(zip(group.ids, zip(offsets, offsets[1:])))
     sparse_factor = rt.cost.sparse_flop_factor
-    count_flops = rt.cost.flop_time != 0.0
+    declared = G.task_plan().t_matvec_flops
+    tally = declared is None and rt.cost.flop_time != 0.0
 
     def compute(ctx: PlaceContext) -> None:
         heap_get = ctx.heap.get
-        my_index = group.index_of(ctx.place)
-        lo, hi = range_of(my_index)
+        lo, hi = spans[ctx.place.id]
         partial = np.zeros(n)
         flops = 0.0
         for block in heap_get(g_key):
@@ -139,19 +154,17 @@ def dist_block_t_matvec(G: DistBlockMatrix, r: DistVector, g: DupVector) -> DupV
                 rvals = _gather_rows(ctx, r, r0, r1)
             if isinstance(data, SparseCSR):
                 partial[c0 : c0 + data.n] += data.spmv_t(rvals)
-                if count_flops:
+                if tally:
                     flops += 2.0 * len(data.values) * sparse_factor
             else:
                 partial[c0 : c0 + data.n] += data.t_matvec(rvals)
-                if count_flops:
-                    flops += 2.0 * data.m * data.n
         # This place's local write: its replica leaves the coherent set (the
         # whole payload is overwritten, so it rebinds to the fresh array).
         heap_get(out_key).adopt(partial)
-        if count_flops:
+        if tally:
             ctx.charge_flops(flops)
 
-    rt.finish_all(group, compute, label="t_matvec")
+    rt.finish_all(group, compute, label="t_matvec", flops=declared)
     g.reduce_sum()
     return g
 
@@ -192,6 +205,10 @@ def dist_gram(a: DistBlockMatrix, b: DistBlockMatrix, out) -> "object":
     )
     rt = a.runtime
     group = a.group
+    # Dense × dense declares its flops to the finish; a sparse operand is
+    # tallied by its nnz.
+    dense = a.kind == "dense" and b.kind == "dense"
+    declared = [2 * rows * a.n * b.n for rows in a.task_plan().rows] if dense else None
 
     def compute(ctx: PlaceContext) -> None:
         mine: BlockSet = ctx.heap.get(a.heap_key)
@@ -210,11 +227,11 @@ def dist_gram(a: DistBlockMatrix, b: DistBlockMatrix, out) -> "object":
                 flops += 2.0 * peer.data.nnz * a.n * rt.cost.sparse_flop_factor
             else:
                 partial += block.data.data.T @ peer.data.data
-                flops += 2.0 * block.shape[0] * a.n * b.n
         ctx.heap.get(out.heap_key).adopt(partial)  # local write, whole payload
-        ctx.charge_flops(flops)
+        if not dense:
+            ctx.charge_flops(flops)
 
-    rt.finish_all(group, compute, label="gram")
+    rt.finish_all(group, compute, label="gram", flops=declared)
     out.reduce_sum()
     return out
 
@@ -235,6 +252,10 @@ def dist_matmat_dup(a: DistBlockMatrix, b, out: DistBlockMatrix) -> DistBlockMat
     require(out.n == b.n and out.kind == "dense", "output shape/kind mismatch")
     rt = a.runtime
     group = a.group
+    # Dense ``a`` declares its flops to the finish; sparse is tallied by nnz.
+    declared = (
+        [2 * rows * a.n * b.n for rows in a.task_plan().rows] if a.kind == "dense" else None
+    )
 
     def compute(ctx: PlaceContext) -> None:
         mine: BlockSet = ctx.heap.get(a.heap_key)
@@ -249,10 +270,10 @@ def dist_matmat_dup(a: DistBlockMatrix, b, out: DistBlockMatrix) -> DistBlockMat
                 flops += 2.0 * block.data.nnz * b.n * rt.cost.sparse_flop_factor
             else:
                 np.matmul(block.data.data, bdata, out=target.data.data)
-                flops += 2.0 * block.shape[0] * a.n * b.n
-        ctx.charge_flops(flops)
+        if declared is None:
+            ctx.charge_flops(flops)
 
-    rt.finish_all(group, compute, label="matmat")
+    rt.finish_all(group, compute, label="matmat", flops=declared)
     return out
 
 
@@ -306,15 +327,18 @@ def dist_matmul(a: DistBlockMatrix, b: DistBlockMatrix, c: DistBlockMatrix) -> D
             def fold(ctx: PlaceContext, k0=k0, k1=k1, panel=panel) -> None:
                 mine: BlockSet = ctx.heap.get(a.heap_key)
                 outs: BlockSet = ctx.heap.get(c.heap_key)
-                flops = 0.0
                 for block in mine:
                     target = outs.get(block.rb, 0)
                     target.data.touch()
                     target.data.data += block.data.data[:, k0:k1] @ panel
-                    flops += 2.0 * block.shape[0] * (k1 - k0) * panel.shape[1]
-                ctx.charge_flops(flops)
 
-            rt.finish_all(group, fold, label="matmul:fold")
+            panel_flops = 2 * (k1 - k0) * panel.shape[1]
+            rt.finish_all(
+                group,
+                fold,
+                label="matmul:fold",
+                flops=[panel_flops * rows for rows in a.task_plan().rows],
+            )
     return c
 
 

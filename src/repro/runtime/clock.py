@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
+_INF = float("inf")
+
 
 class VirtualClock:
     """Tracks one virtual timeline per place id.
@@ -33,7 +35,8 @@ class VirtualClock:
     def __init__(self) -> None:
         #: place id -> seconds.  Only the per-task path indexes this itself
         #: (who, and how ``_moved`` stays exact: docs/architecture.md,
-        #: "Dispatch"); everything else calls the methods below.
+        #: "Dispatch"); everything else calls the methods below.  A charge
+        #: that bypasses :meth:`advance` keeps its rule: finite, non-negative.
         self._times: Dict[int, float] = {}
         #: Straggler slowdown factors: work charged to these places takes
         #: ``factor`` times longer (message waits are *not* slowed — a slow
@@ -74,8 +77,9 @@ class VirtualClock:
             # Zero-rate cost models charge 0.0 everywhere; adding 0.0 to a
             # non-negative timeline is a bitwise no-op, so skip the store.
             return self._times[place_id]
-        if seconds < 0:
-            raise ValueError(f"cannot advance clock by negative time {seconds}")
+        if not 0.0 < seconds < _INF:  # negative, NaN or infinite
+            kind = "negative" if seconds < 0 else "non-finite"
+            raise ValueError(f"cannot advance clock by {kind} time {seconds}")
         if self._slowdown:
             seconds *= self._slowdown.get(place_id, 1.0)
         self._moved = True

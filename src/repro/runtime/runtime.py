@@ -45,7 +45,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.engine.scheduler import Scheduler
 from repro.engine.timeline import MembershipEvent, Timeline
@@ -61,6 +61,11 @@ from repro.runtime.heap import PlaceHeap
 from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.pool import PlaceLease, PlacePool
 from repro.util.validation import check_positive, require
+
+_INF = float("inf")
+
+#: A finish's declared compute: one flop count for every task, or one per task.
+Flops = Union[float, Sequence[float]]
 
 
 @dataclass
@@ -109,14 +114,17 @@ class PlaceContext:
         """This place's current virtual time."""
         return self.runtime.clock.now(self.place.id)
 
-    # One Python call per charge: each adds to the clock's storage itself
-    # (``CostModel.flops``/``memcpy`` arithmetic verbatim) and leaves what
-    # ``VirtualClock.advance`` guards — negative charges, stragglers — to it.
+    # For work whose size the task only learns from its heap: a count known
+    # before dispatch is declared to the finish instead (``flops=``), which
+    # charges it with no call at all.  Each charge adds to the clock's storage
+    # itself (``CostModel.flops``/``memcpy`` arithmetic verbatim) and leaves
+    # what ``VirtualClock.advance`` guards — negative, NaN and infinite
+    # charges, stragglers — to it.
 
     def charge_seconds(self, seconds: float) -> None:
         """Charge raw seconds of work to this place."""
         clock = self.runtime.clock
-        if seconds > 0.0 and not clock._slowdown:
+        if 0.0 < seconds < _INF and not clock._slowdown:
             clock._times[self.place.id] += seconds
             clock._moved = True
         elif seconds != 0.0:
@@ -126,7 +134,7 @@ class PlaceContext:
         """Charge *n* floating-point operations to this place."""
         cost, clock = self.runtime.cost, self.runtime.clock
         dt = cost.flop_time * n * cost.logical_scale
-        if dt > 0.0 and not clock._slowdown:
+        if 0.0 < dt < _INF and not clock._slowdown:
             clock._times[self.place.id] += dt
             clock._moved = True
         elif dt != 0.0:
@@ -136,7 +144,7 @@ class PlaceContext:
         """Charge a local memory copy of *nbytes* to this place."""
         cost, clock = self.runtime.cost, self.runtime.clock
         dt = cost.memcpy_byte_time * nbytes * cost.logical_scale
-        if dt > 0.0 and not clock._slowdown:
+        if 0.0 < dt < _INF and not clock._slowdown:
             clock._times[self.place.id] += dt
             clock._moved = True
         elif dt != 0.0:
@@ -568,6 +576,7 @@ class Runtime:
         arg_bytes: float = 0.0,
         ret_bytes: float = 0.0,
         label: str = "",
+        flops: Optional[Flops] = None,
     ) -> List[Any]:
         """Run ``fn`` once at every place of *group* under one finish.
 
@@ -575,9 +584,16 @@ class Runtime:
         of dead places).  After every live task has completed, raises
         ``DeadPlaceException`` / ``MultipleException`` if any group member
         was dead or died during the phase — exactly X10's finish semantics.
+
+        *flops* declares the compute each task performs — one count for
+        every task, or one per task in group order — and the finish charges
+        it to the task's place when the body returns, exactly as a
+        ``ctx.charge_flops`` at the end of the body would.  A task that
+        raises is not charged.  Negative or non-finite counts raise
+        ``ValueError`` before any task runs.
         """
         return self._finish(
-            zip(group._places, repeat(fn)), group.size, arg_bytes, ret_bytes, label
+            zip(group._places, repeat(fn)), group.size, arg_bytes, ret_bytes, label, flops
         )
 
     def finish_tasks(
@@ -586,14 +602,16 @@ class Runtime:
         arg_bytes: float = 0.0,
         ret_bytes: float = 0.0,
         label: str = "",
+        flops: Optional[Flops] = None,
     ) -> List[Any]:
         """Run an explicit list of ``(place, fn)`` tasks under one finish.
 
         The general form behind :meth:`finish_all` (and the ``with
         rt.finish()`` sugar): tasks may target any places, including the
-        same place several times.
+        same place several times.  *flops* is as for :meth:`finish_all`,
+        per-task counts in task order.
         """
-        return self._finish(tasks, len(tasks), arg_bytes, ret_bytes, label)
+        return self._finish(tasks, len(tasks), arg_bytes, ret_bytes, label, flops)
 
     def _finish(
         self,
@@ -602,13 +620,33 @@ class Runtime:
         arg_bytes: float,
         ret_bytes: float,
         label: str,
+        flops: Optional[Flops] = None,
     ) -> List[Any]:
         """The dispatch loop: run *n_tasks* ``(place, fn)`` pairs under one finish."""
+        cost, clock, engine = self.cost, self.clock, self.engine
+        # Declared flops become per-task seconds (``CostModel.flops``
+        # arithmetic verbatim), all validated before any task runs.
+        charges: Optional[List[float]] = None
+        if flops is not None:
+            rate, scale = cost.flop_time, cost.logical_scale
+            scalar = not hasattr(flops, "__iter__")
+            charges = []
+            for n in (flops,) if scalar else flops:
+                dt = rate * n * scale
+                if not (0.0 <= n < _INF and dt < _INF):
+                    raise ValueError(f"declared flops must be finite and non-negative, got {n}")
+                charges.append(dt)
+            if scalar:
+                charges *= n_tasks
+            elif len(charges) != n_tasks:
+                raise ValueError(f"{len(charges)} flop counts declared for {n_tasks} tasks")
+            if rate == 0.0:  # every charge is 0.0: a no-op
+                charges = None
+
         self.phase += 1
         if not self.injector.all_fired:
             self._fire_due_failures()
 
-        cost, clock, engine = self.cost, self.clock, self.engine
         # Otherwise every time below is provably 0.0 (Scheduler.zero_fast) and
         # no task body can change that: skip the recurrences, for the whole
         # finish, and complete through ``complete_finish_zero``.
@@ -666,6 +704,16 @@ class Runtime:
                 results[index] = fn(ctx)
             except DeadPlaceException as exc:
                 failures.append(exc)
+            else:
+                # The declared charge: ``PlaceContext.charge_flops`` inlined
+                # (``charges`` is only set on a timed finish).
+                if charges is not None:
+                    dt = charges[index]
+                    if dt > 0.0 and not clock._slowdown:
+                        times[pid] += dt
+                        clock._moved = True
+                    elif dt != 0.0:
+                        clock.advance(pid, dt)
             if timed:
                 t_end = times[pid]
                 if backlog > t_end:

@@ -177,6 +177,34 @@ def test_a_uniform_operation_runs_its_kernel_once_per_distinct_input():
     assert np.all(replica_arrays(dup)[4] == 8.0) and np.all(dup.to_array() == 3.0)
 
 
+def test_a_memo_hit_rebinds_under_adopts_contract():
+    rt = Runtime(4, cost=CostModel.zero(), resilient=True)
+    dup = DupVector.make(rt, N).init(1.0)
+    base = dup.make_snapshot()
+    saved = dup.partition_versions()
+    assert all(base.can_reuse(index, token) for index, token in saved.items())
+
+    dup.scale(2.0)  # the kernel runs at place 0; places 1..3 take memo hits
+    assert_coherent(dup)
+    tokens = dup.partition_versions()
+    assert len(set(tokens.values()) | set(saved.values())) == 2 * len(saved)
+    # Every rebound replica reads dirty, so a delta checkpoint saves it.
+    assert not any(base.can_reuse(index, token) for index, token in tokens.items())
+
+    replica = dup.payload_at_index(2)
+    shared = replica.data
+    local_write(dup, 2, 5.0)  # a later in-place write detaches through touch()
+    assert replica.data is not shared and np.all(shared == 2.0)
+    assert np.all(replica_arrays(dup)[3] == 2.0)
+
+    def reshape(vector):  # rebinds without adopt(): a result of another shape
+        vector.data = np.zeros(N + 1)
+
+    dup.sync()
+    with pytest.raises(ValueError, match="cannot adopt"):
+        dup._replica_uniform([dup], reshape, 0.0, "reshape")
+
+
 # -- (iii) a place killed in the middle of a uniform finish -----------------------
 
 

@@ -21,16 +21,22 @@ from repro.bench.calibration import (
 from repro.matrix.dupvector import DupVector
 from repro.runtime.factory import make_runtime
 
-MAX_CALLS_PER_TASK = 12
-#: PageRank's SpMV loop: 2,789 calls / 300 tasks (9.30).  Through scipy's
+#: LinReg: 3,443 calls / 1,100 tasks (3.13).  Dense kernels declare their
+#: flops to the finish (no charge call per task), a replica-uniform memo hit
+#: rebinds without an ``adopt`` call and the matvec's routing makes no call
+#: per segment; with all three per-task it was 5,892 / 1,100 (5.36).
+MAX_CALLS_PER_TASK = 4
+#: PageRank's SpMV loop: 2,223 calls / 300 tasks (7.41); 2,789 (9.30) with
+#: the per-task charge of its duplicated-vector updates.  Through scipy's
 #: operator stack (a cached handle per block, ``@`` and its dispatch) it was
 #: 5,695 / 300 (18.98), 2,209 of them scipy's frames.
-MAX_PAGERANK_CALLS_PER_TASK = 10
-#: A replica-uniform operation on coherent replicas: the task, the adopt (an
-#: ``axpy``) and the charge — the arithmetic runs once per finish, a version
-#: token costs no frame.  One array per place and a Python ``next_version``
-#: made this 5.31.
-MAX_CALLS_PER_UNIFORM_TASK = 3.5
+MAX_PAGERANK_CALLS_PER_TASK = 8
+#: A replica-uniform operation on coherent replicas: the task itself, and
+#: nothing else at the places that take a memo hit — the arithmetic runs once
+#: per finish, the finish charges the declared flops, the rebind and its
+#: version token cost no frame (1.38).  A per-task charge and ``adopt`` call
+#: made this 2.86; one array per place and a Python ``next_version``, 5.31.
+MAX_CALLS_PER_UNIFORM_TASK = 1.5
 
 
 def test_linreg_python_calls_per_simulated_task():

@@ -30,6 +30,16 @@ class TestVirtualClock:
         with pytest.raises(ValueError):
             c.advance(0, -1.0)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("slowdown", [1.0, 3.0])
+    def test_non_finite_advance_rejected(self, seconds, slowdown):
+        c = VirtualClock()
+        c.register(0, at_time=1.5)
+        c.set_slowdown(0, slowdown)
+        with pytest.raises(ValueError, match="non-finite|negative"):
+            c.advance(0, seconds)
+        assert c.now(0) == 1.5
+
     def test_set_at_least_only_moves_forward(self):
         c = VirtualClock()
         c.register(0, at_time=10.0)
