@@ -12,15 +12,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import world
 from repro.baseline import failure_free_time
 from repro.bench import calibration
 from repro.bench.catalogue import APPS
 from repro.engine.fork import capture_boundaries
-from repro.resilience.executor import (
-    ExecutionReport,
-    IterativeExecutor,
-    RestoreMode,
-)
+from repro.resilience.executor import ExecutionReport, RestoreMode
 from repro.runtime.factory import make_runtime
 
 #: §VII's restore protocol kills one place at iteration 15 of 30.
@@ -99,21 +96,16 @@ def run_overhead_sweep(
     return series
 
 
-def _checkpoint_cell(
-    app_name: str,
-    iterations: int,
-    checkpoint_interval: int,
-    delta: bool,
-    places: int,
+def _resilient_cell(
+    app_name: str, iterations: int, places: int, **fields
 ) -> ExecutionReport:
-    """One place-count cell of the Table III protocol (picklable)."""
-    entry = APPS[app_name]
-    wl = entry.bench_workload(iterations)
-    with make_runtime(places, cost=entry.bench_cost(), resilient=True) as rt:
-        app = entry.resilient(rt, wl)
-        return IterativeExecutor(
-            rt, app, checkpoint_interval=checkpoint_interval, delta=delta
-        ).run()
+    """One failure-free resilient run at one place count (picklable): the
+    paper-sized world of *app_name* with the protocol's *fields*."""
+    rt, _, _, executor = world.WorldSpec(
+        app_name, places=places, iterations=iterations, **fields
+    ).build()
+    with rt:
+        return executor.run()
 
 
 def run_checkpoint_sweep(
@@ -132,11 +124,14 @@ def run_checkpoint_sweep(
     """
     places_list = places_list or calibration.places_axis()
     series = SweepSeries(places=list(places_list))
-    reports = pmap(
-        partial(_checkpoint_cell, app_name, iterations, checkpoint_interval, delta),
-        places_list,
-        jobs,
+    cell = partial(
+        _resilient_cell,
+        app_name,
+        iterations,
+        checkpoint_interval=checkpoint_interval,
+        ckpt_delta=delta,
     )
+    reports = pmap(cell, places_list, jobs)
     for report in reports:
         series.add("mean checkpoint (ms)", report.mean_checkpoint_time * 1e3)
         series.add("checkpoints", float(report.checkpoints))
@@ -150,19 +145,11 @@ def _checkpoint_mode_cell(
     places: int,
 ) -> Dict[str, ExecutionReport]:
     """One place-count cell of the blocking-vs-overlapped protocol."""
-    entry = APPS[app_name]
-    wl = entry.bench_workload(iterations)
-    out: Dict[str, ExecutionReport] = {}
-    for ckpt_mode in ("blocking", "overlapped"):
-        with make_runtime(places, cost=entry.bench_cost(), resilient=True) as rt:
-            app = entry.resilient(rt, wl)
-            out[ckpt_mode] = IterativeExecutor(
-                rt,
-                app,
-                checkpoint_interval=checkpoint_interval,
-                checkpoint_mode=ckpt_mode,
-            ).run()
-    return out
+    run = partial(_resilient_cell, app_name, iterations, places)
+    return {
+        ckpt_mode: run(checkpoint_interval=checkpoint_interval, checkpoint_mode=ckpt_mode)
+        for ckpt_mode in ("blocking", "overlapped")
+    }
 
 
 def run_checkpoint_mode_sweep(
@@ -228,10 +215,14 @@ def _restore_cell(
         f"{app_name} at {places} places finished before the failure at "
         f"iteration {failure_iteration} could fire; nothing was restored"
     )
-    with make_runtime(places, cost=cost, resilient=True, spares=spares) as rt:
-        executor = IterativeExecutor(
-            rt, entry.resilient(rt, wl), checkpoint_interval=checkpoint_interval
-        )
+    executor = world.WorldSpec(
+        app_name,
+        places=places,
+        iterations=iterations,
+        checkpoint_interval=checkpoint_interval,
+        spares=spares,
+    ).build()[3]
+    with executor.runtime:
         images = capture_boundaries(executor, [failure_iteration])
     if failure_iteration not in images:
         raise ValueError(unreached)

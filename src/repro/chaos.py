@@ -28,35 +28,22 @@ reproducible from its campaign seed + index alone.  Used by the
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.baseline import failure_free_result
 from repro.bench.catalogue import APPS, CHAOS_APP_NAMES
 from repro.bench.harness import pmap
-from repro.resilience.executor import IterativeExecutor, RestoreMode, check_recovery
-from repro.resilience.placement import (
-    ParityPlacement,
-    check_protection,
-    make_placement,
-)
+from repro.resilience.executor import IterativeExecutor, RestoreMode
+from repro.resilience.placement import ParityPlacement, make_placement
 from repro.resilience.snapshot import orphaned_copies
-from repro.resilience.store import AppResilientStore
-from repro.runtime.cost import CostModel
-from repro.runtime.detector import PhiAccrualDetector
 from repro.runtime.exceptions import DataLossError, SnapshotCorruptionError
-from repro.runtime.failure import (
-    CorruptionModel,
-    LinkPartition,
-    ScriptedKill,
-    TransientFaultModel,
-)
-from repro.runtime.factory import make_runtime
-from repro.runtime.runtime import Runtime
+from repro.runtime.failure import LinkPartition, ScriptedKill
 from repro.util.validation import check_positive, require
+from repro.world import WorldSpec, default_replicas, same_named
 
 #: Event kinds a schedule is drawn from.  "restore" is excluded from the
 #: first event (a during-restore kill needs an earlier failure to trigger
@@ -73,7 +60,7 @@ _FOLLOWUP_KINDS = ("restore", "reconstruct")
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """One chaos campaign: app + store configuration + schedule count."""
+    """One chaos campaign: a base world (:attr:`spec`) plus schedule axes."""
 
     app: str = "linreg"
     schedules: int = 200
@@ -81,7 +68,8 @@ class CampaignConfig:
     places: int = 6
     iterations: int = 10
     checkpoint_interval: int = 3
-    replicas: int = 2
+    #: Backup replicas per partition; None: 2, or 1 under parity.
+    replicas: Optional[int] = None
     placement: str = "spread"
     stable_fallback: bool = False
     spares: int = 0
@@ -109,23 +97,34 @@ class CampaignConfig:
     recovery: str = "checkpoint"
 
     def __post_init__(self) -> None:
-        # Fail fast (in the parent process, not inside pool workers) on
-        # what would otherwise raise from inside the first schedule: an
-        # unknown app, a bad placement spec, parity double-paying for
-        # protection, a recovery scheme this app or placement cannot serve,
-        # a zero interval, a run too short to draw a kill iteration from.
+        # Judged once, in the parent process: a bad campaign is one usage
+        # error, never a traceback from a pool worker's first schedule.
         require(
             self.app in CHAOS_APP_NAMES,
             f"unknown chaos app {self.app!r}; choose from {sorted(CHAOS_APP_NAMES)}",
         )
-        policy = make_placement(self.placement)
-        check_protection(policy, self.replicas)
-        check_recovery(APPS[self.app].resilient, self.recovery, policy)
-        check_positive(self.checkpoint_interval, "checkpoint_interval")
+        self.spec.validate()
+        require(self.places >= 2, f"places must be >= 2 (place 0 never dies), got {self.places}")
         require(
             self.iterations >= 2,
             f"iterations must be >= 2 (kills fire at iterations 1..iterations-1), "
             f"got {self.iterations}",
+        )
+        check_positive(self.schedules, "schedules")
+        require(self.straggler_max >= 1, f"straggler_max must be >= 1, got {self.straggler_max}")
+        require(0.0 <= self.partition_rate <= 1.0, "partition_rate must be in [0, 1]")
+
+    @cached_property
+    def spec(self) -> WorldSpec:
+        """The campaign's world before any draw; each schedule's world is
+        this with the schedule's kills, modes and transient faults
+        (:func:`schedule_spec`)."""
+        return same_named(
+            WorldSpec,
+            self,
+            workload="tiny",
+            replicas=default_replicas(self.replicas, self.placement),
+            spare_fallback=RestoreMode.SHRINK_REBALANCE,
         )
 
     @property
@@ -173,7 +172,7 @@ class CampaignResult:
         cfg = self.config
         lines = [
             f"chaos campaign: app={cfg.app} schedules={cfg.schedules} "
-            f"seed={cfg.seed} places={cfg.places} replicas={cfg.replicas} "
+            f"seed={cfg.seed} places={cfg.places} replicas={cfg.spec.replicas} "
             f"placement={cfg.placement} stable_fallback={cfg.stable_fallback} "
             f"ckpt_delta={cfg.ckpt_delta} recovery={cfg.recovery}",
         ]
@@ -306,100 +305,36 @@ def make_schedule(
     return dedupe_schedule(kills)
 
 
-def _arm_transients(
-    config: CampaignConfig, index: int, rt: Runtime
-) -> Tuple[Optional[PhiAccrualDetector], Optional[CorruptionModel]]:
-    """Draw schedule *index*'s transient-fault plan — deterministic in
-    (campaign seed, index) — and install its straggler and network faults
-    on *rt*; returns the ``(detector, corruption)`` the executor takes."""
+def schedule_spec(
+    config: CampaignConfig,
+    index: int,
+    kills: List[ScriptedKill],
+    mode: RestoreMode,
+    checkpoint_mode: str,
+) -> WorldSpec:
+    """The world of schedule *index*: the campaign's base spec with the
+    schedule's kills and modes, and its transient-fault plan drawn —
+    deterministic in (campaign seed, index), in the order straggler,
+    partition, message-fault seed, corruption seed."""
     trng = np.random.default_rng([config.seed, index, 17])
+    draws: Dict[str, object] = {}
     if config.straggler_max > 1.0:
-        straggler_pid = int(trng.integers(1, config.places))
-        rt.set_straggler(
-            straggler_pid, float(trng.uniform(1.0, config.straggler_max))
-        )
-    detector = None
-    if config.detect_timeout > 0:
-        detector = PhiAccrualDetector(rt, detect_timeout=config.detect_timeout)
-    partitions = []
+        pid = int(trng.integers(1, config.places))
+        draws["straggler"] = ((pid, float(trng.uniform(1.0, config.straggler_max))),)
     if config.partition_rate and trng.random() < config.partition_rate:
         # A short partition that heals well inside the detection window —
         # messages and heartbeats across it are lost while it lasts.
         cut = int(trng.integers(1, config.places))
         t0 = float(trng.uniform(0.0, config.detect_timeout))
-        partitions.append(
-            LinkPartition(
-                {cut},
-                set(range(config.places)) - {cut},
-                t0,
-                t0 + float(trng.uniform(0.1, 0.5)) * max(config.detect_timeout, 1.0),
-            )
-        )
-    if config.drop_rate or config.dup_rate or partitions:
-        rt.set_faults(
-            TransientFaultModel(
-                drop_rate=config.drop_rate,
-                dup_rate=config.dup_rate,
-                partitions=partitions,
-                seed=int(trng.integers(2**31)),
-            )
-        )
-    corruption = None
+        heal = t0 + float(trng.uniform(0.1, 0.5)) * max(config.detect_timeout, 1.0)
+        draws["partitions"] = (LinkPartition({cut}, set(range(config.places)) - {cut}, t0, heal),)
+    if config.drop_rate or config.dup_rate or "partitions" in draws:
+        draws["fault_seed"] = int(trng.integers(2**31))
     if config.corrupt_rate:
-        corruption = CorruptionModel(
-            config.corrupt_rate, seed=int(trng.integers(2**31))
-        )
-    return detector, corruption
-
-
-def _build_world(
-    config: CampaignConfig,
-    mode: RestoreMode,
-    checkpoint_mode: str,
-    kills: Sequence[ScriptedKill] = (),
-    index: Optional[int] = None,
-) -> Tuple[Runtime, object, AppResilientStore, IterativeExecutor]:
-    """Construct the runtime/app/store/executor world of one schedule.
-
-    The one construction path, shared between :func:`run_schedule` and the
-    prefix cache's failure-free reference runs, so a forked world can
-    never drift from a built one.  A reference run passes neither *kills*
-    nor *index* and gets the crash-only world; a schedule passes both and
-    gets its kills armed and its transient-fault plan drawn, between the
-    app and the executor (which builds the store from the campaign's
-    knobs) exactly where a from-scratch run always did.
-    """
-    entry = APPS[config.app]
-    rt = make_runtime(
-        config.places,
-        cost=CostModel.zero(),
-        resilient=True,
-        spares=config.spares,
+        draws["corrupt_seed"] = int(trng.integers(2**31))
+    return replace(
+        config.spec, kills=tuple(kills), mode=mode, checkpoint_mode=checkpoint_mode, **draws
     )
-    app = entry.resilient(rt, entry.tiny_workload(config.iterations))
-    # Kills are armed only after construction: phase-triggered kills
-    # then land inside the executor's run, where recovery is defined.
-    for kill in kills:
-        rt.injector.add(kill)
-    detector = corruption = None
-    if index is not None:
-        detector, corruption = _arm_transients(config, index, rt)
-    executor = IterativeExecutor(
-        rt,
-        app,
-        checkpoint_interval=config.checkpoint_interval,
-        mode=mode,
-        spare_fallback=RestoreMode.SHRINK_REBALANCE,
-        checkpoint_mode=checkpoint_mode,
-        replicas=config.replicas,
-        placement=make_placement(config.placement),
-        stable_fallback=config.stable_fallback,
-        detector=detector,
-        corruption=corruption,
-        delta=config.ckpt_delta,
-        recovery=config.recovery,
-    )
-    return rt, app, executor.store, executor
 
 
 class PrefixCache:
@@ -452,7 +387,7 @@ class PrefixCache:
     def _capture(self, checkpoint_mode: str) -> Tuple:
         from repro.engine.fork import capture_boundaries
 
-        executor = _build_world(self.config, RestoreMode.SHRINK, checkpoint_mode)[3]
+        executor = replace(self.config.spec, checkpoint_mode=checkpoint_mode).build()[3]
         rt = executor.runtime
         phase_at: List[int] = []
         time_at: List[float] = []
@@ -587,7 +522,7 @@ def run_schedule(
     if prefix is not None and PrefixCache.usable(config):
         executor = prefix.fork(checkpoint_mode, kills, mode)
     if executor is None:
-        executor = _build_world(config, mode, checkpoint_mode, kills, index)[3]
+        executor = schedule_spec(config, index, kills, mode, checkpoint_mode).build()[3]
     rt, app, store = executor.runtime, executor.app, executor.store
     outcome = ScheduleOutcome(
         index=index,
@@ -696,11 +631,11 @@ def run_schedule(
                         "reconstruct fallback"
                     )
                 max_burst = max(map(len, bursts.values())) if bursts else 0
-                if bursts and max_burst <= config.replicas:
+                if bursts and max_burst <= config.spec.replicas:
                     if report.fallback_restores or report.restores:
                         violations.append(
                             f"burst pattern within redundancy (max burst "
-                            f"{max_burst} <= {config.replicas} replicas, "
+                            f"{max_burst} <= {config.spec.replicas} replicas, "
                             f"{len(fired)} kills <= {config.spares} spares) fell "
                             f"back to rollback ({report.fallback_restores} "
                             f"fallback(s), {report.restores} restore(s))"

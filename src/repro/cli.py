@@ -16,6 +16,13 @@ invariants (see :mod:`repro.chaos`)::
 
     python -m repro run linreg --replicas 2 --placement spread --mttf 40
     python -m repro chaos pagerank --schedules 100 --stable-fallback
+
+Every option is declared once, in :data:`_OPTIONS`.  Its ``dest`` is the
+field it fills of the verb's configuration — a :class:`~repro.world.WorldSpec`
+for ``run``, a :class:`~repro.chaos.CampaignConfig` for ``chaos``, a
+:class:`~repro.service.ServiceConfig` for ``serve`` — and the field's default
+is the option's, so a verb turns its arguments into its configuration by
+field name (:func:`repro.world.same_named`).
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from functools import partial
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.bench import calibration, figures
 from repro.bench.catalogue import APPS, CHAOS_APP_NAMES
@@ -36,22 +44,14 @@ from repro.bench.harness import (
     run_restore_sweep,
     table4_from_reports,
 )
-from repro.resilience.executor import (
-    CHECKPOINT_MODES,
-    RECOVERY_MODES,
-    IterativeExecutor,
-    NonResilientExecutor,
-    RestoreMode,
-)
-from repro.resilience.placement import PLACEMENTS, make_placement
-from repro.runtime.detector import PhiAccrualDetector
+from repro.chaos import CampaignConfig, run_campaign, run_service_campaign
+from repro.resilience.executor import CHECKPOINT_MODES, RECOVERY_MODES, RestoreMode
+from repro.resilience.placement import PLACEMENTS
 from repro.runtime.exceptions import DataLossError
-from repro.runtime.failure import (
-    CorruptionModel,
-    ExponentialFailureModel,
-    TransientFaultModel,
-)
-from repro.runtime.factory import make_runtime
+from repro.runtime.pool import ECONOMICS_MODES
+from repro.service import ServiceConfig, run_service
+from repro.util.validation import check_positive
+from repro.world import WorldSpec, same_named
 
 SWEEPS = {
     "fig2": ("overhead", "linreg"),
@@ -67,326 +67,204 @@ SWEEPS = {
 }
 
 
+def _straggler(spec: str) -> Tuple[int, float]:
+    """One ``--straggler PLACE:FACTOR`` value."""
+    try:
+        pid_text, factor_text = spec.split(":", 1)
+        return int(pid_text), float(factor_text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects PLACE:FACTOR (e.g. 3:8), got {spec!r}"
+        ) from None
+
+
+#: Every option of every verb, declared once.
+_OPTIONS = {
+    "--places": dict(type=int),
+    "--iterations": dict(type=int),
+    "--non-resilient": dict(dest="resilient", action="store_false", help="plain run, no framework"),
+    "--ckpt-interval": dict(dest="checkpoint_interval", type=int, metavar="CKPT_INTERVAL"),
+    "--mode": dict(choices=[m.value for m in RestoreMode]),
+    "--spares": dict(type=int),
+    "--fail-at": dict(
+        type=int, action="append", metavar="ITER", help="script a failure at this iteration "
+        "(repeatable: pair each occurrence with a --victim to kill several places)"
+    ),
+    "--victim": dict(
+        type=int, action="append", metavar="PLACE",
+        help="place to kill for the matching --fail-at (repeatable; default: the middle place)",
+    ),
+    "--profile": dict(action="store_true", help="print a per-operation time profile"),
+    "--timeline": dict(action="store_true", help="print an ASCII finish timeline"),
+    "--recovery": dict(
+        choices=list(RECOVERY_MODES), help="checkpoint rollback, or checkpoint-free "
+        "reconstruction (reconstructable apps, e.g. cg; rollback stays the fallback rung)"
+    ),
+    "--ckpt-mode": dict(
+        dest="checkpoint_mode", choices=list(CHECKPOINT_MODES),
+        help="blocking (paper) or overlapped (backups hidden behind compute)",
+    ),
+    "--ckpt-delta": dict(
+        action="store_true", help="incremental checkpoints: unchanged partitions are "
+        "adopted by reference and only dirty bytes are copied/charged"
+    ),
+    "--trace-out": dict(
+        metavar="PATH", help="dump the engine's typed event log to PATH as JSON lines"
+    ),
+    "--replicas": dict(
+        type=int, metavar="K", help="in-memory backup replicas per snapshot partition "
+        "(default: 1 for run; 2, or 1 with parity, for chaos and serve)"
+    ),
+    "--placement": dict(
+        metavar="POLICY", help="replica placement policy, optionally parameterized "
+        f"({', '.join(sorted(PLACEMENTS))}; e.g. stride:3, parity:4 — parity stores one "
+        "XOR block per g partitions instead of replicas; default: ring, or spread for "
+        "chaos and serve)"
+    ),
+    "--stable-fallback": dict(
+        action="store_true", help="also write checkpoints to the disk tier; restores "
+        "fall back to it when every in-memory copy of a partition is lost"
+    ),
+    "--mttf": dict(
+        type=float, metavar="SECONDS",
+        help="inject random exponential failures with this mean time to failure",
+    ),
+    "--chaos-seed": dict(
+        dest="seed", type=int, metavar="CHAOS_SEED",
+        help="seed of the random failures, transient faults and schedules",
+    ),
+    "--detect-timeout": dict(
+        type=float, metavar="SECONDS", help="run the heartbeat failure detector with "
+        "this detection timeout; 0 keeps the oracle failure model"
+    ),
+    "--heartbeat-interval": dict(
+        type=float, metavar="SECONDS",
+        help="heartbeat emission period (default: detect-timeout / 10)",
+    ),
+    "--drop-rate": dict(
+        type=float, metavar="P", help="drop each data-plane message with this "
+        "probability (retransmitted with exponential backoff, at-most-once delivery)"
+    ),
+    "--dup-rate": dict(
+        type=float, metavar="P", help="duplicate each delivered message with this probability"
+    ),
+    "--delay-rate": dict(
+        type=float, metavar="P", help="delay each delivered message with this probability"
+    ),
+    "--delay-seconds": dict(
+        type=float, metavar="SECONDS", help="maximum extra delay for --delay-rate messages"
+    ),
+    "--straggler": dict(
+        type=_straggler, action="append", metavar="PLACE:FACTOR",
+        help="slow one place down by FACTOR (repeatable), e.g. 3:8: place 3 is 8x slower",
+    ),
+    "--corrupt": dict(
+        dest="corrupt_rate", type=float, metavar="P", help="corrupt each committed "
+        "snapshot copy with this probability (checksums quarantine it on restore)"
+    ),
+    "--max-places": dict(type=int, default=44),
+    "--jobs": dict(
+        type=int, metavar="N", help="fan the place axis (sweep) or the schedules (chaos) "
+        "out over N worker processes (default: all cores; results equal a serial run)"
+    ),
+    "--schedules": dict(type=int),
+    "--straggler-max": dict(
+        type=float, metavar="FACTOR",
+        help="each schedule slows one random place by up to this factor",
+    ),
+    "--partition-rate": dict(
+        type=float, metavar="P", help="probability a schedule includes a healing link partition"
+    ),
+    "--jobs-count": dict(dest="n_jobs", type=int, metavar="N"),
+    "--streams": dict(type=int, default=1, metavar="N"),
+    "--service-seed": dict(dest="seed", type=int, metavar="SERVICE_SEED"),
+    "--reserve": dict(type=int),
+    "--economics": dict(
+        choices=list(ECONOMICS_MODES), help="spare economics: per-lease commitment, "
+        "shared FCFS reserve, or shared reserve plus borrow-from-idle"
+    ),
+    "--arrival-rate": dict(type=float, metavar="R"),
+    "--max-job-places": dict(dest="max_places", type=int, metavar="MAX_JOB_PLACES"),
+    "--repair-mttr": dict(
+        type=float, metavar="SECONDS", help="heal killed places back into the pool after "
+        "a seeded exponential mean-time-to-repair (0 = places stay dead)"
+    ),
+    "--crash-rate": dict(type=float, metavar="P"),
+    "--pair-rate": dict(type=float, metavar="R"),
+    "--rack-rate": dict(type=float, metavar="R"),
+    "--parallel-streams": dict(
+        type=int, metavar="N", help="fan streams out over N worker processes "
+        "(outcomes are bitwise identical to a serial run)"
+    ),
+    "--per-job": dict(
+        action="store_true", help="also print one line per job (status, latency, kills)"
+    ),
+}
+
+#: Each verb: its help, its positional, its configuration, its options in
+#: order, and the defaults it does not take from its configuration's fields.
+_VERBS = {
+    "run": (
+        "run one application on the simulated cluster",
+        ("app", sorted(APPS)),
+        WorldSpec,
+        "--places --iterations --non-resilient --ckpt-interval --mode --spares "
+        "--fail-at --victim --profile --timeline --recovery --ckpt-mode "
+        "--ckpt-delta --trace-out --replicas --placement --stable-fallback --mttf "
+        "--chaos-seed --detect-timeout --heartbeat-interval --drop-rate --dup-rate "
+        "--delay-rate --delay-seconds --straggler --corrupt",
+        {},
+    ),
+    "sweep": (
+        "regenerate one paper experiment",
+        ("experiment", sorted(SWEEPS)),
+        WorldSpec,
+        "--max-places --iterations --jobs",
+        {},
+    ),
+    "chaos": (
+        "run a seeded campaign of randomized failure schedules",
+        ("app", list(CHAOS_APP_NAMES)),
+        CampaignConfig,
+        "--schedules --chaos-seed --places --iterations --ckpt-interval --replicas "
+        "--placement --stable-fallback --spares --drop-rate --dup-rate "
+        "--straggler-max --corrupt --detect-timeout --partition-rate --ckpt-delta "
+        "--recovery --jobs",
+        {"schedules": 50},
+    ),
+    "serve": (
+        "run a multi-job stream against one shared place pool",
+        None,
+        ServiceConfig,
+        "--jobs-count --streams --service-seed --places --reserve --economics "
+        "--arrival-rate --max-job-places --ckpt-interval --replicas --placement "
+        "--repair-mttr --crash-rate --pair-rate --rack-rate --drop-rate --dup-rate "
+        "--detect-timeout --parallel-streams --per-job",
+        {},
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Resilient GML reproduction: run apps / regenerate experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     sub.add_parser("list", help="list applications and experiments")
-
-    run = sub.add_parser("run", help="run one application on the simulated cluster")
-    run.add_argument("app", choices=sorted(APPS))
-    run.add_argument("--places", type=int, default=8)
-    run.add_argument("--iterations", type=int, default=30)
-    run.add_argument("--non-resilient", action="store_true", help="plain run, no framework")
-    run.add_argument("--ckpt-interval", type=int, default=10)
-    run.add_argument(
-        "--mode",
-        choices=[m.value for m in RestoreMode],
-        default=RestoreMode.SHRINK.value,
-    )
-    run.add_argument("--spares", type=int, default=0)
-    run.add_argument(
-        "--fail-at",
-        type=int,
-        action="append",
-        default=None,
-        metavar="ITER",
-        help="script a failure at this iteration (repeatable: pair each "
-        "occurrence with a --victim to kill several places)",
-    )
-    run.add_argument(
-        "--victim",
-        type=int,
-        action="append",
-        default=None,
-        metavar="PLACE",
-        help="place to kill for the matching --fail-at (repeatable)",
-    )
-    run.add_argument(
-        "--profile", action="store_true", help="print a per-operation time profile"
-    )
-    run.add_argument(
-        "--timeline", action="store_true", help="print an ASCII finish timeline"
-    )
-    run.add_argument(
-        "--recovery",
-        choices=list(RECOVERY_MODES),
-        default="checkpoint",
-        help="recovery scheme: checkpoint rollback or checkpoint-free "
-        "reconstruction (reconstructable apps only, e.g. cg)",
-    )
-    run.add_argument(
-        "--ckpt-mode",
-        choices=list(CHECKPOINT_MODES),
-        default="blocking",
-        help="blocking (paper) or overlapped (backups hidden behind compute)",
-    )
-    run.add_argument(
-        "--ckpt-delta",
-        action="store_true",
-        help="incremental checkpoints: unchanged partitions are adopted "
-        "by reference and only dirty bytes are copied/charged",
-    )
-    run.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="dump the engine's typed event log to PATH as JSON lines",
-    )
-    run.add_argument(
-        "--replicas",
-        type=int,
-        default=None,
-        metavar="K",
-        help="in-memory backup replicas per snapshot partition (default: 1)",
-    )
-    run.add_argument(
-        "--placement",
-        type=str,
-        default=None,
-        metavar="POLICY",
-        help="replica placement policy, optionally parameterized "
-        f"({', '.join(sorted(PLACEMENTS))}; e.g. stride:3, parity:4 — "
-        "parity stores one XOR block per g partitions instead of replicas; "
-        "default: ring, the paper's scheme)",
-    )
-    run.add_argument(
-        "--stable-fallback",
-        action="store_true",
-        help="also write checkpoints to the disk tier; restores fall back "
-        "to it when every in-memory copy of a partition is lost",
-    )
-    run.add_argument(
-        "--mttf",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="inject random exponential failures with this mean time to "
-        "failure (virtual seconds)",
-    )
-    run.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        help="seed for the --mttf failure schedule and transient faults",
-    )
-    run.add_argument(
-        "--detect-timeout",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="enable the heartbeat failure detector with this detection "
-        "timeout (virtual seconds); 0 keeps the oracle failure model",
-    )
-    run.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="heartbeat emission period (default: detect-timeout / 10)",
-    )
-    run.add_argument(
-        "--drop-rate",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="drop each data-plane message with this probability "
-        "(retransmitted with exponential backoff, at-most-once delivery)",
-    )
-    run.add_argument(
-        "--dup-rate",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="duplicate each delivered message with this probability",
-    )
-    run.add_argument(
-        "--delay-rate",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="delay each delivered message with this probability",
-    )
-    run.add_argument(
-        "--delay-seconds",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="maximum extra delay for --delay-rate messages",
-    )
-    run.add_argument(
-        "--straggler",
-        type=str,
-        action="append",
-        default=None,
-        metavar="PLACE:FACTOR",
-        help="slow one place down by FACTOR (repeatable), e.g. 3:8 makes "
-        "place 3 compute 8x slower",
-    )
-    run.add_argument(
-        "--corrupt",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="corrupt each committed snapshot copy with this probability "
-        "(verified checksums quarantine corrupt copies on restore)",
-    )
-
-    sweep = sub.add_parser("sweep", help="regenerate one paper experiment")
-    sweep.add_argument("experiment", choices=sorted(SWEEPS))
-    sweep.add_argument("--max-places", type=int, default=44)
-    sweep.add_argument("--iterations", type=int, default=30)
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan the place axis out over N worker processes (default: "
-        "all cores; results are identical to a serial run)",
-    )
-
-    chaos = sub.add_parser(
-        "chaos", help="run a seeded campaign of randomized failure schedules"
-    )
-    chaos.add_argument("app", choices=list(CHAOS_APP_NAMES))
-    chaos.add_argument("--schedules", type=int, default=50)
-    chaos.add_argument("--chaos-seed", type=int, default=0)
-    chaos.add_argument("--places", type=int, default=6)
-    chaos.add_argument("--iterations", type=int, default=10)
-    chaos.add_argument("--ckpt-interval", type=int, default=3)
-    chaos.add_argument(
-        "--replicas",
-        type=int,
-        default=None,
-        metavar="K",
-        help="backup replicas per partition (default: 2, or 1 with parity)",
-    )
-    chaos.add_argument(
-        "--placement",
-        type=str,
-        default="spread",
-        metavar="POLICY",
-        help="placement policy, optionally parameterized (e.g. parity:4)",
-    )
-    chaos.add_argument("--stable-fallback", action="store_true")
-    chaos.add_argument("--spares", type=int, default=0)
-    chaos.add_argument("--drop-rate", type=float, default=0.0, metavar="P")
-    chaos.add_argument("--dup-rate", type=float, default=0.0, metavar="P")
-    chaos.add_argument(
-        "--straggler-max",
-        type=float,
-        default=1.0,
-        metavar="FACTOR",
-        help="each schedule slows one random place by up to this factor",
-    )
-    chaos.add_argument("--corrupt", type=float, default=0.0, metavar="P")
-    chaos.add_argument(
-        "--detect-timeout",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="heartbeat detection timeout; 0 keeps the oracle failure model",
-    )
-    chaos.add_argument(
-        "--partition-rate",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="probability a schedule includes a healing link partition",
-    )
-    chaos.add_argument(
-        "--ckpt-delta",
-        action="store_true",
-        help="run every schedule with incremental (dirty-partition-only) "
-        "checkpointing",
-    )
-    chaos.add_argument(
-        "--recovery",
-        choices=list(RECOVERY_MODES),
-        default="checkpoint",
-        help="recovery scheme: rollback to a checkpoint, or checkpoint-free "
-        "reconstruction (apps implementing the reconstructable protocol, "
-        "e.g. cg; rollback stays as the fallback rung)",
-    )
-    chaos.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan schedules out over N worker processes (default: all "
-        "cores; outcomes are bitwise identical to a serial run)",
-    )
-
-    serve = sub.add_parser(
-        "serve",
-        help="run a multi-job stream against one shared place pool",
-    )
-    serve.add_argument("--jobs-count", type=int, default=20, metavar="N")
-    serve.add_argument("--streams", type=int, default=1, metavar="N")
-    serve.add_argument("--service-seed", type=int, default=0)
-    serve.add_argument("--places", type=int, default=17)
-    serve.add_argument("--reserve", type=int, default=4)
-    serve.add_argument(
-        "--economics",
-        choices=["dedicated", "pooled", "borrow"],
-        default="pooled",
-        help="spare economics: per-lease commitment, shared FCFS reserve, "
-        "or shared reserve plus borrow-from-idle",
-    )
-    serve.add_argument("--arrival-rate", type=float, default=1.0, metavar="R")
-    serve.add_argument("--max-job-places", type=int, default=6)
-    serve.add_argument("--ckpt-interval", type=int, default=3)
-    serve.add_argument(
-        "--replicas",
-        type=int,
-        default=None,
-        metavar="K",
-        help="backup replicas per partition (default: 2, or 1 with parity)",
-    )
-    serve.add_argument(
-        "--placement",
-        type=str,
-        default="spread",
-        metavar="POLICY",
-        help="placement policy, optionally parameterized (e.g. parity:4)",
-    )
-    serve.add_argument(
-        "--repair-mttr",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="heal killed places back into the pool after a seeded "
-        "exponential mean-time-to-repair (0 = places stay dead)",
-    )
-    serve.add_argument("--crash-rate", type=float, default=0.0, metavar="P")
-    serve.add_argument("--pair-rate", type=float, default=0.0, metavar="R")
-    serve.add_argument("--rack-rate", type=float, default=0.0, metavar="R")
-    serve.add_argument("--drop-rate", type=float, default=0.0, metavar="P")
-    serve.add_argument("--dup-rate", type=float, default=0.0, metavar="P")
-    serve.add_argument(
-        "--detect-timeout",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="per-lease heartbeat detection timeout; 0 keeps the oracle model",
-    )
-    serve.add_argument(
-        "--parallel-streams",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan streams out over N worker processes (outcomes are "
-        "bitwise identical to a serial run)",
-    )
-    serve.add_argument(
-        "--per-job",
-        action="store_true",
-        help="also print one line per job (status, latency, kills)",
-    )
+    for verb, (help_text, positional, config, flags, defaults) in _VERBS.items():
+        verb_parser = sub.add_parser(verb, help=help_text)
+        if positional is not None:
+            verb_parser.add_argument(positional[0], choices=positional[1])
+        field_defaults = {f.name: f.default for f in fields(config)}
+        for flag in flags.split():
+            option = dict(_OPTIONS[flag])
+            dest = option.get("dest", flag[2:].replace("-", "_"))
+            if dest in defaults or dest in field_defaults:
+                default = defaults.get(dest, field_defaults.get(dest))
+                # An ``append`` option appends to a copy of a list default.
+                option["default"] = list(default) if isinstance(default, tuple) else default
+            verb_parser.add_argument(flag, **option)
     return parser
 
 
@@ -396,152 +274,14 @@ def _cmd_list() -> int:
     return 0
 
 
-def _resolve_replicas(replicas: Optional[int], placement: str) -> int:
-    """Default ``--replicas`` per placement policy: parity replaces per-key
-    replicas with one XOR block per group, so it defaults to 1 (the primary
-    only) where replica placements default to 2."""
-    if replicas is None:
-        return 1 if placement.split(":", 1)[0] == "parity" else 2
-    return replicas
+def _configure_run(args: argparse.Namespace) -> Callable[[], int]:
+    spec = same_named(WorldSpec, args, trace=bool(args.trace_out))
+    spec.validate()
+    return partial(_run_world, args, spec)
 
 
-def _parse_stragglers(specs: Optional[List[str]]) -> List[tuple]:
-    """Parse repeated ``--straggler PLACE:FACTOR`` values."""
-    parsed = []
-    for spec in specs or []:
-        try:
-            pid_text, factor_text = spec.split(":", 1)
-            parsed.append((int(pid_text), float(factor_text)))
-        except ValueError:
-            raise SystemExit(
-                f"error: --straggler expects PLACE:FACTOR (e.g. 3:8), got {spec!r}"
-            )
-    return parsed
-
-
-#: ``run`` flags only the resilient world reads (failures, protection,
-#: checkpointing, recovery, detection, transient faults).
-_RESILIENT_ONLY = (
-    "--fail-at", "--victim", "--mttf", "--spares", "--replicas", "--placement",
-    "--stable-fallback", "--ckpt-interval", "--ckpt-mode", "--ckpt-delta", "--mode",
-    "--recovery", "--detect-timeout", "--heartbeat-interval", "--drop-rate",
-    "--dup-rate", "--delay-rate", "--delay-seconds", "--straggler", "--corrupt",
-    "--chaos-seed",
-)
-
-
-def _check_flags_read(args: argparse.Namespace) -> None:
-    """A flag set away from its default that the chosen world never reads
-    is a usage error (a ``ValueError``, see :func:`main`), not a silent
-    no-op."""
-    defaults = vars(_build_parser().parse_args(["run", args.app]))
-    changed = {dest for dest, value in vars(args).items() if value != defaults[dest]}
-    if args.non_resilient:
-        unread = [f for f in _RESILIENT_ONLY if f[2:].replace("-", "_") in changed]
-        if unread:
-            raise ValueError(
-                f"{', '.join(unread)}: not read by a --non-resilient run "
-                "(it injects no failure and runs no resilience framework)"
-            )
-    elif args.heartbeat_interval is not None and args.detect_timeout <= 0:
-        raise ValueError(
-            "--heartbeat-interval: not read without --detect-timeout "
-            "(no failure detector runs)"
-        )
-
-
-def _build_run(args: argparse.Namespace) -> Callable[[], int]:
-    """Build the world of one ``run``; the returned call executes it."""
-    _check_flags_read(args)
-    resilient = not args.non_resilient
-    cost = APPS[args.app].bench_cost()
-    rt = make_runtime(args.places, cost=cost, resilient=resilient, spares=args.spares)
-    try:
-        if args.trace_out:
-            rt.engine.timeline.enabled = True
-        app, executor = _build_world(args, rt)
-    except ValueError:
-        rt.close()
-        raise
-    return partial(_run_world, args, rt, app, executor)
-
-
-def _check_place(flag: str, pid: int, world: List[int]) -> None:
-    """A place a flag names must exist in this world (a ``ValueError`` here
-    is a usage error, see :func:`main`)."""
-    if pid not in world:
-        raise ValueError(
-            f"{flag} {pid} names no place of this world "
-            f"(ids 0..{world[-1]}, spares included)"
-        )
-
-
-def _build_world(args: argparse.Namespace, rt):
-    entry = APPS[args.app]
-    workload = entry.bench_workload(args.iterations)
-    if args.non_resilient:
-        app = entry.nonresilient(rt, workload)
-        executor = NonResilientExecutor(rt, app)
-    else:
-        app = entry.resilient(rt, workload)
-        world = rt.all_place_ids()
-        if args.fail_at:
-            victims = args.victim or []
-            for i, fail_at in enumerate(args.fail_at):
-                victim = victims[i] if i < len(victims) else args.places // 2
-                _check_place("--victim", victim, world)
-                rt.injector.kill_at_iteration(victim, iteration=fail_at)
-        if args.mttf is not None:
-            model = ExponentialFailureModel(args.mttf, seed=args.chaos_seed)
-            candidates = [pid for pid in rt.world.ids if pid != 0]
-            # Event times are relative to the start of the run, not to the
-            # virtual time already spent constructing the application.
-            t0 = rt.now()
-            for kill in model.schedule(candidates, horizon=10.0 * args.mttf):
-                rt.injector.kill_at_time(kill.place_id, t0 + kill.time)
-        for pid, factor in _parse_stragglers(args.straggler):
-            _check_place("--straggler", pid, world)
-            rt.set_straggler(pid, factor)
-        if args.drop_rate or args.dup_rate or args.delay_rate:
-            rt.set_faults(
-                TransientFaultModel(
-                    drop_rate=args.drop_rate,
-                    dup_rate=args.dup_rate,
-                    delay_rate=args.delay_rate,
-                    delay_seconds=args.delay_seconds,
-                    seed=args.chaos_seed,
-                )
-            )
-        detector = None
-        if args.detect_timeout > 0:
-            detector = PhiAccrualDetector(
-                rt,
-                detect_timeout=args.detect_timeout,
-                heartbeat_interval=args.heartbeat_interval,
-            )
-        corruption = (
-            CorruptionModel(args.corrupt, seed=args.chaos_seed)
-            if args.corrupt
-            else None
-        )
-        executor = IterativeExecutor(
-            rt,
-            app,
-            checkpoint_interval=args.ckpt_interval,
-            mode=RestoreMode(args.mode),
-            checkpoint_mode=args.ckpt_mode,
-            replicas=args.replicas,
-            placement=make_placement(args.placement) if args.placement else None,
-            stable_fallback=args.stable_fallback or None,
-            detector=detector,
-            corruption=corruption,
-            delta=args.ckpt_delta,
-            recovery=args.recovery,
-        )
-    return app, executor
-
-
-def _run_world(args: argparse.Namespace, rt, app, executor) -> int:
+def _run_world(args: argparse.Namespace, spec: WorldSpec) -> int:
+    rt, app, _, executor = spec.build()
     with rt:
         try:
             report = executor.run()
@@ -641,25 +381,31 @@ def _resolve_jobs(requested: Optional[int]) -> Optional[int]:
     return os.cpu_count()
 
 
-def _restore_sweep(app: str, axis: List[int], iterations: int, jobs: int) -> dict:
-    """The Figs. 5-7 protocol at the CLI's sizes.  ``--iterations`` is the
-    only knob forwarded, so a kill it puts out of reach (the
-    :func:`run_restore_sweep` ``ValueError``) is reported as a usage error
-    here rather than as a traceback."""
-    if iterations <= PAPER_FAILURE_ITERATION:
-        print(
-            "error: the restore protocol kills a place at iteration "
-            f"{PAPER_FAILURE_ITERATION}; --iterations must be at least "
-            f"{PAPER_FAILURE_ITERATION + 1}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    return run_restore_sweep(app, places_list=axis, iterations=iterations, jobs=jobs)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _configure_sweep(args: argparse.Namespace) -> Callable[[], int]:
+    """Judge every world the sweep will build: each app of the experiment
+    at each place count of its axis, with the restore protocol's kill."""
     kind, app = SWEEPS[args.experiment]
-    axis = calibration.places_axis(args.max_places)
+    restore = kind in ("restore", "table4")
+    if restore and args.iterations <= PAPER_FAILURE_ITERATION:
+        raise ValueError(
+            "the restore protocol kills a place at iteration "
+            f"{PAPER_FAILURE_ITERATION}; --iterations must be at least "
+            f"{PAPER_FAILURE_ITERATION + 1}"
+        )
+    axis = [args.max_places] if kind == "table4" else calibration.places_axis(args.max_places)
+    for name in [app] if app else ["linreg", "logreg", "pagerank"]:
+        for places in axis:
+            WorldSpec(
+                name,
+                places=places,
+                iterations=args.iterations,
+                spares=1 if restore else 0,
+                fail_at=(PAPER_FAILURE_ITERATION,) if restore else (),
+            ).validate()
+    return partial(_run_sweep, args, kind, app, axis)
+
+
+def _run_sweep(args: argparse.Namespace, kind: str, app: str, axis: List[int]) -> int:
     jobs = _resolve_jobs(args.jobs)
     if kind == "overhead":
         series = run_overhead_sweep(
@@ -675,18 +421,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             values[name] = sweep.values["mean checkpoint (ms)"]
         print(figures.series_table(axis, values, header_unit="ms/checkpoint"))
     elif kind == "restore":
-        out = _restore_sweep(app, axis, args.iterations, jobs)
-        series = out["series"]
+        series = run_restore_sweep(
+            app, places_list=axis, iterations=args.iterations, jobs=jobs
+        )["series"]
         print(
             figures.series_table(
                 series.places, series.values, value_format="{:10.2f}", header_unit="total s"
             )
         )
     elif kind == "ckpt-mode":
-        out = run_checkpoint_mode_sweep(
+        series = run_checkpoint_mode_sweep(
             app, places_list=axis, iterations=args.iterations, jobs=jobs
-        )
-        series = out["series"]
+        )["series"]
         print(
             figures.series_table(
                 series.places, series.values, header_unit="see row labels"
@@ -694,76 +440,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     elif kind == "table4":
         for name in ("linreg", "logreg", "pagerank"):
-            out = _restore_sweep(name, [args.max_places], args.iterations, jobs)
+            out = run_restore_sweep(
+                name, places_list=axis, iterations=args.iterations, jobs=jobs
+            )
             rows = table4_from_reports(out["reports"], places=args.max_places)
             for mode, row in rows.items():
                 print(f"{name:<10s} {mode:<18s} C% {row['C%']:5.1f}  R% {row['R%']:5.1f}")
     return 0
 
 
-def _build_chaos(args: argparse.Namespace) -> Callable[[], int]:
-    from repro.chaos import CampaignConfig
-
-    config = CampaignConfig(
-        app=args.app,
-        schedules=args.schedules,
-        seed=args.chaos_seed,
-        places=args.places,
-        iterations=args.iterations,
-        checkpoint_interval=args.ckpt_interval,
-        replicas=_resolve_replicas(args.replicas, args.placement),
-        placement=args.placement,
-        stable_fallback=args.stable_fallback,
-        spares=args.spares,
-        drop_rate=args.drop_rate,
-        dup_rate=args.dup_rate,
-        straggler_max=args.straggler_max,
-        corrupt_rate=args.corrupt,
-        detect_timeout=args.detect_timeout,
-        partition_rate=args.partition_rate,
-        ckpt_delta=args.ckpt_delta,
-        recovery=args.recovery,
-    )
-    return partial(_run_chaos, args, config)
+def _configure_chaos(args: argparse.Namespace) -> Callable[[], int]:
+    return partial(_run_chaos, args, same_named(CampaignConfig, args))
 
 
-def _run_chaos(args: argparse.Namespace, config) -> int:
-    from repro.chaos import run_campaign
-
+def _run_chaos(args: argparse.Namespace, config: CampaignConfig) -> int:
     result = run_campaign(config, jobs=_resolve_jobs(args.jobs))
     print(result.summary())
     return 1 if result.violations else 0
 
 
-def _build_serve(args: argparse.Namespace) -> Callable[[], int]:
-    from repro.service import ServiceConfig
-
-    config = ServiceConfig(
-        places=args.places,
-        reserve=args.reserve,
-        economics=args.economics,
-        n_jobs=args.jobs_count,
-        seed=args.service_seed,
-        arrival_rate=args.arrival_rate,
-        max_places=args.max_job_places,
-        checkpoint_interval=args.ckpt_interval,
-        replicas=_resolve_replicas(args.replicas, args.placement),
-        placement=args.placement,
-        repair_mttr=args.repair_mttr,
-        crash_rate=args.crash_rate,
-        pair_rate=args.pair_rate,
-        rack_rate=args.rack_rate,
-        drop_rate=args.drop_rate,
-        dup_rate=args.dup_rate,
-        detect_timeout=args.detect_timeout,
-    )
-    return partial(_run_serve, args, config)
+def _configure_serve(args: argparse.Namespace) -> Callable[[], int]:
+    check_positive(args.streams, "streams")
+    return partial(_run_serve, args, same_named(ServiceConfig, args))
 
 
-def _run_serve(args: argparse.Namespace, config) -> int:
-    from repro.chaos import run_service_campaign
-    from repro.service import run_service
-
+def _run_serve(args: argparse.Namespace, config: ServiceConfig) -> int:
     if args.streams > 1:
         result = run_service_campaign(
             config, streams=args.streams, jobs=args.parallel_streams
@@ -790,15 +491,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    build = {"run": _build_run, "chaos": _build_chaos, "serve": _build_serve}[args.command]
+    configure = {
+        "run": _configure_run,
+        "sweep": _configure_sweep,
+        "chaos": _configure_chaos,
+        "serve": _configure_serve,
+    }[args.command]
     try:
-        # Configuration and world construction only (config dataclass,
-        # kills, store, executor): a ValueError there is the user's.  What
-        # the command then runs stays outside, so an internal bug is never
+        # Configuration only: the verb's configuration is built and judged
+        # here, before any runtime exists, so a ValueError is the user's.
+        # What the verb then runs stays outside, so an internal bug is never
         # relabelled a usage error.
-        execute = build(args)
+        execute = configure(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None

@@ -247,12 +247,15 @@ RECOVERY_MODES = ("checkpoint", "reconstruct")
 
 
 def check_recovery(
-    app_cls: type, recovery: str, placement: Optional[ReplicaPlacement]
+    app_cls: type,
+    recovery: str,
+    placement: Optional[ReplicaPlacement],
+    replicas: Optional[int] = None,
 ) -> None:
-    """``ValueError`` unless *recovery* is a scheme *app_cls* and *placement*
-    can serve — the one check behind the executor and every configuration
-    boundary (``CampaignConfig``), so a bad pair is a one-line error up front
-    rather than a traceback from the first schedule."""
+    """``ValueError`` unless *recovery* is a scheme *app_cls*, *placement* and
+    *replicas* can serve — the one check behind the executor and
+    :meth:`repro.world.WorldSpec.validate`, so a bad combination is a one-line
+    error up front rather than a traceback from the first schedule."""
     require(
         recovery in RECOVERY_MODES,
         f"recovery must be one of {RECOVERY_MODES}",
@@ -270,6 +273,23 @@ def check_recovery(
             "applies to snapshot stores only — use recovery='checkpoint' "
             "with placement=parity[:g]",
         )
+        require(
+            replicas is None or replicas >= 1,
+            f"recovery='reconstruct' publishes at least one replica, got replicas={replicas}",
+        )
+
+
+def check_modes(spare_fallback: RestoreMode, checkpoint_mode: str) -> None:
+    """``ValueError`` unless *spare_fallback* is a shrink mode and
+    *checkpoint_mode* one of :data:`CHECKPOINT_MODES`."""
+    require(
+        spare_fallback in (RestoreMode.SHRINK, RestoreMode.SHRINK_REBALANCE),
+        "spare_fallback must be a shrink mode",
+    )
+    require(
+        checkpoint_mode in CHECKPOINT_MODES,
+        f"checkpoint_mode must be one of {CHECKPOINT_MODES}",
+    )
 
 
 #: Report fields recorded as per-run deltas of runtime-global counters, so
@@ -307,14 +327,7 @@ class IterativeExecutor:
         recovery: str = "checkpoint",
     ):
         check_positive(checkpoint_interval, "checkpoint_interval")
-        require(
-            spare_fallback in (RestoreMode.SHRINK, RestoreMode.SHRINK_REBALANCE),
-            "spare_fallback must be a shrink mode",
-        )
-        require(
-            checkpoint_mode in CHECKPOINT_MODES,
-            f"checkpoint_mode must be one of {CHECKPOINT_MODES}",
-        )
+        check_modes(spare_fallback, checkpoint_mode)
         self.runtime = runtime
         self.app = app
         #: The executor's slice of the place pool.  Replacement places are
@@ -334,7 +347,7 @@ class IterativeExecutor:
         #: The store's replication knobs are the executor's: a caller that
         #: hands in a configured store does not repeat them.
         self.store = store
-        check_recovery(type(app), recovery, store.placement)
+        check_recovery(type(app), recovery, store.placement, store.replicas)
         self.checkpoint_interval = checkpoint_interval
         self.mode = mode
         self.spare_fallback = spare_fallback

@@ -25,7 +25,6 @@ import numpy as np
 from repro.runtime.failure import ScriptedKill
 from repro.runtime.pool import PlaceLease
 from repro.service.jobs import JobSpec
-from repro.util.validation import check_positive, require
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,10 @@ class PoolFaultEvent:
 
 
 class ServiceFaultPlan:
-    """The complete, seeded fault schedule of one service run."""
+    """The complete, seeded fault schedule of one service run.
+
+    Its knobs are a :class:`~repro.service.ServiceConfig`'s, judged once when
+    the config was made; the plan does not judge them again."""
 
     def __init__(
         self,
@@ -50,12 +52,6 @@ class ServiceFaultPlan:
         rack_rate: float = 0.0,
         rack_size: int = 4,
     ):
-        check_positive(total_places, "total_places")
-        require(horizon >= 0, "horizon must be >= 0")
-        require(0.0 <= crash_rate <= 1.0, "crash_rate must be in [0, 1]")
-        require(pair_rate >= 0, "pair_rate must be >= 0")
-        require(rack_rate >= 0, "rack_rate must be >= 0")
-        check_positive(rack_size, "rack_size")
         self.seed = seed
         self.total_places = total_places
         self.horizon = horizon

@@ -35,7 +35,6 @@ class JobSpec:
     places: int
     iterations: int
     arrival: float
-    checkpoint_interval: int = 3
     #: Reserve places committed up-front under ``dedicated`` economics.
     dedicated_spares: int = 1
 
@@ -88,7 +87,6 @@ def generate_jobs(
     max_places: int = 6,
     min_iterations: int = 4,
     max_iterations: int = 12,
-    checkpoint_interval: int = 3,
     zipf_a: float = 2.2,
     dedicated_spares: int = 1,
 ) -> List[JobSpec]:
@@ -96,14 +94,9 @@ def generate_jobs(
 
     Sizes follow ``min_places + (Zipf(a) - 1)`` clipped to *max_places*;
     inter-arrival gaps are exponential with mean ``1 / arrival_rate``
-    (virtual seconds).  Pure in ``(seed, n, knobs)``.
+    (virtual seconds).  Pure in ``(seed, n, knobs)``; the knobs are a
+    :class:`~repro.service.ServiceConfig`'s, judged when it was made.
     """
-    check_positive(n, "n")
-    require(arrival_rate > 0, "arrival_rate must be > 0")
-    require(min_places >= 1, "min_places must be >= 1")
-    require(max_places >= min_places, "max_places must be >= min_places")
-    for app in apps:
-        require(app in APPS, f"unknown app {app!r}")
     rng = np.random.default_rng([seed, 9001])
     jobs: List[JobSpec] = []
     t = 0.0
@@ -118,7 +111,6 @@ def generate_jobs(
                 places=size,
                 iterations=int(rng.integers(min_iterations, max_iterations + 1)),
                 arrival=t,
-                checkpoint_interval=checkpoint_interval,
                 dedicated_spares=dedicated_spares,
             )
         )

@@ -21,7 +21,8 @@ having died — that counter must be zero for a correct pool.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -29,10 +30,8 @@ import numpy as np
 from repro.baseline import failure_free_result
 from repro.bench.calibration import regression_cost
 from repro.bench.catalogue import APPS
-from repro.resilience.executor import IterativeExecutor, RestoreMode, check_recovery
-from repro.resilience.placement import check_protection, make_placement
+from repro.resilience.executor import RestoreMode
 from repro.runtime.cost import CostModel
-from repro.runtime.detector import PhiAccrualDetector
 from repro.runtime.exceptions import (
     DataLossError,
     DeadPlaceException,
@@ -45,6 +44,7 @@ from repro.service.admission import AdmissionController, JobQueue
 from repro.service.faults import PoolFaultEvent, ServiceFaultPlan
 from repro.service.jobs import JobResult, JobSpec, generate_jobs
 from repro.util.validation import check_positive, require
+from repro.world import WorldSpec, default_replicas
 
 #: Event priorities at equal virtual time: bursts strike first, finished
 #: leases free their places next, then healed places rejoin the pool, and
@@ -63,7 +63,8 @@ class _RepairEvent:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """One service run: pool shape, stream shape, chaos knobs."""
+    """One service run: pool shape, stream shape, chaos knobs, and the world
+    every job is (:attr:`template`)."""
 
     places: int = 17  # place 0 (coordinator) + 16 workers
     reserve: int = 4
@@ -77,11 +78,11 @@ class ServiceConfig:
     max_places: int = 6
     min_iterations: int = 4
     max_iterations: int = 12
-    zipf_a: float = 2.2
     checkpoint_interval: int = 3
     #: Reserve places committed per job under ``dedicated`` economics.
     dedicated_spares: int = 1
-    replicas: int = 2
+    #: Backup replicas per partition; None: 2, or 1 under parity.
+    replicas: Optional[int] = None
     placement: str = "spread"
     #: Recovery mode for CG jobs ("reconstruct" = checkpoint-free ABFT
     #: recovery; "checkpoint" = the classic rollback path).  Only CG
@@ -104,9 +105,10 @@ class ServiceConfig:
     #: rejoin the pool's free set after their repair delay.  0 disables
     #: healing — dead places stay dead, the pool only ever shrinks.
     repair_mttr: float = 0.0
-    max_queue: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # Judged once, before a pool exists: a bad stream is one usage error,
+        # never a traceback from the first admission.
         require(self.places >= 2, "need at least a coordinator and one worker")
         require(self.reserve >= 0, "reserve must be >= 0")
         require(
@@ -119,21 +121,48 @@ class ServiceConfig:
             self.max_places <= self.places - 1,
             "max_places cannot exceed the worker count (places - 1)",
         )
+        require(self.min_places <= self.max_places, "max_places must be >= min_places")
+        require(
+            self.min_iterations <= self.max_iterations,
+            "max_iterations must be >= min_iterations",
+        )
         require(
             self.cost_profile in ("calibrated", "zero"),
             "cost_profile must be 'calibrated' or 'zero'",
         )
         require(self.repair_mttr >= 0, "repair_mttr must be >= 0")
-        # Fail fast on a bad placement spec, on parity double-paying, and on
-        # a CG recovery scheme the placement cannot serve (otherwise the
-        # first CG admission raises mid-stream, after carving a lease).
-        policy = make_placement(self.placement)
-        check_protection(policy, self.replicas)
-        if "cg" in self.apps:
-            check_recovery(APPS["cg"].resilient, self.cg_recovery, policy)
-        check_positive(self.checkpoint_interval, "checkpoint_interval")
+        require(0.0 <= self.crash_rate <= 1.0, "crash_rate must be in [0, 1]")
+        require(self.pair_rate >= 0, "pair_rate must be >= 0")
+        require(self.rack_rate >= 0, "rack_rate must be >= 0")
+        check_positive(self.rack_size, "rack_size")
+        TransientFaultModel(drop_rate=self.drop_rate, dup_rate=self.dup_rate)
+        require(self.apps, "apps must name at least one application")
         for app in self.apps:
-            require(app in APPS, f"unknown app {app!r}")
+            self.job_spec(app, self.min_places, self.min_iterations).validate()
+
+    @cached_property
+    def template(self) -> WorldSpec:
+        """The world of every job, before its app, width and length."""
+        return WorldSpec(
+            app=self.apps[0],
+            workload="tiny",
+            checkpoint_interval=self.checkpoint_interval,
+            mode=RestoreMode.REPLACE_REDUNDANT,
+            replicas=default_replicas(self.replicas, self.placement),
+            placement=self.placement,
+            detect_timeout=self.detect_timeout,
+        )
+
+    def job_spec(self, app: str, places: int, iterations: int) -> WorldSpec:
+        """One job's world: the template with the job's app, width and
+        length, and the config's recovery scheme for CG."""
+        return replace(
+            self.template,
+            app=app,
+            places=places,
+            iterations=iterations,
+            recovery=self.cg_recovery if app == "cg" else "checkpoint",
+        )
 
     def cost(self) -> CostModel:
         return regression_cost() if self.cost_profile == "calibrated" else CostModel.zero()
@@ -276,7 +305,7 @@ class ClusterService:
             ),
         )
         self.pool = self.runtime.pool
-        self.queue = JobQueue(max_depth=config.max_queue)
+        self.queue = JobQueue()
         self.admission = AdmissionController(self.pool, config.economics)
         self.jobs = generate_jobs(
             config.n_jobs,
@@ -287,8 +316,6 @@ class ClusterService:
             max_places=config.max_places,
             min_iterations=config.min_iterations,
             max_iterations=config.max_iterations,
-            checkpoint_interval=config.checkpoint_interval,
-            zipf_a=config.zipf_a,
             dedicated_spares=config.dedicated_spares,
         )
         horizon = 2.0 * self.jobs[-1].arrival + 10.0
@@ -454,14 +481,6 @@ class ClusterService:
                 kills.append(kill)
                 condemned.add(kill.place_id)
         injector = LeaseScopedInjector(rt, lease, kills)
-        detector = None
-        if cfg.detect_timeout > 0:
-            detector = PhiAccrualDetector(
-                rt,
-                detect_timeout=cfg.detect_timeout,
-                places=sorted(lease.member_ids - {lease.driver.id}),
-                start_time=now,
-            )
 
         result = JobResult(
             job_id=job.job_id,
@@ -474,25 +493,11 @@ class ClusterService:
         )
         dead_before = set(rt.dead_ids())
         entry = APPS[job.app]
-        with rt.job_context(lease, injector=injector, detector=detector):
+        with rt.job_context(lease, injector=injector):
             try:
-                app = entry.resilient(
-                    rt, entry.tiny_workload(job.iterations), group=lease.group()
-                )
-                recovery = (
-                    cfg.cg_recovery if job.app == "cg" else "checkpoint"
-                )
-                report = IterativeExecutor(
-                    rt,
-                    app,
-                    checkpoint_interval=job.checkpoint_interval,
-                    mode=RestoreMode.REPLACE_REDUNDANT,
-                    replicas=cfg.replicas,
-                    placement=make_placement(cfg.placement),
-                    detector=detector,
-                    lease=lease,
-                    recovery=recovery,
-                ).run()
+                spec = cfg.job_spec(job.app, job.places, job.iterations)
+                _, app, _, executor = spec.build(lease, start_time=now)
+                report = executor.run()
                 result.restores = report.restores
                 result.reconstructions = report.reconstructions
                 result.failures_observed = report.failures_observed

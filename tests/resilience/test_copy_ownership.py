@@ -8,6 +8,8 @@ for the rest of the run (ISSUE 20); ``orphaned_copies`` is the one-pass check
 the chaos campaigns now run after every schedule.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import chaos
@@ -140,7 +142,7 @@ def test_rebind_frees_the_copies_whose_home_left_the_table():
 
 
 def _run(config, kills, mode=RestoreMode.SHRINK):
-    rt, _, store, executor = chaos._build_world(config, mode, "blocking", kills, index=None)
+    rt, _, store, executor = replace(config.spec, mode=mode, kills=tuple(kills)).build()
     with rt:
         report = executor.run()
         owners = store.live_snapshots()

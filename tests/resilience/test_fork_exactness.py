@@ -12,13 +12,13 @@ prefix cache (:mod:`repro.chaos`) is built on.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from repro.bench.catalogue import APPS
-from repro.chaos import CampaignConfig, _build_world
+from repro.chaos import CampaignConfig
 from repro.engine.fork import ForkContext, capture_boundaries
 from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.placement import make_placement
@@ -43,9 +43,7 @@ def _fingerprint(executor, report):
 
 def _run_with_captures(config: CampaignConfig, kills, checkpoint_mode="blocking"):
     """Straight run with *kills* armed, capturing an image at every boundary."""
-    rt, app, _, executor = _build_world(
-        config, RestoreMode.SHRINK, checkpoint_mode
-    )
+    rt, app, _, executor = replace(config.spec, checkpoint_mode=checkpoint_mode).build()
     for kill in kills:
         rt.injector.add(kill)
     context = ForkContext()
@@ -235,7 +233,7 @@ def test_pause_resume_on_origin_equals_fork():
         app="cg", places=6, iterations=8, checkpoint_interval=2, schedules=1
     )
     result_of = APPS[config.app].result
-    rt, app, _, executor = _build_world(config, RestoreMode.SHRINK, "blocking")
+    rt, app, _, executor = config.spec.build()
     for kill in KILLS:
         rt.injector.add(kill)
     context = ForkContext()
@@ -341,11 +339,11 @@ def test_capture_boundaries_named_pauses_after_the_last():
         app="linreg", places=4, iterations=8, checkpoint_interval=3, schedules=1
     )
     result_of = APPS[config.app].result
-    rt, app, _, executor = _build_world(config, RestoreMode.SHRINK, "blocking")
+    rt, app, _, executor = config.spec.build()
     straight = executor.run()
     fp, result = _fingerprint(executor, straight), np.asarray(result_of(app)).copy()
 
-    rt, app, _, executor = _build_world(config, RestoreMode.SHRINK, "blocking")
+    rt, app, _, executor = config.spec.build()
     seen = []
     images = capture_boundaries(executor, [5, 2], observe=seen.append)
     assert sorted(images) == seen == [2, 5]
@@ -358,7 +356,7 @@ def test_capture_boundaries_unnamed_captures_all_and_skips_the_unreached():
     config = CampaignConfig(
         app="pagerank", places=4, iterations=5, checkpoint_interval=2, schedules=1
     )
-    executor = _build_world(config, RestoreMode.SHRINK, "blocking")[3]
+    executor = config.spec.build()[3]
     assert sorted(capture_boundaries(executor)) == [0, 1, 2, 3, 4, 5]
-    executor = _build_world(config, RestoreMode.SHRINK, "blocking")[3]
+    executor = config.spec.build()[3]
     assert sorted(capture_boundaries(executor, [3, 99])) == [3]

@@ -194,6 +194,8 @@ def _run_with_shrink_rebalance(app_name):
     (one-tile rows alias the snapshot), then on to the next checkpoint;
     audited before the world closes.  linreg and pagerank are campaign
     worlds; gnmf (duplicated *matrices*) is built here."""
+    from dataclasses import replace
+
     from repro import chaos
     from repro.resilience.executor import IterativeExecutor, RestoreMode
     from repro.runtime.failure import ScriptedKill
@@ -212,9 +214,8 @@ def _run_with_shrink_rebalance(app_name):
     else:
         config = chaos.CampaignConfig(app=app_name, seed=1)
         kills = [ScriptedKill(place_id=3, iteration=config.checkpoint_interval + 1)]
-        rt, _, store, executor = chaos._build_world(
-            config, RestoreMode.SHRINK_REBALANCE, "blocking", kills
-        )
+        spec = replace(config.spec, mode=RestoreMode.SHRINK_REBALANCE, kills=tuple(kills))
+        rt, _, store, executor = spec.build()
     with rt:
         report = executor.run()
         assert report.restores == 1 and report.checkpoints >= 3

@@ -14,7 +14,6 @@ import pstats
 import pytest
 
 from repro import chaos
-from repro.resilience.executor import RestoreMode
 from repro.resilience.iterative import RestoreContext
 from repro.resilience.snapshot import DistObjectSnapshot
 
@@ -33,7 +32,7 @@ def _calls(profile: cProfile.Profile, method) -> int:
 def world():
     """The campaign's linreg world after its first checkpoint and two steps."""
     config = chaos.CampaignConfig(app="linreg", seed=1)
-    rt, app, store, _ = chaos._build_world(config, RestoreMode.SHRINK, "blocking")
+    rt, app, store, _ = config.spec.build()
     with rt:
         app.checkpoint(store)
         app.step()

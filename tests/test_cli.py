@@ -270,6 +270,33 @@ class TestChaosCommand:
             ),
             (["run", "linreg", *SMALL, "--heartbeat-interval", "0.1"],
              "--heartbeat-interval: not read without --detect-timeout"),
+            # Each of these used to exit 1 with a traceback ...
+            *(
+                ([*verb, "--replicas", "-1"], "replicas must be >= 0, got -1")
+                for verb in (["run", "linreg", *SMALL], ["chaos", "linreg"], ["serve"])
+            ),
+            (["chaos", "linreg", "--spares", "-1"], "spares must be >= 0, got -1"),
+            (["chaos", "linreg", "--drop-rate", "2"], "drop_rate must be in [0, 1)"),
+            (["chaos", "linreg", "--corrupt", "2"], "corruption rate must be in [0, 1)"),
+            (["serve", "--crash-rate", "5"], "crash_rate must be in [0, 1]"),
+            (["serve", "--drop-rate", "2"], "drop_rate must be in [0, 1)"),
+            (["serve", "--max-job-places", "1"], "max_places must be >= min_places"),
+            (["sweep", "fig2", "--iterations", "0"], "iterations must be positive, got 0"),
+            # ... and each of these ran, ignoring the offending value.
+            (["chaos", "linreg", "--schedules", "0"], "schedules must be positive, got 0"),
+            (["chaos", "linreg", "--schedules", "-2"], "schedules must be positive, got -2"),
+            (["chaos", "linreg", "--places", "1"], "places must be >= 2"),
+            *(
+                ([*verb, "--detect-timeout", "-1"], "detect_timeout must be >= 0, got -1.0")
+                for verb in (["run", "linreg", *SMALL], ["chaos", "linreg"], ["serve"])
+            ),
+            (["chaos", "linreg", "--straggler-max", "0.5"], "straggler_max must be >= 1"),
+            (["run", "linreg", *SMALL, "--victim", "2"], "--victim: not read without --fail-at"),
+            (["run", "linreg", *SMALL, "--fail-at", "3", "--victim", "1", "--victim", "2"],
+             "--victim given 2 times for 1 --fail-at"),
+            (["run", "linreg", "--places", "4", "--iterations", "6", "--fail-at", "6"],
+             "--fail-at 6 never fires"),
+            (["serve", "--streams", "0"], "streams must be positive, got 0"),
         ],
     )
     def test_unservable_recovery_is_a_usage_error(self, argv, message, capsys):
@@ -284,6 +311,12 @@ class TestChaosCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    def test_a_kill_before_the_last_iteration_fires_at_the_middle_place(self, capsys):
+        assert main(["run", "linreg", "--places", "4", "--iterations", "6", "--fail-at", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "failures observed:    1" in out and "kills never fired" not in out
+        assert "final place group:    [0, 1, 3]" in out
 
     def test_an_idle_spare_is_a_valid_victim(self, capsys):
         assert main([
