@@ -19,6 +19,13 @@ No campaign may report an invariant violation.  Writes
 ``results/campaign_fingerprints.txt``; every entry is a pure function of
 the code under ``src/``, so a refactor that claims to leave behaviour alone
 leaves this file byte-identical (CI's ``artifacts-reproducible`` diffs it).
+
+The fingerprints see each schedule's status only.  The same runs also write
+``results/campaign_reports.txt``: per campaign (and per prefix cell with the
+cache off), the sha256 (first 16 hex) of every ``IterativeExecutor.run`` it
+made, in order — ``json.dumps(asdict(ExecutionReport), sort_keys=True,
+default=repr)``, or, for a run that raised, the exception's type and text
+and the partial report — so any moved report field shows up in the diff.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from collections import Counter
 
 from _common import emit, results_path
 from repro.chaos import CampaignConfig, run_campaign
+from repro.resilience.executor import IterativeExecutor
 
 SHAPES = {
     "parity2": dict(placement="parity:2", replicas=1, spares=2),
@@ -81,19 +89,62 @@ def campaigns():
         )
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, default=repr)
+
+
+def _recording(sink: list):
+    """``IterativeExecutor.run``, appending one JSON record per run to *sink*.
+
+    Installed on the class, not on instances: the prefix cache loads its
+    executors from pickled images.  A run parked at a boundary returns no
+    report and records nothing.
+    """
+    run = IterativeExecutor.run
+
+    def recorded(self, boundary_hook=None):
+        try:
+            report = run(self, boundary_hook)
+        except Exception as exc:
+            sink.append(_dumps([type(exc).__name__, str(exc), dataclasses.asdict(self._loop.report)]))
+            raise
+        if report is not None:
+            sink.append(_dumps(dataclasses.asdict(report)))
+        return report
+
+    return recorded
+
+
 def run_all():
-    rows = []
-    for name, config in campaigns():
-        result = run_campaign(config)
-        if name.startswith("prefix-"):
-            off = run_campaign(config, prefix_cache=False)
-            assert fingerprint(off) == fingerprint(result), name
-        rows.append((name, config.schedules, result))
-    return rows
+    """``(name, schedules, result)`` per campaign, and ``(name, report
+    digest, runs)`` per campaign and per cache-off prefix cell."""
+    rows, reports, sink = [], [], []
+
+    def digest(name: str) -> None:
+        blob = "\n".join(sink).encode()
+        reports.append((name, hashlib.sha256(blob).hexdigest()[:16], len(sink)))
+        sink.clear()
+
+    run = IterativeExecutor.run
+    IterativeExecutor.run = _recording(sink)
+    try:
+        for name, config in campaigns():
+            result = run_campaign(config)
+            digest(name)
+            if name.startswith("prefix-"):
+                off = run_campaign(config, prefix_cache=False)
+                digest(f"{name}-cache-off")
+                assert fingerprint(off) == fingerprint(result), name
+            rows.append((name, config.schedules, result))
+    finally:
+        IterativeExecutor.run = run
+    return rows, reports
 
 
 def test_campaign_fingerprints(benchmark):
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    rows, reports = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    with open(results_path("campaign_reports.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines(f"{name} {digest} runs={runs}\n" for name, digest, runs in reports)
     lines = []
     for name, _, result in rows:
         assert not result.violations, result.summary()
