@@ -28,7 +28,7 @@ from repro.matrix.distmatrix import DistDenseMatrix, DistSparseMatrix
 from repro.matrix.distvector import DistVector
 from repro.matrix.dupmatrix import DupDenseMatrix, DupSparseMatrix
 from repro.matrix.dupvector import DupVector
-from repro.matrix.grid import Grid, Overlap, Partition1D, Region, split_even
+from repro.matrix.grid import Grid, Partition1D, split_even
 from repro.matrix.mapping import (
     BlockMap,
     CyclicBlockMap,
@@ -62,9 +62,7 @@ __all__ = [
     "DupSparseMatrix",
     "DupVector",
     "Grid",
-    "Overlap",
     "Partition1D",
-    "Region",
     "split_even",
     "BlockMap",
     "CyclicBlockMap",

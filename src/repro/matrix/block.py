@@ -82,7 +82,7 @@ class BlockSet:
 
     def add(self, block: MatrixBlock) -> None:
         """Insert a block (duplicate coordinates rejected)."""
-        key = block.key
+        key = (block.rb, block.cb)
         if key in self._blocks:
             raise ValueError(f"duplicate block {key}")
         blocks = {**self._blocks, key: block}
@@ -124,13 +124,22 @@ class BlockSet:
         lows, highs = zip(*(b.row_range() for b in self._blocks.values()))
         return min(lows), max(highs)
 
+    # Plain loops, not comprehensions: a checkpoint runs both once per place,
+    # and a comprehension is one more interpreted call each time.
+
     def version_token(self) -> Tuple[Tuple[Tuple[int, int], int], ...]:
         """Aggregate mutation token: every block's key and version."""
-        return tuple((b.key, b.data.version) for b in self)
+        token = []
+        for key, block in self._blocks.items():
+            token.append((key, block.data.version))
+        return tuple(token)
 
     def freeze_view_dict(self) -> Dict[Tuple[int, int], BlockData]:
         """The snapshot payload ``{(rb, cb): data}``: copy-on-write frozen aliases."""
-        return {b.key: b.data.freeze_view() for b in self}
+        views = {}
+        for key, block in self._blocks.items():
+            views[key] = block.data.freeze_view()
+        return views
 
     def __repr__(self) -> str:
         return f"BlockSet(place_index={self.place_index}, blocks={self.keys()})"

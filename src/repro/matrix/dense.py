@@ -85,6 +85,9 @@ class DenseMatrix:
         alias.data, alias.m, alias.n, alias.version = self.data, self.m, self.n, next_version()
         return alias
 
+    #: The attributes :meth:`payload_arrays` returns (see ``Vector.ARRAY_NAMES``).
+    ARRAY_NAMES = ("data",)
+
     def payload_arrays(self) -> Tuple[np.ndarray, ...]:
         """Backing arrays for snapshot checksumming (``repro.util.checksum``)."""
         return (self.data,)
@@ -202,8 +205,10 @@ class DenseMatrix:
 
     def set_sub_matrix(self, r0: int, c0: int, block: "DenseMatrix") -> None:
         """Paste *block* with its top-left at ``(r0, c0)``."""
-        if r0 + block.m > self.m or c0 + block.n > self.n:
-            raise ValueError("block exceeds bounds")
+        if not 0 <= r0 <= r0 + block.m <= self.m:
+            raise ValueError(f"bad row range [{r0},{r0 + block.m}) for m={self.m}")
+        if not 0 <= c0 <= c0 + block.n <= self.n:
+            raise ValueError(f"bad col range [{c0},{c0 + block.n}) for n={self.n}")
         self.touch()
         self.data[r0 : r0 + block.m, c0 : c0 + block.n] = block.data
 

@@ -15,13 +15,14 @@ overlap region before allocating, as §IV-B2 describes.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.matrix.block import BlockSet, MatrixBlock
 from repro.matrix.dense import DenseMatrix
-from repro.matrix.grid import Grid, Overlap, Partition1D
+from repro.matrix.grid import Grid, Partition1D
 from repro.matrix.mapping import BlockMap, GroupedBlockMap, PlaceGridBlockMap
 from repro.matrix.multiplace import MultiPlaceObject
 from repro.matrix.random import LinkMatrix, random_dense_block, random_sparse_block, zero_dense_block
@@ -41,18 +42,22 @@ Routes = List[List[Tuple[int, List[Tuple[int, int, int, int, int, int]]]]]
 
 class TaskPlan:
     """What a matrix layout fixes about every task run over it, worked out
-    once per layout instead of once per task: the per-place counts behind
-    the declared flops of the dense kernels, and the routes of the matvec's
-    block-row results into each output partition.
+    once per layout instead of once per task: each place's blocks, the
+    per-place counts behind the declared flops of the dense kernels, and the
+    routes of the matvec's block-row results into each output partition.
 
     Everything here is read off the grid, the block map and the group — no
     heap.  :class:`DistBlockMatrix` drops its plan whenever the layout may
-    change (allocation, remake, regrid, restore).
+    change (allocation, remake, regrid, restore) and never pickles it.
     """
 
     def __init__(self, grid: Grid, block_map: BlockMap, ids: List[int], dense: bool):
         self._ids = ids
-        row_sizes, col_sizes, row_offsets = grid.row_sizes, grid.col_sizes, grid.row_offsets
+        row_sizes, col_sizes = grid.row_sizes, grid.col_sizes
+        row_offsets, col_offsets = grid.row_offsets, grid.col_offsets
+        #: Per place index: its blocks ``(rb, cb, row offset, col offset,
+        #: rows, cols)``, row-major — what an allocation lays out.
+        self.blocks: List[List[Tuple[int, int, int, int, int, int]]] = []
         #: Per place index: the held row bands ``(rb, row offset, rows)``, sorted.
         self.bands: List[List[Tuple[int, int, int]]] = []
         #: Per place index: stored cells, and rows summed over held blocks.
@@ -63,16 +68,19 @@ class TaskPlan:
         self.matvec_flops: Optional[List[int]] = [] if dense else None
         self.t_matvec_flops: Optional[List[int]] = [] if dense else None
         for index in range(block_map.num_places):
+            blocks: List[Tuple[int, int, int, int, int, int]] = []
             bands: List[Tuple[int, int, int]] = []
             cells = rows = merged = 0
             for rb, cb in block_map.blocks_of_place(index):  # row-major
-                h = row_sizes[rb]
-                cells += h * col_sizes[cb]
+                h, w = row_sizes[rb], col_sizes[cb]
+                blocks.append((rb, cb, row_offsets[rb], col_offsets[cb], h, w))
+                cells += h * w
                 rows += h
                 if bands and bands[-1][0] == rb:
                     merged += h
                 else:
                     bands.append((rb, row_offsets[rb], h))
+            self.blocks.append(blocks)
             self.bands.append(bands)
             self.cells.append(cells)
             self.rows.append(rows)
@@ -101,6 +109,55 @@ class TaskPlan:
                 for bands in self.bands
             ]
         return table
+
+
+#: One piece of a regridded restore: ``(old owner index, old block, cut in
+#: the old block (r0, r1, c0, c1), paste offset in the new block (row, col),
+#: scan flops, copy bytes)``.
+Piece = Tuple[int, Tuple[int, int], Tuple[int, int, int, int], Tuple[int, int], float, float]
+
+
+def regrid_plan(
+    new: Grid,
+    old: Grid,
+    owners: Dict[Tuple[int, int], int],
+    block_nnz: Optional[Dict[Tuple[int, int], int]],
+) -> Dict[Tuple[int, int], Tuple[int, int, List[List[Piece]]]]:
+    """Every read of a restore from *old*'s blocks onto *new*'s, planned once.
+
+    Per new block ``(rb, cb)``: its ``(rows, cols, tiles)``, where *tiles*
+    holds one row of pieces per old row band the block meets (old blocks
+    row-major, so the pieces of a sparse block assemble row by row) — none
+    for a zero-area block.  The pieces tile the block exactly
+    (property-tested).  *block_nnz* (``None`` for a dense matrix) sizes a
+    sparse piece's charges: a counting pass over the old block's row span,
+    then a copy of the entries it finds.
+    """
+    plan: Dict[Tuple[int, int], Tuple[int, int, List[List[Piece]]]] = {}
+    for (rb, cb), regions in new.overlaps(old).items():
+        r_base, c_base = new.row_offsets[rb], new.col_offsets[cb]
+        tiles: List[List[Piece]] = []
+        last_orb = None
+        for orb, ocb, r0, r1, c0, c1 in regions:
+            o_r0, o_c0 = old.row_offsets[orb], old.col_offsets[ocb]
+            if block_nnz is None:
+                flops, nbytes = 0.0, (r1 - r0) * (c1 - c0) * 8
+            else:
+                old_rows = old.row_sizes[orb]
+                row_frac = (r1 - r0) / old_rows if old_rows else 0.0
+                nnz_in_span = block_nnz.get((orb, ocb), 0) * row_frac
+                # The counting pass scans the row span, then the extraction
+                # copies the region's entries (16 B each: index + value).
+                flops, nbytes = 2.0 * nnz_in_span + (r1 - r0), nnz_in_span * 16.0
+            if orb != last_orb:
+                tiles.append([])
+                last_orb = orb
+            cut = (r0 - o_r0, r1 - o_r0, c0 - o_c0, c1 - o_c0)
+            tiles[-1].append(
+                (owners[(orb, ocb)], (orb, ocb), cut, (r0 - r_base, c0 - c_base), flops, nbytes)
+            )
+        plan[(rb, cb)] = (new.row_sizes[rb], new.col_sizes[cb], tiles)
+    return plan
 
 
 class DistBlockMatrix(MultiPlaceObject):
@@ -197,30 +254,32 @@ class DistBlockMatrix(MultiPlaceObject):
     def n(self) -> int:
         return self.grid.n
 
-    def _empty_block(self, rb: int, cb: int) -> MatrixBlock:
-        """Dense blocks alias the shared frozen zero block of their shape (CoW)."""
-        h, w = self.grid.block_dims(rb, cb)
-        data = zero_dense_block(h, w) if self.kind == DENSE else SparseCSR.empty(h, w)
-        return MatrixBlock.for_grid(self.grid, rb, cb, data)
+    _PLANS = ("_plan",)
+
+    @cached_property
+    def _plan(self) -> TaskPlan:
+        return TaskPlan(self.grid, self.block_map, self.group.ids, self.kind == DENSE)
 
     def task_plan(self) -> TaskPlan:
         """This layout's :class:`TaskPlan`, built on first use."""
-        if self._plan is None:
-            self._plan = TaskPlan(self.grid, self.block_map, self.group.ids, self.kind == DENSE)
         return self._plan
 
     def _allocate(self) -> None:
-        group, key = self.group, self.heap_key
-        self._plan: Optional[TaskPlan] = None
+        """Lay out every place's blocks from the plan: dense blocks alias the
+        shared frozen zero block of their shape (CoW), sparse ones start empty."""
+        self._drop_plans()
+        plan, key, dense = self._plan, self.heap_key, self.kind == DENSE
+        index_by_id = self.group._index_by_id
 
         def alloc(ctx: PlaceContext) -> None:
-            index = group.index_of(ctx.place)
+            index = index_by_id[ctx.place.id]
             bs = BlockSet(index)
-            for rb, cb in self.block_map.blocks_of_place(index):
-                bs.add(self._empty_block(rb, cb))
+            for rb, cb, r0, c0, h, w in plan.blocks[index]:
+                data = zero_dense_block(h, w) if dense else SparseCSR.empty(h, w)
+                bs.add(MatrixBlock(rb, cb, r0, c0, data))
             ctx.heap.put(key, bs)
 
-        self.runtime.finish_all(group, alloc, label=f"{self.name}:alloc")
+        self.runtime.finish_all(self.group, alloc, label=f"{self.name}:alloc")
 
     def block_set(self, index: int) -> BlockSet:
         """Library-internal: the block set at a group index."""
@@ -495,7 +554,7 @@ class DistBlockMatrix(MultiPlaceObject):
         if self.kind == SPARSE:
             for index in range(self.group.size):
                 for block in self.block_set(index):
-                    block_nnz[block.key] = block.data.nnz
+                    block_nnz[(block.rb, block.cb)] = block.data.nnz
         return self._snapshot_partitions(
             {
                 "kind": self.kind,
@@ -516,7 +575,7 @@ class DistBlockMatrix(MultiPlaceObject):
         overlap-region assembly when it differs, per §IV-B2.
         """
         require(snapshot.meta.get("kind") == self.kind, "snapshot kind mismatch")
-        self._plan = None
+        self._drop_plans()
         old_grid = Grid(self.m, self.n, snapshot.meta["row_sizes"], snapshot.meta["col_sizes"])
         if old_grid.same_blocking(self.grid):
             self._restore_same_grid(snapshot)
@@ -526,17 +585,14 @@ class DistBlockMatrix(MultiPlaceObject):
     def _restore_same_grid(self, snapshot: DistObjectSnapshot) -> None:
         """Block-by-block restore: adopt whole blocks from their old owners."""
         owners: Dict[Tuple[int, int], int] = snapshot.meta["owners"]
-        group, key = self.group, self.heap_key
+        key = self.heap_key
 
         def load(ctx: PlaceContext) -> None:
-            bs: BlockSet = ctx.heap.get(key)
-            for block in bs:
-                old_owner = owners[block.key]
-                block.data = snapshot.fetch(
-                    ctx, old_owner, extract=lambda d, k=block.key: d[k].freeze_view()
-                )
+            for block in ctx.heap.get(key):
+                part = (block.rb, block.cb)
+                block.data = snapshot.fetch(ctx, owners[part], part=part)
 
-        self.runtime.finish_all(group, load, label=f"{self.name}:restore_same_grid")
+        self.runtime.finish_all(self.group, load, label=f"{self.name}:restore_same_grid")
 
     def _restore_regridded(self, snapshot: DistObjectSnapshot, old_grid: Grid) -> None:
         """Overlap-region restore: assemble each new block from sub-blocks.
@@ -544,83 +600,38 @@ class DistBlockMatrix(MultiPlaceObject):
         For sparse blocks the non-zeros of every overlap region are counted
         first (a scan of the old block's row span) to size the new block,
         then the regions are extracted and assembled — the extra work that
-        makes shrink-rebalance the most expensive mode (Table IV).
+        makes shrink-rebalance the most expensive mode (Table IV).  The
+        pieces are planned (:func:`regrid_plan`) before any task runs.
         """
-        owners: Dict[Tuple[int, int], int] = snapshot.meta["owners"]
-        block_nnz: Dict[Tuple[int, int], int] = snapshot.meta.get("block_nnz", {})
-        group, key = self.group, self.heap_key
+        dense = self.kind == DENSE
+        plan = regrid_plan(
+            self.grid,
+            old_grid,
+            snapshot.meta["owners"],
+            snapshot.meta.get("block_nnz", {}) if not dense else None,
+        )
+        key = self.heap_key
 
         def load(ctx: PlaceContext) -> None:
-            bs: BlockSet = ctx.heap.get(key)
-            for block in bs:
-                overlaps = self.grid.overlaps_of_block(block.rb, block.cb, old_grid)
-                block.data = self._assemble_block(ctx, snapshot, old_grid, block, overlaps, owners, block_nnz)
+            for block in ctx.heap.get(key):
+                h, w, tiles = plan[(block.rb, block.cb)]
+                if dense:
+                    out = DenseMatrix.make(h, w)
+                    for row in tiles:
+                        for owner, part, cut, (dr, dc), flops, nbytes in row:
+                            piece = snapshot.fetch(ctx, owner, part, cut, flops, nbytes)
+                            out.data[dr : dr + piece.m, dc : dc + piece.n] = piece.data
+                elif tiles:
+                    # The tiles of one new block form a regular grid (old
+                    # grid lines cutting it): assemble rows of tiles.
+                    pieces: List[List[SparseCSR]] = []
+                    for row in tiles:
+                        pieces.append([])
+                        for owner, part, cut, _, flops, nbytes in row:
+                            pieces[-1].append(snapshot.fetch(ctx, owner, part, cut, flops, nbytes))
+                    out = SparseCSR.assemble(pieces)
+                else:
+                    out = SparseCSR.empty(h, w)  # zero-area block: no tiles
+                block.data = out
 
-        self.runtime.finish_all(group, load, label=f"{self.name}:restore_regridded")
-
-    def _assemble_block(
-        self,
-        ctx: PlaceContext,
-        snapshot: DistObjectSnapshot,
-        old_grid: Grid,
-        block: MatrixBlock,
-        overlaps: List[Overlap],
-        owners: Dict[Tuple[int, int], int],
-        block_nnz: Dict[Tuple[int, int], int],
-    ):
-        h, w = block.shape
-        r_base, c_base = block.row_offset, block.col_offset
-        if not overlaps:
-            # Zero-area block (a grid with more bands than rows/cols).
-            return DenseMatrix.make(h, w) if self.kind == DENSE else SparseCSR.empty(h, w)
-        if self.kind == DENSE:
-            out = DenseMatrix.make(h, w)
-            for ov in overlaps:
-                region = ov.region
-                orb, ocb = ov.old_block
-                o_r0, o_c0 = old_grid.block_origin(orb, ocb)
-                piece: DenseMatrix = snapshot.fetch(
-                    ctx,
-                    owners[(orb, ocb)],
-                    extract=lambda d, k=(orb, ocb), rg=region, ro=o_r0, co=o_c0: d[k].sub_matrix(
-                        rg.row_start - ro, rg.row_end - ro, rg.col_start - co, rg.col_end - co
-                    ),
-                    extract_bytes=region.area * 8,
-                )
-                out.data[
-                    region.row_start - r_base : region.row_end - r_base,
-                    region.col_start - c_base : region.col_end - c_base,
-                ] = piece.data
-            return out
-
-        # Sparse: the overlaps of one new block form a regular tile grid
-        # (old grid lines cutting the new block); extract each tile with a
-        # counting pass, then assemble rows of tiles.
-        row_bands = sorted({ov.old_block[0] for ov in overlaps})
-        col_bands = sorted({ov.old_block[1] for ov in overlaps})
-        by_key = {ov.old_block: ov for ov in overlaps}
-        tiles: List[List[SparseCSR]] = []
-        for orb in row_bands:
-            tile_row: List[SparseCSR] = []
-            for ocb in col_bands:
-                ov = by_key[(orb, ocb)]
-                region = ov.region
-                o_r0, o_c0 = old_grid.block_origin(orb, ocb)
-                old_rows = old_grid.row_sizes[orb]
-                row_frac = region.rows / old_rows if old_rows else 0.0
-                nnz_in_span = block_nnz.get((orb, ocb), 0) * row_frac
-                piece: SparseCSR = snapshot.fetch(
-                    ctx,
-                    owners[(orb, ocb)],
-                    extract=lambda d, k=(orb, ocb), rg=region, ro=o_r0, co=o_c0: d[k].sub_matrix(
-                        rg.row_start - ro, rg.row_end - ro, rg.col_start - co, rg.col_end - co
-                    ),
-                    # The counting pass scans the row span, then the
-                    # extraction copies the region's entries (16 B each:
-                    # index + value).
-                    extract_flops=2.0 * nnz_in_span + region.rows,
-                    extract_bytes=nnz_in_span * 16.0,
-                )
-                tile_row.append(piece)
-            tiles.append(tile_row)
-        return SparseCSR.assemble(tiles)
+        self.runtime.finish_all(self.group, load, label=f"{self.name}:restore_regridded")

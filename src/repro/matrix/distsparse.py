@@ -21,7 +21,7 @@ each new band from the overlapping row ranges of the old ones.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.matrix.grid import Partition1D
 from repro.matrix.multiplace import MultiPlaceObject
@@ -231,27 +231,21 @@ class DistSparseRowMatrix(MultiPlaceObject):
             return
 
         # Changed partition: each new band is stitched from the overlapping
-        # row sub-ranges of the old bands (§IV-B2's sub-block copies).
-        overlaps = self.partition.overlaps(old_partition)
-        by_new: dict = {}
-        for new_seg, old_seg, start, end in overlaps:
-            by_new.setdefault(new_seg, []).append((old_seg, start, end))
+        # row sub-ranges of the old bands (§IV-B2's sub-block copies),
+        # planned before any task runs — per place id, ``(old band, cut in
+        # it, scan flops, bytes)``.
+        ids, old_lows, n = group.ids, old_partition.offsets, self.n
+        pieces: Dict[int, list] = {}
+        for new_seg, old_seg, start, end in self.partition.overlaps(old_partition):
+            olo = old_lows[old_seg]
+            pieces.setdefault(ids[new_seg], []).append(
+                (old_seg, (start - olo, end - olo, 0, n), end - start, (end - start) * _NNZ_BYTES)
+            )
 
         def load_repartitioned(ctx: PlaceContext) -> None:
-            index = group.index_of(ctx.place)
-            pieces = []
-            for old_seg, start, end in sorted(by_new.get(index, [])):
-                olo, _ohi = old_partition.range_of(old_seg)
-                piece: SparseCSR = snapshot.fetch(
-                    ctx,
-                    old_seg,
-                    extract=lambda band, s=start - olo, e=end - olo: band.sub_matrix(
-                        s, e, 0, band.n
-                    ),
-                    extract_flops=(end - start),
-                    extract_bytes=(end - start) * _NNZ_BYTES,
-                )
-                pieces.append(piece)
-            ctx.heap.put(key, SparseCSR.vstack(pieces))
+            bands = []
+            for old_seg, cut, flops, nbytes in pieces.get(ctx.place.id, ()):
+                bands.append(snapshot.fetch(ctx, old_seg, cut=cut, flops=flops, nbytes=nbytes))
+            ctx.heap.put(key, SparseCSR.vstack(bands))
 
         self.runtime.finish_all(group, load_repartitioned, label=f"{self.name}:restore")

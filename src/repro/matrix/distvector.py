@@ -12,7 +12,8 @@ new segment is assembled from the overlapping sub-ranges of old segments.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -59,16 +60,26 @@ class DistVector(MultiPlaceObject):
         """GML-style factory over *group* (defaults to the world)."""
         return cls(runtime, n, group if group is not None else runtime.world, partition)
 
+    _PLANS = ("_spans",)
+
+    @cached_property
+    def _spans(self) -> Dict[int, Tuple[int, int, int]]:
+        """``{place id: (group index, lo, hi)}``: where each member's segment
+        lies, tabulated once per layout for the per-task lookups."""
+        offsets = self.partition.offsets
+        spans = {}
+        for index, place in enumerate(self.group._places):
+            spans[place.id] = (index, offsets[index], offsets[index + 1])
+        return spans
+
     def _allocate(self) -> None:
-        key = self.heap_key
-        sizes = self.partition.sizes
-        group = self.group
+        key, spans = self.heap_key, self._spans
 
         def alloc(ctx: PlaceContext) -> None:
-            index = group.index_of(ctx.place)
-            ctx.heap.put(key, Vector.make(sizes[index]))
+            _, lo, hi = spans[ctx.place.id]
+            ctx.heap.put(key, Vector.make(hi - lo))
 
-        self.runtime.finish_all(group, alloc, label=f"{self.name}:alloc")
+        self.runtime.finish_all(self.group, alloc, label=f"{self.name}:alloc")
 
     # -- segment access -------------------------------------------------------
 
@@ -115,15 +126,14 @@ class DistVector(MultiPlaceObject):
         flops_per_cell: float = 1.0,
         label: str = "cellwise",
     ) -> "DistVector":
-        group, key = self.group, self.heap_key
-        partition = self.partition
+        key, spans = self.heap_key, self._spans
 
         def task(ctx: PlaceContext) -> None:
-            lo, hi = partition.range_of(group.index_of(ctx.place))
+            _, lo, hi = spans[ctx.place.id]
             fn(ctx.heap.get(key), lo, hi)
 
         self.runtime.finish_all(
-            group, task, label=f"{self.name}:{label}", flops=self._flops(flops_per_cell)
+            self.group, task, label=f"{self.name}:{label}", flops=self._flops(flops_per_cell)
         )
         return self
 
@@ -211,17 +221,16 @@ class DistVector(MultiPlaceObject):
         require(isinstance(dup, DupVector), "dot expects a DupVector operand")
         require(dup.n == self.n, "length mismatch in dot")
         require(dup.group == self.group, "operands on different groups")
-        group = self.group
+        key, dup_key, spans = self.heap_key, dup.heap_key, self._spans
 
         def task(ctx: PlaceContext) -> float:
-            index = group.index_of(ctx.place)
-            lo, hi = self.partition.range_of(index)
-            seg: Vector = ctx.heap.get(self.heap_key)
-            full: Vector = ctx.heap.get(dup.heap_key)
+            _, lo, hi = spans[ctx.place.id]
+            seg: Vector = ctx.heap.get(key)
+            full: Vector = ctx.heap.get(dup_key)
             return float(seg.data @ full.data[lo:hi])
 
         partials = self.runtime.finish_all(
-            group, task, ret_bytes=8, label=f"{self.name}:dot", flops=self._flops(2)
+            self.group, task, ret_bytes=8, label=f"{self.name}:dot", flops=self._flops(2)
         )
         # The per-place partials ride back on the finish termination
         # messages; the scalar is folded at the finish home (GML's reduce).
@@ -300,18 +309,17 @@ class DistVector(MultiPlaceObject):
         require(isinstance(dup, DupVector), "from_dup expects a DupVector")
         require(dup.n == self.n, "length mismatch in from_dup")
         require(dup.group == self.group, "operands on different groups")
-        group = self.group
+        key, dup_key, spans = self.heap_key, dup.heap_key, self._spans
 
         def task(ctx: PlaceContext) -> None:
-            index = group.index_of(ctx.place)
-            lo, hi = self.partition.range_of(index)
-            seg: Vector = ctx.heap.get(self.heap_key)
-            full: Vector = ctx.heap.get(dup.heap_key)
+            _, lo, hi = spans[ctx.place.id]
+            seg: Vector = ctx.heap.get(key)
+            full: Vector = ctx.heap.get(dup_key)
             seg.touch()
             seg.data[:] = full.data[lo:hi]
 
         self.runtime.finish_all(
-            group, task, label=f"{self.name}:from_dup", flops=self._flops(1)
+            self.group, task, label=f"{self.name}:from_dup", flops=self._flops(1)
         )
         return self
 
@@ -340,6 +348,7 @@ class DistVector(MultiPlaceObject):
             partition if partition is not None else Partition1D.even(self.n, new_group.size)
         )
         require(self.partition.num_segments == new_group.size, "partition/group size mismatch")
+        self._drop_plans()
         self._allocate()
         return self
 
@@ -354,6 +363,7 @@ class DistVector(MultiPlaceObject):
         """
         require(new_group.size == self.group.size, "rehome cannot resize the group")
         self.group = new_group
+        self._drop_plans()
         key, sizes = self.heap_key, self.partition.sizes
 
         def stale(index: int) -> bool:
@@ -390,37 +400,33 @@ class DistVector(MultiPlaceObject):
         """Reload segments; repartition via overlap copies if needed."""
         require(snapshot.meta.get("n") == self.n, "snapshot is for a different vector")
         old_partition = Partition1D(self.n, snapshot.meta["sizes"])
-        group = self.group
+        self._drop_plans()
+        key, spans = self.heap_key, self._spans
 
         if old_partition == self.partition:
             # Unchanged partition: whole-segment (block-by-block) reload.
             def load(ctx: PlaceContext) -> None:
-                index = group.index_of(ctx.place)
-                payload: Vector = snapshot.fetch(ctx, index)
-                ctx.heap.get(self.heap_key).set_sub_vector(0, payload)
+                payload: Vector = snapshot.fetch(ctx, spans[ctx.place.id][0])
+                ctx.heap.get(key).set_sub_vector(0, payload)
 
-            self.runtime.finish_all(group, load, label=f"{self.name}:restore")
+            self.runtime.finish_all(self.group, load, label=f"{self.name}:restore")
             return
 
         # Changed partition: each new segment pulls its overlap sub-ranges
-        # from the old owners (§IV-B2's sub-block copies, 1-D case).
-        overlaps = self.partition.overlaps(old_partition)
-        by_new: dict = {}
-        for new_seg, old_seg, start, end in overlaps:
-            by_new.setdefault(new_seg, []).append((old_seg, start, end))
+        # from the old owners (§IV-B2's sub-block copies, 1-D case), planned
+        # before any task runs — per place id, ``(old segment, cut in it,
+        # paste offset, bytes)``.
+        ids, lows, old_lows = self.group.ids, self.partition.offsets, old_partition.offsets
+        pieces: Dict[int, list] = {}
+        for new_seg, old_seg, start, end in self.partition.overlaps(old_partition):
+            olo = old_lows[old_seg]
+            pieces.setdefault(ids[new_seg], []).append(
+                (old_seg, (start - olo, end - olo), start - lows[new_seg], (end - start) * 8)
+            )
 
         def load_repartitioned(ctx: PlaceContext) -> None:
-            index = group.index_of(ctx.place)
-            lo, _hi = self.partition.range_of(index)
-            seg: Vector = ctx.heap.get(self.heap_key)
-            for old_seg, start, end in by_new.get(index, []):
-                olo, _ohi = old_partition.range_of(old_seg)
-                piece: Vector = snapshot.fetch(
-                    ctx,
-                    old_seg,
-                    extract=lambda v, s=start - olo, e=end - olo: v.sub_vector(s, e),
-                    extract_bytes=(end - start) * 8,
-                )
-                seg.set_sub_vector(start - lo, piece)
+            seg: Vector = ctx.heap.get(key)
+            for old_seg, cut, offset, nbytes in pieces.get(ctx.place.id, ()):
+                seg.set_sub_vector(offset, snapshot.fetch(ctx, old_seg, cut=cut, nbytes=nbytes))
 
-        self.runtime.finish_all(group, load_repartitioned, label=f"{self.name}:restore")
+        self.runtime.finish_all(self.group, load_repartitioned, label=f"{self.name}:restore")

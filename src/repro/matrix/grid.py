@@ -8,15 +8,14 @@ used by ``DistVector`` segments.
 The *overlap* computation between two grids is the core of the paper's
 repartitioned restore (§IV-B2, Fig. 1-c): when a ``DistBlockMatrix`` is
 restored with a different data grid, every new block must be assembled from
-the sub-regions of old blocks it intersects.  :meth:`Grid.overlaps_of_block`
-enumerates those regions exactly.
+the sub-regions of old blocks it intersects.  :meth:`Grid.overlaps`
+enumerates those regions exactly, as plain tuples.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.util.validation import check_index, check_positive, require
 
@@ -38,48 +37,6 @@ def offsets_of(sizes: Sequence[int]) -> List[int]:
     for s in sizes:
         offsets.append(offsets[-1] + s)
     return offsets
-
-
-@dataclass(frozen=True)
-class Region:
-    """A half-open rectangular region in *global* matrix coordinates."""
-
-    row_start: int
-    row_end: int
-    col_start: int
-    col_end: int
-
-    @property
-    def rows(self) -> int:
-        return self.row_end - self.row_start
-
-    @property
-    def cols(self) -> int:
-        return self.col_end - self.col_start
-
-    @property
-    def area(self) -> int:
-        return self.rows * self.cols
-
-    def is_empty(self) -> bool:
-        return self.rows <= 0 or self.cols <= 0
-
-    def intersect(self, other: "Region") -> "Region":
-        return Region(
-            max(self.row_start, other.row_start),
-            min(self.row_end, other.row_end),
-            max(self.col_start, other.col_start),
-            min(self.col_end, other.col_end),
-        )
-
-
-@dataclass(frozen=True)
-class Overlap:
-    """One overlap region between a new block and an old block."""
-
-    new_block: Tuple[int, int]
-    old_block: Tuple[int, int]
-    region: Region
 
 
 class Partition1D:
@@ -234,12 +191,6 @@ class Grid:
             self._check_block(rb, cb)
         return self.row_offsets[rb], self.col_offsets[cb]
 
-    def block_region(self, rb: int, cb: int) -> Region:
-        """The block's extent as a global-coordinate :class:`Region`."""
-        r0, c0 = self.block_origin(rb, cb)
-        h, w = self.block_dims(rb, cb)
-        return Region(r0, r0 + h, c0, c0 + w)
-
     def block_containing(self, i: int, j: int) -> Tuple[int, int]:
         """The ``(rb, cb)`` of the block holding element ``(i, j)``."""
         check_index(i, self.m, "row")
@@ -264,30 +215,33 @@ class Grid:
 
     # -- overlap math (repartitioned restore) -----------------------------
 
-    def _band_range(self, offsets: List[int], start: int, end: int) -> range:
-        """Indices of bands intersecting the half-open range [start, end)."""
-        first = bisect.bisect_right(offsets, start) - 1
-        last = bisect.bisect_left(offsets, end)
-        return range(max(first, 0), last)
+    def overlaps(
+        self, old: "Grid"
+    ) -> Dict[Tuple[int, int], List[Tuple[int, int, int, int, int, int]]]:
+        """Per block ``(rb, cb)`` of this grid, the regions of *old*'s blocks
+        covering it: ``(orb, ocb, r0, r1, c0, c1)`` in global coordinates,
+        old blocks row-major; a zero-area block has none.
 
-    def overlaps_of_block(self, rb: int, cb: int, old: "Grid") -> List[Overlap]:
-        """All regions of *old* grid blocks covering new block ``(rb, cb)``.
-
-        The union of the returned regions is exactly the new block's extent
-        (property-tested); this enumerates the sub-block copies the paper's
-        repartitioned restore performs.
+        The regions tile each block exactly (property-tested): a block's
+        overlaps are its row band's overlaps with *old*'s row bands times its
+        column band's with *old*'s column bands (:meth:`Partition1D.overlaps`
+        twice) — the sub-block copies of the paper's repartitioned restore.
         """
         require(old.m == self.m and old.n == self.n, "grids cover different matrices")
-        new_region = self.block_region(rb, cb)
-        if new_region.is_empty():
-            return []
-        result: List[Overlap] = []
-        for orb in self._band_range(old.row_offsets, new_region.row_start, new_region.row_end):
-            for ocb in self._band_range(old.col_offsets, new_region.col_start, new_region.col_end):
-                region = new_region.intersect(old.block_region(orb, ocb))
-                if not region.is_empty():
-                    result.append(Overlap((rb, cb), (orb, ocb), region))
-        return result
+        rows: Dict[int, List[Tuple[int, int, int]]] = {}
+        for rb, orb, r0, r1 in self.row_partition().overlaps(old.row_partition()):
+            rows.setdefault(rb, []).append((orb, r0, r1))
+        cols: Dict[int, List[Tuple[int, int, int]]] = {}
+        for cb, ocb, c0, c1 in self.col_partition().overlaps(old.col_partition()):
+            cols.setdefault(cb, []).append((ocb, c0, c1))
+        return {
+            (rb, cb): [
+                (orb, ocb, r0, r1, c0, c1)
+                for orb, r0, r1 in rows.get(rb, ())
+                for ocb, c0, c1 in cols.get(cb, ())
+            ]
+            for rb, cb in self.iter_blocks()
+        }
 
     def same_blocking(self, other: "Grid") -> bool:
         """True if both grids cut the matrix identically (block-by-block restore)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter, methodcaller
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.resilience.snapshot import Snapshottable
 from repro.runtime.place import Place, PlaceGroup
@@ -57,6 +57,21 @@ class MultiPlaceObject(Snapshottable):
         #: A plain attribute (the oid never changes): the heap addressing
         #: paths read it tens of thousands of times per chaos schedule.
         self.heap_key = ("gml", self.oid)
+
+    #: Names of the ``cached_property`` plans a subclass derives from its
+    #: layout (group, partition, grid): :meth:`_drop_plans` forgets them when
+    #: the layout changes, and fork images never carry them.
+    _PLANS: Tuple[str, ...] = ()
+
+    def _drop_plans(self) -> None:
+        for name in self._PLANS:
+            self.__dict__.pop(name, None)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._PLANS:
+            state.pop(name, None)
+        return state
 
     def _new_snapshot(self, meta: dict) -> "object":
         """Build this object's snapshot store per its configuration."""

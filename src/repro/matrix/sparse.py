@@ -264,6 +264,10 @@ class SparseCSR:
 
     freeze_view = _freeze_view
 
+    #: The attributes :meth:`payload_arrays` returns, in order: what a
+    #: snapshot save freezes and sizes without a call.
+    ARRAY_NAMES = ("indptr", "indices", "values")
+
     def payload_arrays(self) -> Tuple[np.ndarray, ...]:
         """Backing arrays for snapshot checksumming (``repro.util.checksum``)."""
         return (self.indptr, self.indices, self.values)
@@ -529,6 +533,7 @@ class SparseCSC:
         self.version = next_version()
 
     freeze_view = _freeze_view
+    ARRAY_NAMES = SparseCSR.ARRAY_NAMES
 
     def payload_arrays(self) -> Tuple[np.ndarray, ...]:
         """Backing arrays for snapshot checksumming (``repro.util.checksum``)."""

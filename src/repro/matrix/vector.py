@@ -92,6 +92,10 @@ class Vector:
         alias.data, alias.n, alias.version = self.data, self.n, next_version()
         return alias
 
+    #: The attributes :meth:`payload_arrays` returns, in order: what a
+    #: snapshot save freezes and sizes without a call.
+    ARRAY_NAMES = ("data",)
+
     def payload_arrays(self):
         """The backing arrays (checksum / corruption protocol)."""
         return (self.data,)
@@ -203,8 +207,8 @@ class Vector:
 
     def set_sub_vector(self, lo: int, block: "Vector") -> None:
         """Paste *block* starting at *lo*."""
-        if lo + block.n > self.n:
-            raise ValueError("block exceeds bounds")
+        if not 0 <= lo <= lo + block.n <= self.n:
+            raise ValueError(f"bad range [{lo},{lo + block.n}) for n={self.n}")
         self.touch()
         self.data[lo : lo + block.n] = block.data
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from functools import cached_property
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.resilience.placement import ReplicaPlacement, RingPlacement
 from repro.runtime.exceptions import (
@@ -45,11 +45,14 @@ from repro.runtime.exceptions import (
 )
 from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
-from repro.util.bytesize import freeze_and_size, payload_nbytes
+from repro.util.bytesize import FRAMING_BYTES, payload_nbytes
 from repro.util.checksum import corrupt_payload, memoized_checksum
 from repro.util.validation import require
 
 _snap_counter = itertools.count()
+_INF = float("inf")
+#: ``payload_nbytes`` of a block set's key, an ``(rb, cb)`` pair.
+_BLOCK_KEY_NBYTES = payload_nbytes((0, 0))
 
 #: First element of every heap key a snapshot store writes: primary, backup,
 #: parity block and parity-reconstructed partition (the last two belong to
@@ -166,10 +169,12 @@ class DistObjectSnapshot:
     # -- the copy table ------------------------------------------------------
 
     def _home_table(self) -> List[Tuple[Place, ...]]:
-        places = list(self.group)
+        places = self.group._places
         # Tier t's column is the group rotated by that tier's ring offset
         # (0 for the primary), so row *key* reads places[(key + offset) % size].
-        columns = [places[o:] + places[:o] for o in (0, *self._offsets)]
+        columns = []
+        for offset in (0, *self._offsets):
+            columns.append(places[offset:] + places[:offset])
         return list(zip(*columns))
 
     @cached_property
@@ -184,15 +189,13 @@ class DistObjectSnapshot:
         key)``; the passes over the rows test that inline.
         """
         sid = self.snap_id
-        # Built by tier column, like ``_home_table``, then transposed back.
-        columns = [
-            [
-                (tier, place.id, ("snapb", sid, key, tier) if tier else ("snap", sid, key))
-                for key, place in enumerate(column)
-            ]
-            for tier, column in enumerate(zip(*self._homes))
-        ]
-        return list(zip(*columns)) or [()] * len(self._homes)
+        rows = []
+        for key, homes in enumerate(self._homes):
+            row = [(0, homes[0].id, ("snap", sid, key))] if homes else []
+            for tier in range(1, len(homes)):
+                row.append((tier, homes[tier].id, ("snapb", sid, key, tier)))
+            rows.append(tuple(row))
+        return rows
 
     def __getstate__(self) -> Dict[str, Any]:
         # Every fork image holds every snapshot; a load re-derives the rows.
@@ -227,15 +230,41 @@ class DistObjectSnapshot:
 
         *token* is the partition's mutation-version token; recording it is
         what lets the next delta save prove the partition clean.
+
+        The payload is a class of the payload protocol (its ``ARRAY_NAMES``)
+        or a block set ``{(rb, cb): block}`` of them; anything else is a
+        ``TypeError`` before any copy is written.  One walk freezes its
+        arrays and sizes it as ``payload_nbytes`` would; the charges
+        (memcpy, fan-out, message wait, checksum, in that order) are inline
+        but for the engine's transfers.
         """
         place = ctx.place
         places = self.group._places
         if not (0 <= key < len(places) and places[key] is place):
             self._check_owner(ctx, key)
+        # Freeze every backing array and size the payload as
+        # ``payload_nbytes`` does, in one walk over the arrays.
+        if type(payload) is dict:
+            leaves = payload.values()
+            nbytes = FRAMING_BYTES + _BLOCK_KEY_NBYTES * len(payload)
+        else:
+            leaves, nbytes = (payload,), 0
+        for leaf in leaves:
+            names = getattr(type(leaf), "ARRAY_NAMES", None)
+            if names is None:
+                raise TypeError(f"cannot snapshot a {type(leaf).__name__} payload")
+            nbytes += FRAMING_BYTES
+            for name in names:
+                array = getattr(leaf, name)
+                array.setflags(write=False)
+                nbytes += array.nbytes
         rt = self.runtime
-        zero = rt.engine.zero_fast()
-        nbytes = freeze_and_size(payload)
-        owner_id = place.id
+        cost, clock, engine = rt.cost, rt.clock, rt.engine
+        # ``Scheduler.zero_fast``, inlined: every charge below is 0.0.
+        zero = (
+            cost.is_zero and not clock._moved and engine.faults is None and not engine._tl_enabled
+        )
+        times, owner_id = clock._times, place.id
         copies = self._rows[key]
         fanout = []
         for tier, pid, heap_key in copies:
@@ -247,9 +276,14 @@ class DistObjectSnapshot:
                 # bytes are paid for once, by the primary's memcpy.
                 ctx.heap.put(heap_key, payload)
                 if tier == 0 and not zero:
-                    ctx.charge_memcpy(nbytes)
+                    # ``ctx.charge_memcpy(nbytes)``, inlined.
+                    dt = cost.memcpy_byte_time * nbytes * cost.logical_scale
+                    if 0.0 < dt < _INF and not clock._slowdown:
+                        times[owner_id] += dt
+                        clock._moved = True
+                    elif dt != 0.0:
+                        clock.advance(owner_id, dt)
         if fanout:
-            cost = rt.cost
             if zero:
                 # All timing lands on 0.0; only liveness (checked in the
                 # same order the per-destination transfers would) and the
@@ -259,19 +293,16 @@ class DistObjectSnapshot:
                     if not alive.get(pid, False):
                         raise DeadPlaceException(pid)
             else:
-                rt.engine.transfer_fanout(
-                    owner_id, [pid for pid, _ in fanout], nbytes, ctx.now
-                )
-                rt.clock.set_at_least(
-                    owner_id, ctx.now + len(fanout) * cost.message(0)
-                )
+                dst_ids = [pid for pid, _ in fanout]
+                engine.transfer_fanout(owner_id, dst_ids, nbytes, times[owner_id])
+                clock.set_at_least(owner_id, times[owner_id] + len(fanout) * cost.message(0))
             heaps = rt._heaps
             for pid, heap_key in fanout:
                 heaps[pid].put(heap_key, payload)
             rt.stats.messages += len(fanout)
-            rt.stats.bytes_sent += len(fanout) * cost.scaled_bytes(nbytes)
+            rt.stats.bytes_sent += len(fanout) * (nbytes * cost.logical_scale)
         if self.stable_fallback:
-            rt.engine.stable_write(owner_id, nbytes)
+            engine.stable_write(owner_id, nbytes)
             self._stable[key] = payload
         # The partition is checksummed *once per save* in virtual time;
         # the actual CRC pass is deferred until a verify first needs it
@@ -279,7 +310,13 @@ class DistObjectSnapshot:
         self._checksums.pop(key, None)
         self._crc_pending[key] = (payload, token)
         if not zero:
-            ctx.charge_seconds(rt.cost.checksum(nbytes))
+            # ``ctx.charge_seconds(cost.checksum(nbytes))``, inlined.
+            dt = cost.checksum_byte_time * nbytes * cost.logical_scale
+            if 0.0 < dt < _INF and not clock._slowdown:
+                times[owner_id] += dt
+                clock._moved = True
+            elif dt != 0.0:
+                clock.advance(owner_id, dt)
         verified = self._verified
         for tier in range(len(copies)):
             verified.add((key, tier))
@@ -520,55 +557,71 @@ class DistObjectSnapshot:
         self,
         ctx: PlaceContext,
         key: int,
-        extract: Optional[Callable[[Any], Any]] = None,
-        extract_flops: float = 0.0,
-        extract_bytes: float = 0.0,
+        part: Optional[Hashable] = None,
+        cut: Optional[Tuple[int, ...]] = None,
+        flops: float = 0.0,
+        nbytes: float = 0.0,
     ) -> Any:
-        """Load partition *key* (or an extracted part) to the calling place.
+        """Load partition *key*, or one piece of it, to the calling place.
 
-        ``extract`` runs at the *source* place — this models the paper's
-        repartitioned restore, where the owning place cuts out only the
-        overlap region and ships just that sub-block.  ``extract_flops``
-        charges the scanning work (e.g. the sparse non-zero counting pass)
-        and ``extract_bytes`` the copy that materializes the sub-block.
+        A piece is named, not computed by the caller: *part* picks one block
+        of a block-set payload, and *cut* a sub-range of that block (or of
+        the whole payload) — ``(lo, hi)`` of a vector, ``(r0, r1, c0, c1)``
+        of a matrix, taken by its ``sub_vector`` / ``sub_matrix``.  A block
+        named without a cut comes back as a ``freeze_view`` alias.  The
+        piece is cut at the *source* place — the paper's repartitioned
+        restore, where the owning place cuts out only the overlap region and
+        ships just that sub-block — which is charged *flops* of scanning
+        (e.g. the sparse non-zero counting pass) and *nbytes* of the copy
+        that materializes the piece.
 
         When no in-memory copy serves the read it comes off the stable
         tier: the restoring place pays the engine's disk read for the
-        *whole* partition and cuts the sub-block locally (there is no
-        owning place left to run the extractor on) — the full-reload cost
-        the paper's data-flow comparison points at.
+        *whole* partition and cuts the piece locally (there is no owning
+        place left to cut it) — the full-reload cost the paper's data-flow
+        comparison points at.
         """
         src_id, heap_key = self.locate(key)
+        rt = self.runtime
+        cost = rt.cost
+        piece = part is not None or cut is not None
         if src_id == self.STABLE_TIER:
             payload = self._stable[key]
-            self.runtime.engine.stable_read(ctx.place.id, self._nbytes[key])
+            rt.engine.stable_read(ctx.place.id, self._nbytes[key])
             if self._homes[key]:
                 # A fall-through is only counted where there was a memory
                 # tier to fall from; a disk-only store reads disk by design.
                 self.fallback_reads += 1
-                self.runtime.stats.stable_fallback_reads += 1
-            if extract is not None:
-                payload = extract(payload)
-                ctx.charge_memcpy(payload_nbytes(payload))
-            return payload
-        rt = self.runtime
-        payload = rt._heaps[src_id].get(heap_key)  # locate() found the place alive
-        if extract is not None:
-            cost = rt.cost
-            charge = cost.flops(extract_flops) + cost.memcpy(extract_bytes)
-            if charge:
-                rt.clock.advance(src_id, charge)
-            payload = extract(payload)
-        local = src_id == ctx.place.id
-        if local and rt.engine.zero_fast():
-            # The size of a local read only feeds the (zero) memcpy charge.
-            return payload
-        # A whole partition was measured when it was saved.
-        nbytes = self._nbytes[key] if extract is None else payload_nbytes(payload)
-        if local:
-            ctx.charge_memcpy(nbytes)
+                rt.stats.stable_fallback_reads += 1
         else:
-            _ = ctx.read_remote(src_id, heap_key, nbytes)
+            payload = rt._heaps[src_id].get(heap_key)  # locate() found the place alive
+            if piece:
+                # ``cost.flops(flops) + cost.memcpy(nbytes)``, inlined.
+                scale = cost.logical_scale
+                charge = cost.flop_time * flops * scale + cost.memcpy_byte_time * nbytes * scale
+                if charge:
+                    rt.clock.advance(src_id, charge)
+        if not piece:
+            size = self._nbytes[key]  # measured when the partition was saved
+        else:
+            if part is not None:
+                payload = payload[part]
+            if cut is None:
+                payload = payload.freeze_view()
+            elif len(cut) == 2:
+                payload = payload.sub_vector(*cut)
+            else:
+                payload = payload.sub_matrix(*cut)
+            size = FRAMING_BYTES  # ``payload_nbytes(payload)``, inlined
+            for name in type(payload).ARRAY_NAMES:
+                size += getattr(payload, name).nbytes
+        if src_id == ctx.place.id:
+            if not cost.is_zero:  # a zero model's memcpy is a no-op
+                ctx.charge_memcpy(size)
+        elif src_id != self.STABLE_TIER:
+            ctx.read_remote(src_id, heap_key, size)
+        elif piece:
+            ctx.charge_memcpy(size)  # the local cut of a disk read
         return payload
 
     def verify_all(self) -> Tuple[int, int]:

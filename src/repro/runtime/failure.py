@@ -85,8 +85,9 @@ class ScriptedKill:
 class FailureInjector:
     """Decides which places die and when.
 
-    The runtime polls :meth:`due_at_phase` at every phase boundary and the
-    executor polls :meth:`due_at_iteration` at every iteration boundary.
+    The runtime polls :meth:`due_at_phase` at every phase boundary (while
+    ``pending_at_finish``) and the executor polls :meth:`due_at_iteration`
+    at every iteration boundary.
     The executor additionally brackets checkpoints and restores with
     :meth:`enter_context` / :meth:`exit_context` so ``during=`` kills land
     mid-protocol (while backup transfers or partition reloads are in
@@ -98,13 +99,24 @@ class FailureInjector:
         self._fired: Set[int] = set()
         self._active_contexts: List[str] = []
         self._context_counts: Dict[str, int] = {}
+        #: Unfired kills a finish entry can fire — phase, time and ``during``
+        #: triggers; iteration kills are the executor's.  The runtime polls
+        #: :meth:`due_at_phase` only while this is nonzero.  Derived from
+        #: ``kills`` and ``_fired``: recounted on load, never pickled.
+        self.pending_at_finish = 0
         for kill in kills or []:
             self.add(kill)
 
-    @property
-    def all_fired(self) -> bool:
-        """True when no scripted kill is still pending (O(1) hot-path gate)."""
-        return len(self._fired) >= len(self.kills)
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        del state["pending_at_finish"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.pending_at_finish = sum(
+            kill.iteration is None for i, kill in enumerate(self.kills) if i not in self._fired
+        )
 
     # -- scripting ----------------------------------------------------------
 
@@ -123,6 +135,8 @@ class FailureInjector:
                     f"this kill fires"
                 )
         self.kills.append(kill)
+        if kill.iteration is None:
+            self.pending_at_finish += 1
         return self
 
     def kill_at_iteration(self, place_id: int, iteration: int) -> "FailureInjector":
@@ -190,6 +204,8 @@ class FailureInjector:
                 continue
             if predicate(kill):
                 self._fired.add(idx)
+                if kill.iteration is None:
+                    self.pending_at_finish -= 1
                 due.append(kill.place_id)
         return due
 

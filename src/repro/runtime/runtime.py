@@ -163,13 +163,14 @@ class PlaceContext:
         rt = self.runtime
         if src_place_id == self.place.id:
             return self.heap.get(key)
-        rt.check_alive(src_place_id)
-        if rt.engine.zero_fast():
+        if not rt._alive.get(src_place_id, False):
+            raise DeadPlaceException(src_place_id)
+        cost, clock, engine = rt.cost, rt.clock, rt.engine
+        # ``engine.zero_fast()``, inlined: no transfer can take time.
+        if cost.is_zero and not clock._moved and engine.faults is None and not engine._tl_enabled:
             rt.stats.messages += 2
-            rt.stats.bytes_sent += rt.cost.scaled_bytes(nbytes)
-            return rt.heap_of(src_place_id).get(key)
-        cost = rt.cost
-        clock = rt.clock
+            rt.stats.bytes_sent += nbytes * cost.logical_scale
+            return rt._heaps[src_place_id].get(key)
         t_req = self.now + cost.message(0)
         t_reply = rt.transfer(src_place_id, self.place.id, nbytes, t_req)
         clock.set_at_least(self.place.id, t_reply)
@@ -483,7 +484,7 @@ class Runtime:
         explicitly so ``kill_during(context=...)`` triggers can land inside
         it too.
         """
-        if not self.injector.all_fired:  # else skip the global-time max + scan
+        if self.injector.pending_at_finish:  # else skip the global-time max + scan
             self._fire_due_failures()
 
     # -- execution -----------------------------------------------------------
@@ -644,7 +645,7 @@ class Runtime:
                 charges = None
 
         self.phase += 1
-        if not self.injector.all_fired:
+        if self.injector.pending_at_finish:
             self._fire_due_failures()
 
         # Otherwise every time below is provably 0.0 (Scheduler.zero_fast) and

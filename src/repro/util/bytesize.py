@@ -12,8 +12,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.util.versioning import freeze_payload
-
 #: Fixed framing overhead per serialized object (message header, type tag).
 FRAMING_BYTES = 64
 
@@ -47,21 +45,3 @@ def payload_nbytes(obj: Any) -> int:
     if nbytes is not None:
         return int(nbytes) + FRAMING_BYTES
     raise TypeError(f"cannot size payload of type {type(obj).__name__}")
-
-
-def freeze_and_size(obj: Any) -> int:
-    """Freeze *obj* and return ``payload_nbytes(obj)``, in one walk.
-
-    What a snapshot save needs of a payload: every backing array marked
-    read-only (:func:`repro.util.versioning.freeze_payload`) and the size
-    the cost model charges for it.  Containers are descended once; a leaf
-    is frozen and then sized without another descent.
-    """
-    if isinstance(obj, dict):
-        return FRAMING_BYTES + sum(
-            [payload_nbytes(k) + freeze_and_size(v) for k, v in obj.items()]
-        )
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return FRAMING_BYTES + sum([freeze_and_size(item) for item in obj])
-    freeze_payload(obj)
-    return payload_nbytes(obj)

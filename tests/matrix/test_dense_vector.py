@@ -73,6 +73,15 @@ class TestDenseMatrix:
         with pytest.raises(ValueError):
             a.set_sub_matrix(2, 2, DenseMatrix.make(2, 2))
 
+    def test_negative_paste_offset_rejected(self):
+        """Like ``sub_matrix``, a paste rejects a negative corner instead of
+        wrapping it around (or silently writing nothing)."""
+        a = DenseMatrix.make(4, 4)
+        for r0, c0 in ((-1, 0), (0, -1), (-4, -4)):
+            with pytest.raises(ValueError, match="bad (row|col) range"):
+                a.set_sub_matrix(r0, c0, DenseMatrix(np.ones((1, 2))))
+        assert not a.data.any()
+
     def test_equals_approx(self):
         a = DenseMatrix(np.ones((2, 2)))
         b = DenseMatrix(np.ones((2, 2)) + 1e-12)
@@ -141,6 +150,14 @@ class TestVector:
             v.sub_vector(1, 5)
         with pytest.raises(ValueError):
             v.set_sub_vector(2, Vector.make(2))
+
+    def test_negative_paste_offset_rejected(self):
+        """Like ``sub_vector``, a paste rejects a negative offset instead of
+        writing the cells it wraps around to."""
+        v = Vector.make(10)
+        with pytest.raises(ValueError, match="bad range"):
+            v.set_sub_vector(-3, Vector.of([1.0, 2.0]))
+        assert not v.data.any()
 
     @given(arrays(np.float64, 10, elements=finite), arrays(np.float64, 10, elements=finite))
     def test_dot_matches_numpy(self, a, b):

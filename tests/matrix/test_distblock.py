@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matrix.distblock import DistBlockMatrix
+from repro.matrix.distblock import DistBlockMatrix, regrid_plan
 from repro.matrix.grid import Grid
 from repro.matrix.random import LinkMatrix
 from repro.runtime import CostModel, DeadPlaceException, PlaceGroup, Runtime
@@ -221,6 +221,51 @@ class TestSnapshotRestore:
         g.remake(rt.world, new_grid=Grid.partition(m, n, new_rbs, new_cbs))
         g.restore_snapshot(snap)
         assert np.array_equal(g.to_dense().data, ref)
+
+
+@st.composite
+def _bands(draw, total):
+    """Band sizes summing to *total*, zero-size bands included."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=5)))
+    edges = [0, *cuts, total]
+    return [hi - lo for lo, hi in zip(edges, edges[1:])]
+
+
+@st.composite
+def _old_and_new_grids(draw):
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    return tuple(Grid(m, n, draw(_bands(m)), draw(_bands(n))) for _ in range(2))
+
+
+class TestRegridPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(grids=_old_and_new_grids(), sparse=st.booleans())
+    def test_pieces_tile_every_new_block_once(self, grids, sparse):
+        """Every planned piece is a non-empty cut inside its old block, pasted
+        where the same global cells lie in the new one, and together the
+        pieces cover each new block exactly once, as a regular grid of tiles."""
+        old, new = grids
+        owners = {key: 10 * key[0] + key[1] for key in old.iter_blocks()}
+        plan = regrid_plan(new, old, owners, {} if sparse else None)
+        assert sorted(plan) == list(new.iter_blocks())
+        for (rb, cb), (h, w, tiles) in plan.items():
+            assert (h, w) == new.block_dims(rb, cb)
+            cover = np.zeros((h, w), dtype=int)
+            for row in tiles:
+                assert len({orb for _, (orb, _), *_ in row}) == 1
+                assert [ocb for _, (_, ocb), *_ in row] == [ocb for _, (_, ocb), *_ in tiles[0]]
+                for owner, (orb, ocb), (r0, r1, c0, c1), (dr, dc), flops, nbytes in row:
+                    assert owner == owners[(orb, ocb)]
+                    oh, ow = old.block_dims(orb, ocb)
+                    assert 0 <= r0 < r1 <= oh and 0 <= c0 < c1 <= ow
+                    assert old.block_origin(orb, ocb) == (
+                        new.row_offsets[rb] + dr - r0,
+                        new.col_offsets[cb] + dc - c0,
+                    )
+                    if not sparse:
+                        assert (flops, nbytes) == (0.0, (r1 - r0) * (c1 - c0) * 8)
+                    cover[dr : dr + r1 - r0, dc : dc + c1 - c0] += 1
+            assert np.all(cover == 1)
 
 
 class TestSharedZeroBlocks:

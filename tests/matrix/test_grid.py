@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matrix.grid import Grid, Partition1D, Region, offsets_of, split_even
+from repro.matrix.grid import Grid, Partition1D, offsets_of, split_even
 
 
 class TestSplitEven:
@@ -102,7 +102,7 @@ class TestGrid:
         g = Grid.partition(10, 7, 3, 2)
         assert g.block_dims(1, 1) == (3, 3)
         assert g.block_origin(1, 1) == (4, 4)
-        assert g.block_region(2, 0) == Region(7, 10, 0, 4)
+        assert (g.block_origin(2, 0), g.block_dims(2, 0)) == ((7, 0), (3, 4))
 
     def test_block_id_roundtrip(self):
         g = Grid.partition(10, 7, 3, 2)
@@ -136,16 +136,13 @@ class TestGrid:
 
     def test_overlaps_same_grid(self):
         g = Grid.partition(10, 7, 3, 2)
-        ovs = g.overlaps_of_block(1, 1, g)
-        assert len(ovs) == 1
-        assert ovs[0].old_block == (1, 1)
-        assert ovs[0].region == g.block_region(1, 1)
+        assert g.overlaps(g)[(1, 1)] == [(1, 1, 4, 7, 4, 7)]
 
     def test_overlaps_regridded(self):
         old = Grid.partition(10, 10, 2, 2)  # 5x5 blocks
         new = Grid.partition(10, 10, 3, 3)
-        ovs = new.overlaps_of_block(1, 1, old)  # rows 4-7, cols 4-7 spans all 4 old blocks
-        assert {o.old_block for o in ovs} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        ovs = new.overlaps(old)[(1, 1)]  # rows 4-7, cols 4-7 spans all 4 old blocks
+        assert [(orb, ocb) for orb, ocb, *_ in ovs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     @settings(max_examples=60)
     @given(
@@ -160,19 +157,14 @@ class TestGrid:
         """For every new block, the overlap regions partition it exactly."""
         old = Grid.partition(m, n, orb, ocb)
         new = Grid.partition(m, n, nrb, ncb)
-        for rb in range(new.num_row_blocks):
-            for cb in range(new.num_col_blocks):
-                region = new.block_region(rb, cb)
-                if region.is_empty():
-                    continue
-                cover = np.zeros((region.rows, region.cols), dtype=int)
-                for ov in new.overlaps_of_block(rb, cb, old):
-                    r = ov.region
-                    cover[
-                        r.row_start - region.row_start : r.row_end - region.row_start,
-                        r.col_start - region.col_start : r.col_end - region.col_start,
-                    ] += 1
-                assert np.all(cover == 1)
+        overlaps = new.overlaps(old)
+        assert sorted(overlaps) == list(new.iter_blocks())
+        for (rb, cb), regions in overlaps.items():
+            (br, bc), (h, w) = new.block_origin(rb, cb), new.block_dims(rb, cb)
+            cover = np.zeros((h, w), dtype=int)
+            for _, _, r0, r1, c0, c1 in regions:
+                cover[r0 - br : r1 - br, c0 - bc : c1 - bc] += 1
+            assert np.all(cover == 1)
 
     @given(m=st.integers(1, 80), n=st.integers(1, 80), rb=st.integers(1, 8), cb=st.integers(1, 8))
     def test_blocks_tile_matrix(self, m, n, rb, cb):
@@ -180,23 +172,36 @@ class TestGrid:
         g = Grid.partition(m, n, rb, cb)
         cover = np.zeros((m, n), dtype=int)
         for brb, bcb in g.iter_blocks():
-            r = g.block_region(brb, bcb)
-            cover[r.row_start : r.row_end, r.col_start : r.col_end] += 1
+            (r0, c0), (h, w) = g.block_origin(brb, bcb), g.block_dims(brb, bcb)
+            cover[r0 : r0 + h, c0 : c0 + w] += 1
         assert np.all(cover == 1)
 
 
 class TestRegion:
+    """The regions :meth:`Grid.overlaps` plans, as plain
+    ``(orb, ocb, r0, r1, c0, c1)`` tuples in global coordinates."""
+
     def test_intersect(self):
-        a = Region(0, 5, 0, 5)
-        b = Region(3, 8, 2, 4)
-        assert a.intersect(b) == Region(3, 5, 2, 4)
+        # A region is the intersection of the new block's and the old block's extents.
+        old = Grid(8, 5, [5, 3], [5])
+        new = Grid(8, 5, [3, 5], [2, 3])
+        assert new.overlaps(old)[(1, 0)] == [(0, 0, 3, 5, 0, 2), (1, 0, 5, 8, 0, 2)]
 
     def test_empty(self):
-        assert Region(3, 3, 0, 5).is_empty()
-        assert Region(0, 5, 0, 5).intersect(Region(5, 9, 0, 5)).is_empty()
+        # Zero-size bands: a zero-area new block has no region, and an empty
+        # old band is never a source.
+        old = Grid(5, 5, [3, 0, 2], [5])
+        new = Grid(5, 5, [2, 0, 3], [0, 5])
+        overlaps = new.overlaps(old)
+        assert overlaps[(0, 0)] == overlaps[(1, 1)] == []
+        assert all(orb != 1 for regions in overlaps.values() for orb, *_ in regions)
 
     def test_area(self):
-        assert Region(1, 4, 2, 7).area == 15
+        old = Grid.partition(9, 7, 2, 3)
+        new = Grid.partition(9, 7, 4, 2)
+        for (rb, cb), regions in new.overlaps(old).items():
+            h, w = new.block_dims(rb, cb)
+            assert sum((r1 - r0) * (c1 - c0) for _, _, r0, r1, c0, c1 in regions) == h * w
 
 
 def test_offsets_of():

@@ -92,10 +92,8 @@ class TestLinkMatrix:
         grid = Grid.partition(n, n, rb, cb)
         assembled = np.zeros((n, n))
         for brb, bcb in grid.iter_blocks():
-            r = grid.block_region(brb, bcb)
-            assembled[r.row_start : r.row_end, r.col_start : r.col_end] = link.block(
-                r.row_start, r.row_end, r.col_start, r.col_end
-            ).to_dense()
+            (r0, c0), (h, w) = grid.block_origin(brb, bcb), grid.block_dims(brb, bcb)
+            assembled[r0 : r0 + h, c0 : c0 + w] = link.block(r0, r0 + h, c0, c0 + w).to_dense()
         assert np.array_equal(assembled, full)
 
     def test_destination_range(self):
@@ -121,8 +119,8 @@ class TestLinkMatrix:
         rows, cols = _reference_edges(link)
         grid = Grid.partition(n, n, min(rb, n), min(cb, n))
         for brb, bcb in grid.iter_blocks():
-            r = grid.block_region(brb, bcb)
-            r0, r1, c0, c1 = r.row_start, r.row_end, r.col_start, r.col_end
+            (r0, c0), (h, w) = grid.block_origin(brb, bcb), grid.block_dims(brb, bcb)
+            r1, c1 = r0 + h, c0 + w
             keep = (rows >= r0) & (rows < r1) & (cols >= c0) & (cols < c1)
             reference = SparseCSR.from_coo(
                 r1 - r0,

@@ -171,18 +171,29 @@ class TestFetch:
             assert np.all(fetched[i].data == i)
 
     def test_fetch_with_extractor_runs_at_source(self):
+        """A named piece (*cut*, *part*) is cut — and charged — at the source."""
         rt = make_rt(2, cost=CostModel(flop_time=1.0))
         snap = DistObjectSnapshot(rt, rt.world)
         save_all(rt, snap, lambda i: Vector.of(np.arange(10.0)))
         t_before = rt.clock.now(1)
 
         def load(ctx):
-            return snap.fetch(ctx, 1, extract=lambda v: v.sub_vector(2, 5), extract_flops=50)
+            return snap.fetch(ctx, 1, cut=(2, 5), flops=50)
 
         piece = rt.at(rt.world[0], load)
         assert np.allclose(piece.data, [2, 3, 4])
         # Extraction cost charged at the source place (place 1).
         assert rt.clock.now(1) >= t_before + 50.0
+        with pytest.raises(ValueError, match="bad range"):
+            rt.at(rt.world[0], lambda ctx: snap.fetch(ctx, 1, cut=(-1, 5)))
+
+        blocks = DistObjectSnapshot(rt, rt.world)
+        save_all(rt, blocks, lambda i: {(i, 0): Vector.of([1.0, 2.0]), (i, 1): Vector.of([3.0])})
+        whole = rt.at(rt.world[0], lambda ctx: blocks.fetch(ctx, 1, part=(1, 1)))
+        assert whole.data.tolist() == [3.0] and not whole.data.flags.writeable
+        assert whole is not rt.heap_of(1).get(("snap", blocks.snap_id, 1))[(1, 1)]  # an alias
+        cut = rt.at(rt.world[0], lambda ctx: blocks.fetch(ctx, 1, part=(1, 0), cut=(1, 2)))
+        assert cut.data.tolist() == [2.0]
 
     def test_delete_frees_copies(self):
         rt = make_rt(3)

@@ -1,11 +1,13 @@
-"""Call budget of the data plane (checkpoint save / restore fetch): the tier-1
+"""Call budget of the data plane (checkpoint save / restore read): the tier-1
 stand-in for the benchmark's ``py_calls_m`` on the snapshot stores, beside
 ``test_call_budget.py``'s budget for the simulated-task path.
 
 The world is the chaos campaign's own (6 places, ``CostModel.zero()``, k = 2
-spread replicas), so the counts are the ones a ``chaos_crash`` schedule pays.
-Every Python-level frame is the repo's own (NumPy runs in C): the counts are
-exact and independent of library versions.
+spread replicas), so the counts are the ones a ``chaos_crash`` schedule pays;
+the timed case runs the regression benchmarks' cost model instead.  Every
+Python-level frame is the repo's own (NumPy runs in C): the counts are exact
+and independent of library versions.  Restores are counted per ``locate``:
+every read of a partition or of a piece of one goes through it.
 """
 
 import cProfile
@@ -14,11 +16,16 @@ import pstats
 import pytest
 
 from repro import chaos
+from repro.bench.calibration import regression_cost
+from repro.matrix.distvector import DistVector
 from repro.resilience.iterative import RestoreContext
 from repro.resilience.snapshot import DistObjectSnapshot
+from repro.runtime.factory import make_runtime
 
-MAX_CALLS_PER_SAVED_PARTITION = 24
-MAX_CALLS_PER_FETCH = 45
+MAX_CALLS_PER_SAVED_PARTITION = 9
+MAX_CALLS_PER_TIMED_SAVED_PARTITION = 20
+MAX_CALLS_PER_SHRINK_LOCATE = 20
+MAX_CALLS_PER_REBALANCE_LOCATE = 20
 
 
 def _calls(profile: cProfile.Profile, method) -> int:
@@ -53,14 +60,41 @@ def test_steady_checkpoint_calls_per_saved_partition(world):
     )
 
 
-def test_shrink_restore_calls_per_fetch(world):
+def test_timed_checkpoint_calls_per_saved_partition():
+    """A save that charges memcpy, fan-out transfers, message wait and
+    checksum: 20 places, each partition fanned out to one backup."""
+    rt = make_runtime(20, cost=regression_cost(), resilient=True)
+    x = DistVector.make(rt, 20_000).init_random(1)
+    x.make_snapshot()
+    profile = cProfile.Profile(builtins=False)
+    profile.runcall(x.make_snapshot)
+    saved = _calls(profile, DistObjectSnapshot.save_from)
+    calls = pstats.Stats(profile).total_calls
+    assert saved == 20
+    assert calls / saved <= MAX_CALLS_PER_TIMED_SAVED_PARTITION, (
+        f"{calls} calls / {saved} saved partitions"
+    )
+
+
+def _restore_calls(world, rebalance: bool):
+    """``(calls, locates)`` of the restore after place 3 dies."""
     rt, app, store = world
     rt.kill(3)
-    app.restore_context = RestoreContext(rebalance=False)
+    app.restore_context = RestoreContext(rebalance=rebalance)
     new_group = rt.live_group(app.places)
     profile = cProfile.Profile(builtins=False)
     profile.runcall(app.restore, new_group, store, store.latest_iteration)
-    fetches = _calls(profile, DistObjectSnapshot.fetch)
-    calls = pstats.Stats(profile).total_calls
-    assert fetches == 34
-    assert calls / fetches <= MAX_CALLS_PER_FETCH, f"{calls} calls / {fetches} fetches"
+    return pstats.Stats(profile).total_calls, _calls(profile, DistObjectSnapshot.locate)
+
+
+def test_shrink_restore_calls_per_locate(world):
+    calls, located = _restore_calls(world, rebalance=False)
+    assert located == 34
+    assert calls / located <= MAX_CALLS_PER_SHRINK_LOCATE, f"{calls} calls / {located} locates"
+
+
+def test_shrink_rebalance_restore_calls_per_locate(world):
+    """The regridded restore: every new block assembled from planned pieces."""
+    calls, located = _restore_calls(world, rebalance=True)
+    assert located == 46
+    assert calls / located <= MAX_CALLS_PER_REBALANCE_LOCATE, f"{calls} calls / {located} locates"

@@ -1,5 +1,7 @@
 """Tests for scripted, context-triggered and random failure injection."""
 
+import pickle
+
 import pytest
 
 from repro.runtime.failure import (
@@ -91,6 +93,47 @@ class TestFailureInjector:
         inj.due_at_iteration(3)
         assert [k.place_id for k in inj.unfired()] == [2]
         assert inj.pending == 1
+
+    def test_pending_at_finish_counts_finish_triggers_only(self):
+        inj = (
+            FailureInjector()
+            .kill_at_iteration(1, iteration=5)
+            .kill_at_phase(2, phase=4)
+            .kill_at_time(3, time=9.0)
+            .kill_during(4, "checkpoint")
+        )
+        assert inj.pending_at_finish == 3
+        assert inj.due_at_phase(4, 0.0) == [2]
+        assert inj.due_at_iteration(5) == [1]
+        assert inj.pending_at_finish == 2
+        # Derived state: left out of a pickle, recounted on load.
+        assert "pending_at_finish" not in inj.__getstate__()
+        assert pickle.loads(pickle.dumps(inj)).pending_at_finish == 2
+        assert inj.due_at_phase(5, 9.0) == [3]
+        assert inj.pending_at_finish == 1
+
+
+def test_iteration_kills_never_poll_at_finish(monkeypatch):
+    """A run whose kills are all iteration kills never enters the finish's
+    kill poll: no finish can fire them (the executor does, between
+    iterations)."""
+    from repro.runtime.runtime import Runtime
+    from repro.world import WorldSpec
+
+    entered = []
+    poll = Runtime._fire_due_failures
+    monkeypatch.setattr(
+        Runtime, "_fire_due_failures", lambda rt: entered.append(rt.phase) or poll(rt)
+    )
+    spec = WorldSpec(
+        app="linreg", places=6, iterations=9, workload="tiny", checkpoint_interval=3,
+        fail_at=(4, 7), victim=(2, 4),
+    )
+    rt, _, _, executor = spec.build()
+    with rt:
+        report = executor.run()
+    assert report.restores == 2 and not report.pending_kills
+    assert entered == []
 
 
 class TestContextTriggers:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.bytesize import FRAMING_BYTES, freeze_and_size, payload_nbytes
+from repro.util.bytesize import FRAMING_BYTES, payload_nbytes
 from repro.util.loc import AppLocRow, count_loc, loc_of_object, loc_report, method_loc_map
 from repro.util import versioning
 from repro.util.versioning import ensure_version_floor, next_version, payload_frozen
@@ -120,15 +120,38 @@ def _arrays_of(payload):
     return list(arrays()) if arrays is not None else []
 
 
+#: The zoo entries a snapshot partition can be: the payload protocol's
+#: classes and block sets of them.
+_SNAPSHOT_PAYLOADS = {"vector", "dense", "csr", "csc", "block-set-dict"}
+
+
+def _saver(payload):
+    """A one-place snapshot and a call saving *payload* as its one partition."""
+    from repro.resilience.snapshot import DistObjectSnapshot
+    from repro.runtime import Runtime
+
+    rt = Runtime(1)
+    snap = DistObjectSnapshot(rt, rt.world, backups=0)
+    return rt, snap, lambda: rt.finish_all(rt.world, lambda ctx: snap.save_from(ctx, 0, payload))
+
+
 class TestFreezeAndSize:
-    """The save path's one walk: freezes like ``freeze_payload``, sizes like
-    ``payload_nbytes``."""
+    """The snapshot save's one walk over a payload: it freezes like
+    ``freeze_payload`` and sizes like ``payload_nbytes`` every payload the
+    protocol covers, and refuses any other before writing a copy."""
 
     @pytest.mark.parametrize("name", sorted(_payload_zoo()))
     def test_equals_the_two_walks(self, name):
         payload = _payload_zoo()[name]()
         expected = payload_nbytes(payload)
-        assert freeze_and_size(payload) == expected
+        rt, snap, save = _saver(payload)
+        if name not in _SNAPSHOT_PAYLOADS:
+            with pytest.raises(TypeError, match="cannot snapshot"):
+                save()
+            assert rt.heap_of(0).keys_with_prefix(("snap",)) == []
+            return
+        save()
+        assert snap.total_nbytes == expected
         assert payload_frozen(payload)
         assert payload_nbytes(payload) == expected  # freezing never changes a size
         for array in _arrays_of(payload):
@@ -140,7 +163,7 @@ class TestFreezeAndSize:
 
     def test_unknown_type(self):
         with pytest.raises(TypeError):
-            freeze_and_size(object())
+            _saver(object())[2]()
 
 
 class TestVersionTokens:
