@@ -43,7 +43,7 @@ def mean_total_under_failures(interval: int, mttf: float, t_iter: float):
         app = LogRegResilient(rt, WORKLOAD)
         horizon = WORKLOAD.iterations * t_iter * 3
         for kill in ExponentialFailureModel(mttf, seed=seed).schedule(rt.world.ids, horizon):
-            rt.injector.kills.append(kill)
+            rt.injector.add(kill)  # the model draws each victim at most once
         try:
             report = IterativeExecutor(rt, app, checkpoint_interval=interval).run()
             totals.append(report.total_time)

@@ -50,7 +50,7 @@ for interval in candidates:
         for kill in ExponentialFailureModel(mttf, seed=seed).schedule(
             rt.world.ids, horizon
         ):
-            rt.injector.kills.append(kill)
+            rt.injector.add(kill)  # the model draws each victim at most once
         try:
             rep = IterativeExecutor(rt, app, checkpoint_interval=interval).run()
             totals.append(rep.total_time)

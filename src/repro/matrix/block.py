@@ -43,10 +43,6 @@ class MatrixBlock:
         return cls(rb, cb, r0, c0, data)
 
     @property
-    def key(self) -> Tuple[int, int]:
-        return (self.rb, self.cb)
-
-    @property
     def shape(self) -> Tuple[int, int]:
         return self.data.m, self.data.n
 

@@ -575,7 +575,6 @@ class DistBlockMatrix(MultiPlaceObject):
         overlap-region assembly when it differs, per §IV-B2.
         """
         require(snapshot.meta.get("kind") == self.kind, "snapshot kind mismatch")
-        self._drop_plans()
         old_grid = Grid(self.m, self.n, snapshot.meta["row_sizes"], snapshot.meta["col_sizes"])
         if old_grid.same_blocking(self.grid):
             self._restore_same_grid(snapshot)

@@ -73,6 +73,7 @@ class DistVector(MultiPlaceObject):
         return spans
 
     def _allocate(self) -> None:
+        self._drop_plans()
         key, spans = self.heap_key, self._spans
 
         def alloc(ctx: PlaceContext) -> None:
@@ -348,7 +349,6 @@ class DistVector(MultiPlaceObject):
             partition if partition is not None else Partition1D.even(self.n, new_group.size)
         )
         require(self.partition.num_segments == new_group.size, "partition/group size mismatch")
-        self._drop_plans()
         self._allocate()
         return self
 
@@ -400,7 +400,6 @@ class DistVector(MultiPlaceObject):
         """Reload segments; repartition via overlap copies if needed."""
         require(snapshot.meta.get("n") == self.n, "snapshot is for a different vector")
         old_partition = Partition1D(self.n, snapshot.meta["sizes"])
-        self._drop_plans()
         key, spans = self.heap_key, self._spans
 
         if old_partition == self.partition:

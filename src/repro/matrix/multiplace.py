@@ -59,8 +59,9 @@ class MultiPlaceObject(Snapshottable):
         self.heap_key = ("gml", self.oid)
 
     #: Names of the ``cached_property`` plans a subclass derives from its
-    #: layout (group, partition, grid): :meth:`_drop_plans` forgets them when
-    #: the layout changes, and fork images never carry them.
+    #: layout (group, partition, grid).  One rule: a subclass's ``_allocate``
+    #: calls :meth:`_drop_plans` first, as does any method that reassigns the
+    #: group without reallocating (``rehome``); fork images never carry them.
     _PLANS: Tuple[str, ...] = ()
 
     def _drop_plans(self) -> None:

@@ -50,7 +50,6 @@ from repro.util.checksum import corrupt_payload, memoized_checksum
 from repro.util.validation import require
 
 _snap_counter = itertools.count()
-_INF = float("inf")
 #: ``payload_nbytes`` of a block set's key, an ``(rb, cb)`` pair.
 _BLOCK_KEY_NBYTES = payload_nbytes((0, 0))
 
@@ -234,9 +233,9 @@ class DistObjectSnapshot:
         The payload is a class of the payload protocol (its ``ARRAY_NAMES``)
         or a block set ``{(rb, cb): block}`` of them; anything else is a
         ``TypeError`` before any copy is written.  One walk freezes its
-        arrays and sizes it as ``payload_nbytes`` would; the charges
-        (memcpy, fan-out, message wait, checksum, in that order) are inline
-        but for the engine's transfers.
+        arrays and sizes it as ``payload_nbytes`` would; the charges follow
+        in a fixed order — memcpy, fan-out, message wait, checksum — and
+        are skipped whole while ``engine.zero_fast()`` holds.
         """
         place = ctx.place
         places = self.group._places
@@ -260,47 +259,39 @@ class DistObjectSnapshot:
                 nbytes += array.nbytes
         rt = self.runtime
         cost, clock, engine = rt.cost, rt.clock, rt.engine
-        # ``Scheduler.zero_fast``, inlined: every charge below is 0.0.
-        zero = (
-            cost.is_zero and not clock._moved and engine.faults is None and not engine._tl_enabled
-        )
-        times, owner_id = clock._times, place.id
+        zero = engine.zero_fast()
+        owner_id = place.id
         copies = self._rows[key]
-        fanout = []
+        dst_ids, dst_keys = [], []
         for tier, pid, heap_key in copies:
             if pid != owner_id:
-                fanout.append((pid, heap_key))
+                dst_ids.append(pid)
+                dst_keys.append(heap_key)
             else:
                 # The primary — or, in a single-place group, a degenerate
                 # "replica" on the same place, forwarded by reference: the
                 # bytes are paid for once, by the primary's memcpy.
                 ctx.heap.put(heap_key, payload)
                 if tier == 0 and not zero:
-                    # ``ctx.charge_memcpy(nbytes)``, inlined.
-                    dt = cost.memcpy_byte_time * nbytes * cost.logical_scale
-                    if 0.0 < dt < _INF and not clock._slowdown:
-                        times[owner_id] += dt
-                        clock._moved = True
-                    elif dt != 0.0:
-                        clock.advance(owner_id, dt)
-        if fanout:
+                    ctx.charge_memcpy(nbytes)
+        if dst_ids:
             if zero:
                 # All timing lands on 0.0; only liveness (checked in the
                 # same order the per-destination transfers would) and the
                 # stats trail remain, byte math expression-identical.
                 alive = rt._alive
-                for pid, _ in fanout:
+                for pid in dst_ids:
                     if not alive.get(pid, False):
                         raise DeadPlaceException(pid)
             else:
-                dst_ids = [pid for pid, _ in fanout]
+                times = clock._times
                 engine.transfer_fanout(owner_id, dst_ids, nbytes, times[owner_id])
-                clock.set_at_least(owner_id, times[owner_id] + len(fanout) * cost.message(0))
+                clock.set_at_least(owner_id, times[owner_id] + len(dst_ids) * cost.message(0))
             heaps = rt._heaps
-            for pid, heap_key in fanout:
+            for pid, heap_key in zip(dst_ids, dst_keys):
                 heaps[pid].put(heap_key, payload)
-            rt.stats.messages += len(fanout)
-            rt.stats.bytes_sent += len(fanout) * (nbytes * cost.logical_scale)
+            rt.stats.messages += len(dst_ids)
+            rt.stats.bytes_sent += len(dst_ids) * (nbytes * cost.logical_scale)
         if self.stable_fallback:
             engine.stable_write(owner_id, nbytes)
             self._stable[key] = payload
@@ -310,13 +301,9 @@ class DistObjectSnapshot:
         self._checksums.pop(key, None)
         self._crc_pending[key] = (payload, token)
         if not zero:
-            # ``ctx.charge_seconds(cost.checksum(nbytes))``, inlined.
-            dt = cost.checksum_byte_time * nbytes * cost.logical_scale
-            if 0.0 < dt < _INF and not clock._slowdown:
-                times[owner_id] += dt
-                clock._moved = True
-            elif dt != 0.0:
-                clock.advance(owner_id, dt)
+            # ``cost.checksum(nbytes)``'s product written out: one call
+            # fewer per timed save.
+            ctx.charge_seconds(cost.checksum_byte_time * nbytes * cost.logical_scale)
         verified = self._verified
         for tier in range(len(copies)):
             verified.add((key, tier))

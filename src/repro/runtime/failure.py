@@ -95,7 +95,10 @@ class FailureInjector:
     """
 
     def __init__(self, kills: Optional[List[ScriptedKill]] = None):
-        self.kills: List[ScriptedKill] = []
+        #: The schedule, in scripting order.  A tuple, so every kill goes
+        #: through :meth:`add` (validation and the ``pending_at_finish``
+        #: count): appending to it directly is an ``AttributeError``.
+        self.kills: Tuple[ScriptedKill, ...] = ()
         self._fired: Set[int] = set()
         self._active_contexts: List[str] = []
         self._context_counts: Dict[str, int] = {}
@@ -134,7 +137,7 @@ class FailureInjector:
                     f"already condemned by {existing} and will be dead when "
                     f"this kill fires"
                 )
-        self.kills.append(kill)
+        self.kills += (kill,)
         if kill.iteration is None:
             self.pending_at_finish += 1
         return self

@@ -165,9 +165,8 @@ class PlaceContext:
             return self.heap.get(key)
         if not rt._alive.get(src_place_id, False):
             raise DeadPlaceException(src_place_id)
-        cost, clock, engine = rt.cost, rt.clock, rt.engine
-        # ``engine.zero_fast()``, inlined: no transfer can take time.
-        if cost.is_zero and not clock._moved and engine.faults is None and not engine._tl_enabled:
+        cost, clock = rt.cost, rt.clock
+        if rt.engine.zero_fast():
             rt.stats.messages += 2
             rt.stats.bytes_sent += nbytes * cost.logical_scale
             return rt._heaps[src_place_id].get(key)

@@ -60,12 +60,12 @@ class TestBlockSet:
         for rb, cb in ((2, 1), (0, 1), (2, 0), (0, 0)):
             bs.add(MatrixBlock.for_grid(grid, rb, cb, DenseMatrix.make(2, 2)))
         row_major = [(0, 0), (0, 1), (2, 0), (2, 1)]
-        assert [b.key for b in bs] == row_major == bs.keys()
+        assert [(b.rb, b.cb) for b in bs] == row_major == bs.keys()
         running = iter(bs)
         first = next(running)
         bs.add(MatrixBlock.for_grid(grid, 1, 0, DenseMatrix.make(2, 2)))  # a later add()
-        assert [first.key] + [b.key for b in running] == row_major
-        assert [b.key for b in bs] == sorted(row_major + [(1, 0)]) == bs.keys()
+        assert [(first.rb, first.cb)] + [(b.rb, b.cb) for b in running] == row_major
+        assert [(b.rb, b.cb) for b in bs] == sorted(row_major + [(1, 0)]) == bs.keys()
         assert [key for key, _version in bs.version_token()] == bs.keys()
 
     def test_row_span(self):

@@ -79,7 +79,7 @@ def _arrays(payload):
     if isinstance(payload, np.ndarray):  # a parity block
         return [payload]
     if isinstance(payload, BlockSet):
-        payload = {block.key: block.data for block in payload}
+        payload = {(block.rb, block.cb): block.data for block in payload}
     parts = payload.values() if isinstance(payload, dict) else [payload]
     return [array for part in parts for array in part.payload_arrays()]
 

@@ -22,7 +22,7 @@ from repro.resilience.iterative import RestoreContext
 from repro.resilience.snapshot import DistObjectSnapshot
 from repro.runtime.factory import make_runtime
 
-MAX_CALLS_PER_SAVED_PARTITION = 9
+MAX_CALLS_PER_SAVED_PARTITION = 10
 MAX_CALLS_PER_TIMED_SAVED_PARTITION = 20
 MAX_CALLS_PER_SHRINK_LOCATE = 20
 MAX_CALLS_PER_REBALANCE_LOCATE = 20

@@ -136,6 +136,28 @@ def test_iteration_kills_never_poll_at_finish(monkeypatch):
     assert entered == []
 
 
+def test_time_kill_added_to_a_live_runtime_fires_at_a_finish():
+    """A timed kill scheduled on a built runtime's injector (the Young-interval
+    experiments' path) fires at the first finish entered past its time.  The
+    schedule is a tuple: appending to it around ``add`` would leave the
+    finish's kill counter at zero, so it fails loudly instead."""
+    from repro.bench.calibration import cluster_2015
+    from repro.runtime import Runtime
+    from repro.runtime.exceptions import DeadPlaceException
+
+    kill = ScriptedKill(place_id=2, time=1e-6)
+    with Runtime(4, cost=cluster_2015(), resilient=True) as rt:
+        with pytest.raises(AttributeError):
+            rt.injector.kills.append(kill)
+        rt.injector.add(kill)
+        rt.finish_all(rt.world, lambda ctx: ctx.charge_seconds(1e-3))  # before the kill time
+        assert rt.is_alive(2)
+        with pytest.raises(DeadPlaceException):
+            rt.finish_all(rt.world, lambda ctx: None)
+        assert not rt.is_alive(2)
+        assert rt.injector.unfired() == [] and rt.injector.pending_at_finish == 0
+
+
 class TestContextTriggers:
     def test_fires_inside_matching_context(self):
         inj = FailureInjector().kill_during(2, "checkpoint")
