@@ -85,48 +85,6 @@ class Resource:
             self.on_acquire(self, t_request, start, done)
         return done
 
-    def acquire_batch(self, arrivals, duration: float) -> float:
-        """Serve a batch of requests in ascending arrival order.
-
-        Bit-exact to calling :meth:`acquire` once per sorted arrival — the
-        frontier advances through the identical float operations — but
-        amortizes the per-event Python call overhead:
-
-        * ``duration == 0`` collapses to ``free_at = max(free_at,
-          max(arrivals))``, exactly what the per-event loop computes
-          (zero-cost models, e.g. chaos campaigns, take this O(n) max);
-        * otherwise one tight local loop over the pre-sorted arrivals.
-
-        When an ``on_acquire`` hook is installed the per-event path runs so
-        event recording sees every acquisition.  Returns the new frontier.
-        """
-        self.check_live()
-        n = len(arrivals)
-        if n == 0:
-            return self.free_at
-        if self.on_acquire is not None:
-            done = self.free_at
-            for t in sorted(arrivals):
-                done = self.acquire(t, duration)
-            return done
-        if duration == 0.0:
-            top = max(arrivals)
-            if top > self.free_at:
-                self.free_at = top
-            self.served += n
-            return self.free_at
-        free = self.free_at
-        busy = self.busy_time
-        for t in sorted(arrivals):
-            if t > free:
-                free = t
-            free += duration
-            busy += duration
-        self.free_at = free
-        self.busy_time = busy
-        self.served += n
-        return free
-
     def retire(self) -> None:
         """Mark the owning place dead; further acquisitions raise."""
         self.retired = True

@@ -53,10 +53,12 @@ class Scheduler:
         self.clock = clock if clock is not None else VirtualClock()
         self.timeline = timeline if timeline is not None else Timeline(enabled=False)
         self._resources: Dict[Any, Resource] = {}
-        #: Cached duplex links (pairs of live resources).  Invalidated
-        #: wholesale on place purge/revive — those pop and recreate the
-        #: underlying per-place resources.
-        self._links: Dict[Any, DuplexLink] = {}
+        #: The route table: ``(src, dst)`` -> ``(name, server, memo, rate)``,
+        #: built on a pair's first delivered transfer (see :meth:`_route`).
+        #: Derived state: cleared wholesale on place purge/revive — those pop
+        #: and recreate the per-place resources a route holds — and never
+        #: carried in a fork image.
+        self._routes: Dict[Tuple[int, int], Tuple[str, Any, Dict[float, float], Any]] = {}
         self._dead: Set[int] = set()
         #: Overlap scope: while > 0, transfer arrivals are deferred.
         self._overlap_depth = 0
@@ -64,8 +66,8 @@ class Scheduler:
         self._pending_arrivals: Dict[int, float] = {}
         self.ledger = self.resource(("ledger",))
         # The ledger's recording hook is installed only while the timeline
-        # is enabled: a hook-free resource can take the batched ledger fast
-        # path (Resource.acquire_batch) with identical virtual times.
+        # is enabled: a hook-free ledger drains in one batched pass
+        # (PlaceZeroLedger.process) with identical virtual times.
         self.timeline.on_toggle(self._sync_ledger_hook)
         # Mirror of ``timeline.enabled`` as a plain attribute: the transfer
         # and finish hot paths test it once per event, and an attribute
@@ -98,7 +100,7 @@ class Scheduler:
             resource = self._resources.pop((tag, place_id), None)
             if resource is not None:
                 resource.retire()
-        self._links.clear()
+        self._routes.clear()
         self._pending_arrivals.pop(place_id, None)
 
     def revive_place(self, place_id: int) -> None:
@@ -111,7 +113,16 @@ class Scheduler:
         itself was never dropped.
         """
         self._dead.discard(place_id)
-        self._links.clear()
+        self._routes.clear()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        del state["_routes"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._routes = {}
 
     def is_place_dead(self, place_id: int) -> bool:
         return place_id in self._dead
@@ -160,14 +171,32 @@ class Scheduler:
         """All live resources (stable order for reports)."""
         return [self._resources[k] for k in sorted(self._resources, key=repr)]
 
-    def link(self, tx_key: Any, rx_key: Any) -> DuplexLink:
-        """The duplex link over two resource keys (cached per pair)."""
-        key = (tx_key, rx_key)
-        lk = self._links.get(key)
-        if lk is None:
-            lk = DuplexLink(self.resource(tx_key), self.resource(rx_key))
-            self._links[key] = lk
-        return lk
+    def _route(self, src_id: int, dst_id: int) -> Tuple[str, Any, Dict[float, float], Any]:
+        """Build and cache the modeled route of ``src -> dst``.
+
+        Without node topology (``cost.places_per_node == 0``) a transfer
+        occupies the sender's transmit side and the receiver's receive side
+        (``p2p``).  With topology, an intra-node transfer goes through the
+        destination place's server at the shared-memory rate (``shm``), a
+        cross-node one through both endpoints' node NICs (``nic``).  The
+        entry carries the server to acquire and the cost model's wire-time
+        memo and helper for that rate.
+        """
+        cost = self.cost
+        if cost.places_per_node <= 0:
+            server = DuplexLink(self.resource(("tx", src_id)), self.resource(("rx", dst_id)))
+            route = ("p2p", server, cost._msg_memo, cost.message)
+        else:
+            src_node, dst_node = cost.node_of(src_id), cost.node_of(dst_id)
+            if src_node == dst_node:
+                route = ("shm", self.resource(("srv", dst_id)), cost._shm_memo, cost.shm_message)
+            else:
+                server = DuplexLink(
+                    self.resource(("nic-tx", src_node)), self.resource(("nic-rx", dst_node))
+                )
+                route = ("nic", server, cost._msg_memo, cost.message)
+        self._routes[(src_id, dst_id)] = route
+        return route
 
     # -- arrivals and the overlap scope ---------------------------------------
 
@@ -249,11 +278,9 @@ class Scheduler:
     def transfer(self, src_id: int, dst_id: int, nbytes: float, t_request: float) -> float:
         """Topology-aware point-to-point transfer; returns completion time.
 
-        Without node topology (``cost.places_per_node == 0``) the transfer
-        occupies the sender's transmit side and the receiver's receive side
-        (full duplex).  With topology, intra-node transfers use the
-        shared-memory rate through the destination place's server, while
-        cross-node transfers serialize through *both* endpoints' node NICs.
+        The transfer occupies its route's server (:meth:`_route`) from the
+        send until completion; the arrival advances the destination's clock
+        (deferred inside an overlap scope).
 
         Under a :class:`~repro.runtime.failure.TransientFaultModel` each
         transmission attempt can be dropped (retransmitted after an
@@ -262,79 +289,67 @@ class Scheduler:
         resource time but is suppressed — at-most-once delivery) or
         delayed in flight.
         """
-        self._check_place(src_id)
-        self._check_place(dst_id)
+        dead = self._dead
+        if src_id in dead:
+            raise DeadPlaceException(src_id)
+        if dst_id in dead:
+            raise DeadPlaceException(dst_id)
         faults = self.faults
-        if faults is None:
-            if self.cost.is_zero and not self.clock._moved and not self._tl_enabled:
-                # Zero-time fast path: the link acquire and the arrival
-                # would compute exactly t_request (0.0) back.
-                return t_request
-            return self._transfer_once(src_id, dst_id, nbytes, t_request)
-        policy = self.retry_policy
+        cost = self.cost
+        if faults is None and cost.is_zero and not self.clock._moved and not self._tl_enabled:
+            # Zero-time fast path: the route's acquire and the arrival
+            # would compute exactly t_request (0.0) back.
+            return t_request
         t_send = t_request
+        extra = 0.0
+        duplicated = False
         attempt = 0
-        while True:
+        while faults is not None:
             fate = faults.fate(src_id, dst_id, t_send)
             if fate.delivered:
-                done = self._transfer_once(
-                    src_id, dst_id, nbytes, t_send, extra_delay=fate.extra_delay
-                )
-                if fate.duplicated:
-                    # The duplicate is absorbed at the receiver: it burns
-                    # communication-server time but is never delivered
-                    # twice (sequence-number suppression).
-                    self.resource(("srv", dst_id)).acquire(
-                        done, self.cost.message(0)
-                    )
-                return done
+                extra, duplicated = fate.extra_delay, fate.duplicated
+                break
+            policy = self.retry_policy
             if attempt >= policy.max_retries:
                 faults.timeouts += 1
                 raise CommTimeoutError(dst_id, retries=attempt)
-            t_send += policy.rto(attempt, self.cost, nbytes)
+            t_send += policy.rto(attempt, cost, nbytes)
             attempt += 1
             faults.retransmissions += 1
 
-    def _transfer_once(
-        self,
-        src_id: int,
-        dst_id: int,
-        nbytes: float,
-        t_request: float,
-        extra_delay: float = 0.0,
-    ) -> float:
-        """One (successful) transmission attempt over the modeled route."""
-        cost = self.cost
-        if cost.places_per_node <= 0:
-            done = self.link(("tx", src_id), ("rx", dst_id)).acquire(
-                t_request, cost.message(nbytes)
-            )
-            route = "p2p"
+        route = self._routes.get((src_id, dst_id))
+        if route is None:
+            route = self._route(src_id, dst_id)
+        name, server, memo, rate = route
+        duration = memo.get(nbytes)
+        if duration is None:
+            duration = rate(nbytes)
+        done = server.acquire(t_send, duration) + extra
+        if self._overlap_depth > 0:  # the arrival: ``_arrive`` inlined
+            pending = self._pending_arrivals
+            if done > pending.get(dst_id, 0.0):
+                pending[dst_id] = done
         else:
-            src_node, dst_node = cost.node_of(src_id), cost.node_of(dst_id)
-            if src_node == dst_node:
-                done = self.resource(("srv", dst_id)).acquire(
-                    t_request, cost.shm_message(nbytes)
-                )
-                route = "shm"
-            else:
-                done = self.link(("nic-tx", src_node), ("nic-rx", dst_node)).acquire(
-                    t_request, cost.message(nbytes)
-                )
-                route = "nic"
-        done += extra_delay
-        self._arrive(dst_id, done)
+            clock = self.clock
+            if done > clock._times[dst_id]:
+                clock._moved = True
+                clock._times[dst_id] = done
         if self._tl_enabled:
             self.timeline.record(
                 TransferEvent(
-                    t_start=t_request,
+                    t_start=t_send,
                     t_end=done,
                     src=src_id,
                     dst=dst_id,
                     nbytes=cost.scaled_bytes(nbytes),
-                    route=route,
+                    route=name,
                 )
             )
+        if duplicated:
+            # The duplicate is absorbed at the receiver: it burns
+            # communication-server time but is never delivered twice
+            # (sequence-number suppression).
+            self.resource(("srv", dst_id)).acquire(done, cost.message(0))
         return done
 
     def transfer_fanout(
@@ -443,7 +458,9 @@ class Scheduler:
             # the join overhead is per-task fixed, so the historical
             # `max(t_join, end + msg) + join_dt` recurrence runs with the
             # identical float operations, minus the per-event lookups.
-            msg = cost.message(ret_bytes)
+            msg = cost._msg_memo.get(ret_bytes)
+            if msg is None:
+                msg = cost.message(ret_bytes)
             join_dt = cost.task_join_time
             if msg == 0.0 and join_dt == 0.0:
                 # The recurrence collapses to a running max — exactly what
@@ -470,9 +487,11 @@ class Scheduler:
         ledger_ready = 0.0
         t_finish = t_join
         if runtime.resilient and ledger_arrivals is not None:
-            ledger_ready = runtime.ledger.process(ledger_arrivals)
+            ledger = runtime.ledger
+            ledger_ready = ledger.process(ledger_arrivals)
             if ledger_ready > t_finish:
-                runtime.ledger.record_stall(ledger_ready - t_finish)
+                # The time this finish spent waiting for the ledger to drain.
+                ledger.stats.stall_time += ledger_ready - t_finish
                 t_finish = ledger_ready
         if t_finish > times[driver]:
             times[driver] = t_finish

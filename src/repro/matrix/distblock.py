@@ -395,14 +395,17 @@ class DistBlockMatrix(MultiPlaceObject):
         return [per_cell * cells for cells in self.task_plan().cells]
 
     def _check_same_layout(self, other: "DistBlockMatrix") -> None:
-        require(other.m == self.m and other.n == self.n, "shape mismatch")
-        require(other.group == self.group, "operands on different groups")
-        require(other.grid.same_blocking(self.grid), "operands on different grids")
-        require(
+        if not (other.m == self.m and other.n == self.n):
+            raise ValueError("shape mismatch")
+        if other.group != self.group:
+            raise ValueError("operands on different groups")
+        if not other.grid.same_blocking(self.grid):
+            raise ValueError("operands on different grids")
+        if not (
             other.block_map is self.block_map
-            or other.block_map.owner_dict() == self.block_map.owner_dict(),
-            "operands have different block-to-place maps",
-        )
+            or other.block_map.owner_dict() == self.block_map.owner_dict()
+        ):
+            raise ValueError("operands have different block-to-place maps")
 
     def _cellwise_pair(self, other, fn, flops_per_cell=1.0, label="cellwise"):
         """Apply *fn(my_block, other_block)* blockwise (layout-aligned)."""
@@ -425,14 +428,16 @@ class DistBlockMatrix(MultiPlaceObject):
 
     def cell_add(self, other: "DistBlockMatrix") -> "DistBlockMatrix":
         """In-place element-wise add of a layout-aligned dense matrix."""
-        require(self.kind == DENSE and other.kind == DENSE, "cell_add is dense-only")
+        if not (self.kind == DENSE and other.kind == DENSE):
+            raise ValueError("cell_add is dense-only")
         return self._cellwise_pair(
             other, lambda a, b: a.data.cell_add(b.data), label="cell_add"
         )
 
     def cell_mult(self, other: "DistBlockMatrix") -> "DistBlockMatrix":
         """In-place Hadamard product with a layout-aligned dense matrix."""
-        require(self.kind == DENSE and other.kind == DENSE, "cell_mult is dense-only")
+        if not (self.kind == DENSE and other.kind == DENSE):
+            raise ValueError("cell_mult is dense-only")
         return self._cellwise_pair(
             other, lambda a, b: a.data.cell_mult(b.data), label="cell_mult"
         )
@@ -442,7 +447,8 @@ class DistBlockMatrix(MultiPlaceObject):
 
         The multiplicative-update form used by GNMF.
         """
-        require(self.kind == DENSE and other.kind == DENSE, "cell_div is dense-only")
+        if not (self.kind == DENSE and other.kind == DENSE):
+            raise ValueError("cell_div is dense-only")
 
         def div(a: MatrixBlock, b: MatrixBlock) -> None:
             a.data.touch()

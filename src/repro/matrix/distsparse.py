@@ -134,16 +134,20 @@ class DistSparseRowMatrix(MultiPlaceObject):
         from repro.matrix.distvector import DistVector
         from repro.matrix.dupvector import DupVector
 
-        require(isinstance(out, DistVector), "mult_into output must be a DistVector")
-        require(isinstance(dup, DupVector), "mult_into operand must be a DupVector")
-        require(dup.n == self.n, f"operand length {dup.n} != matrix cols {self.n}")
-        require(out.n == self.m, f"output length {out.n} != matrix rows {self.m}")
-        require(self.group == dup.group, "matrix and operand on different groups")
-        require(self.group == out.group, "matrix and output on different groups")
-        require(
-            out.partition == self.partition,
-            "output partition must align to the matrix row bands",
-        )
+        if not isinstance(out, DistVector):
+            raise ValueError("mult_into output must be a DistVector")
+        if not isinstance(dup, DupVector):
+            raise ValueError("mult_into operand must be a DupVector")
+        if dup.n != self.n:
+            raise ValueError(f"operand length {dup.n} != matrix cols {self.n}")
+        if out.n != self.m:
+            raise ValueError(f"output length {out.n} != matrix rows {self.m}")
+        if self.group != dup.group:
+            raise ValueError("matrix and operand on different groups")
+        if self.group != out.group:
+            raise ValueError("matrix and output on different groups")
+        if out.partition != self.partition:
+            raise ValueError("output partition must align to the matrix row bands")
         group, key = self.group, self.heap_key
         dup_key, out_key = dup.heap_key, out.heap_key
         sparse_factor = self.runtime.cost.sparse_flop_factor

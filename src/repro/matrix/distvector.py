@@ -219,9 +219,12 @@ class DistVector(MultiPlaceObject):
         """
         from repro.matrix.dupvector import DupVector
 
-        require(isinstance(dup, DupVector), "dot expects a DupVector operand")
-        require(dup.n == self.n, "length mismatch in dot")
-        require(dup.group == self.group, "operands on different groups")
+        if not isinstance(dup, DupVector):
+            raise ValueError("dot expects a DupVector operand")
+        if dup.n != self.n:
+            raise ValueError("length mismatch in dot")
+        if dup.group != self.group:
+            raise ValueError("operands on different groups")
         key, dup_key, spans = self.heap_key, dup.heap_key, self._spans
 
         def task(ctx: PlaceContext) -> float:
@@ -274,7 +277,8 @@ class DistVector(MultiPlaceObject):
         The destination is the root copy of a DupVector (or any driver-side
         Vector); a subsequent ``DupVector.sync()`` re-broadcasts it.
         """
-        require(dest.n == self.n, "gather destination length mismatch")
+        if dest.n != self.n:
+            raise ValueError("gather destination length mismatch")
         flat_gather(
             self.runtime,
             self.group,
@@ -307,9 +311,12 @@ class DistVector(MultiPlaceObject):
         """
         from repro.matrix.dupvector import DupVector
 
-        require(isinstance(dup, DupVector), "from_dup expects a DupVector")
-        require(dup.n == self.n, "length mismatch in from_dup")
-        require(dup.group == self.group, "operands on different groups")
+        if not isinstance(dup, DupVector):
+            raise ValueError("from_dup expects a DupVector")
+        if dup.n != self.n:
+            raise ValueError("length mismatch in from_dup")
+        if dup.group != self.group:
+            raise ValueError("operands on different groups")
         key, dup_key, spans = self.heap_key, dup.heap_key, self._spans
 
         def task(ctx: PlaceContext) -> None:

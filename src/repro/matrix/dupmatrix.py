@@ -158,9 +158,12 @@ class DupDenseMatrix(_DupMatrixBase):
         return self
 
     def _check_aligned(self, other: "DupDenseMatrix") -> None:
-        require(isinstance(other, DupDenseMatrix), "operand must be a DupDenseMatrix")
-        require((other.m, other.n) == (self.m, self.n), "shape mismatch")
-        require(other.group == self.group, "operands on different groups")
+        if not isinstance(other, DupDenseMatrix):
+            raise ValueError("operand must be a DupDenseMatrix")
+        if (other.m, other.n) != (self.m, self.n):
+            raise ValueError("shape mismatch")
+        if other.group != self.group:
+            raise ValueError("operands on different groups")
 
     def fill(self, value: float) -> "DupDenseMatrix":
         """Set every replica's cells to *value*."""
@@ -206,14 +209,19 @@ class DupDenseMatrix(_DupMatrixBase):
         return self
 
     def _check_aligned_for_mult(self, a: "DupDenseMatrix", b: "DupDenseMatrix") -> None:
-        require(a.group == self.group and b.group == self.group, "group mismatch")
-        require(a.n == b.m, "inner dimension mismatch")
-        require((self.m, self.n) == (a.m, b.n), "output shape mismatch")
+        if not (a.group == self.group and b.group == self.group):
+            raise ValueError("group mismatch")
+        if a.n != b.m:
+            raise ValueError("inner dimension mismatch")
+        if (self.m, self.n) != (a.m, b.n):
+            raise ValueError("output shape mismatch")
 
     def transpose_from(self, other: "DupDenseMatrix") -> "DupDenseMatrix":
         """``self = otherᵀ``, computed locally at every place."""
-        require(other.group == self.group, "operands on different groups")
-        require((other.n, other.m) == (self.m, self.n), "transpose shape mismatch")
+        if other.group != self.group:
+            raise ValueError("operands on different groups")
+        if (other.n, other.m) != (self.m, self.n):
+            raise ValueError("transpose shape mismatch")
 
         def transpose(out: DenseMatrix, src: DenseMatrix) -> None:
             out.adopt(src.data.T.copy())

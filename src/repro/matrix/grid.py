@@ -43,9 +43,13 @@ class Partition1D:
     """A contiguous 1-D partition of ``0..n`` into segments."""
 
     def __init__(self, n: int, sizes: Sequence[int]):
-        require(n >= 0, "n must be >= 0")
-        require(sum(sizes) == n, f"segment sizes {list(sizes)} must sum to {n}")
-        require(all(s >= 0 for s in sizes), "segment sizes must be >= 0")
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        if sum(sizes) != n:
+            raise ValueError(f"segment sizes {list(sizes)} must sum to {n}")
+        for s in sizes:
+            if s < 0:
+                raise ValueError("segment sizes must be >= 0")
         self.n = n
         self.sizes = list(sizes)
         self.offsets = offsets_of(self.sizes)
@@ -140,10 +144,16 @@ class Grid:
     """A 2-D block partitioning of an ``m × n`` matrix."""
 
     def __init__(self, m: int, n: int, row_sizes: Sequence[int], col_sizes: Sequence[int]):
-        require(sum(row_sizes) == m, "row block sizes must sum to m")
-        require(sum(col_sizes) == n, "col block sizes must sum to n")
-        require(all(s >= 0 for s in row_sizes), "row sizes must be >= 0")
-        require(all(s >= 0 for s in col_sizes), "col sizes must be >= 0")
+        if sum(row_sizes) != m:
+            raise ValueError("row block sizes must sum to m")
+        if sum(col_sizes) != n:
+            raise ValueError("col block sizes must sum to n")
+        for s in row_sizes:
+            if s < 0:
+                raise ValueError("row sizes must be >= 0")
+        for s in col_sizes:
+            if s < 0:
+                raise ValueError("col sizes must be >= 0")
         self.m = m
         self.n = n
         self.row_sizes = list(row_sizes)

@@ -29,16 +29,19 @@ from repro.matrix.sparse import SparseCSR
 from repro.matrix.vector import Vector
 from repro.runtime.comm import point_to_point
 from repro.runtime.runtime import PlaceContext
-from repro.util.validation import require
 from repro.util.versioning import next_version
 
 
 def dist_block_matvec(G: DistBlockMatrix, x: DupVector, y: DistVector) -> DistVector:
     """``y = G @ x`` — one compute finish plus result routing."""
-    require(x.n == G.n, f"operand length {x.n} != matrix cols {G.n}")
-    require(y.n == G.m, f"output length {y.n} != matrix rows {G.m}")
-    require(G.group == x.group, "matrix and operand on different groups")
-    require(G.group == y.group, "matrix and output on different groups")
+    if x.n != G.n:
+        raise ValueError(f"operand length {x.n} != matrix cols {G.n}")
+    if y.n != G.m:
+        raise ValueError(f"output length {y.n} != matrix rows {G.m}")
+    if G.group != x.group:
+        raise ValueError("matrix and operand on different groups")
+    if G.group != y.group:
+        raise ValueError("matrix and output on different groups")
     rt = G.runtime
     group = G.group
     cost, clock = rt.cost, rt.clock
@@ -125,10 +128,14 @@ def dist_block_matvec(G: DistBlockMatrix, x: DupVector, y: DistVector) -> DistVe
 
 def dist_block_t_matvec(G: DistBlockMatrix, r: DistVector, g: DupVector) -> DupVector:
     """``g = Gᵀ @ r`` — per-place partials, then all-reduce into replicas."""
-    require(r.n == G.m, f"operand length {r.n} != matrix rows {G.m}")
-    require(g.n == G.n, f"output length {g.n} != matrix cols {G.n}")
-    require(G.group == r.group, "matrix and operand on different groups")
-    require(G.group == g.group, "matrix and output on different groups")
+    if r.n != G.m:
+        raise ValueError(f"operand length {r.n} != matrix rows {G.m}")
+    if g.n != G.n:
+        raise ValueError(f"output length {g.n} != matrix cols {G.n}")
+    if G.group != r.group:
+        raise ValueError("matrix and operand on different groups")
+    if G.group != g.group:
+        raise ValueError("matrix and output on different groups")
     rt = G.runtime
     group = G.group
     n = G.n
@@ -172,17 +179,16 @@ def dist_block_t_matvec(G: DistBlockMatrix, r: DistVector, g: DupVector) -> DupV
 def _check_row_aligned(a: DistBlockMatrix, b: DistBlockMatrix) -> None:
     """Both matrices must share group, row blocking and block ownership
     (and be single-block-column) so row bands can be combined locally."""
-    require(a.group == b.group, "operands on different groups")
-    require(a.m == b.m, "row count mismatch")
-    require(
-        a.grid.num_col_blocks == 1 and b.grid.num_col_blocks == 1,
-        "matrix-matrix kernels require single-column block layouts",
-    )
-    require(a.grid.row_sizes == b.grid.row_sizes, "row blockings differ")
-    require(
-        a.block_map is b.block_map or a.block_map.owner_dict() == b.block_map.owner_dict(),
-        "block-to-place maps differ",
-    )
+    if a.group != b.group:
+        raise ValueError("operands on different groups")
+    if a.m != b.m:
+        raise ValueError("row count mismatch")
+    if not (a.grid.num_col_blocks == 1 and b.grid.num_col_blocks == 1):
+        raise ValueError("matrix-matrix kernels require single-column block layouts")
+    if a.grid.row_sizes != b.grid.row_sizes:
+        raise ValueError("row blockings differ")
+    if not (a.block_map is b.block_map or a.block_map.owner_dict() == b.block_map.owner_dict()):
+        raise ValueError("block-to-place maps differ")
 
 
 def dist_gram(a: DistBlockMatrix, b: DistBlockMatrix, out) -> "object":
@@ -196,13 +202,14 @@ def dist_gram(a: DistBlockMatrix, b: DistBlockMatrix, out) -> "object":
     from repro.matrix.dupmatrix import DupDenseMatrix
 
     _check_row_aligned(a, b)
-    require(isinstance(out, DupDenseMatrix), "output must be a DupDenseMatrix")
-    require((out.m, out.n) == (a.n, b.n), "output shape mismatch")
-    require(out.group == a.group, "output on a different group")
-    require(
-        a.kind == "dense" or b.kind == "dense",
-        "at least one gram operand must be dense",
-    )
+    if not isinstance(out, DupDenseMatrix):
+        raise ValueError("output must be a DupDenseMatrix")
+    if (out.m, out.n) != (a.n, b.n):
+        raise ValueError("output shape mismatch")
+    if out.group != a.group:
+        raise ValueError("output on a different group")
+    if not (a.kind == "dense" or b.kind == "dense"):
+        raise ValueError("at least one gram operand must be dense")
     rt = a.runtime
     group = a.group
     # Dense × dense declares its flops to the finish; a sparse operand is
@@ -246,10 +253,14 @@ def dist_matmat_dup(a: DistBlockMatrix, b, out: DistBlockMatrix) -> DistBlockMat
     from repro.matrix.dupmatrix import DupDenseMatrix
 
     _check_row_aligned(a, out)
-    require(isinstance(b, DupDenseMatrix), "b must be a DupDenseMatrix")
-    require(b.group == a.group, "operands on different groups")
-    require(a.n == b.m, "inner dimension mismatch")
-    require(out.n == b.n and out.kind == "dense", "output shape/kind mismatch")
+    if not isinstance(b, DupDenseMatrix):
+        raise ValueError("b must be a DupDenseMatrix")
+    if b.group != a.group:
+        raise ValueError("operands on different groups")
+    if a.n != b.m:
+        raise ValueError("inner dimension mismatch")
+    if not (out.n == b.n and out.kind == "dense"):
+        raise ValueError("output shape/kind mismatch")
     rt = a.runtime
     group = a.group
     # Dense ``a`` declares its flops to the finish; sparse is tallied by nnz.
@@ -290,14 +301,16 @@ def dist_matmul(a: DistBlockMatrix, b: DistBlockMatrix, c: DistBlockMatrix) -> D
     from repro.runtime.comm import tree_broadcast
 
     _check_row_aligned(a, c)
-    require(b.group == a.group, "operands on different groups")
-    require(b.grid.num_col_blocks == 1, "b must use a single block column")
-    require(a.n == b.m, "inner dimension mismatch")
-    require(c.n == b.n, "output column mismatch")
-    require(
-        a.kind == "dense" and b.kind == "dense" and c.kind == "dense",
-        "dist_matmul is dense-only",
-    )
+    if b.group != a.group:
+        raise ValueError("operands on different groups")
+    if b.grid.num_col_blocks != 1:
+        raise ValueError("b must use a single block column")
+    if a.n != b.m:
+        raise ValueError("inner dimension mismatch")
+    if c.n != b.n:
+        raise ValueError("output column mismatch")
+    if not (a.kind == "dense" and b.kind == "dense" and c.kind == "dense"):
+        raise ValueError("dist_matmul is dense-only")
     rt = a.runtime
     group = a.group
 

@@ -39,7 +39,10 @@ from repro.util.validation import check_index
 def check_group_alive(rt: Runtime, group: PlaceGroup) -> None:
     """Raise for any dead member of *group* (before moving any data)."""
     alive = rt._alive
-    dead = [p.id for p in group if not alive.get(p.id, False)]
+    dead = []
+    for pid in group.ids:
+        if not alive.get(pid, False):
+            dead.append(pid)
     if len(dead) == 1:
         raise DeadPlaceException(dead[0])
     if dead:
@@ -95,7 +98,8 @@ def _finish_phase(
     if rt.resilient:
         latency = rt.cost.latency
         arrivals = [t_start + latency] * n_tasks
-        arrivals += [t + latency for t in task_ends]
+        for t in task_ends:
+            arrivals.append(t + latency)
     report = rt.engine.complete_finish(rt, label, t_start, task_ends, n_tasks, arrivals)
     return report.end
 
@@ -135,8 +139,11 @@ def point_to_point(rt: Runtime, src_id: int, dst_id: int, nbytes: float) -> floa
 
 # The timed collectives index ``clock._times`` themselves (a write is
 # ``VirtualClock.set_at_least`` inlined, ``_moved`` included) and compute the
-# per-call constants once; each edge's float operations keep their order, and
-# on a reliable network its ``w`` and ``extra`` stay 0.0.
+# per-call constants once, with no helper call: wire times are read from the
+# cost model's message memo (``CostModel.message`` only on a miss), scaled
+# bytes and fold seconds are ``scaled_bytes`` / ``flops`` arithmetic verbatim.
+# Each edge's float operations keep their order, and on a reliable network
+# its ``w`` and ``extra`` stay 0.0.
 
 
 def tree_broadcast(
@@ -150,15 +157,18 @@ def tree_broadcast(
 
     Returns the finish completion time at the driver.
     """
-    check_index(root_index, group.size, "root_index")
+    size = group.size
+    if not 0 <= root_index < size:
+        check_index(root_index, size, "root_index")
     check_group_alive(rt, group)
     clock, cost = rt.clock, rt.cost
-    size = group.size
-    scaled = cost.scaled_bytes(nbytes)
+    scaled = nbytes * cost.logical_scale
     if rt.engine.zero_fast():
         return _zero_collective(rt, label, size, scaled)
-    times, stats, faults = clock._times, rt.stats, rt.faults
-    msg = cost.message(nbytes)
+    times, stats, faults = clock._times, rt.stats, rt.engine.faults
+    msg = cost._msg_memo.get(nbytes)
+    if msg is None:
+        msg = cost.message(nbytes)
     t_start = times[rt.DRIVER_ID]
 
     # Virtual ranks: rank 0 = root; rank r lives at group index
@@ -203,13 +213,15 @@ def flat_gather(
     linear-in-P pattern of GML's ``copyTo`` (gather into a local vector).
     Returns the finish completion time at the driver.
     """
-    check_index(root_index, group.size, "root_index")
+    size = group.size
+    if not 0 <= root_index < size:
+        check_index(root_index, size, "root_index")
     check_group_alive(rt, group)
     clock, cost = rt.clock, rt.cost
-    scaled = cost.scaled_bytes(nbytes_each)
+    scaled = nbytes_each * cost.logical_scale
     if rt.engine.zero_fast():
-        return _zero_collective(rt, label, group.size, scaled)
-    times, stats, faults = clock._times, rt.stats, rt.faults
+        return _zero_collective(rt, label, size, scaled)
+    times, stats, faults = clock._times, rt.stats, rt.engine.faults
     latency = cost.latency
     absorb = cost.byte_time * scaled
     ids = group.ids
@@ -219,7 +231,12 @@ def flat_gather(
     w = extra = 0.0
     t_root = max(times[root_id], t_start)
     task_ends = []
-    for t_sender, sender_id in sorted([(times[pid], pid) for pid in ids if pid != root_id]):
+    senders = []
+    for pid in ids:
+        if pid != root_id:
+            senders.append((times[pid], pid))
+    senders.sort()
+    for t_sender, sender_id in senders:
         t_send = max(t_sender, t_start)
         if faults is not None:
             w, extra = _edge_fault(rt, faults, sender_id, root_id, t_send, nbytes_each)
@@ -235,7 +252,7 @@ def flat_gather(
         times[root_id] = t_root
         clock._moved = True
     task_ends.append(t_root)
-    return _finish_phase(rt, label, t_start, task_ends, n_tasks=group.size)
+    return _finish_phase(rt, label, t_start, task_ends, n_tasks=size)
 
 
 def tree_reduce(
@@ -251,24 +268,32 @@ def tree_reduce(
     Each merge step receives a peer's payload and folds it in at
     *reduce_flops* cost.  Returns the finish completion time at the driver.
     """
-    check_index(root_index, group.size, "root_index")
+    size = group.size
+    if not 0 <= root_index < size:
+        check_index(root_index, size, "root_index")
     check_group_alive(rt, group)
     clock, cost = rt.clock, rt.cost
-    size = group.size
-    scaled = cost.scaled_bytes(nbytes)
+    scaled = nbytes * cost.logical_scale
     if rt.engine.zero_fast():
         return _zero_collective(rt, label, size, scaled)
-    times, stats, faults = clock._times, rt.stats, rt.faults
-    msg = cost.message(nbytes)
-    ack = cost.message(0)
-    fold = cost.flops(reduce_flops)
+    times, stats, faults = clock._times, rt.stats, rt.engine.faults
+    memo = cost._msg_memo
+    msg = memo.get(nbytes)
+    if msg is None:
+        msg = cost.message(nbytes)
+    ack = memo.get(0)
+    if ack is None:
+        ack = cost.message(0)
+    fold = cost.flop_time * reduce_flops * cost.logical_scale
     t_start = times[rt.DRIVER_ID]
 
     ids = group.ids
     pids = ids[root_index:] + ids[:root_index]  # rank -> place id, as in tree_broadcast
 
     w = extra = 0.0
-    ready = [max(times[pid], t_start) for pid in pids]
+    ready = []
+    for pid in pids:
+        ready.append(max(times[pid], t_start))
     span = 1
     while span < size:
         for rank in range(0, size, span * 2):

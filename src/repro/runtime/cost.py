@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -198,7 +200,9 @@ class CostModel:
 
 
 def validate_cost_model(model: CostModel) -> Optional[str]:
-    """Return an error message if any rate is negative, else ``None``."""
+    """Return an error message if any rate is negative, NaN or infinite,
+    else ``None``.  A non-finite rate would not fail later: it silently
+    turns virtual times into NaN, 0.0 (``inf * 0``) or ``inf``."""
     for name in (
         "flop_time",
         "latency",
@@ -214,6 +218,9 @@ def validate_cost_model(model: CostModel) -> Optional[str]:
         "checksum_byte_time",
         "logical_scale",
     ):
-        if getattr(model, name) < 0:
+        value = getattr(model, name)
+        if value < 0:
             return f"cost rate {name} must be >= 0"
+        if not value < _INF:  # NaN or +inf
+            return f"cost rate {name} must be finite, got {value}"
     return None

@@ -191,41 +191,43 @@ class FailureInjector:
             )
         self._active_contexts.pop()
 
-    def _context_due(self, kill: ScriptedKill) -> bool:
-        return (
-            kill.during is not None
-            and kill.during in self._active_contexts
-            and self._context_counts.get(kill.during, 0) >= kill.occurrence
-        )
-
     # -- polling -------------------------------------------------------------
-
-    def _take(self, predicate) -> List[int]:
-        due: List[int] = []
-        for idx, kill in enumerate(self.kills):
-            if idx in self._fired:
-                continue
-            if predicate(kill):
-                self._fired.add(idx)
-                if kill.iteration is None:
-                    self.pending_at_finish -= 1
-                due.append(kill.place_id)
-        return due
 
     def due_at_iteration(self, iteration: int) -> List[int]:
         """Place ids that should die before this iteration."""
-        return self._take(
-            lambda k: k.iteration is not None and iteration >= k.iteration
-        )
+        due: List[int] = []
+        fired = self._fired
+        for idx, kill in enumerate(self.kills):
+            if idx in fired or kill.iteration is None:
+                continue
+            if iteration >= kill.iteration:
+                fired.add(idx)
+                due.append(kill.place_id)
+        return due
 
     def due_at_phase(self, phase: int, global_time: float) -> List[int]:
         """Place ids that should die before this phase (incl. timed and
-        context-triggered kills)."""
-        return self._take(
-            lambda k: (k.phase is not None and phase >= k.phase)
-            or (k.time is not None and global_time >= k.time)
-            or self._context_due(k)
-        )
+        context-triggered kills).  Each unfired kill is tested inline: this
+        runs at every finish entry while ``pending_at_finish``."""
+        due: List[int] = []
+        fired = self._fired
+        for idx, kill in enumerate(self.kills):
+            if idx in fired or kill.iteration is not None:
+                continue
+            during = kill.during
+            if (
+                (kill.phase is not None and phase >= kill.phase)
+                or (kill.time is not None and global_time >= kill.time)
+                or (
+                    during is not None
+                    and during in self._active_contexts
+                    and self._context_counts.get(during, 0) >= kill.occurrence
+                )
+            ):
+                fired.add(idx)
+                self.pending_at_finish -= 1
+                due.append(kill.place_id)
+        return due
 
     def unfired(self) -> List[ScriptedKill]:
         """Scripted kills that have not fired (yet).
@@ -503,7 +505,7 @@ class TransientFaultModel:
 
     def fate(self, src_id: int, dst_id: int, t: float) -> MessageFate:
         """Draw the fate of one transmission attempt at time *t*."""
-        if self.partitioned(src_id, dst_id, t):
+        if self.partitions and self.partitioned(src_id, dst_id, t):
             self.dropped += 1
             return MessageFate(delivered=False)
         if self.drop_rate and self._rng.random() < self.drop_rate:

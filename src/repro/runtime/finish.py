@@ -67,30 +67,52 @@ class PlaceZeroLedger:
         processed, which is the earliest time the owning finish may
         terminate.  Events are processed in arrival order; the server may
         already be busy with earlier events (from this or other finishes).
+
+        The drain is one pass over the sorted arrivals, bit-exact to one
+        ``Resource.acquire`` per arrival: the frontier advances through the
+        identical float operations (zero-cost models collapse it to a max).
+        With an ``on_acquire`` hook installed (tracing) it does call
+        ``acquire`` per arrival, so the hook sees every event.
         """
+        resource = self.resource
         if not arrival_times:
-            return self.resource.free_at
-        # Batched frontier advance: bit-exact to per-event acquire() over
-        # the sorted arrivals (see Resource.acquire_batch), without the
-        # per-event Python call + re-sort overhead.
-        stats = self.stats
+            return resource.free_at
+        if resource.retired:
+            resource.check_live()
+        n = len(arrival_times)
         dt = self.event_time
-        done = self.resource.acquire_batch(arrival_times, dt)
+        if resource.on_acquire is not None:
+            done = resource.free_at
+            for t in sorted(arrival_times):
+                done = resource.acquire(t, dt)
+        elif dt == 0.0:
+            top = max(arrival_times)
+            if top > resource.free_at:
+                resource.free_at = top
+            resource.served += n
+            done = resource.free_at
+        else:
+            done = resource.free_at
+            busy = resource.busy_time
+            for t in sorted(arrival_times):
+                if t > done:
+                    done = t
+                done += dt
+                busy += dt
+            resource.free_at = done
+            resource.busy_time = busy
+            resource.served += n
+        stats = self.stats
         if dt:
             # Repeated addition (not n*dt): keeps the accumulated float
             # bit-identical to the historical per-event loop.
             busy = stats.busy_time
-            for _ in range(len(arrival_times)):
+            for _ in range(n):
                 busy += dt
             stats.busy_time = busy
-        stats.events += len(arrival_times)
+        stats.events += n
         stats.finishes += 1
         return done
-
-    def record_stall(self, seconds: float) -> None:
-        """Account time a finish spent waiting for the ledger to drain."""
-        if seconds > 0:
-            self.stats.stall_time += seconds
 
 
 @dataclass(slots=True)

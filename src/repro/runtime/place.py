@@ -12,7 +12,8 @@ two properties reproduced here exactly:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from functools import cached_property
+from typing import Any, Dict, Iterable, Iterator, List, Sequence
 
 from repro.util.validation import check_index, require
 
@@ -98,10 +99,16 @@ class PlaceGroup:
 
     # -- group algebra -----------------------------------------------------
 
-    @property
+    @cached_property
     def ids(self) -> List[int]:
-        """The place ids, in group order."""
-        return [p.id for p in self._places]
+        """The place ids, in group order: built once per group (groups are
+        immutable), so callers read it and must not mutate it."""
+        return list(self._index_by_id)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state.pop("ids", None)  # derived: rebuilt on first use after a load
+        return state
 
     def index_of(self, place: Place) -> int:
         """Index of *place* within this group; ``-1`` if absent."""

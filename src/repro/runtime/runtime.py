@@ -664,7 +664,9 @@ class Runtime:
             times = clock._times
             t_start = t_spawn = times[driver]
             spawn_dt = cost.task_spawn_time
-            arg_msg = cost.message(arg_bytes)
+            arg_msg = cost._msg_memo.get(arg_bytes)
+            if arg_msg is None:
+                arg_msg = cost.message(arg_bytes)
             latency = cost.latency
             task_ends: List[float] = []
             ledger_arrivals: Optional[List[float]] = [] if resilient else None

@@ -1,11 +1,14 @@
 """Tests for the virtual clock and the cost model."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.runtime.clock import VirtualClock
 from repro.runtime.cost import CostModel, validate_cost_model
+from repro.runtime.runtime import Runtime
 
 
 class TestVirtualClock:
@@ -103,6 +106,15 @@ class TestCostModel:
         assert validate_cost_model(CostModel.unit()) is None
         bad = CostModel(latency=-1.0)
         assert "latency" in validate_cost_model(bad)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CostModel)])
+    def test_non_finite_rate_refused_at_runtime(self, name, value):
+        """A NaN rate once completed a resilient finish at 0.0 s, an infinite
+        byte time did too (``inf * 0``), and an infinite latency moved the
+        driver clock to ``inf`` — all without an error."""
+        with pytest.raises(ValueError, match=f"cost rate {name} must be finite"):
+            Runtime(2, cost=CostModel(**{name: value}), resilient=True)
 
     def test_frozen(self):
         with pytest.raises(Exception):
