@@ -72,6 +72,7 @@ FLOWS = [
     "--dup-rate 0.02 --delay-rate 0.1 --delay-seconds 0.01 --straggler 2:4 --corrupt 0.1 "
     "--detect-timeout 1 --heartbeat-interval 0.1 --chaos-seed 5",
     "run pagerank --places 3 --iterations 3 --non-resilient --profile --timeline",
+    "run linreg --places 4 --iterations 12 --fail-at 6 --victim 2 --profile --timeline",
     "run pagerank --places 4 --iterations 6 --ckpt-interval 3 --fail-at 4 --victim 1 "
     "--mode replace-redundant --spares 1",
     f"run linreg {SMALL} --spares 1 --fail-at 3 --victim 4",
