@@ -1,15 +1,16 @@
 """Finish-level profiling: where does the virtual time go?
 
-Every finish (and collective) records a :class:`FinishReport` with its
-label, start/end times, task count and bookkeeping-stall component.  These
-helpers aggregate the reports into an operation profile — the tool used to
-understand, e.g., why PageRank hides resilient bookkeeping while LinReg
-does not — and render a coarse ASCII timeline.
+Every finish (and collective) of a traced runtime records a
+:class:`~repro.engine.timeline.FinishEvent` with its label, start/end times,
+task count and bookkeeping-stall component.  These helpers aggregate the
+events into an operation profile — the tool used to understand, e.g., why
+PageRank hides resilient bookkeeping while LinReg does not — and render a
+coarse ASCII timeline.
 
-The same tooling works offline: the engine's typed event log (the CLI's
-``--trace-out`` JSONL dump) converts back into finish reports via
-:func:`finish_reports_from_events` / :func:`load_engine_events`, so a
-profile can be rendered from a trace file without re-running the app.
+The same tooling works offline: :func:`load_engine_events` reads the CLI's
+``--trace-out`` JSONL dump back, and ``iter_spans(events, "finish")``
+selects its finishes, so a profile can be rendered from a trace file
+without re-running the app.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
-from repro.engine.timeline import EngineEvent, iter_spans, load_jsonl
-from repro.runtime.finish import FinishReport
+from repro.engine.timeline import EngineEvent, FinishEvent, load_jsonl
 
 
 def _op_of(label: str) -> str:
@@ -33,25 +33,6 @@ def _op_of(label: str) -> str:
 def load_engine_events(path: str) -> List[EngineEvent]:
     """Load a ``--trace-out`` JSONL dump back into typed engine events."""
     return load_jsonl(path)
-
-
-def finish_reports_from_events(events: Iterable[EngineEvent]) -> List[FinishReport]:
-    """Rebuild finish reports from the engine's ``finish`` events.
-
-    Lets :func:`profile_finishes` / :func:`render_timeline` run on a dumped
-    trace instead of a live runtime's ``stats.finish_reports``.
-    """
-    return [
-        FinishReport(
-            label=e.label,
-            start=e.t_start,
-            end=e.t_end,
-            n_tasks=e.n_tasks,
-            task_end_max=e.task_end_max,
-            ledger_ready=e.ledger_ready,
-        )
-        for e in iter_spans(events, "finish")
-    ]
 
 
 @dataclass
@@ -74,22 +55,23 @@ class OpProfile:
         return self.ledger_stall / self.total_time if self.total_time else 0.0
 
 
-def profile_finishes(reports: Sequence[FinishReport]) -> List[OpProfile]:
-    """Aggregate finish reports into per-operation profiles, largest first."""
+def profile_finishes(finishes: Iterable[FinishEvent]) -> List[OpProfile]:
+    """Aggregate finish events into per-operation profiles, largest first."""
     by_op: Dict[str, OpProfile] = {}
-    for report in reports:
-        op = _op_of(report.label)
+    for event in finishes:
+        op = _op_of(event.label)
         profile = by_op.setdefault(op, OpProfile(op=op))
         profile.count += 1
-        profile.total_time += report.duration
-        profile.ledger_stall += report.ledger_stall
-        profile.tasks += report.n_tasks
+        profile.total_time += event.duration
+        # How long the finish waited on bookkeeping beyond its tasks.
+        profile.ledger_stall += max(0.0, event.ledger_ready - event.task_end_max)
+        profile.tasks += event.n_tasks
     return sorted(by_op.values(), key=lambda p: p.total_time, reverse=True)
 
 
-def render_profile(reports: Sequence[FinishReport], top: int = 12) -> str:
+def render_profile(finishes: Iterable[FinishEvent], top: int = 12) -> str:
     """A text table of the most expensive operations."""
-    profiles = profile_finishes(reports)
+    profiles = profile_finishes(finishes)
     total = sum(p.total_time for p in profiles) or 1.0
     lines = [
         f"{'operation':<22s} {'count':>6s} {'total(ms)':>10s} {'mean(ms)':>9s} "
@@ -108,19 +90,18 @@ def render_profile(reports: Sequence[FinishReport], top: int = 12) -> str:
 
 
 def render_timeline(
-    reports: Sequence[FinishReport], width: int = 72, max_rows: int = 40
+    finishes: Sequence[FinishEvent], width: int = 72, max_rows: int = 40
 ) -> str:
     """A coarse ASCII Gantt chart of finishes over virtual time."""
-    if not reports:
+    if not finishes:
         return "(no finishes recorded)"
-    t_end = max(r.end for r in reports) or 1.0
-    lines = [f"virtual time 0 .. {t_end * 1e3:.2f} ms ({len(reports)} finishes)"]
-    shown = list(reports)[:max_rows]
-    for r in shown:
-        lo = int(r.start / t_end * width)
-        hi = max(lo + 1, int(r.end / t_end * width))
+    t_end = max(e.t_end for e in finishes) or 1.0
+    lines = [f"virtual time 0 .. {t_end * 1e3:.2f} ms ({len(finishes)} finishes)"]
+    for e in finishes[:max_rows]:
+        lo = int(e.t_start / t_end * width)
+        hi = max(lo + 1, int(e.t_end / t_end * width))
         bar = " " * lo + "█" * (hi - lo)
-        lines.append(f"{bar:<{width}s}| {_op_of(r.label)} ({r.duration * 1e3:.2f} ms)")
-    if len(reports) > max_rows:
-        lines.append(f"... {len(reports) - max_rows} more finishes not shown")
+        lines.append(f"{bar:<{width}s}| {_op_of(e.label)} ({e.duration * 1e3:.2f} ms)")
+    if len(finishes) > max_rows:
+        lines.append(f"... {len(finishes) - max_rows} more finishes not shown")
     return "\n".join(lines)

@@ -275,7 +275,9 @@ def _cmd_list() -> int:
 
 
 def _configure_run(args: argparse.Namespace) -> Callable[[], int]:
-    spec = same_named(WorldSpec, args, trace=bool(args.trace_out))
+    spec = same_named(
+        WorldSpec, args, trace=bool(args.trace_out or args.profile or args.timeline)
+    )
     spec.validate()
     return partial(_run_world, args, spec)
 
@@ -358,12 +360,12 @@ def _print_report(args: argparse.Namespace, rt, app, report) -> int:
         from repro.bench.timeline import render_profile
 
         print("\nper-operation profile:")
-        print(render_profile(rt.stats.finish_reports))
+        print(render_profile(rt.engine.timeline.of_kind("finish")))
     if args.timeline:
         from repro.bench.timeline import render_timeline
 
         print("\nfinish timeline:")
-        print(render_timeline(rt.stats.finish_reports))
+        print(render_timeline(rt.engine.timeline.of_kind("finish")))
     if args.trace_out:
         try:
             n = rt.engine.timeline.dump_jsonl(args.trace_out)

@@ -49,7 +49,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.runtime.finish import FinishReport
 from repro.util.versioning import ensure_version_floor, freeze_payload, next_version
 
 
@@ -149,30 +148,13 @@ class ForkContext:
         buf = io.BytesIO()
         pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
         # Dispatch by type, so the C pickler calls back into Python for the
-        # two shared types only.  The table is built per capture and its
-        # entries are bound to the context, never to the pickler: a pickler
+        # one shared type only.  The table is built per capture and its
+        # entry is bound to the context, never to the pickler: a pickler
         # reachable from its own table is a cycle, and its memo pins every
         # payload of the world until the collector runs.
-        pickler.dispatch_table = {
-            **copyreg.dispatch_table,
-            np.ndarray: self._reduce_array,
-            FinishReport: self._reduce_shared,
-        }
+        pickler.dispatch_table = {**copyreg.dispatch_table, np.ndarray: self._reduce_array}
         pickler.dump(root)
         return SimulatorImage(buf.getvalue(), self, next_version(), dict(meta))
-
-    def _reduce_shared(self, obj: Any):
-        """Park *obj* in the side table, once per context, by identity.
-
-        Finish reports qualify like frozen arrays: they are append-only
-        records — nothing assigns to a FinishReport field (or its
-        dead_places list) once it is in ``stats.finish_reports``.
-        """
-        slot = self._slot_of.get(id(obj))
-        if slot is None:
-            slot = self._slot_of[id(obj)] = len(self._frozen)
-            self._frozen.append(obj)
-        return _shared, (slot,)
 
     def _reduce_array(self, arr: np.ndarray):
         """Writable arrays are copied into the image; frozen ones are shared.
@@ -192,7 +174,11 @@ class ForkContext:
         while type(owner.base) is np.ndarray:
             owner = owner.base
         if owner.base is None and not owner.flags.writeable:
-            return self._reduce_shared(arr)
+            slot = self._slot_of.get(id(arr))
+            if slot is None:
+                slot = self._slot_of[id(arr)] = len(self._frozen)
+                self._frozen.append(arr)
+            return _shared, (slot,)
         snap = arr.copy()
         snap.setflags(write=False)
         self._frozen.append(snap)

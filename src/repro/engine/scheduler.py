@@ -20,6 +20,7 @@ directly (a worker core is not a shared resource).
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.resource import DuplexLink, Resource
@@ -34,10 +35,15 @@ from repro.runtime.clock import VirtualClock
 from repro.runtime.cost import CostModel
 from repro.runtime.exceptions import CommTimeoutError, DeadPlaceException
 from repro.runtime.failure import RetryPolicy, TransientFaultModel
-from repro.runtime.finish import FinishReport
 
 #: Resource-key tags whose second element is a place id (purged on kill).
 _PLACE_TAGS = ("srv", "tx", "rx")
+
+
+def _record_service(
+    timeline: Timeline, resource: Resource, t_request: float, start: float, done: float
+) -> None:
+    timeline.record(ServiceEvent(t_start=t_request, t_end=done, resource=str(resource.key)))
 
 
 class Scheduler:
@@ -65,14 +71,7 @@ class Scheduler:
         #: place id -> latest deferred completion time.
         self._pending_arrivals: Dict[int, float] = {}
         self.ledger = self.resource(("ledger",))
-        # The ledger's recording hook is installed only while the timeline
-        # is enabled: a hook-free ledger drains in one batched pass
-        # (PlaceZeroLedger.process) with identical virtual times.
-        self.timeline.on_toggle(self._sync_ledger_hook)
-        # Mirror of ``timeline.enabled`` as a plain attribute: the transfer
-        # and finish hot paths test it once per event, and an attribute
-        # read is markedly cheaper than the notifying property.
-        self.timeline.on_toggle(self._sync_timeline_flag)
+        self.set_tracing(self.timeline.enabled)
         self.disk = self.resource(("disk",))
         #: Transient message-fault model; ``None`` keeps the network
         #: reliable and every transfer bit-exact with the fault-free model.
@@ -433,15 +432,14 @@ class Scheduler:
         *,
         t_floor: Optional[float] = None,
         ret_bytes: float = 0.0,
-        dead_places: Optional[List[int]] = None,
-    ) -> FinishReport:
+    ) -> float:
         """Join + bookkeeping shared by the dispatch loop and the collectives.
 
         The driver serially absorbs one termination message per task; under
         resilience the finish additionally waits for the place-zero ledger
         to drain its events (scheduled on the engine's ledger resource).
-        Returns the recorded :class:`FinishReport`; the driver's clock is
-        advanced to the finish completion.
+        Returns the completion time, to which the driver's clock is
+        advanced; the finish's record is its timeline ``FinishEvent``.
         """
         clock, cost = self.clock, self.cost
         times = clock._times
@@ -502,16 +500,6 @@ class Scheduler:
 
         stats.finishes += 1
         stats.tasks += n_tasks
-        report = FinishReport(
-            label=label,
-            start=t_start,
-            end=t_finish,
-            n_tasks=n_tasks,
-            task_end_max=task_end_max,
-            ledger_ready=ledger_ready,
-            dead_places=list(dead_places or []),
-        )
-        stats.finish_reports.append(report)
         if self._tl_enabled:
             self.timeline.record(
                 FinishEvent(
@@ -523,26 +511,24 @@ class Scheduler:
                     ledger_ready=ledger_ready,
                 )
             )
-        return report
+        return t_finish
 
     def complete_finish_zero(
         self,
         runtime,
-        label: str,
         n_ends: int,
         n_tasks: int,
         ledger_events: int,
         ret_bytes: float = 0.0,
-        dead_places: Optional[List[int]] = None,
-    ) -> FinishReport:
+    ) -> None:
         """Zero-time variant of :meth:`complete_finish`.
 
         Only valid under :meth:`zero_fast`: every task end, arrival and
         frontier is 0.0, so the join recurrence, the ledger drain and the
-        clock update all land back on 0.0.  What remains is exactly the
-        observable bookkeeping the slow path performs — stats counters
-        (bit-identical accumulation), ledger event counts, and the
-        recorded :class:`FinishReport`.  *n_ends* is the number of task
+        clock update all land back on 0.0, and with the timeline off there
+        is no event to record.  What remains is exactly the observable
+        bookkeeping the slow path performs — stats counters (bit-identical
+        accumulation) and ledger event counts.  *n_ends* is the number of task
         terminations (``len(task_ends)``), *n_tasks* the live task count,
         *ledger_events* the number of resilient ledger arrivals the slow
         path would have posted (0 when the runtime is non-resilient).
@@ -564,35 +550,21 @@ class Scheduler:
             lstats.finishes += 1
         stats.finishes += 1
         stats.tasks += n_tasks
-        report = FinishReport(
-            label=label,
-            start=0.0,
-            end=0.0,
-            n_tasks=n_tasks,
-            task_end_max=0.0,
-            ledger_ready=0.0,
-            dead_places=list(dead_places or []),
-        )
-        stats.finish_reports.append(report)
-        return report
 
     # -- event hooks -----------------------------------------------------------
 
-    def _sync_ledger_hook(self, enabled: bool) -> None:
-        """Attach/detach the ledger recording hook as tracing toggles."""
-        self.ledger.on_acquire = self._record_service if enabled else None
+    def set_tracing(self, enabled: bool) -> None:
+        """Turn the timeline on or off: the one switch for its three views.
 
-    def _sync_timeline_flag(self, enabled: bool) -> None:
-        """Keep the plain-attribute mirror of ``timeline.enabled`` fresh."""
-        self._tl_enabled = enabled
-
-    def _record_service(
-        self, resource: Resource, t_request: float, start: float, done: float
-    ) -> None:
-        if self._tl_enabled:
-            self.timeline.record(
-                ServiceEvent(t_start=t_request, t_end=done, resource=str(resource.key))
-            )
+        ``_tl_enabled`` mirrors ``timeline.enabled`` as a plain attribute the
+        transfer and finish hot paths test once per event.  The ledger's
+        recording hook is installed only while tracing: a hook-free ledger
+        drains in one batched pass (``PlaceZeroLedger.process``) with
+        identical virtual times.  The hook holds the timeline, not the
+        scheduler, so an engine never refers to itself.
+        """
+        self._tl_enabled = self.timeline.enabled = bool(enabled)
+        self.ledger.on_acquire = partial(_record_service, self.timeline) if enabled else None
 
     # -- introspection ----------------------------------------------------------
 

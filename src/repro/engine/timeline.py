@@ -133,33 +133,14 @@ class Timeline:
 
     Disabled by default (recording every transfer of a benchmark sweep
     would dominate its runtime); the runtime's ``trace`` flag or the CLI's
-    ``--trace-out`` enables it.
+    ``--trace-out`` / ``--profile`` / ``--timeline`` enables it.  An
+    engine's timeline is switched through
+    :meth:`~repro.engine.scheduler.Scheduler.set_tracing`.
     """
 
     def __init__(self, enabled: bool = False):
-        self._enabled = bool(enabled)
-        self._toggle_listeners: List = []
+        self.enabled = bool(enabled)
         self.events: List[EngineEvent] = []
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self._enabled = bool(value)
-        for listener in self._toggle_listeners:
-            listener(self._enabled)
-
-    def on_toggle(self, listener) -> None:
-        """Register ``listener(enabled)``; called now and on every toggle.
-
-        Lets hot paths install per-event hooks only while recording is on
-        (e.g. the scheduler's ledger hook, whose absence unlocks the
-        batched ledger fast path).
-        """
-        self._toggle_listeners.append(listener)
-        listener(self._enabled)
 
     def record(self, event: EngineEvent) -> None:
         """Append an event (no-op while disabled)."""

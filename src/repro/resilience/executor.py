@@ -435,7 +435,9 @@ class IterativeExecutor:
         context (a kill scripted for it fires inside).  The caller charges
         the aborted attempt before observing the failure; observing after
         the context has closed moves nothing, because the detector's
-        verdict wait never polls kills.
+        verdict wait never polls kills.  The failure's traceback reaches
+        the caller's frame, so a caller drops it once observed: a local
+        still holding it when the frame ends is a reference cycle.
         """
         injector = self.runtime.injector
         if context is not None:
@@ -575,8 +577,8 @@ class IterativeExecutor:
                 again = self._attempt(
                     "reconstruct", self.app.reconstruct, new_group, rstore, dead_idx
                 )
-            except DataLossError as lost:  # a burst beyond the redundancy
-                again = lost
+            except DataLossError:  # a burst beyond the redundancy
+                again = DataLossError  # the class: the instance pins this frame
             dt = rt.now() - t0
             report.reconstruct_time += dt
             if again is None:
@@ -587,13 +589,14 @@ class IterativeExecutor:
                 state.restore_attempts = 0
                 return True
             self._spare_stash.extend(new_group[i] for i in dead_idx)
-            if isinstance(again, DataLossError):
+            if again is DataLossError:
                 break
             # A further failure mid-reconstruction.  Every rebuild primitive
             # (rehome / fetch-reset / re-solve / repair) is idempotent, so
             # the retry simply redoes the recovery over a refreshed group.
             report.aborted_reconstructions += 1
             self._observe(again, report)
+            again = None
         report.fallback_restores += 1
         rstore.invalidate()
         return False
@@ -634,6 +637,7 @@ class IterativeExecutor:
                 report.aborted_restores += 1
                 report.aborted_restore_durations.append(dt)
                 self._observe(again, report)
+                again = None
             elif mode not in _REPLACE_MODES or self._scrub(new_group):
                 break
         report.restore_time += dt
@@ -672,6 +676,7 @@ class IterativeExecutor:
         if again is not None:
             report.aborted_scrubs += 1
             self._observe(again, report)
+            again = None
             return False
         report.scrubs += 1
         report.scrub_repaired_copies += sum(repaired)
@@ -793,7 +798,10 @@ class IterativeExecutor:
                 # part of the failure's cost, not of the restore).
                 rt.engine.drain_overlap()
                 report.lost_time += rt.now() - t_attempt
-                self._recover(failure)
+                try:
+                    self._recover(failure)
+                finally:
+                    failure = None  # see _attempt
 
         # The run is only finished once the final checkpoint is durable:
         # drain outstanding overlapped backups and charge the driver the

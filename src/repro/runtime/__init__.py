@@ -29,7 +29,7 @@ from repro.runtime.failure import (
     RackFailureModel,
     ScriptedKill,
 )
-from repro.runtime.finish import FinishReport, PlaceZeroLedger
+from repro.runtime.finish import PlaceZeroLedger
 from repro.runtime.globalref import GlobalRef, PlaceLocalHandle
 from repro.runtime.heap import PlaceHeap
 from repro.runtime.place import Place, PlaceGroup
@@ -61,7 +61,6 @@ __all__ = [
     "make_runtime",
     "RackFailureModel",
     "ScriptedKill",
-    "FinishReport",
     "PlaceZeroLedger",
     "GlobalRef",
     "PlaceLocalHandle",

@@ -100,11 +100,10 @@ def _finish_phase(
         arrivals = [t_start + latency] * n_tasks
         for t in task_ends:
             arrivals.append(t + latency)
-    report = rt.engine.complete_finish(rt, label, t_start, task_ends, n_tasks, arrivals)
-    return report.end
+    return rt.engine.complete_finish(rt, label, t_start, task_ends, n_tasks, arrivals)
 
 
-def _zero_collective(rt: Runtime, label: str, size: int, scaled_bytes: float) -> float:
+def _zero_collective(rt: Runtime, size: int, scaled_bytes: float) -> float:
     """Zero-time completion shared by the collective fast paths.
 
     Every binomial/flat pattern over a *size*-place group moves exactly
@@ -117,9 +116,7 @@ def _zero_collective(rt: Runtime, label: str, size: int, scaled_bytes: float) ->
     for _ in range(size - 1):
         stats.messages += 1
         stats.bytes_sent += scaled_bytes
-    rt.engine.complete_finish_zero(
-        rt, label, size, size, 2 * size if rt.resilient else 0
-    )
+    rt.engine.complete_finish_zero(rt, size, size, 2 * size if rt.resilient else 0)
     return 0.0
 
 
@@ -164,7 +161,7 @@ def tree_broadcast(
     clock, cost = rt.clock, rt.cost
     scaled = nbytes * cost.logical_scale
     if rt.engine.zero_fast():
-        return _zero_collective(rt, label, size, scaled)
+        return _zero_collective(rt, size, scaled)
     times, stats, faults = clock._times, rt.stats, rt.engine.faults
     msg = cost._msg_memo.get(nbytes)
     if msg is None:
@@ -220,7 +217,7 @@ def flat_gather(
     clock, cost = rt.clock, rt.cost
     scaled = nbytes_each * cost.logical_scale
     if rt.engine.zero_fast():
-        return _zero_collective(rt, label, size, scaled)
+        return _zero_collective(rt, size, scaled)
     times, stats, faults = clock._times, rt.stats, rt.engine.faults
     latency = cost.latency
     absorb = cost.byte_time * scaled
@@ -275,7 +272,7 @@ def tree_reduce(
     clock, cost = rt.clock, rt.cost
     scaled = nbytes * cost.logical_scale
     if rt.engine.zero_fast():
-        return _zero_collective(rt, label, size, scaled)
+        return _zero_collective(rt, size, scaled)
     times, stats, faults = clock._times, rt.stats, rt.engine.faults
     memo = cost._msg_memo
     msg = memo.get(nbytes)

@@ -17,7 +17,7 @@ long tasks) but ~120 % for LinReg (many short finishes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine loads later)
@@ -113,25 +113,3 @@ class PlaceZeroLedger:
         stats.events += n
         stats.finishes += 1
         return done
-
-
-@dataclass(slots=True)
-class FinishReport:
-    """Timing decomposition of one finish, for tests and benchmarks."""
-
-    label: str
-    start: float
-    end: float
-    n_tasks: int
-    task_end_max: float = 0.0
-    ledger_ready: float = 0.0
-    dead_places: List[int] = field(default_factory=list)
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    @property
-    def ledger_stall(self) -> float:
-        """How long this finish waited on bookkeeping beyond its tasks."""
-        return max(0.0, self.ledger_ready - self.task_end_max)

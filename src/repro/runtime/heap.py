@@ -10,7 +10,14 @@ against.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Hashable, Iterator, List
+
+
+def _dead_heap(place_id: int, *_args) -> None:
+    """Raise the dead-heap error; bound to the place id, the stand-in for a
+    destroyed heap's ``put`` / ``contains`` / ``pop``."""
+    raise RuntimeError(f"heap of dead place {place_id} accessed")
 
 
 class _Entries(dict):
@@ -21,7 +28,7 @@ class _Entries(dict):
 
     def __missing__(self, key: Hashable) -> Any:
         if self.dead:
-            raise RuntimeError(f"heap of dead place {self.place_id} accessed")
+            _dead_heap(self.place_id)
         raise KeyError(f"place {self.place_id} heap has no entry {key!r}")
 
 
@@ -42,7 +49,8 @@ class PlaceHeap:
 
     :meth:`destroy` rebinds the last three to a stub raising the dead-heap
     ``RuntimeError`` (``get`` reaches it through the emptied store's
-    ``__missing__``).
+    ``__missing__``).  The stub holds the place id, not the heap: a heap
+    never refers to itself, so a dropped world dies by refcount.
     """
 
     __slots__ = ("place_id", "_store", "destroyed", "get", "put", "contains", "pop")
@@ -70,11 +78,10 @@ class PlaceHeap:
         if destroyed:
             self.destroy()
 
-    def _check_live(self, *_args) -> None:
-        """Raise on a destroyed heap; with any arguments, the stand-in for
-        ``put`` / ``contains`` / ``pop`` once the place is dead."""
+    def _check_live(self) -> None:
+        """Raise on a destroyed heap."""
         if self.destroyed:
-            raise RuntimeError(f"heap of dead place {self.place_id} accessed")
+            _dead_heap(self.place_id)
 
     def get_or(self, key: Hashable, default: Any = None) -> Any:
         """Fetch the entry for *key* or *default* when absent."""
@@ -116,7 +123,7 @@ class PlaceHeap:
         """Irrevocably drop all contents (the place died)."""
         self._store.clear()
         self._store.dead = self.destroyed = True
-        self.put = self.contains = self.pop = self._check_live
+        self.put = self.contains = self.pop = partial(_dead_heap, self.place_id)
 
     def __len__(self) -> int:
         self._check_live()

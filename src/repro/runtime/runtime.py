@@ -43,7 +43,7 @@ the counters only, skipping the arithmetic of steps 1–4.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -56,7 +56,7 @@ from repro.runtime.exceptions import (
     collapse_failures,
 )
 from repro.runtime.failure import FailureInjector, RetryPolicy, TransientFaultModel
-from repro.runtime.finish import FinishReport, PlaceZeroLedger
+from repro.runtime.finish import PlaceZeroLedger
 from repro.runtime.heap import PlaceHeap
 from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.pool import PlaceLease, PlacePool
@@ -85,10 +85,6 @@ class RuntimeStats:
     parity_reconstructions: int = 0
     #: Dead places brought back by :meth:`Runtime.revive` (pool repair).
     repairs: int = 0
-    finish_reports: List[FinishReport] = field(default_factory=list)
-
-    def reset_reports(self) -> None:
-        self.finish_reports.clear()
 
 
 class PlaceContext:
@@ -268,11 +264,17 @@ class Runtime:
 
     def close(self) -> None:
         """Release the world once its owner has read the results: destroy
-        every heap, so payloads die by refcount instead of at some later
-        cycle collection and any further heap access raises.  Idempotent."""
+        every heap, so any further heap access raises, and drop the
+        back-references (contexts, detector, pool and leases to their
+        owners), so the closed world holds no reference cycle and dies by
+        refcount.  Idempotent."""
         for heap in self._heaps.values():
             heap.destroy()
         self._ctx_cache.clear()
+        self.detector = None
+        for lease in self.pool.leases:
+            lease.pool = None
+        self.pool.runtime = None
 
     def __enter__(self) -> "Runtime":
         return self
@@ -727,11 +729,6 @@ class Runtime:
 
         # The finish join (serial termination-message absorption at the
         # caller) and the resilient-ledger wait are completed by the engine.
-        dead = (
-            [pid for f in failures for pid in getattr(f, "places", [])]
-            if failures
-            else None
-        )
         if timed:
             engine.complete_finish(
                 self,
@@ -742,17 +739,10 @@ class Runtime:
                 ledger_arrivals,
                 t_floor=t_spawn,
                 ret_bytes=ret_bytes,
-                dead_places=dead,
             )
         else:
             engine.complete_finish_zero(
-                self,
-                label,
-                n_live,
-                n_live,
-                2 * n_live if resilient else 0,
-                ret_bytes=ret_bytes,
-                dead_places=dead,
+                self, n_live, n_live, 2 * n_live if resilient else 0, ret_bytes=ret_bytes
             )
         if failures:
             # No local may keep the raised exc: exc -> traceback -> this frame ->

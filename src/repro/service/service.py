@@ -632,8 +632,11 @@ class ClusterService:
 
 
 def run_service(config: ServiceConfig) -> ServiceReport:
-    """Convenience: build and run a :class:`ClusterService`."""
-    return ClusterService(config).run()
+    """Convenience: build and run a :class:`ClusterService`, then close its
+    world."""
+    cluster = ClusterService(config)
+    with cluster.runtime:
+        return cluster.run()
 
 
 def _rate_on_common_jobs(

@@ -205,7 +205,7 @@ class WorldSpec:
                 self.places, cost=cost, resilient=self.resilient, spares=self.spares
             )
             if self.trace:
-                rt.engine.timeline.enabled = True
+                rt.engine.set_tracing(True)
         if not self.resilient:
             app = entry.nonresilient(rt, self._workload())
             return rt, app, None, NonResilientExecutor(rt, app)

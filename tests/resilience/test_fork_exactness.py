@@ -37,7 +37,7 @@ def _fingerprint(executor, report):
         "time": rt.clock.global_time(),
         "messages": rt.stats.messages,
         "bytes_sent": rt.stats.bytes_sent,
-        "finishes": len(rt.stats.finish_reports),
+        "finishes": rt.stats.finishes,
     }
 
 

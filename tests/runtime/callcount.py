@@ -3,7 +3,7 @@
 ``pstats`` keys its table by ``(file, line, name)``.  Every dataclass-generated
 method shares one such key — each ``__init__`` is ``('<string>', 2,
 '__init__')`` — so one overwrites the others and ``Stats.total_calls`` misses
-their calls (``FinishReport``, ``MessageFate``, ``TransferEvent``, ...).
+their calls (``MessageFate``, ``TransferEvent``, ``FinishEvent``, ...).
 ``Profile.getstats()`` keeps one entry per code object.
 """
 

@@ -88,9 +88,11 @@ class TestGather:
 class TestReduceAllreduce:
     def test_reduce_log_depth(self):
         rt = rt_with(8, latency=1.0)
+        rt.engine.set_tracing(True)
         tree_reduce(rt, rt.world, 0, nbytes=0)
         # The slowest task (the root's final merge) lands at log2(8) rounds.
-        assert rt.stats.finish_reports[-1].task_end_max == pytest.approx(3.0)
+        finish = rt.engine.timeline.of_kind("finish")[-1]
+        assert finish.task_end_max == pytest.approx(3.0)
 
     def test_reduce_flops_charged(self):
         rt = rt_with(2, flop_time=1.0)

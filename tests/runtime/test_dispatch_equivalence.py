@@ -14,9 +14,16 @@ from repro.runtime.comm import flat_gather, tree_allreduce, tree_broadcast, tree
 from repro.runtime.factory import make_runtime
 
 PLACES = 6
+#: The program's nine finishes as ``(label, live tasks)``: the last one runs
+#: after place 3 died.
+FINISHES = [
+    ("", 6), ("all", 6), ("tasks", 3), ("bcast", 6), ("reduce", 6), ("gather", 6),
+    ("allreduce:reduce", 6), ("allreduce:bcast", 6), ("after-kill", 5),
+]
 
 
-def run_program(resilient: bool, trace: bool) -> dict:
+def run_program(resilient: bool, trace: bool):
+    """Everything observable, and the timeline's finishes as ``(label, n_tasks)``."""
     with make_runtime(PLACES, cost=CostModel.zero(), resilient=resilient, trace=trace) as rt:
         world = rt.world
         results = [rt.finish_all(world, lambda ctx: ctx.heap.put("seed", 10 * ctx.place.id))]
@@ -59,20 +66,22 @@ def run_program(resilient: bool, trace: bool) -> dict:
             "messages": stats.messages,
             "bytes_sent": stats.bytes_sent.hex(),
             "kills": stats.kills,
-            "reports": [asdict(report) for report in stats.finish_reports],
             "ledger": asdict(rt.ledger.stats),
             "clocks": rt.clock.snapshot(),
             "moved": rt.clock._moved,
-        }
+        }, [(e.label, e.n_tasks) for e in rt.engine.timeline.of_kind("finish")]
 
 
 @pytest.mark.parametrize("resilient", [True, False])
 def test_zero_and_timed_branch_agree(resilient):
-    zero = run_program(resilient, trace=False)
-    timed = run_program(resilient, trace=True)
+    zero, untraced = run_program(resilient, trace=False)
+    timed, finishes = run_program(resilient, trace=True)
     assert zero == timed
     assert set(zero["clocks"].values()) == {0.0}
     assert zero["moved"] is False
     assert zero["raised"] == (DeadPlaceException, [3])
-    assert len(zero["reports"]) == 9 and zero["reports"][-1]["dead_places"] == [3]
     assert zero["ledger"]["events"] == (2 * zero["tasks"] if resilient else 0)
+    # The traced run records every finish; the untraced one nothing.
+    assert untraced == []
+    assert finishes == FINISHES
+    assert sum(n for _, n in finishes) == zero["tasks"]

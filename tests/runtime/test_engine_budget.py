@@ -5,7 +5,7 @@ The tier-1 stand-in for the benchmark's ``py_calls_m`` on ``service_stream``,
 beside ``test_call_budget.py`` (the task path) and
 ``test_data_plane_budget.py`` (the snapshot data plane).  Calls are counted
 per code object (``callcount.py``), so dataclass-generated ``__init__``s
-(``FinishReport``, ``MessageFate``) count.  Every event is measured after one
+(``MessageFate``, ``TransferEvent``) count.  Every event is measured after one
 warm-up event, so the cost model's memos and the route table are filled.
 """
 
@@ -17,10 +17,10 @@ from repro.runtime.failure import TransientFaultModel
 from repro.runtime.factory import make_runtime
 from tests.runtime.callcount import calls_by_code
 
-#: finish_all, _finish, complete_finish, PlaceZeroLedger.process and the
-#: FinishReport: 5 (a ledger drain, a stall record and two message-time
-#: helpers beyond them made it 10).
-MAX_CALLS_PER_TIMED_FINISH = 5
+#: finish_all, _finish, complete_finish and PlaceZeroLedger.process: 4 (a
+#: ledger drain, a stall record, two message-time helpers and a per-finish
+#: report record beyond them made it 10).
+MAX_CALLS_PER_TIMED_FINISH = 4
 #: Scheduler.transfer and the route's acquire: 2 (two dead checks, a link
 #: lookup, a one-attempt helper, a message-time helper and the arrival's two
 #: calls beyond them made it 9).
@@ -29,10 +29,10 @@ MAX_CALLS_PER_RELIABLE_TRANSFER = 2
 #: partitions, and its generator, made it 13).
 MAX_CALLS_PER_LOSSY_TRANSFER = 4
 #: tree_allreduce, then per half (reduce, broadcast): the collective, the
-#: group liveness check, zero_fast, the finish phase, complete_finish, the
-#: ledger drain and the FinishReport — 15 (44 with helper calls for the
-#: per-call constants and comprehensions).
-MAX_CALLS_PER_ALLREDUCE = 16
+#: group liveness check, zero_fast, the finish phase, complete_finish and the
+#: ledger drain — 13 (44 with helper calls for the per-call constants,
+#: comprehensions and a per-finish report record).
+MAX_CALLS_PER_ALLREDUCE = 13
 
 EVENTS = 20
 

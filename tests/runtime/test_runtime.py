@@ -215,13 +215,14 @@ class TestVirtualTime:
 
     def test_stats_counters(self):
         rt = make_rt(4, resilient=True, cost=CostModel.unit())
+        rt.engine.set_tracing(True)
         rt.finish_all(rt.world, lambda ctx: None, label="phase-a")
         assert rt.stats.finishes == 1
         assert rt.stats.tasks == 4
         assert rt.ledger.stats.events == 8  # spawn + termination per task
-        report = rt.stats.finish_reports[-1]
-        assert report.label == "phase-a"
-        assert report.n_tasks == 4
+        (finish,) = rt.engine.timeline.of_kind("finish")
+        assert finish.label == "phase-a"
+        assert finish.n_tasks == 4
 
 
 class TestFlatCharges:

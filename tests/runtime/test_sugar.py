@@ -80,13 +80,13 @@ class TestFinishScope:
             scope.async_at(Place(1), lambda ctx: None)
 
     def test_counts_one_finish(self):
-        rt = make_rt()
+        rt = make_rt(trace=True)
         with finish(rt, label="mine") as f:
             for p in rt.world:
                 f.async_at(p, lambda ctx: None)
         assert rt.stats.finishes == 1
-        assert rt.stats.finish_reports[-1].label == "mine"
-        assert rt.stats.finish_reports[-1].n_tasks == 4
+        (event,) = rt.engine.timeline.of_kind("finish")
+        assert (event.label, event.n_tasks) == ("mine", 4)
 
 
 class TestAt:

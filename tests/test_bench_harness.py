@@ -345,35 +345,3 @@ class TestParallelHarness:
             delta.values["mean checkpoint (ms)"][0]
             <= full.values["mean checkpoint (ms)"][0] * 1.001
         )
-
-
-class TestWorldLifetime:
-    def test_a_finished_cell_leaves_no_payload_to_the_cycle_collector(self):
-        """Every world a sweep cell creates is closed, and no frame keeps a
-        raised exception, so with the collector *off* a cell (kill, restore
-        and all) frees its payloads by refcount: a SAVEALL collection
-        afterwards finds the small Runtime cycles but no payload object."""
-        import gc
-
-        from repro.bench.harness import _restore_cell
-
-        modes = ("shrink", "shrink-rebalance", "replace-redundant")
-        _restore_cell("pagerank", 6, 2, 3, modes, 4)  # warm memos and caches
-        gc.collect()
-        gc.disable()
-        try:
-            _restore_cell("pagerank", 6, 2, 3, modes, 4)
-            gc.set_debug(gc.DEBUG_SAVEALL)
-            gc.collect()
-            leaked = [
-                type(obj).__name__
-                for obj in gc.garbage
-                if type(obj).__name__
-                in ("ndarray", "Vector", "DenseMatrix", "SparseCSR", "BlockSet")
-                or type(obj).__module__.startswith("scipy")
-            ]
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            gc.enable()
-        assert leaked == []

@@ -115,15 +115,12 @@ class TestTraceOut:
         ]) == 0
         capsys.readouterr()
 
-        from repro.bench.timeline import (
-            finish_reports_from_events,
-            load_engine_events,
-            render_profile,
-        )
+        from repro.bench.timeline import load_engine_events, render_profile
+        from repro.engine.timeline import iter_spans
 
-        reports = finish_reports_from_events(load_engine_events(path))
-        assert reports
-        assert "operation" in render_profile(reports)
+        finishes = list(iter_spans(load_engine_events(path), "finish"))
+        assert finishes
+        assert "operation" in render_profile(finishes)
 
 
 class TestCheckpointMode:

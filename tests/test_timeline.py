@@ -8,15 +8,15 @@ from repro.bench.timeline import (
     render_profile,
     render_timeline,
 )
+from repro.engine.timeline import FinishEvent, iter_spans
 from repro.runtime import CostModel, Runtime
-from repro.runtime.finish import FinishReport
 
 
 def make_report(label, start, end, n_tasks=2, ledger_ready=0.0, task_end_max=0.0):
-    return FinishReport(
+    return FinishEvent(
+        t_start=start,
+        t_end=end,
         label=label,
-        start=start,
-        end=end,
         n_tasks=n_tasks,
         task_end_max=task_end_max or end,
         ledger_ready=ledger_ready,
@@ -61,9 +61,9 @@ class TestProfile:
         assert "(other)" in text  # overflow row present
 
     def test_render_from_real_run(self):
-        rt = Runtime(3, cost=CostModel.unit())
+        rt = Runtime(3, cost=CostModel.unit(), trace=True)
         rt.finish_all(rt.world, lambda ctx: None, label="Thing:work")
-        text = render_profile(rt.stats.finish_reports)
+        text = render_profile(rt.engine.timeline.of_kind("finish"))
         assert "work" in text
 
 
@@ -88,37 +88,35 @@ class TestTimeline:
 
 
 class TestEngineEventConsumption:
-    def test_finish_reports_from_events_round_trip(self, tmp_path):
-        from repro.bench.timeline import (
-            finish_reports_from_events,
-            load_engine_events,
-        )
+    def test_finish_events_round_trip(self, tmp_path):
+        from repro.bench.timeline import load_engine_events
 
         rt = Runtime(3, cost=CostModel.unit(), resilient=True, trace=True)
         rt.finish_all(rt.world, lambda ctx: None, label="Thing:work")
         path = str(tmp_path / "events.jsonl")
         rt.engine.timeline.dump_jsonl(path)
 
-        rebuilt = finish_reports_from_events(load_engine_events(path))
-        live = rt.stats.finish_reports
-        assert len(rebuilt) == len(live)
-        for a, b in zip(rebuilt, live):
-            assert a.label == b.label
-            assert a.start == b.start and a.end == b.end
-            assert a.ledger_stall == b.ledger_stall
+        dumped = list(iter_spans(load_engine_events(path), "finish"))
+        live = rt.engine.timeline.of_kind("finish")
+        assert len(live) == 1 and dumped == live
+        assert live[0].ledger_ready > live[0].task_end_max  # a stall to carry
 
     def test_profile_matches_live_reports(self, tmp_path):
-        from repro.bench.timeline import finish_reports_from_events
+        from repro.bench.timeline import load_engine_events
 
-        rt = Runtime(3, cost=CostModel.unit(), trace=True)
+        rt = Runtime(3, cost=CostModel.unit(), resilient=True, trace=True)
         rt.finish_all(rt.world, lambda ctx: None, label="A:op1")
         rt.finish_all(rt.world, lambda ctx: None, label="B:op2")
-        rebuilt = finish_reports_from_events(rt.engine.timeline)
-        assert render_profile(rebuilt) == render_profile(rt.stats.finish_reports)
+        path = str(tmp_path / "events.jsonl")
+        rt.engine.timeline.dump_jsonl(path)
+        dumped = list(iter_spans(load_engine_events(path), "finish"))
+        live = rt.engine.timeline.of_kind("finish")
+        assert render_profile(dumped) == render_profile(live)
+        assert render_timeline(dumped) == render_timeline(live)
 
     def test_non_finish_events_ignored(self):
-        from repro.bench.timeline import finish_reports_from_events
         from repro.engine import TransferEvent
 
         events = [TransferEvent(t_start=0.0, t_end=1.0, src=0, dst=1)]
-        assert finish_reports_from_events(events) == []
+        assert list(iter_spans(events, "finish")) == []
+        assert profile_finishes(iter_spans(events, "finish")) == []
