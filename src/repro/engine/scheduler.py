@@ -554,7 +554,7 @@ class Scheduler:
     # -- event hooks -----------------------------------------------------------
 
     def set_tracing(self, enabled: bool) -> None:
-        """Turn the timeline on or off: the one switch for its three views.
+        """Turn the timeline on or off; the only way to switch an engine's.
 
         ``_tl_enabled`` mirrors ``timeline.enabled`` as a plain attribute the
         transfer and finish hot paths test once per event.  The ledger's

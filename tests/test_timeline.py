@@ -12,7 +12,7 @@ from repro.engine.timeline import FinishEvent, iter_spans
 from repro.runtime import CostModel, Runtime
 
 
-def make_report(label, start, end, n_tasks=2, ledger_ready=0.0, task_end_max=0.0):
+def make_finish(label, start, end, n_tasks=2, ledger_ready=0.0, task_end_max=0.0):
     return FinishEvent(
         t_start=start,
         t_end=end,
@@ -25,26 +25,26 @@ def make_report(label, start, end, n_tasks=2, ledger_ready=0.0, task_end_max=0.0
 
 class TestProfile:
     def test_groups_by_operation_suffix(self):
-        reports = [
-            make_report("DupVector:axpy", 0.0, 1.0),
-            make_report("DistVector:axpy", 1.0, 3.0),
-            make_report("matvec", 3.0, 4.0),
+        finishes = [
+            make_finish("DupVector:axpy", 0.0, 1.0),
+            make_finish("DistVector:axpy", 1.0, 3.0),
+            make_finish("matvec", 3.0, 4.0),
         ]
-        profiles = {p.op: p for p in profile_finishes(reports)}
+        profiles = {p.op: p for p in profile_finishes(finishes)}
         assert profiles["axpy"].count == 2
         assert profiles["axpy"].total_time == pytest.approx(3.0)
         assert profiles["matvec"].count == 1
 
     def test_sorted_by_total_time(self):
-        reports = [
-            make_report("a", 0.0, 1.0),
-            make_report("b", 0.0, 5.0),
+        finishes = [
+            make_finish("a", 0.0, 1.0),
+            make_finish("b", 0.0, 5.0),
         ]
-        assert [p.op for p in profile_finishes(reports)] == ["b", "a"]
+        assert [p.op for p in profile_finishes(finishes)] == ["b", "a"]
 
     def test_stall_fraction(self):
         # Finish ends at the ledger-ready time, 1s past the last task.
-        report = make_report("x", 0.0, 3.0, ledger_ready=3.0, task_end_max=2.0)
+        report = make_finish("x", 0.0, 3.0, ledger_ready=3.0, task_end_max=2.0)
         profile = profile_finishes([report])[0]
         assert profile.ledger_stall == pytest.approx(1.0)
         assert profile.stall_fraction == pytest.approx(1.0 / 3.0)
@@ -55,8 +55,8 @@ class TestProfile:
         assert OpProfile(op="x").stall_fraction == 0.0
 
     def test_render_profile_table(self):
-        reports = [make_report(f"op{i}", 0.0, float(i + 1)) for i in range(15)]
-        text = render_profile(reports, top=5)
+        finishes = [make_finish(f"op{i}", 0.0, float(i + 1)) for i in range(15)]
+        text = render_profile(finishes, top=5)
         assert "operation" in text
         assert "(other)" in text  # overflow row present
 
@@ -72,18 +72,18 @@ class TestTimeline:
         assert "no finishes" in render_timeline([])
 
     def test_bars_scale_with_duration(self):
-        reports = [
-            make_report("short", 0.0, 1.0),
-            make_report("long", 1.0, 10.0),
+        finishes = [
+            make_finish("short", 0.0, 1.0),
+            make_finish("long", 1.0, 10.0),
         ]
-        text = render_timeline(reports, width=20)
+        text = render_timeline(finishes, width=20)
         lines = text.splitlines()
         assert "short" in lines[1] and "long" in lines[2]
         assert lines[2].count("█") > lines[1].count("█")
 
     def test_row_cap(self):
-        reports = [make_report("x", float(i), float(i + 1)) for i in range(50)]
-        text = render_timeline(reports, max_rows=10)
+        finishes = [make_finish("x", float(i), float(i + 1)) for i in range(50)]
+        text = render_timeline(finishes, max_rows=10)
         assert "40 more finishes not shown" in text
 
 
