@@ -202,10 +202,12 @@ class WorldSpec:
         else:
             cost = entry.bench_cost() if self.workload == "bench" else CostModel.zero()
             rt = make_runtime(
-                self.places, cost=cost, resilient=self.resilient, spares=self.spares
+                self.places,
+                cost=cost,
+                resilient=self.resilient,
+                spares=self.spares,
+                trace=self.trace,
             )
-            if self.trace:
-                rt.engine.set_tracing(True)
         if not self.resilient:
             app = entry.nonresilient(rt, self._workload())
             return rt, app, None, NonResilientExecutor(rt, app)
