@@ -88,7 +88,7 @@ class TestTimeline:
 
 
 class TestEngineEventConsumption:
-    def test_finish_events_round_trip(self, tmp_path):
+    def test_finish_reports_from_events_round_trip(self, tmp_path):
         from repro.bench.timeline import load_engine_events
 
         rt = Runtime(3, cost=CostModel.unit(), resilient=True, trace=True)
