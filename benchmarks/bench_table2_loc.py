@@ -4,7 +4,10 @@ The paper's productivity claim: adding resilience to a GML application
 costs only a few tens of lines — a ``checkpoint`` method (~7-11 LOC), a
 ``restore`` method (~10-20 LOC) and an ``isFinished`` (3 LOC).  We count
 our own application sources with the same convention (non-blank,
-non-comment lines) over the two complete, independent program versions.
+non-comment lines).  Each resilient app subclasses its non-resilient
+program, so the non-resilient total is the base module, the resilient
+total is the base module plus the subclass module, and what resilience
+adds is exactly the subclass module.
 """
 
 import inspect
@@ -32,16 +35,19 @@ APPS = [
 ]
 
 
+def _module_loc(cls) -> int:
+    return count_loc(inspect.getsource(inspect.getmodule(cls)))
+
+
 def measure_rows():
     rows = []
     for name, nonres_cls, res_cls in APPS:
-        nonres_total = count_loc(inspect.getsource(inspect.getmodule(nonres_cls)))
-        res_total = count_loc(inspect.getsource(inspect.getmodule(res_cls)))
+        nonres_total = _module_loc(nonres_cls)
         rows.append(
             AppLocRow(
                 application=name,
                 nonresilient_total=nonres_total,
-                resilient_total=res_total,
+                resilient_total=nonres_total + _module_loc(res_cls),
                 checkpoint_loc=loc_of_object(res_cls.checkpoint),
                 restore_loc=loc_of_object(res_cls.restore),
             )

@@ -46,15 +46,17 @@ from repro.apps.resilient import (
 )
 
 banner("Table II — lines of code, non-resilient vs resilient")
+# A resilient app subclasses its non-resilient program: "res" counts both modules.
 print(f"{'app':<10s} {'non-res':>8s} {'res':>6s} {'ckpt':>5s} {'restore':>8s}")
 for name, module, cls in (
     ("LinReg", nr_lin, LinRegResilient),
     ("LogReg", nr_log, LogRegResilient),
     ("PageRank", nr_pr, PageRankResilient),
 ):
+    nonres = count_loc(inspect.getsource(module))
+    added = count_loc(inspect.getsource(inspect.getmodule(cls)))
     print(
-        f"{name:<10s} {count_loc(inspect.getsource(module)):>8d} "
-        f"{count_loc(inspect.getsource(inspect.getmodule(cls))):>6d} "
+        f"{name:<10s} {nonres:>8d} {nonres + added:>6d} "
         f"{loc_of_object(cls.checkpoint):>5d} {loc_of_object(cls.restore):>8d}"
     )
 

@@ -1,8 +1,9 @@
-"""The paper's three benchmark applications in two forms each.
+"""The paper's benchmark applications in two forms each.
 
 ``repro.apps.nonresilient`` — plain GML programs (abort on failure);
-``repro.apps.resilient`` — framework versions with checkpoint/restore.
-Workload shapes live in :mod:`repro.apps.data`.
+``repro.apps.resilient`` — each one a subclass of its non-resilient
+program that adds only ``checkpoint`` and ``restore`` (CG also its
+reconstruction hooks).  Workload shapes live in :mod:`repro.apps.data`.
 """
 
 from repro.apps.data import GnmfWorkload, PageRankWorkload, RegressionWorkload

@@ -1,10 +1,10 @@
 """Non-resilient GML applications (the left column of Table II).
 
 Plain GML programs in a sequential style: no checkpoints, no recovery —
-a place failure aborts the run.  The resilient counterparts live in
-``repro.apps.resilient``; the two versions are intentionally separate,
-self-contained programs so the Table II lines-of-code comparison measures
-real code.
+a place failure aborts the run.  Each is also the algorithm of its
+resilient counterpart in ``repro.apps.resilient``, which subclasses it and
+adds ``checkpoint`` and ``restore``; Table II counts a program's module as
+the non-resilient total and its subclass's module as what resilience adds.
 """
 
 from repro.apps.nonresilient.cg import CGNonResilient

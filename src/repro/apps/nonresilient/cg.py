@@ -24,6 +24,7 @@ property the resilient variant's exact reconstruction leans on.
 
 from __future__ import annotations
 
+from functools import partial
 from math import sqrt
 from typing import Optional
 
@@ -55,7 +56,7 @@ class CGNonResilient:
         self.n = n
         part = Partition1D.even(n, group.size)
         self.A = DistSparseRowMatrix.make(
-            runtime, n, group, builder=lambda lo, hi: workload.band(n, lo, hi),
+            runtime, n, group, builder=partial(workload.band, n),
             partition=part,
         )
         self.b = DistVector.make(runtime, n, group, part).init_random(

@@ -45,24 +45,27 @@ class GnmfNonResilient:
         self._places = group
         self.iteration = 0
 
-        m = workload.rows(group.size)
+        self.m = workload.rows(group.size)
         n, k = workload.cols, workload.rank
         row_blocks = workload.row_blocks(group.size)
-        self.V = DistBlockMatrix.make_sparse(runtime, m, n, row_blocks, 1, group)
+        self.V = DistBlockMatrix.make_sparse(runtime, self.m, n, row_blocks, 1, group)
         self.V.init_random(workload.seed, density=workload.density)
-        self.W = DistBlockMatrix.make_dense(runtime, m, k, row_blocks, 1, group)
+        self.W = DistBlockMatrix.make_dense(runtime, self.m, k, row_blocks, 1, group)
         self.W.init_random(workload.seed + 1)
         self.H = DupDenseMatrix.make_zero(runtime, k, n, group)
         self.H.init_from(random_dense_block(workload.seed + 2, 0, 0, k, n))
+        self._make_temporaries(group, row_blocks)
 
-        # Temporaries of the two update rules.
-        self.WtV = DupDenseMatrix.make_zero(runtime, k, n, group)
-        self.WtW = DupDenseMatrix.make_zero(runtime, k, k, group)
-        self.WtWH = DupDenseMatrix.make_zero(runtime, k, n, group)
-        self.Ht = DupDenseMatrix.make_zero(runtime, n, k, group)
-        self.HHt = DupDenseMatrix.make_zero(runtime, k, k, group)
-        self.VHt = DistBlockMatrix.make_dense(runtime, m, k, row_blocks, 1, group)
-        self.WHHt = DistBlockMatrix.make_dense(runtime, m, k, row_blocks, 1, group)
+    def _make_temporaries(self, group: PlaceGroup, row_blocks: int) -> None:
+        """The temporaries of the two update rules."""
+        n, k, rt = self.workload.cols, self.workload.rank, self.runtime
+        self.WtV = DupDenseMatrix.make_zero(rt, k, n, group)
+        self.WtW = DupDenseMatrix.make_zero(rt, k, k, group)
+        self.WtWH = DupDenseMatrix.make_zero(rt, k, n, group)
+        self.Ht = DupDenseMatrix.make_zero(rt, n, k, group)
+        self.HHt = DupDenseMatrix.make_zero(rt, k, k, group)
+        self.VHt = DistBlockMatrix.make_dense(rt, self.m, k, row_blocks, 1, group)
+        self.WHHt = DistBlockMatrix.make_dense(rt, self.m, k, row_blocks, 1, group)
 
     @property
     def places(self) -> PlaceGroup:

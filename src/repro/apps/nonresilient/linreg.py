@@ -36,13 +36,13 @@ class LinRegNonResilient:
         self._places = group
         self.iteration = 0
 
-        n_examples = workload.examples(group.size)
+        self.n_examples = workload.examples(group.size)
         d = workload.features
         self.X = DistBlockMatrix.make_dense(
-            runtime, n_examples, d, workload.row_blocks(group.size), 1, group
+            runtime, self.n_examples, d, workload.row_blocks(group.size), 1, group
         ).init_random(workload.seed)
         row_part = self.X.aligned_row_partition()
-        self.y = DistVector.make(runtime, n_examples, group, row_part)
+        self.y = DistVector.make(runtime, self.n_examples, group, row_part)
         self.y.init_random(workload.seed, tag=1)
 
         # CG state.
@@ -50,7 +50,7 @@ class LinRegNonResilient:
         self.r = DupVector.make(runtime, d, group)
         self.p = DupVector.make(runtime, d, group)
         self.q = DupVector.make(runtime, d, group)
-        self.Xp = DistVector.make(runtime, n_examples, group, row_part)
+        self.Xp = DistVector.make(runtime, self.n_examples, group, row_part)
         self._start_cg()
 
     @property

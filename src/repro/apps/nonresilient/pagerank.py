@@ -40,15 +40,15 @@ class PageRankNonResilient:
         self._places = group
         self.iteration = 0
 
-        n = workload.nodes(group.size)
-        self.link = LinkMatrix(n, workload.out_degree, workload.seed)
+        self.n = workload.nodes(group.size)
+        self.link = LinkMatrix(self.n, workload.out_degree, workload.seed)
         self.G = DistBlockMatrix.make_sparse(
-            runtime, n, n, workload.row_blocks(group.size), 1, group
+            runtime, self.n, self.n, workload.row_blocks(group.size), 1, group
         ).init_link_matrix(self.link)
         row_part = self.G.aligned_row_partition()
-        self.P = DupVector.make(runtime, n, group).init(1.0 / n)
-        self.U = DistVector.make(runtime, n, group, row_part).fill(1.0 / n)
-        self.GP = DistVector.make(runtime, n, group, row_part)
+        self.P = DupVector.make(runtime, self.n, group).init(1.0 / self.n)
+        self.U = DistVector.make(runtime, self.n, group, row_part).fill(1.0 / self.n)
+        self.GP = DistVector.make(runtime, self.n, group, row_part)
 
     @property
     def places(self) -> PlaceGroup:

@@ -2,10 +2,11 @@
 
 Each application implements the framework's four-method programming model
 (``is_finished`` / ``step`` / ``checkpoint`` / ``restore``) and is executed
-by :class:`~repro.resilience.executor.IterativeExecutor`.  The algorithm
-bodies intentionally duplicate (rather than import) the non-resilient
-versions so the Table II lines-of-code comparison measures two complete,
-independent programs — as the paper's benchmarks were.
+by :class:`~repro.resilience.executor.IterativeExecutor`.  It is a subclass
+of its non-resilient program: ``is_finished`` and ``step`` are inherited
+unchanged, and the module holds only ``checkpoint`` and ``restore`` (plus
+CG's checkpoint-free recovery hooks) — the lines Table II says resilience
+adds.
 """
 
 from repro.apps.resilient.cg import CGResilient

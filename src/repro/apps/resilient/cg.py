@@ -1,8 +1,9 @@
 """Preconditioned conjugate gradient (resilient, ABFT-reconstructable).
 
-The classic four methods (``checkpoint`` = save ``A``/``b``/``M⁻¹`` read
-only + ``x``/``r``/``p``; ``restore`` = remake + reload + recompute
-``z``/``ρ``) make CG a well-behaved rollback app.  On top of that it
+The non-resilient program, unchanged, plus ``checkpoint`` (save
+``A``/``b``/``M⁻¹`` read only + ``x``/``r``/``p``) and ``restore`` (remake
++ reload + recompute ``z``/``ρ``) make CG a well-behaved rollback app.  On
+top of that it
 implements the checkpoint-free protocol of
 :class:`~repro.resilience.iterative.ReconstructableIterativeApp`:
 
@@ -27,16 +28,11 @@ boundary, so ``restored_iterations`` stays empty.
 
 from __future__ import annotations
 
-from functools import partial
-from math import sqrt
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.apps.data import CGWorkload
-from repro.matrix.distsparse import DistSparseRowMatrix
-from repro.matrix.distvector import DistVector
-from repro.matrix.dupvector import DupVector
+from repro.apps.nonresilient.cg import CGNonResilient
 from repro.matrix.grid import Partition1D
 from repro.matrix.sparse import SparseCSR
 from repro.matrix.vector import Vector
@@ -45,76 +41,16 @@ from repro.resilience.reconstruct import ReconstructionStore
 from repro.resilience.store import AppResilientStore
 from repro.runtime.comm import point_to_point
 from repro.runtime.place import PlaceGroup
-from repro.runtime.runtime import PlaceContext, Runtime
+from repro.runtime.runtime import PlaceContext
 
 
-class CGResilient(ReconstructableIterativeApp):
+class CGResilient(CGNonResilient, ReconstructableIterativeApp):
     """PCG under the resilient framework, with exact reconstruction."""
 
-    def __init__(
-        self,
-        runtime: Runtime,
-        workload: CGWorkload,
-        group: Optional[PlaceGroup] = None,
-    ):
-        self.runtime = runtime
-        self.workload = workload
-        group = group if group is not None else runtime.world
-        self._places = group
-        self.iteration = 0
-
-        n = workload.rows(group.size)
-        self.n = n
-        part = Partition1D.even(n, group.size)
-        self.A = DistSparseRowMatrix.make(
-            runtime, n, group, builder=partial(workload.band, n),
-            partition=part,
-        )
-        self.b = DistVector.make(runtime, n, group, part).init_random(
-            workload.seed, tag=1
-        )
-        self.inv_diag = (
-            DistVector.make(runtime, n, group, part)
-            .init_random(workload.seed, tag=2)
-            .map(lambda v: 1.0 / (CGWorkload.DIAG_BASE + v), flops_per_cell=2.0)
-        )
-        self.x = DistVector.make(runtime, n, group, part).fill(0.0)
-        self.r = DistVector.make(runtime, n, group, part).copy_from(self.b)
-        self.z = (
-            DistVector.make(runtime, n, group, part)
-            .copy_from(self.r)
-            .cell_mult(self.inv_diag)
-        )
-        self.p = DistVector.make(runtime, n, group, part).copy_from(self.z)
-        self.q = DistVector.make(runtime, n, group, part)
-        self.p_dup = DupVector.make(runtime, n, group)
-        self.rz = self.r.dot_dist(self.z)
-        self.rz0 = self.rz
-
-    @property
-    def places(self) -> PlaceGroup:
-        return self._places
-
-    # -- the framework's four methods -----------------------------------------
-
-    def is_finished(self) -> bool:
-        if self.iteration >= self.workload.iterations:
-            return True
-        tol = self.workload.tolerance
-        return bool(tol > 0 and self.rz <= tol * tol * self.rz0)
-
-    def step(self) -> None:
-        self.p.to_dup(self.p_dup)
-        self.A.mult_into(self.q, self.p_dup)
-        alpha = self.rz / self.q.dot_dist(self.p)
-        self.x.axpy(alpha, self.p)
-        self.r.axpy(-alpha, self.q)
-        self.z.copy_from(self.r).cell_mult(self.inv_diag)
-        rz_new = self.r.dot_dist(self.z)
-        beta = rz_new / self.rz if self.rz else 0.0
-        self.p.scale(beta).cell_add(self.z)
-        self.rz = rz_new
-        self.iteration += 1
+    # Own bindings, not inherited ones: the perf tracer wraps a class's own
+    # ``__init__`` and ``step`` only (ROADMAP 1(d) drops this requirement).
+    __init__ = CGNonResilient.__init__
+    step = CGNonResilient.step
 
     def checkpoint(self, store: AppResilientStore) -> None:
         store.start_new_snapshot()
@@ -169,7 +105,6 @@ class CGResilient(ReconstructableIterativeApp):
     ) -> None:
         lost = sorted(set(lost_indices))
         lost_set = set(lost)
-        part = self.x.partition
         snap_a = store.static_snapshot(self.A)
         snap_b = store.static_snapshot(self.b)
         snap_inv = store.static_snapshot(self.inv_diag)
@@ -299,11 +234,3 @@ class CGResilient(ReconstructableIterativeApp):
             row += hi - lo
             if group[j].id != solver_id:
                 point_to_point(rt, solver_id, group[j].id, (hi - lo) * 8)
-
-    def solution(self):
-        """The iterate ``x`` (driver-side copy)."""
-        return self.x.to_array()
-
-    def residual_norm(self) -> float:
-        """``sqrt(r·z)`` — the preconditioned residual norm."""
-        return sqrt(max(self.rz, 0.0))

@@ -1,85 +1,27 @@
 """Gaussian Non-negative Matrix Factorization (resilient).
 
-The framework version of the GNMF extension: same multiplicative updates
-as the non-resilient program; the input ``V`` is saved read-only, both
-factors ``W`` (distributed) and ``H`` (duplicated) are checkpointed, and
-the temporaries are merely remade on restore.
+The framework version of the GNMF extension: the non-resilient program,
+unchanged, plus ``checkpoint`` and ``restore``.  The input ``V`` is saved
+read-only, both factors ``W`` (distributed) and ``H`` (duplicated) are
+checkpointed, and the temporaries are merely remade on restore.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.apps.data import GnmfWorkload
-from repro.matrix.distblock import DistBlockMatrix
-from repro.matrix.dupmatrix import DupDenseMatrix
+from repro.apps.nonresilient.gnmf import GnmfNonResilient
 from repro.matrix.grid import Grid
-from repro.matrix.ops import dist_gram, dist_matmat_dup
-from repro.matrix.random import random_dense_block
 from repro.resilience.iterative import ResilientIterativeApp
 from repro.resilience.store import AppResilientStore
 from repro.runtime.place import PlaceGroup
-from repro.runtime.runtime import Runtime
 
 
-class GnmfResilient(ResilientIterativeApp):
+class GnmfResilient(GnmfNonResilient, ResilientIterativeApp):
     """Multiplicative-update NMF under the resilient iterative framework."""
 
-    def __init__(
-        self,
-        runtime: Runtime,
-        workload: GnmfWorkload,
-        group: Optional[PlaceGroup] = None,
-    ):
-        self.runtime = runtime
-        self.workload = workload
-        group = group if group is not None else runtime.world
-        self._places = group
-        self.iteration = 0
-
-        self.m = workload.rows(group.size)
-        n, k = workload.cols, workload.rank
-        row_blocks = workload.row_blocks(group.size)
-        self.V = DistBlockMatrix.make_sparse(runtime, self.m, n, row_blocks, 1, group)
-        self.V.init_random(workload.seed, density=workload.density)
-        self.W = DistBlockMatrix.make_dense(runtime, self.m, k, row_blocks, 1, group)
-        self.W.init_random(workload.seed + 1)
-        self.H = DupDenseMatrix.make_zero(runtime, k, n, group)
-        self.H.init_from(random_dense_block(workload.seed + 2, 0, 0, k, n))
-        self._make_temporaries(group, row_blocks)
-
-    def _make_temporaries(self, group: PlaceGroup, row_blocks: int) -> None:
-        n, k, rt = self.workload.cols, self.workload.rank, self.runtime
-        self.WtV = DupDenseMatrix.make_zero(rt, k, n, group)
-        self.WtW = DupDenseMatrix.make_zero(rt, k, k, group)
-        self.WtWH = DupDenseMatrix.make_zero(rt, k, n, group)
-        self.Ht = DupDenseMatrix.make_zero(rt, n, k, group)
-        self.HHt = DupDenseMatrix.make_zero(rt, k, k, group)
-        self.VHt = DistBlockMatrix.make_dense(rt, self.m, k, row_blocks, 1, group)
-        self.WHHt = DistBlockMatrix.make_dense(rt, self.m, k, row_blocks, 1, group)
-
-    @property
-    def places(self) -> PlaceGroup:
-        return self._places
-
-    # -- the framework's four methods -----------------------------------------
-
-    def is_finished(self) -> bool:
-        return self.iteration >= self.workload.iterations
-
-    def step(self) -> None:
-        dist_gram(self.W, self.V, self.WtV)
-        dist_gram(self.W, self.W, self.WtW)
-        self.WtWH.mult(self.WtW, self.H)
-        self.H.cell_mult(self.WtV)
-        self.H.cell_div(self.WtWH)
-        self.Ht.transpose_from(self.H)
-        dist_matmat_dup(self.V, self.Ht, self.VHt)
-        self.HHt.mult(self.H, self.Ht)
-        dist_matmat_dup(self.W, self.HHt, self.WHHt)
-        self.W.cell_mult(self.VHt)
-        self.W.cell_div(self.WHHt)
-        self.iteration += 1
+    # Own bindings, not inherited ones: the perf tracer wraps a class's own
+    # ``__init__`` and ``step`` only (ROADMAP 1(d) drops this requirement).
+    __init__ = GnmfNonResilient.__init__
+    step = GnmfNonResilient.step
 
     def checkpoint(self, store: AppResilientStore) -> None:
         store.start_new_snapshot()
@@ -103,16 +45,3 @@ class GnmfResilient(ResilientIterativeApp):
         self._places = new_places
         store.restore()
         self.iteration = snapshot_iter
-
-    def reconstruction_error(self) -> float:
-        """``||V − W·H||_F`` (driver-side; for tests and reporting)."""
-        import numpy as np
-
-        V = self.V.to_dense().data
-        W = self.W.to_dense().data
-        H = self.H.to_array()
-        return float(np.linalg.norm(V - W @ H))
-
-    def factors(self):
-        """Driver-side copies of ``(W, H)``."""
-        return self.W.to_dense().data, self.H.to_array()

@@ -1,92 +1,29 @@
 """Linear Regression (resilient) — the framework version of LinReg.
 
-The CG algorithm is identical to the non-resilient program; resilience adds
-the ``checkpoint`` and ``restore`` methods.  The training data ``X`` and
-labels ``y`` never change, so they are saved with ``save_read_only`` (their
-snapshot is created once, in the first checkpoint); the mutable CG state is
-the model ``w``, the residual ``r`` and the direction ``p`` — the scalar
-``norm_r2`` is recomputed from the restored residual rather than saved.
+The non-resilient program, unchanged, plus the ``checkpoint`` and
+``restore`` methods.  The training data ``X`` and labels ``y`` never
+change, so they are saved with ``save_read_only`` (their snapshot is
+created once, in the first checkpoint); the mutable CG state is the model
+``w``, the residual ``r`` and the direction ``p`` — the scalar ``norm_r2``
+is recomputed from the restored residual rather than saved.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.apps.data import RegressionWorkload
-from repro.matrix.distblock import DistBlockMatrix
-from repro.matrix.distvector import DistVector
-from repro.matrix.dupvector import DupVector
+from repro.apps.nonresilient.linreg import LinRegNonResilient
 from repro.matrix.grid import Grid
-from repro.matrix.ops import dist_block_t_matvec
 from repro.resilience.iterative import ResilientIterativeApp
 from repro.resilience.store import AppResilientStore
 from repro.runtime.place import PlaceGroup
-from repro.runtime.runtime import Runtime
 
 
-class LinRegResilient(ResilientIterativeApp):
+class LinRegResilient(LinRegNonResilient, ResilientIterativeApp):
     """CG linear regression under the resilient iterative framework."""
 
-    def __init__(
-        self,
-        runtime: Runtime,
-        workload: RegressionWorkload,
-        group: Optional[PlaceGroup] = None,
-    ):
-        self.runtime = runtime
-        self.workload = workload
-        group = group if group is not None else runtime.world
-        self._places = group
-        self.iteration = 0
-
-        self.n_examples = workload.examples(group.size)
-        d = workload.features
-        self.X = DistBlockMatrix.make_dense(
-            runtime, self.n_examples, d, workload.row_blocks(group.size), 1, group
-        ).init_random(workload.seed)
-        row_part = self.X.aligned_row_partition()
-        self.y = DistVector.make(runtime, self.n_examples, group, row_part)
-        self.y.init_random(workload.seed, tag=1)
-
-        self.w = DupVector.make(runtime, d, group)
-        self.r = DupVector.make(runtime, d, group)
-        self.p = DupVector.make(runtime, d, group)
-        self.q = DupVector.make(runtime, d, group)
-        self.Xp = DistVector.make(runtime, self.n_examples, group, row_part)
-        self._start_cg()
-
-    @property
-    def places(self) -> PlaceGroup:
-        return self._places
-
-    def _start_cg(self) -> None:
-        dist_block_t_matvec(self.X, self.y, self.r)
-        self.p.copy_from(self.r)
-        self.norm_r2 = self.r.dot(self.r)
-        self.initial_norm_r2 = self.norm_r2
-
-    # -- the framework's four methods -----------------------------------------
-
-    def is_finished(self) -> bool:
-        if self.iteration >= self.workload.iterations:
-            return True
-        tol = self.workload.tolerance
-        return tol > 0 and self.norm_r2 <= (tol * tol) * self.initial_norm_r2
-
-    def step(self) -> None:
-        lam = self.workload.ridge_lambda
-        self.Xp.mult(self.X, self.p)
-        dist_block_t_matvec(self.X, self.Xp, self.q)
-        self.q.axpy(lam, self.p)
-        alpha = self.norm_r2 / self.p.dot(self.q)
-        self.w.axpy(alpha, self.p)
-        self.r.axpy(-alpha, self.q)
-        new_r2 = self.r.dot(self.r)
-        beta = new_r2 / self.norm_r2 if self.norm_r2 else 0.0
-        self.p.scale(beta)
-        self.p.cell_add(self.r)
-        self.norm_r2 = new_r2
-        self.iteration += 1
+    # Own bindings, not inherited ones: the perf tracer wraps a class's own
+    # ``__init__`` and ``step`` only (ROADMAP 1(d) drops this requirement).
+    __init__ = LinRegNonResilient.__init__
+    step = LinRegNonResilient.step
 
     def checkpoint(self, store: AppResilientStore) -> None:
         store.start_new_snapshot()
@@ -120,7 +57,3 @@ class LinRegResilient(ResilientIterativeApp):
         store.restore()
         self.norm_r2 = self.r.dot(self.r)
         self.iteration = snapshot_iter
-
-    def model(self):
-        """The learned weight vector (driver-side copy)."""
-        return self.w.to_array()

@@ -1,71 +1,28 @@
 """PageRank (resilient) — Listings 2 + 5 of the paper, combined.
 
-The iteration body is Listing 2 verbatim; ``checkpoint`` is Listing 5
-lines 3–7 (``saveReadOnly(G)``, ``saveReadOnly(U)``, ``save(P)``,
-``commit``); ``restore`` is Listing 5 lines 9–14 (remake ``G``, ``U``,
-``P`` and the temporary ``GP`` over the new group, then one ``store
-.restore()`` reloading everything saved).
+The iteration body is the non-resilient program's (Listing 2, inherited
+unchanged); ``checkpoint`` is Listing 5 lines 3–7 (``saveReadOnly(G)``,
+``saveReadOnly(U)``, ``save(P)``, ``commit``); ``restore`` is Listing 5
+lines 9–14 (remake ``G``, ``U``, ``P`` and the temporary ``GP`` over the
+new group, then one ``store.restore()`` reloading everything saved).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.apps.data import PageRankWorkload
-from repro.matrix.distblock import DistBlockMatrix
-from repro.matrix.distvector import DistVector
-from repro.matrix.dupvector import DupVector
+from repro.apps.nonresilient.pagerank import PageRankNonResilient
 from repro.matrix.grid import Grid
-from repro.matrix.random import LinkMatrix
 from repro.resilience.iterative import ResilientIterativeApp
 from repro.resilience.store import AppResilientStore
 from repro.runtime.place import PlaceGroup
-from repro.runtime.runtime import Runtime
 
 
-class PageRankResilient(ResilientIterativeApp):
+class PageRankResilient(PageRankNonResilient, ResilientIterativeApp):
     """PageRank under the resilient iterative framework."""
 
-    def __init__(
-        self,
-        runtime: Runtime,
-        workload: PageRankWorkload,
-        group: Optional[PlaceGroup] = None,
-    ):
-        self.runtime = runtime
-        self.workload = workload
-        group = group if group is not None else runtime.world
-        self._places = group
-        self.iteration = 0
-
-        self.n = workload.nodes(group.size)
-        self.link = LinkMatrix(self.n, workload.out_degree, workload.seed)
-        self.G = DistBlockMatrix.make_sparse(
-            runtime, self.n, self.n, workload.row_blocks(group.size), 1, group
-        ).init_link_matrix(self.link)
-        row_part = self.G.aligned_row_partition()
-        self.P = DupVector.make(runtime, self.n, group).init(1.0 / self.n)
-        self.U = DistVector.make(runtime, self.n, group, row_part).fill(1.0 / self.n)
-        self.GP = DistVector.make(runtime, self.n, group, row_part)
-
-    @property
-    def places(self) -> PlaceGroup:
-        return self._places
-
-    # -- the framework's four methods -----------------------------------------
-
-    def is_finished(self) -> bool:
-        return self.iteration >= self.workload.iterations
-
-    def step(self) -> None:
-        alpha = self.workload.alpha
-        self.GP.mult(self.G, self.P)
-        self.GP.scale(alpha)
-        ut_p_1a = self.U.dot(self.P) * (1.0 - alpha)
-        self.GP.copy_to(self.P.local())  # gather
-        self.P.local().cell_add(ut_p_1a)
-        self.P.sync()  # broadcast
-        self.iteration += 1
+    # Own bindings, not inherited ones: the perf tracer wraps a class's own
+    # ``__init__`` and ``step`` only (ROADMAP 1(d) drops this requirement).
+    __init__ = PageRankNonResilient.__init__
+    step = PageRankNonResilient.step
 
     def checkpoint(self, store: AppResilientStore) -> None:
         store.start_new_snapshot()
@@ -90,7 +47,3 @@ class PageRankResilient(ResilientIterativeApp):
         self._places = new_places
         store.restore()
         self.iteration = snapshot_iter
-
-    def ranks(self):
-        """The rank vector (driver-side copy)."""
-        return self.P.to_array()

@@ -86,6 +86,21 @@ class TestCatalogue:
                 assert app.places.size == 2
                 assert isinstance(entry.result(app), np.ndarray)
 
+    @pytest.mark.parametrize("name", sorted(APPS))
+    def test_resilient_app_is_its_program_plus_checkpoint_and_restore(self, name):
+        entry = APPS[name]
+        assert issubclass(entry.resilient, entry.nonresilient)
+        # What Python adds to a class's namespace (``__slotnames__`` once an
+        # instance has been pickled, as fork images do).
+        generated = {
+            "__module__", "__doc__", "__qualname__", "__abstractmethods__",
+            "_abc_impl", "__slotnames__",
+        }
+        expected = {"__init__", "step", "checkpoint", "restore"}
+        if name == "cg":
+            expected |= {"publish_redundant", "reconstruct", "_solve_lost_x"}
+        assert set(vars(entry.resilient)) - generated == expected
+
     def test_every_verb_accepts_the_names_it_always_did(self):
         from repro.cli import _build_parser
         from repro.service import ServiceConfig

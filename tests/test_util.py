@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.util.bytesize import FRAMING_BYTES, payload_nbytes
-from repro.util.loc import AppLocRow, count_loc, loc_of_object, loc_report, method_loc_map
+from repro.util.loc import AppLocRow, count_loc, loc_of_object, loc_report
 from repro.util import versioning
 from repro.util.versioning import ensure_version_floor, next_version, payload_frozen
 from repro.util.validation import (
@@ -200,13 +200,6 @@ class TestLoc:
             return a
 
         assert loc_of_object(sample) == 3
-
-    def test_method_loc_map(self):
-        class C:
-            def m(self):
-                return 1
-
-        assert method_loc_map(C, ["m"]) == {"m": 2}
 
     def test_report_formatting(self):
         rows = [AppLocRow("App", 10, 20, 3, 4)]
