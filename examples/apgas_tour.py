@@ -1,56 +1,55 @@
 """A tour of the APGAS substrate — the paper's §II constructs in Python.
 
 Shows the X10 programming model the reproduction is built on: places,
-``finish`` / ``async at`` task parallelism, GlobalRef and
-PlaceLocalHandle remote references, failure semantics, and the virtual
-clock that makes timing deterministic.
+``finish`` / ``at`` task parallelism, state kept under keys in each place's
+own heap, failure semantics, and the virtual clock that makes timing
+deterministic.
 
 Run:  python examples/apgas_tour.py
 """
 
 from repro import CostModel, DeadPlaceException, Place, Runtime
-from repro.runtime import finish
-from repro.runtime.globalref import GlobalRef, PlaceLocalHandle
 
 rt = Runtime(nplaces=4, cost=CostModel.laptop(), resilient=True)
 print(f"world: {rt.world.ids}")
 
-# -- finish / async at (Listing in §II) -------------------------------------
-# Every place computes a partial sum; the finish blocks until all complete.
-with finish(rt, label="partial-sums") as f:
-    handles = [
-        f.async_at(place, lambda ctx: sum(range(ctx.place.id * 100)))
-        for place in rt.world
-    ]
-partials = [h.result() for h in handles]
+# -- finish { for (p in world) at (p) async ... } (Listing in §II) ----------
+# Every place computes a partial sum; the finish blocks until all complete
+# and returns their values in group order.
+partials = rt.finish_all(
+    rt.world, lambda ctx: sum(range(ctx.place.id * 100)), label="partial-sums"
+)
 print(f"partials gathered through the finish: {partials}")
 
-# -- GlobalRef: a remote object only dereferenceable at its home ------------
-counter = GlobalRef(rt, Place(2), value={"hits": 0})
+# -- at: an object lives in its home place's heap ---------------------------
+# Only a task running at place 2 can reach the entry, as only place 2 can
+# dereference a GlobalRef homed there.
+rt.at(Place(2), lambda ctx: ctx.heap.put("counter", {"hits": 0}))
+
 
 def bump(ctx):
-    counter(ctx)["hits"] += 1
+    ctx.heap.get("counter")["hits"] += 1
+
 
 for _ in range(3):
     rt.at(Place(2), bump)
-print("GlobalRef state:", rt.at(Place(2), lambda ctx: dict(counter(ctx))))
+print("counter at place 2:", rt.at(Place(2), lambda ctx: dict(ctx.heap.get("counter"))))
 
-# -- PlaceLocalHandle: one value per place, remade after failure ------------
-plh = PlaceLocalHandle(rt, rt.world, init=lambda ctx: [ctx.place.id] * 2)
-print("PLH values:", rt.finish_all(rt.world, lambda ctx: plh.local(ctx)))
+# -- one value per place under one key (X10's PlaceLocalHandle) -------------
+rt.finish_all(rt.world, lambda ctx: ctx.heap.put("local", [ctx.place.id] * 2))
+print("per-place values:", rt.finish_all(rt.world, lambda ctx: ctx.heap.get("local")))
 
 # -- failure semantics -------------------------------------------------------
 rt.kill(3)
 try:
-    with finish(rt) as f:
-        for place in rt.world:
-            f.async_at(place, lambda ctx: None)
+    rt.finish_all(rt.world, lambda ctx: None)
 except DeadPlaceException as exc:
     print(f"finish surfaced the failure: place {exc.place_id} is dead")
 
+# The dead place's heap died with it; the survivors rebuild the family.
 survivors = rt.live_world()
-plh.remake(survivors, init=lambda ctx: "rebuilt")
-print("PLH after remake over survivors:", survivors.ids)
+rt.finish_all(survivors, lambda ctx: ctx.heap.put("local", "rebuilt"))
+print("per-place values rebuilt over survivors:", survivors.ids)
 
 # -- deterministic virtual time ----------------------------------------------
 print(f"virtual time: {rt.now() * 1e3:.3f} ms "

@@ -82,5 +82,5 @@ for fig, app in (("Figure 5", "linreg"), ("Figure 6", "logreg"), ("Figure 7", "p
     for mode, row in t4.items():
         print(f"  {mode:<20s} C% {row['C%']:5.1f}   R% {row['R%']:5.1f}")
 
-print("\nDone. Full-axis runs with paper-vs-measured assertions:")
-print("  pytest benchmarks/ --benchmark-only")
+print("\nDone. Full-axis runs, checked against the paper's shapes and the committed results:")
+print("  PYTHONPATH=src python -m pytest benchmarks/test_artefacts.py")

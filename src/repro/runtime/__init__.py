@@ -12,7 +12,6 @@ Public surface:
 from repro.runtime.clock import VirtualClock
 from repro.runtime.cost import CostModel
 from repro.runtime.exceptions import (
-    DanglingReferenceError,
     DataLossError,
     DeadPlaceException,
     MultipleException,
@@ -30,7 +29,6 @@ from repro.runtime.failure import (
     ScriptedKill,
 )
 from repro.runtime.finish import PlaceZeroLedger
-from repro.runtime.globalref import GlobalRef, PlaceLocalHandle
 from repro.runtime.heap import PlaceHeap
 from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.pool import (
@@ -42,12 +40,10 @@ from repro.runtime.pool import (
     PlacePool,
 )
 from repro.runtime.runtime import PlaceContext, Runtime, RuntimeStats
-from repro.runtime.sugar import AsyncHandle, FinishScope, at, finish
 
 __all__ = [
     "VirtualClock",
     "CostModel",
-    "DanglingReferenceError",
     "DataLossError",
     "DeadPlaceException",
     "MultipleException",
@@ -62,8 +58,6 @@ __all__ = [
     "RackFailureModel",
     "ScriptedKill",
     "PlaceZeroLedger",
-    "GlobalRef",
-    "PlaceLocalHandle",
     "PlaceHeap",
     "Place",
     "PlaceGroup",
@@ -76,8 +70,4 @@ __all__ = [
     "PlaceContext",
     "Runtime",
     "RuntimeStats",
-    "AsyncHandle",
-    "FinishScope",
-    "at",
-    "finish",
 ]

@@ -140,9 +140,5 @@ class SnapshotCorruptionError(DataLossError):
     """
 
 
-class DanglingReferenceError(RuntimeFault):
-    """A GlobalRef / PlaceLocalHandle was resolved on the wrong or a dead place."""
-
-
 class SpareExhaustedError(RuntimeFault):
     """Replace-redundant restoration requested more spare places than remain."""

@@ -608,9 +608,8 @@ class Runtime:
     ) -> List[Any]:
         """Run an explicit list of ``(place, fn)`` tasks under one finish.
 
-        The general form behind :meth:`finish_all` (and the ``with
-        rt.finish()`` sugar): tasks may target any places, including the
-        same place several times.  *flops* is as for :meth:`finish_all`,
+        The general form behind :meth:`finish_all`: tasks may target any
+        places, including the same place several times.  *flops* is as for :meth:`finish_all`,
         per-task counts in task order.
         """
         return self._finish(tasks, len(tasks), arg_bytes, ret_bytes, label, flops)
