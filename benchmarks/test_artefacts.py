@@ -19,13 +19,16 @@ from artefacts import REGISTRY, ROOT
 
 
 def moved_rows(path: str) -> list:
-    """The ``-committed`` / ``+regenerated`` lines of *path* that differ."""
+    """The ``-committed`` / ``+regenerated`` lines of *path*, if its bytes differ."""
     committed = subprocess.run(
-        ["git", "show", f"HEAD:{path}"], cwd=ROOT, capture_output=True, text=True, check=True
+        ["git", "show", f"HEAD:{path}"], cwd=ROOT, capture_output=True, check=True
     ).stdout
-    regenerated = (ROOT / path).read_text(encoding="utf-8")
-    diff = difflib.unified_diff(committed.splitlines(), regenerated.splitlines(), lineterm="", n=0)
-    return [line for line in diff if line[:1] in "+-" and line[:3] not in ("+++", "---")]
+    regenerated = (ROOT / path).read_bytes()
+    if regenerated == committed:
+        return []
+    old, new = (text.decode().splitlines(keepends=True) for text in (committed, regenerated))
+    diff = list(difflib.unified_diff(old, new, n=0))[2:]  # past the ---/+++ header
+    return [line.rstrip("\n") for line in diff if not line.startswith("@@")]
 
 
 @pytest.mark.parametrize("name", list(REGISTRY))
