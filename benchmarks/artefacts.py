@@ -72,7 +72,7 @@ from repro.matrix.distblock import DistBlockMatrix
 from repro.matrix.random import LinkMatrix
 from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.placement import make_placement
-from repro.resilience.stable import use_stable_storage
+from repro.resilience.protection import Protection
 from repro.resilience.store import AppResilientStore
 from repro.resilience.young import optimal_interval_iterations
 from repro.runtime.detector import PhiAccrualDetector
@@ -586,13 +586,14 @@ def _stable_protocol(stable: bool, interval: int, double_failure: bool = False):
     cost = pagerank_cost().with_rates(disk_byte_time=1.0e-8)
     rt = make_runtime(24, cost=cost, resilient=True)
     app = PageRankResilient(rt, pagerank_bench_workload(30))
-    if stable:
-        use_stable_storage(app.G, app.U, app.P)
     if double_failure:
         rt.injector.kill_at_iteration(5, iteration=15)
         rt.injector.kill_at_iteration(6, iteration=15)
+    protection = Protection(disk_only=stable)
     try:
-        return IterativeExecutor(rt, app, checkpoint_interval=interval).run()
+        return IterativeExecutor(
+            rt, app, checkpoint_interval=interval, protection=protection
+        ).run()
     except DataLossError:
         return None
 
@@ -822,6 +823,7 @@ FLOWS = [
     "serve --jobs-count 8 --economics dedicated --crash-rate 0.3 --repair-mttr 2",
     "serve --jobs-count 8 --economics borrow --crash-rate 0.3 --rack-rate 0.1",
     "serve --jobs-count 6 --placement parity:2",
+    "run cg --recovery reconstruct --places 4 --iterations 12 --fail-at 5",
 ]
 
 #: The usage-error argv of ``tests/test_cli.py``.
@@ -976,8 +978,7 @@ def _detection_run(interval=None, ratio: int = 0, seed: int = 0, kill: bool = Fa
             rt.injector.kill_at_iteration(victim, iteration=6)
         options = dict(
             mode=RestoreMode.SHRINK_REBALANCE,
-            replicas=2,
-            placement=make_placement("spread"),
+            protection=Protection(replicas=2, placement=make_placement("spread")),
             detector=detector,
         )
     try:

@@ -274,7 +274,7 @@ def _cmd_list() -> int:
     return 0
 
 
-def _configure_run(args: argparse.Namespace) -> Callable[[], int]:
+def _prepare_run(args: argparse.Namespace) -> Callable[[], int]:
     spec = same_named(
         WorldSpec, args, trace=bool(args.trace_out or args.profile or args.timeline)
     )
@@ -383,7 +383,7 @@ def _resolve_jobs(requested: Optional[int]) -> Optional[int]:
     return os.cpu_count()
 
 
-def _configure_sweep(args: argparse.Namespace) -> Callable[[], int]:
+def _prepare_sweep(args: argparse.Namespace) -> Callable[[], int]:
     """Judge every world the sweep will build: each app of the experiment
     at each place count of its axis, with the restore protocol's kill."""
     kind, app = SWEEPS[args.experiment]
@@ -451,7 +451,7 @@ def _run_sweep(args: argparse.Namespace, kind: str, app: str, axis: List[int]) -
     return 0
 
 
-def _configure_chaos(args: argparse.Namespace) -> Callable[[], int]:
+def _prepare_chaos(args: argparse.Namespace) -> Callable[[], int]:
     return partial(_run_chaos, args, same_named(CampaignConfig, args))
 
 
@@ -461,7 +461,7 @@ def _run_chaos(args: argparse.Namespace, config: CampaignConfig) -> int:
     return 1 if result.violations else 0
 
 
-def _configure_serve(args: argparse.Namespace) -> Callable[[], int]:
+def _prepare_serve(args: argparse.Namespace) -> Callable[[], int]:
     check_positive(args.streams, "streams")
     return partial(_run_serve, args, same_named(ServiceConfig, args))
 
@@ -493,18 +493,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()
-    configure = {
-        "run": _configure_run,
-        "sweep": _configure_sweep,
-        "chaos": _configure_chaos,
-        "serve": _configure_serve,
+    prepare = {
+        "run": _prepare_run,
+        "sweep": _prepare_sweep,
+        "chaos": _prepare_chaos,
+        "serve": _prepare_serve,
     }[args.command]
     try:
         # Configuration only: the verb's configuration is built and judged
         # here, before any runtime exists, so a ValueError is the user's.
         # What the verb then runs stays outside, so an internal bug is never
         # relabelled a usage error.
-        execute = configure(args)
+        execute = prepare(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None

@@ -27,7 +27,7 @@ from repro.matrix.mapping import BlockMap, GroupedBlockMap, PlaceGridBlockMap
 from repro.matrix.multiplace import MultiPlaceObject
 from repro.matrix.random import LinkMatrix, random_dense_block, random_sparse_block, zero_dense_block
 from repro.matrix.sparse import SparseCSR
-from repro.resilience.snapshot import DistObjectSnapshot
+from repro.resilience.protection import Protection
 from repro.runtime.place import PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
 from repro.util.validation import require
@@ -549,8 +549,8 @@ class DistBlockMatrix(MultiPlaceObject):
 
     # -- resilience: snapshot / restore (§IV-B) -------------------------------------
 
-    def make_snapshot(self, base: Optional[DistObjectSnapshot] = None) -> DistObjectSnapshot:
-        """Save each place's block set under its index, doubly stored.
+    def make_snapshot(self, protection: Protection = Protection(), base=None):
+        """Save each place's block set under its index.
 
         Blocks are saved copy-on-write (frozen aliases, no deep copies);
         in delta mode a place whose blocks are all unchanged since *base*
@@ -569,12 +569,13 @@ class DistBlockMatrix(MultiPlaceObject):
                 "owners": self.block_map.owner_dict(),
                 "block_nnz": block_nnz,
             },
+            protection,
             base,
             token_of=BlockSet.version_token,
             view_of=BlockSet.freeze_view_dict,
         )
 
-    def restore_snapshot(self, snapshot: DistObjectSnapshot) -> None:
+    def restore_snapshot(self, snapshot) -> None:
         """Reload block data after a :meth:`remake`.
 
         Chooses block-by-block reload when the grid is unchanged and
@@ -587,7 +588,7 @@ class DistBlockMatrix(MultiPlaceObject):
         else:
             self._restore_regridded(snapshot, old_grid)
 
-    def _restore_same_grid(self, snapshot: DistObjectSnapshot) -> None:
+    def _restore_same_grid(self, snapshot) -> None:
         """Block-by-block restore: adopt whole blocks from their old owners."""
         owners: Dict[Tuple[int, int], int] = snapshot.meta["owners"]
         key = self.heap_key
@@ -599,7 +600,7 @@ class DistBlockMatrix(MultiPlaceObject):
 
         self.runtime.finish_all(self.group, load, label=f"{self.name}:restore_same_grid")
 
-    def _restore_regridded(self, snapshot: DistObjectSnapshot, old_grid: Grid) -> None:
+    def _restore_regridded(self, snapshot, old_grid: Grid) -> None:
         """Overlap-region restore: assemble each new block from sub-blocks.
 
         For sparse blocks the non-zeros of every overlap region are counted

@@ -27,7 +27,7 @@ from repro.matrix.grid import Partition1D
 from repro.matrix.multiplace import MultiPlaceObject
 from repro.matrix.sparse import SparseCSR
 from repro.matrix.vector import Vector
-from repro.resilience.snapshot import DistObjectSnapshot
+from repro.resilience.protection import Protection
 from repro.runtime.place import PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
 from repro.util.validation import check_positive, require
@@ -207,15 +207,13 @@ class DistSparseRowMatrix(MultiPlaceObject):
         self.group = new_group
         return self
 
-    def make_snapshot(
-        self, base: Optional[DistObjectSnapshot] = None
-    ) -> DistObjectSnapshot:
-        """Save each row band under its place index, doubly stored."""
+    def make_snapshot(self, protection: Protection = Protection(), base=None):
+        """Save each row band under its place index."""
         return self._snapshot_partitions(
-            {"m": self.m, "n": self.n, "sizes": list(self.partition.sizes)}, base
+            {"m": self.m, "n": self.n, "sizes": list(self.partition.sizes)}, protection, base
         )
 
-    def restore_snapshot(self, snapshot: DistObjectSnapshot) -> None:
+    def restore_snapshot(self, snapshot) -> None:
         """Reload bands; repartition via overlapping row-range copies."""
         require(
             snapshot.meta.get("m") == self.m and snapshot.meta.get("n") == self.n,

@@ -21,7 +21,7 @@ from repro.matrix.grid import Partition1D
 from repro.matrix.multiplace import MultiPlaceObject
 from repro.matrix.random import random_vector
 from repro.matrix.vector import Vector
-from repro.resilience.snapshot import DistObjectSnapshot
+from repro.resilience.protection import Protection
 from repro.runtime.comm import flat_gather
 from repro.runtime.place import PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
@@ -393,17 +393,17 @@ class DistVector(MultiPlaceObject):
         self.runtime.finish_all(sub, alloc, label=f"{self.name}:rehome")
         return self
 
-    def make_snapshot(self, base: Optional[DistObjectSnapshot] = None) -> DistObjectSnapshot:
-        """Save each segment under its place index, doubly stored.
+    def make_snapshot(self, protection: Protection = Protection(), base=None):
+        """Save each segment under its place index.
 
         With a compatible *base* (delta mode), unchanged segments are
         adopted by reference and changed ones saved copy-on-write.
         """
         return self._snapshot_partitions(
-            {"n": self.n, "sizes": list(self.partition.sizes)}, base
+            {"n": self.n, "sizes": list(self.partition.sizes)}, protection, base
         )
 
-    def restore_snapshot(self, snapshot: DistObjectSnapshot) -> None:
+    def restore_snapshot(self, snapshot) -> None:
         """Reload segments; repartition via overlap copies if needed."""
         require(snapshot.meta.get("n") == self.n, "snapshot is for a different vector")
         old_partition = Partition1D(self.n, snapshot.meta["sizes"])

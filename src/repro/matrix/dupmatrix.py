@@ -18,7 +18,7 @@ import numpy as np
 from repro.matrix.dense import DenseMatrix
 from repro.matrix.multiplace import MultiPlaceObject
 from repro.matrix.sparse import SparseCSR
-from repro.resilience.snapshot import DistObjectSnapshot
+from repro.resilience.protection import Protection
 from repro.runtime.comm import tree_broadcast
 from repro.runtime.place import PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
@@ -103,10 +103,12 @@ class _DupMatrixBase(MultiPlaceObject):
         self._allocate(proto)
         return self
 
-    def make_snapshot(self, base: Optional[DistObjectSnapshot] = None) -> DistObjectSnapshot:
-        return self._snapshot_partitions({"shape": (self.m, self.n), "kind": self._KIND}, base)
+    def make_snapshot(self, protection: Protection = Protection(), base=None):
+        return self._snapshot_partitions(
+            {"shape": (self.m, self.n), "kind": self._KIND}, protection, base
+        )
 
-    def restore_snapshot(self, snapshot: DistObjectSnapshot) -> None:
+    def restore_snapshot(self, snapshot) -> None:
         require(
             tuple(snapshot.meta.get("shape", ())) == (self.m, self.n),
             "snapshot is for a different matrix",

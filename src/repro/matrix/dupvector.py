@@ -23,7 +23,7 @@ from repro.matrix.dense import flops_cellwise
 from repro.matrix.multiplace import MultiPlaceObject
 from repro.matrix.random import random_vector
 from repro.matrix.vector import Vector
-from repro.resilience.snapshot import DistObjectSnapshot
+from repro.resilience.protection import Protection
 from repro.runtime.comm import tree_allreduce, tree_broadcast
 from repro.runtime.place import PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
@@ -257,14 +257,14 @@ class DupVector(MultiPlaceObject):
             self._allocate(PlaceGroup(missing), label="rehome")
         return self
 
-    def make_snapshot(self, base: Optional[DistObjectSnapshot] = None) -> DistObjectSnapshot:
-        """Save every replica under its place index, doubly stored.
+    def make_snapshot(self, protection: Protection = Protection(), base=None):
+        """Save every replica under its place index.
 
         Delta mode adopts unchanged replicas from *base* by reference.
         """
-        return self._snapshot_partitions({"n": self.n}, base)
+        return self._snapshot_partitions({"n": self.n}, protection, base)
 
-    def restore_snapshot(self, snapshot: DistObjectSnapshot) -> None:
+    def restore_snapshot(self, snapshot) -> None:
         """Reload each replica from the key matching its *new* index.
 
         Valid whenever the new group is no larger than the snapshot group

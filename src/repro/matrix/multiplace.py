@@ -15,6 +15,7 @@ import itertools
 from operator import attrgetter, methodcaller
 from typing import Any, Callable, List, Sequence, Tuple
 
+from repro.resilience.protection import Protection
 from repro.resilience.snapshot import Snapshottable
 from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.runtime import Runtime
@@ -27,23 +28,6 @@ _data_of, _heap_key_of = attrgetter("data"), attrgetter("heap_key")
 
 class MultiPlaceObject(Snapshottable):
     """Base class: payload-per-place storage plus group management."""
-
-    #: Backup replicas per snapshot partition: 1 is the paper's double
-    #: in-memory store; raise it to survive bursts of correlated failures
-    #: at a proportional checkpoint cost (see the replication ablation).
-    snapshot_backups: int = 1
-    #: Replica placement policy (None = ring offsets, the paper's scheme);
-    #: see :mod:`repro.resilience.placement` for stride/spread policies
-    #: that survive correlated (adjacent / same-rack) failures.
-    snapshot_placement = None
-    #: When True, every snapshot partition is additionally written to the
-    #: stable-storage tier, and restore reads fall back to disk once all
-    #: in-memory copies of a partition are gone (instead of DataLossError).
-    snapshot_stable_fallback: bool = False
-    #: When True, checkpoints go to reliable stable storage instead of the
-    #: in-memory double store (survives anything, pays disk I/O — the
-    #: data-flow-system alternative the paper's introduction contrasts).
-    snapshot_to_stable_storage: bool = False
 
     def __init__(self, runtime: Runtime, group: PlaceGroup, name: str):
         require(group.size > 0, "place group must be non-empty")
@@ -73,36 +57,6 @@ class MultiPlaceObject(Snapshottable):
         for name in self._PLANS:
             state.pop(name, None)
         return state
-
-    def _new_snapshot(self, meta: dict) -> "object":
-        """Build this object's snapshot store per its configuration."""
-        from repro.resilience.snapshot import DistObjectSnapshot
-
-        if self.snapshot_to_stable_storage:
-            from repro.resilience.stable import StableObjectSnapshot
-
-            return StableObjectSnapshot(self.runtime, self.group, meta)
-        from repro.resilience.placement import ParityPlacement, check_protection
-
-        if isinstance(self.snapshot_placement, ParityPlacement):
-            from repro.resilience.parity import ParityObjectSnapshot
-
-            check_protection(self.snapshot_placement, self.snapshot_backups)
-            return ParityObjectSnapshot(
-                self.runtime,
-                self.group,
-                meta,
-                placement=self.snapshot_placement,
-                stable_fallback=self.snapshot_stable_fallback,
-            )
-        return DistObjectSnapshot(
-            self.runtime,
-            self.group,
-            meta,
-            backups=self.snapshot_backups,
-            placement=self.snapshot_placement,
-            stable_fallback=self.snapshot_stable_fallback,
-        )
 
     # -- heap addressing ----------------------------------------------------
 
@@ -199,12 +153,14 @@ class MultiPlaceObject(Snapshottable):
     def _snapshot_partitions(
         self,
         meta: dict,
+        protection: Protection,
         base,
         token_of=attrgetter("version"),
         view_of=methodcaller("freeze_view"),
     ):
         """The body of every ``make_snapshot``: save each member place's
-        payload under its group index, in one finish.
+        payload under its group index, in one finish, into the snapshot tier
+        *protection* names.
 
         *token_of(payload)* is the partition's current mutation token and
         *view_of(payload)* its frozen alias sharing the live arrays
@@ -218,7 +174,7 @@ class MultiPlaceObject(Snapshottable):
         the finish wrote before a place died is deleted before the failure
         propagates.
         """
-        snap = self._new_snapshot(meta)
+        snap = protection.new_snapshot(self.runtime, self.group, meta)
         if base is not None and not snap.delta_compatible(base):
             base = None
         key, index_by_id = self.heap_key, self.group._index_by_id

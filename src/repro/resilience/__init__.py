@@ -5,6 +5,8 @@
   generalized; the paper's double store is ``backups=1`` + ring placement);
 * :mod:`~repro.resilience.placement` — pluggable replica placement
   policies (ring / stride / spread) for correlated-failure survival;
+* :class:`Protection` — replicas, placement and disk tiers as one frozen
+  value a store hands to every snapshot it takes;
 * :class:`AppResilientStore` — atomic multi-object application checkpoints
   with read-only snapshot reuse (§V-A1, Listing 4);
 * :class:`ResilientIterativeApp` — the 4-method programming model (§V-A2);
@@ -29,8 +31,9 @@ from repro.resilience.placement import (
     StridePlacement,
     make_placement,
 )
+from repro.resilience.protection import Protection
 from repro.resilience.snapshot import DistObjectSnapshot, Snapshottable
-from repro.resilience.stable import StableObjectSnapshot, use_stable_storage
+from repro.resilience.stable import StableObjectSnapshot
 from repro.resilience.store import AppResilientStore, AppSnapshot
 from repro.resilience.young import (
     expected_overhead_fraction,
@@ -51,10 +54,10 @@ __all__ = [
     "SpreadPlacement",
     "StridePlacement",
     "make_placement",
+    "Protection",
     "DistObjectSnapshot",
     "Snapshottable",
     "StableObjectSnapshot",
-    "use_stable_storage",
     "AppResilientStore",
     "AppSnapshot",
     "expected_overhead_fraction",

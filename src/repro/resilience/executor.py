@@ -71,7 +71,8 @@ from repro.resilience.iterative import (
     ResilientIterativeApp,
     RestoreContext,
 )
-from repro.resilience.placement import ParityPlacement, ReplicaPlacement
+from repro.resilience.placement import ParityPlacement
+from repro.resilience.protection import Protection
 from repro.resilience.reconstruct import ReconstructionStore
 from repro.resilience.store import AppResilientStore
 from repro.runtime.detector import PhiAccrualDetector
@@ -246,14 +247,9 @@ CHECKPOINT_MODES = ("blocking", "overlapped")
 RECOVERY_MODES = ("checkpoint", "reconstruct")
 
 
-def check_recovery(
-    app_cls: type,
-    recovery: str,
-    placement: Optional[ReplicaPlacement],
-    replicas: Optional[int] = None,
-) -> None:
-    """``ValueError`` unless *recovery* is a scheme *app_cls*, *placement* and
-    *replicas* can serve — the one check behind the executor and
+def check_recovery(app_cls: type, recovery: str, protection: Protection) -> None:
+    """``ValueError`` unless *recovery* is a scheme *app_cls* and *protection*
+    can serve — the one check behind the executor and
     :meth:`repro.world.WorldSpec.validate`, so a bad combination is a one-line
     error up front rather than a traceback from the first schedule."""
     require(
@@ -267,15 +263,16 @@ def check_recovery(
             "(publish_redundant/reconstruct)",
         )
         require(
-            not isinstance(placement, ParityPlacement),
+            not isinstance(protection.placement, ParityPlacement),
             "recovery='reconstruct' publishes per-key replicas whose "
             "placement mirrors the checkpoint store's; parity placement "
             "applies to snapshot stores only — use recovery='checkpoint' "
             "with placement=parity[:g]",
         )
         require(
-            replicas is None or replicas >= 1,
-            f"recovery='reconstruct' publishes at least one replica, got replicas={replicas}",
+            protection.replicas >= 1,
+            "recovery='reconstruct' publishes at least one replica, "
+            f"got replicas={protection.replicas}",
         )
 
 
@@ -311,15 +308,12 @@ class IterativeExecutor:
         self,
         runtime: Runtime,
         app: ResilientIterativeApp,
-        store: Optional[AppResilientStore] = None,
         checkpoint_interval: int = 10,
         mode: RestoreMode = RestoreMode.SHRINK,
         spare_fallback: RestoreMode = RestoreMode.SHRINK,
         max_restore_attempts: int = 10,
         checkpoint_mode: str = "blocking",
-        replicas: Optional[int] = None,
-        placement: Optional[ReplicaPlacement] = None,
-        stable_fallback: Optional[bool] = None,
+        protection: Protection = Protection(),
         detector: Optional[PhiAccrualDetector] = None,
         corruption: Optional[CorruptionModel] = None,
         delta: bool = False,
@@ -336,18 +330,8 @@ class IterativeExecutor:
         #: (dedicated / pooled / borrow economics).  Single-job callers get
         #: the degenerate whole-world lease and the classic behavior.
         self.lease = lease if lease is not None else runtime.default_lease
-        if store is None:
-            store = AppResilientStore(
-                runtime,
-                replicas=replicas,
-                placement=placement,
-                stable_fallback=stable_fallback,
-                delta=delta,
-            )
-        #: The store's replication knobs are the executor's: a caller that
-        #: hands in a configured store does not repeat them.
-        self.store = store
-        check_recovery(type(app), recovery, store.placement, store.replicas)
+        check_recovery(type(app), recovery, protection)
+        self.store = AppResilientStore(runtime, protection, delta=delta)
         self.checkpoint_interval = checkpoint_interval
         self.mode = mode
         self.spare_fallback = spare_fallback
@@ -362,16 +346,10 @@ class IterativeExecutor:
             runtime.attach_detector(detector)
         #: Post-commit bit-rot injection (chaos campaigns).
         self.corruption = corruption
-        #: Redundant-state store for checkpoint-free recovery; replica
-        #: count and placement mirror the checkpoint store's knobs.
+        #: Redundant-state store for checkpoint-free recovery, under the
+        #: checkpoint store's protection.
         self.rstore: Optional[ReconstructionStore] = (
-            ReconstructionStore(
-                runtime,
-                replicas=store.replicas if store.replicas is not None else 1,
-                placement=store.placement,
-            )
-            if recovery == "reconstruct"
-            else None
+            ReconstructionStore(runtime, protection) if recovery == "reconstruct" else None
         )
         #: Spares claimed by an aborted reconstruction attempt, kept for
         #: the next attempt (or the fallback restore) — a lease has no

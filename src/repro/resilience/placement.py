@@ -20,7 +20,7 @@ duplicates, matching the seed store's behaviour.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Type
+from typing import Callable, Dict, List, Type
 
 from repro.util.validation import require
 
@@ -174,22 +174,6 @@ class ParityPlacement(ReplicaPlacement):
 
     def __repr__(self) -> str:
         return f"ParityPlacement(group={self.group})"
-
-
-def check_protection(
-    placement: Optional[ReplicaPlacement], replicas: Optional[int]
-) -> None:
-    """``ValueError`` when a store would pay for protection twice: parity
-    *replaces* per-key replicas, so it takes ``replicas <= 1``.  The store
-    enforces it; configuration boundaries call it to fail before any world
-    is built."""
-    if isinstance(placement, ParityPlacement) and (replicas or 0) > 1:
-        raise ValueError(
-            "placement=parity stores one XOR parity block per group instead "
-            f"of per-key replicas; replicas must be <= 1, got {replicas} "
-            "(shrink the group via parity:g to buy more protection instead "
-            "of double-paying)"
-        )
 
 
 #: CLI / config registry of the built-in policies.

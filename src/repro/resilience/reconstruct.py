@@ -25,9 +25,11 @@ iteration behind, never a mix.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.resilience.placement import ParityPlacement, ReplicaPlacement
+from repro.resilience.placement import ParityPlacement
+from repro.resilience.protection import Protection
 from repro.resilience.snapshot import DistObjectSnapshot, Snapshottable
 from repro.runtime.place import PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
@@ -38,30 +40,24 @@ from repro.util.versioning import version_token
 class ReconstructionStore:
     """Redundant static + per-iteration dynamic state for reconstruction.
 
-    ``replicas`` / ``placement`` configure the same knobs as checkpoint
-    replication: *k* in-memory backup copies per partition at the
-    placement policy's offsets.  Reconstruction survives any failure burst
-    that leaves at least one copy of every published partition — up to
-    ``replicas`` simultaneous deaths per placement group, the redundancy
-    bound the executor's fallback logic is written against.
+    *protection* is the checkpoint store's: *k* in-memory backup copies
+    per partition at the placement policy's offsets, never a disk copy.
+    Reconstruction survives any failure burst that leaves at least one copy
+    of every published partition — up to ``replicas`` simultaneous deaths
+    per placement group, the redundancy bound the executor's fallback
+    logic is written against.
     """
 
-    def __init__(
-        self,
-        runtime: Runtime,
-        replicas: int = 1,
-        placement: Optional[ReplicaPlacement] = None,
-    ):
-        require(replicas >= 1, "reconstruction needs at least one replica")
+    def __init__(self, runtime: Runtime, protection: Protection = Protection()):
+        require(protection.replicas >= 1, "reconstruction needs at least one replica")
         require(
-            not isinstance(placement, ParityPlacement),
+            not isinstance(protection.placement, ParityPlacement),
             "parity placement stores per-group XOR blocks, which the "
             "redundant-state store cannot incrementally refresh every "
             "iteration; use a replica placement (ring/stride/spread)",
         )
         self.runtime = runtime
-        self.replicas = replicas
-        self.placement = placement
+        self.protection = replace(protection, stable_fallback=False)
         self._static: Dict[Snapshottable, DistObjectSnapshot] = {}
         self._state: Dict[Snapshottable, DistObjectSnapshot] = {}
         #: Iteration the committed state generation captures (-1 = none).
@@ -82,8 +78,7 @@ class ReconstructionStore:
         """
         if obj in self._static:
             return
-        self._configure(obj, self.replicas)
-        snap = obj.make_snapshot()
+        snap = obj.make_snapshot(self.protection)
         self._static[obj] = snap
         self.redundancy_bytes += snap.total_nbytes
 
@@ -146,8 +141,10 @@ class ReconstructionStore:
         fresh: Dict[Snapshottable, DistObjectSnapshot] = {}
         try:
             for obj, backups in objs:
-                self._configure(obj, self.replicas if backups is None else backups)
-                snap = obj.make_snapshot()
+                protection = self.protection
+                if backups is not None:
+                    protection = replace(protection, replicas=backups)
+                snap = obj.make_snapshot(protection)
                 fresh[obj] = snap
                 self.redundancy_bytes += snap.total_nbytes
         except BaseException:
@@ -171,12 +168,6 @@ class ReconstructionStore:
         return self.state_iteration >= 0 and bool(self._state) and bool(self._static)
 
     # -- shared -----------------------------------------------------------------
-
-    def _configure(self, obj: Snapshottable, backups: int) -> None:
-        obj.snapshot_backups = backups
-        if self.placement is not None:
-            obj.snapshot_placement = self.placement
-        obj.snapshot_stable_fallback = False
 
     def live_snapshots(self) -> List[DistObjectSnapshot]:
         """Every snapshot the store holds: the statics and the committed state."""
@@ -209,8 +200,3 @@ class ReconstructionStore:
         self._static.clear()
         self._state.clear()
         self.state_iteration = -1
-
-
-#: Objects a reconstructable app publishes each iteration, with per-object
-#: backup overrides — see :meth:`ReconstructionStore.publish`.
-PublishPlan = List[Tuple[Snapshottable, Optional[int]]]

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from functools import cached_property
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.resilience.placement import ReplicaPlacement, RingPlacement
 from repro.runtime.exceptions import (
@@ -48,6 +48,9 @@ from repro.runtime.runtime import PlaceContext, Runtime
 from repro.util.bytesize import FRAMING_BYTES, payload_nbytes
 from repro.util.checksum import corrupt_payload, memoized_checksum
 from repro.util.validation import require
+
+if TYPE_CHECKING:  # pragma: no cover - the protection module imports this one
+    from repro.resilience.protection import Protection
 
 _snap_counter = itertools.count()
 #: ``payload_nbytes`` of a block set's key, an ``(rb, cb)`` pair.
@@ -80,8 +83,12 @@ class Snapshottable(ABC):
     """The paper's Listing 3: objects that can save and restore themselves."""
 
     @abstractmethod
-    def make_snapshot(self, base: Optional["DistObjectSnapshot"] = None) -> "DistObjectSnapshot":
-        """Capture this object's distributed state into a resilient store.
+    def make_snapshot(
+        self, protection: "Protection", base: Optional["DistObjectSnapshot"] = None
+    ) -> "DistObjectSnapshot":
+        """Capture this object's distributed state into a snapshot of the
+        tier *protection* names (every GML object defaults to
+        ``Protection()``, the paper's double store).
 
         *base* (delta checkpointing) is the previous committed snapshot of
         the same object: partitions whose mutation version is unchanged

@@ -20,11 +20,11 @@ starts, and ends, at the disk:
 * loads read the whole partition back at disk+network rates from every
   restoring place and cut sub-blocks locally.
 
-Every GML object's ``restore_snapshot`` works against it unchanged; objects
-opt in by setting ``snapshot_to_stable_storage = True``.  The same disk
-tier backs the *fallback* of the in-memory stores (``stable_fallback=True``
-on :class:`DistObjectSnapshot`), where it is written at checkpoint time but
-only read once every in-memory replica of a partition is gone.
+Every GML object's ``restore_snapshot`` works against it unchanged; a store
+opts in with ``Protection(disk_only=True)``.  The same disk tier backs the
+*fallback* of the in-memory stores (``Protection(stable_fallback=True)``),
+where it is written at checkpoint time but only read once every in-memory
+replica of a partition is gone.
 """
 
 from __future__ import annotations
@@ -53,13 +53,3 @@ class StableObjectSnapshot(DistObjectSnapshot):
     def _home_table(self) -> List[tuple]:
         """No key has an in-memory home — not even a primary."""
         return [()] * self.group.size
-
-
-def use_stable_storage(*objects) -> None:
-    """Switch GML objects to stable-storage snapshots.
-
-    Sets each object's snapshot factory so that subsequent checkpoints go
-    to stable storage instead of the in-memory double store.
-    """
-    for obj in objects:
-        obj.snapshot_to_stable_storage = True

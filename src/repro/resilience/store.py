@@ -19,11 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.resilience.placement import (
-    ParityPlacement,
-    ReplicaPlacement,
-    check_protection,
-)
+from repro.resilience.protection import Protection
 from repro.resilience.snapshot import DistObjectSnapshot, Snapshottable
 from repro.runtime.runtime import Runtime
 from repro.util.validation import require
@@ -60,20 +56,11 @@ class AppResilientStore:
     """
 
     def __init__(
-        self,
-        runtime: Runtime,
-        replicas: Optional[int] = None,
-        placement: Optional[ReplicaPlacement] = None,
-        stable_fallback: Optional[bool] = None,
-        delta: bool = False,
+        self, runtime: Runtime, protection: Protection = Protection(), delta: bool = False
     ):
         self.runtime = runtime
-        check_protection(placement, replicas)
-        #: Store-level replication knobs; ``None`` leaves each object's own
-        #: snapshot configuration untouched, a value overrides all of them.
-        self.replicas = replicas
-        self.placement = placement
-        self.stable_fallback = stable_fallback
+        #: Handed to every ``make_snapshot`` this store calls.
+        self.protection = protection
         #: Incremental (dirty-partition-only) checkpointing: ``save`` hands
         #: each object its last committed snapshot as the delta base, so
         #: unchanged partitions are adopted by reference instead of copied.
@@ -87,18 +74,6 @@ class AppResilientStore:
         self.delta_dirty_partitions = 0
         self.delta_clean_bytes = 0.0
         self.delta_dirty_bytes = 0.0
-
-    def _configure(self, obj: Snapshottable) -> None:
-        """Push the store-level replication policy onto one object."""
-        if self.replicas is not None:
-            obj.snapshot_backups = self.replicas
-        if self.placement is not None:
-            obj.snapshot_placement = self.placement
-        if isinstance(getattr(obj, "snapshot_placement", None), ParityPlacement):
-            # Parity stores group blocks, not per-key backups.
-            obj.snapshot_backups = 0
-        if self.stable_fallback is not None:
-            obj.snapshot_stable_fallback = self.stable_fallback
 
     # -- checkpoint construction ------------------------------------------------
 
@@ -117,24 +92,18 @@ class AppResilientStore:
         """
         require(self._in_progress is not None, "call start_new_snapshot() first")
         require(obj not in self._in_progress.snapshots, "object already saved")
-        self._configure(obj)
         base = None
         if self.delta:
             latest = self.latest()
             if latest is not None:
                 base = latest.snapshots.get(obj)
-        # ``base=`` is passed only when one exists, so objects predating
-        # the delta protocol (no ``base`` parameter) keep working in full
-        # mode.
-        snap = obj.make_snapshot(base=base) if base is not None else obj.make_snapshot()
+        snap = obj.make_snapshot(self.protection, base)
         self._in_progress.snapshots[obj] = snap
-        clean = len(getattr(snap, "clean_keys", ()))
+        clean = len(snap.clean_keys)
         self.delta_clean_partitions += clean
-        self.delta_dirty_partitions += getattr(snap, "num_keys", clean) - clean
-        self.delta_clean_bytes += getattr(snap, "clean_nbytes", 0.0)
-        self.delta_dirty_bytes += getattr(snap, "total_nbytes", 0.0) - getattr(
-            snap, "clean_nbytes", 0.0
-        )
+        self.delta_dirty_partitions += snap.num_keys - clean
+        self.delta_clean_bytes += snap.clean_nbytes
+        self.delta_dirty_bytes += snap.total_nbytes - snap.clean_nbytes
 
     def save_read_only(self, obj: Snapshottable) -> None:
         """Snapshot an immutable object, reusing an existing snapshot if any.
@@ -145,7 +114,6 @@ class AppResilientStore:
         not a correctness assumption).
         """
         require(self._in_progress is not None, "call start_new_snapshot() first")
-        self._configure(obj)
         existing = self._read_only_registry.get(obj)
         if existing is not None and existing.reusable():
             self._in_progress.read_only[obj] = existing
@@ -154,7 +122,7 @@ class AppResilientStore:
         # fresh one so the next failure cannot destroy the last copy.  The
         # old snapshot stays alive until commit — the previous committed
         # checkpoint may still need it if this attempt is cancelled.
-        snapshot = obj.make_snapshot()
+        snapshot = obj.make_snapshot(self.protection)
         self._read_only_registry[obj] = snapshot
         self._in_progress.read_only[obj] = snapshot
         latest = self.latest()

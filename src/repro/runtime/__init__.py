@@ -21,11 +21,9 @@ from repro.runtime.exceptions import (
 )
 from repro.runtime.factory import make_runtime
 from repro.runtime.failure import (
-    AdjacentPairFailureModel,
     ExponentialFailureModel,
     FailureInjector,
     LeaseScopedInjector,
-    RackFailureModel,
     ScriptedKill,
 )
 from repro.runtime.finish import PlaceZeroLedger
@@ -50,12 +48,10 @@ __all__ = [
     "PlaceZeroDeadError",
     "RuntimeFault",
     "SpareExhaustedError",
-    "AdjacentPairFailureModel",
     "ExponentialFailureModel",
     "FailureInjector",
     "LeaseScopedInjector",
     "make_runtime",
-    "RackFailureModel",
     "ScriptedKill",
     "PlaceZeroLedger",
     "PlaceHeap",

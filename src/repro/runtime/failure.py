@@ -1,4 +1,4 @@
-"""Fail-stop failure injection, including correlated chaos models.
+"""Fail-stop failure injection.
 
 The paper's experiments kill one place at a chosen iteration; the framework
 must also survive arbitrary additional failures (including failures *during*
@@ -11,11 +11,11 @@ checkpoint or restore).  The injector supports:
   checkpoint (or restore)": the executor announces entering/leaving those
   phases, and the kill fires at the first finish inside the matching one;
 * random kills drawn from an exponential MTTF model, as assumed by Young's
-  checkpoint-interval formula;
-* **correlated** burst models for the chaos campaigns: an adjacent pair of
-  places dying together (the scenario that defeats the paper's double
-  store) and whole-"rack" bursts where every place of a failure group dies
-  at once.
+  checkpoint-interval formula.
+
+Correlated bursts (an adjacent pair, a "rack" of consecutive places) are
+scripted kills sharing one trigger, drawn by ``repro.chaos.make_schedule``
+and ``repro.service.faults.ServiceFaultPlan``.
 
 Scheduling a kill of place zero (immortal by Resilient X10 assumption) or a
 second kill of a place that an earlier scripted kill already condemns is
@@ -322,51 +322,6 @@ class ExponentialFailureModel:
         return kills
 
 
-@dataclass
-class AdjacentPairFailureModel:
-    """Correlated bursts: both places of an adjacent pair die *together*.
-
-    Adjacency is positional in *candidate_ids* (the snapshot ring order) —
-    exactly the correlation that destroys both copies of a partition in the
-    paper's double store.  Events arrive at exponential intervals; each
-    event picks one random not-yet-condemned adjacent pair (place zero
-    never participates) and schedules both members at the same instant.
-    """
-
-    mttf: float
-    seed: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.mttf <= 0:
-            raise ValueError("mttf must be positive")
-        object.__setattr__(self, "_rng", np.random.default_rng(self.seed))
-
-    def schedule(
-        self, candidate_ids: List[int], horizon: float
-    ) -> List[ScriptedKill]:
-        """Sample simultaneous adjacent-pair kills up to *horizon*."""
-        kills: List[ScriptedKill] = []
-        condemned: Set[int] = {0}
-        t = 0.0
-        while True:
-            pairs = [
-                (a, b)
-                for a, b in zip(candidate_ids, candidate_ids[1:])
-                if a not in condemned and b not in condemned
-            ]
-            if not pairs:
-                break
-            t += float(self._rng.exponential(self.mttf))
-            if t > horizon:
-                break
-            a, b = pairs[int(self._rng.integers(len(pairs)))]
-            condemned.update((a, b))
-            kills.append(ScriptedKill(place_id=a, time=t))
-            kills.append(ScriptedKill(place_id=b, time=t))
-        return kills
-
-
 # -- transient faults ---------------------------------------------------------
 #
 # Everything below injects faults that do NOT kill places: messages that are
@@ -567,52 +522,3 @@ class CorruptionModel:
     def disk_strikes(self) -> List[Tuple[int, int, int]]:
         """Strikes that landed on the stable (disk) tier."""
         return [s for s in self.strikes if s[2] < 0]
-
-
-@dataclass
-class RackFailureModel:
-    """Same-"rack" correlated failures: a whole failure group dies at once.
-
-    Places are grouped into racks of *rack_size* consecutive ids (the
-    shared-power/shared-switch unit).  Each exponential event kills every
-    not-yet-dead member of one random rack simultaneously; place zero is
-    spared even when its rack is hit (immortality assumption), so the
-    paper's framework observes the worst legal burst.
-    """
-
-    rack_size: int
-    mttf: float
-    seed: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.rack_size < 1:
-            raise ValueError("rack_size must be >= 1")
-        if self.mttf <= 0:
-            raise ValueError("mttf must be positive")
-        object.__setattr__(self, "_rng", np.random.default_rng(self.seed))
-
-    def racks(self, candidate_ids: Sequence[int]) -> List[List[int]]:
-        """The failure groups over *candidate_ids* (place zero excluded)."""
-        by_rack: Dict[int, List[int]] = {}
-        for pid in candidate_ids:
-            if pid == 0:
-                continue
-            by_rack.setdefault(pid // self.rack_size, []).append(pid)
-        return [by_rack[r] for r in sorted(by_rack)]
-
-    def schedule(
-        self, candidate_ids: List[int], horizon: float
-    ) -> List[ScriptedKill]:
-        """Sample whole-rack bursts up to virtual time *horizon*."""
-        kills: List[ScriptedKill] = []
-        remaining = self.racks(candidate_ids)
-        t = 0.0
-        while remaining:
-            t += float(self._rng.exponential(self.mttf))
-            if t > horizon:
-                break
-            rack = remaining.pop(int(self._rng.integers(len(remaining))))
-            for pid in rack:
-                kills.append(ScriptedKill(place_id=pid, time=t))
-        return kills

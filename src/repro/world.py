@@ -36,7 +36,8 @@ from repro.resilience.executor import (
     check_modes,
     check_recovery,
 )
-from repro.resilience.placement import check_protection, make_placement
+from repro.resilience.placement import RingPlacement, make_placement
+from repro.resilience.protection import Protection
 from repro.runtime.cost import CostModel
 from repro.runtime.detector import PhiAccrualDetector
 from repro.runtime.factory import make_runtime
@@ -81,7 +82,7 @@ class WorldSpec:
     trace: bool = False
     #: Pre-started spare places (ids ``places .. places + spares - 1``).
     spares: int = 0
-    # -- protection (None: each object's own snapshot configuration) -------
+    # -- protection (None: 1 replica, on the ring) ---------------------------
     replicas: Optional[int] = None
     placement: Optional[str] = None
     stable_fallback: bool = False
@@ -142,11 +143,7 @@ class WorldSpec:
         require(self.workload in ("bench", "tiny"), "workload must be 'bench' or 'tiny'")
         self._workload()  # the workload's own checks (iterations, sizes)
         check_positive(self.checkpoint_interval, "checkpoint_interval")
-        policy = make_placement(self.placement) if self.placement else None
-        if self.replicas is not None:
-            check_non_negative(self.replicas, "replicas")
-        check_protection(policy, self.replicas)
-        check_recovery(APPS[self.app].resilient, self.recovery, policy, self.replicas)
+        check_recovery(APPS[self.app].resilient, self.recovery, self._protection())
         RestoreMode(self.mode)
         check_modes(self.spare_fallback, self.checkpoint_mode)
         world = range(self.places + self.spares)
@@ -243,9 +240,7 @@ class WorldSpec:
             mode=RestoreMode(self.mode),
             spare_fallback=self.spare_fallback,
             checkpoint_mode=self.checkpoint_mode,
-            replicas=self.replicas,
-            placement=make_placement(self.placement) if self.placement else None,
-            stable_fallback=self.stable_fallback or None,
+            protection=self._protection(),
             detector=detector,
             corruption=corruption,
             delta=self.ckpt_delta,
@@ -253,6 +248,13 @@ class WorldSpec:
             recovery=self.recovery,
         )
         return rt, app, executor.store, executor
+
+    def _protection(self) -> Protection:
+        return Protection(
+            replicas=1 if self.replicas is None else self.replicas,
+            placement=make_placement(self.placement) if self.placement else RingPlacement(),
+            stable_fallback=self.stable_fallback,
+        )
 
     def _workload(self):
         entry = APPS[self.app]

@@ -26,6 +26,7 @@ from repro.resilience.executor import (
     NonResilientExecutor,
     RestoreMode,
 )
+from repro.resilience.protection import Protection
 from repro.runtime.cost import CostModel
 from repro.runtime.exceptions import DataLossError
 from repro.runtime.runtime import Runtime
@@ -105,7 +106,7 @@ def _outcome(app_name, config_kw, kills, mode, checkpoint_mode, delta):
         mode=mode,
         checkpoint_mode=checkpoint_mode,
         delta=delta,
-        **config_kw,
+        protection=Protection(**config_kw),
     )
     try:
         report = executor.run()

@@ -19,6 +19,7 @@ from repro.apps.nonresilient import (
 from repro.apps.resilient import LinRegResilient, LogRegResilient, PageRankResilient
 from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.placement import SpreadPlacement
+from repro.resilience.protection import Protection
 from repro.runtime import CostModel, Runtime
 
 ITER = 12
@@ -215,8 +216,7 @@ def test_spare_exhaustion_falls_back_to_shrink_rebalance():
         checkpoint_interval=3,
         mode=RestoreMode.REPLACE_REDUNDANT,
         spare_fallback=RestoreMode.SHRINK_REBALANCE,
-        replicas=2,
-        placement=SpreadPlacement(),
+        protection=Protection(replicas=2, placement=SpreadPlacement()),
     ).run()
     assert report.restores == 2
     assert app.places.size == 3
@@ -235,7 +235,10 @@ def test_aborted_restore_is_accounted():
     rt.injector.kill_at_iteration(1, iteration=4)
     rt.injector.kill_during(2, "restore")
     report = IterativeExecutor(
-        rt, app, checkpoint_interval=3, replicas=2, placement=SpreadPlacement()
+        rt,
+        app,
+        checkpoint_interval=3,
+        protection=Protection(replicas=2, placement=SpreadPlacement()),
     ).run()
     assert report.aborted_restores == 1
     assert len(report.aborted_restore_durations) == 1

@@ -25,6 +25,7 @@ from repro.apps.nonresilient import LinRegNonResilient, PageRankNonResilient
 from repro.apps.resilient import LinRegResilient, PageRankResilient
 from repro.resilience.executor import IterativeExecutor
 from repro.resilience.placement import SpreadPlacement
+from repro.resilience.protection import Protection
 from repro.runtime import CostModel, Runtime
 from repro.runtime.detector import PhiAccrualDetector
 from repro.runtime.failure import LinkPartition, TransientFaultModel
@@ -56,8 +57,7 @@ def make_executor(rt, app, detect_timeout=1.0, **kwargs):
         rt,
         app,
         checkpoint_interval=4,
-        replicas=2,
-        placement=SpreadPlacement(),
+        protection=Protection(replicas=2, placement=SpreadPlacement()),
         detector=detector,
         **kwargs,
     )

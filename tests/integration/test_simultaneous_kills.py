@@ -15,6 +15,7 @@ from repro.apps.nonresilient import LinRegNonResilient, PageRankNonResilient
 from repro.apps.resilient import LinRegResilient, PageRankResilient
 from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.placement import ParityPlacement, SpreadPlacement
+from repro.resilience.protection import Protection
 from repro.runtime import CostModel, DataLossError, Runtime
 from repro.runtime.detector import PhiAccrualDetector
 
@@ -49,8 +50,7 @@ def test_pair_kill_one_restore(victims):
         app,
         checkpoint_interval=4,
         mode=RestoreMode.REPLACE_REDUNDANT,
-        replicas=2,
-        placement=SpreadPlacement(),
+        protection=Protection(replicas=2, placement=SpreadPlacement()),
     ).run()
     assert report.restores == 1
     assert report.failures_observed >= 2
@@ -71,8 +71,7 @@ def test_rack_kill_shrinks_once():
         app,
         checkpoint_interval=4,
         mode=RestoreMode.SHRINK_REBALANCE,
-        replicas=3,
-        placement=SpreadPlacement(),
+        protection=Protection(replicas=3, placement=SpreadPlacement()),
     ).run()
     assert report.restores == 1
     assert report.final_group_size == PLACES - 3
@@ -95,8 +94,7 @@ def test_pair_kill_during_restore_retries():
         app,
         checkpoint_interval=3,
         mode=RestoreMode.REPLACE_REDUNDANT,
-        replicas=3,
-        placement=SpreadPlacement(),
+        protection=Protection(replicas=3, placement=SpreadPlacement()),
     ).run()
     assert report.restores == 1
     assert report.aborted_restores >= 1
@@ -119,8 +117,7 @@ def test_detector_confirms_two_deaths_in_one_event():
         app,
         checkpoint_interval=4,
         mode=RestoreMode.REPLACE_REDUNDANT,
-        replicas=2,
-        placement=SpreadPlacement(),
+        protection=Protection(replicas=2, placement=SpreadPlacement()),
         detector=detector,
     ).run()
     assert report.evictions == 2
@@ -138,12 +135,16 @@ def test_detector_confirms_two_deaths_in_one_event():
 # of one set before a scrub exceeds the code.
 
 
-def parity_executor(rt, app, **kw):
-    kw.setdefault("checkpoint_interval", 4)
-    kw.setdefault("mode", RestoreMode.REPLACE_REDUNDANT)
-    kw.setdefault("replicas", 1)
-    kw.setdefault("placement", ParityPlacement(group=2))
-    return IterativeExecutor(rt, app, **kw)
+def parity_executor(rt, app, stable_fallback=False):
+    return IterativeExecutor(
+        rt,
+        app,
+        checkpoint_interval=4,
+        mode=RestoreMode.REPLACE_REDUNDANT,
+        protection=Protection(
+            replicas=1, placement=ParityPlacement(group=2), stable_fallback=stable_fallback
+        ),
+    )
 
 
 def test_pair_kill_one_loss_per_group_recovers_in_memory():

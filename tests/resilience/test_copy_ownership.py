@@ -16,6 +16,7 @@ from repro import chaos
 from repro.matrix.distvector import DistVector
 from repro.resilience.executor import RestoreMode
 from repro.resilience.placement import SpreadPlacement
+from repro.resilience.protection import Protection
 from repro.resilience.reconstruct import ReconstructionStore
 from repro.resilience.snapshot import orphaned_copies
 from repro.resilience.store import AppResilientStore
@@ -67,7 +68,7 @@ class TestFailedSaves:
 
     def test_store_save_leaves_nothing_behind_and_cancels_clean(self):
         rt, (x, r, _) = _world()
-        store = AppResilientStore(rt, replicas=2, placement=SpreadPlacement())
+        store = AppResilientStore(rt, Protection(replicas=2, placement=SpreadPlacement()))
         store.start_new_snapshot()
         store.save(x)
         rt.injector.add(ScriptedKill(place_id=3, phase=rt.phase + 1))
@@ -79,7 +80,7 @@ class TestFailedSaves:
 
     def test_read_only_snapshot_of_a_cancelled_attempt_is_freed_when_superseded(self):
         rt, (x, r, _) = _world()
-        store = AppResilientStore(rt, replicas=1)
+        store = AppResilientStore(rt)
         store.start_new_snapshot()
         store.save_read_only(x)
         rt.injector.add(ScriptedKill(place_id=3, phase=rt.phase + 1))
@@ -100,7 +101,7 @@ class TestFailedSaves:
 
     def test_a_failed_publish_frees_the_snapshots_it_completed(self):
         rt, (x, r, p) = _world()
-        rstore = ReconstructionStore(rt, replicas=1)
+        rstore = ReconstructionStore(rt)
         rstore.publish([(x, 0), (r, None), (p, None)], iteration=0)
         committed = {snap.snap_id for snap in rstore.live_snapshots()}
         # x and r complete; the kill lands in p's finish.

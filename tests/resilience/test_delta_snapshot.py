@@ -137,7 +137,7 @@ def _two_checkpoints(rt, store, objects, mutate=None):
 class TestDeltaStore:
     def test_clean_partitions_are_adopted_not_copied(self):
         rt = make_rt(cost=CostModel.laptop(), resilient=True)
-        store = AppResilientStore(rt, replicas=1, delta=True)
+        store = AppResilientStore(rt, delta=True)
         v = DupVector.make(rt, 4096).init_random(3)
         _two_checkpoints(rt, store, [v])
         assert store.delta_clean_partitions == 4
@@ -147,7 +147,7 @@ class TestDeltaStore:
     def test_clean_checkpoint_is_cheaper_than_full(self):
         def run(delta):
             rt = make_rt(cost=CostModel.laptop(), resilient=True)
-            store = AppResilientStore(rt, replicas=1, delta=delta)
+            store = AppResilientStore(rt, delta=delta)
             v = DupVector.make(rt, 1 << 20).init_random(3)
             return _two_checkpoints(rt, store, [v])
 
@@ -157,7 +157,7 @@ class TestDeltaStore:
     def test_dirty_partitions_still_pay_full_cost(self):
         def run(delta, mutate):
             rt = make_rt(cost=CostModel.laptop(), resilient=True)
-            store = AppResilientStore(rt, replicas=1, delta=delta)
+            store = AppResilientStore(rt, delta=delta)
             v = DupVector.make(rt, 1 << 14).init_random(3)
             return _two_checkpoints(
                 rt, store, [v], mutate=(lambda: v.scale(2.0)) if mutate else None
@@ -169,7 +169,7 @@ class TestDeltaStore:
     def test_delta_restore_matches_full_restore(self):
         def run(delta):
             rt = make_rt(resilient=True)
-            store = AppResilientStore(rt, replicas=1, delta=delta)
+            store = AppResilientStore(rt, delta=delta)
             v = DupVector.make(rt, 32).init_random(7)
             d = DistVector.make(rt, 32).init_random(8)
             store.start_new_snapshot()
@@ -192,7 +192,7 @@ class TestDeltaStore:
 
     def test_committed_snapshot_immune_to_later_mutation(self):
         rt = make_rt(resilient=True)
-        store = AppResilientStore(rt, replicas=1, delta=True)
+        store = AppResilientStore(rt, delta=True)
         v = DupVector.make(rt, 16).init_random(1)
         saved = v.to_array().copy()
         store.start_new_snapshot()
@@ -204,7 +204,7 @@ class TestDeltaStore:
 
     def test_replica_death_forces_a_dirty_resave(self):
         rt = make_rt(4, resilient=True)
-        store = AppResilientStore(rt, replicas=1, delta=True)
+        store = AppResilientStore(rt, delta=True)
         v = DupVector.make(rt, 8).init_random(2)
         store.start_new_snapshot()
         store.save(v)
@@ -222,7 +222,7 @@ class TestDeltaStore:
         # commit() deletes the previous snapshot's heap entries; adopted
         # payloads live under the NEW snapshot's keys and must survive.
         rt = make_rt(resilient=True)
-        store = AppResilientStore(rt, replicas=1, delta=True)
+        store = AppResilientStore(rt, delta=True)
         v = DupVector.make(rt, 16).init_random(4)
         saved = v.to_array().copy()
         for it in range(3):  # three all-clean generations
@@ -278,7 +278,7 @@ class TestCorruptionIsolation:
         # unverified and is quarantined by the checksum pass on first use —
         # adoption must not launder corruption into a "verified" state.
         rt = make_rt(3, cost=CostModel.zero(), resilient=True)
-        store = AppResilientStore(rt, replicas=1, delta=True)
+        store = AppResilientStore(rt, delta=True)
         v = DupVector.make(rt, 4, PlaceGroup.of_ids([0, 1, 2])).init_random(5)
         saved = v.to_array().copy()
         store.start_new_snapshot()

@@ -22,7 +22,7 @@ from repro.chaos import CampaignConfig
 from repro.engine.fork import ForkContext, capture_boundaries
 from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.placement import make_placement
-from repro.resilience.store import AppResilientStore
+from repro.resilience.protection import Protection
 from repro.runtime.cost import CostModel
 from repro.runtime.detector import PhiAccrualDetector
 from repro.runtime.factory import make_runtime
@@ -145,11 +145,10 @@ def test_fork_with_detector_suspicion_in_flight():
     app = entry.resilient(rt, entry.tiny_workload(8))
     rt.injector.add(ScriptedKill(place_id=3, iteration=4))
     detector = PhiAccrualDetector(rt, detect_timeout=5.0)
-    store = AppResilientStore(rt, replicas=2, placement=make_placement("spread"))
     executor = IterativeExecutor(
         rt,
         app,
-        store=store,
+        protection=Protection(replicas=2, placement=make_placement("spread")),
         checkpoint_interval=2,
         mode=RestoreMode.SHRINK,
         detector=detector,

@@ -29,6 +29,7 @@ from repro.matrix.vector import Vector
 from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.parity import PARITY_TIER, ParityObjectSnapshot
 from repro.resilience.placement import ParityPlacement, SpreadPlacement
+from repro.resilience.protection import Protection
 from repro.resilience.reconstruct import ReconstructionStore
 from repro.resilience.snapshot import DistObjectSnapshot
 from repro.resilience.store import AppResilientStore
@@ -241,11 +242,11 @@ class TestConfigurationGuards:
     def test_store_rejects_parity_with_replicas(self):
         rt = make_rt(4)
         with pytest.raises(ValueError, match="replicas must be <= 1"):
-            AppResilientStore(rt, replicas=2, placement=ParityPlacement())
+            AppResilientStore(rt, Protection(replicas=2, placement=ParityPlacement()))
 
     def test_store_routes_parity_snapshots(self):
         rt = make_rt(6)
-        store = AppResilientStore(rt, replicas=1, placement=ParityPlacement(group=2))
+        store = AppResilientStore(rt, Protection(replicas=1, placement=ParityPlacement(group=2)))
         v = DupVector.make(rt, 4).init(1.0)
         store.start_new_snapshot()
         store.save(v)
@@ -257,7 +258,7 @@ class TestConfigurationGuards:
     def test_reconstruction_store_rejects_parity(self):
         rt = make_rt(4)
         with pytest.raises(ValueError, match="replica placement"):
-            ReconstructionStore(rt, replicas=1, placement=ParityPlacement())
+            ReconstructionStore(rt, Protection(replicas=1, placement=ParityPlacement()))
 
     def test_replica_placement_rejected_by_parity_snapshot(self):
         rt = make_rt(4)
@@ -290,7 +291,7 @@ def _scale(partition, alpha):
 class TestDeltaComposition(PerKind):
     def _store(self, rt):
         return AppResilientStore(
-            rt, replicas=1, placement=ParityPlacement(group=2), delta=True
+            rt, Protection(replicas=1, placement=ParityPlacement(group=2)), delta=True
         )
 
     @staticmethod
@@ -350,7 +351,7 @@ class TestDeltaComposition(PerKind):
 class TestStoredBytes:
     def test_total_stored_bytes_replication_multiplies(self):
         rt = make_rt(6)
-        store = AppResilientStore(rt, replicas=2, placement=SpreadPlacement())
+        store = AppResilientStore(rt, Protection(replicas=2, placement=SpreadPlacement()))
         v = DupVector.make(rt, 6).init(1.0)
         store.start_new_snapshot()
         store.save(v)
@@ -361,7 +362,7 @@ class TestStoredBytes:
 
     def test_parity_overhead_is_fractional(self):
         rt = make_rt(8)
-        store = AppResilientStore(rt, replicas=1, placement=ParityPlacement(group=4))
+        store = AppResilientStore(rt, Protection(replicas=1, placement=ParityPlacement(group=4)))
         v = DupVector.make(rt, 4096).init(1.0)
         store.start_new_snapshot()
         store.save(v)
@@ -392,7 +393,7 @@ class TestBlocksAreValueDetermined:
                     block.data.spmv_t(np.ones(block.data.m))
         for _ in range(burn):
             next_version()
-        store = AppResilientStore(rt, replicas=1, placement=ParityPlacement(group=4))
+        store = AppResilientStore(rt, Protection(replicas=1, placement=ParityPlacement(group=4)))
         t0 = rt.now()
         app.checkpoint(store)
         blocks = [
@@ -469,7 +470,7 @@ def test_scrub_refills_the_primary_and_keeps_every_surviving_block(monkeypatch):
     rt.injector.kill_at_iteration(3, iteration=5)
     report = IterativeExecutor(
         rt, app, checkpoint_interval=3, mode=RestoreMode.REPLACE_REDUNDANT,
-        replicas=1, placement=ParityPlacement(group=2),
+        protection=Protection(replicas=1, placement=ParityPlacement(group=2)),
     ).run()
     assert (report.restores, report.scrubs) == (1, 1)
     assert dict in [kind for kind, _, _ in scrubs]

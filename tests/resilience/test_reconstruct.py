@@ -10,6 +10,7 @@ from repro.apps.nonresilient.cg import CGNonResilient
 from repro.apps.resilient.cg import CGResilient
 from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.placement import RingPlacement, SpreadPlacement
+from repro.resilience.protection import Protection
 from repro.resilience.reconstruct import ReconstructionStore
 from repro.runtime import CostModel, Runtime
 from repro.runtime.exceptions import DataLossError
@@ -32,8 +33,7 @@ def baseline(places=6, iterations=12):
 def run_reconstruct(rt, app, **kw):
     kw.setdefault("checkpoint_interval", 4)
     kw.setdefault("mode", RestoreMode.REPLACE_REDUNDANT)
-    kw.setdefault("replicas", 2)
-    kw.setdefault("placement", SpreadPlacement())
+    kw.setdefault("protection", Protection(replicas=2, placement=SpreadPlacement()))
     return IterativeExecutor(rt, app, recovery="reconstruct", **kw).run()
 
 
@@ -41,7 +41,7 @@ class TestStore:
     def test_publish_commits_a_generation(self):
         rt = make_rt(4)
         app = CGResilient(rt, WL)
-        store = ReconstructionStore(rt, replicas=2, placement=SpreadPlacement())
+        store = ReconstructionStore(rt, Protection(replicas=2, placement=SpreadPlacement()))
         assert not store.ready
         app.publish_redundant(store, iteration=0)
         assert store.ready
@@ -54,7 +54,7 @@ class TestStore:
     def test_save_static_is_idempotent(self):
         rt = make_rt(4)
         app = CGResilient(rt, WL)
-        store = ReconstructionStore(rt, replicas=1)
+        store = ReconstructionStore(rt)
         store.save_static(app.b)
         published = store.redundancy_bytes
         store.save_static(app.b)
@@ -63,7 +63,7 @@ class TestStore:
     def test_publish_supersedes_previous_generation(self):
         rt = make_rt(4)
         app = CGResilient(rt, WL)
-        store = ReconstructionStore(rt, replicas=1)
+        store = ReconstructionStore(rt)
         app.publish_redundant(store, iteration=0)
         app.step()
         app.publish_redundant(store, iteration=1)
@@ -72,7 +72,7 @@ class TestStore:
     def test_invalidate_empties_the_store(self):
         rt = make_rt(4)
         app = CGResilient(rt, WL)
-        store = ReconstructionStore(rt, replicas=1)
+        store = ReconstructionStore(rt)
         app.publish_redundant(store, iteration=0)
         store.invalidate()
         assert not store.ready
@@ -84,7 +84,7 @@ class TestStore:
     def test_burst_beyond_redundancy_raises_data_loss(self):
         rt = make_rt(6, spares=2)
         app = CGResilient(rt, WL)
-        store = ReconstructionStore(rt, replicas=1, placement=RingPlacement())
+        store = ReconstructionStore(rt, Protection(replicas=1, placement=RingPlacement()))
         app.publish_redundant(store, iteration=0)
         # Ring replicas sit at offset +1: killing an adjacent pair wipes
         # both copies of the first victim's partitions.
@@ -101,7 +101,7 @@ class TestStore:
         re-uses the spare at another index): the repaired copy must not move."""
         rt = make_rt(6, spares=1)
         app = CGResilient(rt, WL)
-        store = ReconstructionStore(rt, replicas=2, placement=SpreadPlacement())
+        store = ReconstructionStore(rt, Protection(replicas=2, placement=SpreadPlacement()))
         app.publish_redundant(store, iteration=0)
         rt.kill(2)
         new_group = app.places.replace(app.places[2], rt.claim_spare())
@@ -168,7 +168,9 @@ class TestExecutorReconstruct:
         app = CGResilient(rt, WL)
         for victim in (3, 4, 5):
             rt.injector.kill_at_iteration(victim, iteration=6)
-        report = run_reconstruct(rt, app, replicas=3)
+        report = run_reconstruct(
+            rt, app, protection=Protection(replicas=3, placement=SpreadPlacement())
+        )
         assert report.reconstructions == 1
         assert report.reconstructed_partitions == 3
         assert report.restored_iterations == []
@@ -189,10 +191,10 @@ class TestExecutorReconstruct:
         report = run_reconstruct(
             rt,
             app,
-            replicas=1,
-            placement=RingPlacement(),
+            protection=Protection(
+                replicas=1, placement=RingPlacement(), stable_fallback=True
+            ),
             checkpoint_interval=3,
-            stable_fallback=True,
         )
         assert report.reconstructions == 0
         assert report.fallback_restores == 1
@@ -226,8 +228,7 @@ class TestExecutorReconstruct:
             checkpoint_interval=4,
             mode=RestoreMode.REPLACE_REDUNDANT,
             spare_fallback=RestoreMode.SHRINK_REBALANCE,
-            replicas=2,
-            placement=SpreadPlacement(),
+            protection=Protection(replicas=2, placement=SpreadPlacement()),
             recovery="reconstruct",
         ).run()
         assert report.reconstructions == 0

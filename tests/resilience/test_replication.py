@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.matrix.dupvector import DupVector
 from repro.matrix.vector import Vector
+from repro.resilience.protection import Protection
 from repro.resilience.snapshot import DistObjectSnapshot
 from repro.runtime import CostModel, DataLossError, Runtime
 
@@ -119,9 +120,8 @@ class TestObjectLevelReplication:
     def test_dup_vector_with_extra_backups(self):
         rt = make_rt(6)
         v = DupVector.make(rt, 8).init_random(3)
-        v.snapshot_backups = 2
         ref = v.to_array()
-        snap = v.make_snapshot()
+        snap = v.make_snapshot(Protection(replicas=2))
         assert snap.backups == 2
         # Two consecutive failures — fatal for the paper's double store,
         # survivable with k=2.

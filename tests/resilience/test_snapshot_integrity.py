@@ -17,6 +17,7 @@ from repro.apps.resilient import LinRegResilient
 from repro.matrix.vector import Vector
 from repro.resilience.executor import IterativeExecutor
 from repro.resilience.placement import SpreadPlacement
+from repro.resilience.protection import Protection
 from repro.resilience.snapshot import DistObjectSnapshot
 from repro.resilience.stable import StableObjectSnapshot
 from repro.runtime import CostModel, DataLossError, Runtime
@@ -177,9 +178,9 @@ class TestExecutorIntegration:
             rt,
             app,
             checkpoint_interval=3,
-            replicas=2,
-            placement=SpreadPlacement(),
-            stable_fallback=True,
+            protection=Protection(
+                replicas=2, placement=SpreadPlacement(), stable_fallback=True
+            ),
             corruption=CorruptionModel(rate=0.3, seed=1),
         )
         report = executor.run()
@@ -191,7 +192,10 @@ class TestExecutorIntegration:
         rt = Runtime(6, cost=CostModel.zero(), resilient=True)
         app = LinRegResilient(rt, self.WL)
         executor = IterativeExecutor(
-            rt, app, checkpoint_interval=3, replicas=2, placement=SpreadPlacement()
+            rt,
+            app,
+            checkpoint_interval=3,
+            protection=Protection(replicas=2, placement=SpreadPlacement()),
         )
         executor.run()
         store = executor.store

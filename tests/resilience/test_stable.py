@@ -9,8 +9,11 @@ from repro.apps.resilient.pagerank import PageRankResilient
 from repro.matrix.dupvector import DupVector
 from repro.matrix.distblock import DistBlockMatrix
 from repro.resilience.executor import IterativeExecutor
-from repro.resilience.stable import StableObjectSnapshot, use_stable_storage
+from repro.resilience.protection import Protection
+from repro.resilience.stable import StableObjectSnapshot
 from repro.runtime import CostModel, Runtime
+
+DISK = Protection(disk_only=True)
 
 
 def make_rt(n=4, cost=None, **kw):
@@ -21,9 +24,8 @@ class TestStableSnapshot:
     def test_roundtrip(self):
         rt = make_rt()
         v = DupVector.make(rt, 6).init_random(1)
-        use_stable_storage(v)
         ref = v.to_array()
-        snap = v.make_snapshot()
+        snap = v.make_snapshot(DISK)
         assert isinstance(snap, StableObjectSnapshot)
         v.fill(0.0)
         v.restore_snapshot(snap)
@@ -33,9 +35,8 @@ class TestStableSnapshot:
         # The exact scenario that defeats the in-memory double store.
         rt = make_rt(5)
         v = DupVector.make(rt, 6).init_random(3)
-        use_stable_storage(v)
         ref = v.to_array()
-        snap = v.make_snapshot()
+        snap = v.make_snapshot(DISK)
         rt.kill(1)
         rt.kill(2)
         v.remake(rt.live_world())
@@ -45,9 +46,8 @@ class TestStableSnapshot:
     def test_survives_all_nonzero_places_dying(self):
         rt = make_rt(4)
         g = DistBlockMatrix.make_dense(rt, 8, 4, 4, 1).init_random(2)
-        use_stable_storage(g)
         ref = g.to_dense().data
-        snap = g.make_snapshot()
+        snap = g.make_snapshot(DISK)
         for victim in (1, 2, 3):
             rt.kill(victim)
         g.remake(rt.live_world())
@@ -59,9 +59,8 @@ class TestStableSnapshot:
 
         rt = make_rt(4)
         g = DistBlockMatrix.make_sparse(rt, 20, 8, 8, 2).init_random(3, density=0.3)
-        use_stable_storage(g)
         ref = g.to_dense().data
-        snap = g.make_snapshot()
+        snap = g.make_snapshot(DISK)
         g.remake(rt.world, new_grid=Grid.partition(20, 8, 5, 1))
         g.restore_snapshot(snap)
         assert np.array_equal(g.to_dense().data, ref)
@@ -72,17 +71,15 @@ class TestStableSnapshot:
         for stable in (False, True):
             rt = make_rt(3, cost=cost)
             v = DupVector.make(rt, 128).init(1.0)
-            v.snapshot_to_stable_storage = stable
             t0 = rt.clock.global_time()
-            v.make_snapshot()
+            v.make_snapshot(Protection(disk_only=stable))
             times[stable] = rt.clock.global_time() - t0
         assert times[True] > times[False]  # disk writes vs free memcpy
 
     def test_fully_redundant_always(self):
         rt = make_rt(4)
         v = DupVector.make(rt, 4).init(1.0)
-        use_stable_storage(v)
-        snap = v.make_snapshot()
+        snap = v.make_snapshot(DISK)
         rt.kill(1)
         rt.kill(2)
         assert snap.fully_redundant()
@@ -90,8 +87,7 @@ class TestStableSnapshot:
     def test_delete(self):
         rt = make_rt(3)
         v = DupVector.make(rt, 4).init(1.0)
-        use_stable_storage(v)
-        snap = v.make_snapshot()
+        snap = v.make_snapshot(DISK)
         snap.delete()
         with pytest.raises(ValueError):
             snap.locate(0)
@@ -108,10 +104,9 @@ class TestStableEndToEnd:
 
         rt = make_rt(4, resilient=True)
         app = PageRankResilient(rt, wl)
-        use_stable_storage(app.G, app.U, app.P)
         # Adjacent double failure: unrecoverable in-memory, fine on disk.
         rt.injector.kill_at_iteration(1, iteration=5)
         rt.injector.kill_at_iteration(2, iteration=5)
-        report = IterativeExecutor(rt, app, checkpoint_interval=4).run()
+        report = IterativeExecutor(rt, app, checkpoint_interval=4, protection=DISK).run()
         assert report.restores == 1
         assert np.allclose(app.ranks(), ref.ranks(), atol=1e-8)

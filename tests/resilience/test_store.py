@@ -185,6 +185,8 @@ class FakeSnapshot:
         self.deleted = False
         self.redundant = True
         self.total_nbytes = 1.0
+        # A full save of one partition, as ``AppResilientStore.save`` counts it.
+        self.num_keys, self.clean_keys, self.clean_nbytes = 1, set(), 0.0
 
     def fully_redundant(self):
         return self.redundant
@@ -202,7 +204,7 @@ class FakeObject:
     def __init__(self):
         self.taken = []
 
-    def make_snapshot(self):
+    def make_snapshot(self, protection, base=None):
         snap = FakeSnapshot()
         self.taken.append(snap)
         return snap

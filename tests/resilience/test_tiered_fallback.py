@@ -13,9 +13,12 @@ import pytest
 from repro.apps.data import RegressionWorkload
 from repro.apps.nonresilient import LinRegNonResilient
 from repro.apps.resilient import LinRegResilient
+from repro.matrix.distvector import DistVector
 from repro.matrix.dupvector import DupVector
 from repro.resilience.executor import IterativeExecutor
 from repro.resilience.placement import RingPlacement, SpreadPlacement, make_placement
+from repro.resilience.protection import Protection
+from repro.resilience.reconstruct import ReconstructionStore
 from repro.resilience.snapshot import DistObjectSnapshot
 from repro.resilience.store import AppResilientStore
 from repro.runtime import CostModel, DataLossError, Runtime
@@ -55,7 +58,7 @@ class TestAdjacentDoubleKill:
     def test_k2_spread_recovers_in_memory(self):
         ref = failure_free_model()
         app, report = run_with_adjacent_double_kill(
-            replicas=2, placement=SpreadPlacement()
+            protection=Protection(replicas=2, placement=SpreadPlacement())
         )
         assert report.restores == 1
         assert report.stable_fallback_reads == 0
@@ -63,7 +66,9 @@ class TestAdjacentDoubleKill:
 
     def test_stable_fallback_recovers_from_disk(self):
         ref = failure_free_model()
-        app, report = run_with_adjacent_double_kill(stable_fallback=True)
+        app, report = run_with_adjacent_double_kill(
+            protection=Protection(stable_fallback=True)
+        )
         assert report.restores == 1
         assert report.stable_fallback_reads > 0
         assert np.allclose(app.model(), ref, atol=1e-8)
@@ -76,7 +81,10 @@ class TestAdjacentDoubleKill:
         for victim in (2, 3, 4):
             rt.injector.kill_at_iteration(victim, iteration=5)
         executor = IterativeExecutor(
-            rt, app, checkpoint_interval=3, replicas=2, placement=RingPlacement()
+            rt,
+            app,
+            checkpoint_interval=3,
+            protection=Protection(replicas=2, placement=RingPlacement()),
         )
         with pytest.raises(DataLossError):
             executor.run()
@@ -84,48 +92,67 @@ class TestAdjacentDoubleKill:
 
 class TestStoreKnobs:
     def test_store_overrides_object_configuration(self):
+        # The store's protection, not the object, configures each snapshot.
         rt = Runtime(4, cost=CostModel.zero())
         store = AppResilientStore(
-            rt, replicas=2, placement=SpreadPlacement(), stable_fallback=True
+            rt, Protection(replicas=2, placement=SpreadPlacement(), stable_fallback=True)
         )
         v = DupVector.make(rt, 4).init(1.0)
         store.start_new_snapshot()
         store.save(v)
         store.commit(0)
-        assert v.snapshot_backups == 2
-        assert v.snapshot_placement.name == "spread"
-        assert v.snapshot_stable_fallback is True
         snap = store.latest().snapshots[v]
+        assert snap.backups == 2
+        assert snap.placement.name == "spread"
+        assert snap.stable_fallback is True
         assert snap.placement_ok()
+        assert not any(name.startswith("snapshot_") for name in vars(v))
 
-    def test_none_knobs_leave_objects_untouched(self):
+    def test_default_protection_is_the_double_store(self):
+        default = Protection()
+        assert default.replicas == 1  # the paper's k
+        assert default.placement.name == "ring"
+        assert (default.stable_fallback, default.disk_only) == (False, False)
         rt = Runtime(4, cost=CostModel.zero())
         store = AppResilientStore(rt)
         v = DupVector.make(rt, 4).init(1.0)
         store.start_new_snapshot()
         store.save(v)
         store.commit(0)
-        assert v.snapshot_backups == 1  # the class default, the paper's k
+        snap = store.latest().snapshots[v]
+        assert type(snap) is DistObjectSnapshot
+        assert (snap.backups, snap.placement.name, snap.stable_fallback) == (1, "ring", False)
+
+    def test_a_primary_only_publish_does_not_reach_the_checkpoint(self):
+        # CG publishes x primary-only for reconstruction; its rollback
+        # checkpoint must still keep the store's backup of x.
+        rt = Runtime(4, cost=CostModel.zero())
+        x, r, p = (DistVector.make(rt, 8).init(float(i)) for i in range(3))
+        ReconstructionStore(rt).publish([(x, 0), (r, None), (p, None)], iteration=0)
+        store = AppResilientStore(rt)
+        store.start_new_snapshot()
+        store.save(x)
+        store.commit(0)
+        assert store.latest().snapshots[x].backups == 1
 
     def test_executor_builds_configured_store(self):
         rt = Runtime(4, cost=CostModel.zero(), resilient=True)
         app = LinRegResilient(rt, WL)
-        executor = IterativeExecutor(
-            rt, app, replicas=3, placement=make_placement("stride:2"),
-            stable_fallback=True,
+        protection = Protection(
+            replicas=3, placement=make_placement("stride:2"), stable_fallback=True
         )
-        assert executor.store.replicas == 3
-        assert executor.store.placement.name == "stride"
-        assert executor.store.stable_fallback is True
+        executor = IterativeExecutor(rt, app, protection=protection)
+        assert executor.store.protection is protection
+        assert executor.store.protection.replicas == 3
+        assert executor.store.protection.placement.name == "stride"
+        assert executor.store.protection.stable_fallback is True
 
 
 class TestSnapshotTiers:
     def test_reads_fall_through_replicas_in_order(self):
         rt = Runtime(6, cost=CostModel.zero())
         v = DupVector.make(rt, 5).init(7.0)
-        v.snapshot_backups = 2
-        v.snapshot_placement = SpreadPlacement()
-        snap = v.make_snapshot()
+        snap = v.make_snapshot(Protection(replicas=2, placement=SpreadPlacement()))
         # Key 1: primary place 1, replicas at 1+2=3 and 1+4=5.
         assert snap.locate(1)[0] == 1
         rt.kill(1)
@@ -139,8 +166,7 @@ class TestSnapshotTiers:
     def test_stable_tier_serves_when_memory_gone(self):
         rt = Runtime(4, cost=CostModel.zero())
         v = DupVector.make(rt, 5).init(3.5)
-        v.snapshot_stable_fallback = True
-        snap = v.make_snapshot()
+        snap = v.make_snapshot(Protection(stable_fallback=True))
         rt.kill(1)
         rt.kill(2)  # key 1's primary and ring backup both gone
         place, _ = snap.locate(1)
@@ -155,7 +181,7 @@ class TestSnapshotTiers:
         # Read-only reuse: losing in-memory copies does not force a re-save
         # when the stable tier still holds every key.
         rt = Runtime(4, cost=CostModel.zero())
-        store = AppResilientStore(rt, stable_fallback=True)
+        store = AppResilientStore(rt, Protection(stable_fallback=True))
         v = DupVector.make(rt, 4).init(2.0)
         store.start_new_snapshot()
         store.save_read_only(v)

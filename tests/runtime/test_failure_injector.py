@@ -5,10 +5,8 @@ import pickle
 import pytest
 
 from repro.runtime.failure import (
-    AdjacentPairFailureModel,
     ExponentialFailureModel,
     FailureInjector,
-    RackFailureModel,
     ScriptedKill,
 )
 
@@ -233,54 +231,3 @@ class TestExponentialModel:
     def test_invalid_mttf(self):
         with pytest.raises(ValueError):
             ExponentialFailureModel(mttf=0.0)
-
-
-class TestAdjacentPairModel:
-    def test_pairs_die_at_the_same_instant(self):
-        kills = AdjacentPairFailureModel(mttf=1.0, seed=5).schedule(
-            list(range(8)), 1e9
-        )
-        assert kills and len(kills) % 2 == 0
-        for a, b in zip(kills[::2], kills[1::2]):
-            assert a.time == b.time
-            assert abs(a.place_id - b.place_id) == 1
-
-    def test_deterministic_and_no_duplicates(self):
-        args = (list(range(10)), 1e9)
-        a = AdjacentPairFailureModel(mttf=2.0, seed=9).schedule(*args)
-        b = AdjacentPairFailureModel(mttf=2.0, seed=9).schedule(*args)
-        assert [(k.place_id, k.time) for k in a] == [(k.place_id, k.time) for k in b]
-        victims = [k.place_id for k in a]
-        assert len(victims) == len(set(victims))
-        assert 0 not in victims
-
-    def test_respects_horizon(self):
-        assert AdjacentPairFailureModel(mttf=50.0, seed=1).schedule([1, 2], 0.0) == []
-
-
-class TestRackModel:
-    def test_whole_rack_dies_together_sparing_place_zero(self):
-        model = RackFailureModel(rack_size=3, mttf=1.0, seed=2)
-        kills = model.schedule(list(range(9)), 1e9)
-        assert 0 not in [k.place_id for k in kills]
-        by_time = {}
-        for k in kills:
-            by_time.setdefault(k.time, []).append(k.place_id)
-        for victims in by_time.values():
-            racks = {pid // 3 for pid in victims}
-            assert len(racks) == 1  # one burst = one rack
-
-    def test_rack_grouping(self):
-        model = RackFailureModel(rack_size=2, mttf=1.0)
-        assert model.racks(range(6)) == [[1], [2, 3], [4, 5]]
-
-    def test_deterministic(self):
-        a = RackFailureModel(2, 1.0, seed=4).schedule(list(range(6)), 1e9)
-        b = RackFailureModel(2, 1.0, seed=4).schedule(list(range(6)), 1e9)
-        assert [(k.place_id, k.time) for k in a] == [(k.place_id, k.time) for k in b]
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            RackFailureModel(rack_size=0, mttf=1.0)
-        with pytest.raises(ValueError):
-            RackFailureModel(rack_size=2, mttf=0.0)

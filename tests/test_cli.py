@@ -176,6 +176,18 @@ class TestReplication:
         assert "unrecoverable" in err
         assert "--stable-fallback" in err  # the hint points at the ladder
 
+    def test_reconstruct_without_replicas_rolls_back_like_one_replica(self, capsys):
+        # No spare to reconstruct onto: CG falls back to its rollback
+        # checkpoint, which keeps the default backup of x even though the
+        # redundant-state store publishes x primary-only.
+        argv = ["run", "cg", "--recovery", "reconstruct", "--places", "4",
+                "--iterations", "12", "--fail-at", "5"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--replicas", "1"]) == 0
+        assert capsys.readouterr().out == default
+        assert "1 fell back to rollback" in default
+
     def test_mttf_schedules_random_failures(self, capsys):
         assert main([
             "run", "linreg", "--places", "6", "--iterations", "8",
