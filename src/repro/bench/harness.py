@@ -7,7 +7,6 @@ paper-style tables/series and compare against the paper's numbers.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -32,11 +31,14 @@ def pmap(fn: Callable, items: Sequence, jobs: Optional[int]) -> List:
     stream: its own Runtime, its randomness derived from its own index), so
     fan-out cannot change any result; ``pool.map`` preserves input order,
     keeping the output identical to the serial loop.  ``jobs`` of None or
-    1 stays serial — the default, and what the golden-timing tests pin.
+    1 stays serial — the default, and what the golden-timing tests pin — and
+    never imports :mod:`multiprocessing`.
     """
     items = list(items)
     if jobs is None or jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    import multiprocessing
+
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback

@@ -11,7 +11,8 @@ The kernels — products, format conversion, dense expansion — are scipy's
 compiled ``_sparsetools`` routines, called on those very arrays with the
 arguments ``scipy.sparse``'s compressed classes pass them after their
 operator dispatch, into a fresh float64 output: the bytes of scipy's ``@``,
-``tocsc`` and ``toarray``, with no scipy object built.  The routines trust
+``tocsc`` and ``toarray``, with no scipy object built and ``scipy.sparse``
+itself never imported (``_load_sparsetools``).  The routines trust
 the structure they are handed, so the public constructors validate it in
 full; an operand they cannot compute in float64 (complex, extended
 precision) is a ``ValueError`` from the routine itself.
@@ -26,13 +27,40 @@ in the last ulp of a summed duplicate.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 from repro.util.validation import require
 from repro.util.versioning import next_version
+
+
+def _load_sparsetools():
+    """scipy's compiled ``sparse/_sparsetools`` extension, loaded from its file.
+
+    Reaching it through the ``scipy.sparse`` package would first run that
+    package's whole init (about 21 MiB and 0.15 s, none of it called);
+    ``find_spec`` only locates scipy, it does not execute it.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed (the sparse kernels are its)")
+    directory = os.path.join(scipy.submodule_search_locations[0], "sparse")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            loader = ExtensionFileLoader("repro.matrix._sparsetools", path)
+            spec = importlib.util.spec_from_loader(loader.name, loader)
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's compiled _sparsetools extension not found in {directory}")
+
+
+_sparsetools = _load_sparsetools()
 
 _INDEX_DTYPE = np.int64
 
