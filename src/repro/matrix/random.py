@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.matrix.dense import DenseMatrix
-from repro.matrix.sparse import _INDEX_DTYPE, SparseCSR, _compress_sorted
+from repro.matrix.sparse import _INDEX_DTYPE, SparseCSR, _compress_uniform
 from repro.util.validation import check_positive, require
 
 
@@ -154,31 +154,41 @@ class LinkMatrix:
     def global_csr(self) -> SparseCSR:
         """The whole matrix, keyed, sorted and coalesced once per process and key.
 
-        Each edge is hashed straight into its row-major linear key
-        ``dest * n + src`` and the keys are sorted in place.  Equal keys are
-        indistinguishable and every addend is the same ``1/out_degree``, so
-        an unstable sort gives the bytes a stable triplet build would.
+        Every addend of a coalesced run is the same ``1/out_degree`` and no
+        run is longer than ``out_degree`` (one source column's links), so
+        :func:`_compress_uniform` compresses the sorted keys in about the
+        finished CSR's size.
         """
 
         def build() -> SparseCSR:
-            n, src = np.uint64(self.n), np.arange(self.n, dtype=np.uint64)[:, None]
-            with np.errstate(over="ignore"):
-                key = src * np.uint64(0x100000001B3) + np.arange(
-                    self.out_degree, dtype=np.uint64
-                )
-                key += np.uint64(self.seed) * _GOLDEN
-            _splitmix64(key)
-            key %= n
-            key *= n
-            key += src
-            key = key.reshape(-1).view(_INDEX_DTYPE)
-            key.sort()
-            weights = np.full(len(key), 1.0 / self.out_degree)
             return SparseCSR._build(
-                self.n, self.n, *_compress_sorted(self.n, self.n, key, weights)
+                self.n,
+                self.n,
+                *_compress_uniform(
+                    self.n, self.n, self._sorted_keys(), 1.0 / self.out_degree, self.out_degree
+                ),
             )
 
         return _input_memo.get((self.seed, self.n, self.out_degree), build)
+
+    def _sorted_keys(self) -> np.ndarray:
+        """Every edge's row-major linear key ``dest * n + src``, sorted in place.
+
+        Equal keys are indistinguishable and every addend is the same
+        ``1/out_degree``, so an unstable sort gives the bytes a stable
+        triplet build would.
+        """
+        n, src = np.uint64(self.n), np.arange(self.n, dtype=np.uint64)[:, None]
+        with np.errstate(over="ignore"):
+            key = src * np.uint64(0x100000001B3) + np.arange(self.out_degree, dtype=np.uint64)
+            key += np.uint64(self.seed) * _GOLDEN
+        _splitmix64(key)
+        key %= n
+        key *= n
+        key += src
+        key = key.reshape(-1).view(_INDEX_DTYPE)
+        key.sort()
+        return key
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> SparseCSR:
         """The sub-matrix ``[r0:r1, c0:c1]`` as a CSR block.

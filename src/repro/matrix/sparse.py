@@ -136,19 +136,92 @@ def _compress_coo(
     return _compress_sorted(n_major, n_minor, linear[order], vals[order])
 
 
+def _run_starts(linear: np.ndarray) -> np.ndarray:
+    """Mask of the first key of every run of equal keys in sorted *linear*."""
+    first = np.ones(len(linear), dtype=bool)
+    np.not_equal(linear[1:], linear[:-1], out=first[1:])
+    return first
+
+
+def _compress_unique(n_major: int, n_minor: int, unique: np.ndarray):
+    """``(indptr, indices)`` of sorted distinct keys ``major * n_minor + minor``;
+    *unique* is reduced to the minor indices in place."""
+    indptr = np.searchsorted(unique, np.arange(n_major + 1, dtype=_INDEX_DTYPE) * n_minor)
+    unique %= n_minor
+    return indptr, unique
+
+
 def _compress_sorted(n_major: int, n_minor: int, linear: np.ndarray, vals: np.ndarray):
     """``(indptr, indices, values)`` of sorted keys ``major * n_minor + minor``.
 
     A run of equal keys becomes one stored entry.  ``np.bincount`` adds its
     weights in array order, so each run is summed in the order it arrives.
     """
-    first = np.ones(len(linear), dtype=bool)
-    np.not_equal(linear[1:], linear[:-1], out=first[1:])
+    first = _run_starts(linear)
     values = np.bincount(np.cumsum(first) - 1, weights=vals)
+    return (*_compress_unique(n_major, n_minor, linear[first]), values)
+
+
+def _compress_uniform(n_major: int, n_minor: int, linear: np.ndarray, weight: float, max_run: int):
+    """:func:`_compress_sorted` of sorted keys that all carry *weight*, byte
+    for byte, peaking at about the size of the arrays it returns.
+
+    A run's value depends only on its length ``k <= max_run``, so it is
+    read from a table whose entry ``k`` is ``np.bincount`` over ``k``
+    copies of *weight*: the additions, in the order, that
+    :func:`_compress_sorted` makes for the run.  No key-length float or
+    running-sum array exists.  The caller hands *linear* over as a call's
+    result, holding no name for it (``LinkMatrix.global_csr`` does): CPython
+    3.11+ then moves the only reference into this frame, and the keys are
+    freed once compacted to one per run.
+    """
+    total, first = len(linear), _run_starts(linear)
     unique = linear[first]
-    indptr = np.searchsorted(unique, np.arange(n_major + 1, dtype=_INDEX_DTYPE) * n_minor)
-    unique %= n_minor
-    return indptr, unique, values
+    del linear
+    starts = np.flatnonzero(first)
+    del first
+    lengths = np.empty(len(starts), dtype=np.min_scalar_type(max_run))
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1], casting="unsafe")
+    lengths[-1:] = total - starts[-1:]
+    del starts
+    top = int(lengths.max(initial=0))
+    k = np.arange(top + 1)
+    runs = np.repeat(k, k)  # k copies of k: bin k sums k copies of weight, in order
+    table = np.bincount(runs, weights=np.full(len(runs), weight))
+    values = table[lengths]
+    del lengths
+    return (*_compress_unique(n_major, n_minor, unique), values)
+
+
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    """*parts* end to end: one read-only view of their base when each is a
+    non-empty contiguous slice of one frozen 1-D array of its dtype, in
+    order and with no gap between them; otherwise a fresh ``np.concatenate``."""
+    base = parts[0].base
+    if (
+        isinstance(base, np.ndarray)
+        and base.ndim == 1
+        and base.flags.c_contiguous
+        and not base.flags.writeable
+    ):
+        # Addresses from ``ctypes.data``: ``__array_interface__`` builds a
+        # dict per call whose keys churn the interned-string table until it
+        # resizes (+0.5 MiB peak RSS over a few thousand restores).
+        origin, itemsize = base.ctypes.data, base.itemsize
+        start = end = (parts[0].ctypes.data - origin) // itemsize
+        for part in parts:
+            if (
+                part.base is not base
+                or part.dtype != base.dtype
+                or not len(part)
+                or not part.flags.c_contiguous
+                or part.ctypes.data != origin + end * itemsize
+            ):
+                break
+            end += len(part)
+        else:
+            return base[start:end]
+    return np.concatenate(parts)
 
 
 def _freeze_view(self):
@@ -443,7 +516,13 @@ class SparseCSR:
     @staticmethod
     def vstack(blocks: Sequence["SparseCSR"]) -> "SparseCSR":
         """Concatenate blocks top to bottom (equal column counts); a single
-        block is returned as it is."""
+        block is returned as it is.
+
+        The inverse of ``sub_matrix``'s shared run: frozen full-width slices
+        that lie back to back in one buffer come back as one read-only view
+        of it (``_joined``), so a regridded block copies nothing but its
+        ``indptr``; a writer detaches through ``touch()``.
+        """
         require(len(blocks) > 0, "vstack needs at least one block")
         if len(blocks) == 1:
             return blocks[0]
@@ -458,8 +537,8 @@ class SparseCSR:
             sum(b.m for b in blocks),
             n,
             np.concatenate(indptr_parts),
-            np.concatenate([b.indices for b in blocks]),
-            np.concatenate([b.values for b in blocks]),
+            _joined([b.indices for b in blocks]),
+            _joined([b.values for b in blocks]),
         )
 
     @staticmethod

@@ -1,5 +1,7 @@
 """Tests for DistBlockMatrix: layout, remake modes, snapshot/restore."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,33 @@ class TestSnapshotRestore:
         g.remake(survivors, new_grid=DistBlockMatrix.default_regrid(20, 8, 2, survivors.size))
         g.restore_snapshot(snap)
         assert np.array_equal(g.to_dense().data, ref)
+
+    def test_warm_link_regrid_restore_shares_the_graph(self):
+        """A shrink-rebalance restore of a PageRank link matrix whose graph
+        is already built joins each new band's frozen rows as one view of
+        the graph: it allocates under 10% of the graph's bytes."""
+        link = LinkMatrix(6000, 200, seed=42)
+        graph = link.global_csr()
+        rt = make_rt(12)
+        g = DistBlockMatrix.make_sparse(rt, 6000, 6000, 12, 1).init_link_matrix(link)
+        snap = g.make_snapshot()
+        rt.kill(5)
+        survivors = rt.live_world()
+        g.remake(survivors, new_grid=DistBlockMatrix.default_regrid(6000, 6000, 1, survivors.size))
+        tracemalloc.start()
+        try:
+            g.restore_snapshot(snap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * graph.nbytes
+        for index in range(survivors.size):
+            for block in g.block_set(index):
+                r0, r1 = block.row_range()
+                want = graph.sub_matrix(r0, r1, 0, 6000)
+                assert np.shares_memory(block.data.values, graph.values)
+                for got, ref in zip(block.data.payload_arrays(), want.payload_arrays()):
+                    assert got.tobytes() == ref.tobytes()
 
     def test_restore_kind_mismatch(self):
         rt = make_rt(2)

@@ -446,6 +446,92 @@ class TestOneTileRows:
         assert np.array_equal(block.to_dense(), 3.0 * before[1:4])
 
 
+def _row_slices(parent, cuts):
+    """Full-width row bands of *parent* that slice its arrays without
+    copying, whether or not they are frozen (``sub_matrix`` copies a
+    writable parent's)."""
+    bands = []
+    for r0, r1 in zip(cuts, cuts[1:]):
+        lo, hi = parent.indptr[r0], parent.indptr[r1]
+        bands.append(
+            SparseCSR._build(
+                r1 - r0,
+                parent.n,
+                parent.indptr[r0 : r1 + 1] - lo,
+                parent.indices[lo:hi],
+                parent.values[lo:hi],
+            )
+        )
+    return bands
+
+
+def _frozen_csr(seed=15):
+    return SparseCSR.from_dense(random_dense(12, 9, 0.5, seed=seed)).freeze_view()
+
+
+def _vstack_copy_cases():
+    """Row bands ``vstack`` must concatenate: anything but non-empty frozen
+    slices of one buffer, in order, with no gap."""
+    d = random_dense(12, 9, 0.5, seed=15)
+    frozen, other = _frozen_csr(), _frozen_csr()
+    hole = d.copy()
+    hole[4:7, :] = 0.0
+    hollow = SparseCSR.from_dense(hole).freeze_view()
+    return {
+        "writable": _row_slices(SparseCSR.from_dense(d), [0, 4, 12]),
+        "different-bases": _row_slices(frozen, [0, 4]) + _row_slices(other, [4, 12]),
+        "gapped": _row_slices(frozen, [0, 3]) + _row_slices(frozen, [4, 12]),
+        "out-of-order": _row_slices(frozen, [4, 12]) + _row_slices(frozen, [0, 4]),
+        "zero-row": _row_slices(frozen, [0, 4, 4, 12]),
+        "leading-zero-row": _row_slices(frozen, [0, 0, 4, 12]),
+        "zero-nnz": _row_slices(hollow, [0, 4, 7, 12]),
+    }
+
+
+class TestZeroCopyVstack:
+    """``vstack`` of frozen rows lying back to back in one buffer is one
+    read-only view of it; any other arrangement is concatenated.  The bytes
+    are those of the concatenation either way."""
+
+    def test_adjacent_frozen_rows_share_their_buffer(self):
+        parent = _frozen_csr()
+        before = parent.to_dense()
+        bands = _row_slices(parent, [0, 3, 8, 12])
+        stacked = SparseCSR.vstack(bands)
+        _same_csr(stacked, _vstack_by_concatenation(bands))
+        for name in ("indices", "values"):
+            array = getattr(stacked, name)
+            assert array.base is getattr(parent, name)
+            assert not array.flags.writeable
+        # A stacked block's own frozen rows join again (a second regrid).
+        again = SparseCSR.vstack(_row_slices(stacked.freeze_view(), [0, 5, 12]))
+        assert again.values.base is parent.values
+        _same_csr(again, parent)
+        stacked.scale(2.0)  # touch() detaches the values
+        assert not np.shares_memory(stacked.values, parent.values)
+        assert np.array_equal(parent.to_dense(), before)
+        assert np.array_equal(stacked.to_dense(), 2.0 * before)
+
+    def test_the_middle_rows_of_a_buffer_share_it(self):
+        parent = _frozen_csr()
+        bands = _row_slices(parent, [2, 6, 7, 10])
+        stacked = SparseCSR.vstack(bands)
+        assert stacked.values.base is parent.values
+        _same_csr(stacked, _vstack_by_concatenation(bands))
+        _same_csr(stacked, parent.sub_matrix(2, 10, 0, 9))
+
+    @pytest.mark.parametrize("name", sorted(_vstack_copy_cases()))
+    def test_other_arrangements_copy(self, name):
+        bands = _vstack_copy_cases()[name]
+        stacked = SparseCSR.vstack(bands)
+        _same_csr(stacked, _vstack_by_concatenation(bands))
+        for band in bands:
+            for name in ("indices", "values"):
+                array = getattr(band, name)
+                buffer = array if array.base is None else array.base
+                assert not np.shares_memory(getattr(stacked, name), buffer)
+
+
 class TestCSC:
     @given(sparse_case)
     def test_dense_roundtrip(self, case):
