@@ -19,7 +19,9 @@ so a cell that would otherwise grow until the kernel kills it dies early with
 
 ``--smoke`` is the CI gate (job ``scale-smoke``): pagerank at 256 and 1024
 and linreg at 1024 places on this tree only; exit 1 unless each finishes
-under 2 GiB.
+under 2 GiB and prints the virtual total committed for its cell in
+``BENCH_scale.json`` (``change.virtual_total_s``): a host-side speed change
+cannot move a simulated number at 1024 places unnoticed.
 """
 
 from __future__ import annotations
@@ -111,12 +113,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
+        pinned = {
+            (row["app"], row["places"]): row["change"].get("virtual_total_s")
+            for row in json.loads((ROOT / "BENCH_scale.json").read_text())["cells"]
+        }
         bad = 0
         for app, places in SMOKE_CELLS:
             cell = run_cell(ROOT, app, places, args.limit_gib)
             _show("change", app, places, cell)
+            committed = pinned.get((app, places))
             if cell["status"] != "ok" or cell["peak_rss_mb"] >= SMOKE_RSS_MB:
                 print(f"::error::{app} at {places} places: not ok under {SMOKE_RSS_MB:.0f} MiB")
+                bad = 1
+            elif cell["virtual_total_s"] != committed:
+                print(
+                    f"::error::{app} at {places} places: virtual total "
+                    f"{cell['virtual_total_s']} s, BENCH_scale.json has {committed} s"
+                )
                 bad = 1
         return bad
 

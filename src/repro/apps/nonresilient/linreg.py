@@ -16,7 +16,7 @@ from repro.apps.data import RegressionWorkload
 from repro.matrix.distblock import DistBlockMatrix
 from repro.matrix.distvector import DistVector
 from repro.matrix.dupvector import DupVector
-from repro.matrix.ops import dist_block_t_matvec
+from repro.matrix.ops import dist_block_normal_matvec, dist_block_t_matvec
 from repro.runtime.place import PlaceGroup
 from repro.runtime.runtime import Runtime
 
@@ -74,8 +74,7 @@ class LinRegNonResilient:
         """One CG iteration."""
         lam = self.workload.ridge_lambda
         # q = Xᵀ(X p) + λ p
-        self.Xp.mult(self.X, self.p)
-        dist_block_t_matvec(self.X, self.Xp, self.q)
+        dist_block_normal_matvec(self.X, self.p, self.Xp, self.q)
         self.q.axpy(lam, self.p)
         # Line search along p.
         alpha = self.norm_r2 / self.p.dot(self.q)

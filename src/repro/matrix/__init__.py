@@ -38,6 +38,7 @@ from repro.matrix.mapping import (
 )
 from repro.matrix.ops import (
     dist_block_matvec,
+    dist_block_normal_matvec,
     dist_block_t_matvec,
     dist_gram,
     dist_matmat_dup,
@@ -70,6 +71,7 @@ __all__ = [
     "PlaceGridBlockMap",
     "factor_place_grid",
     "dist_block_matvec",
+    "dist_block_normal_matvec",
     "dist_block_t_matvec",
     "dist_gram",
     "dist_matmat_dup",

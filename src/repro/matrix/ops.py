@@ -13,15 +13,19 @@ Two kernels carry the paper's three applications:
   (the gradient combine of LinReg/LogReg): each place computes a partial
   full-width product from its blocks, then an all-reduce sums the partials
   into every replica.
+
+``dist_block_normal_matvec`` chains the two (``g = Gᵀ(G x)``, LinReg's CG
+step) and, on one block column, forms each dense block's ``Gᵀ(G x)`` piece
+while the block is still in cache.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.matrix.block import BlockSet
+from repro.matrix.block import BlockSet, MatrixBlock
 from repro.matrix.distblock import DistBlockMatrix
 from repro.matrix.distvector import DistVector
 from repro.matrix.dupvector import DupVector
@@ -32,8 +36,19 @@ from repro.runtime.runtime import PlaceContext
 from repro.util.versioning import next_version
 
 
-def dist_block_matvec(G: DistBlockMatrix, x: DupVector, y: DistVector) -> DistVector:
-    """``y = G @ x`` — one compute finish plus result routing."""
+#: Dense block ``G_b`` → (the bytes of ``G_b x``, ``G_bᵀ (G_b x)``): one
+#: normal-matvec call's products, local to that call.
+_Products = Dict[MatrixBlock, Tuple[bytes, np.ndarray]]
+
+
+def dist_block_matvec(
+    G: DistBlockMatrix, x: DupVector, y: DistVector, _products: Optional[_Products] = None
+) -> DistVector:
+    """``y = G @ x`` — one compute finish plus result routing.
+
+    With *_products* (:func:`dist_block_normal_matvec`, one block column),
+    each dense block's task also stores ``G_bᵀ (G_b x)`` there.
+    """
     if x.n != G.n:
         raise ValueError(f"operand length {x.n} != matrix cols {G.n}")
     if y.n != G.m:
@@ -69,6 +84,8 @@ def dist_block_matvec(G: DistBlockMatrix, x: DupVector, y: DistVector) -> DistVe
                     flops += 2.0 * len(data.values) * sparse_factor
             else:
                 part = data.matvec(xdata[c0 : c0 + data.n])
+                if _products is not None:
+                    _products[block] = (part.tobytes(), data.t_matvec(part))
             if block.rb in partials:
                 partials[block.rb][1][:] += part
                 if tally:
@@ -126,8 +143,15 @@ def dist_block_matvec(G: DistBlockMatrix, x: DupVector, y: DistVector) -> DistVe
     return y
 
 
-def dist_block_t_matvec(G: DistBlockMatrix, r: DistVector, g: DupVector) -> DupVector:
-    """``g = Gᵀ @ r`` — per-place partials, then all-reduce into replicas."""
+def dist_block_t_matvec(
+    G: DistBlockMatrix, r: DistVector, g: DupVector, _products: Optional[_Products] = None
+) -> DupVector:
+    """``g = Gᵀ @ r`` — per-place partials, then all-reduce into replicas.
+
+    A dense block whose rows of *r* are bitwise the operand a stored
+    *_products* entry was formed from adds that product instead of
+    multiplying again (observed identical, never assumed).
+    """
     if r.n != G.m:
         raise ValueError(f"operand length {r.n} != matrix rows {G.m}")
     if g.n != G.n:
@@ -145,6 +169,7 @@ def dist_block_t_matvec(G: DistBlockMatrix, r: DistVector, g: DupVector) -> DupV
     sparse_factor = rt.cost.sparse_flop_factor
     declared = G.task_plan().t_matvec_flops
     tally = declared is None and rt.cost.flop_time != 0.0
+    products = _products if _products is not None else {}
 
     def compute(ctx: PlaceContext) -> None:
         heap_get = ctx.heap.get
@@ -164,7 +189,11 @@ def dist_block_t_matvec(G: DistBlockMatrix, r: DistVector, g: DupVector) -> DupV
                 if tally:
                     flops += 2.0 * len(data.values) * sparse_factor
             else:
-                partial[c0 : c0 + data.n] += data.t_matvec(rvals)
+                stored = products.pop(block, None)
+                if stored is not None and stored[0] == rvals.tobytes():
+                    partial[c0 : c0 + data.n] += stored[1]
+                else:
+                    partial[c0 : c0 + data.n] += data.t_matvec(rvals)
         # This place's local write: its replica leaves the coherent set (the
         # whole payload is overwritten, so it rebinds to the fresh array).
         heap_get(out_key).adopt(partial)
@@ -174,6 +203,23 @@ def dist_block_t_matvec(G: DistBlockMatrix, r: DistVector, g: DupVector) -> DupV
     rt.finish_all(group, compute, label="t_matvec", flops=declared)
     g.reduce_sum()
     return g
+
+
+def dist_block_normal_matvec(
+    G: DistBlockMatrix, x: DupVector, y: DistVector, g: DupVector
+) -> DupVector:
+    """``y = G @ x``, then ``g = Gᵀ @ y`` — the two finishes, unchanged.
+
+    Virtual time sees exactly :func:`dist_block_matvec` followed by
+    :func:`dist_block_t_matvec`.  Only host order differs: on one block
+    column each matvec task also forms ``G_bᵀ (G_b x)`` while ``G_b`` is
+    still in cache, and the t_matvec task adds it where its rows of ``y``
+    are bitwise ``G_b x``.  Routing can change those bytes (``-0.0``
+    arrives as ``+0.0``); such a block is multiplied again.
+    """
+    products: Optional[_Products] = {} if G.grid.num_col_blocks == 1 else None
+    dist_block_matvec(G, x, y, products)
+    return dist_block_t_matvec(G, y, g, products)
 
 
 def _check_row_aligned(a: DistBlockMatrix, b: DistBlockMatrix) -> None:

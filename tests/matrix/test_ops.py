@@ -1,18 +1,26 @@
 """Tests for the distributed kernels against NumPy references."""
 
+from collections import Counter
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.data import RegressionWorkload
+from repro.apps.nonresilient.linreg import LinRegNonResilient
+from repro.apps.nonresilient.logreg import LogRegNonResilient
+from repro.matrix.dense import DenseMatrix
 from repro.matrix.distblock import DistBlockMatrix
 from repro.matrix.distvector import DistVector
 from repro.matrix.dupvector import DupVector
 from repro.matrix.grid import Grid
 from repro.matrix.mapping import CyclicBlockMap
-from repro.matrix.ops import dist_block_matvec, dist_block_t_matvec
+from repro.matrix.ops import dist_block_matvec, dist_block_normal_matvec, dist_block_t_matvec
 from repro.matrix.random import LinkMatrix
 from repro.runtime import CostModel, PlaceGroup, Runtime
+from repro.runtime.exceptions import DeadPlaceException
 
 
 def make_rt(n=4):
@@ -113,6 +121,195 @@ class TestTransposeMatvec:
             dist_block_t_matvec(G, DistVector.make(rt, 7), DupVector.make(rt, 4))
         with pytest.raises(ValueError):
             dist_block_t_matvec(G, DistVector.make(rt, 8), DupVector.make(rt, 5))
+
+
+def host_gemvs(monkeypatch):
+    """Count host ``DenseMatrix`` matvec / t_matvec calls by enclosing finish.
+
+    Returns a Counter keyed ``(method, finish label)``.
+    """
+    calls: Counter = Counter()
+    labels = []
+    finish = Runtime._finish
+
+    def traced_finish(self, tasks, n_tasks, arg_bytes, ret_bytes, label, flops=None):
+        labels.append(label)
+        try:
+            return finish(self, tasks, n_tasks, arg_bytes, ret_bytes, label, flops)
+        finally:
+            labels.pop()
+
+    monkeypatch.setattr(Runtime, "_finish", traced_finish)
+    for name in ("matvec", "t_matvec"):
+        method = getattr(DenseMatrix, name)
+
+        def counted(self, x, name=name, method=method):
+            calls[name, labels[-1] if labels else None] += 1
+            return method(self, x)
+
+        monkeypatch.setattr(DenseMatrix, name, counted)
+    return calls
+
+
+def _aligned_world():
+    rt = Runtime(4, cost=CostModel.unit())
+    G = DistBlockMatrix.make_dense(rt, 16, 10, 8, 1).init_random(3)
+    x = DupVector.make(rt, 10).init_random(5)
+    return rt, G, x, aligned_out(rt, G), DupVector.make(rt, 10)
+
+
+def _scattered_world():
+    rt = Runtime(3, cost=CostModel.unit())
+    grid = Grid.partition(12, 6, 6, 1)
+    G = DistBlockMatrix(rt, grid, rt.world, "dense", CyclicBlockMap(grid, 3)).init_random(4)
+    x = DupVector.make(rt, 6).init_random(5)
+    return rt, G, x, DistVector.make(rt, 12), DupVector.make(rt, 6)
+
+
+def _shrunk_world(rebalance: bool):
+    rt = Runtime(4, cost=CostModel.unit())
+    G = DistBlockMatrix.make_dense(rt, 16, 6, 8, 1).init_random(1)
+    snap = G.make_snapshot()
+    rt.kill(2)
+    survivors = rt.live_world()
+    grid = DistBlockMatrix.default_regrid(16, 6, 1, survivors.size) if rebalance else None
+    G.remake(survivors, new_grid=grid)
+    G.restore_snapshot(snap)
+    x = DupVector.make(rt, 6, survivors).init_random(2)
+    return rt, G, x, aligned_out(rt, G), DupVector.make(rt, 6, survivors)
+
+
+def _two_column_world():
+    rt = Runtime(3, cost=CostModel.unit())
+    G = DistBlockMatrix.make_dense(rt, 12, 8, 6, 2).init_random(1)
+    x = DupVector.make(rt, 8).init_random(2)
+    return rt, G, x, DistVector.make(rt, 12), DupVector.make(rt, 8)
+
+
+WORLDS = {
+    "aligned": _aligned_world,
+    "scattered": _scattered_world,
+    "shrink": lambda: _shrunk_world(False),
+    "shrink-rebalance": lambda: _shrunk_world(True),
+    "two-columns": _two_column_world,
+}
+
+
+def _state(rt, y, g):
+    """Every live byte and every virtual number the two finishes leave behind."""
+    live = [i for i, place in enumerate(g.group) if rt.is_alive(place.id)]
+    payloads = [v.payload_at_index(i).data.tobytes() for v in (y, g) for i in live]
+    return payloads, rt.clock.snapshot(), asdict(rt.stats), rt.phase
+
+
+def _two_kernels(G, x, y, g):
+    dist_block_matvec(G, x, y)
+    dist_block_t_matvec(G, y, g)
+
+
+class TestNormalMatvec:
+    """``dist_block_normal_matvec`` is bitwise the two-kernel sequence."""
+
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    def test_bitwise_the_two_kernels(self, world, monkeypatch):
+        rt, G, x, y, g = WORLDS[world]()
+        _two_kernels(G, x, y, g)
+        expected = _state(rt, y, g)
+        rt, G, x, y, g = WORLDS[world]()
+        calls = host_gemvs(monkeypatch)
+        dist_block_normal_matvec(G, x, y, g)
+        assert _state(rt, y, g) == expected
+        assert np.allclose(g.to_array(), G.to_dense().data.T @ (G.to_dense().data @ x.to_array()))
+        blocks = G.grid.num_row_blocks * G.grid.num_col_blocks
+        # One block column: every transpose product is formed in the matvec
+        # finish.  Two: the t_matvec finish multiplies, as the kernel does.
+        where = "t_matvec" if world == "two-columns" else "matvec"
+        assert calls == Counter({("matvec", "matvec"): blocks, ("t_matvec", where): blocks})
+
+    def test_rows_that_differ_in_bytes_are_multiplied_again(self, monkeypatch):
+        # Routing adds a block's rows to a zeroed segment, so a -0.0 in
+        # G_b x reaches the t_matvec finish as +0.0: equal values, other
+        # bytes.  BLAS never returns -0.0 here, so a matvec that does stands
+        # in; the stored product must not be used for that block.
+        matvec = DenseMatrix.matvec
+
+        def signed_zeros(self, x):
+            out = matvec(self, x)
+            out[out == 0.0] = -0.0
+            return out
+
+        monkeypatch.setattr(DenseMatrix, "matvec", signed_zeros)
+
+        def world():
+            rt, G, x, y, g = _aligned_world()
+            zeroed = G.block_set(1).get(2, 0).data  # one of place 1's blocks
+            zeroed.touch()
+            zeroed.data[:] = 0.0
+            return rt, G, x, y, g
+
+        rt, G, x, y, g = world()
+        _two_kernels(G, x, y, g)
+        expected = _state(rt, y, g)
+        rt, G, x, y, g = world()
+        calls = host_gemvs(monkeypatch)
+        dist_block_normal_matvec(G, x, y, g)
+        assert _state(rt, y, g) == expected
+        assert calls[("t_matvec", "matvec")] == 8
+        assert calls[("t_matvec", "t_matvec")] == 1
+
+    def test_kill_before_the_t_matvec_finish(self, monkeypatch):
+        def world():
+            rt, G, x, y, g = _aligned_world()
+            snap = G.make_snapshot()
+            rt.injector.kill_at_phase(1, rt.phase + 2)  # the second finish
+            return rt, G, x, y, g, snap
+
+        def after_kill(rt, G, snap, multiply):
+            survivors = rt.live_world()
+            G.remake(survivors)
+            G.restore_snapshot(snap)
+            x = DupVector.make(rt, 10, survivors).init_random(9)
+            y, g = aligned_out(rt, G), DupVector.make(rt, 10, survivors)
+            multiply(G, x, y, g)
+            return _state(rt, y, g)
+
+        rt, G, x, y, g, snap = world()
+        with pytest.raises(DeadPlaceException) as raised:
+            _two_kernels(G, x, y, g)
+        expected_error = (type(raised.value), str(raised.value), _state(rt, y, g))
+        expected = after_kill(rt, G, snap, _two_kernels)
+
+        rt, G, x, y, g, snap = world()
+        calls = host_gemvs(monkeypatch)
+        with pytest.raises(DeadPlaceException) as raised:
+            dist_block_normal_matvec(G, x, y, g)
+        assert (type(raised.value), str(raised.value), _state(rt, y, g)) == expected_error
+        calls.clear()
+        # The next call forms and uses only its own products.
+        assert after_kill(rt, G, snap, dist_block_normal_matvec) == expected
+        assert calls == Counter({("matvec", "matvec"): 8, ("t_matvec", "matvec"): 8})
+
+
+class TestNormalMatvecFastPath:
+    """Guard against a refactor that silently drops the fusion."""
+
+    WORKLOAD = RegressionWorkload(features=8, examples_per_place=20, iterations=3)
+
+    def test_linreg_forms_each_transpose_product_in_the_matvec_finish(self, monkeypatch):
+        app = LinRegNonResilient(Runtime(4, cost=CostModel.zero()), self.WORKLOAD)
+        blocks = app.X.grid.num_row_blocks
+        calls = host_gemvs(monkeypatch)
+        app.step()
+        assert calls == Counter({("matvec", "matvec"): blocks, ("t_matvec", "matvec"): blocks})
+
+    def test_logreg_gemv_count_is_unchanged(self, monkeypatch):
+        app = LogRegNonResilient(Runtime(4, cost=CostModel.zero()), self.WORKLOAD)
+        blocks = app.X.grid.num_row_blocks
+        calls = host_gemvs(monkeypatch)
+        app.step()
+        assert calls == Counter(
+            {("matvec", "matvec"): 2 * blocks, ("t_matvec", "t_matvec"): blocks}
+        )
 
 
 class TestPageRankKernelChain:
