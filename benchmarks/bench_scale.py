@@ -8,10 +8,11 @@
 Every cell is one subprocess running the CLI line
 
     repro run <app> --places P --iterations 12 --ckpt-interval 5 \\
-        --fail-at 7 --victim 3
+        --fail-at 7 --victim 3 [--mode M]
 
-and records the child's host wall-clock, its own peak RSS (``ru_maxrss`` of
-that child, from ``os.wait4``) and the virtual total the run prints.  With
+(the restore mode only where a cell names one) and records the child's
+host wall-clock, its own peak RSS (``ru_maxrss`` of that child, from
+``os.wait4``) and the virtual total the run prints.  With
 ``--parent`` (a checkout of the parent commit) each cell runs on both trees,
 the parent first.  A child runs under an address-space limit (``--limit-gib``),
 so a cell that would otherwise grow until the kernel kills it dies early with
@@ -37,22 +38,27 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_ARGS = ("--iterations", "12", "--ckpt-interval", "5", "--fail-at", "7", "--victim", "3")
-CELLS: Tuple[Tuple[str, int], ...] = (
-    ("linreg", 44), ("linreg", 256), ("linreg", 1024),
-    ("pagerank", 44), ("pagerank", 128), ("pagerank", 256), ("pagerank", 1024),
+#: ``(app, places, restore mode or None for the CLI's default)``.
+CELLS: Tuple[Tuple[str, int, Optional[str]], ...] = (
+    ("linreg", 44, None), ("linreg", 256, None), ("linreg", 256, "shrink-rebalance"),
+    ("linreg", 1024, None),
+    ("pagerank", 44, None), ("pagerank", 128, None), ("pagerank", 256, None),
+    ("pagerank", 1024, None),
 )
-SMOKE_CELLS: Tuple[Tuple[str, int], ...] = (
-    ("pagerank", 256), ("pagerank", 1024), ("linreg", 1024),
+SMOKE_CELLS: Tuple[Tuple[str, int, Optional[str]], ...] = (
+    ("pagerank", 256, None), ("pagerank", 1024, None), ("linreg", 1024, None),
 )
 SMOKE_RSS_MB = 2048.0
 _VIRTUAL_TOTAL = re.compile(r"^virtual total:\s+([0-9.eE+-]+) s", re.MULTILINE)
 
 
-def run_cell(tree: Path, app: str, places: int, limit_gib: float) -> Dict[str, object]:
+def run_cell(
+    tree: Path, app: str, places: int, mode: Optional[str], limit_gib: float
+) -> Dict[str, object]:
     """One ``repro run`` of *tree*'s source, in a child of its own."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -61,7 +67,10 @@ def run_cell(tree: Path, app: str, places: int, limit_gib: float) -> Dict[str, o
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
         start = time.perf_counter()
         child = subprocess.Popen(
-            [sys.executable, "-m", "repro", "run", app, "--places", str(places), *RUN_ARGS],
+            [
+                sys.executable, "-m", "repro", "run", app, "--places", str(places), *RUN_ARGS,
+                *(("--mode", mode) if mode else ()),
+            ],
             env=env,
             stdout=out,
             stderr=err,
@@ -93,7 +102,7 @@ def run_cell(tree: Path, app: str, places: int, limit_gib: float) -> Dict[str, o
     }
 
 
-def _show(side: str, app: str, places: int, cell: Dict[str, object]) -> None:
+def _show(side: str, app: str, places: int, mode: Optional[str], cell: Dict[str, object]) -> None:
     if cell["status"] == "ok":
         body = (
             f"{cell['wall_s']:7.2f} s  {cell['peak_rss_mb']:8.1f} MiB  "
@@ -101,7 +110,7 @@ def _show(side: str, app: str, places: int, cell: Dict[str, object]) -> None:
         )
     else:
         body = f"{cell['status']} after {cell['wall_s']} s ({cell['detail']})"
-    print(f"{side:>6}  {app:>8} @ {places:<4}  {body}", flush=True)
+    print(f"{side:>6}  {app:>8} @ {places:<4}{f' {mode}' if mode else ''}  {body}", flush=True)
 
 
 def main(argv=None) -> int:
@@ -114,14 +123,14 @@ def main(argv=None) -> int:
 
     if args.smoke:
         pinned = {
-            (row["app"], row["places"]): row["change"].get("virtual_total_s")
+            (row["app"], row["places"], row.get("mode")): row["change"].get("virtual_total_s")
             for row in json.loads((ROOT / "BENCH_scale.json").read_text())["cells"]
         }
         bad = 0
-        for app, places in SMOKE_CELLS:
-            cell = run_cell(ROOT, app, places, args.limit_gib)
-            _show("change", app, places, cell)
-            committed = pinned.get((app, places))
+        for app, places, mode in SMOKE_CELLS:
+            cell = run_cell(ROOT, app, places, mode, args.limit_gib)
+            _show("change", app, places, mode, cell)
+            committed = pinned.get((app, places, mode))
             if cell["status"] != "ok" or cell["peak_rss_mb"] >= SMOKE_RSS_MB:
                 print(f"::error::{app} at {places} places: not ok under {SMOKE_RSS_MB:.0f} MiB")
                 bad = 1
@@ -135,14 +144,14 @@ def main(argv=None) -> int:
 
     sides = ([("parent", args.parent.resolve())] if args.parent else []) + [("change", ROOT)]
     rows = []
-    for app, places in CELLS:
-        row: Dict[str, object] = {"app": app, "places": places}
+    for app, places, mode in CELLS:
+        row: Dict[str, object] = {"app": app, "places": places, **({"mode": mode} if mode else {})}
         for side, tree in sides:
-            row[side] = run_cell(tree, app, places, args.limit_gib)
-            _show(side, app, places, row[side])
+            row[side] = run_cell(tree, app, places, mode, args.limit_gib)
+            _show(side, app, places, mode, row[side])
         rows.append(row)
     report = {
-        "command": "repro run <app> --places P " + " ".join(RUN_ARGS),
+        "command": "repro run <app> --places P " + " ".join(RUN_ARGS) + " [--mode M]",
         "measures": "one child process per cell: host wall_s, that child's ru_maxrss, "
         "the virtual total it prints; 'oom' = died at the address-space limit",
         "limit_gib": args.limit_gib,

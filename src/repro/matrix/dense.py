@@ -196,11 +196,21 @@ class DenseMatrix:
     # -- sub-matrix access (restore paths) -------------------------------------
 
     def sub_matrix(self, r0: int, r1: int, c0: int, c1: int) -> "DenseMatrix":
-        """Copy of the half-open region ``[r0:r1, c0:c1]``."""
+        """The half-open region ``[r0:r1, c0:c1]``.
+
+        Full-width rows of a frozen matrix are one contiguous run: they come
+        back as a read-only view of it (``touch()`` detaches a writer).  Any
+        other region, or any region of a writable matrix, is copied.
+        """
         if not 0 <= r0 <= r1 <= self.m:
             raise ValueError(f"bad row range [{r0},{r1}) for m={self.m}")
         if not 0 <= c0 <= c1 <= self.n:
             raise ValueError(f"bad col range [{c0},{c1}) for n={self.n}")
+        if c0 == 0 and c1 == self.n and not self.data.flags.writeable:
+            # A slice of an array this matrix already validated: no constructor.
+            view = object.__new__(DenseMatrix)
+            view.data, view.m, view.n, view.version = self.data[r0:r1], r1 - r0, self.n, next_version()
+            return view
         return DenseMatrix(self.data[r0:r1, c0:c1].copy())
 
     def set_sub_matrix(self, r0: int, c0: int, block: "DenseMatrix") -> None:

@@ -25,8 +25,8 @@ from repro.matrix.dense import DenseMatrix
 from repro.matrix.grid import Grid, Partition1D
 from repro.matrix.mapping import BlockMap, GroupedBlockMap, PlaceGridBlockMap
 from repro.matrix.multiplace import MultiPlaceObject
-from repro.matrix.random import LinkMatrix, random_dense_block, random_sparse_block, zero_dense_block
-from repro.matrix.sparse import SparseCSR
+from repro.matrix.random import LinkMatrix, dense_strip, random_sparse_block, zero_dense_block
+from repro.matrix.sparse import SparseCSR, _joined
 from repro.resilience.protection import Protection
 from repro.runtime.place import PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
@@ -292,21 +292,28 @@ class DistBlockMatrix(MultiPlaceObject):
     # -- initialization ----------------------------------------------------------
 
     def init_random(self, seed: int, density: float = 0.05) -> "DistBlockMatrix":
-        """Deterministic per-block random fill (grid-dependent for sparse,
-        grid-independent for dense because dense blocks tile a global
-        deterministic function of ``(seed, rb, cb)`` only when the grid is
-        fixed — the regression workloads never re-grid their *input*
-        between comparison runs with different groups, so per-block seeding
-        is sufficient there; PageRank uses :meth:`init_link_matrix`)."""
+        """Deterministic per-block random fill.
+
+        A dense block is a pure function of ``(seed, rb, cb, h, w)``: the
+        same grid gives the same matrix over any place group, while a
+        different grid gives different values (PageRank, whose input must
+        survive a regrid, uses :meth:`init_link_matrix`).  Restores never
+        regenerate a block; they reload the snapshot's.  Each dense block is
+        a frozen row view of its block column's memoized strip
+        (:func:`~repro.matrix.random.dense_strip`), so full-width rows of
+        adjacent blocks are one contiguous run.  Sparse blocks are drawn per
+        block from the same seeds.
+        """
         group, key = self.group, self.heap_key
 
         label = f"{self.name}:init_random"
         if self.kind == DENSE:
+            grid = self.grid
+            strips = [dense_strip(seed, cb, grid.row_sizes, w) for cb, w in enumerate(grid.col_sizes)]
 
             def fill(ctx: PlaceContext) -> None:
                 for block in ctx.heap.get(key):
-                    h, w = block.shape
-                    block.data = random_dense_block(seed, block.rb, block.cb, h, w)
+                    block.data = strips[block.cb].block(block.rb)
 
             self.runtime.finish_all(group, fill, label=label, flops=self.task_plan().cells)
             return self
@@ -621,7 +628,15 @@ class DistBlockMatrix(MultiPlaceObject):
         def load(ctx: PlaceContext) -> None:
             for block in ctx.heap.get(key):
                 h, w, tiles = plan[(block.rb, block.cb)]
-                if dense:
+                if dense and tiles and sum(map(len, tiles)) == len(tiles):
+                    # One full-width piece per old row band, top to bottom:
+                    # frozen rows lying back to back in one buffer join as
+                    # one view of it.
+                    rows = []
+                    for ((owner, part, cut, _, flops, nbytes),) in tiles:
+                        rows.append(snapshot.fetch(ctx, owner, part, cut, flops, nbytes).data)
+                    out = DenseMatrix.from_payload_arrays((h, w), (_joined(rows),))
+                elif dense:
                     out = DenseMatrix.make(h, w)
                     for row in tiles:
                         for owner, part, cut, (dr, dc), flops, nbytes in row:

@@ -6,7 +6,11 @@ Two requirements drive this module:
    place group must hold the same logical values, so a failure-and-restore
    run can be compared element-wise against a failure-free run.  Dense
    blocks are therefore seeded from ``(seed, rb, cb)`` via
-   ``np.random.SeedSequence`` spawn keys.
+   ``np.random.SeedSequence`` spawn keys: a block is a pure function of
+   ``(seed, rb, cb, rows, cols)``.  The blocks of one block column are
+   drawn straight into consecutive rows of one C-contiguous strip, so each
+   block is a row view of it and any run of whole rows — what a
+   shrink-rebalance restore assembles a new block from — is one view too.
 
 2. **Grid independence for sparse graphs** — the PageRank link matrix must
    be the *same logical matrix* under any blocking, because the
@@ -19,16 +23,19 @@ Two requirements drive this module:
    under every grid is a region extraction from it (a contiguous row-range
    slice for the full-width blocks the apps use).
 
-Everything generated here — dense blocks, the link graph, the zero block a
+Everything generated here — dense strips, the link graph, the zero block a
 fresh allocation aliases — is served frozen from one memo and shared
 copy-on-write.
 """
 
 from __future__ import annotations
 
+from typing import Sequence, Tuple
+
 import numpy as np
 
 from repro.matrix.dense import DenseMatrix
+from repro.matrix.grid import offsets_of
 from repro.matrix.sparse import _INDEX_DTYPE, SparseCSR, _compress_uniform
 from repro.util.validation import check_positive, require
 
@@ -42,22 +49,28 @@ _INPUT_MEMO_BYTES = 256 << 20
 class _InputMemo:
     """Insertion-ordered, byte-budgeted memo of frozen generated inputs.
 
-    Dense blocks and link graphs are pure functions of their key, so every
+    Dense strips and link graphs are pure functions of their key, so every
     run, checkpoint and restore shares one copy (``touch()`` detaches).
     """
 
     def __init__(self, budget: int):
         self.budget, self.nbytes, self.entries = budget, 0, {}
 
-    def get(self, key, build):
-        """The frozen input under *key*, from ``build()`` on first use.
+    def get(self, key, build, serves=None):
+        """The input under *key*, from ``build()`` (which returns it frozen)
+        on first use, or when ``serves(entry)`` rejects the entry held: that
+        one leaves the memo before its successor is built, so the memo never
+        holds both.
 
         Oldest entries are evicted until the new one fits; one larger than
         the whole budget is not kept (it is built per call).
         """
         found = self.entries.get(key)
+        if found is not None and serves is not None and not serves(found):
+            self.nbytes -= self.entries.pop(key).nbytes
+            found = None
         if found is None:
-            found = build().freeze_view()
+            found = build()
             if found.nbytes <= self.budget:
                 self.nbytes += found.nbytes
                 while self.nbytes > self.budget:
@@ -74,18 +87,60 @@ def block_rng(seed: int, rb: int, cb: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rb, cb)))
 
 
+class DenseStrip:
+    """Block column *cb* of a dense input with block rows of *sizes*: block
+    ``rb`` is ``block_rng(seed, rb, cb).random((sizes[rb], cols))``, drawn
+    straight into rows ``offsets[rb]:offsets[rb + 1]`` of one frozen
+    C-contiguous array, so every block is a row view of it."""
+
+    __slots__ = ("sizes", "offsets", "data")
+
+    def __init__(self, seed: int, cb: int, sizes: Tuple[int, ...], cols: int):
+        self.sizes, self.offsets = sizes, offsets_of(sizes)
+        self.data = np.empty((self.offsets[-1], cols))
+        for rb, (r0, r1) in enumerate(zip(self.offsets, self.offsets[1:])):
+            block_rng(seed, rb, cb).random(out=self.data[r0:r1])
+        self.data.setflags(write=False)
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.data.nbytes)
+
+    def block(self, rb: int) -> DenseMatrix:
+        """Block *rb*: a frozen alias of its rows (``touch()`` detaches a writer)."""
+        r0, r1 = self.offsets[rb], self.offsets[rb + 1]
+        return DenseMatrix.from_payload_arrays((r1 - r0, self.data.shape[1]), (self.data[r0:r1],))
+
+
+def dense_strip(seed: int, cb: int, sizes: Sequence[int], cols: int) -> DenseStrip:
+    """The memoized strip of block column *cb* whose leading blocks have row
+    sizes *sizes*.
+
+    Strips are keyed by their first block's height, and one serves every
+    grid whose row sizes are a prefix of its own — every smaller uniform
+    grid of a weak-scaling input.  A grid the stored strip does not start
+    with replaces it: the old strip is released before the new one is drawn.
+    """
+    sizes = tuple(sizes)
+    return _input_memo.get(
+        (seed, cb, sizes[0], cols),
+        lambda: DenseStrip(seed, cb, sizes, cols),
+        serves=lambda strip: strip.sizes[: len(sizes)] == sizes,
+    )
+
+
 def random_dense_block(seed: int, rb: int, cb: int, rows: int, cols: int) -> DenseMatrix:
     """Uniform [0, 1) dense block, reproducible per block coordinates: a
-    frozen alias of the memoized block (``touch()`` detaches a writer)."""
-    return _input_memo.get(
-        (seed, rb, cb, rows, cols),
-        lambda: DenseMatrix(block_rng(seed, rb, cb).random((rows, cols))),
-    ).freeze_view()
+    frozen alias of its rows of the memoized strip (``touch()`` detaches a
+    writer)."""
+    return dense_strip(seed, cb, (rows,) * (rb + 1), cols).block(rb)
 
 
 def zero_dense_block(rows: int, cols: int) -> DenseMatrix:
     """A frozen alias of the one shared zero block of this shape (``touch()`` detaches)."""
-    zeros = _input_memo.get(("zeros", rows, cols), lambda: DenseMatrix.make(rows, cols))
+    zeros = _input_memo.get(
+        ("zeros", rows, cols), lambda: DenseMatrix.make(rows, cols).freeze_view()
+    )
     return zeros.freeze_view()
 
 
@@ -167,7 +222,7 @@ class LinkMatrix:
                 *_compress_uniform(
                     self.n, self.n, self._sorted_keys(), 1.0 / self.out_degree, self.out_degree
                 ),
-            )
+            ).freeze_view()
 
         return _input_memo.get((self.seed, self.n, self.out_degree), build)
 

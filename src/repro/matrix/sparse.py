@@ -194,28 +194,38 @@ def _compress_uniform(n_major: int, n_minor: int, linear: np.ndarray, weight: fl
 
 
 def _joined(parts: List[np.ndarray]) -> np.ndarray:
-    """*parts* end to end: one read-only view of their base when each is a
-    non-empty contiguous slice of one frozen 1-D array of its dtype, in
-    order and with no gap between them; otherwise a fresh ``np.concatenate``."""
+    """*parts* stacked along axis 0: one read-only view of their base when
+    each is a non-empty run of whole rows (of elements, for 1-D parts) of one
+    frozen C-contiguous array of its dtype, in order and with no gap between
+    them; otherwise a fresh ``np.concatenate``.
+
+    Sparse ``vstack`` joins ``indices``/``values`` slices with it, and a
+    dense regridded restore the full-width row pieces of a block.
+    """
     base = parts[0].base
     if (
         isinstance(base, np.ndarray)
-        and base.ndim == 1
+        and base.ndim
+        and base.size
         and base.flags.c_contiguous
         and not base.flags.writeable
     ):
         # Addresses from ``ctypes.data``: ``__array_interface__`` builds a
         # dict per call whose keys churn the interned-string table until it
         # resizes (+0.5 MiB peak RSS over a few thousand restores).
-        origin, itemsize = base.ctypes.data, base.itemsize
-        start = end = (parts[0].ctypes.data - origin) // itemsize
-        for part in parts:
+        origin, tail = base.ctypes.data, base.shape[1:]
+        row = base.nbytes // len(base)
+        start, inside = divmod(parts[0].ctypes.data - origin, row)
+        end = start
+        for index, part in enumerate(parts):
             if (
-                part.base is not base
+                inside  # the first part does not start at a row boundary
+                or part.base is not base
                 or part.dtype != base.dtype
-                or not len(part)
+                or part.shape[1:] != tail
+                or not part.size
                 or not part.flags.c_contiguous
-                or part.ctypes.data != origin + end * itemsize
+                or (index and part.ctypes.data != origin + end * row)
             ):
                 break
             end += len(part)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.matrix.dense import DenseMatrix, flops_cellwise, flops_matmul, flops_matvec
+from repro.matrix.sparse import _joined
 from repro.matrix.vector import Vector
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -170,3 +171,81 @@ class TestFlopFormulas:
         assert flops_matmul(2, 3, 4) == 48
         assert flops_cellwise(5) == 5
         assert flops_cellwise(5, 2) == 10
+
+
+def _frozen(rows=12, cols=5, seed=3):
+    data = np.random.default_rng(seed).random((rows, cols))
+    data.setflags(write=False)
+    return data
+
+
+def _pasted(parts):
+    """The regridded restore's paste: each part written below the last into
+    one zeroed block."""
+    out = np.zeros((sum(len(p) for p in parts), parts[0].shape[1]))
+    row = 0
+    for part in parts:
+        out[row : row + len(part)] = part
+        row += len(part)
+    return out
+
+
+def _row_join_copy_cases():
+    """Row pieces ``_joined`` must copy: anything but non-empty whole rows of
+    one frozen buffer, in order, with no gap."""
+    frozen, other = _frozen(), _frozen(seed=4)
+    writable = np.random.default_rng(3).random((12, 5))
+    return {
+        "writable": [writable[0:4], writable[4:12]],
+        "different-bases": [frozen[0:4], other[4:12]],
+        "gapped": [frozen[0:3], frozen[4:12]],
+        "out-of-order": [frozen[4:12], frozen[0:4]],
+        "partial-width": [frozen[0:4, :3], frozen[4:12, :3]],
+        "zero-row": [frozen[0:4], frozen[4:4], frozen[4:12]],
+    }
+
+
+class TestFrozenRowViews:
+    """Full-width rows of a frozen matrix are views of it, and the rows of
+    one buffer lying back to back join as one view (``_joined``); anything
+    else is copied, with the bytes a paste gives."""
+
+    def test_sub_matrix_of_frozen_full_width_rows_is_a_view(self):
+        parent = DenseMatrix(_frozen().copy()).freeze_view()
+        sub = parent.sub_matrix(2, 7, 0, 5)
+        assert sub.shape == (5, 5) and sub.data.base is parent.data
+        assert not sub.data.flags.writeable
+        with pytest.raises(ValueError):
+            sub.data[0, 0] = -1.0
+        before = parent.data.copy()
+        sub.scale(2.0)  # touch() detaches
+        assert not np.shares_memory(sub.data, parent.data)
+        assert np.array_equal(parent.data, before)
+        assert np.array_equal(sub.data, 2.0 * before[2:7])
+
+    @pytest.mark.parametrize("frozen, cut", [(True, (2, 7, 1, 5)), (False, (2, 7, 0, 5))])
+    def test_other_sub_matrices_copy(self, frozen, cut):
+        parent = DenseMatrix(_frozen().copy())
+        if frozen:
+            parent = parent.freeze_view()
+        sub = parent.sub_matrix(*cut)
+        r0, r1, c0, c1 = cut
+        assert not np.shares_memory(sub.data, parent.data)
+        assert sub.data.flags.writeable
+        assert sub.data.tobytes() == parent.data[r0:r1, c0:c1].tobytes()
+
+    @pytest.mark.parametrize("cuts", [[0, 3, 8, 12], [2, 6, 7, 10], [5, 9]])
+    def test_adjacent_frozen_rows_join_as_one_view(self, cuts):
+        base = _frozen()
+        parts = [base[a:b] for a, b in zip(cuts, cuts[1:])]
+        joined = _joined(parts)
+        assert joined.base is base and not joined.flags.writeable
+        assert joined.tobytes() == _pasted(parts).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_row_join_copy_cases()))
+    def test_other_row_pieces_copy(self, name):
+        parts = _row_join_copy_cases()[name]
+        joined = _joined(parts)
+        assert joined.tobytes() == _pasted(parts).tobytes()
+        for part in parts:
+            assert not np.shares_memory(joined, part if part.base is None else part.base)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.matrix.distblock import DistBlockMatrix, regrid_plan
 from repro.matrix.grid import Grid
-from repro.matrix.random import LinkMatrix
+from repro.matrix.random import LinkMatrix, dense_strip
 from repro.runtime import CostModel, DeadPlaceException, PlaceGroup, Runtime
 
 
@@ -198,6 +198,56 @@ class TestSnapshotRestore:
                 assert np.shares_memory(block.data.values, graph.values)
                 for got, ref in zip(block.data.payload_arrays(), want.payload_arrays()):
                     assert got.tobytes() == ref.tobytes()
+
+    def _regridded_dense(self, seed, places=12, rows=250, cols=100):
+        """A uniform full-width dense matrix on *places* (two blocks each),
+        its bytes, its snapshot, and the matrix restored after one kill onto
+        ``default_regrid``, with the restore's traced allocation peak."""
+        rt = make_rt(places)
+        m = 2 * places * rows
+        g = DistBlockMatrix.make_dense(rt, m, cols, 2 * places, 1).init_random(seed)
+        ref = g.to_dense().data
+        snap = g.make_snapshot()
+        rt.kill(5)
+        survivors = rt.live_world()
+        g.remake(survivors, new_grid=DistBlockMatrix.default_regrid(m, cols, 1, survivors.size))
+        tracemalloc.start()
+        try:
+            g.restore_snapshot(snap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return g, ref, snap, peak
+
+    def test_warm_dense_regrid_restore_shares_the_input(self):
+        """A shrink-rebalance restore of a dense input joins each new band's
+        frozen rows as one view of its block column's strip: it allocates
+        under 10% of the matrix's bytes, where pasting copies all of it."""
+        g, ref, _, peak = self._regridded_dense(seed=4242)
+        assert peak < 0.1 * ref.nbytes
+        strip = dense_strip(4242, 0, [250] * 24, 100).data
+        for index in range(g.group.size):
+            for block in g.block_set(index):
+                r0, r1 = block.row_range()
+                assert np.shares_memory(block.data.data, strip)
+                assert block.data.data.tobytes() == ref[r0:r1].tobytes()
+
+    def test_touching_a_regridded_block_detaches_it(self):
+        """A writer on a block that views the input strip copies its rows
+        first: neither the strip nor the snapshot's blocks change."""
+        g, ref, snap, _ = self._regridded_dense(seed=4243, places=4, rows=6, cols=5)
+        strip = dense_strip(4243, 0, [6] * 8, 5).data
+        before = strip.tobytes()
+        block = next(iter(g.block_set(0)))
+        r0, r1 = block.row_range()
+        with pytest.raises(ValueError):
+            block.data.data[0, 0] = -1.0
+        block.data.scale(2.0)
+        assert not np.shares_memory(block.data.data, strip)
+        assert np.array_equal(block.data.data, 2.0 * ref[r0:r1])
+        assert strip.tobytes() == before
+        g.restore_snapshot(snap)
+        assert np.array_equal(g.to_dense().data, ref)
 
     def test_restore_kind_mismatch(self):
         rt = make_rt(2)

@@ -256,19 +256,20 @@ class TestInputMemo:
         return memo
 
     def test_evicts_oldest_first_by_bytes(self, memo):
-        for rb in range(3):
-            random_dense_block(1, rb, 0, 8, 8)
-        assert list(memo.entries) == [(1, rb, 0, 8, 8) for rb in range(3)]
-        kept = memo.entries[(1, 2, 0, 8, 8)]
-        random_dense_block(1, 3, 0, 8, 16)  # 1024 B: the two oldest must go
-        assert list(memo.entries) == [(1, 2, 0, 8, 8), (1, 3, 0, 8, 16)]
-        assert memo.entries[(1, 2, 0, 8, 8)] is kept
+        # One strip per block column, keyed (seed, cb, first height, cols).
+        for cb in range(3):
+            random_dense_block(1, 0, cb, 8, 8)
+        assert list(memo.entries) == [(1, cb, 8, 8) for cb in range(3)]
+        kept = memo.entries[(1, 2, 8, 8)]
+        random_dense_block(1, 0, 3, 8, 16)  # 1024 B: the two oldest must go
+        assert list(memo.entries) == [(1, 2, 8, 8), (1, 3, 8, 16)]
+        assert memo.entries[(1, 2, 8, 8)] is kept
         assert memo.nbytes == 512 + 1024
 
     def test_over_budget_entry_bypasses_the_memo(self, memo):
         random_dense_block(1, 0, 0, 8, 8)
         big = random_dense_block(1, 0, 0, 16, 16)  # 2048 B > 1700
-        assert list(memo.entries) == [(1, 0, 0, 8, 8)] and memo.nbytes == 512
+        assert list(memo.entries) == [(1, 0, 8, 8)] and memo.nbytes == 512
         again = random_dense_block(1, 0, 0, 16, 16)
         assert not np.shares_memory(big.data, again.data)
         assert big.data.tobytes() == again.data.tobytes()
@@ -276,11 +277,11 @@ class TestInputMemo:
     def test_link_graph_and_dense_blocks_share_one_budget(self, memo):
         random_dense_block(1, 0, 0, 8, 8)
         graph = LinkMatrix(20, 3, seed=2).global_csr()
-        assert list(memo.entries) == [(1, 0, 0, 8, 8), (2, 20, 3)]
+        assert list(memo.entries) == [(1, 0, 8, 8), (2, 20, 3)]
         assert memo.nbytes == 512 + graph.nbytes
-        random_dense_block(1, 1, 0, 8, 8)  # does not fit beside both
-        assert list(memo.entries) == [(2, 20, 3), (1, 1, 0, 8, 8)]
-        random_dense_block(1, 2, 0, 8, 16)
+        random_dense_block(1, 0, 1, 8, 8)  # does not fit beside both
+        assert list(memo.entries) == [(2, 20, 3), (1, 1, 8, 8)]
+        random_dense_block(1, 0, 2, 8, 16)
         assert (2, 20, 3) not in memo.entries
         assert LinkMatrix(20, 3, seed=2).global_csr() is not graph
 
@@ -326,6 +327,102 @@ class TestInputMemo:
         fresh = random_mod.block_rng(7, 1, 2).random((4, 5))
         for other in (sibling, random_dense_block(7, 1, 2, 4, 5)):
             assert other.data.tobytes() == fresh.tobytes()
+
+
+class TestDenseStrips:
+    """A dense input's blocks are row views of one frozen strip per block
+    column, each with the bytes ``block_rng(seed, rb, cb).random((h, w))``."""
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        memo = random_mod._InputMemo(1 << 26)
+        monkeypatch.setattr(random_mod, "_input_memo", memo)
+        return memo
+
+    @staticmethod
+    def _filled(places, m, n, row_blocks, col_blocks=1, seed=11):
+        from repro.matrix.distblock import DistBlockMatrix
+        from repro.runtime import CostModel, Runtime
+
+        rt = Runtime(places, cost=CostModel.zero())
+        return DistBlockMatrix.make_dense(rt, m, n, row_blocks, col_blocks).init_random(seed)
+
+    @staticmethod
+    def _blocks(g):
+        return [block for index in range(g.group.size) for block in g.block_set(index)]
+
+    @staticmethod
+    def _strips(memo):
+        return [entry for entry in memo.entries.values() if isinstance(entry, random_mod.DenseStrip)]
+
+    def _assert_drawn_per_block(self, g, seed=11):
+        for block in self._blocks(g):
+            h, w = block.shape
+            want = random_mod.block_rng(seed, block.rb, block.cb).random((h, w))
+            assert block.data.data.tobytes() == want.tobytes()
+            assert not block.data.data.flags.writeable
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(24, 5, 8, 1), (23, 5, 7, 1), (24, 7, 6, 2)],
+        ids=["uniform", "split-even-remainder", "two-column"],
+    )
+    def test_blocks_are_their_own_draws(self, memo, shape):
+        g = self._filled(3, *shape)
+        self._assert_drawn_per_block(g)
+        strips = self._strips(memo)
+        assert len(strips) == shape[3]
+        assert [strip.sizes for strip in strips] == [tuple(g.grid.row_sizes)] * shape[3]
+        for block in self._blocks(g):
+            assert block.data.data.base is strips[block.cb].data
+
+    @pytest.mark.parametrize("order", [(2, 8), (8, 2)], ids=["small-first", "large-first"])
+    def test_one_strip_serves_every_smaller_uniform_grid(self, memo, order):
+        grids = [self._filled(places, 6 * places, 5, 2 * places) for places in order]
+        for g in grids:
+            self._assert_drawn_per_block(g)
+        (strip,) = self._strips(memo)
+        assert strip.sizes == (3,) * 16
+        again = self._filled(2, 12, 5, 4)
+        self._assert_drawn_per_block(again)
+        for block in self._blocks(again) + self._blocks(grids[order.index(8)]):
+            assert block.data.data.base is strip.data
+        assert self._strips(memo) == [strip]
+
+    def test_the_sweep_grids_keep_one_strip(self, memo):
+        """The linreg sweep's 2-, 8-, 20- and 44-place inputs leave the
+        44-place input's 88 blocks in the memo, and no more."""
+        from repro.bench.calibration import regression_bench_workload
+
+        w = regression_bench_workload()
+        for places in (2, 8, 20, 44):
+            self._filled(places, w.examples(places), w.features, w.row_blocks(places), seed=w.seed)
+        (strip,) = self._strips(memo)
+        assert strip.nbytes == 88 * 500 * 100 * 8
+        zeros = sum(entry.nbytes for entry in memo.entries.values() if entry is not strip)
+        assert memo.nbytes == strip.nbytes + zeros
+
+    def test_a_growing_strip_is_never_held_twice(self, memo):
+        """A grid that outgrows the stored strip releases it before drawing
+        the larger one: the peak is the final strip, not the two together."""
+        tracemalloc.start()
+        try:
+            for blocks in (4, 16, 40, 88):
+                random_mod.dense_strip(3, 0, (50,) * blocks, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert memo.nbytes == 88 * 50 * 10 * 8
+        assert peak < 1.1 * memo.nbytes
+
+    def test_a_grid_the_strip_does_not_start_with_replaces_it(self, memo):
+        uniform = random_mod.dense_strip(5, 0, (4, 4, 4), 3)
+        remainder = random_mod.dense_strip(5, 0, (4, 3, 3), 3)
+        assert self._strips(memo) == [remainder] and memo.nbytes == remainder.nbytes
+        assert uniform.block(0).data.tobytes() == remainder.block(0).data.tobytes()
+        for rb, h in enumerate((4, 3, 3)):
+            want = random_mod.block_rng(5, rb, 0).random((h, 3))
+            assert remainder.block(rb).data.tobytes() == want.tobytes()
 
 
 class TestBlockMaps:
