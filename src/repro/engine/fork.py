@@ -16,7 +16,7 @@ the frozen image.
 
 Capture is a pickle of the executor's object graph with one twist that
 makes it copy-on-write: *frozen* payload arrays (``writeable=False``, the
-committed-snapshot CoW convention of :mod:`repro.util.versioning`) are
+committed-snapshot CoW convention of :mod:`repro.util.payload`) are
 never serialized.  They are parked in a shared side table and every fork
 receives a **reference** to the same immutable array — safe because the
 live classes' ``touch()`` protocol replaces a frozen backing array before
@@ -49,17 +49,21 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.util.versioning import ensure_version_floor, freeze_payload, next_version
+from repro.matrix.block import BlockSet
+from repro.util.payload import freeze_payload
+from repro.util.versioning import ensure_version_floor, next_version
 
 
 def _freeze_world(root: Any) -> None:
-    """Freeze every live heap payload of *root*'s runtime before capture.
+    """Freeze every payload in *root*'s runtime heaps before capture.
 
     Marking the backing arrays read-only lets the capture share them by
     reference (the CoW convention): the continuing origin world and every
     fork detach via ``touch()`` before their next mutation, so the image
-    pays for *no* array bytes at all at the boundary — the O(dirty)
-    property extends from committed snapshots to the entire world.
+    pays for no bytes of a live vector or matrix, of a snapshot copy or of
+    a parity block.  A live ``DistBlockMatrix`` place (a ``BlockSet``) is
+    not a payload and is left writable: its blocks are pickled into the
+    image by value, and the forks and the origin each own their copy.
     """
     rt = getattr(root, "runtime", None)
     heaps = getattr(rt, "_heaps", None)
@@ -69,7 +73,8 @@ def _freeze_world(root: Any) -> None:
         store = getattr(heap, "_store", None)
         if store:
             for value in store.values():
-                freeze_payload(value)
+                if type(value) is not BlockSet:
+                    freeze_payload(value)
 
 
 def _shared(slot: int) -> Any:

@@ -85,16 +85,12 @@ class DenseMatrix:
         alias.data, alias.m, alias.n, alias.version = self.data, self.m, self.n, next_version()
         return alias
 
-    #: The attributes :meth:`payload_arrays` returns (see ``Vector.ARRAY_NAMES``).
+    #: The snapshot payload leaf's arrays (see ``Vector.ARRAY_NAMES``).
     ARRAY_NAMES = ("data",)
-
-    def payload_arrays(self) -> Tuple[np.ndarray, ...]:
-        """Backing arrays for snapshot checksumming (``repro.util.checksum``)."""
-        return (self.data,)
 
     @classmethod
     def from_payload_arrays(cls, shape, arrays) -> "DenseMatrix":
-        """Inverse of :meth:`payload_arrays`: an ``m × n`` = *shape* matrix
+        """Inverse of reading ``ARRAY_NAMES``: an ``m × n`` = *shape* matrix
         aliasing ``arrays[0]``, unvalidated and uncopied (see
         :meth:`Vector.from_payload_arrays`)."""
         alias = object.__new__(cls)

@@ -255,6 +255,7 @@ class DistBlockMatrix(MultiPlaceObject):
         return self.grid.n
 
     _PLANS = ("_plan",)
+    _token_of = staticmethod(BlockSet.version_token)
 
     @cached_property
     def _plan(self) -> TaskPlan:
@@ -578,7 +579,6 @@ class DistBlockMatrix(MultiPlaceObject):
             },
             protection,
             base,
-            token_of=BlockSet.version_token,
             view_of=BlockSet.freeze_view_dict,
         )
 

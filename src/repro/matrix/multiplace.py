@@ -19,8 +19,9 @@ from repro.resilience.protection import Protection
 from repro.resilience.snapshot import Snapshottable
 from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.runtime import Runtime
+from repro.util.payload import FRAMING_BYTES
 from repro.util.validation import require
-from repro.util.versioning import next_version, version_token
+from repro.util.versioning import next_version
 
 _object_counter = itertools.count()
 _data_of, _heap_key_of = attrgetter("data"), attrgetter("heap_key")
@@ -41,6 +42,10 @@ class MultiPlaceObject(Snapshottable):
         #: A plain attribute (the oid never changes): the heap addressing
         #: paths read it tens of thousands of times per chaos schedule.
         self.heap_key = ("gml", self.oid)
+
+    #: A place's mutation token, read off its live payload (a single-place
+    #: numeric's ``version``; ``DistBlockMatrix`` reads its ``BlockSet``'s).
+    _token_of = attrgetter("version")
 
     #: Names of the ``cached_property`` plans a subclass derives from its
     #: layout (group, partition, grid).  One rule: a subclass's ``_allocate``
@@ -146,7 +151,7 @@ class MultiPlaceObject(Snapshottable):
         one token per partition replaces hashing the partition's bytes.
         """
         return {
-            index: version_token(self.payload_at_index(index))
+            index: self._token_of(self.payload_at_index(index))
             for index in range(self.group.size)
         }
 
@@ -155,16 +160,15 @@ class MultiPlaceObject(Snapshottable):
         meta: dict,
         protection: Protection,
         base,
-        token_of=attrgetter("version"),
         view_of=methodcaller("freeze_view"),
     ):
         """The body of every ``make_snapshot``: save each member place's
         payload under its group index, in one finish, into the snapshot tier
         *protection* names.
 
-        *token_of(payload)* is the partition's current mutation token and
+        ``_token_of(payload)`` is the partition's current mutation token and
         *view_of(payload)* its frozen alias sharing the live arrays
-        copy-on-write (the defaults read a single-place numeric).  With a
+        copy-on-write (the default reads a single-place numeric).  With a
         *base* — the previous committed snapshot, usable only while its group
         and replication layout match (its copies live in the same heaps) —
         partitions it proves clean are adopted by reference
@@ -177,7 +181,7 @@ class MultiPlaceObject(Snapshottable):
         snap = protection.new_snapshot(self.runtime, self.group, meta)
         if base is not None and not snap.delta_compatible(base):
             base = None
-        key, index_by_id = self.heap_key, self.group._index_by_id
+        key, index_by_id, token_of = self.heap_key, self.group._index_by_id, self._token_of
 
         def save(ctx) -> None:
             index = index_by_id[ctx.place.id]
@@ -216,15 +220,15 @@ class MultiPlaceObject(Snapshottable):
     # -- introspection ------------------------------------------------------
 
     def total_nbytes(self) -> float:
-        """Sum of payload bytes across live member places."""
-        from repro.util.bytesize import payload_nbytes
-
+        """Sum of payload bytes across live member places: each place's
+        ``nbytes`` (a single-place numeric or a ``BlockSet``) plus one
+        :data:`~repro.util.payload.FRAMING_BYTES` header."""
         total = 0.0
         for place in self.group:
             if self.runtime.is_alive(place.id):
                 payload = self.runtime.heap_of(place.id).get_or(self.heap_key)
                 if payload is not None:
-                    total += payload_nbytes(payload)
+                    total += payload.nbytes + FRAMING_BYTES
         return total
 
     def __repr__(self) -> str:

@@ -292,7 +292,7 @@ def _build(cls, m: int, n: int, indptr, indices, values):
 
 
 def _from_payload_arrays(cls, shape, arrays):
-    """Inverse of ``payload_arrays()``: an ``m × n`` = *shape* matrix over
+    """Inverse of reading ``ARRAY_NAMES``: an ``m × n`` = *shape* matrix over
     ``(indptr, indices, values)`` = *arrays*, through the unchecked
     :meth:`_build` (see :meth:`repro.matrix.vector.Vector.from_payload_arrays`)."""
     return cls._build(*shape, *arrays)
@@ -375,13 +375,8 @@ class SparseCSR:
 
     freeze_view = _freeze_view
 
-    #: The attributes :meth:`payload_arrays` returns, in order: what a
-    #: snapshot save freezes and sizes without a call.
+    #: The snapshot payload leaf's arrays, in order (see ``Vector.ARRAY_NAMES``).
     ARRAY_NAMES = ("indptr", "indices", "values")
-
-    def payload_arrays(self) -> Tuple[np.ndarray, ...]:
-        """Backing arrays for snapshot checksumming (``repro.util.checksum``)."""
-        return (self.indptr, self.indices, self.values)
 
     from_payload_arrays = classmethod(_from_payload_arrays)
 
@@ -651,11 +646,6 @@ class SparseCSC:
 
     freeze_view = _freeze_view
     ARRAY_NAMES = SparseCSR.ARRAY_NAMES
-
-    def payload_arrays(self) -> Tuple[np.ndarray, ...]:
-        """Backing arrays for snapshot checksumming (``repro.util.checksum``)."""
-        return (self.indptr, self.indices, self.values)
-
     from_payload_arrays = classmethod(_from_payload_arrays)
 
     def to_csr(self) -> SparseCSR:

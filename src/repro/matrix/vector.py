@@ -92,17 +92,13 @@ class Vector:
         alias.data, alias.n, alias.version = self.data, self.n, next_version()
         return alias
 
-    #: The attributes :meth:`payload_arrays` returns, in order: what a
-    #: snapshot save freezes and sizes without a call.
+    #: The attributes holding the backing arrays, in order: what makes this
+    #: class a snapshot payload leaf (:mod:`repro.util.payload`).
     ARRAY_NAMES = ("data",)
-
-    def payload_arrays(self):
-        """The backing arrays (checksum / corruption protocol)."""
-        return (self.data,)
 
     @classmethod
     def from_payload_arrays(cls, shape, arrays) -> "Vector":
-        """Inverse of :meth:`payload_arrays`: a vector aliasing ``arrays[0]``
+        """Inverse of reading ``ARRAY_NAMES``: a vector aliasing ``arrays[0]``
         (*shape* is the array's own).  For the snapshot tiers, which rebuild
         a partition from bytes a CRC vouches for: nothing is validated and
         nothing copied (``docs/api.md``, "Payload protocol")."""

@@ -35,16 +35,17 @@ Simulation note: XOR blocks are *really* computed over the members' bytes
 the original), while the virtual-time charge follows the cost model's
 dirty-bytes accounting — the same wall-work/modeled-cost split the rest of
 the store uses.  There is one encoding, for every payload: a member's XOR
-operand is the bytes of its backing arrays end to end, in
-``payload_arrays()`` order (a block set ``{(rb, cb): block}``: block by
-block, in dict order).  A block is therefore a function of the members'
-*values* and of nothing the host keeps beside them — not memoized kernel
-handles, not version tokens — so a primary refilled from a CRC-verified
+operand is the bytes of its backing arrays end to end, in ``ARRAY_NAMES``
+order (a block set ``{(rb, cb): block}``: block by block, in dict order;
+:func:`repro.util.payload.leaves` and :func:`~repro.util.payload.arrays`).
+A block is therefore a function of the members' *values* and of nothing
+the host keeps beside them — not memoized kernel handles, not version
+tokens — so a primary refilled from a CRC-verified
 reconstruction leaves its group's block valid.  What turns the XORed bytes
 back into a payload is a small value-only *template* recorded per key at
 build (:func:`_encode`): the dict keys, and per leaf its class, ``shape``
 and each array's ``(dtype, shape)``; the classes rebuild themselves through
-their ``from_payload_arrays``, the unchecked inverse of ``payload_arrays()``,
+their ``from_payload_arrays``, the unchecked inverse of their arrays,
 behind the two CRC gates of :meth:`ParityObjectSnapshot._locate_rederived`.
 """
 
@@ -61,10 +62,16 @@ from repro.runtime.comm import point_to_point
 from repro.runtime.exceptions import DataLossError
 from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
-from repro.util.bytesize import FRAMING_BYTES, payload_nbytes
 from repro.util.checksum import corrupt_payload, memoized_checksum
+from repro.util.payload import (
+    FRAMING_BYTES,
+    arrays,
+    freeze_payload,
+    from_leaves,
+    leaves,
+    payload_nbytes,
+)
 from repro.util.validation import require
-from repro.util.versioning import freeze_payload
 
 #: Sentinel "tier" for a group's parity block (the stable tier is -1).
 PARITY_TIER = -2
@@ -85,16 +92,16 @@ def _encode(payload: Any) -> Tuple[np.ndarray, int, tuple]:
     rules are older than this encoding, and unifying them moves parity
     virtual times (ROADMAP item 7).
     """
-    keyed = type(payload) is dict
+    keys, items = leaves(payload)
     recipe, flat = [], []
-    for leaf in payload.values() if keyed else (payload,):
+    for leaf in items:
         specs = []
-        for arr in (leaf,) if type(leaf) is np.ndarray else leaf.payload_arrays():
+        for arr in arrays(leaf):
             specs.append((arr.dtype, arr.shape))
             flat.append(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
         recipe.append((type(leaf), getattr(leaf, "shape", None), specs))
-    template = (tuple(payload) if keyed else None, recipe)
-    if len(flat) == 1 and not keyed:
+    template = (keys, recipe)
+    if len(flat) == 1 and keys is None:
         return flat[0], flat[0].size, template
     stream = np.concatenate(flat) if flat else np.zeros(0, dtype=np.uint8)
     return stream, payload_nbytes(payload), template
@@ -104,22 +111,21 @@ def _decode(stream: np.ndarray, template: tuple) -> Any:
     """The payload whose :func:`_encode` operand is the head of *stream*.
 
     Arrays are cut as views of *stream* (which the caller gives up) and each
-    leaf is rebuilt by its class's ``from_payload_arrays`` — the inverse of
-    ``payload_arrays()``, which validates nothing: the caller checks the
-    result against the key's save-time CRC before anyone sees it.
+    leaf is rebuilt by its class's ``from_payload_arrays``, which validates
+    nothing: the caller checks the result against the key's save-time CRC
+    before anyone sees it.  (A member is a partition: a leaf or a block
+    set, never a bare ndarray.)
     """
     keys, recipe = template
-    leaves, offset = [], 0
+    items, offset = [], 0
     for cls, shape, specs in recipe:
-        arrays = []
+        data = []
         for dtype, dims in specs:
             end = offset + dtype.itemsize * math.prod(dims)
-            arrays.append(stream[offset:end].view(dtype).reshape(dims))
+            data.append(stream[offset:end].view(dtype).reshape(dims))
             offset = end
-        leaves.append(
-            arrays[0] if cls is np.ndarray else cls.from_payload_arrays(shape, arrays)
-        )
-    return leaves[0] if keys is None else dict(zip(keys, leaves))
+        items.append(cls.from_payload_arrays(shape, data))
+    return from_leaves(keys, items)
 
 
 class ParityObjectSnapshot(DistObjectSnapshot):

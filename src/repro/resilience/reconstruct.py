@@ -33,8 +33,8 @@ from repro.resilience.protection import Protection
 from repro.resilience.snapshot import DistObjectSnapshot, Snapshottable
 from repro.runtime.place import PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
+from repro.util.payload import version_token
 from repro.util.validation import require
-from repro.util.versioning import version_token
 
 
 class ReconstructionStore:

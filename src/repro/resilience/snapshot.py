@@ -45,16 +45,14 @@ from repro.runtime.exceptions import (
 )
 from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
-from repro.util.bytesize import FRAMING_BYTES, payload_nbytes
 from repro.util.checksum import corrupt_payload, memoized_checksum
+from repro.util.payload import BLOCK_KEY_NBYTES, FRAMING_BYTES
 from repro.util.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - the protection module imports this one
     from repro.resilience.protection import Protection
 
 _snap_counter = itertools.count()
-#: ``payload_nbytes`` of a block set's key, an ``(rb, cb)`` pair.
-_BLOCK_KEY_NBYTES = payload_nbytes((0, 0))
 
 #: First element of every heap key a snapshot store writes: primary, backup,
 #: parity block and parity-reconstructed partition (the last two belong to
@@ -237,22 +235,23 @@ class DistObjectSnapshot:
         *token* is the partition's mutation-version token; recording it is
         what lets the next delta save prove the partition clean.
 
-        The payload is a class of the payload protocol (its ``ARRAY_NAMES``)
-        or a block set ``{(rb, cb): block}`` of them; anything else is a
-        ``TypeError`` before any copy is written.  One walk freezes its
-        arrays and sizes it as ``payload_nbytes`` would; the charges follow
-        in a fixed order — memcpy, fan-out, message wait, checksum — and
-        are skipped whole while ``engine.zero_fast()`` holds.
+        The payload is a leaf or a block set ``{(rb, cb): leaf}``
+        (:mod:`repro.util.payload`; a bare ndarray is a parity block, never
+        a partition); anything else is a ``TypeError`` before any copy is
+        written.  One walk freezes its arrays and sizes it as
+        ``payload_nbytes`` would, inline to keep the save's call budget;
+        the charges follow in a fixed order — memcpy, fan-out, message
+        wait, checksum — and are skipped whole while ``engine.zero_fast()``
+        holds.
         """
         place = ctx.place
         places = self.group._places
         if not (0 <= key < len(places) and places[key] is place):
             self._check_owner(ctx, key)
-        # Freeze every backing array and size the payload as
-        # ``payload_nbytes`` does, in one walk over the arrays.
+        # ``freeze_payload`` and ``payload_nbytes`` in one walk, inlined.
         if type(payload) is dict:
             leaves = payload.values()
-            nbytes = FRAMING_BYTES + _BLOCK_KEY_NBYTES * len(payload)
+            nbytes = FRAMING_BYTES + BLOCK_KEY_NBYTES * len(payload)
         else:
             leaves, nbytes = (payload,), 0
         for leaf in leaves:

@@ -1,10 +1,14 @@
-"""Shared utilities: validation, payload sizing, LOC counting.
+"""Shared utilities: the snapshot payload format, validation, LOC counting.
 
+:mod:`repro.util.payload` is the one definition of what a snapshot holds —
+a leaf (a class declaring ``ARRAY_NAMES``), a block set ``{(rb, cb): leaf}``
+or a bare ndarray — and sizes, freezes and version-tokens it;
+:mod:`repro.util.checksum` hashes and corrupts the same three shapes.
 These helpers are deliberately dependency-free (NumPy only) so every other
 subpackage can import them without cycles.
 """
 
-from repro.util.bytesize import payload_nbytes
+from repro.util.payload import payload_nbytes
 from repro.util.loc import count_loc, loc_of_object, loc_report
 from repro.util.validation import (
     check_index,

@@ -3,79 +3,54 @@
 Snapshot replicas are only trustworthy if they can be *verified* before a
 restore reads them (ReStore, arXiv:2203.01107, makes the same argument for
 in-memory recovery data).  :func:`payload_checksum` computes a structural
-CRC-32 over the same payload shapes :func:`repro.util.bytesize.payload_nbytes`
-sizes — NumPy arrays, numbers, strings, nested containers, and the matrix
-classes (via their ``payload_arrays()`` protocol).  The checksum is recorded
-at save time and re-computed at locate/restore time; a mismatch marks the
-copy corrupt.
+CRC-32 over the payload shapes :mod:`repro.util.payload` defines — a leaf
+(tagged with its class name, then its arrays), a block set (its size, then
+per block the ``(rb, cb)`` key and the leaf) or a bare ndarray; each array
+is tagged with its dtype and shape before its bytes.  The checksum is
+recorded at save time and re-computed at locate/restore time; a mismatch
+marks the copy corrupt.
 
 :func:`corrupt_payload` is the matching fault injector: it returns a
 *corrupted copy* of a payload (the original object is never mutated, so
 other replicas holding the same reference stay clean) with at least one bit
-flipped, guaranteed to change the checksum of any non-empty payload.
+flipped, guaranteed to change the checksum of a payload whose first leaf
+holds bytes.
 """
 
 from __future__ import annotations
 
 import copy
-import struct
 import zlib
 from collections import OrderedDict
 from typing import Any, Optional
 
 import numpy as np
 
-from repro.util.versioning import payload_frozen
+from repro.util.payload import arrays, from_leaves, leaves, payload_frozen
 
 
-def _feed(crc: int, data: bytes) -> int:
-    return zlib.crc32(data, crc)
-
-
-def _checksum_into(crc: int, obj: Any) -> int:
-    if obj is None:
-        return _feed(crc, b"\x00N")
-    if isinstance(obj, np.ndarray):
-        crc = _feed(crc, b"\x00A" + obj.dtype.str.encode() + repr(obj.shape).encode())
+def _leaf_crc(crc: int, leaf: Any) -> int:
+    if not isinstance(leaf, np.ndarray):
+        crc = zlib.crc32(b"\x00O" + type(leaf).__name__.encode(), crc)
+    for arr in arrays(leaf):
+        crc = zlib.crc32(b"\x00A" + arr.dtype.str.encode() + repr(arr.shape).encode(), crc)
         # Feed the buffer directly — tobytes() would copy the whole array.
-        contiguous = obj if obj.flags.c_contiguous else np.ascontiguousarray(obj)
-        return _feed(crc, contiguous.data)
-    if isinstance(obj, (bool, int, np.integer)):
-        return _feed(crc, b"\x00I" + repr(int(obj)).encode())
-    if isinstance(obj, (float, np.floating)):
-        return _feed(crc, b"\x00F" + struct.pack("<d", float(obj)))
-    if isinstance(obj, str):
-        return _feed(crc, b"\x00S" + obj.encode("utf-8"))
-    if isinstance(obj, (list, tuple)):
-        crc = _feed(crc, b"\x00L%d" % len(obj))
-        for item in obj:
-            crc = _checksum_into(crc, item)
-        return crc
-    if isinstance(obj, (set, frozenset)):
-        # Order-independent: combine the sorted per-element checksums.
-        parts = sorted(_checksum_into(0, item) for item in obj)
-        crc = _feed(crc, b"\x00T%d" % len(obj))
-        for part in parts:
-            crc = _feed(crc, part.to_bytes(4, "little"))
-        return crc
-    if isinstance(obj, dict):
-        crc = _feed(crc, b"\x00D%d" % len(obj))
-        for key, value in obj.items():
-            crc = _checksum_into(crc, key)
-            crc = _checksum_into(crc, value)
-        return crc
-    arrays = getattr(obj, "payload_arrays", None)
-    if callable(arrays):
-        crc = _feed(crc, b"\x00O" + type(obj).__name__.encode())
-        for arr in arrays():
-            crc = _checksum_into(crc, arr)
-        return crc
-    raise TypeError(f"cannot checksum payload of type {type(obj).__name__}")
+        contiguous = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
+        crc = zlib.crc32(contiguous.data, crc)
+    return crc
 
 
 def payload_checksum(obj: Any) -> int:
     """Structural CRC-32 of a snapshot payload (type- and shape-tagged)."""
-    return _checksum_into(0, obj)
+    keys, items = leaves(obj)
+    if keys is None:
+        return _leaf_crc(0, items[0])
+    crc = zlib.crc32(b"\x00D%d" % len(keys))
+    for (rb, cb), leaf in zip(keys, items):
+        # A key is tagged as a 2-tuple of two ints, the bytes every block-set
+        # CRC has been computed over (tests/resilience/test_payload_format.py).
+        crc = _leaf_crc(zlib.crc32(b"\x00L2\x00I%d\x00I%d" % (rb, cb), crc), leaf)
+    return crc
 
 
 _CRC_MEMO_CAPACITY = 4096
@@ -107,64 +82,29 @@ def memoized_checksum(obj: Any, token: Optional[Any]) -> int:
     return crc
 
 
-def _flip_array(arr: np.ndarray) -> bool:
-    """Flip every bit of the first byte of *arr* in place; False if empty."""
-    if arr.size == 0:
-        return False
-    flat = arr.reshape(-1).view(np.uint8)
-    flat[0] ^= 0xFF
-    return True
+def _corrupt_leaf(leaf: Any) -> Any:
+    """A copy of *leaf* with every bit of its first byte flipped (a plain
+    copy if it holds no bytes)."""
+    # A leaf is deep-copied, not copied through its ``copy()``: a validating
+    # constructor would reject a source that is itself already corrupt (a
+    # copy can be struck twice).
+    out = leaf.copy() if isinstance(leaf, np.ndarray) else copy.deepcopy(leaf)
+    for arr in arrays(out):
+        if arr.size:
+            arr.reshape(-1).view(np.uint8)[0] ^= 0xFF
+            break
+    return out
 
 
 def corrupt_payload(obj: Any) -> Any:
     """Return a corrupted *copy* of a payload (original left untouched).
 
-    At least one bit is flipped in the first non-empty array (or scalar /
-    string) found, so :func:`payload_checksum` of the result differs from
-    the original's for any payload with content.  Payloads with nothing to
-    flip (``None``, empty arrays/containers) are returned as plain copies.
+    At least one bit is flipped in the first non-empty array of the first
+    leaf, so :func:`payload_checksum` of the result differs from the
+    original's unless that leaf holds no bytes (an empty array, an empty
+    block set): then the result is a plain copy.
     """
-    if obj is None:
-        return None
-    if isinstance(obj, np.ndarray):
-        out = obj.copy()
-        _flip_array(out)
-        return out
-    if isinstance(obj, (bool, np.bool_)):
-        return not bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj) ^ 1
-    if isinstance(obj, (float, np.floating)):
-        packed = bytearray(struct.pack("<d", float(obj)))
-        packed[0] ^= 0xFF
-        return struct.unpack("<d", bytes(packed))[0]
-    if isinstance(obj, str):
-        return obj + "\x00" if obj else "\x00"
-    if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        for i, item in enumerate(items):
-            corrupted = corrupt_payload(item)
-            items[i] = corrupted
-            break
-        return type(obj)(items) if isinstance(obj, tuple) else items
-    if isinstance(obj, (set, frozenset)):
-        items = sorted(obj, key=repr)
-        if items:
-            items[0] = corrupt_payload(items[0])
-        return type(obj)(items)
-    if isinstance(obj, dict):
-        out = dict(obj)
-        for key in out:
-            out[key] = corrupt_payload(out[key])
-            break
-        return out
-    arrays = getattr(obj, "payload_arrays", None)
-    if callable(arrays):
-        # deepcopy, not obj.copy(): a validating constructor would reject a
-        # source that is itself already corrupt (a copy can be struck twice).
-        out = copy.deepcopy(obj)
-        for arr in out.payload_arrays():
-            if isinstance(arr, np.ndarray) and _flip_array(arr):
-                break
-        return out
-    raise TypeError(f"cannot corrupt payload of type {type(obj).__name__}")
+    keys, items = leaves(obj)
+    if not items:
+        return {}
+    return from_leaves(keys, (_corrupt_leaf(items[0]),) + items[1:])

@@ -1,4 +1,4 @@
-"""Mutation-version tokens and copy-on-write payload freezing.
+"""Mutation-version tokens.
 
 Delta checkpointing needs a cheap answer to "has this partition changed
 since the last committed snapshot?".  Every mutating method of the
@@ -12,21 +12,14 @@ never collide with a token recorded from a previous incarnation, so token
 equality is a sound "unchanged" test.  Tokens are compared for equality
 only — their ordering carries no meaning across objects.
 
-:func:`freeze_payload` is the copy-on-write half: snapshot payload arrays
-are marked read-only (``ndarray.setflags(write=False)``), so the snapshot
-may share arrays with the live object.  The live classes' ``touch()``
-methods replace a frozen backing array with a private writable copy before
-mutating — the deep copy is deferred to the first mutation, and skipped
-entirely for partitions that stay clean (generated inputs and restores
-follow the same rule: ``docs/architecture.md``, "Payload ownership").
+The copy-on-write half — freezing a snapshot payload's arrays so the live
+object's ``touch()`` copies them out before writing — is
+:func:`repro.util.payload.freeze_payload`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any
-
-import numpy as np
 
 _version_counter = itertools.count(1)
 
@@ -53,67 +46,3 @@ def ensure_version_floor(floor: int) -> None:
     gap = floor - next_version() - 1
     if gap > 0:
         next(itertools.islice(_version_counter, gap, gap), None)
-
-
-def version_token(payload: Any) -> Any:
-    """The current mutation token of *payload*, or ``None`` if untracked.
-
-    Single-place numerics expose a ``version`` attribute; containers
-    (``BlockSet``) expose a ``version_token()`` method; snapshot payload
-    dicts tokenize per entry.  Anything else is untracked and always
-    treated as dirty.
-    """
-    token = getattr(payload, "version", None)
-    if token is not None:
-        return token
-    fn = getattr(payload, "version_token", None)
-    if callable(fn):
-        return fn()
-    if isinstance(payload, dict):
-        return tuple((key, version_token(value)) for key, value in sorted(payload.items()))
-    return None
-
-
-def freeze_payload(payload: Any) -> None:
-    """Mark every backing array of a snapshot payload read-only (CoW)."""
-    if isinstance(payload, np.ndarray):
-        payload.setflags(write=False)
-        return
-    if isinstance(payload, dict):
-        for value in payload.values():
-            freeze_payload(value)
-        return
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        for value in payload:
-            freeze_payload(value)
-        return
-    arrays = getattr(payload, "payload_arrays", None)
-    if callable(arrays):
-        for arr in arrays():
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-
-
-def payload_frozen(payload: Any) -> bool:
-    """True when every backing array of *payload* is read-only.
-
-    Scalars and strings are immutable, hence trivially frozen.  A payload
-    with any writable array is not frozen — in particular the corrupted
-    copies :func:`repro.util.checksum.corrupt_payload` produces, whose
-    arrays are fresh writable copies; the checksum memo keys off this to
-    never trust a cached hash for a copy that could have changed.
-    """
-    if isinstance(payload, np.ndarray):
-        return not payload.flags.writeable
-    if isinstance(payload, dict):
-        return all(payload_frozen(value) for value in payload.values())
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        return all(payload_frozen(value) for value in payload)
-    arrays = getattr(payload, "payload_arrays", None)
-    if callable(arrays):
-        return all(
-            not arr.flags.writeable
-            for arr in arrays()
-            if isinstance(arr, np.ndarray)
-        )
-    return True

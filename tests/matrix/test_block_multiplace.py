@@ -100,8 +100,8 @@ class TestMultiPlaceObject:
     def test_total_nbytes(self):
         rt = make_rt(3)
         v = DupVector.make(rt, 8)
-        # 3 copies x 8 doubles (+ framing counted by payload_nbytes).
-        assert v.total_nbytes() >= 3 * 64
+        # 3 copies x (8 doubles + one FRAMING_BYTES header).
+        assert v.total_nbytes() == 3 * (64 + 64)
 
     def test_destroy_then_group_alive_check(self):
         rt = make_rt(3)

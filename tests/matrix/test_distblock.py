@@ -11,6 +11,7 @@ from repro.matrix.distblock import DistBlockMatrix, regrid_plan
 from repro.matrix.grid import Grid
 from repro.matrix.random import LinkMatrix, dense_strip
 from repro.runtime import CostModel, DeadPlaceException, PlaceGroup, Runtime
+from tests.resilience.payload_kinds import same_bytes
 
 
 def make_rt(n=4):
@@ -196,8 +197,7 @@ class TestSnapshotRestore:
                 r0, r1 = block.row_range()
                 want = graph.sub_matrix(r0, r1, 0, 6000)
                 assert np.shares_memory(block.data.values, graph.values)
-                for got, ref in zip(block.data.payload_arrays(), want.payload_arrays()):
-                    assert got.tobytes() == ref.tobytes()
+                same_bytes(block.data, want)
 
     def _regridded_dense(self, seed, places=12, rows=250, cols=100):
         """A uniform full-width dense matrix on *places* (two blocks each),

@@ -22,6 +22,8 @@ from repro.matrix.random import (
     random_vector,
 )
 from repro.matrix.sparse import SparseCSR
+from repro.util.payload import arrays
+from tests.resilience.payload_kinds import same_bytes
 
 
 def _reference_edges(link):
@@ -129,11 +131,7 @@ class TestLinkMatrix:
                 cols[keep] - c0,
                 np.full(int(keep.sum()), 1.0 / out_degree),
             )
-            block = link.block(r0, r1, c0, c1)
-            assert block.shape == reference.shape
-            for got, want in zip(block.payload_arrays(), reference.payload_arrays()):
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
+            same_bytes(link.block(r0, r1, c0, c1), reference)
 
     @pytest.mark.parametrize(
         "n, out_degree, seed",
@@ -158,10 +156,7 @@ class TestLinkMatrix:
         reference = SparseCSR.from_coo(
             n, n, rows, cols, np.full(len(rows), 1.0 / out_degree)
         )
-        keyed = link.global_csr()
-        for got, want in zip(keyed.payload_arrays(), reference.payload_arrays()):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        same_bytes(link.global_csr(), reference)
 
     def test_cold_build_peak_is_bounded(self, monkeypatch):
         """A cold build peaks at <= 1.25x the finished CSR (about 1.07x; a
@@ -202,8 +197,7 @@ class TestLinkMatrix:
                 patch.setattr(random_mod, "_input_memo", random_mod._InputMemo(1 << 20))
                 fresh = LinkMatrix(30, 4, seed=5).block(r0, r1, c0, c1)
             for other in (sibling, link.block(r0, r1, c0, c1)):
-                for got, want in zip(other.payload_arrays(), fresh.payload_arrays()):
-                    assert got.tobytes() == want.tobytes()
+                same_bytes(other, fresh)
 
     def test_writable_parent_still_copies(self):
         parent = SparseCSR.from_coo(3, 3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
@@ -219,7 +213,7 @@ class TestLinkMatrix:
         assert a.global_csr() is b.global_csr()
         b.block(0, 5, 0, 25)
         assert len(random_mod._input_memo.entries) == entries
-        for array in a.global_csr().payload_arrays():
+        for array in arrays(a.global_csr()):
             with pytest.raises(ValueError):
                 array[0] = 1
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.matrix import sparse
 from repro.matrix.sparse import SparseCSC, SparseCSR, flops_spmv
+from tests.resilience.payload_kinds import same_bytes
 
 
 def random_dense(m, n, density, seed):
@@ -45,16 +46,6 @@ def _kernels(a, x, y):
         lambda b: b.transpose(),
         lambda b: b.to_csc(),
     ]
-
-
-def _same_bytes(got, want):
-    if isinstance(got, np.ndarray):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        return
-    assert type(got) is type(want) and got.shape == want.shape
-    for mine, theirs in zip(got.payload_arrays(), want.payload_arrays()):
-        _same_bytes(mine, theirs)
 
 
 class TestCSRConstruction:
@@ -99,8 +90,7 @@ class TestCSRConstruction:
         assert counted.nnz < nnz
         monkeypatch.setattr(sparse, "_SCIPY_BUILD_MIN", nnz + 1)
         argsorted = cls.from_coo(m, n, rows, cols, vals)
-        for got, want in zip(counted.payload_arrays(), argsorted.payload_arrays()):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        same_bytes(counted, argsorted)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -169,7 +159,7 @@ class TestCSRKernels:
         compact = a.copy()
         x, y = np.arange(1.0, a.n + 1), np.arange(1.0, a.m + 1)
         for kernel in _kernels(a, x, y):
-            _same_bytes(kernel(a), kernel(compact))
+            same_bytes(kernel(a), kernel(compact))
         before = a.spmv_t(y)
         a.scale(2.0)
         assert np.array_equal(a.spmv_t(y), 2.0 * before)
@@ -186,7 +176,7 @@ class TestCSRKernels:
         assert alias.version != original.version
         original.scale(2.0)  # touch() detaches from the frozen arrays first
         for got, want in zip((alias.spmv(x), alias.spmv_t(y), alias.to_dense()), expected):
-            _same_bytes(got, want)
+            same_bytes(got, want)
         assert np.array_equal(original.spmv(x), 2.0 * expected[0])
         second = original.freeze_view()
         second.scale(0.5)

@@ -14,6 +14,7 @@ from repro.matrix.dense import DenseMatrix
 from repro.matrix.sparse import SparseCSR
 from repro.matrix.vector import Vector
 from repro.util.checksum import payload_checksum
+from repro.util.payload import arrays, leaves
 
 
 def band(index, rows=4, cols=6):
@@ -37,16 +38,20 @@ KINDS = {
 }
 
 
+def same_bytes(got, want):
+    """Assert that leaf *got* is *want* byte for byte: same type and shape,
+    and per backing array the same dtype, shape and bytes."""
+    assert type(got) is type(want) and got.shape == want.shape
+    for a, b in zip(arrays(got), arrays(want)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def same_payload(got, want) -> bool:
-    """*got* is *want* again: same type (per block, same keys in the same
-    order), same arrays' dtypes and shapes, same bytes."""
-    if type(got) is not type(want):
-        return False
-    if isinstance(want, dict):
-        return list(got) == list(want) and all(same_payload(got[k], want[k]) for k in want)
-    return (
-        getattr(got, "shape", None) == getattr(want, "shape", None)
-        and [(a.dtype, a.shape) for a in got.payload_arrays()]
-        == [(a.dtype, a.shape) for a in want.payload_arrays()]
-        and payload_checksum(got) == payload_checksum(want)
+    """*got* is *want* again: same keys in the same order, per leaf the same
+    type and shape, and the same checksum (which tags each array's dtype and
+    shape before its bytes)."""
+    (keys, mine), (want_keys, theirs) = leaves(got), leaves(want)
+    return keys == want_keys and payload_checksum(got) == payload_checksum(want) and all(
+        type(a) is type(b) and getattr(a, "shape", None) == getattr(b, "shape", None)
+        for a, b in zip(mine, theirs)
     )

@@ -13,7 +13,7 @@ from repro.resilience.store import AppResilientStore
 from repro.runtime import CostModel, PlaceGroup, Runtime
 from repro.util import checksum
 from repro.util.checksum import memoized_checksum, payload_checksum
-from repro.util.versioning import freeze_payload, payload_frozen, version_token
+from repro.util.payload import freeze_payload, payload_frozen, version_token
 
 
 def make_rt(n=4, cost=None, **kw):
@@ -54,8 +54,8 @@ class TestVersionTracking:
     def test_version_token_dispatch(self):
         v = Vector.make(2)
         assert version_token(v) == v.version
-        assert version_token({0: v}) == ((0, v.version),)
-        assert version_token(object()) is None
+        assert version_token({(0, 0): v}) == (((0, 0), v.version),)
+        pytest.raises(TypeError, version_token, object())
 
 
 class TestCopyOnWrite:
@@ -90,7 +90,7 @@ class TestCopyOnWrite:
             v.data[0] = 2.0
 
     def test_freeze_payload_and_frozen_predicate(self):
-        payload = {0: Vector.of([1.0]), 1: np.zeros(3)}
+        payload = {(0, 0): Vector.of([1.0]), (0, 1): SparseCSR.from_dense(np.eye(2))}
         assert not payload_frozen(payload)
         freeze_payload(payload)
         assert payload_frozen(payload)

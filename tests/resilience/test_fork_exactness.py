@@ -20,6 +20,7 @@ import pytest
 from repro.bench.catalogue import APPS
 from repro.chaos import CampaignConfig
 from repro.engine.fork import ForkContext, capture_boundaries
+from repro.matrix import DistBlockMatrix, DistVector
 from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.placement import make_placement
 from repro.resilience.protection import Protection
@@ -202,6 +203,19 @@ def test_frozen_view_of_a_writable_base_is_still_copied():
     loaded = context.capture({"v": view}).load()
     base[2] = -1.0
     assert loaded["v"][0] == 2.0 and not loaded["v"].flags.writeable
+
+
+def test_a_live_block_set_is_pickled_by_value():
+    """A capture freezes a live vector but not a ``DistBlockMatrix``'s blocks
+    (a ``BlockSet`` is not a snapshot payload): a touched block stays
+    writable on the origin, and the fork writes its own copy."""
+    rt = make_runtime(2, cost=CostModel.zero())
+    v, g = DistVector.make(rt, 4), DistBlockMatrix.make_dense(rt, 4, 4, 2, 1).init_random(1)
+    block = g.scale(2.0).block_set(0).get(0, 0).data.data
+    before, fork = block.copy(), ForkContext().capture(g).load()
+    assert block.flags.writeable and not v.payload_at_index(0).data.flags.writeable
+    fork.block_set(0).get(0, 0).data.data[...] = -1.0
+    assert np.array_equal(block, before)
 
 
 def test_sibling_forks_are_independent():

@@ -36,7 +36,8 @@ from repro.resilience.store import AppResilientStore
 from repro.runtime import CostModel, DataLossError, Runtime
 from repro.runtime.exceptions import SnapshotCorruptionError
 from repro.runtime.place import PlaceGroup
-from repro.util.versioning import next_version, payload_frozen
+from repro.util.payload import payload_frozen
+from repro.util.versioning import next_version
 from tests.resilience.payload_kinds import KINDS, band, same_payload
 
 

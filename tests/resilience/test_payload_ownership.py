@@ -22,6 +22,7 @@ from repro.matrix.dupvector import DupVector
 from repro.matrix.random import LinkMatrix, block_rng
 from repro.runtime import CostModel, Runtime
 from repro.util.checksum import payload_checksum
+from repro.util.payload import arrays, leaves
 
 PLACES = 3
 
@@ -76,12 +77,8 @@ def case(request):
 
 def _arrays(payload):
     """Every backing array of a live payload or of a snapshot copy."""
-    if isinstance(payload, np.ndarray):  # a parity block
-        return [payload]
-    if isinstance(payload, BlockSet):
-        payload = {(block.rb, block.cb): block.data for block in payload}
-    parts = payload.values() if isinstance(payload, dict) else [payload]
-    return [array for part in parts for array in part.payload_arrays()]
+    items = [block.data for block in payload] if isinstance(payload, BlockSet) else leaves(payload)[1]
+    return [array for leaf in items for array in arrays(leaf)]
 
 
 def _live(obj):
@@ -96,7 +93,7 @@ def _saved(obj, snap):
 
 
 def _bytes(per_place):
-    return [[array.tobytes() for array in arrays] for arrays in per_place]
+    return [[array.tobytes() for array in place] for place in per_place]
 
 
 def test_snapshot_aliases_live_payload_until_first_write(case):
@@ -136,8 +133,8 @@ def test_restore_returns_exactly_the_saved_bytes(case):
 def test_raw_write_to_a_frozen_array_raises(case):
     obj, _ = case
     obj.make_snapshot()
-    for arrays in _live(obj):
-        for array in arrays:
+    for place in _live(obj):
+        for array in place:
             with pytest.raises(ValueError):
                 array[...] = 0
 

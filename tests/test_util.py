@@ -1,12 +1,14 @@
-"""Tests for the util package: validation, byte sizing, LOC."""
+"""Tests for the util package: validation, the payload format, LOC."""
 
 import numpy as np
 import pytest
 
-from repro.util.bytesize import FRAMING_BYTES, payload_nbytes
+from repro.util.checksum import corrupt_payload, payload_checksum
 from repro.util.loc import AppLocRow, count_loc, loc_of_object, loc_report
 from repro.util import versioning
-from repro.util.versioning import ensure_version_floor, next_version, payload_frozen
+from repro.util.payload import FRAMING_BYTES, arrays, freeze_payload, leaves
+from repro.util.payload import payload_frozen, payload_nbytes
+from repro.util.versioning import ensure_version_floor, next_version
 from repro.util.validation import (
     check_index,
     check_non_negative,
@@ -50,20 +52,6 @@ class TestValidation:
 
 
 class TestPayloadNbytes:
-    def test_none_and_scalars(self):
-        assert payload_nbytes(None) == 0
-        assert payload_nbytes(1) == 8
-        assert payload_nbytes(1.5) == 8
-        assert payload_nbytes(np.float64(2.0)) == 8
-
-    def test_array(self):
-        a = np.zeros(10)
-        assert payload_nbytes(a) == 80 + FRAMING_BYTES
-
-    def test_containers(self):
-        assert payload_nbytes([1, 2]) == FRAMING_BYTES + 16
-        assert payload_nbytes({"k": 1}) == FRAMING_BYTES + payload_nbytes("k") + 8
-
     def test_matrix_classes(self):
         from repro.matrix import DenseMatrix, SparseCSR, Vector
 
@@ -72,13 +60,10 @@ class TestPayloadNbytes:
         s = SparseCSR.from_coo(2, 2, [0], [1], [1.0])
         assert payload_nbytes(s) == s.nbytes + FRAMING_BYTES
 
-    def test_unknown_type(self):
-        with pytest.raises(TypeError):
-            payload_nbytes(object())
-
 
 def _payload_zoo():
-    """One payload of every shape a snapshot save can be handed."""
+    """One value of every shape a snapshot save can be handed: the payloads
+    of ``repro.util.payload`` and what is not one."""
     from repro.matrix import DenseMatrix, SparseCSC, SparseCSR, Vector
     from repro.matrix.block import BlockSet, MatrixBlock
 
@@ -106,18 +91,13 @@ def _payload_zoo():
     zoo["tuple"] = lambda: tuple(make() for make in leaves.values())
     zoo["dict"] = lambda: {name: make() for name, make in leaves.items()}
     zoo["nested"] = lambda: {"a": [leaves["vector"](), (leaves["csr"](), 3)], "b": {"c": leaves["ndarray"]()}}
+    zoo["object"] = object
+    zoo["live-block-set"] = lambda: blocks
     return zoo
 
 
 def _arrays_of(payload):
-    if isinstance(payload, np.ndarray):
-        return [payload]
-    if isinstance(payload, dict):
-        return [a for value in payload.values() for a in _arrays_of(value)]
-    if isinstance(payload, (list, tuple)):
-        return [a for value in payload for a in _arrays_of(value)]
-    arrays = getattr(payload, "payload_arrays", None)
-    return list(arrays()) if arrays is not None else []
+    return [array for leaf in leaves(payload)[1] for array in arrays(leaf)]
 
 
 #: The zoo entries a snapshot partition can be: the payload protocol's
@@ -137,19 +117,25 @@ def _saver(payload):
 
 class TestFreezeAndSize:
     """The snapshot save's one walk over a payload: it freezes like
-    ``freeze_payload`` and sizes like ``payload_nbytes`` every payload the
-    protocol covers, and refuses any other before writing a copy."""
+    ``freeze_payload`` and sizes like ``payload_nbytes`` every leaf and
+    block set, and refuses any other before writing a copy, as every entry
+    point of the format refuses what is not a payload (a bare ndarray is a
+    parity block: a payload, never a partition)."""
 
     @pytest.mark.parametrize("name", sorted(_payload_zoo()))
     def test_equals_the_two_walks(self, name):
         payload = _payload_zoo()[name]()
-        expected = payload_nbytes(payload)
         rt, snap, save = _saver(payload)
         if name not in _SNAPSHOT_PAYLOADS:
+            if name != "ndarray":
+                for walk in (leaves, payload_nbytes, freeze_payload, payload_checksum, corrupt_payload):
+                    with pytest.raises(TypeError, match="is not a snapshot payload"):
+                        walk(payload)
             with pytest.raises(TypeError, match="cannot snapshot"):
                 save()
             assert rt.heap_of(0).keys_with_prefix(("snap",)) == []
             return
+        expected = payload_nbytes(payload)
         save()
         assert snap.total_nbytes == expected
         assert payload_frozen(payload)
@@ -159,11 +145,7 @@ class TestFreezeAndSize:
                 array[...] = 0
 
     def test_zoo_has_arrays_to_freeze(self):
-        assert len(_arrays_of(_payload_zoo()["nested"]())) == 5
-
-    def test_unknown_type(self):
-        with pytest.raises(TypeError):
-            _saver(object())[2]()
+        assert len(_arrays_of(_payload_zoo()["block-set-dict"]())) == 4
 
 
 class TestVersionTokens:
