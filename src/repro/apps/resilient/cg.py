@@ -188,13 +188,13 @@ class CGResilient(CGNonResilient, ReconstructableIterativeApp):
         m_total = sum(hi - lo for lo, hi in ranges)
 
         # Ship the referenced boundary values from their surviving owners.
-        needed = np.unique(a_j.indices)
+        needed = np.bincount(a_j.indices, minlength=self.n) > 0
         x_glob = np.zeros(self.n)
         for index in range(group.size):
             if index in lost:
                 continue  # lost ranges stay zero: spmv then yields A_JK x_K
             lo, hi = part.range_of(index)
-            count = int(np.count_nonzero((needed >= lo) & (needed < hi)))
+            count = int(np.count_nonzero(needed[lo:hi]))
             if count:
                 point_to_point(rt, group[index].id, solver_id, count * 8)
                 x_glob[lo:hi] = self.x.segment(index).data

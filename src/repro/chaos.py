@@ -305,17 +305,25 @@ def make_schedule(
     return dedupe_schedule(kills)
 
 
-def schedule_spec(
-    config: CampaignConfig,
-    index: int,
-    kills: List[ScriptedKill],
-    mode: RestoreMode,
-    checkpoint_mode: str,
-) -> WorldSpec:
-    """The world of schedule *index*: the campaign's base spec with the
-    schedule's kills and modes, and its transient-fault plan drawn —
-    deterministic in (campaign seed, index), in the order straggler,
-    partition, message-fault seed, corruption seed."""
+def schedule_spec(config: CampaignConfig, index: int) -> WorldSpec:
+    """The world of schedule *index*: the campaign's base spec with every
+    draw of the schedule — deterministic in (campaign seed, index).  Its
+    kills, restore mode and checkpoint mode come from
+    ``default_rng([seed, index])``, its transient-fault plan from
+    ``default_rng([seed, index, 17])`` in the order straggler, partition,
+    message-fault seed, corruption seed."""
+    rng = np.random.default_rng([config.seed, index])
+    # Reconstruct campaigns also draw kills fired mid-reconstruction.
+    kinds = _EVENT_KINDS
+    if config.recovery == "reconstruct":
+        kinds += ("reconstruct",)
+    kills = make_schedule(rng, config.places, config.iterations, kinds=kinds)
+    modes = [RestoreMode.SHRINK, RestoreMode.SHRINK_REBALANCE]
+    if config.spares > 0:
+        modes.append(RestoreMode.REPLACE_REDUNDANT)
+    mode = modes[int(rng.integers(len(modes)))]
+    checkpoint_mode = "overlapped" if rng.integers(2) else "blocking"
+
     trng = np.random.default_rng([config.seed, index, 17])
     draws: Dict[str, object] = {}
     if config.straggler_max > 1.0:
@@ -340,13 +348,14 @@ def schedule_spec(
 class PrefixCache:
     """Campaign-level cache of shared failure-free prefixes.
 
-    Schedules of one campaign differ only in their kills and in two
-    mode draws; everything before the first kill fires is the same
-    simulation, re-run hundreds of times.  The cache simulates that
-    shared prefix once per checkpoint mode (the only draw that changes
-    the failure-free world) and forks every schedule from the image at
-    its first-divergence boundary — bitwise identical to running from
-    scratch, minus the redundant prefix wall-clock.
+    A schedule whose world (:func:`schedule_spec`) equals the campaign's
+    once its kills and two mode draws are set aside (:meth:`shares`) runs
+    the same simulation as every other such schedule until its first kill
+    fires.  The cache simulates that shared prefix once per checkpoint
+    mode (the only draw that changes the failure-free world) and forks
+    each such schedule from the image at its first-divergence boundary —
+    bitwise identical to running from scratch, minus the redundant prefix
+    wall-clock.
 
     Each reference run executes the campaign's world with *no kills
     armed* and captures a :class:`~repro.engine.fork.SimulatorImage` at
@@ -357,10 +366,11 @@ class PrefixCache:
     any schedule whose first kill fires at boundary *b* or later is
     bitwise identical to the reference run up to boundary *b*.
 
-    Campaigns with any transient axis (drops, duplicates, stragglers,
-    corruption, partitions) or a failure detector draw *per-schedule*
-    randomness that perturbs the world from iteration zero, so no prefix
-    is shared and the cache declines (:meth:`usable`).
+    A schedule that drew a straggler, a partition, a message-fault or a
+    corruption seed lives in another world from iteration zero and runs
+    from scratch.  A failure detector draws nothing per schedule: its
+    heartbeats are part of the campaign's world, so detector schedules
+    fork like crash-only ones.
     """
 
     def __init__(self, config: CampaignConfig):
@@ -371,10 +381,13 @@ class PrefixCache:
         #: boundary, in boundary order.  Filled by :meth:`build`.
         self._worlds: Dict[str, Tuple[Dict, List[int], List[float]]] = {}
 
-    @staticmethod
-    def usable(config: CampaignConfig) -> bool:
-        """True when every schedule of *config* shares its prefix."""
-        return not config.transient and config.detect_timeout == 0
+    def shares(self, spec: WorldSpec) -> bool:
+        """True when schedule world *spec* is the campaign's world but for
+        its kills, restore mode and checkpoint mode."""
+        base = self.config.spec
+        return base == replace(
+            spec, kills=(), mode=base.mode, checkpoint_mode=base.checkpoint_mode
+        )
 
     def build(self) -> "PrefixCache":
         """Simulate both reference prefixes; call before the first
@@ -399,16 +412,12 @@ class PrefixCache:
         with rt:  # the images hold everything a fork needs
             return capture_boundaries(executor, observe=observe), phase_at, time_at
 
-    def fork(
-        self,
-        checkpoint_mode: str,
-        kills: List[ScriptedKill],
-        mode: RestoreMode,
-    ) -> Optional[IterativeExecutor]:
-        """A fresh executor resumed at this schedule's divergence boundary —
-        the latest boundary no kill of the schedule can fire before — with
-        *kills* armed; ``None`` when the schedule is not forkable and runs
-        from scratch.
+    def fork(self, spec: WorldSpec) -> Optional[IterativeExecutor]:
+        """A fresh executor of schedule world *spec* resumed at its
+        divergence boundary — the latest boundary no kill of the schedule
+        can fire before — with its kills armed; ``None`` when the schedule
+        is not forkable (another world, or a kill before the first
+        boundary) and runs from scratch.
 
         Per kill: an iteration trigger fires at the top of its iteration;
         a during-checkpoint trigger at occurrence *o* fires inside the
@@ -432,9 +441,11 @@ class PrefixCache:
         failure polls, and no kill of this schedule can fire before the
         resumed boundary.
         """
-        images, phase_at, time_at = self._worlds[checkpoint_mode]
+        if not self.shares(spec):
+            return None
+        images, phase_at, time_at = self._worlds[spec.checkpoint_mode]
         boundary = max(images)
-        for kill in kills:
+        for kill in spec.kills:
             if kill.iteration is not None:
                 kill_bound = kill.iteration
             elif kill.during == "checkpoint":
@@ -449,8 +460,8 @@ class PrefixCache:
                 return None
             boundary = min(boundary, kill_bound)
         executor = images[max(0, boundary)].load()
-        executor.mode = mode
-        for kill in kills:
+        executor.mode = spec.mode
+        for kill in spec.kills:
             executor.runtime.injector.add(kill)
         return executor
 
@@ -505,30 +516,28 @@ def _parity_covered(
 def run_schedule(
     config: CampaignConfig,
     index: int,
-    kills: List[ScriptedKill],
+    spec: WorldSpec,
     baseline: np.ndarray,
-    mode: RestoreMode,
-    checkpoint_mode: str,
     prefix: Optional[PrefixCache] = None,
 ) -> ScheduleOutcome:
-    """Run one schedule and check every recovery invariant.
+    """Run schedule *index*, whose world is *spec* (:func:`schedule_spec`),
+    and check every recovery invariant.
 
-    With a *prefix* cache the schedule resumes from the shared
-    failure-free image at its first-divergence boundary instead of
-    simulating the identical prefix again — bitwise identical outcome,
-    a fraction of the wall clock.
+    With a *prefix* cache a schedule that shares the campaign's world
+    resumes from the failure-free image at its first-divergence boundary
+    instead of simulating the identical prefix again — bitwise identical
+    outcome, a fraction of the wall clock.
     """
-    executor = None
-    if prefix is not None and PrefixCache.usable(config):
-        executor = prefix.fork(checkpoint_mode, kills, mode)
+    executor = None if prefix is None else prefix.fork(spec)
     if executor is None:
-        executor = schedule_spec(config, index, kills, mode, checkpoint_mode).build()[3]
+        executor = spec.build()[3]
     rt, app, store = executor.runtime, executor.app, executor.store
+    kills, mode = spec.kills, spec.mode
     outcome = ScheduleOutcome(
         index=index,
         kills=[_describe(k) for k in kills],
         status="clean",
-        detail=f"mode={mode.value} checkpoint_mode={checkpoint_mode}",
+        detail=f"mode={mode.value} checkpoint_mode={spec.checkpoint_mode}",
     )
     violations = outcome.violations
     with rt:
@@ -705,35 +714,14 @@ def run_schedule(
         return outcome
 
 
-def _campaign_index(
+def _run_drawn(
     config: CampaignConfig,
     baseline: np.ndarray,
     prefix: Optional[PrefixCache],
-    index: int,
+    drawn: Tuple[int, WorldSpec],
 ) -> ScheduleOutcome:
-    """Run schedule *index* of the campaign.
-
-    Every random draw (kills, restore mode, checkpoint mode, transients)
-    derives from ``(config.seed, index)`` alone, so this function is a
-    pure function of its arguments — the parallel pool below produces
-    bitwise-identical outcomes to the serial loop, in any worker order.
-    The prefix cache preserves that purity: a forked schedule replays the
-    exact failure-free prefix it would have simulated.
-    """
-    rng = np.random.default_rng([config.seed, index])
-    # Reconstruct campaigns also draw kills fired mid-reconstruction.
-    kinds = _EVENT_KINDS
-    if config.recovery == "reconstruct":
-        kinds += ("reconstruct",)
-    kills = make_schedule(rng, config.places, config.iterations, kinds=kinds)
-    modes = [RestoreMode.SHRINK, RestoreMode.SHRINK_REBALANCE]
-    if config.spares > 0:
-        modes.append(RestoreMode.REPLACE_REDUNDANT)
-    mode = modes[int(rng.integers(len(modes)))]
-    checkpoint_mode = "overlapped" if rng.integers(2) else "blocking"
-    return run_schedule(
-        config, index, kills, baseline, mode, checkpoint_mode, prefix=prefix
-    )
+    """:func:`run_schedule` on one ``(index, spec)`` of the campaign (a pool item)."""
+    return run_schedule(config, *drawn, baseline, prefix=prefix)
 
 
 def run_campaign(
@@ -743,25 +731,29 @@ def run_campaign(
 ) -> CampaignResult:
     """Run the full campaign; deterministic in ``config.seed``.
 
-    With ``jobs`` > 1 the schedules fan out over a process pool.  Each
-    schedule's randomness is derived from ``(seed, index)``, never from
-    shared generator state, so the result is bitwise identical to the
-    serial run — parallelism only changes the wall clock.
+    Every schedule's world is drawn up front from ``(seed, index)`` alone
+    (:func:`schedule_spec`), never from shared generator state, so with
+    ``jobs`` > 1 the schedules fan out over a process pool and the result
+    is bitwise identical to the serial run — parallelism only changes the
+    wall clock.
 
-    *prefix_cache* (default on) simulates the failure-free prefix shared
-    by the campaign's schedules once per checkpoint mode and forks every
-    schedule from the image at its first-divergence boundary (see
-    :class:`PrefixCache`); outcomes are bitwise identical either way.
-    Campaigns with transient axes or a detector decline the cache.
+    *prefix_cache* (default on) simulates the failure-free prefix once per
+    checkpoint mode when some schedule shares the campaign's world, and
+    forks each such schedule from the image at its first-divergence
+    boundary (see :class:`PrefixCache`); outcomes are bitwise identical
+    either way.
     """
     baseline = failure_free_result(APPS[config.app], config.places, config.iterations)
-    prefix = None
-    if prefix_cache and PrefixCache.usable(config):
+    drawn = [(index, schedule_spec(config, index)) for index in range(config.schedules)]
+    prefix = PrefixCache(config)
+    if prefix_cache and any(prefix.shares(spec) for _, spec in drawn):
         # Built eagerly in the parent so pool workers inherit (fork) or
         # receive (spawn) ready images instead of each rebuilding them.
-        prefix = PrefixCache(config).build()
-    worker = partial(_campaign_index, config, baseline, prefix)
-    return CampaignResult(config, pmap(worker, range(config.schedules), jobs))
+        prefix.build()
+    else:
+        prefix = None
+    worker = partial(_run_drawn, config, baseline, prefix)
+    return CampaignResult(config, pmap(worker, drawn, jobs))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from repro.resilience.protection import Protection
 from repro.resilience.snapshot import Snapshottable
 from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.runtime import Runtime
-from repro.util.payload import FRAMING_BYTES
 from repro.util.validation import require
 from repro.util.versioning import next_version
 
@@ -144,17 +143,6 @@ class MultiPlaceObject(Snapshottable):
 
     # -- delta checkpointing -------------------------------------------------
 
-    def partition_versions(self) -> dict:
-        """Per-partition mutation tokens: ``{group index: version token}``.
-
-        The cheap dirty test delta checkpointing is built on — comparing
-        one token per partition replaces hashing the partition's bytes.
-        """
-        return {
-            index: self._token_of(self.payload_at_index(index))
-            for index in range(self.group.size)
-        }
-
     def _snapshot_partitions(
         self,
         meta: dict,
@@ -216,20 +204,6 @@ class MultiPlaceObject(Snapshottable):
         """Raise ``DeadPlaceException`` if any member place has died."""
         for place in self.group:
             self.runtime.check_alive(place.id)
-
-    # -- introspection ------------------------------------------------------
-
-    def total_nbytes(self) -> float:
-        """Sum of payload bytes across live member places: each place's
-        ``nbytes`` (a single-place numeric or a ``BlockSet``) plus one
-        :data:`~repro.util.payload.FRAMING_BYTES` header."""
-        total = 0.0
-        for place in self.group:
-            if self.runtime.is_alive(place.id):
-                payload = self.runtime.heap_of(place.id).get_or(self.heap_key)
-                if payload is not None:
-                    total += payload.nbytes + FRAMING_BYTES
-        return total
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(oid={self.oid}, group={self.group.ids})"

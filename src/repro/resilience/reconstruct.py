@@ -33,7 +33,6 @@ from repro.resilience.protection import Protection
 from repro.resilience.snapshot import DistObjectSnapshot, Snapshottable
 from repro.runtime.place import PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
-from repro.util.payload import version_token
 from repro.util.validation import require
 
 
@@ -106,15 +105,14 @@ class ReconstructionStore:
             damaged = [key for key in snap.saved_keys() if not snap.key_intact(key)]
             if not damaged:
                 continue
-            heap_key = obj.heap_key
             sub = PlaceGroup([new_group[key] for key in damaged])
             key_of = {new_group[key].id: key for key in damaged}
 
-            def resave(ctx: PlaceContext, snap=snap, heap_key=heap_key, key_of=key_of):
+            def resave(ctx: PlaceContext, snap=snap, obj=obj, key_of=key_of):
                 # An alias, not the live object, whose next touch() + write would reach it.
-                live = ctx.heap.get(heap_key)
+                live = ctx.heap.get(obj.heap_key)
                 snap.save_from(
-                    ctx, key_of[ctx.place.id], live.freeze_view(), token=version_token(live)
+                    ctx, key_of[ctx.place.id], live.freeze_view(), token=obj._token_of(live)
                 )
 
             self.runtime.finish_all(sub, resave, label="reconstruct:repair")

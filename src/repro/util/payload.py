@@ -88,18 +88,6 @@ def payload_nbytes(payload: Any) -> int:
     return nbytes
 
 
-def version_token(payload: Any) -> Any:
-    """The mutation token of *payload*: a leaf's ``version``, a block set's
-    ``((key, version), ...)`` in key order, ``None`` for an ndarray (which is
-    untracked, so always treated as dirty)."""
-    if hasattr(type(payload), "ARRAY_NAMES"):
-        return payload.version
-    if isinstance(payload, np.ndarray):
-        return None
-    keys, items = leaves(payload)
-    return tuple(sorted(zip(keys, [leaf.version for leaf in items])))
-
-
 def freeze_payload(payload: Any) -> None:
     """Mark every backing array of *payload* read-only (copy-on-write)."""
     if isinstance(payload, np.ndarray):

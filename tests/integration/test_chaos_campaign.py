@@ -13,6 +13,8 @@ campaign runner asserts, per schedule, that
 * ``DataLossError`` never escapes a store with the stable-storage tier.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,14 @@ from repro.baseline import failure_free_result
 from repro.bench.catalogue import APPS, CHAOS_APP_NAMES
 from repro.chaos import (
     CampaignConfig,
-    _campaign_index,
+    PrefixCache,
     dedupe_schedule,
     make_schedule,
     run_campaign,
+    run_schedule,
+    schedule_spec,
 )
+from repro.resilience.executor import IterativeExecutor
 from repro.runtime.failure import ScriptedKill
 
 SCHEDULES = 200
@@ -160,6 +165,75 @@ def test_summary_mentions_every_status():
         assert status in text
 
 
+class TestPrefixCacheForksEqualWorlds:
+    # A detector draws nothing per schedule, so every schedule of a
+    # detector + partition campaign that drew no partition lives in the
+    # campaign's world and forks from the reference prefix; one that drew
+    # a partition runs from scratch.
+
+    # Spares make the restore-mode draw visible in the reports (a tiny
+    # world costs no virtual time, so shrink and shrink-rebalance match).
+    CONFIG = CampaignConfig(
+        app="linreg", schedules=40, seed=3, detect_timeout=0.5, partition_rate=0.3, spares=2
+    )
+
+    @staticmethod
+    def _forks(monkeypatch) -> list:
+        forked = []
+        fork = PrefixCache.fork
+
+        def recorded(self, spec):
+            executor = fork(self, spec)
+            forked.append(executor is not None)
+            return executor
+
+        monkeypatch.setattr(PrefixCache, "fork", recorded)
+        return forked
+
+    def test_forked_outcomes_and_reports_equal_cache_off(self, monkeypatch):
+        # Outcomes alone are coarse (a healed partition rarely moves a
+        # status), so every schedule's full report is compared too.
+        reports = []
+        run = IterativeExecutor.run
+
+        def recorded(self, boundary_hook=None):
+            try:
+                return run(self, boundary_hook)
+            finally:
+                if boundary_hook is None:  # a schedule, not a reference run
+                    reports.append(asdict(self._loop.report))
+
+        monkeypatch.setattr(IterativeExecutor, "run", recorded)
+        on = run_campaign(self.CONFIG)
+        on_reports = reports[:]
+        reports.clear()
+        off = run_campaign(self.CONFIG, prefix_cache=False)
+        assert on.outcomes == off.outcomes
+        assert len(on_reports) == self.CONFIG.schedules and on_reports == reports
+
+    def test_every_schedule_without_a_partition_forks(self, monkeypatch):
+        # A phase trigger can fall inside world construction, before the
+        # first boundary: such a schedule shares the world but runs from
+        # scratch.
+        forked = self._forks(monkeypatch)
+        run_campaign(self.CONFIG)
+        specs = [schedule_spec(self.CONFIG, index) for index in range(self.CONFIG.schedules)]
+        assert len(forked) == len(specs)
+        for spec, fork in zip(specs, forked):
+            if spec.partitions:
+                assert not fork
+            elif all(kill.phase is None for kill in spec.kills):
+                assert fork
+        assert 0 < sum(forked) < len(specs)
+
+    def test_a_message_fault_campaign_captures_no_reference_world(self, monkeypatch):
+        forked = self._forks(monkeypatch)
+        captured = []
+        monkeypatch.setattr(PrefixCache, "_capture", lambda self, mode: captured.append(mode))
+        run_campaign(CampaignConfig(app="linreg", schedules=10, seed=3, drop_rate=0.05))
+        assert captured == [] and forked == []
+
+
 class TestDedupeSchedule:
     # Regression surfaced by simultaneous-kill support: the "double" kind
     # draws its two victims with replacement, so a raw schedule can name
@@ -260,7 +334,7 @@ def test_cg_reconstruct_spare_reused_at_another_index():
     # the run converged 2.4e-1 away from the failure-free answer.
     config = CampaignConfig(app="cg", seed=99, recovery="reconstruct", spares=2)
     baseline = failure_free_result(APPS["cg"], config.places, config.iterations)
-    outcome = _campaign_index(config, baseline, None, 1)
+    outcome = run_schedule(config, 1, schedule_spec(config, 1), baseline)
     assert outcome.kills == ["p3@phase39", "p5@checkpoint#1", "p2@iter5"]
     assert outcome.violations == []
     assert outcome.status == "recovered"

@@ -5,7 +5,6 @@ import pytest
 
 from repro.matrix.block import BlockSet, MatrixBlock
 from repro.matrix.dense import DenseMatrix
-from repro.matrix.distblock import DistBlockMatrix
 from repro.matrix.dupvector import DupVector
 from repro.matrix.grid import Grid
 from repro.matrix.sparse import SparseCSR
@@ -97,12 +96,6 @@ class TestBlockSet:
 
 
 class TestMultiPlaceObject:
-    def test_total_nbytes(self):
-        rt = make_rt(3)
-        v = DupVector.make(rt, 8)
-        # 3 copies x (8 doubles + one FRAMING_BYTES header).
-        assert v.total_nbytes() == 3 * (64 + 64)
-
     def test_destroy_then_group_alive_check(self):
         rt = make_rt(3)
         v = DupVector.make(rt, 4)
@@ -122,10 +115,3 @@ class TestMultiPlaceObject:
         a, b = DupVector.make(rt, 2), DupVector.make(rt, 2)
         assert a.oid != b.oid
         assert a.heap_key != b.heap_key
-
-    def test_total_nbytes_skips_dead_places(self):
-        rt = make_rt(3)
-        g = DistBlockMatrix.make_dense(rt, 9, 3, 3, 1).init_random(1)
-        full = g.total_nbytes()
-        rt.kill(2)
-        assert g.total_nbytes() < full

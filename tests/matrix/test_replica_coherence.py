@@ -181,12 +181,12 @@ def test_a_memo_hit_rebinds_under_adopts_contract():
     rt = Runtime(4, cost=CostModel.zero(), resilient=True)
     dup = DupVector.make(rt, N).init(1.0)
     base = dup.make_snapshot()
-    saved = dup.partition_versions()
+    saved = {i: dup._token_of(dup.payload_at_index(i)) for i in range(dup.group.size)}
     assert all(base.can_reuse(index, token) for index, token in saved.items())
 
     dup.scale(2.0)  # the kernel runs at place 0; places 1..3 take memo hits
     assert_coherent(dup)
-    tokens = dup.partition_versions()
+    tokens = {i: dup._token_of(dup.payload_at_index(i)) for i in range(dup.group.size)}
     assert len(set(tokens.values()) | set(saved.values())) == 2 * len(saved)
     # Every rebound replica reads dirty, so a delta checkpoint saves it.
     assert not any(base.can_reuse(index, token) for index, token in tokens.items())

@@ -13,7 +13,7 @@ from repro.resilience.store import AppResilientStore
 from repro.runtime import CostModel, PlaceGroup, Runtime
 from repro.util import checksum
 from repro.util.checksum import memoized_checksum, payload_checksum
-from repro.util.payload import freeze_payload, payload_frozen, version_token
+from repro.util.payload import freeze_payload, payload_frozen
 
 
 def make_rt(n=4, cost=None, **kw):
@@ -45,17 +45,10 @@ class TestVersionTracking:
     def test_partition_versions_track_mutation(self):
         rt = make_rt()
         v = DupVector.make(rt, 8).init(1.0)
-        before = v.partition_versions()
-        assert set(before) == {0, 1, 2, 3}
+        before = [v._token_of(v.payload_at_index(i)) for i in range(4)]
         v.scale(2.0)
-        after = v.partition_versions()
-        assert all(after[i] != before[i] for i in before)
-
-    def test_version_token_dispatch(self):
-        v = Vector.make(2)
-        assert version_token(v) == v.version
-        assert version_token({(0, 0): v}) == (((0, 0), v.version),)
-        pytest.raises(TypeError, version_token, object())
+        after = [v._token_of(v.payload_at_index(i)) for i in range(4)]
+        assert all(a != b for a, b in zip(after, before))
 
 
 class TestCopyOnWrite:
@@ -210,7 +203,7 @@ class TestDeltaStore:
         store.save(v)
         store.commit(0)
         snap = store.latest().snapshots[v]
-        token = v.partition_versions()[0]
+        token = v._token_of(v.payload_at_index(0))
         assert snap.can_reuse(0, token)
         # Partition 0's bytes are unchanged, but its backup replica died
         # with its place: redundancy is degraded, so reuse must be refused

@@ -4,7 +4,8 @@
 straight from its file, so no process imports ``scipy.sparse`` (about
 21 MiB and 0.15 s of package init) just to reach the kernels, and serial
 runs never import :mod:`multiprocessing`.  Each case runs in a fresh
-interpreter: the test process itself has long since imported both.
+interpreter: the test process itself has long since imported both.  Nor
+does a reconstructing CG run import ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -62,6 +63,40 @@ def test_entry_points_import_neither_scipy_sparse_nor_multiprocessing():
     # tests/matrix/test_sparse.py holds every kernel to.
     assert out["kernels"] == scipy.sparse._sparsetools.__file__
     assert out["pooled"] == out["serial"]
+
+
+def test_cg_reconstruct_does_not_import_numpy_ma():
+    # ``np.unique`` imports ``numpy.ma`` (about 1.3 MiB of RSS); the lost-x
+    # solve of a reconstructing CG run counts referenced columns without it.
+    proc = _run(
+        """
+        import json, sys
+        from repro.world import WorldSpec
+
+        spec = WorldSpec(
+            "cg", places=6, iterations=12, checkpoint_interval=4, workload="tiny",
+            fail_at=(6, 6), victim=(2, 3), replicas=2, placement="spread", spares=2,
+            mode="replace-redundant", recovery="reconstruct",
+        )
+        spec.validate()
+        rt, _, _, executor = spec.build()
+        with rt:
+            report = executor.run()
+        print(json.dumps({
+            "reconstructions": report.reconstructions,
+            "restores": report.restores,
+            "loaded": sorted(
+                name for name in sys.modules
+                if name == "numpy.ma" or name.startswith("numpy.ma.")
+            ),
+        }))
+        """,
+        str(SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["reconstructions"] == 1 and out["restores"] == 0
+    assert out["loaded"] == []
 
 
 def test_missing_extension_is_an_import_error_naming_the_directory(tmp_path):

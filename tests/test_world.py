@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.baseline import failure_free_result
 from repro.bench.catalogue import APPS, CHAOS_APP_NAMES
-from repro.chaos import CampaignConfig, _campaign_index, schedule_spec
+from repro.chaos import CampaignConfig, run_schedule, schedule_spec
 from repro.resilience.executor import RestoreMode
 from repro.runtime.exceptions import DataLossError
 from repro.runtime.runtime import Runtime
@@ -158,7 +158,7 @@ def test_every_campaign_is_refused_up_front_or_runs_a_schedule(fields):
         return
     config = made[0]
     baseline = failure_free_result(APPS[config.app], config.places, config.iterations)
-    outcome = _campaign_index(config, baseline, None, 0)
+    outcome = run_schedule(config, 0, schedule_spec(config, 0), baseline)
     assert outcome.status in (
         "clean", "recovered", "violated", "data_loss", "data_loss_accepted",
         "corruption_loss_accepted",
@@ -173,12 +173,13 @@ def test_the_campaign_replicas_default_follows_the_placement():
 
 def test_a_schedule_replaces_only_its_draws():
     config = CampaignConfig(app="linreg", drop_rate=0.1, straggler_max=3.0)
-    spec = schedule_spec(config, 4, [], RestoreMode.SHRINK, "overlapped")
+    spec = schedule_spec(config, 4)
     assert replace(
-        spec, straggler=(), fault_seed=None, mode=config.spec.mode, checkpoint_mode="blocking"
+        spec, kills=(), straggler=(), fault_seed=None, mode=config.spec.mode,
+        checkpoint_mode=config.spec.checkpoint_mode,
     ) == config.spec
-    assert spec.straggler and spec.fault_seed is not None
-    assert schedule_spec(config, 4, [], RestoreMode.SHRINK, "overlapped") == spec
+    assert spec.kills and spec.straggler and spec.fault_seed is not None
+    assert schedule_spec(config, 4) == spec
 
 
 @pytest.mark.parametrize(
