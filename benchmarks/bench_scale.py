@@ -20,9 +20,10 @@ so a cell that would otherwise grow until the kernel kills it dies early with
 
 ``--smoke`` is the CI gate (job ``scale-smoke``): pagerank at 256 and 1024
 and linreg at 1024 places on this tree only; exit 1 unless each finishes
-under 2 GiB and prints the virtual total committed for its cell in
-``BENCH_scale.json`` (``change.virtual_total_s``): a host-side speed change
-cannot move a simulated number at 1024 places unnoticed.
+under 2 GiB, peaks at no more than 1.1x the RSS committed for its cell in
+``BENCH_scale.json`` (``change.peak_rss_mb``) and prints the virtual total
+committed there (``change.virtual_total_s``): a host-side change can neither
+grow a 1024-place run's memory nor move a simulated number unnoticed.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ SMOKE_CELLS: Tuple[Tuple[str, int, Optional[str]], ...] = (
     ("pagerank", 256, None), ("pagerank", 1024, None), ("linreg", 1024, None),
 )
 SMOKE_RSS_MB = 2048.0
+#: A smoke cell may peak at most this much above its committed ``peak_rss_mb``.
+SMOKE_RSS_GROWTH = 1.1
 _VIRTUAL_TOTAL = re.compile(r"^virtual total:\s+([0-9.eE+-]+) s", re.MULTILINE)
 
 
@@ -123,21 +126,30 @@ def main(argv=None) -> int:
 
     if args.smoke:
         pinned = {
-            (row["app"], row["places"], row.get("mode")): row["change"].get("virtual_total_s")
+            (row["app"], row["places"], row.get("mode")): row["change"]
             for row in json.loads((ROOT / "BENCH_scale.json").read_text())["cells"]
         }
         bad = 0
         for app, places, mode in SMOKE_CELLS:
             cell = run_cell(ROOT, app, places, mode, args.limit_gib)
             _show("change", app, places, mode, cell)
-            committed = pinned.get((app, places, mode))
+            committed = pinned.get((app, places, mode), {})
+            rss_cap = SMOKE_RSS_GROWTH * committed.get("peak_rss_mb", float("nan"))
             if cell["status"] != "ok" or cell["peak_rss_mb"] >= SMOKE_RSS_MB:
                 print(f"::error::{app} at {places} places: not ok under {SMOKE_RSS_MB:.0f} MiB")
                 bad = 1
-            elif cell["virtual_total_s"] != committed:
+            elif not cell["peak_rss_mb"] <= rss_cap:
+                print(
+                    f"::error::{app} at {places} places: peak RSS {cell['peak_rss_mb']} MiB, "
+                    f"over {SMOKE_RSS_GROWTH}x the {committed.get('peak_rss_mb')} MiB "
+                    f"BENCH_scale.json has"
+                )
+                bad = 1
+            elif cell["virtual_total_s"] != committed.get("virtual_total_s"):
                 print(
                     f"::error::{app} at {places} places: virtual total "
-                    f"{cell['virtual_total_s']} s, BENCH_scale.json has {committed} s"
+                    f"{cell['virtual_total_s']} s, BENCH_scale.json has "
+                    f"{committed.get('virtual_total_s')} s"
                 )
                 bad = 1
         return bad

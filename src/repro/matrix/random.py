@@ -36,13 +36,15 @@ import numpy as np
 
 from repro.matrix.dense import DenseMatrix
 from repro.matrix.grid import offsets_of
-from repro.matrix.sparse import _INDEX_DTYPE, SparseCSR, _compress_uniform
+from repro.matrix.sparse import SparseCSR, _compress_uniform, _require_indexable
 from repro.util.validation import check_positive, require
 
 
-#: Byte budget of :data:`_input_memo`: every input the repo's sweeps,
-#: campaigns and streams generate fits several times over (the largest, the
-#: 44-place link graph, is 70 MB).
+#: Byte budget of :data:`_input_memo`, charged each entry's ``nbytes``: a
+#: link graph's modeled size (16 bytes per entry), of which its ``int32``
+#: indices hold 12.  Every input the repo's sweeps, campaigns and streams
+#: generate fits several times over (the largest, the 44-place link graph,
+#: is charged 70 MB and holds 53 MB).
 _INPUT_MEMO_BYTES = 256 << 20
 
 
@@ -196,12 +198,14 @@ class LinkMatrix:
     Because destinations are a pure function of ``(seed, j, k)``, the
     logical matrix is identical under every grid, which the
     shrink-rebalance restore requires: any block is a region of the one
-    memoized global CSR.
+    memoized global CSR.  A graph of ``n * out_degree >= 2**31`` edges is
+    refused at construction: its ``int32`` indices might not fit.
     """
 
     def __init__(self, n: int, out_degree: int, seed: int = 0):
         check_positive(n, "n")
         check_positive(out_degree, "out_degree")
+        _require_indexable(n, n, n * out_degree)
         self.n = n
         self.out_degree = out_degree
         self.seed = seed
@@ -241,7 +245,7 @@ class LinkMatrix:
         key %= n
         key *= n
         key += src
-        key = key.reshape(-1).view(_INDEX_DTYPE)
+        key = key.reshape(-1).view(np.int64)
         key.sort()
         return key
 

@@ -34,6 +34,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.util.payload import MODELED_INDEX, STORED_INDEX
 from repro.util.validation import require
 from repro.util.versioning import next_version
 
@@ -62,7 +63,14 @@ def _load_sparsetools():
 
 _sparsetools = _load_sparsetools()
 
-_INDEX_DTYPE = np.int64
+#: Stored width of ``indptr`` and ``indices``; the compiled kernels take it as
+#: it is.  The cost model still counts 8 bytes per index, X10 GML's ``Long``
+#: (:mod:`repro.util.payload`).  COO triplets and the linear keys
+#: ``major * n_minor + minor`` a build sorts stay ``int64``.
+_INDEX_DTYPE = STORED_INDEX
+#: A matrix whose dimension or stored-entry count reaches this is refused
+#: at construction: its indices would not fit :data:`_INDEX_DTYPE`.
+_INDEX_LIMIT = 1 << 31
 
 #: Minimum triplet count for computing ``from_coo``'s sort order with
 #: scipy's counting passes instead of ``np.argsort``.  The counting sort is
@@ -74,12 +82,25 @@ _SCIPY_BUILD_MIN = 1024
 
 
 def _as_index(a) -> np.ndarray:
+    """*a* as stored indices: an ``int32`` array is taken as it is."""
     return np.asarray(a, dtype=_INDEX_DTYPE)
 
 
+def _require_indexable(m: int, n: int, nnz: int = 0) -> None:
+    """Refuse an ``m × n`` matrix of *nnz* entries whose indices would not
+    fit :data:`_INDEX_DTYPE` — before anything of that size is allocated."""
+    if m >= _INDEX_LIMIT or n >= _INDEX_LIMIT or nnz >= _INDEX_LIMIT:
+        raise ValueError(
+            f"a {m} x {n} sparse matrix of {nnz} entries does not fit int32 indices"
+            " (dimensions and entry count must stay below 2**31)"
+        )
+
+
 def _check_coo(m: int, n: int, rows, cols, vals) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate caller-supplied triplets once; returns them as typed arrays."""
-    rows, cols = _as_index(rows), _as_index(cols)
+    """Validate caller-supplied triplets once; returns them as typed arrays
+    (the indices as ``int64``, the width of the keys they are sorted by)."""
+    _require_indexable(m, n, len(rows))
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.float64)
     require(len(rows) == len(cols) == len(vals), "COO arrays differ in length")
     if len(rows):
@@ -94,11 +115,13 @@ def _recompress(n_major: int, n_minor: int, indptr, indices, data):
 
     Returns ``(indptr, indices, data)`` with ``n_minor + 1`` pointers; the
     bucketing keeps major order within each minor index, so it is stable.
+    The index arrays come back in the dtype of *indices*, which *indptr*
+    must share.
     """
-    nnz = len(indices)
+    nnz, index = len(indices), indices.dtype
     out = (
-        np.empty(n_minor + 1, dtype=_INDEX_DTYPE),
-        np.empty(nnz, dtype=_INDEX_DTYPE),
+        np.empty(n_minor + 1, dtype=index),
+        np.empty(nnz, dtype=index),
         np.empty(nnz, dtype=data.dtype),
     )
     _sparsetools.csr_tocsc(n_major, n_minor, indptr, indices, data, *out)
@@ -111,10 +134,12 @@ def _scipy_stable_order(major: np.ndarray, minor: np.ndarray, n_major: int, n_mi
     A csr→csc conversion of a matrix with one entry per row buckets the row
     numbers by ``indices``, "row indices in sorted order": a stable argsort.
     LSD radix order — *minor* first, then *major*.  No intermediate holds a
-    duplicate cell, and the conversion never sums one anyway.
+    duplicate cell, and the conversion never sums one anyway.  Every array
+    is of *major*'s dtype, which *minor* must share (``int64`` from
+    :func:`_check_coo`).
     """
     count = len(major)
-    one_per_row = np.arange(count + 1, dtype=_INDEX_DTYPE)
+    one_per_row = np.arange(count + 1, dtype=major.dtype)
     by_minor = _recompress(count, n_minor, one_per_row, minor, one_per_row[:count])[1]
     return _recompress(count, n_major, one_per_row, major[by_minor], by_minor)[2]
 
@@ -144,11 +169,14 @@ def _run_starts(linear: np.ndarray) -> np.ndarray:
 
 
 def _compress_unique(n_major: int, n_minor: int, unique: np.ndarray):
-    """``(indptr, indices)`` of sorted distinct keys ``major * n_minor + minor``;
-    *unique* is reduced to the minor indices in place."""
-    indptr = np.searchsorted(unique, np.arange(n_major + 1, dtype=_INDEX_DTYPE) * n_minor)
-    unique %= n_minor
-    return indptr, unique
+    """``(indptr, indices)``, stored-width, of sorted distinct ``int64`` keys
+    ``major * n_minor + minor``.  Each minor index is written straight into
+    the ``int32`` array: no full-width copy of the keys exists."""
+    bounds = np.arange(n_major + 1, dtype=np.int64) * n_minor
+    indptr = np.searchsorted(unique, bounds).astype(_INDEX_DTYPE)
+    indices = np.empty(len(unique), dtype=_INDEX_DTYPE)
+    np.remainder(unique, n_minor, out=indices, casting="unsafe")
+    return indptr, indices
 
 
 def _compress_sorted(n_major: int, n_minor: int, linear: np.ndarray, vals: np.ndarray):
@@ -173,7 +201,8 @@ def _compress_uniform(n_major: int, n_minor: int, linear: np.ndarray, weight: fl
     running-sum array exists.  The caller hands *linear* over as a call's
     result, holding no name for it (``LinkMatrix.global_csr`` does): CPython
     3.11+ then moves the only reference into this frame, and the keys are
-    freed once compacted to one per run.
+    freed once compacted to one per run, the distinct keys once written
+    out as ``int32`` indices — before the values exist.
     """
     total, first = len(linear), _run_starts(linear)
     unique = linear[first]
@@ -184,13 +213,13 @@ def _compress_uniform(n_major: int, n_minor: int, linear: np.ndarray, weight: fl
     np.subtract(starts[1:], starts[:-1], out=lengths[:-1], casting="unsafe")
     lengths[-1:] = total - starts[-1:]
     del starts
+    indptr, indices = _compress_unique(n_major, n_minor, unique)
+    del unique
     top = int(lengths.max(initial=0))
     k = np.arange(top + 1)
     runs = np.repeat(k, k)  # k copies of k: bin k sums k copies of weight, in order
     table = np.bincount(runs, weights=np.full(len(runs), weight))
-    values = table[lengths]
-    del lengths
-    return (*_compress_unique(n_major, n_minor, unique), values)
+    return indptr, indices, table[lengths]
 
 
 def _joined(parts: List[np.ndarray]) -> np.ndarray:
@@ -234,6 +263,11 @@ def _joined(parts: List[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _modeled_nbytes(self) -> int:
+    # An index counts at the modeled width, whatever width it is held at.
+    return (self.indptr.size + self.indices.size) * MODELED_INDEX.itemsize + self.values.nbytes
+
+
 def _freeze_view(self):
     """Freeze the backing arrays and return a snapshot alias sharing them."""
     self.indptr.setflags(write=False)
@@ -257,8 +291,11 @@ def _init(self, m: int, n: int, indptr, indices, values):
     ``indptr`` runs over: 0 (rows) for CSR, 1 (columns) for CSC.
     """
     self.m, self.n = int(m), int(n)
-    self.indptr = _as_index(indptr)
-    self.indices = _as_index(indices)
+    _require_indexable(self.m, self.n, len(indices))
+    # Checked at full width and narrowed after: narrowing first would wrap a
+    # pointer or index past 2**31 back into range.
+    self.indptr = np.asarray(indptr, dtype=np.int64)
+    self.indices = np.asarray(indices, dtype=np.int64)
     self.values = np.asarray(values, dtype=np.float64)
     self.version = next_version()
     major, dims = self._MAJOR, (self.m, self.n)
@@ -273,14 +310,16 @@ def _init(self, m: int, n: int, indptr, indices, values):
             f"{('column', 'row')[major]} index out of range",
         )
     require(bool(np.all(np.diff(self.indptr) >= 0)), "indptr must be non-decreasing")
+    self.indptr, self.indices = _as_index(self.indptr), _as_index(self.indices)
 
 
 def _build(cls, m: int, n: int, indptr, indices, values):
     """Construct from arrays that hold the format's invariants by construction.
 
     Internal fast path for kernel results (``from_coo`` output, region
-    extraction, stacking, conversions) — the full validation of the public
-    constructor stays on caller-supplied arrays.
+    extraction, stacking, conversions, a parity rebuild's ``int64`` arrays,
+    narrowed here) — the full validation of the public constructor stays on
+    caller-supplied arrays.
     """
     self = object.__new__(cls)
     self.m, self.n = int(m), int(n)
@@ -316,6 +355,8 @@ class SparseCSR:
     @classmethod
     def empty(cls, m: int, n: int) -> "SparseCSR":
         """An all-zero sparse matrix."""
+        if m >= _INDEX_LIMIT or n >= _INDEX_LIMIT:  # no call on this allocation path
+            _require_indexable(m, n)
         return cls._build(m, n, np.zeros(m + 1, dtype=_INDEX_DTYPE), [], [])
 
     @classmethod
@@ -350,8 +391,9 @@ class SparseCSR:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the compressed representation."""
-        return int(self.indptr.nbytes + self.indices.nbytes + self.values.nbytes)
+        """Modeled bytes of the compressed representation: 8 per index (the
+        stored ``int32`` counted as GML's ``Long``) and 8 per value."""
+        return _modeled_nbytes(self)
 
     def density(self) -> float:
         """Fraction of stored cells."""
@@ -578,6 +620,8 @@ class SparseCSC:
 
     @classmethod
     def empty(cls, m: int, n: int) -> "SparseCSC":
+        if m >= _INDEX_LIMIT or n >= _INDEX_LIMIT:
+            _require_indexable(m, n)
         return cls._build(m, n, np.zeros(n + 1, dtype=_INDEX_DTYPE), [], [])
 
     @classmethod
@@ -603,7 +647,7 @@ class SparseCSC:
 
     @property
     def nbytes(self) -> int:
-        return int(self.indptr.nbytes + self.indices.nbytes + self.values.nbytes)
+        return _modeled_nbytes(self)
 
     def to_dense(self) -> np.ndarray:
         # Column-major, as scipy's: the transposed view of the output is the

@@ -35,8 +35,10 @@ Simulation note: XOR blocks are *really* computed over the members' bytes
 the original), while the virtual-time charge follows the cost model's
 dirty-bytes accounting — the same wall-work/modeled-cost split the rest of
 the store uses.  There is one encoding, for every payload: a member's XOR
-operand is the bytes of its backing arrays end to end, in ``ARRAY_NAMES``
-order (a block set ``{(rb, cb): block}``: block by block, in dict order;
+operand is the bytes of its backing arrays end to end, each at the
+model's width (a sparse leaf's ``int32`` indices widened to ``int64``,
+:mod:`repro.util.payload`), in ``ARRAY_NAMES`` order (a block set
+``{(rb, cb): block}``: block by block, in dict order;
 :func:`repro.util.payload.leaves` and :func:`~repro.util.payload.arrays`).
 A block is therefore a function of the members' *values* and of nothing
 the host keeps beside them — not memoized kernel handles, not version
@@ -65,6 +67,8 @@ from repro.runtime.runtime import PlaceContext, Runtime
 from repro.util.checksum import corrupt_payload, memoized_checksum
 from repro.util.payload import (
     FRAMING_BYTES,
+    MODELED_INDEX,
+    STORED_INDEX,
     arrays,
     freeze_payload,
     from_leaves,
@@ -81,11 +85,12 @@ def _encode(payload: Any) -> Tuple[np.ndarray, int, tuple]:
     """``(XOR operand, bytes charged and reported, rebuild template)`` of one
     group member.
 
-    The operand is the member's backing arrays as bytes, end to end (zero-copy
-    for a single buffer).  The template is what :func:`_decode` needs to cut
-    those bytes back into the payload, values only: the dict keys of a block
-    set (None for a single leaf) and, per leaf, its class, its ``shape`` and
-    each array's ``(dtype, shape)``.
+    The operand is the member's backing arrays as bytes, end to end, a
+    stored ``int32`` index array widened to ``int64`` (zero-copy for a
+    single buffer).  The template is what :func:`_decode` needs to cut
+    those bytes back into the payload, values only: the dict keys of a
+    block set (None for a single leaf) and, per leaf, its class, its
+    ``shape`` and each widened array's ``(dtype, shape)``.
 
     A single-buffer member is charged at its buffer bytes, a block set or a
     multi-array (sparse) member at its modeled ``payload_nbytes``: the two
@@ -97,6 +102,8 @@ def _encode(payload: Any) -> Tuple[np.ndarray, int, tuple]:
     for leaf in items:
         specs = []
         for arr in arrays(leaf):
+            if arr.dtype == STORED_INDEX:
+                arr = arr.astype(MODELED_INDEX)
             specs.append((arr.dtype, arr.shape))
             flat.append(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
         recipe.append((type(leaf), getattr(leaf, "shape", None), specs))
@@ -112,9 +119,10 @@ def _decode(stream: np.ndarray, template: tuple) -> Any:
 
     Arrays are cut as views of *stream* (which the caller gives up) and each
     leaf is rebuilt by its class's ``from_payload_arrays``, which validates
-    nothing: the caller checks the result against the key's save-time CRC
-    before anyone sees it.  (A member is a partition: a leaf or a block
-    set, never a bare ndarray.)
+    nothing (a sparse leaf narrows the ``int64`` indices it is handed back
+    to its stored width): the caller checks the result against the key's
+    save-time CRC before anyone sees it.  (A member is a partition: a leaf
+    or a block set, never a bare ndarray.)
     """
     keys, recipe = template
     items, offset = [], 0

@@ -46,7 +46,7 @@ from repro.runtime.exceptions import (
 from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
 from repro.util.checksum import corrupt_payload, memoized_checksum
-from repro.util.payload import BLOCK_KEY_NBYTES, FRAMING_BYTES
+from repro.util.payload import BLOCK_KEY_NBYTES, FRAMING_BYTES, MODELED_INDEX, STORED_INDEX
 from repro.util.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - the protection module imports this one
@@ -262,7 +262,10 @@ class DistObjectSnapshot:
             for name in names:
                 array = getattr(leaf, name)
                 array.setflags(write=False)
-                nbytes += array.nbytes
+                if array.dtype == STORED_INDEX:  # counted at the modeled width
+                    nbytes += array.size * MODELED_INDEX.itemsize
+                else:
+                    nbytes += array.nbytes
         rt = self.runtime
         cost, clock, engine = rt.cost, rt.clock, rt.engine
         zero = engine.zero_fast()
@@ -607,7 +610,11 @@ class DistObjectSnapshot:
                 payload = payload.sub_matrix(*cut)
             size = FRAMING_BYTES  # ``payload_nbytes(payload)``, inlined
             for name in type(payload).ARRAY_NAMES:
-                size += getattr(payload, name).nbytes
+                array = getattr(payload, name)
+                if array.dtype == STORED_INDEX:
+                    size += array.size * MODELED_INDEX.itemsize
+                else:
+                    size += array.nbytes
         if src_id == ctx.place.id:
             if not cost.is_zero:  # a zero model's memcpy is a no-op
                 ctx.charge_memcpy(size)

@@ -6,7 +6,9 @@ in-memory recovery data).  :func:`payload_checksum` computes a structural
 CRC-32 over the payload shapes :mod:`repro.util.payload` defines — a leaf
 (tagged with its class name, then its arrays), a block set (its size, then
 per block the ``(rb, cb)`` key and the leaf) or a bare ndarray; each array
-is tagged with its dtype and shape before its bytes.  The checksum is
+is tagged with its dtype and shape before its bytes, a stored ``int32``
+index array widened to ``int64`` first (:mod:`repro.util.payload`'s
+modeled width).  The checksum is
 recorded at save time and re-computed at locate/restore time; a mismatch
 marks the copy corrupt.
 
@@ -26,13 +28,22 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.util.payload import arrays, from_leaves, leaves, payload_frozen
+from repro.util.payload import (
+    MODELED_INDEX,
+    STORED_INDEX,
+    arrays,
+    from_leaves,
+    leaves,
+    payload_frozen,
+)
 
 
 def _leaf_crc(crc: int, leaf: Any) -> int:
     if not isinstance(leaf, np.ndarray):
         crc = zlib.crc32(b"\x00O" + type(leaf).__name__.encode(), crc)
     for arr in arrays(leaf):
+        if arr.dtype == STORED_INDEX:
+            arr = arr.astype(MODELED_INDEX)
         crc = zlib.crc32(b"\x00A" + arr.dtype.str.encode() + repr(arr.shape).encode(), crc)
         # Feed the buffer directly — tobytes() would copy the whole array.
         contiguous = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)

@@ -21,6 +21,16 @@ Sizing models the X10 sockets transport: each serialized object costs its
 element bytes plus :data:`FRAMING_BYTES`.  The snapshot save and fetch walk
 the format inline on their hot paths and read the constants here.
 
+The model's bytes are GML's, not the host's: an index is a ``Long``.  Sparse
+leaves store ``indptr`` / ``indices`` as :data:`STORED_INDEX` (``int32``,
+:mod:`repro.matrix.sparse`), and every reader of a leaf's bytes reads such
+an array as :data:`MODELED_INDEX` (``int64``): :func:`payload_nbytes` and
+the snapshot save and fetch size it at 8 bytes per element, the CRC
+(:mod:`repro.util.checksum`) and the parity XOR stream
+(:mod:`repro.resilience.parity`) widen it first.  Virtual time, checksums
+and parity blocks are the ones an ``int64``-indexed leaf gives.  Each
+reader is a hot path and writes the rule out inline.
+
 :func:`freeze_payload` is the copy-on-write half of versioning
 (:mod:`repro.util.versioning`): snapshot arrays are marked read-only, so the
 snapshot may share them with the live object, whose ``touch()`` copies a
@@ -39,6 +49,9 @@ import numpy as np
 FRAMING_BYTES = 64
 #: Serialized size of a block set's ``(rb, cb)`` key: two 8-byte integers.
 BLOCK_KEY_NBYTES = FRAMING_BYTES + 16
+#: The stored index width, and the width the model reads it at.
+STORED_INDEX = np.dtype(np.int32)
+MODELED_INDEX = np.dtype(np.int64)
 
 
 def _names(leaf: Any) -> Tuple[str, ...]:
@@ -75,8 +88,9 @@ def from_leaves(keys: Optional[tuple], items: list) -> Any:
 
 
 def payload_nbytes(payload: Any) -> int:
-    """Serialized size of *payload* in bytes: its arrays' element bytes, plus
-    :data:`FRAMING_BYTES` per leaf, ndarray and block set, plus
+    """Serialized size of *payload* in bytes: its arrays' modeled element
+    bytes (a :data:`STORED_INDEX` element counts as a :data:`MODELED_INDEX`
+    one), plus :data:`FRAMING_BYTES` per leaf, ndarray and block set, plus
     :data:`BLOCK_KEY_NBYTES` per block key."""
     keys, items = leaves(payload)
     nbytes = FRAMING_BYTES * len(items)
@@ -84,7 +98,10 @@ def payload_nbytes(payload: Any) -> int:
         nbytes += FRAMING_BYTES + BLOCK_KEY_NBYTES * len(keys)
     for leaf in items:
         for arr in arrays(leaf):
-            nbytes += arr.nbytes
+            if arr.dtype == STORED_INDEX:
+                nbytes += arr.size * MODELED_INDEX.itemsize
+            else:
+                nbytes += arr.nbytes
     return nbytes
 
 

@@ -159,8 +159,10 @@ class TestLinkMatrix:
         same_bytes(link.global_csr(), reference)
 
     def test_cold_build_peak_is_bounded(self, monkeypatch):
-        """A cold build peaks at <= 1.25x the finished CSR (about 1.07x; a
-        per-key weight array and its running sums: 2.1x; triplets: 4.6x)."""
+        """A cold build peaks at <= 1.25x the finished CSR's modeled bytes
+        (about 1.07x; a per-key weight array and its running sums: 2.1x;
+        triplets: 4.6x), while the finished graph holds 12 bytes per entry:
+        an ``int32`` index and a ``float64`` value."""
         monkeypatch.setattr(random_mod, "_input_memo", random_mod._InputMemo(1 << 28))
         tracemalloc.start()
         try:
@@ -169,6 +171,9 @@ class TestLinkMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * graph.nbytes
+        host = graph.indptr.nbytes + graph.indices.nbytes + graph.values.nbytes
+        assert host == 12 * graph.nnz + graph.indptr.nbytes
+        assert graph.nbytes == 16 * graph.nnz + 8 * (graph.m + 1)
 
     def test_block_range_validated(self):
         link = LinkMatrix(12, 3)

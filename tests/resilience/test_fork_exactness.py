@@ -18,14 +18,16 @@ import numpy as np
 import pytest
 
 from repro.bench.catalogue import APPS
-from repro.chaos import CampaignConfig
+from repro.chaos import CampaignConfig, PrefixCache, schedule_spec
 from repro.engine.fork import ForkContext, capture_boundaries
 from repro.matrix import DistBlockMatrix, DistVector
+from repro.matrix.multiplace import MultiPlaceObject
 from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.placement import make_placement
 from repro.resilience.protection import Protection
 from repro.runtime.cost import CostModel
 from repro.runtime.detector import PhiAccrualDetector
+from repro.runtime.exceptions import RuntimeFault
 from repro.runtime.factory import make_runtime
 from repro.runtime.failure import ScriptedKill
 
@@ -373,3 +375,53 @@ def test_capture_boundaries_unnamed_captures_all_and_skips_the_unreached():
     assert sorted(capture_boundaries(executor)) == [0, 1, 2, 3, 4, 5]
     executor = config.spec.build()[3]
     assert sorted(capture_boundaries(executor, [3, 99])) == [3]
+
+
+def _layout(app):
+    """Where each distributed object of *app* ended up: per object its place
+    group and, as it has them, its grid's row sizes with the block→place map
+    and its row partition — what a shrink and a shrink-rebalance restore
+    leave differently even when the zero cost model times them alike."""
+    layout = {"places": app.places.ids}
+    for name, obj in vars(app).items():
+        if isinstance(obj, MultiPlaceObject):
+            entry = [obj.group.ids]
+            if isinstance(obj, DistBlockMatrix):
+                entry += [obj.grid.row_sizes, sorted(obj.block_map.owner_dict().items())]
+            partition = getattr(obj, "partition", None)
+            if partition is not None:
+                entry.append(partition.sizes)
+            layout[name] = entry
+    return layout
+
+
+def _final_layout(executor):
+    with executor.runtime:
+        try:
+            executor.run()
+            outcome = None
+        except RuntimeFault as exc:  # an unrecoverable schedule ends here
+            outcome = type(exc).__name__
+        return outcome, _layout(executor.app)
+
+
+@pytest.mark.parametrize("app", ["linreg", "pagerank"])
+def test_a_spareless_fork_restores_in_its_drawn_mode(app):
+    """Without spares a campaign draws shrink or shrink-rebalance, and at a
+    zero cost model no report tells them apart: the fork of every such
+    schedule must leave each object laid out as the schedule built from
+    scratch does."""
+    config = CampaignConfig(
+        app=app, places=6, iterations=8, checkpoint_interval=2, schedules=1
+    )
+    prefix = PrefixCache(config).build()
+    moved = {RestoreMode.SHRINK: 0, RestoreMode.SHRINK_REBALANCE: 0}
+    for index in range(16):
+        spec = schedule_spec(config, index)
+        forked = prefix.fork(spec)
+        if forked is None:
+            continue
+        layout = _final_layout(forked)
+        assert layout == _final_layout(spec.build()[3]), f"schedule {index} ({spec.mode})"
+        moved[spec.mode] += layout[1]["places"] != list(range(config.places))
+    assert min(moved.values()) >= 2, moved
