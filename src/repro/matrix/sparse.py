@@ -80,6 +80,11 @@ _INDEX_LIMIT = 1 << 31
 #: alike.  Both give the same permutation (tests/matrix/test_sparse.py).
 _SCIPY_BUILD_MIN = 1024
 
+#: Keys per pass of the link-graph build (``LinkMatrix._sorted_keys`` and
+#: :func:`_compress_uniform`): a chunk's few 8-byte temporaries stay in a
+#: core's L2 cache, and none of them grows with the graph.
+_CHUNK = 1 << 14
+
 
 def _as_index(a) -> np.ndarray:
     """*a* as stored indices: an ``int32`` array is taken as it is."""
@@ -192,34 +197,64 @@ def _compress_sorted(n_major: int, n_minor: int, linear: np.ndarray, vals: np.nd
 
 def _compress_uniform(n_major: int, n_minor: int, linear: np.ndarray, weight: float, max_run: int):
     """:func:`_compress_sorted` of sorted keys that all carry *weight*, byte
-    for byte, peaking at about the size of the arrays it returns.
+    for byte, in :data:`_CHUNK`-key passes: beside the keys and the arrays
+    it returns, only the narrow run lengths grow with the graph.
 
     A run's value depends only on its length ``k <= max_run``, so it is
     read from a table whose entry ``k`` is ``np.bincount`` over ``k``
     copies of *weight*: the additions, in the order, that
-    :func:`_compress_sorted` makes for the run.  No key-length float or
-    running-sum array exists.  The caller hands *linear* over as a call's
-    result, holding no name for it (``LinkMatrix.global_csr`` does): CPython
-    3.11+ then moves the only reference into this frame, and the keys are
-    freed once compacted to one per run, the distinct keys once written
-    out as ``int32`` indices — before the values exist.
+    :func:`_compress_sorted` makes for the run.  One pass counts the runs;
+    a second writes each run's column into the ``int32`` indices, its length
+    into a one-byte (for ``max_run < 256``) array and the row pointers from
+    the row bounds.  The caller hands *linear* over as a call's result,
+    holding no name for it (``LinkMatrix.global_csr`` does): CPython 3.11+
+    then moves the only reference into this frame, so the keys are freed
+    before the values exist.  The peak is the keys plus 5 bytes per entry,
+    then the finished arrays plus the lengths.
     """
-    total, first = len(linear), _run_starts(linear)
-    unique = linear[first]
+    total = len(linear)
+    count = min(total, 1)
+    for c0 in range(1, total, _CHUNK):
+        c1 = min(c0 + _CHUNK, total)
+        count += int(np.count_nonzero(linear[c0:c1] != linear[c0 - 1 : c1 - 1]))
+    indptr = np.empty(n_major + 1, dtype=_INDEX_DTYPE)
+    indices = np.empty(count, dtype=_INDEX_DTYPE)
+    lengths = np.empty(count, dtype=np.min_scalar_type(max_run))
+    done = row = 0  # runs written; rows whose pointer is written
+    begin = 0  # where the last run written begins
+    for c0 in range(0, total, _CHUNK):
+        c1 = min(c0 + _CHUNK, total)
+        first = np.empty(c1 - c0, dtype=bool)
+        first[0] = c0 == 0 or linear[c0] != linear[c0 - 1]
+        np.not_equal(linear[c0 + 1 : c1], linear[c0 : c1 - 1], out=first[1:])
+        unique = linear[c0:c1][first]
+        if not len(unique):  # the chunk continues the last run
+            continue
+        starts = np.flatnonzero(first)
+        stop = done + len(unique)
+        np.remainder(unique, n_minor, out=indices[done:stop], casting="unsafe")
+        if done:
+            lengths[done - 1] = c0 + starts[0] - begin
+        np.subtract(starts[1:], starts[:-1], out=lengths[done : stop - 1], casting="unsafe")
+        begin = c0 + int(starts[-1])
+        # Rows whose first key is at most the chunk's last: their pointer
+        # counts the distinct keys below the row's bound.
+        end = int(unique[-1]) // n_minor + 1
+        bounds = np.arange(row, end, dtype=np.int64) * n_minor
+        indptr[row:end] = np.searchsorted(unique, bounds) + done
+        done, row = stop, end
+    if done:
+        lengths[done - 1] = total - begin
+    indptr[row:] = done
     del linear
-    starts = np.flatnonzero(first)
-    del first
-    lengths = np.empty(len(starts), dtype=np.min_scalar_type(max_run))
-    np.subtract(starts[1:], starts[:-1], out=lengths[:-1], casting="unsafe")
-    lengths[-1:] = total - starts[-1:]
-    del starts
-    indptr, indices = _compress_unique(n_major, n_minor, unique)
-    del unique
     top = int(lengths.max(initial=0))
     k = np.arange(top + 1)
     runs = np.repeat(k, k)  # k copies of k: bin k sums k copies of weight, in order
     table = np.bincount(runs, weights=np.full(len(runs), weight))
-    return indptr, indices, table[lengths]
+    values = np.empty(count)
+    for c0 in range(0, count, _CHUNK):
+        np.take(table, lengths[c0 : c0 + _CHUNK], out=values[c0 : c0 + _CHUNK])
+    return indptr, indices, values
 
 
 def _joined(parts: List[np.ndarray]) -> np.ndarray:
@@ -575,13 +610,20 @@ class SparseCSR:
             return blocks[0]
         n = blocks[0].n
         require(all(b.n == n for b in blocks), "vstack blocks differ in col count")
+        m = sum(b.m for b in blocks)
+        # Summed as Python ints and checked before anything is joined: an
+        # int32 sum past 2**31 would wrap into the pointers.
+        nnz, offsets = 0, []
+        for b in blocks:
+            nnz += int(b.indptr[-1])
+            offsets.append(nnz)
+        if max(m, n, nnz) >= _INDEX_LIMIT:  # no call on the regrid path
+            _require_indexable(m, n, nnz)
         indptr_parts = [blocks[0].indptr]
-        nnz = blocks[0].indptr[-1]
-        for b in blocks[1:]:
-            indptr_parts.append(b.indptr[1:] + nnz)
-            nnz = nnz + b.indptr[-1]  # not the last part's end: a zero-row block has none
+        for b, offset in zip(blocks[1:], offsets):
+            indptr_parts.append(b.indptr[1:] + offset)
         return SparseCSR._build(
-            sum(b.m for b in blocks),
+            m,
             n,
             np.concatenate(indptr_parts),
             _joined([b.indices for b in blocks]),

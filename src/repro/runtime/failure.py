@@ -342,6 +342,11 @@ class MessageFate:
     extra_delay: float = 0.0
 
 
+#: The two fates almost every attempt draws, shared: a fate is only read.
+_DROPPED = MessageFate(delivered=False)
+_DELIVERED = MessageFate(delivered=True)
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retransmission with exponential backoff (at-most-once).
@@ -462,16 +467,18 @@ class TransientFaultModel:
         """Draw the fate of one transmission attempt at time *t*."""
         if self.partitions and self.partitioned(src_id, dst_id, t):
             self.dropped += 1
-            return MessageFate(delivered=False)
+            return _DROPPED
         if self.drop_rate and self._rng.random() < self.drop_rate:
             self.dropped += 1
-            return MessageFate(delivered=False)
+            return _DROPPED
         duplicated = bool(self.dup_rate) and self._rng.random() < self.dup_rate
         extra = 0.0
         if self.delay_rate and self._rng.random() < self.delay_rate:
             extra = self.delay_seconds * self._rng.random()
         if duplicated:
             self.duplicates += 1
+        elif not extra:
+            return _DELIVERED
         return MessageFate(delivered=True, duplicated=duplicated, extra_delay=extra)
 
     def heartbeat_lost(self, place_id: int, seq: int, t_emit: float) -> bool:

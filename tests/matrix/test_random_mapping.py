@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.matrix import random as random_mod
+from repro.matrix import sparse as sparse_mod
 from repro.matrix.grid import Grid
 from repro.matrix.mapping import (
     CyclicBlockMap,
@@ -24,6 +25,13 @@ from repro.matrix.random import (
 from repro.matrix.sparse import SparseCSR
 from repro.util.payload import arrays
 from tests.resilience.payload_kinds import same_bytes
+
+#: A chunk small enough that the link build's passes cut runs, rows and
+#: the edge list at every position a real graph meets.
+_SMALL_CHUNK = 7
+#: ``(n, out_degree, seed)`` graphs whose sorted keys, cut every
+#: :data:`_SMALL_CHUNK` keys, meet each case ``test_chunk_cases_arise`` names.
+_CHUNK_CASES = [(1, 20, 0), (7, 3, 0), (5, 23, 2), (13, 4, 5), (40, 4, 11), (9, 30, 1)]
 
 
 def _reference_edges(link):
@@ -158,9 +166,45 @@ class TestLinkMatrix:
         )
         same_bytes(link.global_csr(), reference)
 
+    @pytest.mark.parametrize("n, out_degree, seed", _CHUNK_CASES)
+    def test_chunked_build_matches_triplet_build(self, n, out_degree, seed, monkeypatch):
+        """With a 7-key chunk the hash and the compaction passes are cut
+        everywhere (see ``test_chunk_cases_arise``): still the bytes of
+        ``from_coo`` on the raw edges."""
+        monkeypatch.setattr(random_mod, "_input_memo", random_mod._InputMemo(0))
+        monkeypatch.setattr(random_mod, "_CHUNK", _SMALL_CHUNK)
+        monkeypatch.setattr(sparse_mod, "_CHUNK", _SMALL_CHUNK)
+        link = LinkMatrix(n, out_degree, seed=seed)
+        rows, cols = _reference_edges(link)
+        reference = SparseCSR.from_coo(n, n, rows, cols, np.full(len(rows), 1.0 / out_degree))
+        same_bytes(link.global_csr(), reference)
+
+    def test_chunk_cases_arise(self):
+        """The cases above cut a run of equal keys, start a row exactly at a
+        chunk boundary, hold an empty row, leave a chunk with no run start
+        and end on a partial chunk."""
+        seen = set()
+        for n, out_degree, seed in _CHUNK_CASES:
+            keys = LinkMatrix(n, out_degree, seed=seed)._sorted_keys()
+            cuts = np.arange(_SMALL_CHUNK, len(keys), _SMALL_CHUNK)
+            if np.any(keys[cuts] == keys[cuts - 1]):
+                seen.add("run across a cut")
+            if np.any(keys[cuts] // n != keys[cuts - 1] // n):
+                seen.add("row starts at a cut")
+            if len(np.unique(keys // n)) < n:
+                seen.add("empty row")
+            chunks = np.split(keys, cuts)
+            if any(c[0] == before[-1] and np.all(c == c[0]) for before, c in zip(chunks, chunks[1:])):
+                seen.add("chunk without a run start")
+            if len(keys) % _SMALL_CHUNK:
+                seen.add("partial last chunk")
+        assert len(seen) == 5, seen
+
     def test_cold_build_peak_is_bounded(self, monkeypatch):
-        """A cold build peaks at <= 1.25x the finished CSR's modeled bytes
-        (about 1.07x; a per-key weight array and its running sums: 2.1x;
+        """A cold build peaks at <= 1.2x the finished graph's host bytes
+        (about 1.12x: the sorted keys beside the ``int32`` indices and the
+        one-byte run lengths, then the finished arrays beside the lengths;
+        compacting through a full-length run mask and distinct keys: 1.43x;
         triplets: 4.6x), while the finished graph holds 12 bytes per entry:
         an ``int32`` index and a ``float64`` value."""
         monkeypatch.setattr(random_mod, "_input_memo", random_mod._InputMemo(1 << 28))
@@ -170,8 +214,8 @@ class TestLinkMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * graph.nbytes
         host = graph.indptr.nbytes + graph.indices.nbytes + graph.values.nbytes
+        assert peak <= 1.2 * host
         assert host == 12 * graph.nnz + graph.indptr.nbytes
         assert graph.nbytes == 16 * graph.nnz + 8 * (graph.m + 1)
 
@@ -292,14 +336,13 @@ class TestInputMemo:
         from repro.runtime import CostModel, Runtime
 
         builds = []
-        compress = random_mod._compress_uniform
+        sorted_keys = LinkMatrix._sorted_keys
 
-        def counting(m, n, keys, weight, max_run):
-            assert np.all(keys[:-1] <= keys[1:])  # handed over sorted, once
-            builds.append(len(keys))
-            return compress(m, n, keys, weight, max_run)
+        def counting(link):  # holds no name for the keys it hands over
+            builds.append(link.n * link.out_degree)
+            return sorted_keys(link)
 
-        monkeypatch.setattr(random_mod, "_compress_uniform", counting)
+        monkeypatch.setattr(LinkMatrix, "_sorted_keys", counting)
         link = LinkMatrix(64, 4, seed=3)
         rt = Runtime(8, cost=CostModel.zero())
         G = DistBlockMatrix.make_sparse(rt, 64, 64, 16, 1).init_link_matrix(link)

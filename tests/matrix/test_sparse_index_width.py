@@ -40,6 +40,16 @@ def _wide_twin(leaf):
     return twin
 
 
+def _forged(m, nnz):
+    """A one-column CSR claiming *m* rows and *nnz* entries while holding
+    none: a pointer array of two entries, no index or value."""
+    block = object.__new__(SparseCSR)
+    block.m, block.n, block.version = m, 1, 0
+    block.indptr = np.array([0, nnz], dtype=np.int32)
+    block.indices, block.values = np.empty(0, dtype=np.int32), np.empty(0)
+    return block
+
+
 def _wide(payload):
     if type(payload) is dict:
         return {key: _wide_twin(leaf) for key, leaf in payload.items()}
@@ -114,8 +124,13 @@ class TestStoredWidth:
         lambda: SparseCSC.from_coo(2**31, 4, [], [], []),
         lambda: SparseCSR(2**31, 4, [0], [], []),
         lambda: LinkMatrix(2**16, 2**15),  # 2**31 edges before coalescing
+        lambda: SparseCSR.vstack([_forged(1, 2**30), _forged(1, 2**30)]),
+        lambda: SparseCSR.vstack([_forged(2**30, 0), _forged(2**30, 0)]),
     ],
-    ids=["csr-empty", "csc-empty", "csr-coo", "csc-coo", "csr-arrays", "link-graph"],
+    ids=[
+        "csr-empty", "csc-empty", "csr-coo", "csc-coo", "csr-arrays", "link-graph",
+        "vstack-entries", "vstack-rows",
+    ],
 )
 def test_a_matrix_past_int32_is_refused_before_allocating(request_):
     tracemalloc.start()

@@ -91,6 +91,20 @@ class TestTransientFaultModel:
         assert model.fate(0, 1, 1.5).delivered
         assert model.dropped == 1
 
+    def test_plain_fates_are_shared_and_the_rest_drawn_fresh(self):
+        """A drop and a plain delivery return one shared fate each; only a
+        duplicate or a delay builds its own."""
+        model = TransientFaultModel(drop_rate=0.3, dup_rate=0.3, delay_rate=0.3,
+                                    delay_seconds=1e-3, seed=4)
+        fates = [model.fate(0, 1, float(t)) for t in range(200)]
+        dropped = [f for f in fates if not f.delivered]
+        plain = [f for f in fates if f == MessageFate(delivered=True)]
+        drawn = [f for f in fates if f.duplicated or f.extra_delay]
+        assert dropped and plain and drawn
+        assert len({id(f) for f in dropped}) == len({id(f) for f in plain}) == 1
+        assert len({id(f) for f in drawn}) == len(drawn)
+        assert len(dropped) + len(plain) + len(drawn) == len(fates)
+
     def test_heartbeat_loss_is_stable_per_sequence_number(self):
         model = TransientFaultModel(drop_rate=0.4, seed=3)
         first = [model.heartbeat_lost(2, seq, 0.1 * seq) for seq in range(100)]
