@@ -52,6 +52,5 @@ rt.finish_all(survivors, lambda ctx: ctx.heap.put("local", "rebuilt"))
 print("per-place values rebuilt over survivors:", survivors.ids)
 
 # -- deterministic virtual time ----------------------------------------------
-print(f"virtual time: {rt.now() * 1e3:.3f} ms "
-      f"({rt.stats.finishes} finishes, {rt.stats.messages} messages)")
+print(f"virtual time: {rt.now() * 1e3:.3f} ms ({rt.stats.finishes} finishes)")
 print("re-running this script reproduces these numbers exactly.")

@@ -253,11 +253,6 @@ class CGWorkload:
         )
 
     @staticmethod
-    def paper_scale() -> "CGWorkload":
-        """The benchmark configuration (10k rows per place)."""
-        return CGWorkload()
-
-    @staticmethod
     def small(iterations: int = 20) -> "CGWorkload":
         """A reduced physical size for fast simulation and tests."""
         return CGWorkload(rows_per_place=24, stride=7, iterations=iterations)

@@ -76,9 +76,3 @@ def comparison_line(
     """One paper-vs-measured line with the ratio."""
     ratio = measured / paper_value if paper_value else float("inf")
     return f"  {what:<42s} paper {paper_value:9.1f} {unit}   ours {measured:9.1f} {unit}   ratio {ratio:5.2f}x"
-
-
-def results_dir() -> str:
-    """Directory where benchmark CSVs are written."""
-    here = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(__file__))))
-    return os.path.join(here, "results")

@@ -21,7 +21,7 @@ hardware that no longer exists.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.runtime.exceptions import DeadPlaceException
 
@@ -43,17 +43,13 @@ class Resource:
         ``DeadPlaceException(owner)``.
     """
 
-    __slots__ = ("key", "owner", "free_at", "busy_time", "served", "retired", "on_acquire")
+    __slots__ = ("key", "owner", "free_at", "retired", "on_acquire")
 
     def __init__(self, key: Any, owner: Optional[int] = None):
         self.key = key
         self.owner = owner
         #: Virtual time until which the server is busy (the frontier).
         self.free_at = 0.0
-        #: Total seconds this server has spent serving requests.
-        self.busy_time = 0.0
-        #: Number of requests served.
-        self.served = 0
         #: True once the owning place died; acquisition then raises.
         self.retired = False
         #: Optional hook invoked after every acquisition (event recording).
@@ -79,8 +75,6 @@ class Resource:
             start = t_request
         done = start + duration
         self.free_at = done
-        self.busy_time += duration
-        self.served += 1
         if self.on_acquire is not None:
             self.on_acquire(self, t_request, start, done)
         return done
@@ -89,15 +83,9 @@ class Resource:
         """Mark the owning place dead; further acquisitions raise."""
         self.retired = True
 
-    def reset(self) -> None:
-        """Clear the frontier and counters (fresh-run reuse in tests)."""
-        self.free_at = 0.0
-        self.busy_time = 0.0
-        self.served = 0
-
     def __repr__(self) -> str:
         state = "retired" if self.retired else f"free_at={self.free_at:.6f}"
-        return f"Resource({self.key!r}, {state}, served={self.served})"
+        return f"Resource({self.key!r}, {state})"
 
 
 class DuplexLink:
@@ -130,18 +118,11 @@ class DuplexLink:
         done = start + duration
         tx.free_at = done
         rx.free_at = done
-        tx.busy_time += duration
-        rx.busy_time += duration
-        tx.served += 1
-        rx.served += 1
         if tx.on_acquire is not None:
             tx.on_acquire(tx, t_request, start, done)
         if rx.on_acquire is not None:
             rx.on_acquire(rx, t_request, start, done)
         return done
-
-    def ends(self) -> Tuple[Resource, Resource]:
-        return self.tx, self.rx
 
     def __repr__(self) -> str:
         return f"DuplexLink(tx={self.tx.key!r}, rx={self.rx.key!r})"

@@ -134,8 +134,8 @@ class Scheduler:
         heartbeat, a service arrival) has either; a reliable network rules
         out retransmission waits; a disabled timeline means no events need
         recording.  Under those four facts the transfer/finish bookkeeping
-        only shuffles zeros, so the hot paths skip it — results, stats
-        counters and reports stay bit-identical.  The test is cheap and
+        only shuffles zeros, so the hot paths skip it — results, finish and
+        task counts and reports stay bit-identical.  The test is cheap and
         rechecked per event because the clock flag can flip mid-run.
         """
         return (
@@ -443,7 +443,6 @@ class Scheduler:
         """
         clock, cost = self.clock, self.cost
         times = clock._times
-        stats = runtime.stats
         driver = runtime.DRIVER_ID
         t_join = times[driver]
         if t_floor is not None and t_floor > t_join:
@@ -472,24 +471,12 @@ class Scheduler:
                     if arrive > t_join:
                         t_join = arrive
                     t_join += join_dt
-            stats.messages += n_ends
-            inc = ret_bytes * cost.logical_scale
-            if inc:
-                # Repeated addition keeps the accumulator bit-identical to
-                # the historical per-task `+=`.
-                acc = stats.bytes_sent
-                for _ in range(n_ends):
-                    acc += inc
-                stats.bytes_sent = acc
 
         ledger_ready = 0.0
         t_finish = t_join
         if runtime.resilient and ledger_arrivals is not None:
-            ledger = runtime.ledger
-            ledger_ready = ledger.process(ledger_arrivals)
+            ledger_ready = runtime.ledger.process(ledger_arrivals)
             if ledger_ready > t_finish:
-                # The time this finish spent waiting for the ledger to drain.
-                ledger.stats.stall_time += ledger_ready - t_finish
                 t_finish = ledger_ready
         if t_finish > times[driver]:
             times[driver] = t_finish
@@ -498,6 +485,7 @@ class Scheduler:
             # ``times``: each is bounded by this completion.
             clock._moved = True
 
+        stats = runtime.stats
         stats.finishes += 1
         stats.tasks += n_tasks
         if self._tl_enabled:
@@ -513,41 +501,16 @@ class Scheduler:
             )
         return t_finish
 
-    def complete_finish_zero(
-        self,
-        runtime,
-        n_ends: int,
-        n_tasks: int,
-        ledger_events: int,
-        ret_bytes: float = 0.0,
-    ) -> None:
+    def complete_finish_zero(self, runtime, n_tasks: int) -> None:
         """Zero-time variant of :meth:`complete_finish`.
 
         Only valid under :meth:`zero_fast`: every task end, arrival and
         frontier is 0.0, so the join recurrence, the ledger drain and the
         clock update all land back on 0.0, and with the timeline off there
-        is no event to record.  What remains is exactly the observable
-        bookkeeping the slow path performs — stats counters (bit-identical
-        accumulation) and ledger event counts.  *n_ends* is the number of task
-        terminations (``len(task_ends)``), *n_tasks* the live task count,
-        *ledger_events* the number of resilient ledger arrivals the slow
-        path would have posted (0 when the runtime is non-resilient).
+        is no event to record.  What remains is the finish and task counts
+        the slow path adds to ``runtime.stats``.
         """
         stats = runtime.stats
-        if n_ends:
-            stats.messages += n_ends
-            inc = ret_bytes * self.cost.logical_scale
-            if inc:
-                # Repeated addition keeps the accumulator bit-identical to
-                # the historical per-task `+=`.
-                acc = stats.bytes_sent
-                for _ in range(n_ends):
-                    acc += inc
-                stats.bytes_sent = acc
-        if runtime.resilient and ledger_events:
-            lstats = runtime.ledger.stats
-            lstats.events += ledger_events
-            lstats.finishes += 1
         stats.finishes += 1
         stats.tasks += n_tasks
 
@@ -565,14 +528,6 @@ class Scheduler:
         """
         self._tl_enabled = self.timeline.enabled = bool(enabled)
         self.ledger.on_acquire = partial(_record_service, self.timeline) if enabled else None
-
-    # -- introspection ----------------------------------------------------------
-
-    def utilization(self) -> Dict[Any, Tuple[float, int]]:
-        """``{resource key: (busy seconds, requests served)}`` snapshot."""
-        return {
-            key: (res.busy_time, res.served) for key, res in self._resources.items()
-        }
 
     def __repr__(self) -> str:
         return (

@@ -106,21 +106,9 @@ class DistSparseRowMatrix(MultiPlaceObject):
 
     # -- band access ---------------------------------------------------------
 
-    def band_range(self, index: int):
-        """Global half-open row range of the band at group index *index*."""
-        return self.partition.range_of(index)
-
     def band(self, index: int) -> SparseCSR:
         """Library-internal: the live row band at a group index."""
         return self.payload_at_index(index)
-
-    def nnz_total(self) -> int:
-        """Total stored non-zeros across live bands."""
-        total = 0
-        for index in range(self.group.size):
-            if self.runtime.is_alive(self.group[index].id):
-                total += self.band(index).nnz
-        return total
 
     # -- matvec --------------------------------------------------------------
 

@@ -84,17 +84,9 @@ class DistVector(MultiPlaceObject):
 
     # -- segment access -------------------------------------------------------
 
-    def segment_range(self, index: int):
-        """Global half-open range of the segment at group index *index*."""
-        return self.partition.range_of(index)
-
     def segment(self, index: int) -> Vector:
         """Library-internal: the live segment at a group index."""
         return self.payload_at_index(index)
-
-    @property
-    def nbytes_total(self) -> int:
-        return self.n * 8
 
     def max_segment_nbytes(self) -> int:
         """Bytes of the largest segment (per-sender gather payload)."""

@@ -285,9 +285,8 @@ class DistObjectSnapshot:
                     ctx.charge_memcpy(nbytes)
         if dst_ids:
             if zero:
-                # All timing lands on 0.0; only liveness (checked in the
-                # same order the per-destination transfers would) and the
-                # stats trail remain, byte math expression-identical.
+                # All timing lands on 0.0; only liveness remains, checked
+                # in the same order the per-destination transfers would.
                 alive = rt._alive
                 for pid in dst_ids:
                     if not alive.get(pid, False):
@@ -299,8 +298,6 @@ class DistObjectSnapshot:
             heaps = rt._heaps
             for pid, heap_key in zip(dst_ids, dst_keys):
                 heaps[pid].put(heap_key, payload)
-            rt.stats.messages += len(dst_ids)
-            rt.stats.bytes_sent += len(dst_ids) * (nbytes * cost.logical_scale)
         if self.stable_fallback:
             engine.stable_write(owner_id, nbytes)
             self._stable[key] = payload

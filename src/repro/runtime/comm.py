@@ -103,20 +103,14 @@ def _finish_phase(
     return rt.engine.complete_finish(rt, label, t_start, task_ends, n_tasks, arrivals)
 
 
-def _zero_collective(rt: Runtime, size: int, scaled_bytes: float) -> float:
+def _zero_collective(rt: Runtime, size: int) -> float:
     """Zero-time completion shared by the collective fast paths.
 
-    Every binomial/flat pattern over a *size*-place group moves exactly
-    ``size - 1`` payload messages and completes a *size*-task finish; under
-    :meth:`~repro.engine.scheduler.Scheduler.zero_fast` all its timing
-    math lands on 0.0, so only the stats trail remains.  The byte counter
-    accumulates by repeated addition, bit-identical to the per-edge loop.
+    Every pattern over a *size*-place group completes a *size*-task finish;
+    under :meth:`~repro.engine.scheduler.Scheduler.zero_fast` all its timing
+    math lands on 0.0, so only the finish and task counts remain.
     """
-    stats = rt.stats
-    for _ in range(size - 1):
-        stats.messages += 1
-        stats.bytes_sent += scaled_bytes
-    rt.engine.complete_finish_zero(rt, size, size, 2 * size if rt.resilient else 0)
+    rt.engine.complete_finish_zero(rt, size)
     return 0.0
 
 
@@ -128,17 +122,15 @@ def point_to_point(rt: Runtime, src_id: int, dst_id: int, nbytes: float) -> floa
     """
     rt.check_alive(src_id)
     rt.check_alive(dst_id)
-    t_arrive = rt.transfer(src_id, dst_id, nbytes, rt.clock._times[src_id])
-    rt.stats.messages += 1
-    rt.stats.bytes_sent += rt.cost.scaled_bytes(nbytes)
-    return t_arrive
+    return rt.transfer(src_id, dst_id, nbytes, rt.clock._times[src_id])
 
 
 # The timed collectives index ``clock._times`` themselves (a write is
 # ``VirtualClock.set_at_least`` inlined, ``_moved`` included) and compute the
 # per-call constants once, with no helper call: wire times are read from the
-# cost model's message memo (``CostModel.message`` only on a miss), scaled
-# bytes and fold seconds are ``scaled_bytes`` / ``flops`` arithmetic verbatim.
+# cost model's message memo (``CostModel.message`` only on a miss), the
+# gather's absorb time and the reduce's fold seconds are ``scaled_bytes`` /
+# ``flops`` arithmetic verbatim.
 # Each edge's float operations keep their order, and on a reliable network
 # its ``w`` and ``extra`` stay 0.0.
 
@@ -159,10 +151,9 @@ def tree_broadcast(
         check_index(root_index, size, "root_index")
     check_group_alive(rt, group)
     clock, cost = rt.clock, rt.cost
-    scaled = nbytes * cost.logical_scale
     if rt.engine.zero_fast():
-        return _zero_collective(rt, size, scaled)
-    times, stats, faults = clock._times, rt.stats, rt.engine.faults
+        return _zero_collective(rt, size)
+    times, faults = clock._times, rt.engine.faults
     msg = cost._msg_memo.get(nbytes)
     if msg is None:
         msg = cost.message(nbytes)
@@ -187,8 +178,6 @@ def tree_broadcast(
                 w, extra = _edge_fault(rt, faults, pids[rank], pids[peer], t_send, nbytes)
             ready[peer] = max(t_send + w, times[pids[peer]]) + msg + extra
             ready[rank] = t_send + w + msg  # sender busy per send
-            stats.messages += 1
-            stats.bytes_sent += scaled
         span *= 2
     for pid, t in zip(pids, ready):
         if t > times[pid]:
@@ -215,12 +204,11 @@ def flat_gather(
         check_index(root_index, size, "root_index")
     check_group_alive(rt, group)
     clock, cost = rt.clock, rt.cost
-    scaled = nbytes_each * cost.logical_scale
     if rt.engine.zero_fast():
-        return _zero_collective(rt, size, scaled)
-    times, stats, faults = clock._times, rt.stats, rt.engine.faults
+        return _zero_collective(rt, size)
+    times, faults = clock._times, rt.engine.faults
     latency = cost.latency
-    absorb = cost.byte_time * scaled
+    absorb = cost.byte_time * (nbytes_each * cost.logical_scale)
     ids = group.ids
     root_id = ids[root_index]
     t_start = times[rt.DRIVER_ID]
@@ -243,8 +231,6 @@ def flat_gather(
             times[sender_id] = send_done
             clock._moved = True
         task_ends.append(t_root)
-        stats.messages += 1
-        stats.bytes_sent += scaled
     if t_root > times[root_id]:
         times[root_id] = t_root
         clock._moved = True
@@ -270,10 +256,9 @@ def tree_reduce(
         check_index(root_index, size, "root_index")
     check_group_alive(rt, group)
     clock, cost = rt.clock, rt.cost
-    scaled = nbytes * cost.logical_scale
     if rt.engine.zero_fast():
-        return _zero_collective(rt, size, scaled)
-    times, stats, faults = clock._times, rt.stats, rt.engine.faults
+        return _zero_collective(rt, size)
+    times, faults = clock._times, rt.engine.faults
     memo = cost._msg_memo
     msg = memo.get(nbytes)
     if msg is None:
@@ -302,8 +287,6 @@ def tree_reduce(
                 w, extra = _edge_fault(rt, faults, pids[peer], pids[rank], t_send, nbytes)
             ready[rank] = max(t_send + w, ready[rank]) + msg + extra + fold
             ready[peer] = t_send + w + ack
-            stats.messages += 1
-            stats.bytes_sent += scaled
         span *= 2
     for pid, t in zip(pids, ready):
         if t > times[pid]:

@@ -455,10 +455,6 @@ class TransientFaultModel:
         self.retransmissions = 0
         self.timeouts = 0
 
-    def add_partition(self, partition: LinkPartition) -> "TransientFaultModel":
-        self.partitions.append(partition)
-        return self
-
     def partitioned(self, src_id: int, dst_id: int, t: float) -> bool:
         """True if any active partition cuts src → dst at time *t*."""
         return any(p.blocks(src_id, dst_id, t) for p in self.partitions)
@@ -500,9 +496,7 @@ class CorruptionModel:
 
     After each checkpoint commit, every copy (primary, each replica, and
     the disk-tier copy) of every partition of the newly committed snapshot
-    is independently corrupted with probability ``rate``.  Strikes are
-    recorded as ``(snap_id, key, tier)`` so campaigns can distinguish
-    "disk tier itself was hit" from recoverable in-memory corruption.
+    is independently corrupted with probability ``rate``.
     """
 
     def __init__(self, rate: float, seed: int = 0):
@@ -510,7 +504,6 @@ class CorruptionModel:
             raise ValueError(f"corruption rate must be in [0, 1), got {rate}")
         self.rate = rate
         self._rng = np.random.default_rng(seed)
-        self.strikes: List[Tuple[int, int, int]] = []
 
     def strike(self, store: "AppResilientStore") -> int:
         """Corrupt copies of the latest committed checkpoint; returns count."""
@@ -522,10 +515,5 @@ class CorruptionModel:
             for key in sorted(snap.saved_keys()):
                 for tier in snap.tiers(key):
                     if self._rng.random() < self.rate and snap.corrupt_copy(key, tier):
-                        self.strikes.append((snap.snap_id, key, tier))
                         hit += 1
         return hit
-
-    def disk_strikes(self) -> List[Tuple[int, int, int]]:
-        """Strikes that landed on the stable (disk) tier."""
-        return [s for s in self.strikes if s[2] < 0]

@@ -17,22 +17,10 @@ long tasks) but ~120 % for LinReg (many short finishes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine loads later)
     from repro.engine.resource import Resource
-
-
-@dataclass
-class LedgerStats:
-    """Counters for tests and the overhead benchmarks."""
-
-    events: int = 0
-    finishes: int = 0
-    busy_time: float = 0.0
-    #: Total time finishes spent blocked waiting on the ledger.
-    stall_time: float = 0.0
 
 
 class PlaceZeroLedger:
@@ -53,12 +41,6 @@ class PlaceZeroLedger:
 
             resource = Resource(("ledger",))
         self.resource = resource
-        self.stats = LedgerStats()
-
-    @property
-    def ready_time(self) -> float:
-        """Virtual time at which all recorded events have been processed."""
-        return self.resource.free_at
 
     def process(self, arrival_times: List[float]) -> float:
         """Serially process events arriving at the given times.
@@ -79,7 +61,6 @@ class PlaceZeroLedger:
             return resource.free_at
         if resource.retired:
             resource.check_live()
-        n = len(arrival_times)
         dt = self.event_time
         if resource.on_acquire is not None:
             done = resource.free_at
@@ -89,27 +70,12 @@ class PlaceZeroLedger:
             top = max(arrival_times)
             if top > resource.free_at:
                 resource.free_at = top
-            resource.served += n
             done = resource.free_at
         else:
             done = resource.free_at
-            busy = resource.busy_time
             for t in sorted(arrival_times):
                 if t > done:
                     done = t
                 done += dt
-                busy += dt
             resource.free_at = done
-            resource.busy_time = busy
-            resource.served += n
-        stats = self.stats
-        if dt:
-            # Repeated addition (not n*dt): keeps the accumulated float
-            # bit-identical to the historical per-event loop.
-            busy = stats.busy_time
-            for _ in range(n):
-                busy += dt
-            stats.busy_time = busy
-        stats.events += n
-        stats.finishes += 1
         return done

@@ -37,7 +37,7 @@ letting every *live* task complete and then raising ``DeadPlaceException``
 
 When every one of those times is provably 0.0 (all-zero cost model, a clock
 that never moved, no timeline to feed) the same loop runs the bodies and
-the counters only, skipping the arithmetic of steps 1–4.
+counts the finish, skipping the arithmetic of steps 1–4.
 """
 
 from __future__ import annotations
@@ -70,12 +70,10 @@ Flops = Union[float, Sequence[float]]
 
 @dataclass
 class RuntimeStats:
-    """Global counters exposed for tests and the overhead benchmarks."""
+    """Global counts read by the service and executor reports and the examples."""
 
     finishes: int = 0
     tasks: int = 0
-    messages: int = 0
-    bytes_sent: float = 0.0
     kills: int = 0
     #: Snapshot restore reads that fell through every in-memory replica
     #: to the stable-storage tier (the last rung of the recovery ladder).
@@ -163,14 +161,10 @@ class PlaceContext:
             raise DeadPlaceException(src_place_id)
         cost, clock = rt.cost, rt.clock
         if rt.engine.zero_fast():
-            rt.stats.messages += 2
-            rt.stats.bytes_sent += nbytes * cost.logical_scale
             return rt._heaps[src_place_id].get(key)
         t_req = self.now + cost.message(0)
         t_reply = rt.transfer(src_place_id, self.place.id, nbytes, t_req)
         clock.set_at_least(self.place.id, t_reply)
-        rt.stats.messages += 2
-        rt.stats.bytes_sent += cost.scaled_bytes(nbytes)
         return rt.heap_of(src_place_id).get(key)
 
     def write_remote(self, dst_place_id: int, key: Any, value: Any, nbytes: float) -> None:
@@ -189,8 +183,6 @@ class PlaceContext:
         clock = rt.clock
         rt.transfer(self.place.id, dst_place_id, nbytes, self.now)
         clock.set_at_least(self.place.id, self.now + cost.message(0))
-        rt.stats.messages += 1
-        rt.stats.bytes_sent += cost.scaled_bytes(nbytes)
         rt.heap_of(dst_place_id).put(key, value)
 
 
@@ -567,8 +559,6 @@ class Runtime:
         result = fn(self.context(place))
         t_back = clock.now(place.id) + cost.message(ret_bytes)
         clock.set_at_least(driver, t_back)
-        self.stats.messages += 2
-        self.stats.bytes_sent += cost.scaled_bytes(arg_bytes + ret_bytes)
         return result
 
     def finish_all(
@@ -654,10 +644,8 @@ class Runtime:
         timed = not cost.is_zero or clock._moved or engine._tl_enabled
         driver = self.DRIVER_ID
         alive = self._alive
-        stats = self.stats
         resilient = self.resilient
         ctx_cache = self._ctx_cache
-        arg_scaled = arg_bytes * cost.logical_scale
         failures: List[Exception] = []
         results: List[Any] = [None] * n_tasks
         n_live = 0
@@ -686,9 +674,6 @@ class Runtime:
                 failures.append(DeadPlaceException(pid))
                 continue
             n_live += 1
-            if pid != driver:
-                stats.messages += 1
-                stats.bytes_sent += arg_scaled
             if timed:
                 # Serial spawn at the caller, then the spawn message travels.
                 t_spawn += spawn_dt
@@ -740,9 +725,7 @@ class Runtime:
                 ret_bytes=ret_bytes,
             )
         else:
-            engine.complete_finish_zero(
-                self, n_live, n_live, 2 * n_live if resilient else 0, ret_bytes=ret_bytes
-            )
+            engine.complete_finish_zero(self, n_live)
         if failures:
             # No local may keep the raised exc: exc -> traceback -> this frame ->
             # exc is a cycle pinning the whole world (executor, stores) until a GC.

@@ -11,23 +11,20 @@ class TestResource:
         r = Resource(("srv", 0))
         assert r.acquire(5.0, 2.0) == 7.0
         assert r.free_at == 7.0
-        assert r.busy_time == 2.0
-        assert r.served == 1
 
     def test_busy_server_queues_fifo(self):
         r = Resource(("srv", 0))
         r.acquire(0.0, 10.0)
         # Requested at t=3 but the server is busy until t=10.
         assert r.acquire(3.0, 2.0) == 12.0
-        assert r.busy_time == 12.0
-        assert r.served == 2
+        assert r.free_at == 12.0
 
     def test_request_after_frontier_leaves_gap(self):
         r = Resource(("srv", 0))
         r.acquire(0.0, 1.0)
-        # Server idles from 1.0 to 100.0; busy_time counts only service.
+        # Server idles from 1.0 to 100.0: the request starts when it arrives.
         assert r.acquire(100.0, 1.0) == 101.0
-        assert r.busy_time == 2.0
+        assert r.free_at == 101.0
 
     def test_on_acquire_hook_sees_request_start_done(self):
         r = Resource(("srv", 0))
@@ -53,12 +50,6 @@ class TestResource:
             r.acquire(0.0, 1.0)
         assert exc.value.place_id == -1
 
-    def test_reset_clears_frontier_and_counters(self):
-        r = Resource("x")
-        r.acquire(0.0, 5.0)
-        r.reset()
-        assert (r.free_at, r.busy_time, r.served) == (0.0, 0.0, 0)
-
 
 class TestDuplexLink:
     def test_transfer_occupies_both_ends(self):
@@ -67,7 +58,6 @@ class TestDuplexLink:
         assert link.acquire(1.0, 2.0) == 3.0
         assert tx.free_at == 3.0
         assert rx.free_at == 3.0
-        assert tx.served == rx.served == 1
 
     def test_start_waits_for_busiest_end(self):
         tx, rx = Resource(("tx", 0)), Resource(("rx", 1))

@@ -181,13 +181,3 @@ class TestPurge:
         assert rt.engine.is_place_dead(2)
         with pytest.raises(DeadPlaceException):
             rt.engine.serve(2, 0.0, 1.0)
-
-
-class TestUtilization:
-    def test_busy_time_and_served_counts(self):
-        s = make_scheduler()
-        s.transfer(0, 1, 3.0, 0.0)
-        s.transfer(0, 1, 3.0, 0.0)
-        util = s.utilization()
-        assert util[("tx", 0)] == (8.0, 2)
-        assert util[("rx", 1)] == (8.0, 2)

@@ -36,8 +36,8 @@ class ReferenceEngine:
         self.timeline = timeline
         self.times: Dict[int, float] = {p: 0.0 for p in range(NPLACES)}
         self.moved = False
-        #: key -> [free_at, busy_time, served]
-        self.res: Dict[tuple, List] = {("ledger",): [0.0, 0.0, 0], ("disk",): [0.0, 0.0, 0]}
+        #: key -> free_at
+        self.res: Dict[tuple, float] = {("ledger",): 0.0, ("disk",): 0.0}
         self.dead = set()
         self.overlap_depth = 0
         self.pending: Dict[int, float] = {}
@@ -45,27 +45,25 @@ class ReferenceEngine:
 
     # -- engine state ----------------------------------------------------------
 
-    def _resource(self, key) -> List:
-        res = self.res.get(key)
-        if res is None:
+    def _resource(self, key) -> float:
+        free_at = self.res.get(key)
+        if free_at is None:
             if key[0] in _PLACE_TAGS and key[1] in self.dead:
                 raise DeadPlaceException(key[1])
-            res = self.res[key] = [0.0, 0.0, 0]
-        return res
+            free_at = self.res[key] = 0.0
+        return free_at
 
     def _acquire(self, keys, t_request: float, duration: float) -> float:
-        sides = [self._resource(key) for key in keys]
-        start = sides[0][0]
-        for side in sides[1:]:
-            if side[0] > start:
-                start = side[0]
+        fronts = [self._resource(key) for key in keys]
+        start = fronts[0]
+        for free_at in fronts[1:]:
+            if free_at > start:
+                start = free_at
         if t_request > start:
             start = t_request
         done = start + duration
-        for side in sides:
-            side[0] = done
-            side[1] += duration
-            side[2] += 1
+        for key in keys:
+            self.res[key] = done
         return done
 
     def kill(self, place_id: int) -> None:
@@ -270,10 +268,9 @@ def test_transfer_sequences_match_the_reference(cost, fault_spec, max_retries, t
             p: t.hex() for p, t in ref.times.items()
         }
         assert engine.clock._moved == ref.moved
-        assert {
-            key: (r.free_at.hex(), r.busy_time.hex(), r.served)
-            for key, r in engine._resources.items()
-        } == {key: (f.hex(), b.hex(), n) for key, (f, b, n) in ref.res.items()}
+        assert {key: r.free_at.hex() for key, r in engine._resources.items()} == {
+            key: f.hex() for key, f in ref.res.items()
+        }
         assert engine.pending_overlap() == ref.pending
         assert _counters(engine.faults) == _counters(ref.faults)
         assert engine.timeline.events == ref.events
@@ -286,8 +283,10 @@ def test_a_route_cached_before_a_purge_never_serves_after_it():
     for p in range(3):
         engine.register_place(p)
     first = engine.transfer(1, 2, 4.0, 0.0)
+    stale = engine._resources[("rx", 2)]
     engine.purge_place(2)
     engine.revive_place(2)
     second = engine.transfer(1, 2, 4.0, 0.0)
-    assert engine._resources[("rx", 2)].served == 1
+    fresh = engine._resources[("rx", 2)]
+    assert fresh is not stale and fresh.free_at == second
     assert second == first + 5.0  # queued behind the first on the live tx side only

@@ -39,16 +39,15 @@ class TestFromDup:
         assert np.array_equal(v.to_array(), d.to_array())
 
     def test_local_only_one_finish(self):
-        rt = make_rt()
+        rt = Runtime(4, cost=CostModel.zero(), trace=True)
         d = DupVector.make(rt, 11).init_random(5)
         v = DistVector.make(rt, 11)
-        before_msgs = rt.stats.messages
-        before_finishes = rt.stats.finishes
+        timeline = rt.engine.timeline
+        timeline.clear()
         v.from_dup(d)
-        assert rt.stats.finishes - before_finishes == 1
-        # No payload moves: only the finish's own task messages.
-        # (zero-cost model: messages counted are spawn/join only)
-        assert rt.stats.messages - before_msgs <= 2 * rt.world.size
+        assert len(timeline.of_kind("finish")) == 1
+        # No payload moves: each place copies from its own replica.
+        assert timeline.of_kind("transfer") == []
 
     def test_mismatch_rejected(self):
         rt = make_rt()

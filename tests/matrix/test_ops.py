@@ -52,16 +52,16 @@ class TestMatvec:
     def test_scattered_blocks_route_remotely(self):
         # Cyclic map: a place's blocks do not match the output partition,
         # so results are shipped — the answer must still be exact.
-        rt = Runtime(3, cost=CostModel.unit())
+        rt = Runtime(3, cost=CostModel.unit(), trace=True)
         grid = Grid.partition(12, 6, 6, 1)
         G = DistBlockMatrix(rt, grid, rt.world, "dense", CyclicBlockMap(grid, 3))
         G.init_random(4)
         x = DupVector.make(rt, 6).init_random(5)
         y = DistVector.make(rt, 12)
-        messages_before = rt.stats.messages
+        rt.engine.timeline.clear()
         dist_block_matvec(G, x, y)
         assert np.allclose(y.to_array(), G.to_dense().data @ x.to_array())
-        assert rt.stats.messages > messages_before
+        assert rt.engine.timeline.of_kind("transfer")
 
     def test_after_shrink_remap(self):
         rt = make_rt(4)

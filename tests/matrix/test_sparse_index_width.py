@@ -186,15 +186,16 @@ def test_a_save_and_a_cut_fetch_charge_modeled_bytes():
     twin, and a remote fetch of a cut piece sends the piece's modeled bytes."""
     saved, sent = [], []
     for payload in (band(2), _wide_twin(band(2))):
-        rt = Runtime(2, cost=CostModel.laptop())
+        rt = Runtime(2, cost=CostModel.laptop(), trace=True)
         snap = DistObjectSnapshot(rt, rt.world, backups=0)
         rt.finish_all(PlaceGroup([rt.world[0]]), lambda ctx: snap.save_from(ctx, 0, payload))
         saved.append(snap.total_nbytes)
-        before = rt.stats.bytes_sent
+        rt.engine.timeline.clear()
         rt.finish_all(
             PlaceGroup([rt.world[1]]), lambda ctx: snap.fetch(ctx, 0, cut=(1, 3, 0, 6))
         )
-        sent.append((rt.stats.bytes_sent - before) / rt.cost.logical_scale)
+        (fetch,) = rt.engine.timeline.of_kind("transfer")
+        sent.append(fetch.nbytes / rt.cost.logical_scale)
     assert saved[0] == saved[1] == payload_nbytes(_wide_twin(band(2)))
     piece = _wide_twin(band(2).sub_matrix(1, 3, 0, 6))
     assert sent[0] == sent[1] == payload_nbytes(piece)

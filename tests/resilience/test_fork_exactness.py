@@ -38,8 +38,6 @@ def _fingerprint(executor, report):
     return {
         "report": asdict(report),
         "time": rt.clock.global_time(),
-        "messages": rt.stats.messages,
-        "bytes_sent": rt.stats.bytes_sent,
         "finishes": rt.stats.finishes,
     }
 

@@ -219,7 +219,8 @@ class TestVirtualTime:
         rt.finish_all(rt.world, lambda ctx: None, label="phase-a")
         assert rt.stats.finishes == 1
         assert rt.stats.tasks == 4
-        assert rt.ledger.stats.events == 8  # spawn + termination per task
+        # Spawn + termination per task, each one ledger service.
+        assert len(rt.engine.timeline.of_kind("service")) == 8
         (finish,) = rt.engine.timeline.of_kind("finish")
         assert finish.label == "phase-a"
         assert finish.n_tasks == 4

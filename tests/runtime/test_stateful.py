@@ -114,7 +114,6 @@ class RuntimeMachine(RuleBasedStateMachine):
     def stats_consistent(self):
         assert self.rt.stats.finishes >= self.finishes_seen
         assert self.rt.stats.tasks >= 0
-        assert self.rt.stats.bytes_sent >= 0
 
 
 TestRuntimeMachine = RuntimeMachine.TestCase
