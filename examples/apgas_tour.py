@@ -23,7 +23,8 @@ print(f"partials gathered through the finish: {partials}")
 
 # -- at: an object lives in its home place's heap ---------------------------
 # Only a task running at place 2 can reach the entry, as only place 2 can
-# dereference a GlobalRef homed there.
+# dereference a GlobalRef homed there.  ``at (p) S`` blocks until S has run
+# at p: it is a finish over one task, and costs and counts as one.
 rt.at(Place(2), lambda ctx: ctx.heap.put("counter", {"hits": 0}))
 
 

@@ -22,6 +22,12 @@ from repro.runtime.factory import make_runtime
 #: §VII's restore protocol kills one place at iteration 15 of 30.
 PAPER_FAILURE_ITERATION = 15
 
+#: The paper's three restoration modes, in the figures' column order.
+_PAPER_MODES = tuple(
+    m.value
+    for m in (RestoreMode.SHRINK_REBALANCE, RestoreMode.SHRINK, RestoreMode.REPLACE_REDUNDANT)
+)
+
 
 def pmap(fn: Callable, items: Sequence, jobs: Optional[int]) -> List:
     """Map *fn* over *items*, optionally on a process pool — the one pool of
@@ -197,7 +203,6 @@ def _restore_cell(
     iterations: int,
     checkpoint_interval: int,
     failure_iteration: int,
-    mode_values: Tuple[str, ...],
     places: int,
 ) -> Dict[str, object]:
     """One place-count cell of the Figs. 5-7 protocol (picklable).
@@ -212,7 +217,6 @@ def _restore_cell(
     entry = APPS[app_name]
     wl, cost = entry.bench_workload(iterations), entry.bench_cost()
     victim = places // 2  # a mid-axis non-zero place
-    spares = 1 if RestoreMode.REPLACE_REDUNDANT.value in mode_values else 0
     unreached = (
         f"{app_name} at {places} places finished before the failure at "
         f"iteration {failure_iteration} could fire; nothing was restored"
@@ -222,14 +226,14 @@ def _restore_cell(
         places=places,
         iterations=iterations,
         checkpoint_interval=checkpoint_interval,
-        spares=spares,
+        spares=1,
     ).build()[3]
     with executor.runtime:
         images = capture_boundaries(executor, [failure_iteration])
     if failure_iteration not in images:
         raise ValueError(unreached)
     reports: Dict[str, ExecutionReport] = {}
-    for mode_value in mode_values:
+    for mode_value in _PAPER_MODES:
         fork = images[failure_iteration].load()
         fork.mode = RestoreMode(mode_value)
         with fork.runtime as rt:
@@ -249,7 +253,6 @@ def run_restore_sweep(
     iterations: int = 30,
     checkpoint_interval: int = 10,
     failure_iteration: int = PAPER_FAILURE_ITERATION,
-    modes: Optional[List[RestoreMode]] = None,
     jobs: Optional[int] = None,
 ) -> Dict[str, SweepSeries]:
     """Figs. 5-7 protocol: total runtime for 30 iterations with a single
@@ -267,15 +270,8 @@ def run_restore_sweep(
             "cannot restore from (need 1 <= failure_iteration < iterations)"
         )
     places_list = places_list or calibration.places_axis()
-    modes = modes or [
-        RestoreMode.SHRINK_REBALANCE,
-        RestoreMode.SHRINK,
-        RestoreMode.REPLACE_REDUNDANT,
-    ]
-    mode_values = tuple(m.value for m in modes)
-
     series = SweepSeries(places=list(places_list))
-    reports: Dict[str, Dict[int, ExecutionReport]] = {m.value: {} for m in modes}
+    reports: Dict[str, Dict[int, ExecutionReport]] = {m: {} for m in _PAPER_MODES}
 
     cells = pmap(
         partial(
@@ -284,13 +280,12 @@ def run_restore_sweep(
             iterations,
             checkpoint_interval,
             failure_iteration,
-            mode_values,
         ),
         places_list,
         jobs,
     )
     for places, cell in zip(places_list, cells):
-        for mode_value in mode_values:
+        for mode_value in _PAPER_MODES:
             report = cell["reports"][mode_value]
             series.add(mode_value, report.total_time)
             reports[mode_value][places] = report

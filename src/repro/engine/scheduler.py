@@ -34,7 +34,7 @@ from repro.engine.timeline import (
 from repro.runtime.clock import VirtualClock
 from repro.runtime.cost import CostModel
 from repro.runtime.exceptions import CommTimeoutError, DeadPlaceException
-from repro.runtime.failure import RetryPolicy, TransientFaultModel
+from repro.runtime.failure import MAX_RETRIES, TransientFaultModel, rto
 
 #: Resource-key tags whose second element is a place id (purged on kill).
 _PLACE_TAGS = ("srv", "tx", "rx")
@@ -52,11 +52,10 @@ class Scheduler:
     def __init__(
         self,
         cost: CostModel,
-        clock: Optional[VirtualClock] = None,
         timeline: Optional[Timeline] = None,
     ):
         self.cost = cost
-        self.clock = clock if clock is not None else VirtualClock()
+        self.clock = VirtualClock()
         self.timeline = timeline if timeline is not None else Timeline(enabled=False)
         self._resources: Dict[Any, Resource] = {}
         #: The route table: ``(src, dst)`` -> ``(name, server, memo, rate)``,
@@ -76,8 +75,6 @@ class Scheduler:
         #: Transient message-fault model; ``None`` keeps the network
         #: reliable and every transfer bit-exact with the fault-free model.
         self.faults: Optional[TransientFaultModel] = None
-        #: Retransmission policy used when ``faults`` is set.
-        self.retry_policy: RetryPolicy = RetryPolicy()
 
     # -- place lifecycle -----------------------------------------------------
 
@@ -283,7 +280,7 @@ class Scheduler:
 
         Under a :class:`~repro.runtime.failure.TransientFaultModel` each
         transmission attempt can be dropped (retransmitted after an
-        exponential-backoff RTO, up to ``retry_policy.max_retries``, then
+        exponential-backoff RTO, up to ``MAX_RETRIES`` times, then
         ``CommTimeoutError``), duplicated (the duplicate burns receive-side
         resource time but is suppressed — at-most-once delivery) or
         delayed in flight.
@@ -308,11 +305,10 @@ class Scheduler:
             if fate.delivered:
                 extra, duplicated = fate.extra_delay, fate.duplicated
                 break
-            policy = self.retry_policy
-            if attempt >= policy.max_retries:
+            if attempt >= MAX_RETRIES:
                 faults.timeouts += 1
                 raise CommTimeoutError(dst_id, retries=attempt)
-            t_send += policy.rto(attempt, cost, nbytes)
+            t_send += rto(attempt, cost, nbytes)
             attempt += 1
             faults.retransmissions += 1
 

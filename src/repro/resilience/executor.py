@@ -300,6 +300,10 @@ _RUNTIME_COUNTERS = (
 #: (and therefore scrub the restored checkpoint back to full redundancy).
 _REPLACE_MODES = (RestoreMode.REPLACE_REDUNDANT, RestoreMode.REPLACE_ELASTIC)
 
+#: Consecutive recovery attempts (the count resets after every completed
+#: step) before a run gives up with ``DataLossError``.
+MAX_RESTORE_ATTEMPTS = 10
+
 
 class IterativeExecutor:
     """Drives a resilient iterative application to completion."""
@@ -311,7 +315,6 @@ class IterativeExecutor:
         checkpoint_interval: int = 10,
         mode: RestoreMode = RestoreMode.SHRINK,
         spare_fallback: RestoreMode = RestoreMode.SHRINK,
-        max_restore_attempts: int = 10,
         checkpoint_mode: str = "blocking",
         protection: Protection = Protection(),
         detector: Optional[PhiAccrualDetector] = None,
@@ -335,7 +338,6 @@ class IterativeExecutor:
         self.checkpoint_interval = checkpoint_interval
         self.mode = mode
         self.spare_fallback = spare_fallback
-        self.max_restore_attempts = max_restore_attempts
         self.checkpoint_mode = checkpoint_mode
         #: Without a detector, failure knowledge is the oracle model
         #: (exceptions carry ground truth); with one, recovery decisions go
@@ -431,11 +433,11 @@ class IterativeExecutor:
 
     def _count_attempt(self, failure: Exception, message: str) -> None:
         """One more consecutive recovery attempt (the count resets after
-        every completed step); past ``max_restore_attempts`` the run gives
+        every completed step); past ``MAX_RESTORE_ATTEMPTS`` the run gives
         up with *message* formatted with the number that failed."""
         state = self._loop
         state.restore_attempts += 1
-        if state.restore_attempts > self.max_restore_attempts:
+        if state.restore_attempts > MAX_RESTORE_ATTEMPTS:
             raise DataLossError(message.format(state.restore_attempts - 1)) from failure
 
     # -- one iteration ----------------------------------------------------------
@@ -541,7 +543,7 @@ class IterativeExecutor:
         """
         rt, state, rstore = self.runtime, self._loop, self.rstore
         report = state.report
-        for _ in range(self.max_restore_attempts if rstore.ready else 0):
+        for _ in range(MAX_RESTORE_ATTEMPTS if rstore.ready else 0):
             # The app's group only advances on success, so the dead set is
             # recomputed from the same base group each attempt; spares from
             # an aborted attempt sit in the stash and are reused.

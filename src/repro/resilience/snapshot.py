@@ -152,8 +152,6 @@ class DistObjectSnapshot:
         #: bytes they would have cost under a full save.
         self.clean_keys: set = set()
         self.clean_nbytes = 0.0
-        #: Restore reads that fell through every in-memory copy to disk.
-        self.fallback_reads = 0
         #: CRC-32 recorded per key at save time (ground truth for verify).
         self._checksums: Dict[int, int] = {}
         #: ``key -> (payload, token)`` whose CRC has not been computed yet.
@@ -584,7 +582,6 @@ class DistObjectSnapshot:
             if self._homes[key]:
                 # A fall-through is only counted where there was a memory
                 # tier to fall from; a disk-only store reads disk by design.
-                self.fallback_reads += 1
                 rt.stats.stable_fallback_reads += 1
         else:
             payload = rt._heaps[src_id].get(heap_key)  # locate() found the place alive

@@ -9,7 +9,7 @@ synchronizes them at the finish join.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 _INF = float("inf")
 
@@ -100,18 +100,6 @@ class VirtualClock:
             self._moved = True
             self._times[place_id] = time
         return self._times[place_id]
-
-    def barrier(self, place_ids: Iterable[int]) -> float:
-        """Synchronize the given places to their common maximum time."""
-        ids = list(place_ids)
-        if not ids:
-            return 0.0
-        t = max(self._times[i] for i in ids)
-        if t:
-            self._moved = True
-        for i in ids:
-            self._times[i] = t
-        return t
 
     def global_time(self) -> float:
         """Maximum time across all registered places."""

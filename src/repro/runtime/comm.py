@@ -31,6 +31,7 @@ from repro.runtime.exceptions import (
     DeadPlaceException,
     MultipleException,
 )
+from repro.runtime.failure import MAX_RETRIES, rto
 from repro.runtime.place import PlaceGroup
 from repro.runtime.runtime import Runtime
 from repro.util.validation import check_index
@@ -61,7 +62,6 @@ def _edge_fault(
     receive-side server time but is suppressed (at-most-once).  Raises
     :class:`CommTimeoutError` when the retransmission budget is exhausted.
     """
-    policy = rt.retry_policy
     wait = 0.0
     attempt = 0
     while True:
@@ -72,10 +72,10 @@ def _edge_fault(
                     t_send + wait, rt.cost.message(0)
                 )
             return wait, fate.extra_delay
-        if attempt >= policy.max_retries:
+        if attempt >= MAX_RETRIES:
             faults.timeouts += 1
             raise CommTimeoutError(dst_id, retries=attempt)
-        wait += policy.rto(attempt, rt.cost, nbytes)
+        wait += rto(attempt, rt.cost, nbytes)
         attempt += 1
         faults.retransmissions += 1
 

@@ -26,7 +26,7 @@ engine:
   the confirmation threshold, while a truly dead place's φ grows without
   bound;
 * the state ladder is ``ALIVE → SUSPECTED → CONFIRMED_DEAD``:  SUSPECTED
-  (φ ≥ ``phi_suspect``) means *wait and retry*; CONFIRMED_DEAD (gap ≥
+  (φ ≥ ``PHI_SUSPECT``) means *wait and retry*; CONFIRMED_DEAD (gap ≥
   ``detect_timeout`` in φ terms) means *evict and restore*.  Confirmation
   is sticky — a confirmed place is fenced even if it was a false positive,
   because the group must converge on one membership view.
@@ -56,6 +56,18 @@ HEARTBEAT_NBYTES = 64.0
 #: only depends on the recent inter-arrival window).
 _MAX_BEATS_PER_POLL = 64
 
+#: φ level at which a place becomes SUSPECTED (the gap is ~2.3× the
+#: learned mean inter-arrival).
+PHI_SUSPECT = 1.0
+
+#: Weight of the newest inter-arrival gap in the learned mean.
+EWMA_ALPHA = 0.2
+
+#: :meth:`PhiAccrualDetector.resolve` waits at most this many
+#: ``detect_timeout``\ s for a verdict before fail-safe confirming the
+#: remaining suspects.
+RESOLVE_WAIT_TIMEOUTS = 2.0
+
 
 class PlaceHealth(Enum):
     """The detector's view of one monitored place."""
@@ -78,13 +90,6 @@ class PhiAccrualDetector:
         ``--detect-timeout``).
     heartbeat_interval:
         Emission period; defaults to ``detect_timeout / 10``.
-    phi_suspect:
-        φ level at which a place becomes SUSPECTED (default 1.0 — the gap
-        is ~2.3× the learned mean inter-arrival).
-    max_resolve_wait:
-        Upper bound on how long :meth:`resolve` waits for a verdict before
-        fail-safe confirming the remaining suspects (default
-        ``2 × detect_timeout``).
     places:
         Restrict monitoring to these place ids (a lease's members, minus
         its driver).  Default: every place except the runtime driver — the
@@ -99,9 +104,6 @@ class PhiAccrualDetector:
         runtime: "Runtime",
         detect_timeout: float = 1.0,
         heartbeat_interval: Optional[float] = None,
-        phi_suspect: float = 1.0,
-        ewma_alpha: float = 0.2,
-        max_resolve_wait: Optional[float] = None,
         places: Optional[Sequence[int]] = None,
         start_time: float = 0.0,
     ):
@@ -111,21 +113,12 @@ class PhiAccrualDetector:
             heartbeat_interval = detect_timeout / 10.0
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         self.runtime = runtime
         self.detect_timeout = detect_timeout
         self.heartbeat_interval = heartbeat_interval
-        self.phi_suspect = phi_suspect
         #: φ at which a healthy-history place (μ ≈ interval) has been
         #: silent for ``detect_timeout``.
         self.phi_confirm = detect_timeout / (heartbeat_interval * LN10)
-        self.ewma_alpha = ewma_alpha
-        self.max_resolve_wait = (
-            max_resolve_wait if max_resolve_wait is not None else 2.0 * detect_timeout
-        )
-        self.heartbeats_observed = 0
-        self.heartbeats_lost = 0
         #: Confirmations already reported through :meth:`sweep`.
         self._reported: set = set()
         self._last: Dict[int, float] = {}
@@ -201,7 +194,6 @@ class PhiAccrualDetector:
                 seq += 1
                 continue
             if faults is not None and faults.heartbeat_lost(place_id, seq, t_emit):
-                self.heartbeats_lost += 1
                 seq += 1
                 continue
             arrival = t_emit + latency
@@ -210,10 +202,8 @@ class PhiAccrualDetector:
             server.acquire(arrival, rt.cost.message(HEARTBEAT_NBYTES))
             gap = arrival - self._last[place_id]
             if gap > 0:
-                alpha = self.ewma_alpha
-                self._mean[place_id] += alpha * (gap - self._mean[place_id])
+                self._mean[place_id] += EWMA_ALPHA * (gap - self._mean[place_id])
                 self._last[place_id] = arrival
-            self.heartbeats_observed += 1
             seq += 1
         self._next_seq[place_id] = seq
 
@@ -239,7 +229,7 @@ class PhiAccrualDetector:
         phi = self.phi(place_id, now)
         if phi >= self.phi_confirm:
             state = PlaceHealth.CONFIRMED_DEAD
-        elif phi >= self.phi_suspect:
+        elif phi >= PHI_SUSPECT:
             state = PlaceHealth.SUSPECTED
         else:
             state = PlaceHealth.ALIVE
@@ -277,8 +267,9 @@ class PhiAccrualDetector:
         intervals — the wait-and-retry rung of the ladder) until every
         place in *place_ids* is either CONFIRMED_DEAD or demonstrably alive
         (a fresh heartbeat arrived after the incident).  Suspects still
-        undecided after ``max_resolve_wait`` are fail-safe confirmed: the
-        group fences them and moves on rather than hanging forever.
+        undecided after ``RESOLVE_WAIT_TIMEOUTS`` detection timeouts are
+        fail-safe confirmed: the group fences them and moves on rather than
+        hanging forever.
 
         Returns ``(confirmed_dead, cleared_alive, waited_seconds)``.
         """
@@ -290,7 +281,7 @@ class PhiAccrualDetector:
         cleared = [p for p in place_ids if p not in self._state]
         confirmed: List[int] = []
         t_incident = rt.clock.now(driver)
-        deadline = t_incident + self.max_resolve_wait
+        deadline = t_incident + RESOLVE_WAIT_TIMEOUTS * self.detect_timeout
         while pending:
             now = rt.clock.now(driver)
             still: List[int] = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.runtime.cost import CostModel
-from repro.runtime.failure import RetryPolicy, TransientFaultModel
+from repro.runtime.failure import TransientFaultModel
 from repro.runtime.runtime import Runtime
 
 
@@ -24,7 +24,6 @@ def make_runtime(
     spares: int = 0,
     trace: bool = False,
     faults: Optional[TransientFaultModel] = None,
-    retry_policy: Optional[RetryPolicy] = None,
 ) -> Runtime:
     """Build a :class:`Runtime` (and its place pool) in one call.
 
@@ -40,6 +39,6 @@ def make_runtime(
         spares=spares,
         trace=trace,
     )
-    if faults is not None or retry_policy is not None:
-        rt.set_faults(faults, retry_policy)
+    if faults is not None:
+        rt.set_faults(faults)
     return rt

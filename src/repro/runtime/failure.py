@@ -347,36 +347,23 @@ _DROPPED = MessageFate(delivered=False)
 _DELIVERED = MessageFate(delivered=True)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retransmission with exponential backoff (at-most-once).
+#: Bounded retransmission with exponential backoff (at-most-once): a sender
+#: that receives no acknowledgement retransmits after an RTO that grows by
+#: ``BACKOFF`` per attempt; after ``MAX_RETRIES`` retransmissions the
+#: destination is declared unreachable (``CommTimeoutError``) and the
+#: decision escalates to the failure detector.
+MAX_RETRIES = 4
+BACKOFF = 2.0
 
-    A sender that receives no acknowledgement retransmits after an RTO
-    that doubles per attempt; after ``max_retries`` retransmissions the
-    destination is declared unreachable (``CommTimeoutError``) and the
-    decision escalates to the failure detector.  ``rto_seconds`` of 0
-    derives the base RTO from the cost model (a few message round-trips),
-    which also keeps retries free under the all-zero test cost model.
+
+def rto(attempt: int, cost, nbytes: float = 0.0) -> float:
+    """Retransmission timeout before attempt ``attempt + 1``.
+
+    The base RTO is a few message round-trips of the cost model, which also
+    keeps retries free under the all-zero test cost model.
     """
-
-    max_retries: int = 4
-    rto_seconds: float = 0.0
-    backoff: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.rto_seconds < 0:
-            raise ValueError("rto_seconds must be >= 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1.0")
-
-    def rto(self, attempt: int, cost, nbytes: float = 0.0) -> float:
-        """Retransmission timeout before attempt ``attempt + 1``."""
-        base = self.rto_seconds
-        if base == 0.0:
-            base = 4.0 * cost.latency + cost.byte_time * cost.scaled_bytes(nbytes)
-        return base * self.backoff**attempt
+    base = 4.0 * cost.latency + cost.byte_time * cost.scaled_bytes(nbytes)
+    return base * BACKOFF**attempt
 
 
 @dataclass(frozen=True)

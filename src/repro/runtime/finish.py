@@ -17,7 +17,7 @@ long tasks) but ~120 % for LinReg (many short finishes).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine loads later)
     from repro.engine.resource import Resource
@@ -31,15 +31,11 @@ class PlaceZeroLedger:
     an engine :class:`~repro.engine.resource.Resource` whose busy-until
     frontier is the time all recorded events have been processed.  The
     runtime passes its scheduler's ledger resource so the events appear in
-    the engine's typed event log; a stand-alone ledger creates its own.
+    the engine's typed event log.
     """
 
-    def __init__(self, event_time: float, resource: Optional["Resource"] = None):
+    def __init__(self, event_time: float, resource: "Resource"):
         self.event_time = event_time
-        if resource is None:
-            from repro.engine.resource import Resource
-
-            resource = Resource(("ledger",))
         self.resource = resource
 
     def process(self, arrival_times: List[float]) -> float:

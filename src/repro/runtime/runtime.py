@@ -55,7 +55,7 @@ from repro.runtime.exceptions import (
     PlaceZeroDeadError,
     collapse_failures,
 )
-from repro.runtime.failure import FailureInjector, RetryPolicy, TransientFaultModel
+from repro.runtime.failure import FailureInjector, TransientFaultModel
 from repro.runtime.finish import PlaceZeroLedger
 from repro.runtime.heap import PlaceHeap
 from repro.runtime.place import Place, PlaceGroup
@@ -240,9 +240,7 @@ class Runtime:
             self.engine.register_place(p.id)
         self._next_place_id = total
 
-        self.ledger = PlaceZeroLedger(
-            self.cost.ledger_event_time, resource=self.engine.ledger
-        )
+        self.ledger = PlaceZeroLedger(self.cost.ledger_event_time, self.engine.ledger)
         self.injector = FailureInjector()
         self.stats = RuntimeStats()
         self.phase = 0
@@ -281,19 +279,9 @@ class Runtime:
         """The transient message-fault model (owned by the engine)."""
         return self.engine.faults
 
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        return self.engine.retry_policy
-
-    def set_faults(
-        self,
-        faults: Optional[TransientFaultModel],
-        retry_policy: Optional[RetryPolicy] = None,
-    ) -> None:
+    def set_faults(self, faults: Optional[TransientFaultModel]) -> None:
         """Install (or clear) transient message faults on the engine."""
         self.engine.faults = faults
-        if retry_policy is not None:
-            self.engine.retry_policy = retry_policy
 
     def set_straggler(self, place_id: int, factor: float) -> None:
         """Make a place compute *factor* times slower (1.0 = full speed).
@@ -494,12 +482,11 @@ class Runtime:
         """Run one tenant's job scoped to its lease.
 
         Inside the context the lease's driver place plays place zero's
-        role: ``DRIVER_ID`` (hence finish joins, heartbeat sinks, ``at``
-        return paths and barriers) points at the lease driver, and the
-        runtime's failure injector / detector are swapped for the
-        job-scoped ones, so kills scripted for tenant A cannot fire while
-        tenant B is executing.  Everything is restored on exit, even when
-        the job aborts.
+        role: ``DRIVER_ID`` (hence finish joins and heartbeat sinks) points
+        at the lease driver, and the runtime's failure injector / detector
+        are swapped for the job-scoped ones, so kills scripted for tenant A
+        cannot fire while tenant B is executing.  Everything is restored on
+        exit, even when the job aborts.
         """
         require(lease.state == "active", f"lease {lease.name!r} is released")
         self.check_alive(lease.driver.id)
@@ -536,36 +523,19 @@ class Runtime:
         self._ctx_cache[place.id] = ctx
         return ctx
 
-    def at(
-        self,
-        place: Place,
-        fn: Callable[[PlaceContext], Any],
-        arg_bytes: float = 0.0,
-        ret_bytes: float = 0.0,
-    ) -> Any:
+    def at(self, place: Place, fn: Callable[[PlaceContext], Any]) -> Any:
         """Run ``fn`` at *place* and return its result to the driver.
 
-        Models ``at (p) { ... }``: ship the closure, run it, ship the result
-        back.  Raises ``DeadPlaceException`` if the target is dead.
+        Models X10's ``at (p) S``, which blocks until ``S`` completes at
+        *p*: a finish over one task, costed and recorded like any other.
+        Raises ``DeadPlaceException`` if the target is dead.
         """
-        self.check_alive(place.id)
-        clock, cost = self.clock, self.cost
-        driver = self.DRIVER_ID
-        if place.id == driver:
-            result = fn(self.context(place))
-            return result
-        t_arrive = max(clock.now(driver), clock.now(place.id)) + cost.message(arg_bytes)
-        clock.set_at_least(place.id, t_arrive)
-        result = fn(self.context(place))
-        t_back = clock.now(place.id) + cost.message(ret_bytes)
-        clock.set_at_least(driver, t_back)
-        return result
+        return self.finish_tasks(((place, fn),))[0]
 
     def finish_all(
         self,
         group: PlaceGroup,
         fn: Callable[[PlaceContext], Any],
-        arg_bytes: float = 0.0,
         ret_bytes: float = 0.0,
         label: str = "",
         flops: Optional[Flops] = None,
@@ -585,13 +555,12 @@ class Runtime:
         ``ValueError`` before any task runs.
         """
         return self._finish(
-            zip(group._places, repeat(fn)), group.size, arg_bytes, ret_bytes, label, flops
+            zip(group._places, repeat(fn)), group.size, ret_bytes, label, flops
         )
 
     def finish_tasks(
         self,
         tasks: Sequence,
-        arg_bytes: float = 0.0,
         ret_bytes: float = 0.0,
         label: str = "",
         flops: Optional[Flops] = None,
@@ -602,13 +571,12 @@ class Runtime:
         places, including the same place several times.  *flops* is as for :meth:`finish_all`,
         per-task counts in task order.
         """
-        return self._finish(tasks, len(tasks), arg_bytes, ret_bytes, label, flops)
+        return self._finish(tasks, len(tasks), ret_bytes, label, flops)
 
     def _finish(
         self,
         tasks: Iterable,
         n_tasks: int,
-        arg_bytes: float,
         ret_bytes: float,
         label: str,
         flops: Optional[Flops] = None,
@@ -653,9 +621,10 @@ class Runtime:
             times = clock._times
             t_start = t_spawn = times[driver]
             spawn_dt = cost.task_spawn_time
-            arg_msg = cost._msg_memo.get(arg_bytes)
-            if arg_msg is None:
-                arg_msg = cost.message(arg_bytes)
+            # The spawn message carries no modelled payload.
+            spawn_msg = cost._msg_memo.get(0.0)
+            if spawn_msg is None:
+                spawn_msg = cost.message(0.0)
             latency = cost.latency
             task_ends: List[float] = []
             ledger_arrivals: Optional[List[float]] = [] if resilient else None
@@ -677,7 +646,7 @@ class Runtime:
             if timed:
                 # Serial spawn at the caller, then the spawn message travels.
                 t_spawn += spawn_dt
-                task_begin = t_spawn if pid == driver else t_spawn + arg_msg
+                task_begin = t_spawn if pid == driver else t_spawn + spawn_msg
                 if avail[pid] > task_begin:
                     task_begin = avail[pid]
                 # In-phase arrivals recorded so far are merged back at the end.
@@ -732,12 +701,6 @@ class Runtime:
             failures = [collapse_failures(failures)]
             raise failures.pop()
         return results
-
-    def barrier(self, group: PlaceGroup) -> float:
-        """Synchronize the clocks of the group's live places (plus driver)."""
-        ids = [p.id for p in group if self.is_alive(p.id)]
-        ids.append(self.DRIVER_ID)
-        return self.clock.barrier(ids)
 
     # -- convenience -----------------------------------------------------------
 

@@ -2,45 +2,32 @@
 
 Admission is strict FIFO: the head job waits until the pool can hold its
 whole lease (head-of-line blocking is the price of starvation freedom —
-a stream of small jobs can never park a big one forever).  A bounded
-queue rejects arrivals outright once it is full, which is the
-back-pressure surface a real front door would have.
+a stream of small jobs can never park a big one forever).  The queue is
+unbounded: a job the pool can never host is reported as starved when the
+stream ends, not turned away on arrival.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 from repro.runtime.pool import DEDICATED, PlacePool
 from repro.service.jobs import JobSpec
-from repro.util.validation import require
 
 
 class JobQueue:
     """FIFO queue of jobs waiting for pool capacity."""
 
-    def __init__(self, max_depth: Optional[int] = None):
-        require(
-            max_depth is None or max_depth >= 0, "max_depth must be >= 0 or None"
-        )
+    def __init__(self) -> None:
         self._queue: Deque[JobSpec] = deque()
-        self.max_depth = max_depth
-        self.rejected: List[JobSpec] = []
-        #: High-water mark of the queue depth.
-        self.peak_depth = 0
 
     def __len__(self) -> int:
         return len(self._queue)
 
-    def offer(self, job: JobSpec) -> bool:
-        """Enqueue *job*; False (recorded in ``rejected``) if full."""
-        if self.max_depth is not None and len(self._queue) >= self.max_depth:
-            self.rejected.append(job)
-            return False
+    def offer(self, job: JobSpec) -> None:
+        """Enqueue *job* at the tail."""
         self._queue.append(job)
-        self.peak_depth = max(self.peak_depth, len(self._queue))
-        return True
 
     def head(self) -> Optional[JobSpec]:
         return self._queue[0] if self._queue else None

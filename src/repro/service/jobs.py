@@ -26,6 +26,10 @@ from repro.bench.catalogue import APPS
 from repro.util.validation import check_positive, require
 
 
+#: Zipf exponent of the job-size draw: most tenants are small, a few big.
+ZIPF_A = 2.2
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One admitted-or-queued unit of work."""
@@ -87,12 +91,11 @@ def generate_jobs(
     max_places: int = 6,
     min_iterations: int = 4,
     max_iterations: int = 12,
-    zipf_a: float = 2.2,
     dedicated_spares: int = 1,
 ) -> List[JobSpec]:
     """A seeded stream of *n* mixed jobs.
 
-    Sizes follow ``min_places + (Zipf(a) - 1)`` clipped to *max_places*;
+    Sizes follow ``min_places + (Zipf(ZIPF_A) - 1)`` clipped to *max_places*;
     inter-arrival gaps are exponential with mean ``1 / arrival_rate``
     (virtual seconds).  Pure in ``(seed, n, knobs)``; the knobs are a
     :class:`~repro.service.ServiceConfig`'s, judged when it was made.
@@ -102,7 +105,7 @@ def generate_jobs(
     t = 0.0
     for job_id in range(n):
         t += float(rng.exponential(1.0 / arrival_rate))
-        size = min_places + int(rng.zipf(zipf_a)) - 1
+        size = min_places + int(rng.zipf(ZIPF_A)) - 1
         size = min(size, max_places)
         jobs.append(
             JobSpec(

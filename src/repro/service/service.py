@@ -364,17 +364,7 @@ class ClusterService:
             elif isinstance(payload, PlaceLease):
                 self.pool.release(payload)
             else:  # arrival
-                job = payload
-                if not self.queue.offer(job):
-                    self._results[job.job_id] = JobResult(
-                        job_id=job.job_id,
-                        app=job.app,
-                        places=job.places,
-                        status="rejected",
-                        arrival=job.arrival,
-                        detail="queue full",
-                    )
-                    continue
+                self.queue.offer(payload)
             while True:
                 admitted = self.admission.pop_admissible(self.queue)
                 if admitted is None:

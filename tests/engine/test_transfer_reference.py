@@ -20,7 +20,7 @@ from repro.engine.scheduler import Scheduler
 from repro.engine.timeline import Timeline, TransferEvent
 from repro.runtime.cost import CostModel
 from repro.runtime.exceptions import CommTimeoutError, DeadPlaceException
-from repro.runtime.failure import LinkPartition, RetryPolicy, TransientFaultModel
+from repro.runtime.failure import MAX_RETRIES, LinkPartition, TransientFaultModel, rto
 
 NPLACES = 6
 _PLACE_TAGS = ("srv", "tx", "rx")
@@ -29,10 +29,9 @@ _PLACE_TAGS = ("srv", "tx", "rx")
 class ReferenceEngine:
     """The transfer path of the engine, written out one step at a time."""
 
-    def __init__(self, cost: CostModel, faults, policy: RetryPolicy, timeline: bool):
+    def __init__(self, cost: CostModel, faults, timeline: bool):
         self.cost = cost
         self.faults = faults
-        self.policy = policy
         self.timeline = timeline
         self.times: Dict[int, float] = {p: 0.0 for p in range(NPLACES)}
         self.moved = False
@@ -152,10 +151,10 @@ class ReferenceEngine:
                 if fate.duplicated:
                     self._acquire([("srv", dst)], done, self._message(0))
                 return done
-            if attempt >= self.policy.max_retries:
+            if attempt >= MAX_RETRIES:
                 faults.timeouts += 1
                 raise CommTimeoutError(dst, retries=attempt)
-            t_send += self.policy.rto(attempt, self.cost, nbytes)
+            t_send += rto(attempt, self.cost, nbytes)
             attempt += 1
             faults.retransmissions += 1
 
@@ -227,18 +226,15 @@ ops = st.lists(
 @given(
     cost=costs,
     fault_spec=fault_specs,
-    max_retries=st.sampled_from([0, 2, 4]),
     timeline=st.booleans(),
     ops=ops,
 )
-def test_transfer_sequences_match_the_reference(cost, fault_spec, max_retries, timeline, ops):
-    policy = RetryPolicy(max_retries=max_retries)
+def test_transfer_sequences_match_the_reference(cost, fault_spec, timeline, ops):
     engine = Scheduler(cost, timeline=Timeline(enabled=timeline))
     for p in range(NPLACES):
         engine.register_place(p)
     engine.faults = _fault_model(fault_spec)
-    engine.retry_policy = policy
-    ref = ReferenceEngine(cost, _fault_model(fault_spec), policy, timeline)
+    ref = ReferenceEngine(cost, _fault_model(fault_spec), timeline)
 
     for op in ops:
         kind = op[0]

@@ -64,5 +64,4 @@ def test_service_stream_leaves_no_cyclic_garbage():
 def test_restore_cell_leaves_no_cyclic_garbage():
     """A sweep cell: one reference world, an image at the kill and one
     resumed fork per restore mode, every world closed as it finishes."""
-    modes = ("shrink", "shrink-rebalance", "replace-redundant")
-    assert cyclic_garbage(lambda: _restore_cell("pagerank", 6, 2, 3, modes, 4)) == []
+    assert cyclic_garbage(lambda: _restore_cell("pagerank", 6, 2, 3, 4)) == []

@@ -132,10 +132,10 @@ def host_gemvs(monkeypatch):
     labels = []
     finish = Runtime._finish
 
-    def traced_finish(self, tasks, n_tasks, arg_bytes, ret_bytes, label, flops=None):
+    def traced_finish(self, tasks, n_tasks, ret_bytes, label, flops=None):
         labels.append(label)
         try:
-            return finish(self, tasks, n_tasks, arg_bytes, ret_bytes, label, flops)
+            return finish(self, tasks, n_tasks, ret_bytes, label, flops)
         finally:
             labels.pop()
 

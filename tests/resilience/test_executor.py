@@ -176,15 +176,14 @@ class TestFailureRecovery:
         with pytest.raises(DataLossError):
             IterativeExecutor(rt, app, checkpoint_interval=3).run()
 
-    def test_adjacent_double_failure_raises_data_loss(self):
+    def test_adjacent_double_failure_raises_data_loss(self, monkeypatch):
+        monkeypatch.setattr("repro.resilience.executor.MAX_RESTORE_ATTEMPTS", 2)
         rt = Runtime(5, cost=CostModel.zero(), resilient=True)
         app = CountingApp(rt, 10)
         rt.injector.kill_at_iteration(2, iteration=5)
         rt.injector.kill_at_iteration(3, iteration=5)
         with pytest.raises(DataLossError):
-            IterativeExecutor(
-                rt, app, checkpoint_interval=4, max_restore_attempts=2
-            ).run()
+            IterativeExecutor(rt, app, checkpoint_interval=4).run()
 
 
 class TestReportAccounting:

@@ -69,8 +69,9 @@ class TestCascadingFailures:
         assert app.places.ids == [0, 1, 3, 5]
         assert np.allclose(app.state.to_array(), 10.0)
 
-    def test_restore_attempt_cap(self):
+    def test_restore_attempt_cap(self, monkeypatch):
         """Endless restore failures eventually raise DataLossError."""
+        monkeypatch.setattr("repro.resilience.executor.MAX_RESTORE_ATTEMPTS", 3)
         rt = Runtime(4, cost=CostModel.zero(), resilient=True)
         app = CountingApp(rt, 10)
         rt.injector.kill_at_iteration(2, iteration=3)
@@ -82,9 +83,7 @@ class TestCascadingFailures:
 
         app.restore = always_failing_restore
         with pytest.raises(DataLossError):
-            IterativeExecutor(
-                rt, app, checkpoint_interval=3, max_restore_attempts=3
-            ).run()
+            IterativeExecutor(rt, app, checkpoint_interval=3).run()
 
     def test_shrink_down_to_single_survivor(self):
         rt = Runtime(3, cost=CostModel.zero(), resilient=True)

@@ -174,8 +174,7 @@ class TestSnapshotTiers:
         v.remake(rt.live_world())
         v.restore_snapshot(snap)
         assert np.allclose(v.to_array(), 3.5)
-        assert snap.fallback_reads > 0
-        assert rt.stats.stable_fallback_reads == snap.fallback_reads
+        assert rt.stats.stable_fallback_reads > 0
 
     def test_degraded_stable_snapshot_stays_reusable(self):
         # Read-only reuse: losing in-memory copies does not force a re-save

@@ -51,30 +51,11 @@ class TestVirtualClock:
         c.set_at_least(0, 12.0)
         assert c.now(0) == 12.0
 
-    def test_barrier(self):
-        c = VirtualClock()
-        for i in range(3):
-            c.register(i, at_time=float(i))
-        t = c.barrier([0, 1, 2])
-        assert t == 2.0
-        assert all(c.now(i) == 2.0 for i in range(3))
-
-    def test_barrier_subset(self):
-        c = VirtualClock()
-        for i in range(3):
-            c.register(i, at_time=float(i))
-        c.barrier([0, 1])
-        assert c.now(0) == 1.0
-        assert c.now(2) == 2.0
-
     def test_global_time(self):
         c = VirtualClock()
         c.register(0, 1.0)
         c.register(1, 7.0)
         assert c.global_time() == 7.0
-
-    def test_empty_barrier(self):
-        assert VirtualClock().barrier([]) == 0.0
 
 
 class TestCostModel:

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.runtime.cost import CostModel
-from repro.runtime.detector import PhiAccrualDetector, PlaceHealth
+from repro.runtime.detector import (
+    PHI_SUSPECT,
+    RESOLVE_WAIT_TIMEOUTS,
+    PhiAccrualDetector,
+    PlaceHealth,
+)
 from repro.runtime.failure import LinkPartition, TransientFaultModel
 from repro.runtime.runtime import Runtime
 
@@ -25,8 +30,6 @@ class TestConfiguration:
             PhiAccrualDetector(rt, detect_timeout=0.0)
         with pytest.raises(ValueError, match="heartbeat_interval"):
             PhiAccrualDetector(rt, detect_timeout=1.0, heartbeat_interval=-0.1)
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            PhiAccrualDetector(rt, detect_timeout=1.0, ewma_alpha=0.0)
 
     def test_monitors_every_place_except_zero(self):
         det = PhiAccrualDetector(make_rt(), detect_timeout=1.0)
@@ -47,8 +50,7 @@ class TestSuspicionLadder:
         rt.clock.advance(0, 5.0)
         for pid in det.monitored():
             assert det.state(pid) is PlaceHealth.ALIVE
-            assert det.phi(pid) < det.phi_suspect
-        assert det.heartbeats_observed > 0
+            assert det.phi(pid) < PHI_SUSPECT  # heard from within the last gap
 
     def test_dead_place_is_confirmed_and_swept_once(self):
         rt = make_rt()
@@ -90,14 +92,17 @@ class TestSuspicionLadder:
             rt.clock.advance(0, 0.05)
             assert det.state(3) is not PlaceHealth.CONFIRMED_DEAD
 
-    def test_lost_heartbeats_are_counted(self):
-        rt = make_rt()
-        rt.set_faults(TransientFaultModel(drop_rate=0.5, seed=11))
-        det = PhiAccrualDetector(rt, detect_timeout=1.0)
-        rt.clock.advance(0, 5.0)
-        det.suspicion_levels()
-        assert det.heartbeats_lost > 0
-        assert det.heartbeats_observed > 0
+    def test_lost_heartbeats_raise_suspicion(self):
+        levels = []
+        for faults in (None, TransientFaultModel(drop_rate=0.5, seed=11)):
+            rt = make_rt()
+            rt.set_faults(faults)
+            det = PhiAccrualDetector(rt, detect_timeout=1.0)
+            rt.clock.advance(0, 5.0)
+            levels.append(det.suspicion_levels())
+        lossless, lossy = levels
+        assert all(lossy[pid] >= lossless[pid] for pid in lossless)
+        assert lossy != lossless
 
 
 class TestResolve:
@@ -108,7 +113,8 @@ class TestResolve:
         confirmed, cleared, waited = det.resolve([1])
         assert confirmed == [1]
         assert cleared == []
-        assert 0.0 < waited <= det.max_resolve_wait + det.heartbeat_interval
+        budget = RESOLVE_WAIT_TIMEOUTS * det.detect_timeout
+        assert 0.0 < waited <= budget + det.heartbeat_interval
 
     def test_transient_suspect_cleared_by_fresh_heartbeat(self):
         rt = make_rt()
@@ -121,7 +127,7 @@ class TestResolve:
         confirmed, cleared, waited = det.resolve([2])
         assert confirmed == []
         assert cleared == [2]
-        assert waited < det.max_resolve_wait
+        assert waited < RESOLVE_WAIT_TIMEOUTS * det.detect_timeout
 
     def test_unmonitored_place_zero_is_vacuously_alive(self):
         rt = make_rt()

@@ -34,7 +34,7 @@ def run_program(resilient: bool, trace: bool):
             ctx.write_remote((me + 1) % PLACES, ("from", me), me, nbytes=24)
             return ctx.read_remote((me - 1) % PLACES, "seed", nbytes=8)
 
-        results.append(rt.finish_all(world, body, arg_bytes=64, ret_bytes=16, label="all"))
+        results.append(rt.finish_all(world, body, ret_bytes=16, label="all"))
         results.append(
             rt.finish_tasks(
                 [

@@ -13,10 +13,12 @@ from repro.runtime import CostModel, Runtime
 from repro.runtime.comm import point_to_point, tree_allreduce, tree_broadcast
 from repro.runtime.exceptions import CommTimeoutError
 from repro.runtime.failure import (
+    BACKOFF,
+    MAX_RETRIES,
     LinkPartition,
     MessageFate,
-    RetryPolicy,
     TransientFaultModel,
+    rto,
 )
 
 
@@ -24,29 +26,19 @@ def rt_with(n, **cost_kwargs):
     return Runtime(n, cost=CostModel(**cost_kwargs))
 
 
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(rto_seconds=-0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff=0.5)
-
-    def test_explicit_rto_doubles_per_attempt(self):
-        policy = RetryPolicy(rto_seconds=0.5, backoff=2.0)
-        cost = CostModel()
-        assert policy.rto(0, cost) == pytest.approx(0.5)
-        assert policy.rto(1, cost) == pytest.approx(1.0)
-        assert policy.rto(3, cost) == pytest.approx(4.0)
+class TestRetransmitBackoff:
+    def test_rto_grows_by_the_backoff_per_attempt(self):
+        cost = CostModel(latency=0.5)
+        assert rto(0, cost) == pytest.approx(2.0)
+        assert rto(1, cost) == pytest.approx(2.0 * BACKOFF)
+        assert rto(3, cost) == pytest.approx(2.0 * BACKOFF**3)
 
     def test_default_rto_derived_from_cost_model(self):
-        policy = RetryPolicy()
         cost = CostModel(latency=0.1, byte_time=0.01)
         expected = 4 * 0.1 + 0.01 * cost.scaled_bytes(8.0)
-        assert policy.rto(0, cost, nbytes=8.0) == pytest.approx(expected)
+        assert rto(0, cost, nbytes=8.0) == pytest.approx(expected)
         # The all-zero test cost model keeps retries free.
-        assert policy.rto(0, CostModel.zero()) == 0.0
+        assert rto(0, CostModel.zero()) == 0.0
 
 
 class TestLinkPartition:
@@ -141,7 +133,7 @@ class TestRetriesEndToEnd:
         with pytest.raises(CommTimeoutError) as exc_info:
             point_to_point(rt, 1, 2, nbytes=8)
         assert exc_info.value.place_id == 2
-        assert exc_info.value.retries == rt.retry_policy.max_retries
+        assert exc_info.value.retries == MAX_RETRIES
         assert rt.faults.timeouts == 1
 
     def test_duplicates_are_absorbed_at_most_once(self):

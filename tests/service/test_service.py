@@ -63,18 +63,10 @@ class TestJobQueue:
     def test_fifo(self):
         q = JobQueue()
         for jid in range(3):
-            assert q.offer(self._job(jid))
+            q.offer(self._job(jid))
+        assert len(q) == 3
         assert q.pop().job_id == 0
         assert q.head().job_id == 1
-        assert len(q) == 2
-        assert q.peak_depth == 3
-
-    def test_bounded_rejects(self):
-        q = JobQueue(max_depth=2)
-        assert q.offer(self._job(0))
-        assert q.offer(self._job(1))
-        assert not q.offer(self._job(2))
-        assert [j.job_id for j in q.rejected] == [2]
         assert len(q) == 2
 
 

@@ -198,7 +198,7 @@ class TestSharedPrefix:
     @pytest.mark.parametrize("places", [2, 5])
     @pytest.mark.parametrize("app_name", sorted(APPS))
     def test_forked_cell_equals_from_scratch(self, app_name, places, protocol):
-        cell = _restore_cell(app_name, *protocol, MODES, places)
+        cell = _restore_cell(app_name, *protocol, places)
         reference = _restore_cell_from_scratch(app_name, *protocol, MODES, places)
         assert list(cell["reports"]) == list(reference["reports"])
         for mode, report in reference["reports"].items():
@@ -238,7 +238,7 @@ class TestSharedPrefix:
             completed.append(self.iteration)
 
         monkeypatch.setattr(LinRegResilient, "step", counted)
-        _restore_cell("linreg", 12, 5, 7, MODES, 4)
+        _restore_cell("linreg", 12, 5, 7, 4)
         assert len(completed) == 7 + 3 * (2 + 5)
         assert len(attempted) == len(completed) + 3  # one aborted by each kill
 
@@ -271,7 +271,7 @@ class TestBaselineMemo:
 
         monkeypatch.setattr(NonRes, "__init__", counted)
         overhead = dict(_overhead_cell("linreg", 12, 3))
-        cell = _restore_cell("linreg", 12, 5, 7, MODES, 3)
+        cell = _restore_cell("linreg", 12, 5, 7, 3)
         # One non-resilient run serves both; the resilient-finish run of
         # the overhead protocol is nobody's duplicate and is not memoized.
         assert built_on_resilient == [False, True]

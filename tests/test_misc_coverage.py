@@ -4,32 +4,39 @@ import numpy as np
 import pytest
 
 from repro.runtime import CostModel, Place, PlaceGroup, Runtime
+from repro.runtime.exceptions import DeadPlaceException
 from repro.runtime.comm import tree_reduce
 
 
 class TestRuntimeAtCosts:
-    def test_at_charges_arg_and_ret_bytes(self):
-        rt = Runtime(2, cost=CostModel(latency=1.0, byte_time=1.0))
-        rt.at(Place(1), lambda ctx: None, arg_bytes=3, ret_bytes=2)
-        # arg message (1+3) to place 1, ret message (1+2) back.
-        assert rt.now() == pytest.approx(7.0)
+    """``at`` is a finish over one task: same clocks, stats and result."""
 
-    def test_at_driver_is_free(self):
-        rt = Runtime(2, cost=CostModel.unit())
-        rt.at(Place(0), lambda ctx: None)
-        assert rt.now() == 0.0
+    @staticmethod
+    def _world():
+        rt = Runtime(3, cost=CostModel.unit(), resilient=True)
+        rt.clock.advance(1, 5.0)  # a busy peer: the task waits for it
+        return rt
 
-    def test_barrier_syncs_driver_too(self):
-        rt = Runtime(3, cost=CostModel(flop_time=1.0))
-        rt.clock.advance(2, 9.0)
-        rt.barrier(rt.world)
-        assert rt.now() == 9.0
+    @pytest.mark.parametrize("place_id", [0, 2, 1])
+    def test_at_equals_one_task_finish(self, place_id):
+        def body(ctx):
+            ctx.charge_flops(3)
+            return ctx.place.id * 10
 
-    def test_barrier_skips_dead(self):
-        rt = Runtime(3, cost=CostModel.zero())
-        rt.clock.advance(2, 9.0)
+        by_at, by_finish = self._world(), self._world()
+        result = by_at.at(Place(place_id), body)
+        [expected] = by_finish.finish_tasks([(Place(place_id), body)])
+        assert result == expected == place_id * 10
+        assert by_at.clock.snapshot() == by_finish.clock.snapshot()
+        assert by_at.stats == by_finish.stats
+        assert by_at.stats.finishes == 1
+
+    def test_at_a_dead_place_raises_after_the_finish(self):
+        rt = self._world()
         rt.kill(2)
-        assert rt.barrier(rt.world) == 0.0
+        with pytest.raises(DeadPlaceException):
+            rt.at(Place(2), lambda ctx: None)
+        assert rt.stats.finishes == 1
 
 
 class TestCollectiveSubgroups:
