@@ -60,7 +60,9 @@ class TransferEvent(EngineEvent):
 
 @dataclass(frozen=True)
 class ServiceEvent(EngineEvent):
-    """One request served by a named serial resource (e.g. the ledger)."""
+    """One request served by a named serial resource (e.g. the ledger), or
+    the failure detector's wait (``resource="detector"``) from a failed
+    communication to its verdict on the suspects."""
 
     resource: str = ""
 

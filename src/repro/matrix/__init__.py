@@ -17,7 +17,8 @@ Matrices       :class:`DupDenseMatrix`,
 
 Supporting machinery: :class:`Grid` / :class:`Partition1D` (block
 partitioning and overlap math), :class:`BlockSet` (per-place block
-container), block→place maps, and the distributed kernels in
+container), :class:`GroupedBlockMap` (the one block→place rule: near-even
+consecutive runs, Fig. 1-b), and the distributed kernels in
 :mod:`repro.matrix.ops`.
 """
 
@@ -29,20 +30,13 @@ from repro.matrix.distvector import DistVector
 from repro.matrix.dupmatrix import DupDenseMatrix, DupSparseMatrix
 from repro.matrix.dupvector import DupVector
 from repro.matrix.grid import Grid, Partition1D, split_even
-from repro.matrix.mapping import (
-    BlockMap,
-    CyclicBlockMap,
-    GroupedBlockMap,
-    PlaceGridBlockMap,
-    factor_place_grid,
-)
+from repro.matrix.mapping import GroupedBlockMap
 from repro.matrix.ops import (
     dist_block_matvec,
     dist_block_normal_matvec,
     dist_block_t_matvec,
     dist_gram,
     dist_matmat_dup,
-    dist_matmul,
 )
 from repro.matrix.random import LinkMatrix, random_dense_block, random_sparse_block, random_vector
 from repro.matrix.sparse import SparseCSC, SparseCSR, flops_spmv
@@ -65,17 +59,12 @@ __all__ = [
     "Grid",
     "Partition1D",
     "split_even",
-    "BlockMap",
-    "CyclicBlockMap",
     "GroupedBlockMap",
-    "PlaceGridBlockMap",
-    "factor_place_grid",
     "dist_block_matvec",
     "dist_block_normal_matvec",
     "dist_block_t_matvec",
     "dist_gram",
     "dist_matmat_dup",
-    "dist_matmul",
     "LinkMatrix",
     "random_dense_block",
     "random_sparse_block",

@@ -1,12 +1,12 @@
 """``DistBlockMatrix`` — the paper's central distributed matrix class.
 
 The matrix is cut by a :class:`~repro.matrix.grid.Grid` into blocks, and a
-:class:`~repro.matrix.mapping.BlockMap` assigns one or *more* blocks to each
-place (a :class:`~repro.matrix.block.BlockSet` per place).  Holding sets of
-blocks is what lets the **shrink** restoration remap existing blocks over
-fewer places without repartitioning (fast block-by-block restore, Fig. 1-b),
-while **shrink-rebalance** recalculates the grid for even load at the price
-of sub-block overlap copies (Fig. 1-c).
+:class:`~repro.matrix.mapping.GroupedBlockMap` deals one or *more* blocks to
+each place as consecutive runs (a :class:`~repro.matrix.block.BlockSet` per
+place).  Holding sets of blocks is what lets the **shrink** restoration
+remap existing blocks over fewer places without repartitioning (fast
+block-by-block restore, Fig. 1-b), while **shrink-rebalance** recalculates
+the grid for even load at the price of sub-block overlap copies (Fig. 1-c).
 
 Payloads are dense (:class:`DenseMatrix`) or sparse (:class:`SparseCSR`)
 blocks; the sparse restore additionally counts the non-zeros of each
@@ -23,7 +23,7 @@ import numpy as np
 from repro.matrix.block import BlockSet, MatrixBlock
 from repro.matrix.dense import DenseMatrix
 from repro.matrix.grid import Grid, Partition1D
-from repro.matrix.mapping import BlockMap, GroupedBlockMap, PlaceGridBlockMap
+from repro.matrix.mapping import GroupedBlockMap
 from repro.matrix.multiplace import MultiPlaceObject
 from repro.matrix.random import LinkMatrix, dense_strip, random_sparse_block, zero_dense_block
 from repro.matrix.sparse import SparseCSR, _joined
@@ -51,7 +51,7 @@ class TaskPlan:
     change (allocation, remake, regrid, restore) and never pickles it.
     """
 
-    def __init__(self, grid: Grid, block_map: BlockMap, ids: List[int], dense: bool):
+    def __init__(self, grid: Grid, block_map: GroupedBlockMap, ids: List[int], dense: bool):
         self._ids = ids
         row_sizes, col_sizes = grid.row_sizes, grid.col_sizes
         row_offsets, col_offsets = grid.row_offsets, grid.col_offsets
@@ -169,17 +169,12 @@ class DistBlockMatrix(MultiPlaceObject):
         grid: Grid,
         group: PlaceGroup,
         kind: str,
-        block_map: Optional[BlockMap] = None,
     ):
         require(kind in (DENSE, SPARSE), f"kind must be dense or sparse, got {kind}")
         super().__init__(runtime, group, "DistBlockMatrix")
         self.grid = grid
         self.kind = kind
-        self.block_map = block_map if block_map is not None else GroupedBlockMap(grid, group.size)
-        require(
-            self.block_map.num_places == group.size,
-            "block map covers a different number of places than the group",
-        )
+        self.block_map = GroupedBlockMap(grid, group.size)
         self._allocate()
 
     # -- factories (paper's ``make`` signature) ---------------------------------
@@ -193,19 +188,12 @@ class DistBlockMatrix(MultiPlaceObject):
         row_blocks: int,
         col_blocks: int,
         group: Optional[PlaceGroup] = None,
-        row_places: Optional[int] = None,
-        col_places: Optional[int] = None,
     ) -> "DistBlockMatrix":
-        """``DistBlockMatrix.make(m, n, rowBs, colBs[, rowPs, colPs])``, dense.
-
-        When a ``rowPlaces × colPlaces`` place grid is given, blocks map to
-        places 2-D-cyclically (GML's DistGrid); otherwise blocks are dealt
-        as near-even consecutive runs.
-        """
+        """``DistBlockMatrix.make(m, n, rowBs, colBs)``, dense: the blocks are
+        dealt over *group* (defaults to the world) as near-even consecutive
+        runs."""
         group = group if group is not None else runtime.world
-        grid = Grid.partition(m, n, row_blocks, col_blocks)
-        block_map = cls._build_map(grid, group, row_places, col_places)
-        return cls(runtime, grid, group, DENSE, block_map)
+        return cls(runtime, Grid.partition(m, n, row_blocks, col_blocks), group, DENSE)
 
     @classmethod
     def make_sparse(
@@ -216,33 +204,10 @@ class DistBlockMatrix(MultiPlaceObject):
         row_blocks: int,
         col_blocks: int,
         group: Optional[PlaceGroup] = None,
-        row_places: Optional[int] = None,
-        col_places: Optional[int] = None,
     ) -> "DistBlockMatrix":
         """Sparse variant of :meth:`make_dense` (blocks start empty)."""
         group = group if group is not None else runtime.world
-        grid = Grid.partition(m, n, row_blocks, col_blocks)
-        block_map = cls._build_map(grid, group, row_places, col_places)
-        return cls(runtime, grid, group, SPARSE, block_map)
-
-    @staticmethod
-    def _build_map(
-        grid: Grid,
-        group: PlaceGroup,
-        row_places: Optional[int],
-        col_places: Optional[int],
-    ) -> BlockMap:
-        if row_places is not None or col_places is not None:
-            require(
-                row_places is not None and col_places is not None,
-                "row_places and col_places must be given together",
-            )
-            require(
-                row_places * col_places == group.size,
-                f"place grid {row_places}x{col_places} != group size {group.size}",
-            )
-            return PlaceGridBlockMap(grid, row_places, col_places)
-        return GroupedBlockMap(grid, group.size)
+        return cls(runtime, Grid.partition(m, n, row_blocks, col_blocks), group, SPARSE)
 
     # -- storage ------------------------------------------------------------
 
@@ -409,11 +374,6 @@ class DistBlockMatrix(MultiPlaceObject):
             raise ValueError("operands on different groups")
         if not other.grid.same_blocking(self.grid):
             raise ValueError("operands on different grids")
-        if not (
-            other.block_map is self.block_map
-            or other.block_map.owner_dict() == self.block_map.owner_dict()
-        ):
-            raise ValueError("operands have different block-to-place maps")
 
     def _cellwise_pair(self, other, fn, flops_per_cell=1.0, label="cellwise"):
         """Apply *fn(my_block, other_block)* blockwise (layout-aligned)."""
@@ -502,9 +462,9 @@ class DistBlockMatrix(MultiPlaceObject):
         """A per-place contiguous row partition, if the layout admits one.
 
         Exists when each place's blocks cover a contiguous band of rows and
-        the bands tile ``0..m`` in group order (true for the grouped map
-        with one block column).  Output vectors aligned to this partition
-        make the distributed matvec fully local.
+        the bands tile ``0..m`` in group order (always so with one block
+        column).  Output vectors aligned to this partition make the
+        distributed matvec fully local.
         """
         spans = self.row_spans()
         sizes = []
@@ -528,8 +488,6 @@ class DistBlockMatrix(MultiPlaceObject):
         self,
         new_group: PlaceGroup,
         new_grid: Optional[Grid] = None,
-        row_places: Optional[int] = None,
-        col_places: Optional[int] = None,
     ) -> "DistBlockMatrix":
         """Destroy and reallocate over *new_group*.
 
@@ -546,7 +504,7 @@ class DistBlockMatrix(MultiPlaceObject):
                 "new grid covers a different matrix",
             )
             self.grid = new_grid
-        self.block_map = self._build_map(self.grid, new_group, row_places, col_places)
+        self.block_map = GroupedBlockMap(self.grid, new_group.size)
         self._allocate()
         return self
 

@@ -17,7 +17,6 @@ from typing import Optional
 
 from repro.matrix.distblock import DENSE, SPARSE, DistBlockMatrix
 from repro.matrix.grid import Grid
-from repro.matrix.mapping import GroupedBlockMap
 from repro.runtime.place import PlaceGroup
 from repro.runtime.runtime import Runtime
 from repro.util.validation import require
@@ -29,8 +28,7 @@ class _OneBlockPerPlace(DistBlockMatrix):
     _KIND = DENSE
 
     def __init__(self, runtime: Runtime, m: int, n: int, group: PlaceGroup):
-        grid = Grid.partition(m, n, group.size, 1)
-        super().__init__(runtime, grid, group, self._KIND, GroupedBlockMap(grid, group.size))
+        super().__init__(runtime, Grid.partition(m, n, group.size, 1), group, self._KIND)
 
     @classmethod
     def make(
@@ -39,7 +37,7 @@ class _OneBlockPerPlace(DistBlockMatrix):
         """One row band per place of *group* (defaults to the world)."""
         return cls(runtime, m, n, group if group is not None else runtime.world)
 
-    def remake(self, new_group: PlaceGroup, new_grid=None, **_ignored) -> "_OneBlockPerPlace":
+    def remake(self, new_group: PlaceGroup, new_grid=None) -> "_OneBlockPerPlace":
         """Reallocate over *new_group*, always recalculating the grid."""
         require(new_grid is None, "one-block-per-place classes recalculate their own grid")
         regrid = Grid.partition(self.m, self.n, new_group.size, 1)

@@ -7,7 +7,7 @@ Two kernels carry the paper's three applications:
   ``GP.mult(G, P)``).  Each place multiplies its blocks against its local
   duplicate slice; block-row results are routed to the segment owners of
   ``y`` (free when the output partition is aligned to the block layout, a
-  remote transfer after a shrink remap scatters the blocks).
+  remote transfer for each row span whose segment another place owns).
 
 * ``dist_block_t_matvec`` — ``g = Gᵀ @ r`` producing a :class:`DupVector`
   (the gradient combine of LinReg/LogReg): each place computes a partial
@@ -99,11 +99,11 @@ def dist_block_matvec(
     results = rt.finish_all(group, compute, label="matvec", flops=plan.matvec_flops)
 
     # Route block-row results into the output segments along the layout's
-    # planned routes.  Aligned layouts route locally; scattered layouts
-    # (post-shrink) pay transfers.  The finish raised if any member had
-    # died, so every heap is live.  The segment zeroing is ``Vector.fill``
-    # and each charge ``VirtualClock.advance`` inlined (finite, positive
-    # seconds), in the original order: no call per segment.
+    # planned routes.  Aligned outputs route locally; a row span landing in
+    # another place's segment pays a transfer.  The finish raised if any
+    # member had died, so every heap is live.  The segment zeroing is
+    # ``Vector.fill`` and each charge ``VirtualClock.advance`` inlined
+    # (finite, positive seconds), in the original order: no call per segment.
     y_key = y.heap_key
     heaps, times, slow = rt._heaps, clock._times, clock._slowdown
     flop_time, scale = cost.flop_time, cost.logical_scale
@@ -223,8 +223,9 @@ def dist_block_normal_matvec(
 
 
 def _check_row_aligned(a: DistBlockMatrix, b: DistBlockMatrix) -> None:
-    """Both matrices must share group, row blocking and block ownership
-    (and be single-block-column) so row bands can be combined locally."""
+    """Both matrices must share group and row blocking (and be
+    single-block-column), so one block→place rule gives them the same
+    owners and row bands can be combined locally."""
     if a.group != b.group:
         raise ValueError("operands on different groups")
     if a.m != b.m:
@@ -233,8 +234,6 @@ def _check_row_aligned(a: DistBlockMatrix, b: DistBlockMatrix) -> None:
         raise ValueError("matrix-matrix kernels require single-column block layouts")
     if a.grid.row_sizes != b.grid.row_sizes:
         raise ValueError("row blockings differ")
-    if not (a.block_map is b.block_map or a.block_map.owner_dict() == b.block_map.owner_dict()):
-        raise ValueError("block-to-place maps differ")
 
 
 def dist_gram(a: DistBlockMatrix, b: DistBlockMatrix, out) -> "object":
@@ -332,73 +331,6 @@ def dist_matmat_dup(a: DistBlockMatrix, b, out: DistBlockMatrix) -> DistBlockMat
 
     rt.finish_all(group, compute, label="matmat", flops=declared)
     return out
-
-
-def dist_matmul(a: DistBlockMatrix, b: DistBlockMatrix, c: DistBlockMatrix) -> DistBlockMatrix:
-    """``c = a @ b`` with all three matrices row-distributed (SUMMA-style).
-
-    ``a`` (m×k) and ``c`` (m×n) share their row layout; ``b`` (k×n) is
-    row-distributed over the same group.  The kernel iterates over ``b``'s
-    row bands: each band is broadcast to every place (one tree broadcast +
-    one finish per band), which then folds ``a``'s matching column panel
-    into its local ``c`` band — the classic panel-broadcast matrix-multiply
-    GML implements for its distributed dense classes.
-    """
-    from repro.runtime.comm import tree_broadcast
-
-    _check_row_aligned(a, c)
-    if b.group != a.group:
-        raise ValueError("operands on different groups")
-    if b.grid.num_col_blocks != 1:
-        raise ValueError("b must use a single block column")
-    if a.n != b.m:
-        raise ValueError("inner dimension mismatch")
-    if c.n != b.n:
-        raise ValueError("output column mismatch")
-    if not (a.kind == "dense" and b.kind == "dense" and c.kind == "dense"):
-        raise ValueError("dist_matmul is dense-only")
-    rt = a.runtime
-    group = a.group
-
-    # Zero the output bands.
-    def zero(ctx: PlaceContext) -> None:
-        outs: BlockSet = ctx.heap.get(c.heap_key)
-        for block in outs:
-            block.data.fill(0.0)
-
-    rt.finish_all(group, zero, label="matmul:zero")
-
-    # One panel round per row band of b, in grid order.
-    for owner_index in range(group.size):
-        bands = [
-            (block.row_range(), block.data.data.copy())
-            for block in b.block_set(owner_index)
-        ]
-        for (k0, k1), panel in bands:
-            tree_broadcast(
-                rt,
-                group,
-                root_index=owner_index,
-                nbytes=panel.nbytes,
-                label="matmul:panel",
-            )
-
-            def fold(ctx: PlaceContext, k0=k0, k1=k1, panel=panel) -> None:
-                mine: BlockSet = ctx.heap.get(a.heap_key)
-                outs: BlockSet = ctx.heap.get(c.heap_key)
-                for block in mine:
-                    target = outs.get(block.rb, 0)
-                    target.data.touch()
-                    target.data.data += block.data.data[:, k0:k1] @ panel
-
-            panel_flops = 2 * (k1 - k0) * panel.shape[1]
-            rt.finish_all(
-                group,
-                fold,
-                label="matmul:fold",
-                flops=[panel_flops * rows for rows in a.task_plan().rows],
-            )
-    return c
 
 
 def _gather_rows(ctx: PlaceContext, r: DistVector, r0: int, r1: int) -> np.ndarray:

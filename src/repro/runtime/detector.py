@@ -43,6 +43,8 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.timeline import ServiceEvent
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import Runtime
 
@@ -269,7 +271,8 @@ class PhiAccrualDetector:
         (a fresh heartbeat arrived after the incident).  Suspects still
         undecided after ``RESOLVE_WAIT_TIMEOUTS`` detection timeouts are
         fail-safe confirmed: the group fences them and moves on rather than
-        hanging forever.
+        hanging forever.  A wait that moved the clock is one ``"detector"``
+        :class:`~repro.engine.timeline.ServiceEvent` on the timeline.
 
         Returns ``(confirmed_dead, cleared_alive, waited_seconds)``.
         """
@@ -308,8 +311,10 @@ class PhiAccrualDetector:
                     confirmed.append(pid)
                 break
             rt.clock.advance(driver, self.heartbeat_interval)
-        waited = rt.clock.now(driver) - t_incident
-        return sorted(confirmed), sorted(cleared), waited
+        t_verdict = rt.clock.now(driver)
+        if t_verdict > t_incident:
+            rt.engine.timeline.record(ServiceEvent(t_incident, t_verdict, resource="detector"))
+        return sorted(confirmed), sorted(cleared), t_verdict - t_incident
 
     def __repr__(self) -> str:
         states = {pid: self._state[pid].value for pid in self.monitored()}

@@ -26,6 +26,10 @@ from repro.runtime.failure import ScriptedKill
 from repro.runtime.pool import PlaceLease
 from repro.service.jobs import JobSpec
 
+#: Places per rack: a rack burst kills the live ids of one aligned run of
+#: this many physical ids.
+RACK_SIZE = 4
+
 
 @dataclass(frozen=True)
 class PoolFaultEvent:
@@ -50,21 +54,16 @@ class ServiceFaultPlan:
         crash_rate: float = 0.0,
         pair_rate: float = 0.0,
         rack_rate: float = 0.0,
-        rack_size: int = 4,
     ):
         self.seed = seed
         self.total_places = total_places
         self.horizon = horizon
         self.crash_rate = crash_rate
-        self._events = self._generate_pool_events(
-            pair_rate, rack_rate, rack_size
-        )
+        self._events = self._generate_pool_events(pair_rate, rack_rate)
 
     # -- pool-level correlated events --------------------------------------
 
-    def _generate_pool_events(
-        self, pair_rate: float, rack_rate: float, rack_size: int
-    ) -> List[PoolFaultEvent]:
+    def _generate_pool_events(self, pair_rate: float, rack_rate: float) -> List[PoolFaultEvent]:
         events: List[PoolFaultEvent] = []
         ids = list(range(1, self.total_places))  # place 0 is immortal
         if len(ids) >= 2 and pair_rate > 0:
@@ -80,7 +79,7 @@ class ServiceFaultPlan:
                 )
         if ids and rack_rate > 0:
             rng = np.random.default_rng([self.seed, 103])
-            n_racks = (self.total_places + rack_size - 1) // rack_size
+            n_racks = (self.total_places + RACK_SIZE - 1) // RACK_SIZE
             t = 0.0
             while True:
                 t += float(rng.exponential(1.0 / rack_rate))
@@ -89,7 +88,7 @@ class ServiceFaultPlan:
                 rack = int(rng.integers(n_racks))
                 victims = tuple(
                     pid
-                    for pid in range(rack * rack_size, (rack + 1) * rack_size)
+                    for pid in range(rack * RACK_SIZE, (rack + 1) * RACK_SIZE)
                     if 1 <= pid < self.total_places
                 )
                 if victims:

@@ -28,6 +28,11 @@ from repro.util.validation import check_positive, require
 
 #: Zipf exponent of the job-size draw: most tenants are small, a few big.
 ZIPF_A = 2.2
+#: The stream's fixed shape: the narrowest job, and the closed range its
+#: iteration budgets are drawn from (a config sets only the widest job).
+MIN_PLACES = 2
+MIN_ITERATIONS = 4
+MAX_ITERATIONS = 12
 
 
 @dataclass(frozen=True)
@@ -87,32 +92,31 @@ def generate_jobs(
     seed: int,
     arrival_rate: float,
     apps: Tuple[str, ...] = ("linreg", "logreg", "pagerank", "gnmf"),
-    min_places: int = 2,
     max_places: int = 6,
-    min_iterations: int = 4,
-    max_iterations: int = 12,
     dedicated_spares: int = 1,
 ) -> List[JobSpec]:
     """A seeded stream of *n* mixed jobs.
 
-    Sizes follow ``min_places + (Zipf(ZIPF_A) - 1)`` clipped to *max_places*;
-    inter-arrival gaps are exponential with mean ``1 / arrival_rate``
-    (virtual seconds).  Pure in ``(seed, n, knobs)``; the knobs are a
-    :class:`~repro.service.ServiceConfig`'s, judged when it was made.
+    Sizes follow ``MIN_PLACES + (Zipf(ZIPF_A) - 1)`` clipped to
+    *max_places*; iteration budgets are uniform over ``MIN_ITERATIONS ..
+    MAX_ITERATIONS``; inter-arrival gaps are exponential with mean
+    ``1 / arrival_rate`` (virtual seconds).  Pure in ``(seed, n, knobs)``;
+    the knobs are a :class:`~repro.service.ServiceConfig`'s, judged when it
+    was made.
     """
     rng = np.random.default_rng([seed, 9001])
     jobs: List[JobSpec] = []
     t = 0.0
     for job_id in range(n):
         t += float(rng.exponential(1.0 / arrival_rate))
-        size = min_places + int(rng.zipf(ZIPF_A)) - 1
+        size = MIN_PLACES + int(rng.zipf(ZIPF_A)) - 1
         size = min(size, max_places)
         jobs.append(
             JobSpec(
                 job_id=job_id,
                 app=str(rng.choice(list(apps))),
                 places=size,
-                iterations=int(rng.integers(min_iterations, max_iterations + 1)),
+                iterations=int(rng.integers(MIN_ITERATIONS, MAX_ITERATIONS + 1)),
                 arrival=t,
                 dedicated_spares=dedicated_spares,
             )

@@ -31,7 +31,6 @@ from repro.baseline import failure_free_result
 from repro.bench.calibration import regression_cost
 from repro.bench.catalogue import APPS
 from repro.resilience.executor import RestoreMode
-from repro.runtime.cost import CostModel
 from repro.runtime.exceptions import (
     DataLossError,
     DeadPlaceException,
@@ -42,7 +41,7 @@ from repro.runtime.failure import LeaseScopedInjector, TransientFaultModel
 from repro.runtime.pool import DEDICATED, ECONOMICS_MODES, PlaceLease
 from repro.service.admission import AdmissionController, JobQueue
 from repro.service.faults import PoolFaultEvent, ServiceFaultPlan
-from repro.service.jobs import JobResult, JobSpec, generate_jobs
+from repro.service.jobs import MIN_ITERATIONS, MIN_PLACES, JobResult, JobSpec, generate_jobs
 from repro.util.validation import check_positive, require
 from repro.world import WorldSpec, default_replicas
 
@@ -74,30 +73,17 @@ class ServiceConfig:
     #: Mean job arrivals per virtual second (Poisson process).
     arrival_rate: float = 1.0
     apps: Tuple[str, ...] = ("linreg", "logreg", "pagerank", "gnmf")
-    min_places: int = 2
     max_places: int = 6
-    min_iterations: int = 4
-    max_iterations: int = 12
     checkpoint_interval: int = 3
     #: Reserve places committed per job under ``dedicated`` economics.
     dedicated_spares: int = 1
     #: Backup replicas per partition; None: 2, or 1 under parity.
     replicas: Optional[int] = None
     placement: str = "spread"
-    #: Recovery mode for CG jobs ("reconstruct" = checkpoint-free ABFT
-    #: recovery; "checkpoint" = the classic rollback path).  Only CG
-    #: implements the reconstruction protocol, so other apps always run
-    #: under checkpoint/restart regardless of this knob.
-    cg_recovery: str = "reconstruct"
-    #: "calibrated" charges the regression cluster profile so latency and
-    #: throughput are meaningful; "zero" runs in zero virtual time (pure
-    #: invariant checking).
-    cost_profile: str = "calibrated"
     # Chaos knobs.
     crash_rate: float = 0.0
     pair_rate: float = 0.0
     rack_rate: float = 0.0
-    rack_size: int = 4
     drop_rate: float = 0.0
     dup_rate: float = 0.0
     detect_timeout: float = 0.0
@@ -121,24 +107,15 @@ class ServiceConfig:
             self.max_places <= self.places - 1,
             "max_places cannot exceed the worker count (places - 1)",
         )
-        require(self.min_places <= self.max_places, "max_places must be >= min_places")
-        require(
-            self.min_iterations <= self.max_iterations,
-            "max_iterations must be >= min_iterations",
-        )
-        require(
-            self.cost_profile in ("calibrated", "zero"),
-            "cost_profile must be 'calibrated' or 'zero'",
-        )
+        require(MIN_PLACES <= self.max_places, "max_places must be >= min_places")
         require(self.repair_mttr >= 0, "repair_mttr must be >= 0")
         require(0.0 <= self.crash_rate <= 1.0, "crash_rate must be in [0, 1]")
         require(self.pair_rate >= 0, "pair_rate must be >= 0")
         require(self.rack_rate >= 0, "rack_rate must be >= 0")
-        check_positive(self.rack_size, "rack_size")
         TransientFaultModel(drop_rate=self.drop_rate, dup_rate=self.dup_rate)
         require(self.apps, "apps must name at least one application")
         for app in self.apps:
-            self.job_spec(app, self.min_places, self.min_iterations).validate()
+            self.job_spec(app, MIN_PLACES, MIN_ITERATIONS).validate()
 
     @cached_property
     def template(self) -> WorldSpec:
@@ -155,17 +132,15 @@ class ServiceConfig:
 
     def job_spec(self, app: str, places: int, iterations: int) -> WorldSpec:
         """One job's world: the template with the job's app, width and
-        length, and the config's recovery scheme for CG."""
+        length.  CG, the one app with the reconstruction protocol, recovers
+        checkpoint-free (ABFT); every other app rolls back."""
         return replace(
             self.template,
             app=app,
             places=places,
             iterations=iterations,
-            recovery=self.cg_recovery if app == "cg" else "checkpoint",
+            recovery="reconstruct" if app == "cg" else "checkpoint",
         )
-
-    def cost(self) -> CostModel:
-        return regression_cost() if self.cost_profile == "calibrated" else CostModel.zero()
 
 
 @dataclass
@@ -291,7 +266,7 @@ class ClusterService:
         self.config = config
         self.runtime = make_runtime(
             config.places,
-            cost=config.cost(),
+            cost=regression_cost(),
             resilient=True,
             spares=config.reserve,
             faults=(
@@ -312,10 +287,7 @@ class ClusterService:
             seed=config.seed,
             arrival_rate=config.arrival_rate,
             apps=config.apps,
-            min_places=config.min_places,
             max_places=config.max_places,
-            min_iterations=config.min_iterations,
-            max_iterations=config.max_iterations,
             dedicated_spares=config.dedicated_spares,
         )
         horizon = 2.0 * self.jobs[-1].arrival + 10.0
@@ -326,7 +298,6 @@ class ClusterService:
             crash_rate=config.crash_rate,
             pair_rate=config.pair_rate,
             rack_rate=config.rack_rate,
-            rack_size=config.rack_size,
         )
         self._results: Dict[int, JobResult] = {}
         #: Dead places with a repair event already in flight, and how many

@@ -6,7 +6,6 @@ import pytest
 from repro.apps.data import PageRankWorkload, RegressionWorkload
 from repro.apps.nonresilient import LinRegNonResilient, PageRankNonResilient
 from repro.apps.resilient import PageRankResilient
-from repro.matrix.distblock import DistBlockMatrix
 from repro.resilience.executor import IterativeExecutor
 from repro.runtime import CostModel, PlaceGroup, Runtime
 
@@ -57,37 +56,6 @@ class TestSingleBlockPerPlaceApps:
         app = PageRankNonResilient(rt, wl)
         app.run()
         assert app.ranks().sum() == pytest.approx(1.0, abs=1e-9)
-
-
-class TestPlaceGridLayout:
-    def test_snapshot_restore_with_2d_place_grid(self):
-        """The rowPlaces × colPlaces layout survives the restore paths."""
-        rt = make_rt(6)
-        g = DistBlockMatrix.make_dense(
-            rt, 24, 18, 6, 3, row_places=3, col_places=2
-        ).init_random(5)
-        ref = g.to_dense().data
-        snap = g.make_snapshot()
-        rt.kill(4)
-        survivors = rt.live_world()
-        # Shrink onto 5 places: the 2-D layout degrades to a grouped map.
-        g.remake(survivors)
-        g.restore_snapshot(snap)
-        assert np.array_equal(g.to_dense().data, ref)
-
-    def test_2d_map_matvec(self):
-        from repro.matrix.distvector import DistVector
-        from repro.matrix.dupvector import DupVector
-        from repro.matrix.ops import dist_block_matvec
-
-        rt = make_rt(4)
-        g = DistBlockMatrix.make_dense(
-            rt, 16, 12, 4, 2, row_places=2, col_places=2
-        ).init_random(3)
-        x = DupVector.make(rt, 12).init_random(4)
-        y = DistVector.make(rt, 16)
-        dist_block_matvec(g, x, y)
-        assert np.allclose(y.to_array(), g.to_dense().data @ x.to_array())
 
 
 class TestTracePlumbing:

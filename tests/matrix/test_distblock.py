@@ -25,19 +25,6 @@ class TestConstruction:
         assert g.blocks_per_place() == [2, 2, 2, 2]
         assert g.aligned_row_partition().sizes == [4, 4, 4, 4]
 
-    def test_make_with_place_grid(self):
-        rt = make_rt(4)
-        g = DistBlockMatrix.make_dense(rt, 8, 8, 4, 4, row_places=2, col_places=2)
-        assert sum(g.blocks_per_place()) == 16
-        assert g.blocks_per_place() == [4, 4, 4, 4]
-
-    def test_place_grid_must_match_group(self):
-        rt = make_rt(4)
-        with pytest.raises(ValueError):
-            DistBlockMatrix.make_dense(rt, 8, 8, 4, 4, row_places=3, col_places=2)
-        with pytest.raises(ValueError):
-            DistBlockMatrix.make_dense(rt, 8, 8, 4, 4, row_places=2, col_places=None)
-
     def test_invalid_kind(self):
         rt = make_rt(2)
         with pytest.raises(ValueError):
@@ -87,12 +74,34 @@ class TestInitialization:
 
 class TestLayoutQueries:
     def test_aligned_partition_none_when_scattered(self):
-        from repro.matrix.mapping import CyclicBlockMap
-
-        rt = make_rt(3)
-        grid = Grid.partition(12, 4, 6, 1)
-        g = DistBlockMatrix(rt, grid, rt.world, "dense", CyclicBlockMap(grid, 3))
+        # 8 blocks dealt 3/3/2: block row 1 straddles places 0 and 1.
+        g = DistBlockMatrix.make_dense(make_rt(3), 12, 4, 4, 2)
         assert g.aligned_row_partition() is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_block_column_is_row_aligned(self, data):
+        """A one-column grouped layout, and its shrink remap onto any
+        non-empty subgroup, has an aligned row partition tiling the rows in
+        group order — so the apps' matvecs route nothing remotely."""
+        places = data.draw(st.integers(1, 6), label="places")
+        row_blocks = data.draw(st.integers(places, 12), label="row_blocks")
+        m = data.draw(st.integers(row_blocks, 40), label="m")
+        survivors = data.draw(
+            st.lists(st.integers(0, places - 1), min_size=1, unique=True).map(sorted),
+            label="survivors",
+        )
+        g = DistBlockMatrix.make_dense(make_rt(places), m, 3, row_blocks, 1)
+        for group in (g.group, PlaceGroup.of_ids(survivors)):
+            g.remake(group)
+            bands = []
+            for index in range(group.size):
+                rbs = [rb for rb, _ in g.block_map.blocks_of_place(index)]
+                bands.append(sum(g.grid.row_sizes[rb] for rb in rbs))
+                assert rbs == list(range(rbs[0], rbs[-1] + 1))
+            part = g.aligned_row_partition()
+            assert part is not None
+            assert list(part.sizes) == bands and sum(bands) == m
 
     def test_row_spans(self):
         rt = make_rt(2)

@@ -211,60 +211,3 @@ class TestDistBlockCellwise:
         B = DistBlockMatrix.make_dense(rt, 12, 4, 12, 1).init_random(2)
         with pytest.raises(ValueError):
             A.cell_add(B)
-
-
-class TestDistMatmul:
-    def test_matches_numpy(self):
-        from repro.matrix.ops import dist_matmul
-
-        rt = make_rt(3)
-        A = DistBlockMatrix.make_dense(rt, 18, 8, 6, 1).init_random(1)
-        B = DistBlockMatrix.make_dense(rt, 8, 5, 6, 1).init_random(2)
-        C = DistBlockMatrix.make_dense(rt, 18, 5, 6, 1)
-        dist_matmul(A, B, C)
-        assert np.allclose(
-            C.to_dense().data, A.to_dense().data @ B.to_dense().data
-        )
-
-    def test_repeated_calls_overwrite(self):
-        from repro.matrix.ops import dist_matmul
-
-        rt = make_rt(2)
-        A = DistBlockMatrix.make_dense(rt, 8, 4, 4, 1).init_random(1)
-        B = DistBlockMatrix.make_dense(rt, 4, 3, 4, 1).init_random(2)
-        C = DistBlockMatrix.make_dense(rt, 8, 3, 4, 1)
-        dist_matmul(A, B, C)
-        first = C.to_dense().data.copy()
-        dist_matmul(A, B, C)  # must zero, not accumulate
-        assert np.allclose(C.to_dense().data, first)
-
-    def test_dimension_checks(self):
-        from repro.matrix.ops import dist_matmul
-
-        rt = make_rt(2)
-        A = DistBlockMatrix.make_dense(rt, 8, 4, 4, 1)
-        B = DistBlockMatrix.make_dense(rt, 5, 3, 4, 1)  # inner mismatch
-        C = DistBlockMatrix.make_dense(rt, 8, 3, 4, 1)
-        with pytest.raises(ValueError):
-            dist_matmul(A, B, C)
-        S = DistBlockMatrix.make_sparse(rt, 4, 3, 4, 1)
-        with pytest.raises(ValueError):
-            dist_matmul(A, S, C)
-
-    def test_after_shrink_restore(self):
-        from repro.matrix.ops import dist_matmul
-
-        rt = make_rt(4)
-        A = DistBlockMatrix.make_dense(rt, 16, 6, 8, 1).init_random(1)
-        B = DistBlockMatrix.make_dense(rt, 6, 4, 8, 1).init_random(2)
-        refA, refB = A.to_dense().data, B.to_dense().data
-        snapA, snapB = A.make_snapshot(), B.make_snapshot()
-        rt.kill(2)
-        survivors = rt.live_world()
-        A.remake(survivors)
-        A.restore_snapshot(snapA)
-        B.remake(survivors)
-        B.restore_snapshot(snapB)
-        C = DistBlockMatrix.make_dense(rt, 16, 4, 8, 1, group=survivors)
-        dist_matmul(A, B, C)
-        assert np.allclose(C.to_dense().data, refA @ refB)

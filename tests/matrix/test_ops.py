@@ -15,8 +15,7 @@ from repro.matrix.dense import DenseMatrix
 from repro.matrix.distblock import DistBlockMatrix
 from repro.matrix.distvector import DistVector
 from repro.matrix.dupvector import DupVector
-from repro.matrix.grid import Grid
-from repro.matrix.mapping import CyclicBlockMap
+from repro.matrix.grid import Partition1D
 from repro.matrix.ops import dist_block_matvec, dist_block_normal_matvec, dist_block_t_matvec
 from repro.matrix.random import LinkMatrix
 from repro.runtime import CostModel, PlaceGroup, Runtime
@@ -25,6 +24,12 @@ from repro.runtime.exceptions import DeadPlaceException
 
 def make_rt(n=4):
     return Runtime(n, cost=CostModel.zero())
+
+
+#: Output / operand segments of 5/4/3 rows over a 12-row matrix whose 6
+#: blocks are dealt 4/4/4 rows to 3 places: misaligned with every band but
+#: the first.
+MISALIGNED = Partition1D(12, [5, 4, 3])
 
 
 def aligned_out(rt, G):
@@ -50,14 +55,13 @@ class TestMatvec:
         assert np.allclose(y.to_array(), G.to_dense().data @ x.to_array())
 
     def test_scattered_blocks_route_remotely(self):
-        # Cyclic map: a place's blocks do not match the output partition,
-        # so results are shipped — the answer must still be exact.
+        # Row bands of 4 against output segments of 5/4/3: part of each
+        # later band lands in another place's segment and is shipped — the
+        # answer must still be exact.
         rt = Runtime(3, cost=CostModel.unit(), trace=True)
-        grid = Grid.partition(12, 6, 6, 1)
-        G = DistBlockMatrix(rt, grid, rt.world, "dense", CyclicBlockMap(grid, 3))
-        G.init_random(4)
+        G = DistBlockMatrix.make_dense(rt, 12, 6, 6, 1).init_random(4)
         x = DupVector.make(rt, 6).init_random(5)
-        y = DistVector.make(rt, 12)
+        y = DistVector.make(rt, 12, partition=MISALIGNED)
         rt.engine.timeline.clear()
         dist_block_matvec(G, x, y)
         assert np.allclose(y.to_array(), G.to_dense().data @ x.to_array())
@@ -106,10 +110,8 @@ class TestTransposeMatvec:
 
     def test_misaligned_operand_fetches_remote(self):
         rt = Runtime(3, cost=CostModel.unit())
-        grid = Grid.partition(12, 6, 6, 1)
-        G = DistBlockMatrix(rt, grid, rt.world, "dense", CyclicBlockMap(grid, 3))
-        G.init_random(4)
-        r = DistVector.make(rt, 12).init_random(5)  # even partition != cyclic blocks
+        G = DistBlockMatrix.make_dense(rt, 12, 6, 6, 1).init_random(4)
+        r = DistVector.make(rt, 12, partition=MISALIGNED).init_random(5)  # != 4/4/4 bands
         g = DupVector.make(rt, 6)
         dist_block_t_matvec(G, r, g)
         assert np.allclose(g.to_array(), G.to_dense().data.T @ r.to_array())
@@ -160,10 +162,9 @@ def _aligned_world():
 
 def _scattered_world():
     rt = Runtime(3, cost=CostModel.unit())
-    grid = Grid.partition(12, 6, 6, 1)
-    G = DistBlockMatrix(rt, grid, rt.world, "dense", CyclicBlockMap(grid, 3)).init_random(4)
+    G = DistBlockMatrix.make_dense(rt, 12, 6, 6, 1).init_random(4)
     x = DupVector.make(rt, 6).init_random(5)
-    return rt, G, x, DistVector.make(rt, 12), DupVector.make(rt, 6)
+    return rt, G, x, DistVector.make(rt, 12, partition=MISALIGNED), DupVector.make(rt, 6)
 
 
 def _shrunk_world(rebalance: bool):

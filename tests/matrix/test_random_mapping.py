@@ -1,4 +1,4 @@
-"""Tests for deterministic random init and block→place mappings."""
+"""Tests for deterministic random init and the block→place map."""
 
 import tracemalloc
 
@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from repro.matrix import random as random_mod
 from repro.matrix import sparse as sparse_mod
 from repro.matrix.grid import Grid
-from repro.matrix.mapping import (
-    CyclicBlockMap,
-    GroupedBlockMap,
-    PlaceGridBlockMap,
-    factor_place_grid,
-)
+from repro.matrix.mapping import GroupedBlockMap
 from repro.matrix.random import (
     LinkMatrix,
     random_dense_block,
@@ -480,46 +475,17 @@ class TestBlockMaps:
 
     def test_grouped_uneven(self):
         m = GroupedBlockMap(self.grid(7), 3)
-        assert m.load_per_place() == [3, 2, 2]
+        assert [len(m.blocks_of_place(p)) for p in range(3)] == [3, 2, 2]
 
     def test_grouped_rejects_too_few_blocks(self):
         with pytest.raises(ValueError):
             GroupedBlockMap(self.grid(2), 3)
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda g: GroupedBlockMap(g, 3),
-            lambda g: CyclicBlockMap(g, 3),
-            lambda g: PlaceGridBlockMap(g, 3, 1),
-        ],
-    )
-    def test_owner_dict_is_built_once(self, make):
-        m = make(self.grid(6))
+    def test_owner_dict_is_built_once(self):
+        m = GroupedBlockMap(self.grid(6), 3)
         owners = m.owner_dict()
         assert owners == {(rb, 0): m.place_index_of(rb, 0) for rb in range(6)}
         assert m.owner_dict() is owners
-
-    def test_cyclic(self):
-        m = CyclicBlockMap(self.grid(6), 3)
-        assert m.place_index_of(0, 0) == 0
-        assert m.place_index_of(1, 0) == 1
-        assert m.place_index_of(3, 0) == 0
-        assert m.load_per_place() == [2, 2, 2]
-
-    def test_place_grid_map(self):
-        grid = Grid.partition(8, 8, 4, 4)
-        m = PlaceGridBlockMap(grid, 2, 2)
-        assert m.num_places == 4
-        assert m.place_index_of(0, 0) == 0
-        assert m.place_index_of(0, 1) == 1
-        assert m.place_index_of(1, 0) == 2
-        assert m.place_index_of(2, 2) == 0  # wraps cyclically
-
-    def test_place_grid_validation(self):
-        grid = Grid.partition(8, 8, 2, 2)
-        with pytest.raises(ValueError):
-            PlaceGridBlockMap(grid, 4, 1)
 
     @given(blocks=st.integers(1, 40), places=st.integers(1, 10))
     def test_grouped_properties(self, blocks, places):
@@ -527,31 +493,10 @@ class TestBlockMaps:
             return
         grid = Grid.partition(blocks * 2, 3, blocks, 1)
         m = GroupedBlockMap(grid, places)
-        loads = m.load_per_place()
+        loads = [len(m.blocks_of_place(p)) for p in range(places)]
         assert sum(loads) == blocks
         assert max(loads) - min(loads) <= 1
         # Consistency between the two lookup directions.
         for p in range(places):
             for rb, cb in m.blocks_of_place(p):
                 assert m.place_index_of(rb, cb) == p
-
-    @given(blocks=st.integers(1, 30), places=st.integers(1, 8))
-    def test_cyclic_even_load(self, blocks, places):
-        grid = Grid.partition(blocks, 3, blocks, 1)
-        m = CyclicBlockMap(grid, places)
-        loads = m.load_per_place()
-        assert sum(loads) == blocks
-        assert max(loads) - min(loads) <= 1
-
-
-class TestFactorPlaceGrid:
-    def test_square(self):
-        assert factor_place_grid(16) == (4, 4)
-
-    def test_rectangular(self):
-        rp, cp = factor_place_grid(12)
-        assert rp * cp == 12
-        assert factor_place_grid(7) == (7, 1)
-
-    def test_one(self):
-        assert factor_place_grid(1) == (1, 1)

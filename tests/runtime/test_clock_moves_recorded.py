@@ -9,6 +9,7 @@ import pytest
 
 from repro.engine.timeline import FinishEvent
 from repro.runtime import CostModel, Place, Runtime
+from repro.runtime.detector import PhiAccrualDetector
 
 
 def _traced():
@@ -19,6 +20,13 @@ def _revive(rt):
     rt.kill(3)
     rt.engine.timeline.clear()
     rt.revive(3)
+
+
+def _detector_resolve(rt):
+    detector = PhiAccrualDetector(rt, detect_timeout=1.0)
+    rt.kill(1)
+    rt.engine.timeline.clear()  # only the detection wait is checked
+    detector.resolve([1])
 
 
 def _read_remote(rt):
@@ -32,6 +40,7 @@ ENTRY_POINTS = {
     "finish_all": lambda rt: rt.finish_all(rt.world, lambda ctx: None),
     "finish_tasks": lambda rt: rt.finish_tasks([(Place(1), lambda ctx: None)]),
     "add_place": lambda rt: rt.add_place(),
+    "detector.resolve": _detector_resolve,
     "revive": _revive,
     "read_remote": _read_remote,
     "write_remote": lambda rt: rt.finish_tasks(
@@ -64,3 +73,12 @@ def test_at_leaves_exactly_one_finish():
     finishes = [e for e in rt.engine.timeline if isinstance(e, FinishEvent)]
     assert len(finishes) == 1
     assert finishes[0].n_tasks == 1
+
+
+def test_detection_wait_is_one_detector_span():
+    rt = _traced()
+    before = rt.now()
+    _detector_resolve(rt)
+    (event,) = rt.engine.timeline
+    assert event.kind == "service" and event.resource == "detector"
+    assert event.t_start == before and event.t_end == rt.now() > before

@@ -114,7 +114,6 @@ class TestServiceRepair:
             seed=seed,
             crash_rate=0.08,
             pair_rate=0.02,
-            cost_profile="zero",
             repair_mttr=mttr,
         )
 

@@ -14,6 +14,7 @@ from repro.service import (
     generate_jobs,
     run_service,
 )
+from repro.service.jobs import MAX_ITERATIONS, MIN_ITERATIONS, MIN_PLACES
 
 
 class TestGenerateJobs:
@@ -28,20 +29,18 @@ class TestGenerateJobs:
         assert a != b
 
     def test_bounds(self):
-        jobs = generate_jobs(
-            50, seed=1, arrival_rate=2.0, min_places=2, max_places=5,
-            min_iterations=3, max_iterations=7,
-        )
+        assert (MIN_PLACES, MIN_ITERATIONS, MAX_ITERATIONS) == (2, 4, 12)
+        jobs = generate_jobs(50, seed=1, arrival_rate=2.0, max_places=5)
         assert len(jobs) == 50
         for job in jobs:
-            assert 2 <= job.places <= 5
-            assert 3 <= job.iterations <= 7
+            assert MIN_PLACES <= job.places <= 5
+            assert MIN_ITERATIONS <= job.iterations <= MAX_ITERATIONS
         arrivals = [j.arrival for j in jobs]
         assert arrivals == sorted(arrivals)
         assert all(t > 0 for t in arrivals)
 
     def test_zipf_favors_small_jobs(self):
-        jobs = generate_jobs(200, seed=2, arrival_rate=1.0, min_places=2, max_places=6)
+        jobs = generate_jobs(200, seed=2, arrival_rate=1.0, max_places=6)
         small = sum(1 for j in jobs if j.places == 2)
         assert small > len(jobs) / 2  # heavy head of tiny tenants
 
@@ -124,8 +123,7 @@ class TestFailureFreeService:
     def test_queue_wait_under_load(self):
         # A small pool with fast arrivals must queue someone.
         cfg = ServiceConfig(
-            places=5, reserve=0, n_jobs=12, seed=2, arrival_rate=50.0,
-            min_places=3, max_places=4,
+            places=5, reserve=0, n_jobs=12, seed=2, arrival_rate=50.0, max_places=4,
         )
         report = run_service(cfg)
         assert report.completed + report.rejected == 12
@@ -152,13 +150,6 @@ class TestFailureFreeService:
         assert report.makespan < total_latency + max(
             j.arrival for j in report.jobs
         )
-
-    def test_zero_cost_profile(self):
-        cfg = ServiceConfig(n_jobs=4, seed=1, arrival_rate=1.0, cost_profile="zero")
-        report = run_service(cfg)
-        assert report.completed == 4
-        for job in report.jobs:
-            assert job.result_ok is True
 
     @pytest.mark.parametrize("crash_rate", [0.0, 0.4])
     def test_finished_jobs_leave_nothing_in_live_heaps(self, crash_rate):
@@ -193,17 +184,14 @@ class TestFailureFreeService:
             ServiceConfig(places=5, max_places=6)
         with pytest.raises(ValueError):
             ServiceConfig(apps=("linreg", "nope"))
-        # CG jobs reconstruct by default, which parity placement cannot
-        # serve: rejected here rather than at the first CG admission.
+        with pytest.raises(ValueError, match="max_places must be >= min_places"):
+            ServiceConfig(max_places=MIN_PLACES - 1)
+        # CG jobs reconstruct, which parity placement cannot serve: rejected
+        # here rather than at the first CG admission.
         with pytest.raises(ValueError, match="parity placement applies"):
-            ServiceConfig(n_jobs=6, apps=("cg",), placement="parity:2", replicas=1,
-                          cost_profile="zero")
-        with pytest.raises(ValueError, match="recovery must be one of"):
-            ServiceConfig(apps=("cg",), cg_recovery="rewind")
-        # Without a CG job, or with CG rolling back, the pair is servable.
+            ServiceConfig(n_jobs=6, apps=("cg",), placement="parity:2", replicas=1)
+        # Without a CG job the pair is servable.
         ServiceConfig(apps=("linreg",), placement="parity:2", replicas=1)
-        ServiceConfig(apps=("cg",), placement="parity:2", replicas=1,
-                      cg_recovery="checkpoint")
 
 
 class TestBaselineCache:

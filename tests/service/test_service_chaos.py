@@ -82,9 +82,7 @@ class TestConfinement:
         assert report.violations == []
 
     def test_rack_bursts_confined(self):
-        report = run_service(
-            chaos_config(seed=5, pair_rate=0.0, rack_rate=0.02, rack_size=4)
-        )
+        report = run_service(chaos_config(seed=5, pair_rate=0.0, rack_rate=0.02))
         assert report.cross_tenant_aborts == 0
         assert report.violations == []
 
