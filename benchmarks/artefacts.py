@@ -410,18 +410,14 @@ def _regrid_restore(kind: str, regrid: bool) -> Dict[str, float]:
     # A bare matrix world: a WorldSpec always builds an application.
     rt = make_runtime(places, cost=cost, resilient=True)
     if kind == "dense":
-        g = DistBlockMatrix.make_dense(rt, m, 100, places * 2, 1).init_random(3)
+        g = DistBlockMatrix.make_dense(rt, m, 100, places * 2).init_random(3)
     else:
-        g = DistBlockMatrix.make_sparse(rt, m, m, places * 2, 1)
+        g = DistBlockMatrix.make_sparse(rt, m, m, places * 2)
         g.init_link_matrix(LinkMatrix(m, 20, seed=3))
     snap = g.make_snapshot()
     rt.kill(places // 2)
     survivors = rt.live_world()
-    new_grid = (
-        DistBlockMatrix.default_regrid(g.m, g.n, g.grid.num_col_blocks, survivors.size)
-        if regrid
-        else None
-    )
+    new_grid = DistBlockMatrix.default_regrid(g.m, g.n, survivors.size) if regrid else None
     g.remake(survivors, new_grid=new_grid)
     t0 = rt.now()
     g.restore_snapshot(snap)
@@ -527,7 +523,7 @@ def ablation_replication(csv: str):
 def _snapshot_store_matrix():
     # A bare matrix world: a WorldSpec always builds an application.
     rt = make_runtime(16, cost=regression_cost(), resilient=True)
-    return rt, DistBlockMatrix.make_dense(rt, 16_000, 100, 32, 1).init_random(1)
+    return rt, DistBlockMatrix.make_dense(rt, 16_000, 100, 32).init_random(1)
 
 
 def _elapsed(rt, action) -> float:

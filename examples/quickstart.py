@@ -18,7 +18,7 @@ rt = Runtime(nplaces=4, cost=CostModel.laptop(), resilient=True)
 
 # An 800x100 dense matrix cut into 8 row blocks (2 per place), a duplicated
 # input vector, and a distributed output aligned to the matrix's rows.
-A = DistBlockMatrix.make_dense(rt, 800, 100, row_blocks=8, col_blocks=1)
+A = DistBlockMatrix.make_dense(rt, 800, 100, row_blocks=8)
 A.init_random(seed=7)
 x = DupVector.make(rt, 100).init_random(seed=9)
 y = DistVector.make(rt, 800, partition=A.aligned_row_partition())

@@ -48,12 +48,12 @@ class GnmfNonResilient:
         self.m = workload.rows(group.size)
         n, k = workload.cols, workload.rank
         row_blocks = workload.row_blocks(group.size)
-        self.V = DistBlockMatrix.make_sparse(runtime, self.m, n, row_blocks, 1, group)
+        self.V = DistBlockMatrix.make_sparse(runtime, self.m, n, row_blocks, group)
         self.V.init_random(workload.seed, density=workload.density)
-        self.W = DistBlockMatrix.make_dense(runtime, self.m, k, row_blocks, 1, group)
+        self.W = DistBlockMatrix.make_dense(runtime, self.m, k, row_blocks, group)
         self.W.init_random(workload.seed + 1)
         self.H = DupDenseMatrix.make_zero(runtime, k, n, group)
-        self.H.init_from(random_dense_block(workload.seed + 2, 0, 0, k, n))
+        self.H.init_from(random_dense_block(workload.seed + 2, 0, k, n))
         self._make_temporaries(group, row_blocks)
 
     def _make_temporaries(self, group: PlaceGroup, row_blocks: int) -> None:
@@ -64,8 +64,8 @@ class GnmfNonResilient:
         self.WtWH = DupDenseMatrix.make_zero(rt, k, n, group)
         self.Ht = DupDenseMatrix.make_zero(rt, n, k, group)
         self.HHt = DupDenseMatrix.make_zero(rt, k, k, group)
-        self.VHt = DistBlockMatrix.make_dense(rt, self.m, k, row_blocks, 1, group)
-        self.WHHt = DistBlockMatrix.make_dense(rt, self.m, k, row_blocks, 1, group)
+        self.VHt = DistBlockMatrix.make_dense(rt, self.m, k, row_blocks, group)
+        self.WHHt = DistBlockMatrix.make_dense(rt, self.m, k, row_blocks, group)
 
     @property
     def places(self) -> PlaceGroup:

@@ -39,7 +39,7 @@ class LinRegNonResilient:
         self.n_examples = workload.examples(group.size)
         d = workload.features
         self.X = DistBlockMatrix.make_dense(
-            runtime, self.n_examples, d, workload.row_blocks(group.size), 1, group
+            runtime, self.n_examples, d, workload.row_blocks(group.size), group
         ).init_random(workload.seed)
         row_part = self.X.aligned_row_partition()
         self.y = DistVector.make(runtime, self.n_examples, group, row_part)

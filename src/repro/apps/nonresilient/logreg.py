@@ -44,7 +44,7 @@ class LogRegNonResilient:
         n_examples = self.n_examples = workload.examples(group.size)
         d = workload.features
         self.X = DistBlockMatrix.make_dense(
-            runtime, n_examples, d, workload.row_blocks(group.size), 1, group
+            runtime, n_examples, d, workload.row_blocks(group.size), group
         ).init_random(workload.seed)
         row_part = self.X.aligned_row_partition()
         # Binary labels derived deterministically from a random score.

@@ -43,7 +43,7 @@ class PageRankNonResilient:
         self.n = workload.nodes(group.size)
         self.link = LinkMatrix(self.n, workload.out_degree, workload.seed)
         self.G = DistBlockMatrix.make_sparse(
-            runtime, self.n, self.n, workload.row_blocks(group.size), 1, group
+            runtime, self.n, self.n, workload.row_blocks(group.size), group
         ).init_link_matrix(self.link)
         row_part = self.G.aligned_row_partition()
         self.P = DupVector.make(runtime, self.n, group).init(1.0 / self.n)

@@ -36,8 +36,8 @@ class GnmfResilient(GnmfNonResilient, ResilientIterativeApp):
         row_blocks = self.workload.row_blocks(new_places.size)
         new_grid_v = new_grid_w = None
         if self.restore_context.rebalance:
-            new_grid_v = Grid.partition(self.m, self.workload.cols, row_blocks, 1)
-            new_grid_w = Grid.partition(self.m, self.workload.rank, row_blocks, 1)
+            new_grid_v = Grid.partition(self.m, self.workload.cols, row_blocks)
+            new_grid_w = Grid.partition(self.m, self.workload.rank, row_blocks)
         self.V.remake(new_places, new_grid=new_grid_v)
         self.W.remake(new_places, new_grid=new_grid_w)
         self.H.remake(new_places)

@@ -36,10 +36,7 @@ class LogRegResilient(LogRegNonResilient, ResilientIterativeApp):
         new_grid = None
         if self.restore_context.rebalance:
             new_grid = Grid.partition(
-                self.n_examples,
-                self.workload.features,
-                self.workload.row_blocks(new_places.size),
-                1,
+                self.n_examples, self.workload.features, self.workload.row_blocks(new_places.size)
             )
         self.X.remake(new_places, new_grid=new_grid)
         row_part = self.X.aligned_row_partition()

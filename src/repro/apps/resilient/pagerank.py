@@ -37,7 +37,7 @@ class PageRankResilient(PageRankNonResilient, ResilientIterativeApp):
         new_grid = None
         if self.restore_context.rebalance:
             new_grid = Grid.partition(
-                self.n, self.n, self.workload.row_blocks(new_places.size), 1
+                self.n, self.n, self.workload.row_blocks(new_places.size)
             )
         self.G.remake(new_places, new_grid=new_grid)
         row_part = self.G.aligned_row_partition()

@@ -1,6 +1,6 @@
 """Matrix blocks and per-place block sets.
 
-``MatrixBlock`` pairs grid coordinates with a dense or sparse payload;
+``MatrixBlock`` pairs a grid row band with a dense or sparse payload;
 ``BlockSet`` is GML's ``x10.matrix.distblock.BlockSet`` — the container of
 all blocks mapped to one place.  Letting a place hold a *set* of blocks
 (rather than exactly one) is what allows the shrink mode to remap existing
@@ -20,27 +20,22 @@ BlockData = Union[DenseMatrix, SparseCSR]
 
 
 class MatrixBlock:
-    """One grid block: coordinates, global origin, and its payload."""
+    """One full-width row block: its grid row, global first row, and payload."""
 
-    __slots__ = ("rb", "cb", "row_offset", "col_offset", "data")
+    __slots__ = ("rb", "row_offset", "data")
 
-    def __init__(self, rb: int, cb: int, row_offset: int, col_offset: int, data: BlockData):
+    def __init__(self, rb: int, row_offset: int, data: BlockData):
         self.rb = rb
-        self.cb = cb
         self.row_offset = row_offset
-        self.col_offset = col_offset
         self.data = data
 
     @classmethod
-    def for_grid(cls, grid: Grid, rb: int, cb: int, data: BlockData) -> "MatrixBlock":
-        """Build a block for grid slot ``(rb, cb)``, validating the shape."""
-        h, w = grid.block_dims(rb, cb)
+    def for_grid(cls, grid: Grid, rb: int, data: BlockData) -> "MatrixBlock":
+        """Build a block for grid row *rb*, validating the shape."""
+        h, w = grid.block_dims(rb)
         if data.shape != (h, w):
-            raise ValueError(
-                f"block ({rb},{cb}) payload shape {data.shape} != grid slot {(h, w)}"
-            )
-        r0, c0 = grid.block_origin(rb, cb)
-        return cls(rb, cb, r0, c0, data)
+            raise ValueError(f"block {rb} payload shape {data.shape} != grid slot {(h, w)}")
+        return cls(rb, grid.block_origin(rb), data)
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -58,13 +53,9 @@ class MatrixBlock:
         """Global half-open row range covered by this block."""
         return self.row_offset, self.row_offset + self.data.m
 
-    def col_range(self) -> Tuple[int, int]:
-        """Global half-open column range covered by this block."""
-        return self.col_offset, self.col_offset + self.data.n
-
     def __repr__(self) -> str:
         kind = "sparse" if self.is_sparse else "dense"
-        return f"MatrixBlock(({self.rb},{self.cb}), {kind} {self.shape})"
+        return f"MatrixBlock({self.rb}, {kind} {self.shape})"
 
 
 class BlockSet:
@@ -72,13 +63,15 @@ class BlockSet:
 
     def __init__(self, place_index: int):
         self.place_index = place_index
-        #: Row-major by key; ``add()`` replaces the dict, never mutates it,
+        #: Sorted by key; ``add()`` replaces the dict, never mutates it,
         #: so a running iterator keeps the one it started on.
         self._blocks: Dict[Tuple[int, int], MatrixBlock] = {}
 
     def add(self, block: MatrixBlock) -> None:
-        """Insert a block (duplicate coordinates rejected)."""
-        key = (block.rb, block.cb)
+        """Insert a block (a duplicate row block is rejected)."""
+        # Keyed ``(rb, 0)``, the snapshot payload's block key: its bytes are
+        # charged per key and pinned with their CRCs, so the column stays.
+        key = (block.rb, 0)
         if key in self._blocks:
             raise ValueError(f"duplicate block {key}")
         blocks = {**self._blocks, key: block}
@@ -86,17 +79,18 @@ class BlockSet:
             blocks = dict(sorted(blocks.items()))
         self._blocks = blocks
 
-    def get(self, rb: int, cb: int) -> MatrixBlock:
-        """Fetch the block at ``(rb, cb)``; ``KeyError`` if not held here."""
-        if (rb, cb) not in self._blocks:
-            raise KeyError(f"place index {self.place_index} holds no block ({rb},{cb})")
-        return self._blocks[(rb, cb)]
+    def get(self, rb: int) -> MatrixBlock:
+        """Fetch row block *rb*; ``KeyError`` if not held here."""
+        block = self._blocks.get((rb, 0))
+        if block is None:
+            raise KeyError(f"place index {self.place_index} holds no block {rb}")
+        return block
 
-    def contains(self, rb: int, cb: int) -> bool:
-        return (rb, cb) in self._blocks
+    def contains(self, rb: int) -> bool:
+        return (rb, 0) in self._blocks
 
     def keys(self) -> List[Tuple[int, int]]:
-        """Held block coordinates, sorted row-major."""
+        """Held block keys ``(rb, 0)``, sorted."""
         return list(self._blocks)
 
     def __iter__(self) -> Iterator[MatrixBlock]:
@@ -131,7 +125,7 @@ class BlockSet:
         return tuple(token)
 
     def freeze_view_dict(self) -> Dict[Tuple[int, int], BlockData]:
-        """The snapshot payload ``{(rb, cb): data}``: copy-on-write frozen aliases."""
+        """The snapshot payload ``{(rb, 0): data}``: copy-on-write frozen aliases."""
         views = {}
         for key, block in self._blocks.items():
             views[key] = block.data.freeze_view()

@@ -28,7 +28,7 @@ class _OneBlockPerPlace(DistBlockMatrix):
     _KIND = DENSE
 
     def __init__(self, runtime: Runtime, m: int, n: int, group: PlaceGroup):
-        super().__init__(runtime, Grid.partition(m, n, group.size, 1), group, self._KIND)
+        super().__init__(runtime, Grid.partition(m, n, group.size), group, self._KIND)
 
     @classmethod
     def make(
@@ -40,7 +40,7 @@ class _OneBlockPerPlace(DistBlockMatrix):
     def remake(self, new_group: PlaceGroup, new_grid=None) -> "_OneBlockPerPlace":
         """Reallocate over *new_group*, always recalculating the grid."""
         require(new_grid is None, "one-block-per-place classes recalculate their own grid")
-        regrid = Grid.partition(self.m, self.n, new_group.size, 1)
+        regrid = Grid.partition(self.m, self.n, new_group.size)
         return super().remake(new_group, new_grid=regrid)
 
     def block_of_place(self, index: int):

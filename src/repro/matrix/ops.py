@@ -4,19 +4,20 @@ Two kernels carry the paper's three applications:
 
 * ``dist_block_matvec`` — ``y = G @ x`` with ``G`` a :class:`DistBlockMatrix`,
   ``x`` a :class:`DupVector` and ``y`` a :class:`DistVector` (Listing 2's
-  ``GP.mult(G, P)``).  Each place multiplies its blocks against its local
-  duplicate slice; block-row results are routed to the segment owners of
-  ``y`` (free when the output partition is aligned to the block layout, a
-  remote transfer for each row span whose segment another place owns).
+  ``GP.mult(G, P)``).  Each place multiplies its row blocks against its
+  local duplicate and adds the results into its own segment of ``y``.
 
 * ``dist_block_t_matvec`` — ``g = Gᵀ @ r`` producing a :class:`DupVector`
   (the gradient combine of LinReg/LogReg): each place computes a partial
-  full-width product from its blocks, then an all-reduce sums the partials
-  into every replica.
+  full-width product from its blocks and its own segment of ``r``, then an
+  all-reduce sums the partials into every replica.
 
+Both require the distributed vector on ``G``'s row bands
+(:meth:`DistBlockMatrix.aligned_row_partition`) and raise ``ValueError``
+otherwise, so neither moves a byte between places.
 ``dist_block_normal_matvec`` chains the two (``g = Gᵀ(G x)``, LinReg's CG
-step) and, on one block column, forms each dense block's ``Gᵀ(G x)`` piece
-while the block is still in cache.
+step) and forms each dense block's ``Gᵀ(G x)`` piece while the block is
+still in cache.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.matrix.block import BlockSet, MatrixBlock
-from repro.matrix.distblock import DistBlockMatrix
+from repro.matrix.distblock import DistBlockMatrix, TaskPlan
 from repro.matrix.distvector import DistVector
 from repro.matrix.dupvector import DupVector
 from repro.matrix.sparse import SparseCSR
 from repro.matrix.vector import Vector
-from repro.runtime.comm import point_to_point
 from repro.runtime.runtime import PlaceContext
 from repro.util.versioning import next_version
 
@@ -41,13 +41,24 @@ from repro.util.versioning import next_version
 _Products = Dict[MatrixBlock, Tuple[bytes, np.ndarray]]
 
 
+def _check_on_bands(plan: TaskPlan, v: DistVector, role: str) -> None:
+    """*v* must lie on the matrix's row bands (its aligned row partition),
+    so every place reads and writes only its own segment."""
+    bands = plan.rows
+    if v.partition.sizes != bands:
+        raise ValueError(
+            f"{role} partition {v.partition.sizes} is not the matrix's row bands {bands}"
+        )
+
+
 def dist_block_matvec(
     G: DistBlockMatrix, x: DupVector, y: DistVector, _products: Optional[_Products] = None
 ) -> DistVector:
-    """``y = G @ x`` — one compute finish plus result routing.
+    """``y = G @ x`` — one compute finish, then each place adds its blocks'
+    rows into its own segment of *y* (which must lie on *G*'s row bands).
 
-    With *_products* (:func:`dist_block_normal_matvec`, one block column),
-    each dense block's task also stores ``G_bᵀ (G_b x)`` there.
+    With *_products* (:func:`dist_block_normal_matvec`), each dense block's
+    task also stores ``G_bᵀ (G_b x)`` there.
     """
     if x.n != G.n:
         raise ValueError(f"operand length {x.n} != matrix cols {G.n}")
@@ -57,11 +68,12 @@ def dist_block_matvec(
         raise ValueError("matrix and operand on different groups")
     if G.group != y.group:
         raise ValueError("matrix and output on different groups")
+    plan = G.task_plan()
+    _check_on_bands(plan, y, "output")
     rt = G.runtime
     group = G.group
     cost, clock = rt.cost, rt.clock
     g_key, x_key = G.heap_key, x.heap_key
-    plan = G.task_plan()
 
     # Sparse entries are weighted by the cost model's irregular-access
     # factor (CSR gathers are far slower per entry than dense BLAS).
@@ -70,47 +82,37 @@ def dist_block_matvec(
     # tallied by their nnz — and with a zero flop rate not at all.
     tally = plan.matvec_flops is None and cost.flop_time != 0.0
 
-    def compute(ctx: PlaceContext) -> Dict[int, Tuple[int, np.ndarray]]:
+    def compute(ctx: PlaceContext) -> Dict[int, np.ndarray]:
         heap_get = ctx.heap.get
         xdata = heap_get(x_key).data
-        partials: Dict[int, Tuple[int, np.ndarray]] = {}
+        parts: Dict[int, np.ndarray] = {}  # by row block, in block order
         flops = 0.0
         for block in heap_get(g_key):
             data = block.data
-            c0 = block.col_offset
             if isinstance(data, SparseCSR):
-                part = data.spmv(xdata[c0 : c0 + data.n])
+                parts[block.rb] = data.spmv(xdata)
                 if tally:
                     flops += 2.0 * len(data.values) * sparse_factor
             else:
-                part = data.matvec(xdata[c0 : c0 + data.n])
+                part = parts[block.rb] = data.matvec(xdata)
                 if _products is not None:
                     _products[block] = (part.tobytes(), data.t_matvec(part))
-            if block.rb in partials:
-                partials[block.rb][1][:] += part
-                if tally:
-                    flops += data.m
-            else:
-                partials[block.rb] = (block.row_offset, part)
         if tally:
             ctx.charge_flops(flops)
-        return partials
+        return parts
 
     results = rt.finish_all(group, compute, label="matvec", flops=plan.matvec_flops)
 
-    # Route block-row results into the output segments along the layout's
-    # planned routes.  Aligned outputs route locally; a row span landing in
-    # another place's segment pays a transfer.  The finish raised if any
-    # member had died, so every heap is live.  The segment zeroing is
-    # ``Vector.fill`` and each charge ``VirtualClock.advance`` inlined
-    # (finite, positive seconds), in the original order: no call per segment.
+    # Add each place's block results into its own output segment, in block
+    # order.  The finish raised if any member had died, so every heap is
+    # live.  The segment zeroing is ``Vector.fill`` and each charge
+    # ``VirtualClock.advance`` inlined (finite, positive seconds): no call
+    # per segment.
     y_key = y.heap_key
     heaps, times, slow = rt._heaps, clock._times, clock._slowdown
     flop_time, scale = cost.flop_time, cost.logical_scale
     memcpy_time = cost.memcpy_byte_time
-    ids = group.ids
-    segs = []
-    for pid in ids:
+    for pid, parts in zip(group.ids, results):
         seg: Vector = heaps[pid].get(y_key)
         data = seg.data
         if not data.flags.writeable:  # frozen in a snapshot: detach first
@@ -124,29 +126,26 @@ def dist_block_matvec(
                     dt *= slow.get(pid, 1.0)
                 clock._moved = True
                 times[pid] += dt
-        segs.append(data)
-    for src_id, partials, routes in zip(ids, results, plan.routes(y.partition)):
-        if partials is None:
-            continue
-        for rb, segments in routes:
-            part = partials[rb][1]
-            for seg_index, dest_id, d0, d1, p0, p1 in segments:
-                if dest_id != src_id:
-                    point_to_point(rt, src_id, dest_id, (p1 - p0) * 8)
-                segs[seg_index][d0:d1] += part[p0:p1]
-                if flop_time != 0.0:
-                    dt = flop_time * (d1 - d0) * scale
-                    if slow:
-                        dt *= slow.get(dest_id, 1.0)
-                    clock._moved = True
-                    times[dest_id] += dt
+        lo = 0
+        for rb in parts:  # keys, not ``values()``: no call per place
+            part = parts[rb]
+            hi = lo + part.shape[0]
+            data[lo:hi] += part
+            if flop_time != 0.0:
+                dt = flop_time * (hi - lo) * scale
+                if slow:
+                    dt *= slow.get(pid, 1.0)
+                clock._moved = True
+                times[pid] += dt
+            lo = hi
     return y
 
 
 def dist_block_t_matvec(
     G: DistBlockMatrix, r: DistVector, g: DupVector, _products: Optional[_Products] = None
 ) -> DupVector:
-    """``g = Gᵀ @ r`` — per-place partials, then all-reduce into replicas.
+    """``g = Gᵀ @ r`` — per-place partials from each place's own segment of
+    *r* (which must lie on *G*'s row bands), then all-reduce into replicas.
 
     A dense block whose rows of *r* are bitwise the operand a stored
     *_products* entry was formed from adds that product instead of
@@ -160,40 +159,38 @@ def dist_block_t_matvec(
         raise ValueError("matrix and operand on different groups")
     if G.group != g.group:
         raise ValueError("matrix and output on different groups")
+    plan = G.task_plan()
+    _check_on_bands(plan, r, "operand")
     rt = G.runtime
     group = G.group
     n = G.n
     g_key, r_key, out_key = G.heap_key, r.heap_key, g.heap_key
-    offsets = r.partition.offsets
-    spans = dict(zip(group.ids, zip(offsets, offsets[1:])))
+    lows = dict(zip(group.ids, r.partition.offsets))
     sparse_factor = rt.cost.sparse_flop_factor
-    declared = G.task_plan().t_matvec_flops
+    declared = plan.matvec_flops
     tally = declared is None and rt.cost.flop_time != 0.0
     products = _products if _products is not None else {}
 
     def compute(ctx: PlaceContext) -> None:
         heap_get = ctx.heap.get
-        lo, hi = spans[ctx.place.id]
+        lo = lows[ctx.place.id]
+        rdata = heap_get(r_key).data
         partial = np.zeros(n)
         flops = 0.0
         for block in heap_get(g_key):
             data = block.data
-            r0, c0 = block.row_offset, block.col_offset
-            r1 = r0 + data.m
-            if lo <= r0 and r1 <= hi:  # the rows are local: no gather
-                rvals = heap_get(r_key).data[r0 - lo : r1 - lo]
-            else:
-                rvals = _gather_rows(ctx, r, r0, r1)
+            r0 = block.row_offset - lo
+            rvals = rdata[r0 : r0 + data.m]
             if isinstance(data, SparseCSR):
-                partial[c0 : c0 + data.n] += data.spmv_t(rvals)
+                partial += data.spmv_t(rvals)
                 if tally:
                     flops += 2.0 * len(data.values) * sparse_factor
             else:
                 stored = products.pop(block, None)
                 if stored is not None and stored[0] == rvals.tobytes():
-                    partial[c0 : c0 + data.n] += stored[1]
+                    partial += stored[1]
                 else:
-                    partial[c0 : c0 + data.n] += data.t_matvec(rvals)
+                    partial += data.t_matvec(rvals)
         # This place's local write: its replica leaves the coherent set (the
         # whole payload is overwritten, so it rebinds to the fresh array).
         heap_get(out_key).adopt(partial)
@@ -211,27 +208,24 @@ def dist_block_normal_matvec(
     """``y = G @ x``, then ``g = Gᵀ @ y`` — the two finishes, unchanged.
 
     Virtual time sees exactly :func:`dist_block_matvec` followed by
-    :func:`dist_block_t_matvec`.  Only host order differs: on one block
-    column each matvec task also forms ``G_bᵀ (G_b x)`` while ``G_b`` is
-    still in cache, and the t_matvec task adds it where its rows of ``y``
-    are bitwise ``G_b x``.  Routing can change those bytes (``-0.0``
-    arrives as ``+0.0``); such a block is multiplied again.
+    :func:`dist_block_t_matvec`.  Only host order differs: each matvec task
+    also forms ``G_bᵀ (G_b x)`` while ``G_b`` is still in cache, and the
+    t_matvec task adds it where its rows of ``y`` are bitwise ``G_b x``.
+    Adding into a zeroed segment can change those bytes (``-0.0`` arrives
+    as ``+0.0``); such a block is multiplied again.
     """
-    products: Optional[_Products] = {} if G.grid.num_col_blocks == 1 else None
+    products: _Products = {}
     dist_block_matvec(G, x, y, products)
     return dist_block_t_matvec(G, y, g, products)
 
 
 def _check_row_aligned(a: DistBlockMatrix, b: DistBlockMatrix) -> None:
-    """Both matrices must share group and row blocking (and be
-    single-block-column), so one block→place rule gives them the same
-    owners and row bands can be combined locally."""
+    """Both matrices must share group and row blocking, so one block→place
+    rule gives them the same owners and row bands can be combined locally."""
     if a.group != b.group:
         raise ValueError("operands on different groups")
     if a.m != b.m:
         raise ValueError("row count mismatch")
-    if not (a.grid.num_col_blocks == 1 and b.grid.num_col_blocks == 1):
-        raise ValueError("matrix-matrix kernels require single-column block layouts")
     if a.grid.row_sizes != b.grid.row_sizes:
         raise ValueError("row blockings differ")
 
@@ -268,7 +262,7 @@ def dist_gram(a: DistBlockMatrix, b: DistBlockMatrix, out) -> "object":
         partial = np.zeros((a.n, b.n))
         flops = 0.0
         for block in mine:
-            peer = theirs.get(block.rb, 0)
+            peer = theirs.get(block.rb)
             if block.is_sparse:
                 # sparse(a)ᵀ @ dense(b)
                 partial += block.data.t_matmat(peer.data.data)
@@ -319,7 +313,7 @@ def dist_matmat_dup(a: DistBlockMatrix, b, out: DistBlockMatrix) -> DistBlockMat
         bdata = ctx.heap.get(b.heap_key).data
         flops = 0.0
         for block in mine:
-            target = outs.get(block.rb, 0)
+            target = outs.get(block.rb)
             target.data.touch()
             if block.is_sparse:
                 target.data.data[:] = block.data.matmat(bdata)
@@ -330,19 +324,4 @@ def dist_matmat_dup(a: DistBlockMatrix, b, out: DistBlockMatrix) -> DistBlockMat
             ctx.charge_flops(flops)
 
     rt.finish_all(group, compute, label="matmat", flops=declared)
-    return out
-
-
-def _gather_rows(ctx: PlaceContext, r: DistVector, r0: int, r1: int) -> np.ndarray:
-    """Collect ``r[r0:r1]`` at the calling place from the segments' owners."""
-    out = np.empty(r1 - r0)
-    for seg_index, start, end in r.partition.overlapping_segments(r0, r1):
-        slo, _shi = r.partition.range_of(seg_index)
-        owner = r.group[seg_index]
-        if owner == ctx.place:
-            piece = ctx.heap.get(r.heap_key).data[start - slo : end - slo]
-        else:
-            seg: Vector = ctx.read_remote(owner.id, r.heap_key, nbytes=(end - start) * 8)
-            piece = seg.data[start - slo : end - slo]
-        out[start - r0 : end - r0] = piece
     return out

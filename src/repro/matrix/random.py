@@ -4,13 +4,13 @@ Two requirements drive this module:
 
 1. **Per-block determinism** — a distributed matrix initialized over any
    place group must hold the same logical values, so a failure-and-restore
-   run can be compared element-wise against a failure-free run.  Dense
-   blocks are therefore seeded from ``(seed, rb, cb)`` via
+   run can be compared element-wise against a failure-free run.  Row
+   blocks are therefore seeded from ``(seed, rb, 0)`` via
    ``np.random.SeedSequence`` spawn keys: a block is a pure function of
-   ``(seed, rb, cb, rows, cols)``.  The blocks of one block column are
-   drawn straight into consecutive rows of one C-contiguous strip, so each
-   block is a row view of it and any run of whole rows — what a
-   shrink-rebalance restore assembles a new block from — is one view too.
+   ``(seed, rb, rows, cols)``.  A dense matrix's row blocks are drawn
+   straight into consecutive rows of one C-contiguous strip, so each block
+   is a row view of it and any run of whole rows — what a shrink-rebalance
+   restore assembles a new block from — is one view too.
 
 2. **Grid independence for sparse graphs** — the PageRank link matrix must
    be the *same logical matrix* under any blocking, because the
@@ -20,8 +20,7 @@ Two requirements drive this module:
    is keyed and sorted once: every edge is hashed straight into a sorted
    linear key (no COO triplets) and compressed to one row-major,
    duplicate-coalesced CSR per process and key, frozen, and every block
-   under every grid is a region extraction from it (a contiguous row-range
-   slice for the full-width blocks the apps use).
+   under every grid is a contiguous row-range slice of it.
 
 Everything generated here — dense strips, the link graph, the zero block a
 fresh allocation aliases — is served frozen from one memo and shared
@@ -84,24 +83,26 @@ class _InputMemo:
 _input_memo = _InputMemo(_INPUT_MEMO_BYTES)
 
 
-def block_rng(seed: int, rb: int, cb: int) -> np.random.Generator:
-    """A generator deterministically derived from ``(seed, rb, cb)``."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rb, cb)))
+def block_rng(seed: int, rb: int) -> np.random.Generator:
+    """A generator deterministically derived from ``(seed, rb)``."""
+    # Spawn key ``(rb, 0)``: the retired block-column index stays, so every
+    # random input keeps the values its pinned results were run on.
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rb, 0)))
 
 
 class DenseStrip:
-    """Block column *cb* of a dense input with block rows of *sizes*: block
-    ``rb`` is ``block_rng(seed, rb, cb).random((sizes[rb], cols))``, drawn
-    straight into rows ``offsets[rb]:offsets[rb + 1]`` of one frozen
-    C-contiguous array, so every block is a row view of it."""
+    """A dense input with row blocks of *sizes*: block ``rb`` is
+    ``block_rng(seed, rb).random((sizes[rb], cols))``, drawn straight
+    into rows ``offsets[rb]:offsets[rb + 1]`` of one frozen C-contiguous
+    array, so every block is a row view of it."""
 
     __slots__ = ("sizes", "offsets", "data")
 
-    def __init__(self, seed: int, cb: int, sizes: Tuple[int, ...], cols: int):
+    def __init__(self, seed: int, sizes: Tuple[int, ...], cols: int):
         self.sizes, self.offsets = sizes, offsets_of(sizes)
         self.data = np.empty((self.offsets[-1], cols))
         for rb, (r0, r1) in enumerate(zip(self.offsets, self.offsets[1:])):
-            block_rng(seed, rb, cb).random(out=self.data[r0:r1])
+            block_rng(seed, rb).random(out=self.data[r0:r1])
         self.data.setflags(write=False)
 
     @property
@@ -114,9 +115,8 @@ class DenseStrip:
         return DenseMatrix.from_payload_arrays((r1 - r0, self.data.shape[1]), (self.data[r0:r1],))
 
 
-def dense_strip(seed: int, cb: int, sizes: Sequence[int], cols: int) -> DenseStrip:
-    """The memoized strip of block column *cb* whose leading blocks have row
-    sizes *sizes*.
+def dense_strip(seed: int, sizes: Sequence[int], cols: int) -> DenseStrip:
+    """The memoized strip whose leading blocks have row sizes *sizes*.
 
     Strips are keyed by their first block's height, and one serves every
     grid whose row sizes are a prefix of its own — every smaller uniform
@@ -125,17 +125,17 @@ def dense_strip(seed: int, cb: int, sizes: Sequence[int], cols: int) -> DenseStr
     """
     sizes = tuple(sizes)
     return _input_memo.get(
-        (seed, cb, sizes[0], cols),
-        lambda: DenseStrip(seed, cb, sizes, cols),
+        ("strip", seed, sizes[0], cols),
+        lambda: DenseStrip(seed, sizes, cols),
         serves=lambda strip: strip.sizes[: len(sizes)] == sizes,
     )
 
 
-def random_dense_block(seed: int, rb: int, cb: int, rows: int, cols: int) -> DenseMatrix:
-    """Uniform [0, 1) dense block, reproducible per block coordinates: a
-    frozen alias of its rows of the memoized strip (``touch()`` detaches a
+def random_dense_block(seed: int, rb: int, rows: int, cols: int) -> DenseMatrix:
+    """Uniform [0, 1) dense row block, reproducible per block row: a frozen
+    alias of its rows of the memoized strip (``touch()`` detaches a
     writer)."""
-    return dense_strip(seed, cb, (rows,) * (rb + 1), cols).block(rb)
+    return dense_strip(seed, (rows,) * (rb + 1), cols).block(rb)
 
 
 def zero_dense_block(rows: int, cols: int) -> DenseMatrix:
@@ -151,16 +151,14 @@ def random_vector(seed: int, n: int, tag: int = 0) -> np.ndarray:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag,))).random(n)
 
 
-def random_sparse_block(
-    seed: int, rb: int, cb: int, rows: int, cols: int, density: float
-) -> SparseCSR:
+def random_sparse_block(seed: int, rb: int, rows: int, cols: int, density: float) -> SparseCSR:
     """Random CSR block with ``round(density * rows * cols)`` non-zeros."""
     require(0.0 <= density <= 1.0, f"density must be in [0,1], got {density}")
     total = rows * cols
     nnz = int(round(density * total))
     if total == 0 or nnz == 0:
         return SparseCSR.empty(rows, cols)
-    rng = block_rng(seed, rb, cb)
+    rng = block_rng(seed, rb)
     positions = rng.choice(total, size=min(nnz, total), replace=False)
     return SparseCSR.from_coo(
         rows, cols, positions // cols, positions % cols, rng.random(len(positions))
@@ -197,8 +195,8 @@ class LinkMatrix:
 
     Because destinations are a pure function of ``(seed, j, k)``, the
     logical matrix is identical under every grid, which the
-    shrink-rebalance restore requires: any block is a region of the one
-    memoized global CSR.  A graph of ``n * out_degree >= 2**31`` edges is
+    shrink-rebalance restore requires: any row block is a row range of the
+    one memoized global CSR.  A graph of ``n * out_degree >= 2**31`` edges is
     refused at construction: its ``int32`` indices might not fit.
     """
 

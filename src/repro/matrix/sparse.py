@@ -565,37 +565,6 @@ class SparseCSR:
     # -- assembly (repartitioned restore) ---------------------------------------
 
     @staticmethod
-    def hstack(blocks: Sequence["SparseCSR"]) -> "SparseCSR":
-        """Concatenate blocks side by side (equal row counts).
-
-        A single block is returned as it is: a canonical CSR (sorted columns,
-        no duplicates — the class invariant, which every ``sub_matrix`` tile
-        holds) comes back from the COO round trip below with equal arrays.
-        """
-        require(len(blocks) > 0, "hstack needs at least one block")
-        if len(blocks) == 1:
-            return blocks[0]
-        m = blocks[0].m
-        require(all(b.m == m for b in blocks), "hstack blocks differ in row count")
-        n = sum(b.n for b in blocks)
-        col_offset = 0
-        rows_parts: List[np.ndarray] = []
-        cols_parts: List[np.ndarray] = []
-        vals_parts: List[np.ndarray] = []
-        for b in blocks:
-            rows_parts.append(b.row_ids())
-            cols_parts.append(b.indices + col_offset)
-            vals_parts.append(b.values)
-            col_offset += b.n
-        return SparseCSR.from_coo(
-            m,
-            n,
-            np.concatenate(rows_parts) if rows_parts else [],
-            np.concatenate(cols_parts) if cols_parts else [],
-            np.concatenate(vals_parts) if vals_parts else [],
-        )
-
-    @staticmethod
     def vstack(blocks: Sequence["SparseCSR"]) -> "SparseCSR":
         """Concatenate blocks top to bottom (equal column counts); a single
         block is returned as it is.
@@ -629,11 +598,6 @@ class SparseCSR:
             _joined([b.indices for b in blocks]),
             _joined([b.values for b in blocks]),
         )
-
-    @staticmethod
-    def assemble(tiles: Sequence[Sequence["SparseCSR"]]) -> "SparseCSR":
-        """Assemble a 2-D arrangement of tiles into one block."""
-        return SparseCSR.vstack([SparseCSR.hstack(row) for row in tiles])
 
     # -- comparison ---------------------------------------------------------
 

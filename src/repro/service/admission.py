@@ -13,7 +13,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.runtime.pool import DEDICATED, PlacePool
-from repro.service.jobs import JobSpec
+from repro.service.jobs import DEDICATED_SPARES, JobSpec
 
 
 class JobQueue:
@@ -54,7 +54,7 @@ class AdmissionController:
         if free < job.places:
             return False
         if self.economics == DEDICATED:
-            return self.pool.reserve_remaining >= job.dedicated_spares
+            return self.pool.reserve_remaining >= DEDICATED_SPARES
         return True
 
     def pop_admissible(self, queue: JobQueue) -> Optional[JobSpec]:

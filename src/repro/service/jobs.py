@@ -33,6 +33,8 @@ ZIPF_A = 2.2
 MIN_PLACES = 2
 MIN_ITERATIONS = 4
 MAX_ITERATIONS = 12
+#: Reserve places each job commits up-front under ``dedicated`` economics.
+DEDICATED_SPARES = 1
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,6 @@ class JobSpec:
     places: int
     iterations: int
     arrival: float
-    #: Reserve places committed up-front under ``dedicated`` economics.
-    dedicated_spares: int = 1
 
     def __post_init__(self) -> None:
         require(self.app in APPS, f"unknown app {self.app!r}")
@@ -93,7 +93,6 @@ def generate_jobs(
     arrival_rate: float,
     apps: Tuple[str, ...] = ("linreg", "logreg", "pagerank", "gnmf"),
     max_places: int = 6,
-    dedicated_spares: int = 1,
 ) -> List[JobSpec]:
     """A seeded stream of *n* mixed jobs.
 
@@ -118,7 +117,6 @@ def generate_jobs(
                 places=size,
                 iterations=int(rng.integers(MIN_ITERATIONS, MAX_ITERATIONS + 1)),
                 arrival=t,
-                dedicated_spares=dedicated_spares,
             )
         )
     return jobs

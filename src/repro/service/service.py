@@ -41,7 +41,14 @@ from repro.runtime.failure import LeaseScopedInjector, TransientFaultModel
 from repro.runtime.pool import DEDICATED, ECONOMICS_MODES, PlaceLease
 from repro.service.admission import AdmissionController, JobQueue
 from repro.service.faults import PoolFaultEvent, ServiceFaultPlan
-from repro.service.jobs import MIN_ITERATIONS, MIN_PLACES, JobResult, JobSpec, generate_jobs
+from repro.service.jobs import (
+    DEDICATED_SPARES,
+    MIN_ITERATIONS,
+    MIN_PLACES,
+    JobResult,
+    JobSpec,
+    generate_jobs,
+)
 from repro.util.validation import check_positive, require
 from repro.world import WorldSpec, default_replicas
 
@@ -75,8 +82,6 @@ class ServiceConfig:
     apps: Tuple[str, ...] = ("linreg", "logreg", "pagerank", "gnmf")
     max_places: int = 6
     checkpoint_interval: int = 3
-    #: Reserve places committed per job under ``dedicated`` economics.
-    dedicated_spares: int = 1
     #: Backup replicas per partition; None: 2, or 1 under parity.
     replicas: Optional[int] = None
     placement: str = "spread"
@@ -288,7 +293,6 @@ class ClusterService:
             arrival_rate=config.arrival_rate,
             apps=config.apps,
             max_places=config.max_places,
-            dedicated_spares=config.dedicated_spares,
         )
         horizon = 2.0 * self.jobs[-1].arrival + 10.0
         self.plan = ServiceFaultPlan(
@@ -426,9 +430,7 @@ class ClusterService:
             size=job.places,
             name=f"job-{job.job_id}",
             economics=cfg.economics,
-            dedicated_spares=(
-                job.dedicated_spares if cfg.economics == DEDICATED else 0
-            ),
+            dedicated_spares=DEDICATED_SPARES if cfg.economics == DEDICATED else 0,
         )
         # The job starts at its admission time: members cannot be in the
         # virtual past of the stream that scheduled them.

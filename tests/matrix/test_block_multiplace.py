@@ -17,54 +17,57 @@ def make_rt(n=3):
 
 class TestMatrixBlock:
     def test_for_grid_validates_shape(self):
-        grid = Grid.partition(10, 6, 2, 2)
-        block = MatrixBlock.for_grid(grid, 0, 1, DenseMatrix.make(5, 3))
-        assert block.row_range() == (0, 5)
-        assert block.col_range() == (3, 6)
+        grid = Grid.partition(10, 6, 2)
+        block = MatrixBlock.for_grid(grid, 1, DenseMatrix.make(5, 6))
+        assert block.row_range() == (5, 10)
         with pytest.raises(ValueError):
-            MatrixBlock.for_grid(grid, 0, 1, DenseMatrix.make(4, 3))
+            MatrixBlock.for_grid(grid, 1, DenseMatrix.make(5, 3))  # not full width
+        with pytest.raises(ValueError):
+            MatrixBlock.for_grid(grid, 1, DenseMatrix.make(4, 6))
 
     def test_kind_and_bytes(self):
-        grid = Grid.partition(4, 4, 2, 1)
-        dense = MatrixBlock.for_grid(grid, 0, 0, DenseMatrix.make(2, 4))
-        sparse = MatrixBlock.for_grid(grid, 1, 0, SparseCSR.empty(2, 4))
+        grid = Grid.partition(4, 4, 2)
+        dense = MatrixBlock.for_grid(grid, 0, DenseMatrix.make(2, 4))
+        sparse = MatrixBlock.for_grid(grid, 1, SparseCSR.empty(2, 4))
         assert not dense.is_sparse and sparse.is_sparse
         assert dense.nbytes == 64
 
 
 class TestBlockSet:
     def _bs(self):
-        grid = Grid.partition(8, 4, 4, 1)
+        grid = Grid.partition(8, 4, 4)
         bs = BlockSet(place_index=0)
         for rb in (1, 2):
-            bs.add(MatrixBlock.for_grid(grid, rb, 0, DenseMatrix.make(2, 4)))
+            bs.add(MatrixBlock.for_grid(grid, rb, DenseMatrix.make(2, 4)))
         return bs
 
     def test_duplicate_rejected(self):
         bs = self._bs()
-        grid = Grid.partition(8, 4, 4, 1)
+        grid = Grid.partition(8, 4, 4)
         with pytest.raises(ValueError):
-            bs.add(MatrixBlock.for_grid(grid, 1, 0, DenseMatrix.make(2, 4)))
+            bs.add(MatrixBlock.for_grid(grid, 1, DenseMatrix.make(2, 4)))
 
     def test_get_and_contains(self):
         bs = self._bs()
-        assert bs.contains(1, 0)
-        assert bs.get(2, 0).row_range() == (4, 6)
+        assert bs.contains(1) and not bs.contains(0)
+        assert bs.get(2).row_range() == (4, 6)
         with pytest.raises(KeyError):
-            bs.get(0, 0)
+            bs.get(0)
 
     def test_iteration_is_row_major_whatever_the_insertion_order(self):
-        grid = Grid.partition(8, 4, 4, 2)
+        grid = Grid.partition(10, 4, 5)
         bs = BlockSet(place_index=0)
-        for rb, cb in ((2, 1), (0, 1), (2, 0), (0, 0)):
-            bs.add(MatrixBlock.for_grid(grid, rb, cb, DenseMatrix.make(2, 2)))
-        row_major = [(0, 0), (0, 1), (2, 0), (2, 1)]
-        assert [(b.rb, b.cb) for b in bs] == row_major == bs.keys()
+        for rb in (3, 0, 4, 2):
+            bs.add(MatrixBlock.for_grid(grid, rb, DenseMatrix.make(2, 4)))
+        in_order = [0, 2, 3, 4]
+        assert [b.rb for b in bs] == in_order
+        assert bs.keys() == [(rb, 0) for rb in in_order]  # the saved block keys
         running = iter(bs)
         first = next(running)
-        bs.add(MatrixBlock.for_grid(grid, 1, 0, DenseMatrix.make(2, 2)))  # a later add()
-        assert [(first.rb, first.cb)] + [(b.rb, b.cb) for b in running] == row_major
-        assert [(b.rb, b.cb) for b in bs] == sorted(row_major + [(1, 0)]) == bs.keys()
+        bs.add(MatrixBlock.for_grid(grid, 1, DenseMatrix.make(2, 4)))  # a later add()
+        assert [first.rb] + [b.rb for b in running] == in_order
+        assert [b.rb for b in bs] == [0, 1, 2, 3, 4]
+        assert bs.keys() == [(rb, 0) for rb in range(5)]
         assert [key for key, _version in bs.version_token()] == bs.keys()
 
     def test_row_span(self):
@@ -75,7 +78,7 @@ class TestBlockSet:
     def test_freeze_view_dict_is_copy_on_write(self):
         bs = self._bs()
         payload = bs.freeze_view_dict()
-        live = bs.get(1, 0).data
+        live = bs.get(1).data
         assert np.shares_memory(payload[(1, 0)].data, live.data)
         with pytest.raises(ValueError):
             payload[(1, 0)].data[0, 0] = 9.0
@@ -84,14 +87,10 @@ class TestBlockSet:
         assert payload[(1, 0)].data[0, 0] == 0.0
 
     def test_total_nnz_counts_sparse_only(self):
-        grid = Grid.partition(4, 4, 2, 1)
+        grid = Grid.partition(4, 4, 2)
         bs = BlockSet(0)
-        bs.add(MatrixBlock.for_grid(grid, 0, 0, DenseMatrix.make(2, 4)))
-        bs.add(
-            MatrixBlock.for_grid(
-                grid, 1, 0, SparseCSR.from_coo(2, 4, [0, 1], [1, 2], [1.0, 2.0])
-            )
-        )
+        bs.add(MatrixBlock.for_grid(grid, 0, DenseMatrix.make(2, 4)))
+        bs.add(MatrixBlock.for_grid(grid, 1, SparseCSR.from_coo(2, 4, [0, 1], [1, 2], [1.0, 2.0])))
         assert bs.total_nnz() == 2
 
 

@@ -42,7 +42,7 @@ class TestDistDense:
         from repro.matrix.grid import Grid
 
         with pytest.raises(ValueError):
-            g.remake(rt.world, new_grid=Grid.partition(8, 4, 2, 1))
+            g.remake(rt.world, new_grid=Grid.partition(8, 4, 2))
 
     def test_shrink_restore_always_regrids(self):
         rt = make_rt(4)

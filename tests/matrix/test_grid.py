@@ -1,4 +1,4 @@
-"""Tests for Grid / Partition1D: tiling, lookup, and overlap math."""
+"""Tests for Grid / Partition1D: row-band tiling, lookup, and overlap math."""
 
 import numpy as np
 import pytest
@@ -54,12 +54,6 @@ class TestPartition1D:
         with pytest.raises(ValueError):
             Partition1D(5, [6, -1])
 
-    def test_overlapping_segments(self):
-        p = Partition1D(10, [4, 3, 3])
-        assert p.overlapping_segments(2, 9) == [(0, 2, 4), (1, 4, 7), (2, 7, 9)]
-        assert p.overlapping_segments(4, 7) == [(1, 4, 7)]
-        assert p.overlapping_segments(3, 3) == []
-
     def test_overlaps_identity(self):
         p = Partition1D.even(10, 3)
         ovs = p.overlaps(p)
@@ -93,115 +87,95 @@ class TestPartition1D:
 
 class TestGrid:
     def test_partition(self):
-        g = Grid.partition(10, 7, 3, 2)
+        g = Grid.partition(10, 7, 3)
         assert g.row_sizes == [4, 3, 3]
-        assert g.col_sizes == [4, 3]
-        assert g.num_blocks == 6
+        assert (g.n, g.num_row_blocks) == (7, 3)
 
     def test_block_dims_origin(self):
-        g = Grid.partition(10, 7, 3, 2)
-        assert g.block_dims(1, 1) == (3, 3)
-        assert g.block_origin(1, 1) == (4, 4)
-        assert (g.block_origin(2, 0), g.block_dims(2, 0)) == ((7, 0), (3, 4))
-
-    def test_block_id_roundtrip(self):
-        g = Grid.partition(10, 7, 3, 2)
-        for rb in range(3):
-            for cb in range(2):
-                assert g.block_coords(g.block_id(rb, cb)) == (rb, cb)
-
-    def test_block_containing(self):
-        g = Grid.partition(10, 7, 3, 2)
-        assert g.block_containing(0, 0) == (0, 0)
-        assert g.block_containing(4, 4) == (1, 1)
-        assert g.block_containing(9, 6) == (2, 1)
+        g = Grid.partition(10, 7, 3)
+        assert (g.block_origin(1), g.block_dims(1)) == (4, (3, 7))
+        assert (g.block_origin(2), g.block_dims(2)) == (7, (3, 7))
+        with pytest.raises(IndexError):
+            g.block_dims(3)
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
-            Grid(10, 7, [5, 4], [4, 3])
+            Grid(10, 7, [5, 4])
         with pytest.raises(ValueError):
-            Grid(10, 7, [4, 3, 3], [4, 4])
+            Grid(10, 7, [12, -2])
+        with pytest.raises(ValueError):
+            Grid(10, -1, [4, 3, 3])
 
     def test_same_blocking(self):
-        a = Grid.partition(10, 7, 3, 2)
-        b = Grid(10, 7, [4, 3, 3], [4, 3])
-        c = Grid.partition(10, 7, 2, 2)
-        assert a.same_blocking(b)
-        assert not a.same_blocking(c)
+        a = Grid.partition(10, 7, 3)
+        b = Grid(10, 7, [4, 3, 3])
+        assert a.same_blocking(b) and a == b
+        assert not a.same_blocking(Grid.partition(10, 7, 2))
+        assert not a.same_blocking(Grid.partition(10, 8, 3))
 
     def test_partitions(self):
-        g = Grid.partition(10, 7, 3, 2)
-        assert g.row_partition().sizes == [4, 3, 3]
-        assert g.col_partition().sizes == [4, 3]
+        assert Grid.partition(10, 7, 3).row_partition() == Partition1D(10, [4, 3, 3])
 
     def test_overlaps_same_grid(self):
-        g = Grid.partition(10, 7, 3, 2)
-        assert g.overlaps(g)[(1, 1)] == [(1, 1, 4, 7, 4, 7)]
+        part = Grid.partition(10, 7, 3).row_partition()
+        assert part.overlaps(part) == [(0, 0, 0, 4), (1, 1, 4, 7), (2, 2, 7, 10)]
 
     def test_overlaps_regridded(self):
-        old = Grid.partition(10, 10, 2, 2)  # 5x5 blocks
-        new = Grid.partition(10, 10, 3, 3)
-        ovs = new.overlaps(old)[(1, 1)]  # rows 4-7, cols 4-7 spans all 4 old blocks
-        assert [(orb, ocb) for orb, ocb, *_ in ovs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        old = Grid.partition(10, 10, 2).row_partition()  # 5-row bands
+        new = Grid.partition(10, 10, 3).row_partition()  # 4/3/3 rows
+        # Rows 4-7 of new band 1 straddle both old bands.
+        assert [o for o in new.overlaps(old) if o[0] == 1] == [(1, 0, 4, 5), (1, 1, 5, 7)]
 
     @settings(max_examples=60)
-    @given(
-        m=st.integers(1, 60),
-        n=st.integers(1, 60),
-        orb=st.integers(1, 6),
-        ocb=st.integers(1, 6),
-        nrb=st.integers(1, 6),
-        ncb=st.integers(1, 6),
-    )
-    def test_overlaps_tile_every_new_block(self, m, n, orb, ocb, nrb, ncb):
-        """For every new block, the overlap regions partition it exactly."""
-        old = Grid.partition(m, n, orb, ocb)
-        new = Grid.partition(m, n, nrb, ncb)
-        overlaps = new.overlaps(old)
-        assert sorted(overlaps) == list(new.iter_blocks())
-        for (rb, cb), regions in overlaps.items():
-            (br, bc), (h, w) = new.block_origin(rb, cb), new.block_dims(rb, cb)
-            cover = np.zeros((h, w), dtype=int)
-            for _, _, r0, r1, c0, c1 in regions:
-                cover[r0 - br : r1 - br, c0 - bc : c1 - bc] += 1
-            assert np.all(cover == 1)
+    @given(m=st.integers(1, 60), orb=st.integers(1, 6), nrb=st.integers(1, 6))
+    def test_overlaps_tile_every_new_block(self, m, orb, nrb):
+        """For every new row band, the overlap ranges partition it exactly."""
+        old = Grid.partition(m, 3, orb)
+        new = Grid.partition(m, 3, nrb)
+        cover = np.zeros(m, dtype=int)
+        for rb, _, r0, r1 in new.row_partition().overlaps(old.row_partition()):
+            lo = new.block_origin(rb)
+            assert lo <= r0 < r1 <= lo + new.row_sizes[rb]
+            cover[r0:r1] += 1
+        assert np.all(cover == 1)
 
-    @given(m=st.integers(1, 80), n=st.integers(1, 80), rb=st.integers(1, 8), cb=st.integers(1, 8))
-    def test_blocks_tile_matrix(self, m, n, rb, cb):
-        """All blocks of a grid tile the matrix exactly once."""
-        g = Grid.partition(m, n, rb, cb)
-        cover = np.zeros((m, n), dtype=int)
-        for brb, bcb in g.iter_blocks():
-            (r0, c0), (h, w) = g.block_origin(brb, bcb), g.block_dims(brb, bcb)
-            cover[r0 : r0 + h, c0 : c0 + w] += 1
+    @given(m=st.integers(1, 80), n=st.integers(0, 8), rb=st.integers(1, 8))
+    def test_blocks_tile_matrix(self, m, n, rb):
+        """All row blocks of a grid tile the matrix exactly once."""
+        g = Grid.partition(m, n, rb)
+        cover = np.zeros(m, dtype=int)
+        for block in range(g.num_row_blocks):
+            r0, (h, w) = g.block_origin(block), g.block_dims(block)
+            assert w == n
+            cover[r0 : r0 + h] += 1
         assert np.all(cover == 1)
 
 
 class TestRegion:
-    """The regions :meth:`Grid.overlaps` plans, as plain
-    ``(orb, ocb, r0, r1, c0, c1)`` tuples in global coordinates."""
+    """The row ranges a regridded restore plans, as plain
+    ``(new band, old band, r0, r1)`` tuples in global coordinates."""
 
     def test_intersect(self):
-        # A region is the intersection of the new block's and the old block's extents.
-        old = Grid(8, 5, [5, 3], [5])
-        new = Grid(8, 5, [3, 5], [2, 3])
-        assert new.overlaps(old)[(1, 0)] == [(0, 0, 3, 5, 0, 2), (1, 0, 5, 8, 0, 2)]
+        # A range is the intersection of the new band's and the old band's rows.
+        old = Grid(8, 5, [5, 3]).row_partition()
+        new = Grid(8, 5, [3, 5]).row_partition()
+        assert [o for o in new.overlaps(old) if o[0] == 1] == [(1, 0, 3, 5), (1, 1, 5, 8)]
 
     def test_empty(self):
-        # Zero-size bands: a zero-area new block has no region, and an empty
+        # Zero-size bands: a zero-height new band has no range, and an empty
         # old band is never a source.
-        old = Grid(5, 5, [3, 0, 2], [5])
-        new = Grid(5, 5, [2, 0, 3], [0, 5])
+        old = Grid(5, 5, [3, 0, 2]).row_partition()
+        new = Grid(5, 5, [2, 0, 3]).row_partition()
         overlaps = new.overlaps(old)
-        assert overlaps[(0, 0)] == overlaps[(1, 1)] == []
-        assert all(orb != 1 for regions in overlaps.values() for orb, *_ in regions)
+        assert all(rb != 1 and orb != 1 for rb, orb, _, _ in overlaps)
+        assert overlaps == [(0, 0, 0, 2), (2, 0, 2, 3), (2, 2, 3, 5)]
 
     def test_area(self):
-        old = Grid.partition(9, 7, 2, 3)
-        new = Grid.partition(9, 7, 4, 2)
-        for (rb, cb), regions in new.overlaps(old).items():
-            h, w = new.block_dims(rb, cb)
-            assert sum((r1 - r0) * (c1 - c0) for _, _, r0, r1, c0, c1 in regions) == h * w
+        old = Grid.partition(9, 7, 2).row_partition()
+        new = Grid.partition(9, 7, 4).row_partition()
+        for rb in range(4):
+            rows = sum(r1 - r0 for nrb, _, r0, r1 in new.overlaps(old) if nrb == rb)
+            assert rows == new.sizes[rb]
 
 
 def test_offsets_of():

@@ -15,11 +15,11 @@ def make_rt(n=3):
 
 
 def dense_dist(rt, m, n, seed):
-    return DistBlockMatrix.make_dense(rt, m, n, rt.world.size * 2, 1).init_random(seed)
+    return DistBlockMatrix.make_dense(rt, m, n, rt.world.size * 2).init_random(seed)
 
 
 def sparse_dist(rt, m, n, seed):
-    return DistBlockMatrix.make_sparse(rt, m, n, rt.world.size * 2, 1).init_random(
+    return DistBlockMatrix.make_sparse(rt, m, n, rt.world.size * 2).init_random(
         seed, density=0.35
     )
 
@@ -75,8 +75,8 @@ class TestDistGram:
 
     def test_rejects_misaligned(self):
         rt = make_rt()
-        a = DistBlockMatrix.make_dense(rt, 18, 4, 6, 1)
-        b = DistBlockMatrix.make_dense(rt, 18, 4, 9, 1)  # different blocking
+        a = DistBlockMatrix.make_dense(rt, 18, 4, 6)
+        b = DistBlockMatrix.make_dense(rt, 18, 4, 9)  # different blocking
         out = DupDenseMatrix.make_zero(rt, 4, 4)
         with pytest.raises(ValueError):
             dist_gram(a, b, out)
@@ -94,7 +94,7 @@ class TestDistMatmatDup:
         A = dense_dist(rt, 18, 4, 1)
         B = DupDenseMatrix.make_zero(rt, 4, 5)
         B.init_from(DenseMatrix(np.random.default_rng(3).random((4, 5))))
-        out = DistBlockMatrix.make_dense(rt, 18, 5, 6, 1)
+        out = DistBlockMatrix.make_dense(rt, 18, 5, 6)
         dist_matmat_dup(A, B, out)
         assert np.allclose(out.to_dense().data, A.to_dense().data @ B.to_array())
 
@@ -103,7 +103,7 @@ class TestDistMatmatDup:
         V = sparse_dist(rt, 18, 6, 2)
         B = DupDenseMatrix.make_zero(rt, 6, 3)
         B.init_from(DenseMatrix(np.random.default_rng(3).random((6, 3))))
-        out = DistBlockMatrix.make_dense(rt, 18, 3, 6, 1)
+        out = DistBlockMatrix.make_dense(rt, 18, 3, 6)
         dist_matmat_dup(V, B, out)
         assert np.allclose(out.to_dense().data, V.to_dense().data @ B.to_array())
 
@@ -111,7 +111,7 @@ class TestDistMatmatDup:
         rt = make_rt()
         A = dense_dist(rt, 18, 4, 1)
         B = DupDenseMatrix.make_zero(rt, 5, 3)
-        out = DistBlockMatrix.make_dense(rt, 18, 3, 6, 1)
+        out = DistBlockMatrix.make_dense(rt, 18, 3, 6)
         with pytest.raises(ValueError):
             dist_matmat_dup(A, B, out)
 
@@ -207,7 +207,7 @@ class TestDistBlockCellwise:
 
     def test_layout_mismatch_rejected(self):
         rt = make_rt()
-        A = DistBlockMatrix.make_dense(rt, 12, 4, 6, 1).init_random(1)
-        B = DistBlockMatrix.make_dense(rt, 12, 4, 12, 1).init_random(2)
+        A = DistBlockMatrix.make_dense(rt, 12, 4, 6).init_random(1)
+        B = DistBlockMatrix.make_dense(rt, 12, 4, 12).init_random(2)
         with pytest.raises(ValueError):
             A.cell_add(B)

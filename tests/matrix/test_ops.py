@@ -30,6 +30,8 @@ def make_rt(n=4):
 #: blocks are dealt 4/4/4 rows to 3 places: misaligned with every band but
 #: the first.
 MISALIGNED = Partition1D(12, [5, 4, 3])
+#: What the kernels say when a vector is not on the matrix's row bands.
+OFF_BANDS = r"partition \[5, 4, 3\] is not the matrix's row bands \[4, 4, 4\]"
 
 
 def aligned_out(rt, G):
@@ -41,35 +43,28 @@ class TestMatvec:
     def test_matches_numpy_aligned(self, kind):
         rt = make_rt(4)
         maker = DistBlockMatrix.make_dense if kind == "dense" else DistBlockMatrix.make_sparse
-        G = maker(rt, 16, 10, 8, 1).init_random(3, **({} if kind == "dense" else {"density": 0.4}))
+        G = maker(rt, 16, 10, 8).init_random(3, **({} if kind == "dense" else {"density": 0.4}))
         x = DupVector.make(rt, 10).init_random(5)
         y = aligned_out(rt, G).mult(G, x)
         assert np.allclose(y.to_array(), G.to_dense().data @ x.to_array())
 
-    def test_multi_col_blocks(self):
-        rt = make_rt(3)
-        G = DistBlockMatrix.make_dense(rt, 12, 9, 6, 3).init_random(1)
-        x = DupVector.make(rt, 9).init_random(2)
-        y = DistVector.make(rt, 12)
-        dist_block_matvec(G, x, y)
-        assert np.allclose(y.to_array(), G.to_dense().data @ x.to_array())
-
     def test_scattered_blocks_route_remotely(self):
         # Row bands of 4 against output segments of 5/4/3: part of each
-        # later band lands in another place's segment and is shipped — the
-        # answer must still be exact.
+        # later band would land in another place's segment.  The kernel
+        # refuses before any task runs: no clock moves, no event is logged.
         rt = Runtime(3, cost=CostModel.unit(), trace=True)
-        G = DistBlockMatrix.make_dense(rt, 12, 6, 6, 1).init_random(4)
+        G = DistBlockMatrix.make_dense(rt, 12, 6, 6).init_random(4)
         x = DupVector.make(rt, 6).init_random(5)
         y = DistVector.make(rt, 12, partition=MISALIGNED)
         rt.engine.timeline.clear()
-        dist_block_matvec(G, x, y)
-        assert np.allclose(y.to_array(), G.to_dense().data @ x.to_array())
-        assert rt.engine.timeline.of_kind("transfer")
+        clocks = rt.clock.snapshot()
+        with pytest.raises(ValueError, match="output " + OFF_BANDS):
+            dist_block_matvec(G, x, y)
+        assert rt.clock.snapshot() == clocks and not rt.engine.timeline.events
 
     def test_after_shrink_remap(self):
         rt = make_rt(4)
-        G = DistBlockMatrix.make_dense(rt, 16, 6, 8, 1).init_random(1)
+        G = DistBlockMatrix.make_dense(rt, 16, 6, 8).init_random(1)
         ref = G.to_dense().data
         snap = G.make_snapshot()
         rt.kill(2)
@@ -82,7 +77,7 @@ class TestMatvec:
 
     def test_dimension_checks(self):
         rt = make_rt(2)
-        G = DistBlockMatrix.make_dense(rt, 8, 4, 4, 1)
+        G = DistBlockMatrix.make_dense(rt, 8, 4, 4)
         with pytest.raises(ValueError):
             dist_block_matvec(G, DupVector.make(rt, 5), DistVector.make(rt, 8))
         with pytest.raises(ValueError):
@@ -90,7 +85,7 @@ class TestMatvec:
 
     def test_group_checks(self):
         rt = make_rt(3)
-        G = DistBlockMatrix.make_dense(rt, 8, 4, 4, 1, group=PlaceGroup.of_ids([0, 1]))
+        G = DistBlockMatrix.make_dense(rt, 8, 4, 4, group=PlaceGroup.of_ids([0, 1]))
         x = DupVector.make(rt, 4, PlaceGroup.of_ids([0, 2]))
         with pytest.raises(ValueError):
             dist_block_matvec(G, x, DistVector.make(rt, 8, PlaceGroup.of_ids([0, 1])))
@@ -101,7 +96,7 @@ class TestTransposeMatvec:
     def test_matches_numpy(self, kind):
         rt = make_rt(4)
         maker = DistBlockMatrix.make_dense if kind == "dense" else DistBlockMatrix.make_sparse
-        G = maker(rt, 16, 10, 8, 1).init_random(3, **({} if kind == "dense" else {"density": 0.4}))
+        G = maker(rt, 16, 10, 8).init_random(3, **({} if kind == "dense" else {"density": 0.4}))
         r = aligned_out(rt, G).init_random(6)
         g = DupVector.make(rt, 10)
         dist_block_t_matvec(G, r, g)
@@ -109,16 +104,20 @@ class TestTransposeMatvec:
         assert g.replicas_consistent(1e-12)
 
     def test_misaligned_operand_fetches_remote(self):
+        # An operand off the 4/4/4 bands would need rows from other places:
+        # refused before any task runs.
         rt = Runtime(3, cost=CostModel.unit())
-        G = DistBlockMatrix.make_dense(rt, 12, 6, 6, 1).init_random(4)
-        r = DistVector.make(rt, 12, partition=MISALIGNED).init_random(5)  # != 4/4/4 bands
+        G = DistBlockMatrix.make_dense(rt, 12, 6, 6).init_random(4)
+        r = DistVector.make(rt, 12, partition=MISALIGNED).init_random(5)
         g = DupVector.make(rt, 6)
-        dist_block_t_matvec(G, r, g)
-        assert np.allclose(g.to_array(), G.to_dense().data.T @ r.to_array())
+        clocks = rt.clock.snapshot()
+        with pytest.raises(ValueError, match="operand " + OFF_BANDS):
+            dist_block_t_matvec(G, r, g)
+        assert rt.clock.snapshot() == clocks
 
     def test_dimension_checks(self):
         rt = make_rt(2)
-        G = DistBlockMatrix.make_dense(rt, 8, 4, 4, 1)
+        G = DistBlockMatrix.make_dense(rt, 8, 4, 4)
         with pytest.raises(ValueError):
             dist_block_t_matvec(G, DistVector.make(rt, 7), DupVector.make(rt, 4))
         with pytest.raises(ValueError):
@@ -155,36 +154,29 @@ def host_gemvs(monkeypatch):
 
 def _aligned_world():
     rt = Runtime(4, cost=CostModel.unit())
-    G = DistBlockMatrix.make_dense(rt, 16, 10, 8, 1).init_random(3)
+    G = DistBlockMatrix.make_dense(rt, 16, 10, 8).init_random(3)
     x = DupVector.make(rt, 10).init_random(5)
     return rt, G, x, aligned_out(rt, G), DupVector.make(rt, 10)
 
 
 def _scattered_world():
     rt = Runtime(3, cost=CostModel.unit())
-    G = DistBlockMatrix.make_dense(rt, 12, 6, 6, 1).init_random(4)
+    G = DistBlockMatrix.make_dense(rt, 12, 6, 6).init_random(4)
     x = DupVector.make(rt, 6).init_random(5)
     return rt, G, x, DistVector.make(rt, 12, partition=MISALIGNED), DupVector.make(rt, 6)
 
 
 def _shrunk_world(rebalance: bool):
     rt = Runtime(4, cost=CostModel.unit())
-    G = DistBlockMatrix.make_dense(rt, 16, 6, 8, 1).init_random(1)
+    G = DistBlockMatrix.make_dense(rt, 16, 6, 8).init_random(1)
     snap = G.make_snapshot()
     rt.kill(2)
     survivors = rt.live_world()
-    grid = DistBlockMatrix.default_regrid(16, 6, 1, survivors.size) if rebalance else None
+    grid = DistBlockMatrix.default_regrid(16, 6, survivors.size) if rebalance else None
     G.remake(survivors, new_grid=grid)
     G.restore_snapshot(snap)
     x = DupVector.make(rt, 6, survivors).init_random(2)
     return rt, G, x, aligned_out(rt, G), DupVector.make(rt, 6, survivors)
-
-
-def _two_column_world():
-    rt = Runtime(3, cost=CostModel.unit())
-    G = DistBlockMatrix.make_dense(rt, 12, 8, 6, 2).init_random(1)
-    x = DupVector.make(rt, 8).init_random(2)
-    return rt, G, x, DistVector.make(rt, 12), DupVector.make(rt, 8)
 
 
 WORLDS = {
@@ -192,7 +184,6 @@ WORLDS = {
     "scattered": _scattered_world,
     "shrink": lambda: _shrunk_world(False),
     "shrink-rebalance": lambda: _shrunk_world(True),
-    "two-columns": _two_column_world,
 }
 
 
@@ -214,6 +205,16 @@ class TestNormalMatvec:
     @pytest.mark.parametrize("world", sorted(WORLDS))
     def test_bitwise_the_two_kernels(self, world, monkeypatch):
         rt, G, x, y, g = WORLDS[world]()
+        if world == "scattered":  # an output off the row bands: both refuse alike
+            with pytest.raises(ValueError, match="output " + OFF_BANDS):
+                _two_kernels(G, x, y, g)
+            expected = _state(rt, y, g)
+            rt, G, x, y, g = WORLDS[world]()
+            calls = host_gemvs(monkeypatch)
+            with pytest.raises(ValueError, match="output " + OFF_BANDS):
+                dist_block_normal_matvec(G, x, y, g)
+            assert _state(rt, y, g) == expected and not calls
+            return
         _two_kernels(G, x, y, g)
         expected = _state(rt, y, g)
         rt, G, x, y, g = WORLDS[world]()
@@ -221,14 +222,12 @@ class TestNormalMatvec:
         dist_block_normal_matvec(G, x, y, g)
         assert _state(rt, y, g) == expected
         assert np.allclose(g.to_array(), G.to_dense().data.T @ (G.to_dense().data @ x.to_array()))
-        blocks = G.grid.num_row_blocks * G.grid.num_col_blocks
-        # One block column: every transpose product is formed in the matvec
-        # finish.  Two: the t_matvec finish multiplies, as the kernel does.
-        where = "t_matvec" if world == "two-columns" else "matvec"
-        assert calls == Counter({("matvec", "matvec"): blocks, ("t_matvec", where): blocks})
+        # Every transpose product is formed in the matvec finish.
+        blocks = G.grid.num_row_blocks
+        assert calls == Counter({("matvec", "matvec"): blocks, ("t_matvec", "matvec"): blocks})
 
     def test_rows_that_differ_in_bytes_are_multiplied_again(self, monkeypatch):
-        # Routing adds a block's rows to a zeroed segment, so a -0.0 in
+        # The matvec adds a block's rows to a zeroed segment, so a -0.0 in
         # G_b x reaches the t_matvec finish as +0.0: equal values, other
         # bytes.  BLAS never returns -0.0 here, so a matvec that does stands
         # in; the stored product must not be used for that block.
@@ -243,7 +242,7 @@ class TestNormalMatvec:
 
         def world():
             rt, G, x, y, g = _aligned_world()
-            zeroed = G.block_set(1).get(2, 0).data  # one of place 1's blocks
+            zeroed = G.block_set(1).get(2).data  # one of place 1's blocks
             zeroed.touch()
             zeroed.data[:] = 0.0
             return rt, G, x, y, g
@@ -319,7 +318,7 @@ class TestPageRankKernelChain:
         rt = make_rt(4)
         n, alpha = 20, 0.85
         link = LinkMatrix(n, 3, seed=1)
-        G = DistBlockMatrix.make_sparse(rt, n, n, 8, 1).init_link_matrix(link)
+        G = DistBlockMatrix.make_sparse(rt, n, n, 8).init_link_matrix(link)
         P = DupVector.make(rt, n).init(1.0 / n)
         GP = DistVector.make(rt, n, partition=G.aligned_row_partition())
 
@@ -342,7 +341,7 @@ class TestPageRankKernelChain:
         row_blocks = max(row_blocks, places)
         link = LinkMatrix(n, 2, seed=seed)
         rt = make_rt(places)
-        G = DistBlockMatrix.make_sparse(rt, n, n, row_blocks, 1).init_link_matrix(link)
+        G = DistBlockMatrix.make_sparse(rt, n, n, row_blocks).init_link_matrix(link)
         x = DupVector.make(rt, n).init_random(seed)
         y = aligned_out(rt, G).mult(G, x)
         assert np.allclose(y.to_array(), link.block(0, n, 0, n).to_dense() @ x.to_array())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.matrix import random as random_mod
 from repro.matrix import sparse as sparse_mod
-from repro.matrix.grid import Grid
+from repro.matrix.grid import Grid, offsets_of, split_even
 from repro.matrix.mapping import GroupedBlockMap
 from repro.matrix.random import (
     LinkMatrix,
@@ -27,6 +27,15 @@ _SMALL_CHUNK = 7
 #: ``(n, out_degree, seed)`` graphs whose sorted keys, cut every
 #: :data:`_SMALL_CHUNK` keys, meet each case ``test_chunk_cases_arise`` names.
 _CHUNK_CASES = [(1, 20, 0), (7, 3, 0), (5, 23, 2), (13, 4, 5), (40, 4, 11), (9, 30, 1)]
+
+
+def _regions(n, row_cuts, col_cuts):
+    """The ``(r0, r1, c0, c1)`` regions of a near-even *row_cuts* ×
+    *col_cuts* tiling of an ``n × n`` matrix."""
+    rows, cols = offsets_of(split_even(n, row_cuts)), offsets_of(split_even(n, col_cuts))
+    for r0, r1 in zip(rows, rows[1:]):
+        for c0, c1 in zip(cols, cols[1:]):
+            yield r0, r1, c0, c1
 
 
 def _reference_edges(link):
@@ -49,28 +58,28 @@ def _reference_edges(link):
 
 class TestRandomBlocks:
     def test_dense_deterministic(self):
-        a = random_dense_block(7, 1, 2, 4, 5)
-        b = random_dense_block(7, 1, 2, 4, 5)
+        a = random_dense_block(7, 1, 4, 5)
+        b = random_dense_block(7, 1, 4, 5)
         assert np.array_equal(a.data, b.data)
 
     def test_dense_blocks_differ(self):
-        a = random_dense_block(7, 1, 2, 4, 5)
-        b = random_dense_block(7, 2, 1, 4, 5)
+        a = random_dense_block(7, 1, 4, 5)
+        b = random_dense_block(7, 2, 4, 5)
         assert not np.array_equal(a.data, b.data)
 
     def test_sparse_deterministic_and_sized(self):
-        a = random_sparse_block(3, 0, 0, 10, 10, 0.2)
-        b = random_sparse_block(3, 0, 0, 10, 10, 0.2)
+        a = random_sparse_block(3, 0, 10, 10, 0.2)
+        b = random_sparse_block(3, 0, 10, 10, 0.2)
         assert a.nnz == 20
         assert np.array_equal(a.to_dense(), b.to_dense())
 
     def test_sparse_density_bounds(self):
         with pytest.raises(ValueError):
-            random_sparse_block(0, 0, 0, 4, 4, 1.5)
+            random_sparse_block(0, 0, 4, 4, 1.5)
 
     def test_sparse_empty(self):
-        assert random_sparse_block(0, 0, 0, 4, 4, 0.0).nnz == 0
-        assert random_sparse_block(0, 0, 0, 0, 4, 0.5).nnz == 0
+        assert random_sparse_block(0, 0, 4, 4, 0.0).nnz == 0
+        assert random_sparse_block(0, 0, 0, 4, 0.5).nnz == 0
 
     def test_vector_deterministic_by_tag(self):
         assert np.array_equal(random_vector(5, 8, tag=1), random_vector(5, 8, tag=1))
@@ -91,14 +100,13 @@ class TestLinkMatrix:
         seed=st.integers(0, 100),
     )
     def test_grid_independence(self, n, rb, cb, seed):
-        """Any blocking of the link matrix reassembles to the same matrix."""
+        """Any tiling of the link matrix into regions reassembles to the
+        same matrix (a row block of any grid is one such region)."""
         link = LinkMatrix(n, 3, seed=seed)
         full = link.block(0, n, 0, n).to_dense()
-        grid = Grid.partition(n, n, rb, cb)
         assembled = np.zeros((n, n))
-        for brb, bcb in grid.iter_blocks():
-            (r0, c0), (h, w) = grid.block_origin(brb, bcb), grid.block_dims(brb, bcb)
-            assembled[r0 : r0 + h, c0 : c0 + w] = link.block(r0, r0 + h, c0, c0 + w).to_dense()
+        for r0, r1, c0, c1 in _regions(n, rb, cb):
+            assembled[r0:r1, c0:c1] = link.block(r0, r1, c0, c1).to_dense()
         assert np.array_equal(assembled, full)
 
     def test_destination_range(self):
@@ -116,16 +124,13 @@ class TestLinkMatrix:
     )
     @pytest.mark.parametrize("rb, cb", [(1, 1), (3, 1), (4, 3), (7, 5)])
     def test_block_bytes_match_per_block_build(self, n, out_degree, seed, rb, cb):
-        """Slices of the global CSR are byte-identical to building each
-        block on its own from the raw edge list (mask, then ``from_coo``).
+        """Regions of the global CSR are byte-identical to building each one
+        on its own from the raw edge list (mask, then ``from_coo``).
         ``out_degree > n`` makes nearly every entry a coalesced duplicate;
         the largest case crosses ``_SCIPY_BUILD_MIN``."""
         link = LinkMatrix(n, out_degree, seed=seed)
         rows, cols = _reference_edges(link)
-        grid = Grid.partition(n, n, min(rb, n), min(cb, n))
-        for brb, bcb in grid.iter_blocks():
-            (r0, c0), (h, w) = grid.block_origin(brb, bcb), grid.block_dims(brb, bcb)
-            r1, c1 = r0 + h, c0 + w
+        for r0, r1, c0, c1 in _regions(n, min(rb, n), min(cb, n)):
             keep = (rows >= r0) & (rows < r1) & (cols >= c0) & (cols < c1)
             reference = SparseCSR.from_coo(
                 r1 - r0,
@@ -294,32 +299,32 @@ class TestInputMemo:
         return memo
 
     def test_evicts_oldest_first_by_bytes(self, memo):
-        # One strip per block column, keyed (seed, cb, first height, cols).
-        for cb in range(3):
-            random_dense_block(1, 0, cb, 8, 8)
-        assert list(memo.entries) == [(1, cb, 8, 8) for cb in range(3)]
-        kept = memo.entries[(1, 2, 8, 8)]
-        random_dense_block(1, 0, 3, 8, 16)  # 1024 B: the two oldest must go
-        assert list(memo.entries) == [(1, 2, 8, 8), (1, 3, 8, 16)]
-        assert memo.entries[(1, 2, 8, 8)] is kept
+        # One strip per input, keyed ("strip", seed, first height, cols).
+        for seed in range(3):
+            random_dense_block(seed, 0, 8, 8)
+        assert list(memo.entries) == [("strip", seed, 8, 8) for seed in range(3)]
+        kept = memo.entries[("strip", 2, 8, 8)]
+        random_dense_block(3, 0, 8, 16)  # 1024 B: the two oldest must go
+        assert list(memo.entries) == [("strip", 2, 8, 8), ("strip", 3, 8, 16)]
+        assert memo.entries[("strip", 2, 8, 8)] is kept
         assert memo.nbytes == 512 + 1024
 
     def test_over_budget_entry_bypasses_the_memo(self, memo):
-        random_dense_block(1, 0, 0, 8, 8)
-        big = random_dense_block(1, 0, 0, 16, 16)  # 2048 B > 1700
-        assert list(memo.entries) == [(1, 0, 8, 8)] and memo.nbytes == 512
-        again = random_dense_block(1, 0, 0, 16, 16)
+        random_dense_block(1, 0, 8, 8)
+        big = random_dense_block(1, 0, 16, 16)  # 2048 B > 1700
+        assert list(memo.entries) == [("strip", 1, 8, 8)] and memo.nbytes == 512
+        again = random_dense_block(1, 0, 16, 16)
         assert not np.shares_memory(big.data, again.data)
         assert big.data.tobytes() == again.data.tobytes()
 
     def test_link_graph_and_dense_blocks_share_one_budget(self, memo):
-        random_dense_block(1, 0, 0, 8, 8)
+        random_dense_block(1, 0, 8, 8)
         graph = LinkMatrix(20, 3, seed=2).global_csr()
-        assert list(memo.entries) == [(1, 0, 8, 8), (2, 20, 3)]
+        assert list(memo.entries) == [("strip", 1, 8, 8), (2, 20, 3)]
         assert memo.nbytes == 512 + graph.nbytes
-        random_dense_block(1, 0, 1, 8, 8)  # does not fit beside both
-        assert list(memo.entries) == [(2, 20, 3), (1, 1, 8, 8)]
-        random_dense_block(1, 0, 2, 8, 16)
+        random_dense_block(4, 0, 8, 8)  # does not fit beside both
+        assert list(memo.entries) == [(2, 20, 3), ("strip", 4, 8, 8)]
+        random_dense_block(5, 0, 8, 16)
         assert (2, 20, 3) not in memo.entries
         assert LinkMatrix(20, 3, seed=2).global_csr() is not graph
 
@@ -340,7 +345,7 @@ class TestInputMemo:
         monkeypatch.setattr(LinkMatrix, "_sorted_keys", counting)
         link = LinkMatrix(64, 4, seed=3)
         rt = Runtime(8, cost=CostModel.zero())
-        G = DistBlockMatrix.make_sparse(rt, 64, 64, 16, 1).init_link_matrix(link)
+        G = DistBlockMatrix.make_sparse(rt, 64, 64, 16).init_link_matrix(link)
         assert builds == [64 * 4] and not memo.entries  # over budget: not kept
         assert memo.budget < G.total_nnz() * 16
         whole = link.global_csr()
@@ -353,7 +358,7 @@ class TestInputMemo:
 
     def test_dense_blocks_are_copy_on_write(self, memo):
         """Mutating a block reaches neither the memo nor a sibling block."""
-        block, sibling = random_dense_block(7, 1, 2, 4, 5), random_dense_block(7, 1, 2, 4, 5)
+        block, sibling = random_dense_block(7, 1, 4, 5), random_dense_block(7, 1, 4, 5)
         assert block is not sibling and np.shares_memory(block.data, sibling.data)
         with pytest.raises(ValueError):
             block.data[0, 0] = -1.0
@@ -361,14 +366,14 @@ class TestInputMemo:
         block.touch()
         block.data[0, 0] = -1.0
         assert not np.shares_memory(block.data, sibling.data)
-        fresh = random_mod.block_rng(7, 1, 2).random((4, 5))
-        for other in (sibling, random_dense_block(7, 1, 2, 4, 5)):
+        fresh = random_mod.block_rng(7, 1).random((4, 5))
+        for other in (sibling, random_dense_block(7, 1, 4, 5)):
             assert other.data.tobytes() == fresh.tobytes()
 
 
 class TestDenseStrips:
-    """A dense input's blocks are row views of one frozen strip per block
-    column, each with the bytes ``block_rng(seed, rb, cb).random((h, w))``."""
+    """A dense input's blocks are row views of one frozen strip, each with
+    the bytes ``block_rng(seed, rb).random((h, w))``."""
 
     @pytest.fixture
     def memo(self, monkeypatch):
@@ -377,12 +382,12 @@ class TestDenseStrips:
         return memo
 
     @staticmethod
-    def _filled(places, m, n, row_blocks, col_blocks=1, seed=11):
+    def _filled(places, m, n, row_blocks, seed=11):
         from repro.matrix.distblock import DistBlockMatrix
         from repro.runtime import CostModel, Runtime
 
         rt = Runtime(places, cost=CostModel.zero())
-        return DistBlockMatrix.make_dense(rt, m, n, row_blocks, col_blocks).init_random(seed)
+        return DistBlockMatrix.make_dense(rt, m, n, row_blocks).init_random(seed)
 
     @staticmethod
     def _blocks(g):
@@ -395,23 +400,22 @@ class TestDenseStrips:
     def _assert_drawn_per_block(self, g, seed=11):
         for block in self._blocks(g):
             h, w = block.shape
-            want = random_mod.block_rng(seed, block.rb, block.cb).random((h, w))
+            want = random_mod.block_rng(seed, block.rb).random((h, w))
             assert block.data.data.tobytes() == want.tobytes()
             assert not block.data.data.flags.writeable
 
     @pytest.mark.parametrize(
         "shape",
-        [(24, 5, 8, 1), (23, 5, 7, 1), (24, 7, 6, 2)],
-        ids=["uniform", "split-even-remainder", "two-column"],
+        [(24, 5, 8), (23, 5, 7), (5, 7, 8)],
+        ids=["uniform", "split-even-remainder", "zero-height-blocks"],
     )
     def test_blocks_are_their_own_draws(self, memo, shape):
         g = self._filled(3, *shape)
         self._assert_drawn_per_block(g)
-        strips = self._strips(memo)
-        assert len(strips) == shape[3]
-        assert [strip.sizes for strip in strips] == [tuple(g.grid.row_sizes)] * shape[3]
+        (strip,) = self._strips(memo)
+        assert strip.sizes == tuple(g.grid.row_sizes)
         for block in self._blocks(g):
-            assert block.data.data.base is strips[block.cb].data
+            assert block.data.data.base is strip.data
 
     @pytest.mark.parametrize("order", [(2, 8), (8, 2)], ids=["small-first", "large-first"])
     def test_one_strip_serves_every_smaller_uniform_grid(self, memo, order):
@@ -445,7 +449,7 @@ class TestDenseStrips:
         tracemalloc.start()
         try:
             for blocks in (4, 16, 40, 88):
-                random_mod.dense_strip(3, 0, (50,) * blocks, 10)
+                random_mod.dense_strip(3, (50,) * blocks, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -453,25 +457,23 @@ class TestDenseStrips:
         assert peak < 1.1 * memo.nbytes
 
     def test_a_grid_the_strip_does_not_start_with_replaces_it(self, memo):
-        uniform = random_mod.dense_strip(5, 0, (4, 4, 4), 3)
-        remainder = random_mod.dense_strip(5, 0, (4, 3, 3), 3)
+        uniform = random_mod.dense_strip(5, (4, 4, 4), 3)
+        remainder = random_mod.dense_strip(5, (4, 3, 3), 3)
         assert self._strips(memo) == [remainder] and memo.nbytes == remainder.nbytes
         assert uniform.block(0).data.tobytes() == remainder.block(0).data.tobytes()
         for rb, h in enumerate((4, 3, 3)):
-            want = random_mod.block_rng(5, rb, 0).random((h, 3))
+            want = random_mod.block_rng(5, rb).random((h, 3))
             assert remainder.block(rb).data.tobytes() == want.tobytes()
 
 
 class TestBlockMaps:
     def grid(self, blocks=8):
-        return Grid.partition(16, 4, blocks, 1)
+        return Grid.partition(16, 4, blocks)
 
     def test_grouped_consecutive(self):
-        # Fig 1-b: blocks dealt as consecutive near-even runs.
+        # Fig 1-b: row blocks dealt as consecutive near-even runs.
         m = GroupedBlockMap(self.grid(6), 3)
-        assert m.blocks_of_place(0) == [(0, 0), (1, 0)]
-        assert m.blocks_of_place(1) == [(2, 0), (3, 0)]
-        assert m.blocks_of_place(2) == [(4, 0), (5, 0)]
+        assert [list(m.blocks_of_place(p)) for p in range(3)] == [[0, 1], [2, 3], [4, 5]]
 
     def test_grouped_uneven(self):
         m = GroupedBlockMap(self.grid(7), 3)
@@ -484,19 +486,21 @@ class TestBlockMaps:
     def test_owner_dict_is_built_once(self):
         m = GroupedBlockMap(self.grid(6), 3)
         owners = m.owner_dict()
-        assert owners == {(rb, 0): m.place_index_of(rb, 0) for rb in range(6)}
+        assert owners == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
         assert m.owner_dict() is owners
 
     @given(blocks=st.integers(1, 40), places=st.integers(1, 10))
     def test_grouped_properties(self, blocks, places):
         if blocks < places:
             return
-        grid = Grid.partition(blocks * 2, 3, blocks, 1)
+        grid = Grid.partition(blocks * 2, 3, blocks)
         m = GroupedBlockMap(grid, places)
         loads = [len(m.blocks_of_place(p)) for p in range(places)]
         assert sum(loads) == blocks
         assert max(loads) - min(loads) <= 1
         # Consistency between the two lookup directions.
+        owners = m.owner_dict()
+        assert sorted(owners) == list(range(blocks))
         for p in range(places):
-            for rb, cb in m.blocks_of_place(p):
-                assert m.place_index_of(rb, cb) == p
+            for rb in m.blocks_of_place(p):
+                assert owners[rb] == p

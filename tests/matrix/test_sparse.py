@@ -300,44 +300,35 @@ class TestCSRRegions:
 
 class TestCSRAssembly:
     def test_hstack_vstack(self):
+        # Column cuts side by side and row cuts stacked give the matrix back.
         d = random_dense(6, 8, 0.4, 3)
         a = SparseCSR.from_dense(d)
         left = a.sub_matrix(0, 6, 0, 3)
         right = a.sub_matrix(0, 6, 3, 8)
-        assert np.array_equal(SparseCSR.hstack([left, right]).to_dense(), d)
+        assert np.array_equal(np.hstack([left.to_dense(), right.to_dense()]), d)
         top = a.sub_matrix(0, 2, 0, 8)
         bottom = a.sub_matrix(2, 6, 0, 8)
         assert np.array_equal(SparseCSR.vstack([top, bottom]).to_dense(), d)
 
     def test_assemble_tiles(self):
+        # A regridded block is its full-width row pieces, stacked; an empty
+        # piece (a zero-height old block) adds nothing.
         d = random_dense(7, 9, 0.5, 4)
         a = SparseCSR.from_dense(d)
-        tiles = [
-            [a.sub_matrix(0, 3, 0, 4), a.sub_matrix(0, 3, 4, 9)],
-            [a.sub_matrix(3, 7, 0, 4), a.sub_matrix(3, 7, 4, 9)],
-        ]
-        assert np.array_equal(SparseCSR.assemble(tiles).to_dense(), d)
+        pieces = [a.sub_matrix(r0, r1, 0, 9) for r0, r1 in ((0, 3), (3, 3), (3, 7))]
+        assert np.array_equal(SparseCSR.vstack(pieces).to_dense(), d)
 
     def test_stack_validation(self):
         with pytest.raises(ValueError):
-            SparseCSR.hstack([])
-        with pytest.raises(ValueError):
-            SparseCSR.hstack([SparseCSR.empty(2, 2), SparseCSR.empty(3, 2)])
+            SparseCSR.vstack([])
         with pytest.raises(ValueError):
             SparseCSR.vstack([SparseCSR.empty(2, 2), SparseCSR.empty(2, 3)])
 
 
-def _hstack_via_coo(blocks):
-    """The reference ``hstack``: every tile row through the COO round trip
-    (row ids, concatenation, stable sort, segment sum), one-tile rows too."""
-    offsets = np.cumsum([0] + [b.n for b in blocks])
-    return SparseCSR.from_coo(
-        blocks[0].m,
-        int(offsets[-1]),
-        np.concatenate([b.row_ids() for b in blocks]),
-        np.concatenate([b.indices + off for b, off in zip(blocks, offsets)]),
-        np.concatenate([b.values for b in blocks]),
-    )
+def _via_coo(block):
+    """*block* through the COO round trip (row ids, stable sort, segment
+    sum): a canonical CSR comes back with equal arrays."""
+    return SparseCSR.from_coo(block.m, block.n, block.row_ids(), block.indices, block.values)
 
 
 def _vstack_by_concatenation(blocks):
@@ -355,10 +346,6 @@ def _vstack_by_concatenation(blocks):
     )
 
 
-def _assemble_reference(tiles):
-    return _vstack_by_concatenation([_hstack_via_coo(row) for row in tiles])
-
-
 def _same_csr(a, b):
     assert a.shape == b.shape
     for name in ("indptr", "indices", "values"):
@@ -368,8 +355,8 @@ def _same_csr(a, b):
 
 
 def _one_tile_cases():
-    """``sub_matrix`` outputs of a canonical CSR — everything ``assemble`` is
-    handed by the repartitioned restore."""
+    """``sub_matrix`` outputs of a canonical CSR — full-width row pieces are
+    what the repartitioned restore stacks."""
     parent = SparseCSR.from_dense(random_dense(12, 9, 0.4, seed=11))
     frozen = parent.freeze_view()
     hole = random_dense(12, 9, 0.4, seed=12)
@@ -390,20 +377,21 @@ def _one_tile_cases():
 
 
 class TestOneTileRows:
-    """``hstack`` (hence ``assemble``) returns a single tile as it is; the
-    result must equal what the COO round trip made of it."""
+    """``vstack`` returns a single piece as it is (a new block inside one old
+    block); the piece must equal what the COO round trip and the
+    concatenating reference make of it."""
 
     @pytest.mark.parametrize("name", sorted(_one_tile_cases()))
     def test_one_tile_hstack_equals_the_coo_path(self, name):
         tile = _one_tile_cases()[name]
-        assert SparseCSR.hstack([tile]) is tile
-        _same_csr(tile, _hstack_via_coo([tile]))
+        assert SparseCSR.vstack([tile]) is tile
+        _same_csr(tile, _via_coo(tile))
 
     @pytest.mark.parametrize("name", sorted(_one_tile_cases()))
     def test_one_tile_assemble(self, name):
         tile = _one_tile_cases()[name]
-        assert SparseCSR.assemble([[tile]]) is tile
-        _same_csr(tile, _assemble_reference([[tile]]))
+        assert SparseCSR.vstack([tile]) is tile
+        _same_csr(tile, _vstack_by_concatenation([tile]))
 
     @pytest.mark.parametrize("row_cuts,col_cuts", [
         ([0, 12], [0, 9]),
@@ -412,21 +400,21 @@ class TestOneTileRows:
         ([0, 4, 12], [0, 6, 9]),
     ])
     def test_tilings_equal_the_reference(self, row_cuts, col_cuts):
+        """The row pieces of each column band (the full width when there is
+        one band) stack to the reference and to the band itself."""
         parent = SparseCSR.from_dense(random_dense(12, 9, 0.4, seed=13)).freeze_view()
-        tiles = [
-            [parent.sub_matrix(r0, r1, c0, c1) for c0, c1 in zip(col_cuts, col_cuts[1:])]
-            for r0, r1 in zip(row_cuts, row_cuts[1:])
-        ]
-        built = SparseCSR.assemble(tiles)
-        _same_csr(built, _assemble_reference(tiles))
-        assert np.array_equal(built.to_dense(), parent.to_dense())
+        for c0, c1 in zip(col_cuts, col_cuts[1:]):
+            pieces = [parent.sub_matrix(r0, r1, c0, c1) for r0, r1 in zip(row_cuts, row_cuts[1:])]
+            built = SparseCSR.vstack(pieces)
+            _same_csr(built, _vstack_by_concatenation(pieces))
+            assert np.array_equal(built.to_dense(), parent.to_dense()[:, c0:c1])
 
     def test_a_one_tile_block_detaches_on_its_first_write(self):
         """The returned tile may alias a frozen parent's arrays (a full-width
         row slice does); ``touch()`` copies before the write."""
         parent = SparseCSR.from_dense(random_dense(6, 5, 0.6, seed=14)).freeze_view()
         before = parent.to_dense()
-        block = SparseCSR.assemble([[parent.sub_matrix(1, 4, 0, 5)]])
+        block = SparseCSR.vstack([parent.sub_matrix(1, 4, 0, 5)])
         assert np.shares_memory(block.values, parent.values)
         with pytest.raises(ValueError, match="read-only"):
             block.values[:] = 0.0

@@ -70,7 +70,6 @@ class TestStoredWidth:
             a.sub_matrix(0, 3, 1, 4),
             a.to_csc().sub_matrix(1, 3, 0, 4),
             SparseCSR.vstack([a.sub_matrix(0, 1, 0, 4), a.sub_matrix(1, 3, 0, 4)]),
-            SparseCSR.hstack([a.sub_matrix(0, 3, 0, 2), a.sub_matrix(0, 3, 2, 4)]),
         ):
             _int32(matrix)
 
@@ -79,18 +78,18 @@ class TestStoredWidth:
         assert graph.indices.max() < 500
 
     def test_regridded_restore(self):
-        """Shrink-rebalance restores of a random sparse grid (cut pieces
-        assembled through ``from_coo``) and of a full-width link grid
+        """Shrink-rebalance restores of a random sparse matrix (row pieces
+        of blocks built by ``from_coo``, stacked) and of a link matrix
         (joined views of the graph)."""
-        for cbs, init in ((2, lambda g: g.init_random(7, density=0.3)),
-                          (1, lambda g: g.init_link_matrix(LinkMatrix(40, 3, seed=1)))):
+        for n, init in ((8, lambda g: g.init_random(7, density=0.3)),
+                        (40, lambda g: g.init_link_matrix(LinkMatrix(40, 3, seed=1)))):
             rt = Runtime(4, cost=CostModel.zero())
-            g = init(DistBlockMatrix.make_sparse(rt, 40, 40 if cbs == 1 else 8, 8, cbs))
+            g = init(DistBlockMatrix.make_sparse(rt, 40, n, 8))
             ref = g.to_dense().data
             snap = g.make_snapshot()
             rt.kill(2)
             survivors = rt.live_world()
-            g.remake(survivors, new_grid=DistBlockMatrix.default_regrid(g.m, g.n, cbs, 3))
+            g.remake(survivors, new_grid=DistBlockMatrix.default_regrid(g.m, g.n, 3))
             g.restore_snapshot(snap)
             assert np.array_equal(g.to_dense().data, ref)
             for index in range(survivors.size):

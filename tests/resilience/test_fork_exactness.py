@@ -210,11 +210,11 @@ def test_a_live_block_set_is_pickled_by_value():
     (a ``BlockSet`` is not a snapshot payload): a touched block stays
     writable on the origin, and the fork writes its own copy."""
     rt = make_runtime(2, cost=CostModel.zero())
-    v, g = DistVector.make(rt, 4), DistBlockMatrix.make_dense(rt, 4, 4, 2, 1).init_random(1)
-    block = g.scale(2.0).block_set(0).get(0, 0).data.data
+    v, g = DistVector.make(rt, 4), DistBlockMatrix.make_dense(rt, 4, 4, 2).init_random(1)
+    block = g.scale(2.0).block_set(0).get(0).data.data
     before, fork = block.copy(), ForkContext().capture(g).load()
     assert block.flags.writeable and not v.payload_at_index(0).data.flags.writeable
-    fork.block_set(0).get(0, 0).data.data[...] = -1.0
+    fork.block_set(0).get(0).data.data[...] = -1.0
     assert np.array_equal(block, before)
 
 

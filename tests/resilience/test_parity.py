@@ -274,9 +274,9 @@ OBJECTS = {
     "csr": lambda rt: DistSparseRowMatrix.make(
         rt, 12, builder=lambda lo, hi: band(lo // 2, rows=hi - lo, cols=12)
     ),
-    "dense-blocks": lambda rt: DistBlockMatrix.make_dense(rt, 12, 8, 6, 2).init_random(3),
+    "dense-blocks": lambda rt: DistBlockMatrix.make_dense(rt, 12, 8, 12).init_random(3),
     # Nine blocks on six places: two per place, then one.
-    "csr-blocks": lambda rt: DistBlockMatrix.make_sparse(rt, 27, 16, 9, 1).init_random(
+    "csr-blocks": lambda rt: DistBlockMatrix.make_sparse(rt, 27, 16, 9).init_random(
         3, density=0.2
     ),
 }

@@ -28,11 +28,11 @@ PLACES = 3
 
 
 def _dist_block_dense(rt):
-    return DistBlockMatrix.make_dense(rt, 12, 4, 6, 1).init_random(3)
+    return DistBlockMatrix.make_dense(rt, 12, 4, 6).init_random(3)
 
 
 def _dist_block_sparse(rt):
-    return DistBlockMatrix.make_sparse(rt, 12, 12, 6, 1).init_link_matrix(LinkMatrix(12, 3, seed=3))
+    return DistBlockMatrix.make_sparse(rt, 12, 12, 6).init_link_matrix(LinkMatrix(12, 3, seed=3))
 
 
 def _dist_vector(rt):
@@ -44,7 +44,7 @@ def _dup_vector(rt):
 
 
 def _dup_dense(rt):
-    return DupDenseMatrix.make(rt, DenseMatrix.random(3, 4, block_rng(3, 0, 0)))
+    return DupDenseMatrix.make(rt, DenseMatrix.random(3, 4, block_rng(3, 0)))
 
 
 def _dist_sparse_rows(rt):

@@ -45,7 +45,7 @@ class TestStableSnapshot:
 
     def test_survives_all_nonzero_places_dying(self):
         rt = make_rt(4)
-        g = DistBlockMatrix.make_dense(rt, 8, 4, 4, 1).init_random(2)
+        g = DistBlockMatrix.make_dense(rt, 8, 4, 4).init_random(2)
         ref = g.to_dense().data
         snap = g.make_snapshot(DISK)
         for victim in (1, 2, 3):
@@ -58,10 +58,10 @@ class TestStableSnapshot:
         from repro.matrix.grid import Grid
 
         rt = make_rt(4)
-        g = DistBlockMatrix.make_sparse(rt, 20, 8, 8, 2).init_random(3, density=0.3)
+        g = DistBlockMatrix.make_sparse(rt, 20, 8, 8).init_random(3, density=0.3)
         ref = g.to_dense().data
         snap = g.make_snapshot(DISK)
-        g.remake(rt.world, new_grid=Grid.partition(20, 8, 5, 1))
+        g.remake(rt.world, new_grid=Grid.partition(20, 8, 5))
         g.restore_snapshot(snap)
         assert np.array_equal(g.to_dense().data, ref)
 

@@ -14,7 +14,7 @@ from repro.service import (
     generate_jobs,
     run_service,
 )
-from repro.service.jobs import MAX_ITERATIONS, MIN_ITERATIONS, MIN_PLACES
+from repro.service.jobs import DEDICATED_SPARES, MAX_ITERATIONS, MIN_ITERATIONS, MIN_PLACES
 
 
 class TestGenerateJobs:
@@ -29,7 +29,7 @@ class TestGenerateJobs:
         assert a != b
 
     def test_bounds(self):
-        assert (MIN_PLACES, MIN_ITERATIONS, MAX_ITERATIONS) == (2, 4, 12)
+        assert (MIN_PLACES, MIN_ITERATIONS, MAX_ITERATIONS, DEDICATED_SPARES) == (2, 4, 12, 1)
         jobs = generate_jobs(50, seed=1, arrival_rate=2.0, max_places=5)
         assert len(jobs) == 50
         for job in jobs:
@@ -95,10 +95,7 @@ class TestAdmission:
         ctl = AdmissionController(rt.pool, economics="dedicated")
         q = JobQueue()
         q.offer(
-            JobSpec(
-                job_id=0, app="linreg", places=2, iterations=4, arrival=0.0,
-                dedicated_spares=1,
-            )
+            JobSpec(job_id=0, app="linreg", places=2, iterations=4, arrival=0.0)
         )
         assert ctl.pop_admissible(q) is None  # no reserve to commit
 

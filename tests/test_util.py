@@ -71,8 +71,8 @@ def _payload_zoo():
     dense = rng.random((3, 4))
     dense[dense < 0.5] = 0.0
     blocks = BlockSet(0)
-    blocks.add(MatrixBlock(0, 0, 0, 0, DenseMatrix(rng.random((2, 3)))))
-    blocks.add(MatrixBlock(1, 0, 2, 0, SparseCSR.from_dense(dense)))
+    blocks.add(MatrixBlock(0, 0, DenseMatrix(rng.random((2, 3)))))
+    blocks.add(MatrixBlock(1, 2, SparseCSR.from_dense(dense)))
     leaves = {
         "none": lambda: None,
         "int": lambda: 7,
