@@ -69,6 +69,7 @@ from repro.chaos import CampaignConfig, run_campaign
 from repro.cli import main as repro_main
 from repro.engine.fork import capture_boundaries
 from repro.matrix.distblock import DistBlockMatrix
+from repro.matrix.grid import Grid
 from repro.matrix.random import LinkMatrix
 from repro.resilience.executor import IterativeExecutor, RestoreMode
 from repro.resilience.placement import make_placement
@@ -417,7 +418,7 @@ def _regrid_restore(kind: str, regrid: bool) -> Dict[str, float]:
     snap = g.make_snapshot()
     rt.kill(places // 2)
     survivors = rt.live_world()
-    new_grid = DistBlockMatrix.default_regrid(g.m, g.n, survivors.size) if regrid else None
+    new_grid = Grid.partition(g.m, g.n, survivors.size) if regrid else None
     g.remake(survivors, new_grid=new_grid)
     t0 = rt.now()
     g.restore_snapshot(snap)

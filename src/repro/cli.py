@@ -46,6 +46,7 @@ from repro.bench.harness import (
 )
 from repro.chaos import CampaignConfig, run_campaign, run_service_campaign
 from repro.resilience.executor import CHECKPOINT_MODES, RECOVERY_MODES, RestoreMode
+from repro.resilience.iterative import ReconstructableIterativeApp
 from repro.resilience.placement import PLACEMENTS
 from repro.runtime.exceptions import DataLossError
 from repro.runtime.pool import ECONOMICS_MODES
@@ -289,11 +290,13 @@ def _run_world(args: argparse.Namespace, spec: WorldSpec) -> int:
             report = executor.run()
         except DataLossError as exc:
             print(f"unrecoverable: {exc}", file=sys.stderr)
-            print(
-                "hint: raise --replicas, use --placement spread, or add "
-                "--stable-fallback",
-                file=sys.stderr,
-            )
+            if executor.store.latest() is not None:
+                hint = "raise --replicas, use --placement spread, or add --stable-fallback"
+            else:
+                hint = "no protection flag helps a failure before the first checkpoint commits"
+                if isinstance(app, ReconstructableIterativeApp):
+                    hint += "; --recovery reconstruct with --spares recovers without one"
+            print(f"hint: {hint}", file=sys.stderr)
             return 1
         return _print_report(args, rt, app, report)
 

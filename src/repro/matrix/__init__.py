@@ -15,11 +15,11 @@ Matrices       :class:`DupDenseMatrix`,
                                          :class:`DistBlockMatrix`
 =============  =====================  ===========================================
 
-Supporting machinery: :class:`Grid` / :class:`Partition1D` (block
-partitioning and overlap math), :class:`BlockSet` (per-place block
-container), :class:`GroupedBlockMap` (the one block→place rule: near-even
-consecutive runs, Fig. 1-b), and the distributed kernels in
-:mod:`repro.matrix.ops`.
+Supporting machinery: :class:`Grid` / :class:`Partition1D` (row blocking
+and overlap math), :class:`BlockSet` (per-place block container), the one
+block→place rule (``TaskPlan`` deals a grid's row blocks over its places as
+``Partition1D.even(row_blocks, places)``: near-even consecutive runs,
+Fig. 1-b), and the distributed kernels in :mod:`repro.matrix.ops`.
 """
 
 from repro.matrix.block import BlockSet, MatrixBlock
@@ -30,7 +30,6 @@ from repro.matrix.distvector import DistVector
 from repro.matrix.dupmatrix import DupDenseMatrix, DupSparseMatrix
 from repro.matrix.dupvector import DupVector
 from repro.matrix.grid import Grid, Partition1D, split_even
-from repro.matrix.mapping import GroupedBlockMap
 from repro.matrix.ops import (
     dist_block_matvec,
     dist_block_normal_matvec,
@@ -59,7 +58,6 @@ __all__ = [
     "Grid",
     "Partition1D",
     "split_even",
-    "GroupedBlockMap",
     "dist_block_matvec",
     "dist_block_normal_matvec",
     "dist_block_t_matvec",

@@ -12,9 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Tuple, Union
 
 from repro.matrix.dense import DenseMatrix
-from repro.matrix.grid import Grid
 from repro.matrix.sparse import SparseCSR
-from repro.util.validation import require
 
 BlockData = Union[DenseMatrix, SparseCSR]
 
@@ -28,14 +26,6 @@ class MatrixBlock:
         self.rb = rb
         self.row_offset = row_offset
         self.data = data
-
-    @classmethod
-    def for_grid(cls, grid: Grid, rb: int, data: BlockData) -> "MatrixBlock":
-        """Build a block for grid row *rb*, validating the shape."""
-        h, w = grid.block_dims(rb)
-        if data.shape != (h, w):
-            raise ValueError(f"block {rb} payload shape {data.shape} != grid slot {(h, w)}")
-        return cls(rb, grid.block_origin(rb), data)
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -107,12 +97,6 @@ class BlockSet:
     def total_nnz(self) -> int:
         """Total stored non-zeros (sparse blocks only)."""
         return sum(b.data.nnz for b in self._blocks.values() if b.is_sparse)
-
-    def row_span(self) -> Tuple[int, int]:
-        """Smallest global row range covering all held blocks."""
-        require(len(self._blocks) > 0, "empty block set has no row span")
-        lows, highs = zip(*(b.row_range() for b in self._blocks.values()))
-        return min(lows), max(highs)
 
     # Plain loops, not comprehensions: a checkpoint runs both once per place,
     # and a comprehension is one more interpreted call each time.

@@ -1,14 +1,15 @@
 """``DistBlockMatrix`` — the paper's central distributed matrix class.
 
 The matrix is cut by a :class:`~repro.matrix.grid.Grid` into full-width
-row blocks, and a :class:`~repro.matrix.mapping.GroupedBlockMap` deals one
-or *more* blocks to each place as consecutive runs (a
-:class:`~repro.matrix.block.BlockSet` per place), so every place holds one
-contiguous row band.  Holding sets of blocks is what lets the **shrink**
-restoration remap existing blocks over fewer places without repartitioning
-(fast block-by-block restore, Fig. 1-b), while **shrink-rebalance**
-recalculates the grid for even load at the price of sub-block overlap
-copies (Fig. 1-c).
+row blocks, and one rule, :func:`deal`, hands one or *more* blocks to each
+place as near-even consecutive runs (a :class:`~repro.matrix.block.BlockSet`
+per place), so every place holds one contiguous row band.  The rule is
+never stored: a snapshot saves the row sizes, and a restore deals them over
+the snapshot group's size again to find each block's old owner.  Holding
+sets of blocks is what lets the **shrink** restoration remap existing
+blocks over fewer places without repartitioning (fast block-by-block
+restore, Fig. 1-b), while **shrink-rebalance** recalculates the grid for
+even load at the price of sub-block overlap copies (Fig. 1-c).
 
 Payloads are dense (:class:`DenseMatrix`) or sparse (:class:`SparseCSR`)
 blocks; the sparse restore additionally counts the non-zeros of each
@@ -25,7 +26,6 @@ import numpy as np
 from repro.matrix.block import BlockSet, MatrixBlock
 from repro.matrix.dense import DenseMatrix
 from repro.matrix.grid import Grid, Partition1D
-from repro.matrix.mapping import GroupedBlockMap
 from repro.matrix.multiplace import MultiPlaceObject
 from repro.matrix.random import LinkMatrix, dense_strip, random_sparse_block, zero_dense_block
 from repro.matrix.sparse import SparseCSR, _joined
@@ -38,17 +38,34 @@ DENSE = "dense"
 SPARSE = "sparse"
 
 
+def deal(num_row_blocks: int, num_places: int) -> Partition1D:
+    """The one block→place rule (Fig. 1-b): row blocks dealt in grid order
+    as near-even consecutive runs, the first ``num_row_blocks % num_places``
+    places receiving one extra block — segment *i* is place index *i*'s run."""
+    require(
+        num_row_blocks >= num_places,
+        f"{num_row_blocks} blocks cannot cover {num_places} places",
+    )
+    return Partition1D.even(num_row_blocks, num_places)
+
+
+def owners_of(num_row_blocks: int, num_places: int) -> List[int]:
+    """``owners[rb]``: the place index :func:`deal` hands row block *rb* to."""
+    sizes = deal(num_row_blocks, num_places).sizes
+    return [index for index, size in enumerate(sizes) for _ in range(size)]
+
+
 class TaskPlan:
     """What a matrix layout fixes about every task run over it, worked out
     once per layout instead of once per task: each place's row blocks and
     the per-place counts behind the declared flops of the dense kernels.
 
-    Everything here is read off the grid and the block map — no heap.
+    Everything here is read off the grid and :func:`deal` — no heap.
     :class:`DistBlockMatrix` drops its plan whenever the layout may change
     (allocation, remake, regrid, restore) and never pickles it.
     """
 
-    def __init__(self, grid: Grid, block_map: GroupedBlockMap, dense: bool):
+    def __init__(self, grid: Grid, num_places: int, dense: bool):
         row_sizes, row_offsets, n = grid.row_sizes, grid.row_offsets, grid.n
         #: Per place index: its blocks ``(rb, row offset, rows)``, in order.
         self.blocks: List[List[Tuple[int, int, int]]] = []
@@ -56,10 +73,10 @@ class TaskPlan:
         #: partition), and stored cells.
         self.rows: List[int] = []
         self.cells: List[int] = []
-        for index in range(block_map.num_places):
-            run = block_map.blocks_of_place(index)
-            blocks = [(rb, row_offsets[rb], row_sizes[rb]) for rb in run]
-            rows = row_offsets[run.stop] - row_offsets[run.start]
+        first = deal(grid.num_row_blocks, num_places).offsets
+        for lo, hi in zip(first, first[1:]):
+            blocks = [(rb, row_offsets[rb], row_sizes[rb]) for rb in range(lo, hi)]
+            rows = row_offsets[hi] - row_offsets[lo]
             self.blocks.append(blocks)
             self.rows.append(rows)
             self.cells.append(rows * n)
@@ -78,18 +95,20 @@ Piece = Tuple[int, Tuple[int, int], Tuple[int, int, int, int], float, float]
 def regrid_plan(
     new: Grid,
     old: Grid,
-    owners: Dict[int, int],
+    old_places: int,
     block_nnz: Optional[Dict[int, int]],
 ) -> List[List[Piece]]:
     """Every read of a restore from *old*'s row blocks onto *new*'s, planned once.
 
-    Per new row block, its pieces top to bottom: one full-width row range
-    of each old block it meets — none for a zero-height block.  The pieces
-    tile the block exactly (property-tested).  *block_nnz* (``None`` for a
-    dense matrix) sizes a sparse piece's charges: a counting pass over the
-    old block's row span, then a copy of the entries it finds.
+    *old* was dealt over *old_places* places, which names each old block's
+    owner.  Per new row block, its pieces top to bottom: one full-width row
+    range of each old block it meets — none for a zero-height block.  The
+    pieces tile the block exactly (property-tested).  *block_nnz* (``None``
+    for a dense matrix) sizes a sparse piece's charges: a counting pass over
+    the old block's row span, then a copy of the entries it finds.
     """
     n = new.n
+    owners = owners_of(old.num_row_blocks, old_places)
     plan: List[List[Piece]] = [[] for _ in range(new.num_row_blocks)]
     for rb, orb, r0, r1 in new.row_partition().overlaps(old.row_partition()):
         if block_nnz is None:
@@ -121,7 +140,6 @@ class DistBlockMatrix(MultiPlaceObject):
         super().__init__(runtime, group, "DistBlockMatrix")
         self.grid = grid
         self.kind = kind
-        self.block_map = GroupedBlockMap(grid, group.size)
         self._allocate()
 
     # -- factories (paper's ``make`` signature) ---------------------------------
@@ -169,7 +187,7 @@ class DistBlockMatrix(MultiPlaceObject):
 
     @cached_property
     def _plan(self) -> TaskPlan:
-        return TaskPlan(self.grid, self.block_map, self.kind == DENSE)
+        return TaskPlan(self.grid, self.group.size, self.kind == DENSE)
 
     def task_plan(self) -> TaskPlan:
         """This layout's :class:`TaskPlan`, built on first use."""
@@ -426,14 +444,8 @@ class DistBlockMatrix(MultiPlaceObject):
                 "new grid covers a different matrix",
             )
             self.grid = new_grid
-        self.block_map = GroupedBlockMap(self.grid, new_group.size)
         self._allocate()
         return self
-
-    @classmethod
-    def default_regrid(cls, m: int, n: int, num_places: int) -> Grid:
-        """The shrink-rebalance grid: one row block per place."""
-        return Grid.partition(m, n, num_places)
 
     # -- resilience: snapshot / restore (§IV-B) -------------------------------------
 
@@ -453,7 +465,6 @@ class DistBlockMatrix(MultiPlaceObject):
             {
                 "kind": self.kind,
                 "row_sizes": list(self.grid.row_sizes),
-                "owners": self.block_map.owner_dict(),
                 "block_nnz": block_nnz,
             },
             protection,
@@ -476,7 +487,7 @@ class DistBlockMatrix(MultiPlaceObject):
 
     def _restore_same_grid(self, snapshot) -> None:
         """Block-by-block restore: adopt whole blocks from their old owners."""
-        owners: Dict[int, int] = snapshot.meta["owners"]
+        owners = owners_of(self.grid.num_row_blocks, snapshot.group.size)
         key = self.heap_key
 
         def load(ctx: PlaceContext) -> None:
@@ -500,7 +511,7 @@ class DistBlockMatrix(MultiPlaceObject):
         plan = regrid_plan(
             self.grid,
             old_grid,
-            snapshot.meta["owners"],
+            snapshot.group.size,
             snapshot.meta.get("block_nnz", {}) if not dense else None,
         )
         key, n = self.heap_key, self.n

@@ -132,16 +132,6 @@ class Grid:
         """GML's near-even ``rowBlocks × 1`` grid."""
         return cls(m, n, split_even(m, row_blocks))
 
-    def block_dims(self, rb: int) -> Tuple[int, int]:
-        """``(rows, cols)`` of row block *rb*."""
-        check_index(rb, self.num_row_blocks, "row block")
-        return self.row_sizes[rb], self.n
-
-    def block_origin(self, rb: int) -> int:
-        """The global row of row block *rb*'s first row."""
-        check_index(rb, self.num_row_blocks, "row block")
-        return self.row_offsets[rb]
-
     def row_partition(self) -> Partition1D:
         """The grid's row-band structure as a 1-D partition."""
         return Partition1D(self.m, self.row_sizes)

@@ -320,7 +320,7 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         charged_bytes = 0
         for m in charge_keys:
             if m in sizes:
-                self._ship(self._homes[m][0].id, parity_place.id, sizes[m])
+                self._ship(self._rows[m][0][1], parity_place.id, sizes[m])
                 charged_bytes += sizes[m]
         block_nbytes = max(sizes.values())
         rt.clock.advance(
@@ -527,8 +527,8 @@ class ParityObjectSnapshot(DistObjectSnapshot):
                 rt.check_alive(place.id)
         repaired = 0
         for key in sorted(self._saved_keys):
-            home = self._homes[key][0]
-            if not rt.is_alive(home.id) or self._primary_held(key):
+            _, home, primary_key = self._rows[key][0]
+            if not rt.is_alive(home) or self._primary_held(key):
                 continue
             try:
                 src_id, heap_key = self.locate(key)
@@ -537,12 +537,12 @@ class ParityObjectSnapshot(DistObjectSnapshot):
             nbytes = self._nbytes[key]
             if src_id == self.STABLE_TIER:
                 payload = self._stable[key]
-                rt.engine.stable_read(home.id, nbytes)
+                rt.engine.stable_read(home, nbytes)
             else:
                 payload = rt.heap_of(src_id).get(heap_key)
-                self._ship(src_id, home.id, nbytes)
-                rt.clock.advance(home.id, rt.cost.memcpy(nbytes))
-            rt.heap_of(home.id).put(self._rows[key][0][2], payload)
+                self._ship(src_id, home, nbytes)
+                rt.clock.advance(home, rt.cost.memcpy(nbytes))
+            rt.heap_of(home).put(primary_key, payload)
             self._verified.add((key, 0))
             repaired += 1
         # A block that survived stays as it is: the refilled primaries hold

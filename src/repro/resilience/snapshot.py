@@ -5,7 +5,7 @@
 key = the place's *index* in the object's place group, value = that place's
 data partition.  Which copies of a partition exist, where, and in what
 order a read tries them is one piece of data, the per-key **copy table**
-``_homes[key] = (primary place, backup places...)``:
+``_rows[key] = ((tier, place id, heap key), ...)``:
 
 * tier 0: the primary copy in the owning place's heap;
 * tiers 1..k: in-memory backup copies on the places chosen by a pluggable
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from functools import cached_property
 from typing import TYPE_CHECKING, Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.resilience.placement import ReplicaPlacement, RingPlacement
@@ -43,7 +42,7 @@ from repro.runtime.exceptions import (
     DeadPlaceException,
     SnapshotCorruptionError,
 )
-from repro.runtime.place import Place, PlaceGroup
+from repro.runtime.place import PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
 from repro.util.checksum import corrupt_payload, memoized_checksum
 from repro.util.payload import BLOCK_KEY_NBYTES, FRAMING_BYTES, MODELED_INDEX, STORED_INDEX
@@ -108,8 +107,8 @@ class DistObjectSnapshot:
     ``stable_fallback`` each partition is additionally written through the
     engine's shared disk and survives any set of place failures.
 
-    ``meta`` carries object-specific restore metadata (the data grid, the
-    block→place owner map, the vector partition) captured at snapshot time.
+    ``meta`` carries object-specific restore metadata (the data grid's row
+    sizes, the vector partition) captured at snapshot time.
     """
 
     #: Sentinel "place id" returned by :meth:`locate` for the disk tier.
@@ -132,12 +131,15 @@ class DistObjectSnapshot:
         self.backups = backups
         self.placement = placement if placement is not None else RingPlacement()
         self._offsets = self.placement.offsets(backups, group.size)
-        #: The copy table: ``_homes[key][tier]`` is the place holding the
-        #: in-memory copy of *key* at *tier* (0 = primary, then the backups
-        #: in placement order).  The modular placement arithmetic is
-        #: tabulated once and rebuilt only by :meth:`rebind_group`; every
-        #: save, probe, read and delete is a pass over it.
-        self._homes: List[Tuple[Place, ...]] = self._home_table()
+        #: The copy table: ``_rows[key]`` lists ``(tier, place id, heap key)``
+        #: of every in-memory copy of *key*, in the order a read tries them
+        #: (0 = primary, then the backups in placement order).  The modular
+        #: placement arithmetic is tabulated once, rebuilt only by
+        #: :meth:`rebind_group`, and kept in fork images; every save, probe,
+        #: read and delete is a pass over it.  A copy is *held* while
+        #: ``rt._alive.get(pid, False) and rt._heaps[pid].contains(heap
+        #: key)``; the passes over the rows test that inline.
+        self._rows: List[Tuple[Tuple[int, int, tuple], ...]] = self._copy_table()
         self.stable_fallback = stable_fallback
         self._stable: Dict[int, Any] = {}
         self._saved_keys: set = set()
@@ -170,40 +172,17 @@ class DistObjectSnapshot:
 
     # -- the copy table ------------------------------------------------------
 
-    def _home_table(self) -> List[Tuple[Place, ...]]:
-        places = self.group._places
-        # Tier t's column is the group rotated by that tier's ring offset
-        # (0 for the primary), so row *key* reads places[(key + offset) % size].
-        columns = []
-        for offset in (0, *self._offsets):
-            columns.append(places[offset:] + places[:offset])
-        return list(zip(*columns))
-
-    @cached_property
-    def _rows(self) -> List[Tuple[Tuple[int, int, tuple], ...]]:
-        """The copy table with its heap keys: ``_rows[key]`` lists ``(tier,
-        place id, heap key)`` of every in-memory copy *key* was saved with,
-        in the order a read tries them.
-
-        Derived from ``_homes``: tabulated on first use, again by
-        :meth:`rebind_group`, and left out of fork images.  A copy is *held*
-        while ``rt._alive.get(pid, False) and rt._heaps[pid].contains(heap
-        key)``; the passes over the rows test that inline.
-        """
-        sid = self.snap_id
+    def _copy_table(self) -> List[Tuple[Tuple[int, int, tuple], ...]]:
+        ids, sid = self.group.ids, self.snap_id
+        size = len(ids)
         rows = []
-        for key, homes in enumerate(self._homes):
-            row = [(0, homes[0].id, ("snap", sid, key))] if homes else []
-            for tier in range(1, len(homes)):
-                row.append((tier, homes[tier].id, ("snapb", sid, key, tier)))
+        for key in range(size):
+            # Tier t's copy sits its ring offset (0 for the primary) along.
+            row = [(0, ids[key], ("snap", sid, key))]
+            for tier, offset in enumerate(self._offsets, 1):
+                row.append((tier, ids[(key + offset) % size], ("snapb", sid, key, tier)))
             rows.append(tuple(row))
         return rows
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # Every fork image holds every snapshot; a load re-derives the rows.
-        state = self.__dict__.copy()
-        state.pop("_rows", None)
-        return state
 
     def _check_owner(self, ctx: PlaceContext, key: int) -> None:
         """Raise unless *ctx* runs at the place owning partition *key*."""
@@ -406,7 +385,7 @@ class DistObjectSnapshot:
         replica tiers and the optional disk copy each store it again —
         the ``k x`` footprint the parity tier exists to undercut.
         """
-        copies = len(self._homes[0]) + (1 if self.stable_fallback else 0)
+        copies = len(self._rows[0]) + (1 if self.stable_fallback else 0)
         return self.total_nbytes * copies
 
     @property
@@ -455,9 +434,10 @@ class DistObjectSnapshot:
                 f"verification and was quarantined ({struck} this search); "
                 f"there is no further tier"
             )
+        row = self._rows[key]
         raise DataLossError(
-            f"all {len(self._homes[key])} in-memory copies of snapshot key "
-            f"{key} lost (homes {[place.id for place in self._homes[key]]}); "
+            f"all {len(row)} in-memory copies of snapshot key "
+            f"{key} lost (homes {[pid for _, pid, _ in row]}); "
             f"no parity group can re-derive it and no stable-storage tier holds it"
         )
 
@@ -579,7 +559,7 @@ class DistObjectSnapshot:
         if src_id == self.STABLE_TIER:
             payload = self._stable[key]
             rt.engine.stable_read(ctx.place.id, self._nbytes[key])
-            if self._homes[key]:
+            if self._rows[key]:
                 # A fall-through is only counted where there was a memory
                 # tier to fall from; a disk-only store reads disk by design.
                 rt.stats.stable_fallback_reads += 1
@@ -675,10 +655,9 @@ class DistObjectSnapshot:
         (vacuously true for single-place groups, which have nowhere else)."""
         if self.group.size <= 1:
             return True
+        rows = self._rows
         return all(
-            backup != self._homes[key][0]
-            for key in self._saved_keys
-            for backup in self._homes[key][1:]
+            pid != rows[key][0][1] for key in self._saved_keys for _, pid, _ in rows[key][1:]
         )
 
     def rebind_group(self, new_group: PlaceGroup) -> None:
@@ -698,8 +677,7 @@ class DistObjectSnapshot:
         )
         stale = self._rows
         self.group = new_group
-        self._homes = self._home_table()
-        del self._rows
+        self._rows = self._copy_table()
         # A copy whose home left the table is out of every read's reach (a
         # spare an aborted recovery had installed here, say): free it now, or
         # nothing ever will.

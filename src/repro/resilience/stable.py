@@ -50,6 +50,6 @@ class StableObjectSnapshot(DistObjectSnapshot):
     ):
         super().__init__(runtime, group, meta, backups=0, stable_fallback=True)
 
-    def _home_table(self) -> List[tuple]:
-        """No key has an in-memory home — not even a primary."""
+    def _copy_table(self) -> List[tuple]:
+        """No key has an in-memory copy — not even a primary."""
         return [()] * self.group.size

@@ -15,20 +15,16 @@ def make_rt(n=3):
     return Runtime(n, cost=CostModel.zero())
 
 
-class TestMatrixBlock:
-    def test_for_grid_validates_shape(self):
-        grid = Grid.partition(10, 6, 2)
-        block = MatrixBlock.for_grid(grid, 1, DenseMatrix.make(5, 6))
-        assert block.row_range() == (5, 10)
-        with pytest.raises(ValueError):
-            MatrixBlock.for_grid(grid, 1, DenseMatrix.make(5, 3))  # not full width
-        with pytest.raises(ValueError):
-            MatrixBlock.for_grid(grid, 1, DenseMatrix.make(4, 6))
+def block(grid, rb, data):
+    """Row block *rb* of *grid* holding *data*, as allocation builds it."""
+    return MatrixBlock(rb, grid.row_offsets[rb], data)
 
+
+class TestMatrixBlock:
     def test_kind_and_bytes(self):
         grid = Grid.partition(4, 4, 2)
-        dense = MatrixBlock.for_grid(grid, 0, DenseMatrix.make(2, 4))
-        sparse = MatrixBlock.for_grid(grid, 1, SparseCSR.empty(2, 4))
+        dense = block(grid, 0, DenseMatrix.make(2, 4))
+        sparse = block(grid, 1, SparseCSR.empty(2, 4))
         assert not dense.is_sparse and sparse.is_sparse
         assert dense.nbytes == 64
 
@@ -38,14 +34,14 @@ class TestBlockSet:
         grid = Grid.partition(8, 4, 4)
         bs = BlockSet(place_index=0)
         for rb in (1, 2):
-            bs.add(MatrixBlock.for_grid(grid, rb, DenseMatrix.make(2, 4)))
+            bs.add(block(grid, rb, DenseMatrix.make(2, 4)))
         return bs
 
     def test_duplicate_rejected(self):
         bs = self._bs()
         grid = Grid.partition(8, 4, 4)
         with pytest.raises(ValueError):
-            bs.add(MatrixBlock.for_grid(grid, 1, DenseMatrix.make(2, 4)))
+            bs.add(block(grid, 1, DenseMatrix.make(2, 4)))
 
     def test_get_and_contains(self):
         bs = self._bs()
@@ -58,22 +54,17 @@ class TestBlockSet:
         grid = Grid.partition(10, 4, 5)
         bs = BlockSet(place_index=0)
         for rb in (3, 0, 4, 2):
-            bs.add(MatrixBlock.for_grid(grid, rb, DenseMatrix.make(2, 4)))
+            bs.add(block(grid, rb, DenseMatrix.make(2, 4)))
         in_order = [0, 2, 3, 4]
         assert [b.rb for b in bs] == in_order
         assert bs.keys() == [(rb, 0) for rb in in_order]  # the saved block keys
         running = iter(bs)
         first = next(running)
-        bs.add(MatrixBlock.for_grid(grid, 1, DenseMatrix.make(2, 4)))  # a later add()
+        bs.add(block(grid, 1, DenseMatrix.make(2, 4)))  # a later add()
         assert [first.rb] + [b.rb for b in running] == in_order
         assert [b.rb for b in bs] == [0, 1, 2, 3, 4]
         assert bs.keys() == [(rb, 0) for rb in range(5)]
         assert [key for key, _version in bs.version_token()] == bs.keys()
-
-    def test_row_span(self):
-        assert self._bs().row_span() == (2, 6)
-        with pytest.raises(ValueError):
-            BlockSet(0).row_span()
 
     def test_freeze_view_dict_is_copy_on_write(self):
         bs = self._bs()
@@ -89,8 +80,8 @@ class TestBlockSet:
     def test_total_nnz_counts_sparse_only(self):
         grid = Grid.partition(4, 4, 2)
         bs = BlockSet(0)
-        bs.add(MatrixBlock.for_grid(grid, 0, DenseMatrix.make(2, 4)))
-        bs.add(MatrixBlock.for_grid(grid, 1, SparseCSR.from_coo(2, 4, [0, 1], [1, 2], [1.0, 2.0])))
+        bs.add(block(grid, 0, DenseMatrix.make(2, 4)))
+        bs.add(block(grid, 1, SparseCSR.from_coo(2, 4, [0, 1], [1, 2], [1.0, 2.0])))
         assert bs.total_nnz() == 2
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matrix.distblock import DistBlockMatrix, regrid_plan
+from repro.matrix.distblock import DistBlockMatrix, owners_of, regrid_plan
 from repro.matrix.distvector import DistVector
 from repro.matrix.dupvector import DupVector
 from repro.matrix.grid import Grid
@@ -39,6 +39,14 @@ class TestConstruction:
         g = DistBlockMatrix.make_dense(rt, 8, 4, 4, group=group)
         assert g.blocks_per_place() == [2, 2]
         assert rt.heap_of(0).get_or(g.heap_key) is None
+
+    def test_too_few_row_blocks_are_refused_at_make_and_at_remake(self):
+        rt = make_rt(4)
+        with pytest.raises(ValueError, match="^3 blocks cannot cover 4 places$"):
+            DistBlockMatrix.make_dense(rt, 16, 4, 3)
+        g = DistBlockMatrix.make_dense(rt, 16, 4, 4)
+        with pytest.raises(ValueError, match="^2 blocks cannot cover 4 places$"):
+            g.remake(rt.world, new_grid=Grid.partition(16, 4, 2))
 
 
 class TestInitialization:
@@ -78,12 +86,15 @@ class TestInitialization:
 def _tiles_in_group_order(g):
     """*g*'s aligned row partition tiles ``0..m`` in group order, each
     place's band being its consecutive run of row blocks."""
-    part = g.aligned_row_partition()
+    part, plan = g.aligned_row_partition(), g.task_plan()
     cursor = 0
     for index in range(g.group.size):
-        run = g.block_map.blocks_of_place(index)
-        assert list(run) == list(range(run[0], run[-1] + 1))
-        assert g.block_set(index).row_span() == (cursor, cursor + part.sizes[index])
+        run = [rb for rb, _, _ in plan.blocks[index]]
+        assert run == list(range(run[0], run[-1] + 1))
+        blocks = list(g.block_set(index))
+        assert [block.rb for block in blocks] == run
+        span = (blocks[0].row_range()[0], blocks[-1].row_range()[1])
+        assert span == (cursor, cursor + part.sizes[index])
         cursor += part.sizes[index]
     assert cursor == part.n == g.m
 
@@ -93,8 +104,8 @@ class TestLayoutQueries:
     @given(data=st.data())
     def test_one_block_column_is_row_aligned(self, data):
         """Every way a layout is made — ``make`` over any group, a keep-grid
-        ``remake`` onto any non-empty subgroup, a ``remake`` onto
-        ``default_regrid`` — has an aligned row partition tiling the rows in
+        ``remake`` onto any non-empty subgroup, a ``remake`` onto one row
+        block per place — has an aligned row partition tiling the rows in
         group order, and a matvec into it moves nothing between places."""
         world = data.draw(st.integers(1, 6), label="world")
         ids = st.lists(st.integers(0, world - 1), min_size=1, unique=True).map(sorted)
@@ -110,7 +121,7 @@ class TestLayoutQueries:
         layouts = [
             lambda: None,
             lambda: g.remake(PlaceGroup.of_ids(survivors)),
-            lambda: g.remake(g.group, new_grid=DistBlockMatrix.default_regrid(m, 3, g.group.size)),
+            lambda: g.remake(g.group, new_grid=Grid.partition(m, 3, g.group.size)),
         ]
         for make_layout in layouts:
             make_layout()
@@ -124,7 +135,8 @@ class TestLayoutQueries:
     def test_row_spans(self):
         rt = make_rt(2)
         g = DistBlockMatrix.make_dense(rt, 8, 4, 4)
-        assert [g.block_set(i).row_span() for i in range(2)] == [(0, 4), (4, 8)]
+        spans = [[block.row_range() for block in g.block_set(i)] for i in range(2)]
+        assert spans == [[(0, 2), (2, 4)], [(4, 6), (6, 8)]]
 
 
 class TestRemake:
@@ -142,7 +154,7 @@ class TestRemake:
         g = DistBlockMatrix.make_dense(rt, 16, 4, 8).init_random(1)
         rt.kill(3)
         survivors = rt.live_world()
-        g.remake(survivors, new_grid=DistBlockMatrix.default_regrid(16, 4, survivors.size))
+        g.remake(survivors, new_grid=Grid.partition(16, 4, survivors.size))
         assert g.grid.num_row_blocks == 3
         assert g.blocks_per_place() == [1, 1, 1]
 
@@ -185,8 +197,8 @@ class TestSnapshotRestore:
         snap = g.make_snapshot()
         rt.kill(2)
         g.remake(rt.live_world())  # grid kept
-        g.restore_snapshot(snap)
-        assert np.array_equal(g.to_dense().data, ref)
+        g.restore_snapshot(snap)  # owners dealt again from the saved row sizes
+        assert g.to_dense().data.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_rebalance_restore_regridded(self, kind):
@@ -196,9 +208,15 @@ class TestSnapshotRestore:
         snap = g.make_snapshot()
         rt.kill(2)
         survivors = rt.live_world()
-        g.remake(survivors, new_grid=DistBlockMatrix.default_regrid(20, 8, survivors.size))
+        g.remake(survivors, new_grid=Grid.partition(20, 8, survivors.size))
         g.restore_snapshot(snap)
-        assert np.array_equal(g.to_dense().data, ref)
+        assert g.to_dense().data.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_snapshot_meta_stores_no_block_owners(self, kind):
+        # A restore deals the saved row sizes over the snapshot's group again.
+        snap = self._matrix(make_rt(4), kind).make_snapshot()
+        assert set(snap.meta) == {"kind", "row_sizes", "block_nnz"}
 
     def test_warm_link_regrid_restore_shares_the_graph(self):
         """A shrink-rebalance restore of a PageRank link matrix whose graph
@@ -211,7 +229,7 @@ class TestSnapshotRestore:
         snap = g.make_snapshot()
         rt.kill(5)
         survivors = rt.live_world()
-        g.remake(survivors, new_grid=DistBlockMatrix.default_regrid(6000, 6000, survivors.size))
+        g.remake(survivors, new_grid=Grid.partition(6000, 6000, survivors.size))
         tracemalloc.start()
         try:
             g.restore_snapshot(snap)
@@ -229,7 +247,7 @@ class TestSnapshotRestore:
     def _regridded_dense(self, seed, places=12, rows=250, cols=100):
         """A uniform full-width dense matrix on *places* (two blocks each),
         its bytes, its snapshot, and the matrix restored after one kill onto
-        ``default_regrid``, with the restore's traced allocation peak."""
+        one row block per survivor, with the restore's traced allocation peak."""
         rt = make_rt(places)
         m = 2 * places * rows
         g = DistBlockMatrix.make_dense(rt, m, cols, 2 * places).init_random(seed)
@@ -237,7 +255,7 @@ class TestSnapshotRestore:
         snap = g.make_snapshot()
         rt.kill(5)
         survivors = rt.live_world()
-        g.remake(survivors, new_grid=DistBlockMatrix.default_regrid(m, cols, survivors.size))
+        g.remake(survivors, new_grid=Grid.partition(m, cols, survivors.size))
         tracemalloc.start()
         try:
             g.restore_snapshot(snap)
@@ -339,14 +357,15 @@ def _old_and_new_grids(draw):
 
 class TestRegridPlan:
     @settings(max_examples=200, deadline=None)
-    @given(grids=_old_and_new_grids(), sparse=st.booleans())
-    def test_pieces_tile_every_new_block_once(self, grids, sparse):
+    @given(grids=_old_and_new_grids(), sparse=st.booleans(), data=st.data())
+    def test_pieces_tile_every_new_block_once(self, grids, sparse, data):
         """Every planned piece is a non-empty full-width row range inside its
-        old block, read from that block's owner, and the pieces of a new
-        block cover its rows exactly once, top to bottom."""
+        old block, read from the place the dealing rule gave that block, and
+        the pieces of a new block cover its rows exactly once, top to bottom."""
         old, new = grids
-        owners = {orb: 10 * orb for orb in range(old.num_row_blocks)}
-        plan = regrid_plan(new, old, owners, {} if sparse else None)
+        places = data.draw(st.integers(1, old.num_row_blocks), label="old places")
+        owners = owners_of(old.num_row_blocks, places)
+        plan = regrid_plan(new, old, places, {} if sparse else None)
         assert len(plan) == new.num_row_blocks
         for rb, pieces in enumerate(plan):
             cursor = new.row_offsets[rb]

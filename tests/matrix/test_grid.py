@@ -91,12 +91,9 @@ class TestGrid:
         assert g.row_sizes == [4, 3, 3]
         assert (g.n, g.num_row_blocks) == (7, 3)
 
-    def test_block_dims_origin(self):
+    def test_row_offsets_and_sizes(self):
         g = Grid.partition(10, 7, 3)
-        assert (g.block_origin(1), g.block_dims(1)) == (4, (3, 7))
-        assert (g.block_origin(2), g.block_dims(2)) == (7, (3, 7))
-        with pytest.raises(IndexError):
-            g.block_dims(3)
+        assert (g.row_offsets, g.row_sizes) == ([0, 4, 7, 10], [4, 3, 3])
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -134,7 +131,7 @@ class TestGrid:
         new = Grid.partition(m, 3, nrb)
         cover = np.zeros(m, dtype=int)
         for rb, _, r0, r1 in new.row_partition().overlaps(old.row_partition()):
-            lo = new.block_origin(rb)
+            lo = new.row_offsets[rb]
             assert lo <= r0 < r1 <= lo + new.row_sizes[rb]
             cover[r0:r1] += 1
         assert np.all(cover == 1)
@@ -145,8 +142,7 @@ class TestGrid:
         g = Grid.partition(m, n, rb)
         cover = np.zeros(m, dtype=int)
         for block in range(g.num_row_blocks):
-            r0, (h, w) = g.block_origin(block), g.block_dims(block)
-            assert w == n
+            r0, h = g.row_offsets[block], g.row_sizes[block]
             cover[r0 : r0 + h] += 1
         assert np.all(cover == 1)
 

@@ -15,7 +15,7 @@ from repro.matrix.dense import DenseMatrix
 from repro.matrix.distblock import DistBlockMatrix
 from repro.matrix.distvector import DistVector
 from repro.matrix.dupvector import DupVector
-from repro.matrix.grid import Partition1D
+from repro.matrix.grid import Grid, Partition1D
 from repro.matrix.ops import dist_block_matvec, dist_block_normal_matvec, dist_block_t_matvec
 from repro.matrix.random import LinkMatrix
 from repro.runtime import CostModel, PlaceGroup, Runtime
@@ -172,7 +172,7 @@ def _shrunk_world(rebalance: bool):
     snap = G.make_snapshot()
     rt.kill(2)
     survivors = rt.live_world()
-    grid = DistBlockMatrix.default_regrid(16, 6, survivors.size) if rebalance else None
+    grid = Grid.partition(16, 6, survivors.size) if rebalance else None
     G.remake(survivors, new_grid=grid)
     G.restore_snapshot(snap)
     x = DupVector.make(rt, 6, survivors).init_random(2)

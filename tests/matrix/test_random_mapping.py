@@ -1,4 +1,4 @@
-"""Tests for deterministic random init and the block→place map."""
+"""Tests for deterministic random init and the block→place rule."""
 
 import tracemalloc
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.matrix import random as random_mod
 from repro.matrix import sparse as sparse_mod
 from repro.matrix.grid import Grid, offsets_of, split_even
-from repro.matrix.mapping import GroupedBlockMap
+from repro.matrix.distblock import TaskPlan, owners_of
 from repro.matrix.random import (
     LinkMatrix,
     random_dense_block,
@@ -467,40 +467,43 @@ class TestDenseStrips:
 
 
 class TestBlockMaps:
-    def grid(self, blocks=8):
-        return Grid.partition(16, 4, blocks)
+    """The one block→place rule: ``TaskPlan`` deals a grid's row blocks over
+    its places, and ``owners_of`` names each block's place by the same rule."""
+
+    @staticmethod
+    def runs(blocks, places):
+        plan = TaskPlan(Grid.partition(16, 4, blocks), places, dense=True)
+        return [[rb for rb, _, _ in run] for run in plan.blocks]
 
     def test_grouped_consecutive(self):
         # Fig 1-b: row blocks dealt as consecutive near-even runs.
-        m = GroupedBlockMap(self.grid(6), 3)
-        assert [list(m.blocks_of_place(p)) for p in range(3)] == [[0, 1], [2, 3], [4, 5]]
+        assert self.runs(6, 3) == [[0, 1], [2, 3], [4, 5]]
 
     def test_grouped_uneven(self):
-        m = GroupedBlockMap(self.grid(7), 3)
-        assert [len(m.blocks_of_place(p)) for p in range(3)] == [3, 2, 2]
+        assert [len(run) for run in self.runs(7, 3)] == [3, 2, 2]
 
     def test_grouped_rejects_too_few_blocks(self):
-        with pytest.raises(ValueError):
-            GroupedBlockMap(self.grid(2), 3)
+        with pytest.raises(ValueError, match="^2 blocks cannot cover 3 places$"):
+            TaskPlan(Grid.partition(16, 4, 2), 3, dense=True)
+        with pytest.raises(ValueError, match="^2 blocks cannot cover 3 places$"):
+            owners_of(2, 3)
 
-    def test_owner_dict_is_built_once(self):
-        m = GroupedBlockMap(self.grid(6), 3)
-        owners = m.owner_dict()
-        assert owners == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
-        assert m.owner_dict() is owners
+    def test_owners_of_names_each_blocks_place(self):
+        assert owners_of(6, 3) == [0, 0, 1, 1, 2, 2]
+        assert owners_of(7, 3) == [0, 0, 0, 1, 1, 2, 2]
 
     @given(blocks=st.integers(1, 40), places=st.integers(1, 10))
     def test_grouped_properties(self, blocks, places):
         if blocks < places:
             return
-        grid = Grid.partition(blocks * 2, 3, blocks)
-        m = GroupedBlockMap(grid, places)
-        loads = [len(m.blocks_of_place(p)) for p in range(places)]
+        runs = self.runs(blocks, places)
+        loads = [len(run) for run in runs]
         assert sum(loads) == blocks
         assert max(loads) - min(loads) <= 1
+        assert [rb for run in runs for rb in run] == list(range(blocks))
         # Consistency between the two lookup directions.
-        owners = m.owner_dict()
-        assert sorted(owners) == list(range(blocks))
-        for p in range(places):
-            for rb in m.blocks_of_place(p):
+        owners = owners_of(blocks, places)
+        assert len(owners) == blocks
+        for p, run in enumerate(runs):
+            for rb in run:
                 assert owners[rb] == p

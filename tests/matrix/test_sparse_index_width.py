@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.matrix.distblock import DistBlockMatrix
+from repro.matrix.grid import Grid
 from repro.matrix.random import LinkMatrix
 from repro.matrix.sparse import SparseCSC, SparseCSR
 from repro.resilience.parity import ParityObjectSnapshot, _decode, _encode
@@ -89,7 +90,7 @@ class TestStoredWidth:
             snap = g.make_snapshot()
             rt.kill(2)
             survivors = rt.live_world()
-            g.remake(survivors, new_grid=DistBlockMatrix.default_regrid(g.m, g.n, 3))
+            g.remake(survivors, new_grid=Grid.partition(g.m, g.n, 3))
             g.restore_snapshot(snap)
             assert np.array_equal(g.to_dense().data, ref)
             for index in range(survivors.size):

@@ -208,7 +208,7 @@ class TestDeltaStore:
         # Partition 0's bytes are unchanged, but its backup replica died
         # with its place: redundancy is degraded, so reuse must be refused
         # (adopting would let the next failure destroy the last copy).
-        rt.kill(snap._homes[0][1].id)
+        rt.kill(snap._rows[0][1][1])  # partition 0's backup place
         assert not snap.can_reuse(0, token)
 
     def test_adoption_survives_base_deletion_on_commit(self):

@@ -377,15 +377,15 @@ def test_capture_boundaries_unnamed_captures_all_and_skips_the_unreached():
 
 def _layout(app):
     """Where each distributed object of *app* ended up: per object its place
-    group and, as it has them, its grid's row sizes with the block→place map
-    and its row partition — what a shrink and a shrink-rebalance restore
+    group and, as it has them, its grid's row sizes with each place's row
+    blocks as its task plan deals them, and its row partition — what a shrink and a shrink-rebalance restore
     leave differently even when the zero cost model times them alike."""
     layout = {"places": app.places.ids}
     for name, obj in vars(app).items():
         if isinstance(obj, MultiPlaceObject):
             entry = [obj.group.ids]
             if isinstance(obj, DistBlockMatrix):
-                entry += [obj.grid.row_sizes, sorted(obj.block_map.owner_dict().items())]
+                entry += [obj.grid.row_sizes, obj.task_plan().blocks]
             partition = getattr(obj, "partition", None)
             if partition is not None:
                 entry.append(partition.sizes)

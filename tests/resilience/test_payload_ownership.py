@@ -86,10 +86,8 @@ def _live(obj):
 
 
 def _saved(obj, snap):
-    return [
-        obj.runtime.heap_of(snap.group[key].id).get(snap._rows[key][0][2])
-        for key in snap.saved_keys()
-    ]
+    primaries = [snap._rows[key][0] for key in snap.saved_keys()]
+    return [obj.runtime.heap_of(pid).get(heap_key) for _, pid, heap_key in primaries]
 
 
 def _bytes(per_place):

@@ -59,22 +59,22 @@ class TestSaveLocate:
             (1, 3, ("snapb", sid, 1, 1)),
             (2, 5, ("snapb", sid, 1, 2)),
         )
+        # Each tier's copy sits its spread offset (2, then 4) along the ring.
         assert [[pid for _, pid, _ in row] for row in snap._rows] == [
-            [place.id for place in homes] for homes in snap._homes
+            [0, 2, 4], [1, 3, 5], [2, 4, 0], [3, 5, 1], [4, 0, 2], [5, 1, 3]
         ]
 
-    def test_rows_are_derived_not_shipped_and_follow_a_rebind(self):
-        """Fork images carry the copy table, not its rows; a load (like a
-        ``rebind_group``) rebuilds them on first use."""
+    def test_rows_ship_in_fork_images_and_follow_a_rebind(self):
+        """The copy table is built with the snapshot and a fork image carries
+        it as it is; a ``rebind_group`` rebuilds it for the new group."""
         from repro.engine.fork import ForkContext
 
         rt = Runtime(4, cost=CostModel.zero(), spares=1)
         snap = DistObjectSnapshot(rt, rt.world)
-        save_all(rt, snap, lambda i: Vector.of([float(i)]))
         rows = snap._rows
-        assert "_rows" in vars(snap)
+        save_all(rt, snap, lambda i: Vector.of([float(i)]))
         loaded = ForkContext().capture(snap).load()
-        assert "_rows" not in vars(loaded) and "_rows" in vars(snap)
+        assert snap._rows is rows
         assert loaded._rows == rows and loaded.locate(2) == snap.locate(2)
         rt.kill(2)
         snap.rebind_group(rt.world.replace(rt.world[2], rt.claim_spare()))

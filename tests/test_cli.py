@@ -176,6 +176,44 @@ class TestReplication:
         assert "unrecoverable" in err
         assert "--stable-fallback" in err  # the hint points at the ladder
 
+    def test_loss_after_a_commit_hints_at_the_protection_flags(self, capsys):
+        assert main([
+            "run", "linreg", "--places", "6", "--iterations", "8",
+            "--ckpt-interval", "3", "--fail-at", "5", "--victim", "2",
+            "--fail-at", "5", "--victim", "3",
+        ]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "hint: raise --replicas, use --placement spread, or add --stable-fallback"
+        )
+
+    @pytest.mark.parametrize("app, tail", [
+        ("linreg", ""),
+        ("cg", "; --recovery reconstruct with --spares recovers without one"),
+    ])
+    def test_loss_before_the_first_commit_hints_that_no_protection_helps(
+        self, capsys, app, tail
+    ):
+        # No checkpoint has committed: the strongest protection loses too,
+        # and only an app that reconstructs is pointed anywhere.
+        assert main([
+            "run", app, "--places", "4", "--iterations", "6", "--fail-at", "0",
+            "--replicas", "3", "--placement", "spread", "--stable-fallback",
+        ]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "hint: no protection flag helps a failure before the first checkpoint commits"
+            + tail
+        )
+
+    @pytest.mark.parametrize("mode", ["shrink", "replace-redundant"])
+    def test_a_failure_at_iteration_zero_is_survived_by_reconstruction(self, capsys, mode):
+        assert main([
+            "run", "cg", "--places", "4", "--iterations", "6", "--fail-at", "0",
+            "--recovery", "reconstruct", "--spares", "1", "--mode", mode,
+        ]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "iterations executed:  6" in out
+        assert "reconstructions:      1 (1 partitions, 0 aborted, 0 fell back to rollback)" in out
+
     def test_reconstruct_without_replicas_rolls_back_like_one_replica(self, capsys):
         # No spare to reconstruct onto: CG falls back to its rollback
         # checkpoint, which keeps the default backup of x even though the
